@@ -13,7 +13,7 @@ package alloc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dramdig/internal/addr"
 )
@@ -71,6 +71,9 @@ func (c Config) Validate() error {
 	if c.ScatterChunks < 0 || (c.ScatterChunks > 0 && (c.ScatterChunkBytes == 0 || c.ScatterChunkBytes%PageSize != 0)) {
 		return fmt.Errorf("alloc: invalid scatter configuration")
 	}
+	if c.ScatterChunks > 0 && c.ScatterChunkBytes > c.MemBytes {
+		return fmt.Errorf("alloc: ScatterChunkBytes %d exceeds memory %d", c.ScatterChunkBytes, c.MemBytes)
+	}
 	if c.HoleProb < 0 || c.HoleProb >= 1 {
 		return fmt.Errorf("alloc: HoleProb %v outside [0,1)", c.HoleProb)
 	}
@@ -78,10 +81,14 @@ func (c Config) Validate() error {
 }
 
 // Pool is the set of physical pages the tool owns.
+//
+// The page list is sorted and holds no duplicates. That is the whole
+// index: membership is a binary search, and n consecutive pages from s
+// are all present exactly when s is and the entry n−1 slots after it is
+// the last of them.
 type Pool struct {
 	cfg     Config
-	pages   []addr.Phys // page-aligned base addresses, sorted
-	present map[addr.Phys]struct{}
+	pages   []addr.Phys                    // page-aligned base addresses, sorted, unique
 	primary struct{ start, end addr.Phys } // [start, end): the primary chunk span
 }
 
@@ -90,19 +97,19 @@ func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Pool{cfg: cfg, present: make(map[addr.Phys]struct{})}
+	p := &Pool{cfg: cfg}
+	p.pages = make([]addr.Phys, 0, (cfg.PrimaryBytes+uint64(cfg.ScatterChunks)*cfg.ScatterChunkBytes)/PageSize)
 
+	// Every page of a holed chunk draws from rng, in chunk order, even
+	// when an earlier chunk already holds it: a seed always yields the
+	// same layout, so recorded traces replay. Overlaps are removed after
+	// sorting.
 	addChunk := func(base addr.Phys, bytes uint64, holes bool) {
 		for off := uint64(0); off < bytes; off += PageSize {
-			pg := base + addr.Phys(off)
 			if holes && cfg.HoleProb > 0 && rng.Float64() < cfg.HoleProb {
 				continue
 			}
-			if _, dup := p.present[pg]; dup {
-				continue
-			}
-			p.present[pg] = struct{}{}
-			p.pages = append(p.pages, pg)
+			p.pages = append(p.pages, base+addr.Phys(off))
 		}
 	}
 
@@ -125,7 +132,8 @@ func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
 		cBase := addr.Phys(uint64(rng.Int63n(int64(cSlots))) * cAlign)
 		addChunk(cBase, cfg.ScatterChunkBytes, true)
 	}
-	sort.Slice(p.pages, func(i, j int) bool { return p.pages[i] < p.pages[j] })
+	slices.Sort(p.pages)
+	p.pages = slices.Compact(p.pages)
 	return p, nil
 }
 
@@ -145,7 +153,7 @@ func (p *Pool) Config() Config { return p.cfg }
 // ContainsPage reports whether the page containing the address is
 // allocated.
 func (p *Pool) ContainsPage(a addr.Phys) bool {
-	_, ok := p.present[a&^addr.Phys(PageSize-1)]
+	_, ok := slices.BinarySearch(p.pages, a&^addr.Phys(PageSize-1))
 	return ok
 }
 
@@ -158,12 +166,13 @@ func (p *Pool) Contains(a addr.Phys) bool { return p.ContainsPage(a) }
 // pool — the page_miss predicate of the paper's Algorithm 1.
 func (p *Pool) PageMiss(start, end addr.Phys) bool {
 	start = start &^ addr.Phys(PageSize-1)
-	for pg := start; pg < end; pg += addr.Phys(PageSize) {
-		if !p.ContainsPage(pg) {
-			return true
-		}
+	if start >= end {
+		return false
 	}
-	return false
+	last := (end - 1) &^ addr.Phys(PageSize-1)
+	i, ok := slices.BinarySearch(p.pages, start)
+	j := i + int((last-start)/addr.Phys(PageSize))
+	return !ok || j >= len(p.pages) || p.pages[j] != last
 }
 
 // MaxPhys returns one past the highest allocated byte.

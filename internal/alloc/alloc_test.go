@@ -40,6 +40,14 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("HoleProb = 1 accepted")
 	}
+	// A scatter chunk larger than memory has no slot to land in.
+	bad = Config{MemBytes: 256 << 20, PrimaryBytes: 64 << 20, ScatterChunks: 1, ScatterChunkBytes: 512 << 20}
+	if err := bad.Validate(); err == nil {
+		t.Error("scatter chunk larger than memory accepted")
+	}
+	if _, err := NewPool(bad, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("NewPool accepted a scatter chunk larger than memory")
+	}
 }
 
 func TestPoolInvariants(t *testing.T) {

@@ -1,0 +1,144 @@
+package alloc
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"dramdig/internal/addr"
+)
+
+// refPool is the map-indexed pool NewPool replaced: pages are
+// deduplicated through a presence map as they are drawn, then sorted.
+// It is kept as the reference.
+type refPool struct {
+	pages   []addr.Phys
+	present map[addr.Phys]struct{}
+	primary struct{ start, end addr.Phys }
+}
+
+func newRefPool(cfg Config, rng *rand.Rand) (*refPool, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	p := &refPool{present: make(map[addr.Phys]struct{})}
+	addChunk := func(base addr.Phys, bytes uint64, holes bool) {
+		for off := uint64(0); off < bytes; off += PageSize {
+			pg := base + addr.Phys(off)
+			if holes && cfg.HoleProb > 0 && rng.Float64() < cfg.HoleProb {
+				continue
+			}
+			if _, dup := p.present[pg]; dup {
+				continue
+			}
+			p.present[pg] = struct{}{}
+			p.pages = append(p.pages, pg)
+		}
+	}
+	align := cfg.PrimaryBytes
+	slots := cfg.MemBytes / 2 / align
+	base := addr.Phys(uint64(rng.Int63n(int64(slots))) * align)
+	p.primary.start, p.primary.end = base, base+addr.Phys(cfg.PrimaryBytes)
+	addChunk(base, cfg.PrimaryBytes, cfg.FragmentPrimary)
+	for i := 0; i < cfg.ScatterChunks; i++ {
+		cAlign := cfg.ScatterChunkBytes
+		cSlots := cfg.MemBytes / cAlign
+		cBase := addr.Phys(uint64(rng.Int63n(int64(cSlots))) * cAlign)
+		addChunk(cBase, cfg.ScatterChunkBytes, true)
+	}
+	sort.Slice(p.pages, func(i, j int) bool { return p.pages[i] < p.pages[j] })
+	return p, nil
+}
+
+func (p *refPool) containsPage(a addr.Phys) bool {
+	_, ok := p.present[a&^addr.Phys(PageSize-1)]
+	return ok
+}
+
+func (p *refPool) pageMiss(start, end addr.Phys) bool {
+	start = start &^ addr.Phys(PageSize-1)
+	for pg := start; pg < end; pg += addr.Phys(PageSize) {
+		if !p.containsPage(pg) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestPoolMatchesReference(t *testing.T) {
+	frag := DefaultConfig(8 << 30)
+	frag.FragmentPrimary = true
+	frag.HoleProb = 0.05
+	solid := DefaultConfig(8 << 30)
+	solid.HoleProb = 0
+	// 32 slots of 8 MiB for 40 chunks: scatter chunks overlap each other
+	// and the primary.
+	crowded := Config{MemBytes: 256 << 20, PrimaryBytes: 64 << 20, ScatterChunks: 40, ScatterChunkBytes: 8 << 20, HoleProb: 0.1}
+	crowdedFrag := crowded
+	crowdedFrag.FragmentPrimary = true
+	configs := map[string]Config{
+		"default": DefaultConfig(8 << 30), "fragment-primary": frag, "no-holes": solid,
+		"crowded": crowded, "crowded-fragmented": crowdedFrag,
+	}
+	const P = addr.Phys(PageSize)
+	for name, cfg := range configs {
+		for seed := int64(1); seed <= 4; seed++ {
+			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, err := NewPool(cfg, rngA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefPool(cfg, rngB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Pages(), ref.pages) {
+				t.Fatalf("%s seed %d: %d pages, reference %d, or a different layout", name, seed, got.NumPages(), len(ref.pages))
+			}
+			if s, e := got.PrimaryRange(); s != ref.primary.start || e != ref.primary.end {
+				t.Fatalf("%s seed %d: primary range differs", name, seed)
+			}
+			// Both consumed the same draws.
+			if a, b := rngA.Int63(), rngB.Int63(); a != b {
+				t.Fatalf("%s seed %d: rng diverged after construction", name, seed)
+			}
+
+			q := rand.New(rand.NewSource(seed))
+			pages := ref.pages
+			near := func() addr.Phys {
+				// An address on, just around or between allocated pages.
+				pg := pages[q.Intn(len(pages))] + addr.Phys(q.Intn(5)-2)*P
+				return pg + addr.Phys(q.Int63n(int64(2*PageSize))) - P
+			}
+			for i := 0; i < 3000; i++ {
+				a := near()
+				if i%10 == 0 {
+					a = addr.Phys(q.Uint64() % (cfg.MemBytes + 1<<20))
+				}
+				if got.ContainsPage(a) != ref.containsPage(a) {
+					t.Fatalf("%s seed %d: ContainsPage(%v) = %v", name, seed, a, got.ContainsPage(a))
+				}
+				start := near()
+				var end addr.Phys
+				switch i % 4 {
+				case 0: // unaligned end, up to 40 pages on
+					end = start + addr.Phys(q.Int63n(40*int64(PageSize)))
+				case 1: // start >= end
+					end = start - addr.Phys(q.Int63n(3*int64(PageSize)))
+				case 2: // a whole chunk-sized span from a page boundary
+					start &^= P - 1
+					end = start + addr.Phys(cfg.ScatterChunkBytes)
+				default: // end within the start page
+					end = start + addr.Phys(q.Intn(2))
+				}
+				if got.PageMiss(start, end) != ref.pageMiss(start, end) {
+					t.Fatalf("%s seed %d: PageMiss(%v, %v) = %v", name, seed, start, end, got.PageMiss(start, end))
+				}
+			}
+			if s, e := got.PrimaryRange(); got.PageMiss(s, e) != ref.pageMiss(s, e) {
+				t.Fatalf("%s seed %d: PageMiss over the primary differs", name, seed)
+			}
+		}
+	}
+}

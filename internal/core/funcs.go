@@ -4,6 +4,14 @@
 // width (fewer bits first), redundant linear combinations are removed via
 // GF(2) span checks, and the final set must number the piles injectively
 // (0 … #banks−1 when all banks were found).
+//
+// The constancy test scores all 2^|B| masks of a pile at once with a
+// Walsh–Hadamard transform. A mask m agrees with member a exactly when
+// parity((a ⊕ rep) ∧ m) = 0. With h the histogram of the members'
+// (a ⊕ rep) restricted to B, the transform W[m] = Σ_x h[x]·(−1)^|x ∧ m|
+// counts agreeing minus disagreeing members, so agree(m) = (N + W[m]) / 2.
+// That is |B|·2^|B| additions per pile instead of 2^|B| passes over its
+// members, and the counts are the same exact integers.
 
 package core
 
@@ -30,29 +38,9 @@ func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64
 	}
 
 	// Count, for every mask, the piles it is constant on.
-	bMask := addr.MaskFromBits(bankBits)
-	constCount := make(map[uint64]int)
-	nMasks := 0
-	addr.SubMasks(bMask, func(mask uint64) bool {
-		nMasks++
-		return true
-	})
-	for _, p := range piles {
-		members := p.all()
-		addr.SubMasks(bMask, func(mask uint64) bool {
-			want := p.rep.XorFold(mask)
-			agree := 0
-			for _, a := range members {
-				if a.XorFold(mask) == want {
-					agree++
-				}
-			}
-			if float64(agree) >= t.cfg.PileAgreeFrac*float64(len(members)) {
-				constCount[mask]++
-			}
-			return true
-		})
-	}
+	bits := addr.BitsFromMask(addr.MaskFromBits(bankBits))
+	constCount := constCounts(piles, bits, t.cfg.PileAgreeFrac)
+	nMasks := len(constCount) - 1
 	// Mask evaluation is tool-side CPU work; charge a nominal cost.
 	t.target.AdvanceClock(float64(nMasks*len(piles)) * 50)
 
@@ -61,9 +49,9 @@ func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64
 		need = 1
 	}
 	var candidates []uint64
-	for mask, n := range constCount {
-		if n >= need {
-			candidates = append(candidates, mask)
+	for m, n := range constCount {
+		if m != 0 && n >= need {
+			candidates = append(candidates, uint64(addr.Phys(0).Deposit(bits, uint64(m))))
 		}
 	}
 	if len(candidates) == 0 {
@@ -105,6 +93,54 @@ func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64
 		return nil, fmt.Errorf("no combination of %d of %d candidate functions numbers the piles", L, len(cands))
 	}
 	return chosen, nil
+}
+
+// constCounts returns, for every mask over bits (bit i of the index
+// selects physical bit bits[i]), the number of piles on which at least
+// frac of the members, the representative included, agree with the
+// representative's parity under that mask.
+func constCounts(piles []*pile, bits []uint, frac float64) []int {
+	counts := make([]int, 1<<len(bits))
+	agree := make([]int32, len(counts))
+	for _, p := range piles {
+		pileAgreement(agree, p, bits)
+		n := float64(1 + len(p.members))
+		for m, a := range agree {
+			if float64(a) >= frac*n {
+				counts[m]++
+			}
+		}
+	}
+	return counts
+}
+
+// pileAgreement fills agree, of length 2^len(bits), with the number of
+// the pile's addresses (representative included) whose parity under each
+// mask over bits equals the representative's.
+func pileAgreement(agree []int32, p *pile, bits []uint) {
+	clear(agree)
+	agree[0] = 1 // the representative: rep ⊕ rep = 0
+	for _, a := range p.members {
+		agree[(a^p.rep).Extract(bits)]++
+	}
+	walshHadamard(agree)
+	n := int32(1 + len(p.members))
+	for m, w := range agree {
+		agree[m] = (n + w) / 2
+	}
+}
+
+// walshHadamard transforms w in place: afterwards
+// w[m] = Σ_x w_before[x]·(−1)^popcount(x ∧ m). len(w) is a power of two.
+func walshHadamard(w []int32) {
+	for h := 1; h < len(w); h <<= 1 {
+		for i := 0; i < len(w); i += h << 1 {
+			lo, hi := w[i:i+h], w[i+h:i+2*h]
+			for j := range lo {
+				lo[j], hi[j] = lo[j]+hi[j], lo[j]-hi[j]
+			}
+		}
+	}
 }
 
 // numberingValid checks that the functions assign distinct bank numbers

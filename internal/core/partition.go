@@ -27,11 +27,6 @@ type pile struct {
 	members []addr.Phys // excludes rep
 }
 
-// all returns rep plus members.
-func (p *pile) all() []addr.Phys {
-	return append([]addr.Phys{p.rep}, p.members...)
-}
-
 // partition runs Algorithm 2 over the selected pool.
 func (t *Tool) partition(pool []addr.Phys, banks int) ([]*pile, error) {
 	poolSz := len(pool)

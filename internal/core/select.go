@@ -96,22 +96,7 @@ func (t *Tool) selectAddresses(coarse *coarseResult) (*selection, error) {
 		return nil, fmt.Errorf("no contiguous physical range covering bits %d..%d in the allocation", wMin, wMax)
 	}
 
-	// Enumerate addresses at stride 2^wMin with missing bits pinned to
-	// one, deduplicating (the paper's loop visits each distinct address
-	// 2^|missMask| times).
-	seen := make(map[addr.Phys]struct{})
-	var sel []addr.Phys
-	for p := start; p < end; p += addr.Phys(uint64(1) << wMin) {
-		pp := p | addr.Phys(missMask)
-		if _, dup := seen[pp]; dup {
-			continue
-		}
-		if !pool.Contains(pp) {
-			continue
-		}
-		seen[pp] = struct{}{}
-		sel = append(sel, pp)
-	}
+	sel := enumerateSelection(pool, start, end, wMin, missMask)
 	if len(sel) < 2 {
 		return nil, fmt.Errorf("selection produced only %d addresses", len(sel))
 	}
@@ -126,6 +111,32 @@ func (t *Tool) selectAddresses(coarse *coarseResult) (*selection, error) {
 		rangeStart: start,
 		rangeEnd:   end,
 	}, nil
+}
+
+// enumerateSelection lists the owned addresses p | missMask for p from
+// start to end at stride 2^wMin, each once (the paper's loop visits each
+// distinct address 2^|missMask| times).
+//
+// The range is aligned: start has none of the offset bits set, so
+// p = start | x for x ascending over the multiples of 2^wMin below
+// end − start, and missMask holds only such offset bits. p | missMask
+// then first reaches each distinct address at x = (address − start) &^
+// missMask, and those first visits ascend: an address not above the
+// previous new one is a repeat.
+func enumerateSelection(pool *alloc.Pool, start, end addr.Phys, wMin uint, missMask uint64) []addr.Phys {
+	var sel []addr.Phys
+	next := addr.Phys(0) // one past the highest address visited
+	for p := start; p < end; p += addr.Phys(uint64(1) << wMin) {
+		pp := p | addr.Phys(missMask)
+		if pp < next {
+			continue
+		}
+		next = pp + 1
+		if pool.Contains(pp) {
+			sel = append(sel, pp)
+		}
+	}
+	return sel
 }
 
 // nextWideningBit picks the lowest detected row bit not yet used that

@@ -1,0 +1,65 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dramdig/internal/addr"
+	"dramdig/internal/alloc"
+)
+
+// enumerateSelectionRef is the map-deduplicated enumeration
+// enumerateSelection replaced. It is kept as the reference.
+func enumerateSelectionRef(pool *alloc.Pool, start, end addr.Phys, wMin uint, missMask uint64) []addr.Phys {
+	seen := make(map[addr.Phys]struct{})
+	var sel []addr.Phys
+	for p := start; p < end; p += addr.Phys(uint64(1) << wMin) {
+		pp := p | addr.Phys(missMask)
+		if _, dup := seen[pp]; dup {
+			continue
+		}
+		if !pool.Contains(pp) {
+			continue
+		}
+		seen[pp] = struct{}{}
+		sel = append(sel, pp)
+	}
+	return sel
+}
+
+// TestEnumerateSelectionMatchesMap draws ranges the way selectAddresses
+// aligns them, around random owned pages, with random miss masks.
+func TestEnumerateSelectionMatchesMap(t *testing.T) {
+	cfg := alloc.DefaultConfig(8 << 30)
+	cfg.HoleProb = 0.2
+	pool, err := alloc.NewPool(cfg, rand.New(rand.NewSource(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	pages := pool.Pages()
+	total := 0
+	for i := 0; i < 400; i++ {
+		wMin := uint(6 + rng.Intn(9))
+		wMax := wMin + uint(rng.Intn(10))
+		var missMask uint64
+		for b := wMin + 1; b < wMax; b++ {
+			if rng.Intn(2) == 0 {
+				missMask |= 1 << b
+			}
+		}
+		pageMask := addr.RangeMask(wMin, wMax) &^ (alloc.PageSize - 1)
+		start := pages[rng.Intn(len(pages))] &^ addr.Phys(pageMask)
+		end := start + addr.Phys(pageMask+alloc.PageSize)
+		got := enumerateSelection(pool, start, end, wMin, missMask)
+		want := enumerateSelectionRef(pool, start, end, wMin, missMask)
+		if !slices.Equal(got, want) {
+			t.Fatalf("bits %d..%d miss %#x from %v: %d addresses, reference %d", wMin, wMax, missMask, start, len(got), len(want))
+		}
+		total += len(want)
+	}
+	if total == 0 {
+		t.Fatal("no range selected any address")
+	}
+}

@@ -20,6 +20,7 @@ package mapping
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,15 +162,75 @@ func (m *Mapping) matrix() *linalg.Matrix {
 	return mat
 }
 
-// Decode maps a physical address to its DRAM location.
+// Decode maps a physical address to its DRAM location. It compiles the
+// mapping on every call; callers decoding many addresses compile once
+// with Compile.
 func (m *Mapping) Decode(p addr.Phys) DRAMAddr {
-	var d DRAMAddr
-	d.Row = p.Extract(m.RowBits)
-	d.Col = p.Extract(m.ColBits)
-	for i, f := range m.BankFuncs {
-		d.Bank |= p.XorFold(f) << uint(i)
+	dec := m.Compile()
+	return dec.Decode(p)
+}
+
+// Decoder is a mapping compiled for decoding. Row and column bits are
+// mostly contiguous (the paper's settings have one row run and one or two
+// column runs), so each index is gathered one run at a time rather than
+// one bit at a time.
+type Decoder struct {
+	row, col []bitRun
+	funcs    []uint64
+}
+
+// bitRun moves a run of consecutive physical bits to consecutive index
+// bits: rotating by rot lines the run up with its index positions, which
+// mask selects.
+type bitRun struct {
+	rot  int
+	mask uint64
+}
+
+// Compile builds the decoder of the mapping as it is now; later changes
+// to the mapping do not reach it.
+func (m *Mapping) Compile() Decoder {
+	return Decoder{
+		row:   compileRuns(m.RowBits),
+		col:   compileRuns(m.ColBits),
+		funcs: append([]uint64(nil), m.BankFuncs...),
 	}
-	return d
+}
+
+// compileRuns splits index bit positions into runs that are consecutive
+// both in the index and in the physical address. positions must lie
+// below 64, as they do in a valid mapping.
+func compileRuns(positions []uint) []bitRun {
+	var runs []bitRun
+	for i := 0; i < len(positions); {
+		j := i + 1
+		for j < len(positions) && positions[j] == positions[j-1]+1 {
+			j++
+		}
+		runs = append(runs, bitRun{
+			rot:  i - int(positions[i]),
+			mask: (uint64(1)<<uint(j-i) - 1) << uint(i),
+		})
+		i = j
+	}
+	return runs
+}
+
+func gather(p uint64, runs []bitRun) uint64 {
+	var v uint64
+	for _, r := range runs {
+		v |= bits.RotateLeft64(p, r.rot) & r.mask
+	}
+	return v
+}
+
+// Decode maps a physical address to its DRAM location.
+func (d *Decoder) Decode(p addr.Phys) DRAMAddr {
+	out := DRAMAddr{Row: gather(uint64(p), d.row), Col: gather(uint64(p), d.col)}
+	for i, f := range d.funcs {
+		out.Bank |= p.XorFold(f) << uint(i)
+	}
+	return out
 }
 
 // Encode maps a DRAM location back to the unique physical address that

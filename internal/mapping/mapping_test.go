@@ -338,10 +338,10 @@ func TestMustNewPanics(t *testing.T) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	m := no2(b)
+	dec := no2(b).Compile()
 	p := addr.Phys(0x1234_5678)
 	for i := 0; i < b.N; i++ {
-		_ = m.Decode(p)
+		_ = dec.Decode(p)
 	}
 }
 

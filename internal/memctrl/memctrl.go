@@ -183,6 +183,7 @@ type Stats struct {
 type Controller struct {
 	params  Params
 	truth   *mapping.Mapping
+	dec     mapping.Decoder // truth, compiled: every access decodes
 	device  *dram.Device
 	rowBuf  []uint64 // per bank: open row + 1; 0 = closed
 	driftID uint64   // drift stream id, fixed per controller
@@ -209,6 +210,7 @@ func New(params Params, truth *mapping.Mapping, device *dram.Device, seed int64)
 	return &Controller{
 		params:  params,
 		truth:   truth,
+		dec:     truth.Compile(),
 		device:  device,
 		rowBuf:  make([]uint64, truth.NumBanks()),
 		driftID: rng.Uint64(),
@@ -269,7 +271,7 @@ func (c *Controller) drift() float64 {
 // nanoseconds (including the flush overhead and noise, as a real
 // rdtsc-timed flush+load loop observes it).
 func (c *Controller) Access(p addr.Phys) float64 {
-	d := c.truth.Decode(p)
+	d := c.dec.Decode(p)
 	var lat float64
 	if c.params.Policy == ClosedPage {
 		// Every access activates: precharge happened eagerly.
@@ -312,7 +314,7 @@ func (c *Controller) MeasurePair(a, b addr.Phys, rounds int) float64 {
 	if rounds < measureWarmup+2 {
 		rounds = measureWarmup + 2
 	}
-	da, db := c.truth.Decode(a), c.truth.Decode(b)
+	da, db := c.dec.Decode(a), c.dec.Decode(b)
 	// Steady-state per-access service latency of the alternating loop.
 	var base float64
 	conflict := da.Bank == db.Bank && da.Row != db.Row
@@ -395,7 +397,7 @@ func (c *Controller) MeasurePairLoop(a, b addr.Phys, rounds int) float64 {
 // fall into different banks (or the same row) the burst is absorbed by the
 // row buffers and cannot disturb anything, matching real hardware.
 func (c *Controller) HammerPair(a, b addr.Phys, acts uint64) []dram.Flip {
-	da, db := c.truth.Decode(a), c.truth.Decode(b)
+	da, db := c.dec.Decode(a), c.dec.Decode(b)
 	per := c.params.RowHitNs + c.params.FlushNs
 	sbdr := da.Bank == db.Bank && da.Row != db.Row
 	if sbdr || c.params.Policy == ClosedPage {
@@ -441,7 +443,7 @@ func (c *Controller) HammerMany(addrs []addr.Phys, acts uint64) []dram.Flip {
 	c.stats.Conflicts += uint64(len(addrs)) * acts
 	byBank := map[uint64][]uint64{}
 	for _, a := range addrs {
-		d := c.truth.Decode(a)
+		d := c.dec.Decode(a)
 		byBank[d.Bank] = append(byBank[d.Bank], d.Row)
 		c.rowBuf[d.Bank] = d.Row + 1
 	}
@@ -458,7 +460,7 @@ func (c *Controller) HammerMany(addrs []addr.Phys, acts uint64) []dram.Flip {
 // management the row stays latched and nothing is disturbed; under
 // closed-page management every access re-activates the row.
 func (c *Controller) HammerOne(a addr.Phys, acts uint64) []dram.Flip {
-	d := c.truth.Decode(a)
+	d := c.dec.Decode(a)
 	per := c.params.RowHitNs + c.params.FlushNs
 	if c.params.Policy == ClosedPage {
 		per = c.params.RowConflictNs + c.params.FlushNs

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dramdig/internal/addr"
@@ -119,13 +120,17 @@ func (m *Meter) SampleN(a, b addr.Phys, n int) float64 {
 	if n < 1 {
 		n = 1
 	}
-	samples := make([]float64, n)
-	for i := range samples {
-		samples[i] = m.target.MeasurePair(a, b, m.rounds)
+	// Decisions take the median of a few repeats (three by default); the
+	// buffer keeps them off the heap.
+	var buf [8]float64
+	samples := buf[:0]
+	for i := 0; i < n; i++ {
+		v := m.target.MeasurePair(a, b, m.rounds)
 		m.measures++
-		m.inst.observe(samples[i])
+		m.inst.observe(v)
+		samples = append(samples, v)
 	}
-	return median(samples)
+	return medianInPlace(samples)
 }
 
 // IsConflict reports whether the pair exhibits a row-buffer conflict
@@ -307,9 +312,9 @@ func twoMeans(vals []float64) (lo, hi, hiFrac float64, ok bool) {
 	return lo, hi, float64(nHi) / float64(len(trimmed)), true
 }
 
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
+// medianInPlace sorts s and returns its median.
+func medianInPlace(s []float64) float64 {
+	slices.Sort(s)
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
@@ -323,5 +328,5 @@ func Median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	return median(v)
+	return medianInPlace(append([]float64(nil), v...))
 }
