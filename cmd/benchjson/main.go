@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -112,7 +111,6 @@ func main() {
 	run("queue_recover", benchQueueRecover)
 	run("heartbeat_bare", func(b *testing.B) { benchHeartbeat(b, false) })
 	run("heartbeat_with_snapshot", func(b *testing.B) { benchHeartbeat(b, true) })
-	run("store_put_flat", benchStorePutFlat)
 	run("store_put_segment", benchStorePutSegment)
 	run("store_read_cached", benchStoreReadCached)
 	run("store_gc_sweep", benchStoreGCSweep)
@@ -214,32 +212,6 @@ func main() {
 				"bare_ns_op":     hbBare.NsPerOp,
 				"snapshot_ns_op": hbSnap.NsPerOp,
 				"overhead_pct":   (hbSnap.NsPerOp/hbBare.NsPerOp - 1) * 100,
-			},
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		fmt.Fprintf(os.Stderr, "benchjson: %-22s overhead %+.2f%%\n",
-			row.Name, row.Metrics["overhead_pct"])
-	}
-
-	// store_put_overhead: what the segment-based blob layout costs on the
-	// persist path relative to the flat one-file-per-record layout it
-	// replaced (the seed's MarshalIndent + temp write + rename idiom).
-	// The refactor's contract is that this stays within a few percent —
-	// the appends amortize the directory churn the flat layout paid per
-	// record, so the overhead is usually negative.
-	flat, seg := byName("store_put_flat"), byName("store_put_segment")
-	switch {
-	case flat == nil || seg == nil || flat.NsPerOp <= 0:
-		fmt.Fprintln(os.Stderr, "benchjson: skipping store_put_overhead (inputs missing or degenerate)")
-	default:
-		row := benchResult{
-			Name:       "store_put_overhead",
-			Iterations: seg.Iterations,
-			NsPerOp:    seg.NsPerOp,
-			Metrics: map[string]float64{
-				"flat_ns_op":    flat.NsPerOp,
-				"segment_ns_op": seg.NsPerOp,
-				"overhead_pct":  (seg.NsPerOp/flat.NsPerOp - 1) * 100,
 			},
 		}
 		doc.Benchmarks = append(doc.Benchmarks, row)
@@ -507,23 +479,23 @@ func benchQueueRecover(b *testing.B) {
 		if _, _, err := q.Submit(benchPayload, queue.SubmitOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		// Dequeue pops the oldest pending job; act on that one.
+		// Lease takes the oldest pending job; act on that one.
 		switch i % 3 {
 		case 0: // leave pending
 		case 1: // in flight with a checkpoint — the crash-recovery case
-			j, ok, err := q.Dequeue()
+			j, ok, err := q.Lease("bench", time.Hour, nil)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
-			if err := q.Checkpoint(j.ID, json.RawMessage(`{"jobs":[{"index":0}]}`)); err != nil {
+			if _, err := q.Heartbeat(j.ID, "bench", j.LeaseToken, time.Hour, json.RawMessage(`{"jobs":[{"index":0}]}`)); err != nil {
 				b.Fatal(err)
 			}
 		case 2:
-			j, ok, err := q.Dequeue()
+			j, ok, err := q.Lease("bench", time.Hour, nil)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
-			if err := q.Finish(j.ID, json.RawMessage(`{"ok":true}`)); err != nil {
+			if err := q.CompleteLease(j.ID, "bench", j.LeaseToken, json.RawMessage(`{"ok":true}`)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -617,7 +589,7 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 				snap = data
 			}
 		}
-		if _, err := client.Heartbeat(ctx, j.ID, j.LeaseToken, nil, snap); err != nil {
+		if err := client.Heartbeat(ctx, j.ID, j.LeaseToken, nil, snap); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -647,39 +619,8 @@ func benchStoreRecord(b *testing.B) store.Record {
 	}
 }
 
-// benchStorePutFlat replays the pre-segment flat layout's persist idiom
-// — MarshalIndent, write a temp file, rename into `<fp>.json` — as the
-// baseline of the store_put_overhead comparison.
-func benchStorePutFlat(b *testing.B) {
-	dir, err := os.MkdirTemp("", "benchstore")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	rec := benchStoreRecord(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := rec
-		r.Fingerprint = fmt.Sprintf("%064x", i)
-		data, err := json.MarshalIndent(&r, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		path := filepath.Join(dir, r.Fingerprint+".json")
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// benchStorePutSegment measures the same persist through the segment
-// blob layout: one Put per distinct fingerprint, appended to the active
-// segment.
+// benchStorePutSegment measures the store's persist path: one Put per
+// distinct fingerprint, appended to the active segment.
 func benchStorePutSegment(b *testing.B) {
 	dir, err := os.MkdirTemp("", "benchstore")
 	if err != nil {

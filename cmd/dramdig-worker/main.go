@@ -1,8 +1,8 @@
 // Command dramdig-worker is a cluster worker for dramdigd: it leases
-// queued campaign jobs from a coordinator over HTTP (/v1/cluster),
-// runs them through the same campaign engine, streams checkpoints back
-// on heartbeats, and uploads results and timing traces into the
-// coordinator's content-addressed store.
+// queued campaign jobs from a coordinator over HTTP (/v1/cluster) and
+// runs them through the same cluster.Worker the coordinator's own
+// in-process workers use — checkpoints go back on heartbeats, results
+// and timing traces into the coordinator's content-addressed store.
 //
 // Usage:
 //
@@ -85,15 +85,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	w := cluster.NewWorker(cluster.WorkerConfig{
-		Coordinator: *coordinator,
-		Name:        *name,
-		Workers:     *workers,
-		Retries:     r,
-		Poll:        *poll,
-		Tracing:     *tracing,
-		Logger:      logger,
-		Tracer:      tracer,
+	w := cluster.NewWorker(cluster.NewClient(*coordinator, *name, nil), cluster.WorkerConfig{
+		Workers: *workers,
+		Retries: r,
+		Poll:    *poll,
+		Tracing: *tracing,
+		Logger:  logger,
+		Tracer:  tracer,
 		// The worker serves no scrape endpoint of its own: snapshots of
 		// this registry ship with heartbeats and completions, and the
 		// coordinator federates them at /v1/cluster/metrics.

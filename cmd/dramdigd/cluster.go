@@ -1,10 +1,12 @@
-// The coordinator side of the cluster subsystem: the /v1/cluster lease
-// handlers, the worker registry with its consistent-hash shard ring,
-// the lease-expiry sweeper and the dramdig_cluster_* metric families.
-// The protocol and its wire shapes live in internal/cluster; the queue
-// owns lease durability (fencing tokens, WAL-backed expiry-requeue) —
-// this file only wires the two to the HTTP surface and the campaign
-// states the rest of the API serves.
+// The coordinator side of the cluster subsystem: the lease operations
+// every worker goes through — grant, heartbeat with checkpoint,
+// complete, fail — with the campaign-state bookkeeping they drive, the
+// /v1/cluster handlers that serve them to remote workers, the worker
+// registry with its consistent-hash shard ring, the lease-expiry
+// sweeper and the dramdig_cluster_* metric families. The protocol and
+// its wire shapes live in internal/cluster; the queue owns lease
+// durability (fencing tokens, WAL-backed expiry-requeue). In-process
+// workers call the same operations directly (inprocess.go).
 //
 // Exactly-once across worker death: a worker that stops heartbeating
 // loses its lease after one TTL; the sweeper requeues the job with its
@@ -19,6 +21,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"sort"
@@ -50,6 +53,9 @@ type workerInfo struct {
 	active    int
 	completed uint64
 	failed    uint64
+	// inProcess marks this daemon's own workers: alive as long as the
+	// daemon, so never reaped for silence while they wait for work.
+	inProcess bool
 }
 
 // clusterState tracks registered workers, the shard ring and the
@@ -145,6 +151,20 @@ func (cl *clusterState) touch(name string) {
 	cl.ring.Add(name)
 }
 
+// addInProcess registers one of this daemon's own workers.
+func (cl *clusterState) addInProcess(name string) {
+	cl.touch(name)
+	cl.adjust(name, func(w *workerInfo) { w.inProcess = true })
+}
+
+// inProcess reports whether name is one of this daemon's own workers.
+func (cl *clusterState) inProcess(name string) bool {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	w := cl.workers[name]
+	return w != nil && w.inProcess
+}
+
 // adjust applies a delta to a worker's lease/outcome counters.
 func (cl *clusterState) adjust(name string, fn func(w *workerInfo)) {
 	cl.mu.Lock()
@@ -200,7 +220,7 @@ func (cl *clusterState) reap(now time.Time, silence time.Duration) {
 	cl.mu.Lock()
 	var dead []string
 	for _, w := range cl.workers {
-		if w.live && w.active == 0 && now.Sub(w.lastSeen) > silence {
+		if w.live && !w.inProcess && w.active == 0 && now.Sub(w.lastSeen) > silence {
 			w.live = false
 			dead = append(dead, w.name)
 		}
@@ -240,54 +260,49 @@ func (cl *clusterState) statuses() []cluster.WorkerStatus {
 	return rows
 }
 
-// --- lease handlers ---------------------------------------------------
+// --- lease operations -------------------------------------------------
 
-// handleClusterLease grants the next pending job to the requesting
-// worker. Draining coordinators refuse new leases (503 + Retry-After)
-// while still accepting heartbeats and completions for leases already
-// out — the cluster mirror of the POST /v1/campaigns drain behaviour.
-func (s *server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
+// errDraining refuses new leases while the daemon shuts down.
+var errDraining = errors.New("daemon is shutting down; no new leases")
+
+// lease grants the next pending job to worker: the one lease path,
+// behind POST /v1/cluster/lease and the in-process workers alike.
+// Draining refuses new leases (errDraining) while heartbeats and
+// completions for leases already out still land. ok is false when
+// nothing is pending.
+func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		w.Header().Set("Retry-After", s.retryAfter())
-		httpError(w, http.StatusServiceUnavailable, codeDraining,
-			"daemon is shutting down; no new leases")
-		return
+		return nil, false, errDraining
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
-	var req cluster.LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		httpError(w, http.StatusBadRequest, codeBadRequest, "lease request needs a worker name")
-		return
-	}
-	s.cl.touch(req.Worker)
+	s.cl.touch(worker)
 
-	// Shard affinity: prefer jobs whose machine fingerprint hashes to
-	// this worker, so one machine's results and traces tend to flow
-	// through one node. Preference, not assignment — with no preferred
-	// job pending the worker takes the front of the queue.
-	prefer := func(j queue.Job) bool {
-		return s.cl.owner(cluster.ShardKey(j.Payload, j.ID)) == req.Worker
+	// Shard affinity: a remote worker prefers jobs whose machine
+	// fingerprint hashes to it, so one machine's results and traces tend
+	// to flow through one node. Preference, not assignment — with no
+	// preferred job pending the worker takes the front of the queue.
+	// In-process workers share the daemon's store and always take the
+	// front.
+	var prefer func(queue.Job) bool
+	if !s.cl.inProcess(worker) {
+		prefer = func(j queue.Job) bool {
+			return s.cl.owner(cluster.ShardKey(j.Payload, j.ID)) == worker
+		}
 	}
-	job, ok, err := s.q.Lease(req.Worker, s.cfg.leaseTTL, prefer)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
-		return
-	}
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
+	job, ok, err := s.q.Lease(worker, s.cfg.leaseTTL, prefer)
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	leased := time.Now()
 	s.cl.granted.Inc()
-	s.cl.adjust(req.Worker, func(wi *workerInfo) { wi.active++ })
+	s.cl.adjust(worker, func(wi *workerInfo) { wi.active++ })
 
-	specList, total := s.specsFromPayload(job.Payload)
 	s.mu.Lock()
 	st := s.campaigns[job.ID]
 	if st == nil {
+		specList, total := s.specsFromPayload(job.Payload)
 		st = newCampaignState(job.ID, "queued", specList, total)
 		st.requestID = job.RequestID
 		st.traceID = traceIDOf(job.TraceParent)
@@ -295,20 +310,29 @@ func (s *server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		s.order = append(s.order, job.ID)
 	}
 	s.mu.Unlock()
+	revoke := make(chan struct{})
 	st.mu.Lock()
-	st.status = "running"
-	if len(specList) > 0 {
-		st.specs = specList
-		st.total = total
+	cancelled := terminalStatus(st.status)
+	if !cancelled {
+		st.status = "running"
+		st.worker = worker
+		st.revoke = revoke
+		st.bumpLocked()
 	}
-	st.worker = req.Worker
-	st.bumpLocked()
+	total := st.total
 	st.mu.Unlock()
+	if cancelled {
+		// A DELETE cancelled the job between its grant and this update:
+		// the lease died with it.
+		s.cl.adjust(worker, func(wi *workerInfo) { wi.active-- })
+		return nil, false, nil
+	}
 
-	// Re-enter the submitting request's trace so the grant shows up in
-	// the campaign's span tree next to the worker's shipped spans:
-	// queue.wait is reconstructed from the persisted submission instant,
-	// cluster.lease marks the handoff.
+	// Re-enter the submitting request's trace: queue.wait is
+	// reconstructed from the persisted submission instant, and
+	// scheduler.dispatch covers the grant. The worker's campaign.run
+	// parents under the dispatch span.
+	traceParent := job.TraceParent
 	if s.tracer != nil {
 		tctx := obs.WithTracer(s.baseCtx, s.tracer)
 		if sc, perr := obs.ParseTraceParent(job.TraceParent); perr == nil {
@@ -320,15 +344,18 @@ func (s *server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 			wsp.SetStart(time.Unix(0, job.SubmittedUnixNano))
 			wsp.EndAt(leased)
 		}
-		_, lsp := obs.Start(tctx, "cluster.lease", obs.KV("campaign", job.ID),
-			obs.KV("worker", req.Worker), obs.Int("attempt", int64(job.Attempts)))
-		lsp.End()
+		_, dsp := obs.Start(tctx, "scheduler.dispatch", obs.KV("campaign", job.ID),
+			obs.KV("worker", worker), obs.Int("jobs", int64(total)),
+			obs.Int("attempt", int64(job.Attempts)))
+		dsp.SetStart(leased)
+		traceParent = dsp.Context().TraceParent()
+		defer dsp.End()
 	}
 
-	s.logf("campaign %s: leased to worker %s (attempt %d)", job.ID, req.Worker, job.Attempts)
+	s.logf("campaign %s: leased to worker %s (%d jobs, attempt %d)", job.ID, worker, total, job.Attempts)
 	s.logTransition(job.ID, "queued", "running",
-		"worker", req.Worker, "attempt", job.Attempts)
-	writeJSON(w, http.StatusOK, cluster.LeaseGrant{
+		"worker", worker, "jobs", total, "attempt", job.Attempts)
+	return &cluster.LeaseGrant{
 		ID:          job.ID,
 		Payload:     job.Payload,
 		Checkpoint:  job.Checkpoint,
@@ -336,22 +363,141 @@ func (s *server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		Priority:    job.Priority,
 		Token:       job.LeaseToken,
 		TTLMillis:   s.cfg.leaseTTL.Milliseconds(),
-		TraceParent: job.TraceParent,
+		TraceParent: traceParent,
 		RequestID:   job.RequestID,
-	})
+		Revoked:     revoke,
+	}, true, nil
 }
 
-// leaseError maps a queue lease error onto the wire: unknown job,
+// fenced counts a lease-fencing rejection (stale token, expired or
+// cancelled lease) and marks it cluster.ErrLeaseLost, the one error a
+// worker acts on.
+func (s *server) fenced(err error) error {
+	if errors.Is(err, queue.ErrLeaseExpired) || errors.Is(err, queue.ErrStaleLease) {
+		s.cl.rejections.Inc()
+		return fmt.Errorf("%w: %w", cluster.ErrLeaseLost, err)
+	}
+	return err
+}
+
+// heartbeat extends a lease; a checkpoint riding along is persisted in
+// the queue WAL, and a metrics snapshot lands in the federation.
+func (s *server) heartbeat(id, worker, token string, cp, snap json.RawMessage) error {
+	if _, err := s.q.Heartbeat(id, worker, token, s.cfg.leaseTTL, cp); err != nil {
+		return s.fenced(err)
+	}
+	s.cl.heartbeats.Inc()
+	s.cl.adjust(worker, func(wi *workerInfo) { wi.lastSeen = time.Now() })
+	s.cl.ingestSnapshot(worker, snap)
+	return nil
+}
+
+// complete records a worker's finished campaign: terminal queue state
+// with the report, shipped spans into the tracer, campaign state to
+// "done".
+func (s *server) complete(id, worker, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error {
+	if err := s.q.CompleteLease(id, worker, token, report); err != nil {
+		return s.fenced(err)
+	}
+	s.cl.completions.Inc()
+	s.cl.adjust(worker, func(wi *workerInfo) {
+		wi.active--
+		wi.completed++
+		wi.lastSeen = time.Now()
+	})
+	// The completion snapshot is a short-lived worker's last word: it
+	// lands even if the process exits before its next heartbeat.
+	s.cl.ingestSnapshot(worker, snap)
+	if s.tracer != nil && len(spans) > 0 {
+		s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
+	}
+	s.finish(id, worker, "done", "", report)
+	s.logf("campaign %s: completed by worker %s", id, worker)
+	s.logTransition(id, "running", "done", "worker", worker)
+	return nil
+}
+
+// fail records a worker's failed campaign.
+func (s *server) fail(id, worker, token, msg string) error {
+	if err := s.q.FailLease(id, worker, token, msg); err != nil {
+		return s.fenced(err)
+	}
+	s.cl.failures.Inc()
+	s.cl.adjust(worker, func(wi *workerInfo) {
+		wi.active--
+		wi.failed++
+		wi.lastSeen = time.Now()
+	})
+	s.finish(id, worker, "failed", msg, nil)
+	s.logf("campaign %s: failed on worker %s: %s", id, worker, msg)
+	s.logTransition(id, "running", "failed", "worker", worker, "err", msg)
+	return nil
+}
+
+// finish moves a campaign's state to its terminal status.
+func (s *server) finish(id, worker, status, errMsg string, report json.RawMessage) {
+	if st := s.campaign(id); st != nil {
+		st.mu.Lock()
+		st.status = status
+		st.errMsg = errMsg
+		st.worker = worker
+		st.revoke = nil
+		if status == "done" {
+			st.report = report
+			st.done = st.total
+		}
+		st.bumpLocked()
+		st.mu.Unlock()
+	}
+	s.mu.Lock()
+	s.evictLocked()
+	s.mu.Unlock()
+}
+
+// progress records one per-job event an in-process worker relays.
+func (s *server) progress(id string, ev campaign.Event) {
+	if st := s.campaign(id); st != nil {
+		st.onEvent(ev)
+	}
+}
+
+// --- /v1/cluster handlers ---------------------------------------------
+
+// handleClusterLease grants the next pending job to the requesting
+// worker (204 when nothing is pending). A draining coordinator answers
+// 503 + Retry-After — the cluster mirror of the POST /v1/campaigns
+// drain behaviour.
+func (s *server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
+	var req cluster.LeaseRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+		httpError(w, http.StatusBadRequest, codeBadRequest, "lease request needs a worker name")
+		return
+	}
+	g, ok, err := s.lease(req.Worker)
+	switch {
+	case errors.Is(err, errDraining):
+		w.Header().Set("Retry-After", s.retryAfter())
+		httpError(w, http.StatusServiceUnavailable, codeDraining, "%v", err)
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
+	case !ok:
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		writeJSON(w, http.StatusOK, g)
+	}
+}
+
+// leaseError maps a lease operation's error onto the wire: unknown job,
 // lease fencing rejection (the lease_lost contract), or internal.
 // Returns false when there was no error.
-func (s *server) leaseError(w http.ResponseWriter, err error) bool {
+func leaseError(w http.ResponseWriter, err error) bool {
 	switch {
 	case err == nil:
 		return false
 	case errors.Is(err, queue.ErrNotFound):
 		httpError(w, http.StatusNotFound, codeNotFound, "%v", err)
-	case errors.Is(err, queue.ErrLeaseExpired), errors.Is(err, queue.ErrStaleLease):
-		s.cl.rejections.Inc()
+	case errors.Is(err, cluster.ErrLeaseLost):
 		httpError(w, http.StatusConflict, codeLeaseLost, "%v", err)
 	default:
 		httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
@@ -359,10 +505,9 @@ func (s *server) leaseError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// handleClusterHeartbeat extends a lease; a checkpoint riding along is
-// persisted in the queue WAL and reflected in the campaign's progress.
-// Heartbeats are accepted during drain: leases already out are allowed
-// to land.
+// handleClusterHeartbeat extends a lease, persisting any checkpoint
+// riding along and reflecting it in the campaign's progress. Heartbeats
+// are accepted during drain: leases already out are allowed to land.
 func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
@@ -371,26 +516,20 @@ func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 		httpError(w, http.StatusBadRequest, codeBadRequest, "bad heartbeat body: %v", err)
 		return
 	}
-	if _, err := s.q.Heartbeat(id, req.Worker, req.Token, s.cfg.leaseTTL, req.Checkpoint); s.leaseError(w, err) {
+	if leaseError(w, s.heartbeat(id, req.Worker, req.Token, req.Checkpoint, req.Metrics)) {
 		return
 	}
-	s.cl.heartbeats.Inc()
-	s.cl.adjust(req.Worker, func(wi *workerInfo) { wi.lastSeen = time.Now() })
-	s.cl.ingestSnapshot(req.Worker, req.Metrics)
-	if len(req.Checkpoint) > 0 {
-		var cp campaign.Checkpoint
-		if err := json.Unmarshal(req.Checkpoint, &cp); err == nil {
-			s.mu.Lock()
-			st := s.campaigns[id]
-			s.mu.Unlock()
-			if st != nil {
-				st.mu.Lock()
-				if len(cp.Jobs) > st.done {
-					st.done = len(cp.Jobs)
-				}
-				st.bumpLocked()
-				st.mu.Unlock()
-			}
+	// A remote worker relays no per-job events; its checkpoints are the
+	// campaign's progress. Only the job count matters here.
+	var progress struct {
+		Jobs []struct{} `json:"jobs"`
+	}
+	if len(req.Checkpoint) > 0 && json.Unmarshal(req.Checkpoint, &progress) == nil {
+		if st := s.campaign(id); st != nil {
+			st.mu.Lock()
+			st.done = max(st.done, len(progress.Jobs))
+			st.bumpLocked()
+			st.mu.Unlock()
 		}
 	}
 	writeJSON(w, http.StatusOK, cluster.HeartbeatResponse{
@@ -398,9 +537,7 @@ func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// handleClusterComplete records a worker's finished campaign: terminal
-// queue state with the report, worker spans into the tracer, campaign
-// state to "done".
+// handleClusterComplete records a worker's finished campaign.
 func (s *server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	r.Body = http.MaxBytesReader(w, r.Body, 32<<20)
@@ -409,38 +546,9 @@ func (s *server) handleClusterComplete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "bad completion body: %v", err)
 		return
 	}
-	if err := s.q.CompleteLease(id, req.Worker, req.Token, req.Report); s.leaseError(w, err) {
+	if leaseError(w, s.complete(id, req.Worker, req.Token, req.Report, req.Spans, req.Metrics)) {
 		return
 	}
-	s.cl.completions.Inc()
-	s.cl.adjust(req.Worker, func(wi *workerInfo) {
-		wi.active--
-		wi.completed++
-		wi.lastSeen = time.Now()
-	})
-	// The completion snapshot is a short-lived worker's last word: it
-	// lands even if the process exits before its next heartbeat.
-	s.cl.ingestSnapshot(req.Worker, req.Metrics)
-	if s.tracer != nil && len(req.Spans) > 0 {
-		s.cl.spans.Add(uint64(s.tracer.Ingest(req.Spans...)))
-	}
-	s.mu.Lock()
-	st := s.campaigns[id]
-	s.mu.Unlock()
-	if st != nil {
-		st.mu.Lock()
-		st.status = "done"
-		st.reportRaw = req.Report
-		st.worker = req.Worker
-		st.done = st.total
-		st.bumpLocked()
-		st.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
-	s.logf("campaign %s: completed by worker %s", id, req.Worker)
-	s.logTransition(id, "running", "done", "worker", req.Worker)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "done"})
 }
 
@@ -453,35 +561,16 @@ func (s *server) handleClusterFail(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "bad failure body: %v", err)
 		return
 	}
-	if err := s.q.FailLease(id, req.Worker, req.Token, req.Error); s.leaseError(w, err) {
+	if leaseError(w, s.fail(id, req.Worker, req.Token, req.Error)) {
 		return
 	}
-	s.cl.failures.Inc()
-	s.cl.adjust(req.Worker, func(wi *workerInfo) {
-		wi.active--
-		wi.failed++
-		wi.lastSeen = time.Now()
-	})
-	s.mu.Lock()
-	st := s.campaigns[id]
-	s.mu.Unlock()
-	if st != nil {
-		st.mu.Lock()
-		st.status = "failed"
-		st.errMsg = req.Error
-		st.worker = req.Worker
-		st.bumpLocked()
-		st.mu.Unlock()
-	}
-	s.logf("campaign %s: failed on worker %s: %s", id, req.Worker, req.Error)
-	s.logTransition(id, "running", "failed", "worker", req.Worker, "err", req.Error)
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "failed"})
 }
 
 // handleClusterUploadResult stores a worker-computed result record
-// under its machine fingerprint — the same record a local storeWrap
-// would have produced, so local and remote campaigns are
-// indistinguishable to GET /v1/mappings/{fp}.
+// under its machine fingerprint — the same record an in-process worker
+// stores directly, so local and remote campaigns are indistinguishable
+// to GET /v1/mappings/{fp}.
 func (s *server) handleClusterUploadResult(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {
@@ -508,8 +597,8 @@ func (s *server) handleClusterUploadResult(w http.ResponseWriter, r *http.Reques
 }
 
 // handleClusterUploadTrace stores a worker-recorded timing trace under
-// its machine fingerprint, overwriting atomically like a local
-// traceSink write-through would.
+// its machine fingerprint, overwriting atomically like an in-process
+// worker's store.TraceWriter does.
 func (s *server) handleClusterUploadTrace(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {
@@ -552,9 +641,9 @@ func (s *server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepLeases expires overdue leases on a timer: each expired job goes
-// back to "queued" (checkpoint intact) for the next worker — or the
-// local scheduler — to pick up. It also reaps long-silent workers from
-// the shard ring. Exits with the base context.
+// back to "queued" (checkpoint intact) for the next worker to pick up.
+// It also reaps long-silent remote workers from the shard ring. Exits
+// with the base context.
 func (s *server) sweepLeases() {
 	interval := s.cfg.leaseTTL / 4
 	if interval < 25*time.Millisecond {
@@ -578,13 +667,11 @@ func (s *server) sweepLeases() {
 			for _, job := range lapsed {
 				s.cl.expired.Inc()
 				s.cl.adjust(job.LeaseOwner, func(wi *workerInfo) { wi.active-- })
-				s.mu.Lock()
-				st := s.campaigns[job.ID]
-				s.mu.Unlock()
-				if st != nil {
+				if st := s.campaign(job.ID); st != nil {
 					st.mu.Lock()
 					st.status = "queued"
 					st.worker = ""
+					st.revoke = nil
 					st.bumpLocked()
 					st.mu.Unlock()
 				}

@@ -235,14 +235,12 @@ func TestClusterLeaseExpiry(t *testing.T) {
 // exited).
 func startWorker(t *testing.T, url, name string, jobs int) (w *cluster.Worker, stop func()) {
 	t.Helper()
-	w = cluster.NewWorker(cluster.WorkerConfig{
-		Coordinator: url,
-		Name:        name,
-		Workers:     jobs,
-		Retries:     1,
-		Poll:        10 * time.Millisecond,
-		Tracer:      obs.NewTracer(obs.Config{Capacity: 1024}),
-		Metrics:     metrics.NewRegistry(),
+	w = cluster.NewWorker(cluster.NewClient(url, name, nil), cluster.WorkerConfig{
+		Workers: jobs,
+		Retries: 1,
+		Poll:    10 * time.Millisecond,
+		Tracer:  obs.NewTracer(obs.Config{Capacity: 1024}),
+		Metrics: metrics.NewRegistry(),
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -311,8 +309,8 @@ func TestClusterRemoteCampaign(t *testing.T) {
 	}
 
 	// One span tree, one trace ID, spans from both processes: the
-	// coordinator's handoff (cluster.lease) and the worker's campaign
-	// run (worker.campaign, campaign.run) under the inbound trace.
+	// coordinator's handoff (scheduler.dispatch) and the worker's
+	// campaign run (campaign.run, campaign.job) under the inbound trace.
 	code, tree := doJSON(t, srv, "GET", "/v1/campaigns/"+id+"/spans", "")
 	if code != http.StatusOK || tree["trace_id"] != traceID {
 		t.Fatalf("GET spans: %d %v, want trace %s", code, tree, traceID)
@@ -327,7 +325,7 @@ func TestClusterRemoteCampaign(t *testing.T) {
 	}
 	names := map[string]bool{}
 	treeNames(roots, names)
-	for _, wantSpan := range []string{"queue.wait", "cluster.lease", "worker.campaign", "campaign.job"} {
+	for _, wantSpan := range []string{"queue.wait", "scheduler.dispatch", "campaign.run", "campaign.job"} {
 		if !names[wantSpan] {
 			t.Errorf("span tree missing %q (have %v)", wantSpan, names)
 		}
@@ -625,12 +623,10 @@ func TestRecoveryKillWorker(t *testing.T) {
 
 	// The victim leases the campaign first; the kill switch ends it the
 	// moment it has either shipped a checkpoint or tried to complete.
-	victim := cluster.NewWorker(cluster.WorkerConfig{
-		Coordinator: ts.URL,
-		Name:        "casualty",
-		Workers:     1,
-		Retries:     1,
-		Poll:        10 * time.Millisecond,
+	victim := cluster.NewWorker(cluster.NewClient(ts.URL, "casualty", nil), cluster.WorkerConfig{
+		Workers: 1,
+		Retries: 1,
+		Poll:    10 * time.Millisecond,
 	})
 	vdone := make(chan struct{})
 	go func() {
@@ -735,5 +731,125 @@ func TestClusterDrainStopsLeases(t *testing.T) {
 	code, fm := doJSON(t, srv, "GET", "/v1/campaigns/"+g.ID, "")
 	if code != http.StatusOK || fm["status"] != "done" {
 		t.Fatalf("campaign after drained completion: %d %v", code, fm)
+	}
+}
+
+// TestClusterCancelLeased: DELETE of a campaign leased to a remote
+// worker cancels the job in the queue. The holder's heartbeat and
+// completion are fenced off with lease_lost, the campaign ends
+// "cancelled", and no completion is counted.
+func TestClusterCancelLeased(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":3}`, nil)
+	id := m["id"].(string)
+	g, ok := leaseAs(t, srv, "w1")
+	if !ok || g.ID != id {
+		t.Fatalf("no grant for %s: %+v", id, g)
+	}
+
+	code, dm := doJSON(t, srv, "DELETE", "/v1/campaigns/"+id, "")
+	if code != http.StatusAccepted || dm["status"] != "cancelling" {
+		t.Fatalf("DELETE leased campaign: %d %v", code, dm)
+	}
+
+	code, em := doJSON(t, srv, "POST", "/v1/cluster/jobs/"+id+"/heartbeat",
+		fmt.Sprintf(`{"worker":"w1","token":%q}`, g.Token))
+	if code != http.StatusConflict {
+		t.Fatalf("heartbeat after cancel: %d %v, want 409", code, em)
+	}
+	envelope(t, em, codeLeaseLost)
+	code, em = doJSON(t, srv, "POST", "/v1/cluster/jobs/"+id+"/complete",
+		fmt.Sprintf(`{"worker":"w1","token":%q,"report":{"total":1,"succeeded":1,"jobs":[]}}`, g.Token))
+	if code != http.StatusConflict {
+		t.Fatalf("complete after cancel: %d %v, want 409", code, em)
+	}
+	envelope(t, em, codeLeaseLost)
+
+	if final := doJSONmap(t, srv, "GET", "/v1/campaigns/"+id); final["status"] != "cancelled" {
+		t.Fatalf("campaign after cancel: %v", final)
+	}
+	if job, ok := srv.q.Get(id); !ok || job.State != queue.StateCancelled {
+		t.Fatalf("queue job after cancel: ok=%v state=%v", ok, job.State)
+	}
+	if n := srv.cl.completions.Value(); n != 0 {
+		t.Fatalf("completions counter moved to %d for a cancelled campaign", n)
+	}
+	_, wm := doJSON(t, srv, "GET", "/v1/workers", "")
+	if rows, _ := wm["workers"].([]any); len(rows) != 1 || rows[0].(map[string]any)["active_leases"] != float64(0) {
+		t.Fatalf("worker registry after cancel: %v", wm)
+	}
+}
+
+// dispatchRun is what one campaign leaves behind: its report with the
+// wall-time fields removed, its queue history's event types and the
+// store records of its machines.
+type dispatchRun struct {
+	report  map[string]any
+	history []string
+	records map[string]string
+}
+
+func collectRun(t *testing.T, srv *server, id, body string) dispatchRun {
+	t.Helper()
+	final := waitDone(t, srv, id)
+	if final["status"] != "done" {
+		t.Fatalf("campaign %s: %v", id, final)
+	}
+	rep := final["report"].(map[string]any)
+	delete(rep, "wall_s")
+	for _, j := range rep["jobs"].([]any) {
+		delete(j.(map[string]any), "wall_s")
+	}
+	hist, _ := srv.q.History(id)
+	run := dispatchRun{report: rep, records: map[string]string{}}
+	for _, ev := range hist {
+		run.history = append(run.history, ev.Type)
+	}
+	for _, fp := range mustSpecFingerprints(t, body) {
+		rec, ok, err := srv.st.Get(fp)
+		if err != nil || !ok {
+			t.Fatalf("no store record for %s: %v", fp, err)
+		}
+		r := *rec
+		r.CreatedUnix = 0
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.records[fp] = string(data)
+	}
+	return run
+}
+
+// TestDispatchModesAgree pins the single execution path: one campaign
+// run by the daemon's in-process workers and by a cluster.Worker over
+// HTTP gives the same report (apart from wall time), the same queue
+// history and the same store records.
+func TestDispatchModesAgree(t *testing.T) {
+	const body = `{"machines":[1,2],"seed":42}`
+
+	local := newTestServerWith(t, queue.Config{}, serverConfig{})
+	_, lm := postJSON(t, local, "POST", "/v1/campaigns", body, nil)
+	want := collectRun(t, local, lm["id"].(string), body)
+
+	remote := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	ts := httptest.NewServer(remote)
+	t.Cleanup(ts.Close)
+	startWorker(t, ts.URL, "solo", 2)
+	_, rm := postJSON(t, remote, "POST", "/v1/campaigns", body, nil)
+	got := collectRun(t, remote, rm["id"].(string), body)
+
+	wantRep, _ := json.Marshal(want.report)
+	gotRep, _ := json.Marshal(got.report)
+	if string(gotRep) != string(wantRep) {
+		t.Errorf("reports differ:\nlocal  %s\nremote %s", wantRep, gotRep)
+	}
+	if fmt.Sprint(got.history) != fmt.Sprint(want.history) {
+		t.Errorf("queue histories differ: local %v, remote %v", want.history, got.history)
+	}
+	for fp, rec := range want.records {
+		if got.records[fp] != rec {
+			t.Errorf("store record %s differs:\nlocal  %s\nremote %s", fp, rec, got.records[fp])
+		}
 	}
 }

@@ -18,7 +18,7 @@
 //	POST   /v1/campaigns               enqueue a campaign, returns {"id": "c1", "status": "queued", ...}
 //	GET    /v1/campaigns               paginated campaign index (?limit=20&offset=0)
 //	GET    /v1/campaigns/{id}          status, recorded progress events, report
-//	DELETE /v1/campaigns/{id}          cancel: dequeue if queued, stop via context if running
+//	DELETE /v1/campaigns/{id}          cancel in the queue; a leased campaign's worker stops
 //	GET    /v1/campaigns/{id}/events   live progress as Server-Sent Events
 //	GET    /v1/campaigns/{id}/trace    recorded timing traces: JSON index, ?job=N streams binary
 //	GET    /v1/campaigns/{id}/spans    the campaign's tracing span tree (see README "Tracing")
@@ -32,8 +32,10 @@
 //
 // The /v1/cluster routes (lease, heartbeat, complete, fail, result and
 // trace upload) serve dramdig-worker processes; see README "Running a
-// cluster". With -dispatch remote the in-process scheduler stands down
-// and campaigns run only on leased workers.
+// cluster". Every campaign runs on a leasing cluster worker: with
+// -dispatch local (the default) the daemon starts -max-running of them
+// in-process, and with -dispatch remote it starts none and campaigns
+// run only on dramdig-worker processes.
 //
 // Every response carries X-Request-Id (client-supplied or minted) and
 // every request produces one structured log line (-log-format text|json,
@@ -41,13 +43,10 @@
 // separate listener — keep it on localhost.
 //
 // Errors share one envelope: {"error":{"code":"not_found","message":...}}.
-// The original unversioned routes still answer as deprecated aliases of
-// their /v1 successors (with Deprecation and Link headers); the aliases
-// do not honor Idempotency-Key.
 //
 // Campaigns flow through a durable job queue (internal/queue): POST
-// validates and enqueues, a scheduler drains the queue into the worker
-// pool up to -max-running concurrent campaigns, and a full backlog is
+// validates and enqueues, workers lease the jobs — at most -max-running
+// concurrent campaigns under local dispatch — and a full backlog is
 // refused with 429 + Retry-After. With -queue-dir set the queue is
 // WAL-backed: a restarted daemon re-enqueues campaigns that were
 // interrupted mid-run and resumes them from their last checkpoint,
@@ -74,8 +73,8 @@
 //	curl -s localhost:8080/v1/queue
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: new submissions are
-// refused with 503 + Retry-After, in-flight campaigns are cancelled via
-// context and drained before exit — their queue entries (and
+// refused with 503 + Retry-After, in-process workers stop their
+// campaigns and are drained before exit — the queue entries (and
 // checkpoints) survive for the next boot to resume.
 package main
 
@@ -110,7 +109,7 @@ func main() {
 		maxEntries = flag.Int("cache-entries", 128, "in-memory LRU capacity")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "default campaign worker pool size")
 		retries    = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
-		maxRun     = flag.Int("max-running", maxRunning, "concurrently executing campaigns; the rest wait in the queue")
+		maxRun     = flag.Int("max-running", maxRunning, "in-process workers under local dispatch: concurrently executing campaigns; the rest wait in the queue")
 		maxQueued  = flag.Int("max-queued", 64, "pending campaign backlog before POSTs get 429")
 		verbose    = flag.Bool("v", false, "log progress to stderr")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty: off)")
@@ -121,7 +120,7 @@ func main() {
 		storeMax   = flag.Int64("store-max-bytes", 0, "bound the result/trace disk tier to this many segment bytes, evicting LRU blobs past it (0: unbounded)")
 		gcInterval = flag.Duration("store-gc-interval", time.Minute, "how often the store GC reclaims orphaned traces and compacts segments (0: GC off)")
 		gcGrace    = flag.Duration("store-gc-grace", 5*time.Minute, "how long a freshly written blob is exempt from orphan reclamation")
-		dispatch   = flag.String("dispatch", "local", "campaign execution mode: local (in-process scheduler) or remote (cluster workers lease jobs via /v1/cluster)")
+		dispatch   = flag.String("dispatch", "local", "campaign execution mode: local (in-process lease workers) or remote (cluster workers lease jobs via /v1/cluster)")
 		leaseTTL   = flag.Duration("lease-ttl", defaultLeaseTTL, "cluster lease heartbeat deadline; a silent worker loses its job after this long")
 		version    = flag.Bool("version", false, "print version and exit")
 	)

@@ -141,11 +141,11 @@ func TestRejectionObservability(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{Capacity: 2}, serverConfig{maxRunning: 1})
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		started <- specs[0].Name
 		<-release
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 	defer close(release)
 
 	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
@@ -214,13 +214,6 @@ func TestHealthzBody(t *testing.T) {
 	if _, ok := m["cache_entries"].(float64); !ok {
 		t.Errorf("cache_entries missing or non-numeric: %v", m["cache_entries"])
 	}
-	// The deprecated alias keeps answering (with deprecation headers).
-	r := httptest.NewRequest("GET", "/healthz", nil)
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, r)
-	if w.Code != http.StatusOK || w.Header().Get("Deprecation") != "true" {
-		t.Errorf("deprecated /healthz: %d, Deprecation %q", w.Code, w.Header().Get("Deprecation"))
-	}
 }
 
 // TestSSEFanout: N concurrent subscribers all observe the terminal
@@ -229,12 +222,12 @@ func TestHealthzBody(t *testing.T) {
 func TestSSEFanout(t *testing.T) {
 	srv := newTestServer(t)
 	step := make(chan struct{})
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		cfg.OnEvent(campaign.Event{Kind: campaign.EventJobStarted, Job: "No.1", Index: 0})
 		<-step
 		cfg.OnEvent(campaign.Event{Kind: campaign.EventJobFinished, Job: "No.1", Index: 0, Match: true})
 		return &campaign.Report{Total: 1, Succeeded: 1}, nil
-	}
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -107,7 +107,7 @@ func TestRecoveryKillRestart(t *testing.T) {
 	// queue Close, no compaction).
 	var invocation atomic.Int64
 	killed := make(chan struct{})
-	srv1.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv1, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		if invocation.Add(1) == 2 {
 			innerWrap := cfg.Wrap
 			var jobs atomic.Int64
@@ -121,7 +121,7 @@ func TestRecoveryKillRestart(t *testing.T) {
 			}
 		}
 		return campaign.Run(ctx, specs, cfg)
-	}
+	})
 
 	ids := submitAll(t, srv1, "recovery-sweep")
 	select {

@@ -3,21 +3,20 @@
 // Kept separate from main so tests can drive it through httptest
 // without sockets or signals.
 //
-// The canonical surface lives under /v1 with a uniform error envelope
+// The surface lives under /v1 with a uniform error envelope
 // {"error":{"code":...,"message":...}}, campaign listing with
 // limit/offset pagination, and live progress streaming over SSE at
-// GET /v1/campaigns/{id}/events. The original unversioned routes remain
-// as thin deprecated aliases: same handlers, plus Deprecation and Link
-// (successor-version) headers — minus Idempotency-Key support, which is
-// a /v1-only contract.
+// GET /v1/campaigns/{id}/events.
 //
 // Campaign execution is queue-driven: POST /v1/campaigns validates and
-// enqueues (202 with status "queued"), a scheduler goroutine drains the
-// queue into the worker pool up to the concurrent-campaign limit, and
-// every state transition lands in the queue's WAL. With a durable queue
-// (-queue-dir) a restarted daemon re-enqueues interrupted campaigns and
-// resumes them from their last checkpoint, replaying already-finished
-// jobs from the result store.
+// enqueues (202 with status "queued"), and cluster workers lease the
+// jobs (cluster.go). With -dispatch local those workers run inside this
+// process, -max-running of them, leasing through direct calls
+// (inprocess.go); with -dispatch remote they are dramdig-worker
+// processes. Every state transition lands in the queue's WAL. With a
+// durable queue (-queue-dir) a restarted daemon re-enqueues interrupted
+// campaigns and resumes them from their last checkpoint, replaying
+// already-finished jobs from the result store.
 
 package main
 
@@ -26,10 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,14 +34,11 @@ import (
 
 	"dramdig/internal/campaign"
 	"dramdig/internal/cluster"
-	"dramdig/internal/core"
-	"dramdig/internal/engine"
 	"dramdig/internal/logging"
 	"dramdig/internal/metrics"
 	"dramdig/internal/obs"
 	"dramdig/internal/queue"
 	"dramdig/internal/store"
-	"dramdig/internal/timing"
 )
 
 // serverConfig tunes the daemon handler.
@@ -56,8 +50,9 @@ type serverConfig struct {
 	// tracing records every campaign job's timing channel into the
 	// store's trace tier, content-addressed by machine fingerprint.
 	tracing bool
-	// maxRunning bounds concurrently executing campaigns (default 8);
-	// everything beyond it waits in the queue.
+	// maxRunning is the number of in-process workers under local
+	// dispatch (default 8), so it bounds concurrently executing
+	// campaigns; everything beyond it waits in the queue.
 	maxRunning int
 	logf       func(format string, args ...any)
 	// registry collects every layer's metrics; nil gets a fresh registry
@@ -71,10 +66,9 @@ type serverConfig struct {
 	// disables tracing (every instrumentation site degrades to a no-op).
 	tracer *obs.Tracer
 	// dispatch selects the execution mode: "local" (default) runs
-	// campaigns in this process's scheduler; "remote" hands them to
-	// cluster workers through the /v1/cluster lease API. The lease API
-	// is served in both modes — remote merely stops the local scheduler
-	// from competing for jobs.
+	// campaigns on in-process workers; "remote" leaves them to
+	// dramdig-worker processes. The /v1/cluster lease API is served in
+	// both modes — remote merely starts no in-process workers.
 	dispatch string
 	// leaseTTL is the cluster heartbeat deadline (default 30s): a worker
 	// silent past it loses the lease and the job requeues.
@@ -86,9 +80,9 @@ type serverConfig struct {
 	gcInterval time.Duration
 }
 
-// server is the daemon's handler. Campaigns run asynchronously on the
-// base context, so cancelling it (process shutdown) drains them; their
-// queue entries stay in flight and recover at the next boot.
+// server is the daemon's handler. In-process workers run on the base
+// context, so cancelling it (process shutdown) stops them; their queue
+// entries stay in flight and recover at the next boot.
 type server struct {
 	mux *http.ServeMux
 	// handler is mux wrapped in the observability middleware (observe.go).
@@ -99,20 +93,17 @@ type server struct {
 	cfg     serverConfig
 	logf    func(format string, args ...any)
 	log     *slog.Logger
-	// reg is the metrics registry every layer registers into; om, inst
-	// and cm are the daemon's own, the engine's and the campaign layer's
-	// metric sets; ids mints request IDs.
+	// reg is the metrics registry every layer registers into; om is the
+	// daemon's own metric set; ids mints request IDs.
 	reg    *metrics.Registry
 	om     *serverMetrics
-	inst   *timing.Instrument
-	cm     *campaign.Metrics
 	ids    *logging.IDGen
 	tracer *obs.Tracer
 	// cl tracks cluster workers, their shard ring and lease counters
 	// (cluster.go); the lease-expiry sweeper feeds it.
 	cl *clusterState
-	// runCampaign is campaign.Run, injectable for handler tests.
-	runCampaign func(context.Context, []campaign.Spec, campaign.Config) (*campaign.Report, error)
+	// workers are the in-process workers of local dispatch.
+	workers []*cluster.Worker
 
 	// fpCache memoizes each retained job's machine fingerprints for the
 	// store GC's referenced-set computation (see referencedFingerprints).
@@ -120,17 +111,14 @@ type server struct {
 	fpCache map[string][]string
 
 	mu        sync.Mutex
-	running   int
 	draining  bool
 	campaigns map[string]*campaignState
 	// order tracks campaign insertion for eviction: finished campaigns
 	// past maxCampaigns are dropped oldest-first so a long-lived daemon
 	// doesn't hoard every report ever produced.
 	order []string
-	// slotFree wakes the scheduler when a running campaign finishes.
-	slotFree chan struct{}
 
-	wg sync.WaitGroup // running campaigns
+	wg sync.WaitGroup // in-process workers
 }
 
 // campaignState tracks one submitted campaign.
@@ -139,30 +127,27 @@ type campaignState struct {
 	id     string
 	status string // "queued", "running", "done", "failed", "cancelled"
 	total  int
-	done   int
+	// done counts finished jobs, from the progress events of in-process
+	// workers or the checkpoints of remote ones.
+	done int
 	// specs keeps the submitted jobs so the trace endpoint can map job
 	// indices to machine fingerprints.
 	specs  []campaign.Spec
 	events []campaign.Event
-	report *campaign.Report
-	// reportRaw carries a previous process's report, recovered from the
-	// queue's terminal record, when report itself was never built here.
-	reportRaw json.RawMessage
-	errMsg    string
+	// report is the worker's completion report (the API shape), also
+	// recovered from the queue's terminal record after a restart.
+	report json.RawMessage
+	errMsg string
 	// requestID and traceID tie the campaign back to the HTTP request
 	// that submitted it: every transition log line carries both, and the
 	// spans endpoint serves the trace's tree. They ride the queue record
 	// (see queue.Job.TraceParent), so they survive restarts too.
 	requestID string
 	traceID   string
-	// worker names the cluster worker currently holding this campaign's
-	// lease ("" when running locally).
+	// worker names the worker holding this campaign's lease, and revoke
+	// is closed when a client cancels it (see cluster.LeaseGrant.Revoked).
 	worker string
-	// cancel stops the campaign's context; cancelRequested marks a
-	// client cancellation so completion reports "cancelled", not
-	// "failed".
-	cancel          context.CancelFunc
-	cancelRequested bool
+	revoke chan struct{}
 	// changed is closed and replaced on every mutation — a broadcast
 	// the SSE event streams block on.
 	changed chan struct{}
@@ -212,28 +197,25 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 		cfg.leaseTTL = defaultLeaseTTL
 	}
 	s := &server{
-		st:          st,
-		q:           q,
-		baseCtx:     baseCtx,
-		cfg:         cfg,
-		logf:        cfg.logf,
-		log:         cfg.logger,
-		reg:         cfg.registry,
-		ids:         logging.NewIDGen(),
-		runCampaign: campaign.Run,
-		campaigns:   make(map[string]*campaignState),
-		fpCache:     make(map[string][]string),
-		slotFree:    make(chan struct{}, 1),
-		tracer:      cfg.tracer,
+		st:        st,
+		q:         q,
+		baseCtx:   baseCtx,
+		cfg:       cfg,
+		logf:      cfg.logf,
+		log:       cfg.logger,
+		reg:       cfg.registry,
+		ids:       logging.NewIDGen(),
+		campaigns: make(map[string]*campaignState),
+		fpCache:   make(map[string][]string),
+		tracer:    cfg.tracer,
 	}
 	// Every layer registers into the one registry: daemon middleware,
-	// queue WAL/backlog, store cache tiers, campaign lifecycle and the
-	// engine's measurement hot path.
+	// queue WAL/backlog, store cache tiers, the cluster, and — through
+	// the in-process workers — campaign lifecycle and the engine's
+	// measurement hot path.
 	s.om = newServerMetrics(s.reg)
 	s.q.RegisterMetrics(s.reg)
 	s.st.RegisterMetrics(s.reg)
-	s.cm = campaign.NewMetrics(s.reg)
-	s.inst = engine.NewInstrument(s.reg)
 	s.cl = newClusterState(s.reg)
 	if tr := s.tracer; tr != nil {
 		s.reg.CounterFunc("dramdig_trace_spans_started_total",
@@ -250,7 +232,6 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 			func() float64 { return float64(tr.Stats().Retained) })
 	}
 	s.mux = http.NewServeMux()
-	// The canonical, versioned surface.
 	s.mux.HandleFunc("POST /v1/campaigns", s.handleCreateCampaign)
 	s.mux.HandleFunc("GET /v1/campaigns", s.handleListCampaigns)
 	s.mux.HandleFunc("GET /v1/campaigns/{id}", s.handleGetCampaign)
@@ -277,24 +258,14 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 	// on one page, instance-labeled (cluster.go).
 	s.mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	s.mux.Handle("GET /v1/metrics", s.reg.Handler())
-	// /metrics is the conventional scrape path — an alias, not a
-	// deprecated route.
+	// /metrics is the conventional scrape path — an alias.
 	s.mux.Handle("GET /metrics", s.reg.Handler())
-	// Deprecated unversioned aliases of the /v1 routes.
-	s.mux.HandleFunc("POST /campaigns", deprecated(s.handleCreateCampaign))
-	s.mux.HandleFunc("GET /campaigns/{id}", deprecated(s.handleGetCampaign))
-	s.mux.HandleFunc("GET /campaigns/{id}/trace", deprecated(s.handleGetCampaignTrace))
-	s.mux.HandleFunc("GET /mappings/{fingerprint}", deprecated(s.handleGetMapping))
-	s.mux.HandleFunc("GET /traces/{fingerprint}", deprecated(s.handleGetTrace))
-	s.mux.HandleFunc("GET /healthz", deprecated(s.handleHealthz))
 
 	s.handler = s.observe(s.mux)
 
 	s.recoverFromQueue()
 	if cfg.dispatch != "remote" {
-		// Remote dispatch leaves the queue to the cluster workers; the
-		// local scheduler would otherwise race them for every job.
-		go s.schedule()
+		s.startWorkers()
 	}
 	go s.sweepLeases()
 	if cfg.gcInterval > 0 {
@@ -343,22 +314,12 @@ func (s *server) referencedFingerprints() map[string]bool {
 	return refs
 }
 
-// deprecated marks an unversioned alias: the handler answers as before,
-// with headers steering clients to the /v1 successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
-}
-
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // maxCampaigns bounds retained campaign states (running ones never count
 // against the bound — they are skipped by eviction). maxCampaignJobs
-// bounds one request's job count and maxRunning is the default cap on
-// concurrently executing campaigns; both keep a hostile client from
+// bounds one request's job count and maxRunning is the default number
+// of in-process workers; both keep a hostile client from
 // pinning the daemon's memory or cores with cheap POSTs. The Retry-After
 // hint on 429/503 rejections derives from the live queue depth (see
 // retryAfterSecondsHint in observe.go).
@@ -367,6 +328,13 @@ const (
 	maxCampaignJobs = cluster.MaxCampaignJobs
 	maxRunning      = 8
 )
+
+// campaign returns the campaign's state, nil when not retained.
+func (s *server) campaign(id string) *campaignState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.campaigns[id]
+}
 
 // logTransition emits the structured log line for a campaign state
 // transition — one line per transition, with the campaign ID on every
@@ -377,10 +345,7 @@ const (
 // the caller threading them through. Callers must not hold s.mu or the
 // campaign's st.mu.
 func (s *server) logTransition(id, from, to string, attrs ...any) {
-	s.mu.Lock()
-	st := s.campaigns[id]
-	s.mu.Unlock()
-	if st != nil {
+	if st := s.campaign(id); st != nil {
 		st.mu.Lock()
 		if st.requestID != "" {
 			attrs = append(attrs, "request_id", st.requestID)
@@ -394,9 +359,36 @@ func (s *server) logTransition(id, from, to string, attrs ...any) {
 		append([]any{"campaign", id, "from", from, "to", to}, attrs...)...)
 }
 
-// drain blocks until every in-flight campaign goroutine has finished;
-// call after cancelling the base context.
-func (s *server) drain() { s.wg.Wait() }
+// drain blocks until every in-process worker has stopped; call after
+// cancelling the base context. The campaigns they abandoned stay in
+// flight in the queue — with their checkpoints — for the next boot to
+// resume; this process reports them failed.
+func (s *server) drain() {
+	s.wg.Wait()
+	if s.baseCtx.Err() == nil {
+		return
+	}
+	errMsg := s.baseCtx.Err().Error()
+	s.mu.Lock()
+	states := make([]*campaignState, 0, len(s.campaigns))
+	for _, st := range s.campaigns {
+		states = append(states, st)
+	}
+	s.mu.Unlock()
+	for _, st := range states {
+		st.mu.Lock()
+		abandoned := st.status == "running" && s.cl.inProcess(st.worker)
+		if abandoned {
+			st.status, st.errMsg = "failed", errMsg
+			st.bumpLocked()
+		}
+		st.mu.Unlock()
+		if abandoned {
+			s.logf("campaign %s: failed: %s", st.id, errMsg)
+			s.logTransition(st.id, "running", "failed", "err", errMsg)
+		}
+	}
+}
 
 // beginDrain flips the daemon into shutdown mode: new campaign
 // submissions are refused with 503 + Retry-After instead of accepting
@@ -408,17 +400,17 @@ func (s *server) beginDrain() {
 	s.mu.Unlock()
 }
 
-// --- queue-driven execution -------------------------------------------
+// --- queue-backed campaign state --------------------------------------
 
 // campaignPayload is what a campaign job carries through the queue.
 // The shape lives in internal/cluster (as do the request and report
-// shapes below) so remote workers deserialize it identically.
+// shapes) so every worker deserializes it identically.
 type campaignPayload = cluster.Payload
 
 // recoverFromQueue rebuilds campaign states for every job the queue
 // retained across a restart: pending jobs (including re-enqueued
-// interrupted ones) appear as "queued" and are picked up by the
-// scheduler; terminal jobs keep answering GET with their recorded
+// interrupted ones) appear as "queued" and are leased by the next
+// worker; terminal jobs keep answering GET with their recorded
 // outcome.
 func (s *server) recoverFromQueue() {
 	for _, job := range s.q.Jobs() {
@@ -456,7 +448,7 @@ func (s *server) stateFromJob(job queue.Job) *campaignState {
 	st := newCampaignState(job.ID, status, specList, total)
 	st.requestID = job.RequestID
 	st.traceID = traceIDOf(job.TraceParent)
-	st.reportRaw = job.Result
+	st.report = job.Result
 	st.errMsg = job.Error
 	if status == "done" {
 		// done/total mirror the job count for finished work.
@@ -476,320 +468,24 @@ func traceIDOf(traceParent string) string {
 }
 
 // specsFromPayload rebuilds a queued campaign's specs; on any error it
-// returns no specs (the job will fail cleanly when launched).
+// returns no specs (the worker fails the job cleanly when it leases it).
 func (s *server) specsFromPayload(payload json.RawMessage) ([]campaign.Spec, int) {
 	var p campaignPayload
 	if err := json.Unmarshal(payload, &p); err != nil {
 		return nil, 0
 	}
-	specList, err := s.buildSpecs(p.Request, p.Seed)
+	specList, err := cluster.BuildSpecs(p.Request, p.Seed)
 	if err != nil {
 		return nil, 0
 	}
 	return specList, len(specList)
 }
 
-// schedule drains the queue into the worker pool, at most
-// cfg.maxRunning campaigns at a time. It wakes on submissions and on
-// freed slots, and exits with the base context.
-func (s *server) schedule() {
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case <-s.q.Ready():
-		case <-s.slotFree:
-		}
-		s.launchReady()
-	}
-}
-
-// launchReady starts queued campaigns until the running limit or an
-// empty queue stops it.
-func (s *server) launchReady() {
-	for {
-		s.mu.Lock()
-		if s.draining || s.running >= s.cfg.maxRunning {
-			s.mu.Unlock()
-			return
-		}
-		s.running++ // reserve the slot before the dequeue commits
-		s.mu.Unlock()
-
-		job, ok, err := s.q.Dequeue()
-		dequeued := time.Now()
-		if err != nil || !ok {
-			s.mu.Lock()
-			s.running--
-			s.mu.Unlock()
-			if err != nil && !errors.Is(err, context.Canceled) {
-				s.logf("scheduler: dequeue: %v", err)
-			}
-			return
-		}
-		s.launch(job, dequeued)
-	}
-}
-
-// freeSlot releases a running slot and wakes the scheduler.
-func (s *server) freeSlot() {
-	s.mu.Lock()
-	s.running--
-	s.mu.Unlock()
-	select {
-	case s.slotFree <- struct{}{}:
-	default:
-	}
-}
-
-// launch runs one dequeued campaign job asynchronously. dequeued is
-// the instant the job left the queue — the end of its queue.wait span.
-func (s *server) launch(job queue.Job, dequeued time.Time) {
-	var p campaignPayload
-	if err := json.Unmarshal(job.Payload, &p); err != nil {
-		s.failJob(job.ID, fmt.Errorf("corrupt queue payload: %w", err))
-		return
-	}
-	specList, err := s.buildSpecs(p.Request, p.Seed)
-	if err != nil {
-		s.failJob(job.ID, fmt.Errorf("queued request no longer builds: %w", err))
-		return
-	}
-
-	s.mu.Lock()
-	st := s.campaigns[job.ID]
-	if st == nil {
-		st = newCampaignState(job.ID, "queued", specList, len(specList))
-		st.requestID = job.RequestID
-		st.traceID = traceIDOf(job.TraceParent)
-		s.campaigns[job.ID] = st
-		s.order = append(s.order, job.ID)
-	}
-	s.mu.Unlock()
-
-	// Re-enter the submitting request's trace from the persisted queue
-	// record: everything below — queue.wait, scheduler.dispatch, the
-	// campaign.run goroutine and its per-job/engine/store descendants —
-	// parents under the request's server span, even when the submission
-	// happened before a restart.
-	tctx := s.baseCtx
-	if s.tracer != nil {
-		tctx = obs.WithTracer(tctx, s.tracer)
-		if sc, perr := obs.ParseTraceParent(job.TraceParent); perr == nil {
-			tctx = obs.WithSpanContext(tctx, sc)
-		}
-	}
-	if job.RequestID != "" {
-		tctx = logging.WithRequestID(tctx, job.RequestID)
-	}
-	if job.SubmittedUnixNano > 0 {
-		// queue.wait is reconstructed, not measured live: the interval from
-		// the persisted submission instant to the dequeue.
-		_, wsp := obs.Start(tctx, "queue.wait", obs.KV("campaign", job.ID),
-			obs.Int("attempt", int64(job.Attempts)))
-		wsp.SetStart(time.Unix(0, job.SubmittedUnixNano))
-		wsp.EndAt(dequeued)
-	}
-	tctx, dsp := obs.Start(tctx, "scheduler.dispatch", obs.KV("campaign", job.ID),
-		obs.Int("jobs", int64(len(specList))))
-
-	ctx, cancel := context.WithCancel(tctx)
-	st.mu.Lock()
-	st.status = "running"
-	st.specs = specList
-	st.total = len(specList)
-	st.cancel = cancel
-	// A DELETE may have raced the dequeue: it saw "queued", lost the
-	// queue-side cancel, flagged cancelRequested and was promised
-	// "cancelling" — honor that promise now that a cancel func exists.
-	requested := st.cancelRequested
-	st.bumpLocked()
-	st.mu.Unlock()
-	if requested {
-		cancel()
-	}
-
-	cfg := campaign.Config{
-		Workers:    p.Request.Workers,
-		Retries:    s.cfg.retries,
-		Seed:       p.Seed,
-		OnEvent:    st.onEvent,
-		Wrap:       s.storeWrap,
-		Metrics:    s.cm,
-		Instrument: s.inst,
-		OnCheckpoint: func(cp campaign.Checkpoint) {
-			data, err := json.Marshal(cp)
-			if err != nil {
-				s.logf("campaign %s: encode checkpoint: %v", job.ID, err)
-				return
-			}
-			if err := s.q.Checkpoint(job.ID, data); err != nil {
-				s.logf("campaign %s: persist checkpoint: %v", job.ID, err)
-			}
-		},
-	}
-	if len(job.Checkpoint) > 0 {
-		var cp campaign.Checkpoint
-		if err := json.Unmarshal(job.Checkpoint, &cp); err != nil {
-			s.logf("campaign %s: corrupt checkpoint ignored: %v", job.ID, err)
-		} else if cp.Seed == p.Seed {
-			cfg.Resume = &cp
-			cfg.Restore = s.restoreFromStore
-			s.logf("campaign %s: resuming from checkpoint (%d/%d jobs done)",
-				job.ID, len(cp.Jobs), len(specList))
-		}
-	}
-	if s.cfg.tracing {
-		cfg.TraceSink = s.traceSink
-	}
-	// The operator's -workers flag is a ceiling, not a default a client
-	// may exceed.
-	if cfg.Workers <= 0 || cfg.Workers > s.cfg.workers {
-		cfg.Workers = s.cfg.workers
-	}
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer cancel()
-		// campaign.run brackets the whole engine execution; the pprof
-		// label segments CPU profiles by campaign (jobs add their own
-		// "job" label inside, see campaign.runJob).
-		runCtx, rsp := obs.Start(ctx, "campaign.run",
-			obs.KV("campaign", job.ID), obs.Int("jobs", int64(len(specList))))
-		var rep *campaign.Report
-		var err error
-		pprof.Do(runCtx, pprof.Labels("campaign", job.ID), func(runCtx context.Context) {
-			rep, err = s.runCampaign(runCtx, specList, cfg)
-		})
-		rsp.SetError(err)
-		rsp.End()
-		s.freeSlot()
-		s.finishJob(job.ID, st, specList, rep, err)
-	}()
-	dsp.End()
-	s.logf("campaign %s: started (%d jobs, attempt %d)", job.ID, len(specList), job.Attempts)
-	s.logTransition(job.ID, "queued", "running", "jobs", len(specList), "attempt", job.Attempts)
-}
-
-// failJob marks a job failed before it ever ran (corrupt payload).
-func (s *server) failJob(id string, err error) {
-	s.freeSlot()
-	if qerr := s.q.Fail(id, err.Error()); qerr != nil {
-		s.logf("campaign %s: %v (and queue fail failed: %v)", id, err, qerr)
-	}
-	s.mu.Lock()
-	st := s.campaigns[id]
-	s.mu.Unlock()
-	if st != nil {
-		st.mu.Lock()
-		st.status = "failed"
-		st.errMsg = err.Error()
-		st.bumpLocked()
-		st.mu.Unlock()
-	}
-	s.logf("campaign %s: failed: %v", id, err)
-	s.logTransition(id, "queued", "failed", "err", err.Error())
-}
-
-// finishJob records a completed campaign run in the queue and the
-// in-memory state. Shutdown is the deliberate exception: the queue
-// entry is left in flight so the next boot recovers and resumes it.
-func (s *server) finishJob(id string, st *campaignState, specList []campaign.Spec, rep *campaign.Report, err error) {
-	st.mu.Lock()
-	cancelled := st.cancelRequested
-	st.mu.Unlock()
-
-	status := "done"
-	var errMsg string
-	switch {
-	case err == nil:
-		if qerr := s.q.Finish(id, s.encodeReport(rep)); qerr != nil {
-			s.logf("campaign %s: queue finish: %v", id, qerr)
-		}
-	case cancelled:
-		status, errMsg = "cancelled", "cancelled by client"
-		if qerr := s.q.Cancelled(id, errMsg); qerr != nil {
-			s.logf("campaign %s: queue cancel: %v", id, qerr)
-		}
-	case s.baseCtx.Err() != nil:
-		// Daemon shutdown: the job stays in flight in the WAL — with its
-		// last checkpoint — and the next boot re-enqueues and resumes it.
-		status, errMsg = "failed", err.Error()
-	default:
-		status, errMsg = "failed", err.Error()
-		if qerr := s.q.Fail(id, errMsg); qerr != nil {
-			s.logf("campaign %s: queue fail: %v", id, qerr)
-		}
-	}
-
-	st.mu.Lock()
-	st.report = rep
-	st.status = status
-	st.errMsg = errMsg
-	st.bumpLocked()
-	st.mu.Unlock()
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
-	s.logf("campaign %s: %s (%d jobs)", id, status, len(specList))
-	attrs := []any{"jobs", len(specList)}
-	if errMsg != "" {
-		attrs = append(attrs, "err", errMsg)
-	}
-	s.logTransition(id, "running", status, attrs...)
-}
-
-// encodeReport marshals the API report shape for the queue's terminal
-// record, so a restarted daemon still serves the report.
-func (s *server) encodeReport(rep *campaign.Report) json.RawMessage {
-	if rep == nil {
-		return nil
-	}
-	data, err := json.Marshal(reportToJSON(rep))
-	if err != nil {
-		s.logf("encode report: %v", err)
-		return nil
-	}
-	return data
-}
-
-// restoreFromStore replays a checkpointed job's outcome from the
-// content-addressed result store — the same records storeWrap caches.
-// A miss (memory-only store restarted, record evicted) re-runs the job,
-// which the deterministic seeds make equivalent.
-func (s *server) restoreFromStore(ctx context.Context, spec campaign.Spec, jc campaign.JobCheckpoint) (campaign.Outcome, bool) {
-	fp := jc.MachineFingerprint
-	if fp == "" {
-		fp = spec.MachineFingerprint()
-	}
-	rec, ok, err := s.st.GetCtx(ctx, fp)
-	if err != nil || !ok {
-		return campaign.Outcome{}, false
-	}
-	return campaign.Outcome{
-		Result: &core.Result{
-			Mapping:         rec.Mapping,
-			TotalSimSeconds: rec.SimSeconds,
-			Measurements:    rec.Measurements,
-		},
-		Match:    rec.Match,
-		Attempts: jc.Attempts,
-	}, true
-}
-
 // --- request/response shapes -----------------------------------------
 
-// campaignRequest is the POST /campaigns body; the shape (with its
-// customSpec machine definitions) lives in internal/cluster.
+// campaignRequest is the POST /v1/campaigns body; the shape (with its
+// custom machine definitions) lives in internal/cluster.
 type campaignRequest = cluster.CampaignRequest
-
-// buildSpecs expands a request into job specs — a pure function of
-// (request, seed) shared with remote workers, so both sides derive
-// identical specs for one payload.
-func (s *server) buildSpecs(req campaignRequest, seed int64) ([]campaign.Spec, error) {
-	return cluster.BuildSpecs(req, seed)
-}
 
 // --- handlers ---------------------------------------------------------
 
@@ -815,26 +511,25 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = 42
 	}
-	specList, err := s.buildSpecs(req, seed)
+	// BuildSpecs is a pure function of (request, seed) shared with every
+	// worker, so both sides derive identical specs for one payload.
+	specList, err := cluster.BuildSpecs(req, seed)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
 	}
 
-	// Idempotency-Key is a /v1 contract; the deprecated unversioned
-	// alias ignores it (see MIGRATION.md).
-	var opts queue.SubmitOptions
-	opts.Priority = req.Priority
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		opts.IdempotencyKey = r.Header.Get("Idempotency-Key")
-	}
 	// The queue record carries the request's trace context and ID so
-	// queue/scheduler/campaign spans and transition logs stay parented to
+	// queue/dispatch/campaign spans and transition logs stay parented to
 	// this request — across the async handoff and across restarts. The
 	// persisted parent is the *server span*, so the whole downstream tree
 	// roots at the inbound trace.
-	opts.TraceParent = obs.TraceParentFrom(r.Context())
-	opts.RequestID = logging.RequestID(r.Context())
+	opts := queue.SubmitOptions{
+		Priority:       req.Priority,
+		IdempotencyKey: r.Header.Get("Idempotency-Key"),
+		TraceParent:    obs.TraceParentFrom(r.Context()),
+		RequestID:      logging.RequestID(r.Context()),
+	}
 
 	payload, err := json.Marshal(campaignPayload{Request: req, Seed: seed})
 	if err != nil {
@@ -881,8 +576,8 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 			st.mu.Unlock()
 		}
 	} else {
-		// The scheduler races this insert: Submit already woke it, and
-		// launch() may have created (and advanced) the state first. Never
+		// A worker races this insert: Submit already woke it, and its
+		// lease may have created (and advanced) the state first. Never
 		// overwrite an existing state — that would orphan the one the
 		// running campaign updates.
 		s.mu.Lock()
@@ -909,78 +604,67 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCancelCampaign removes a queued campaign or stops a running one
-// via its context (the work notices between measurement batches). The
-// response reports the resulting state: "cancelled" for queued work,
-// "cancelling" while a running campaign unwinds.
+// handleCancelCampaign cancels a campaign in the queue, leased or not.
+// A queued one simply ends ("cancelled", 200). A leased one's lease dies
+// with it: an in-process holder is told at once, a remote holder at its
+// next heartbeat, and either stops without reporting — the response
+// says "cancelling" (202) while the work unwinds.
 func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	st, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	st := s.campaign(id)
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
-
 	st.mu.Lock()
 	status := st.status
-	cancel := st.cancel
-	if status == "running" {
-		st.cancelRequested = true
-	}
 	st.mu.Unlock()
+	if terminalStatus(status) {
+		httpError(w, http.StatusConflict, codeConflict, "campaign %s already %s", id, status)
+		return
+	}
 
-	switch status {
-	case "queued":
-		if _, err := s.q.Cancel(id, "cancelled by client"); err != nil {
-			// The scheduler may have dequeued it in the window since we
-			// read the status; treat as the running case below.
-			if !errors.Is(err, queue.ErrBadState) {
-				httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
-				return
-			}
-			st.mu.Lock()
-			st.cancelRequested = true
-			cancel = st.cancel
-			st.mu.Unlock()
-			if cancel != nil {
-				cancel()
-			}
-			writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
+	const msg = "cancelled by client"
+	if _, err := s.q.Cancel(id, msg); err != nil {
+		if errors.Is(err, queue.ErrBadState) {
+			// The campaign finished since we read its status.
+			httpError(w, http.StatusConflict, codeConflict, "campaign %s already finished", id)
 			return
 		}
-		st.mu.Lock()
-		st.status = "cancelled"
-		st.errMsg = "cancelled by client"
-		st.bumpLocked()
-		st.mu.Unlock()
-		s.logf("campaign %s: cancelled while queued", id)
-		s.logTransition(id, "queued", "cancelled")
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
-	case "running":
-		if cancel != nil {
-			cancel()
-		}
-		s.logf("campaign %s: cancellation requested", id)
-		writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
-	default:
-		httpError(w, http.StatusConflict, codeConflict, "campaign %s already %s", id, status)
+		httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
+		return
 	}
+	st.mu.Lock()
+	from, holder, revoke := st.status, st.worker, st.revoke
+	st.status, st.errMsg, st.revoke = "cancelled", msg, nil
+	st.bumpLocked()
+	st.mu.Unlock()
+	s.logTransition(id, from, "cancelled")
+	if from != "running" {
+		s.logf("campaign %s: cancelled while queued", id)
+		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
+		return
+	}
+	if revoke != nil {
+		close(revoke)
+	}
+	s.cl.adjust(holder, func(wi *workerInfo) { wi.active-- })
+	s.logf("campaign %s: cancelled while leased to %s", id, holder)
+	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
 }
 
-// handleGetQueue reports scheduler and queue health: backlog depth,
-// running campaigns, capacity and the drain flag.
+// handleGetQueue reports queue health: backlog depth, running (leased)
+// campaigns, capacity and the drain flag.
 func (s *server) handleGetQueue(w http.ResponseWriter, r *http.Request) {
 	qs := s.q.StatsSnapshot()
 	s.mu.Lock()
-	running, draining := s.running, s.draining
+	draining := s.draining
 	maxRun := s.cfg.maxRunning
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"depth":       qs.Pending,
 		"capacity":    qs.Capacity,
-		"running":     running,
+		"running":     qs.Running,
 		"max_running": maxRun,
 		"draining":    draining,
 		"done":        qs.Done,
@@ -1090,10 +774,8 @@ func (s *server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 // client disconnects, or the daemon shuts down.
 func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	st, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	st := s.campaign(id)
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -1179,7 +861,7 @@ func (s *server) evictLocked() {
 			st.mu.Lock()
 			// Only terminal states may go: evicting a queued state would
 			// orphan a backlogged job — unreachable by GET/DELETE while
-			// the scheduler still intends to run it.
+			// a worker may still lease it.
 			evictable = terminalStatus(st.status)
 			st.mu.Unlock()
 		}
@@ -1193,7 +875,7 @@ func (s *server) evictLocked() {
 	s.order = kept
 }
 
-// onEvent records progress; campaign.Run calls it from one goroutine.
+// onEvent records one progress event from the campaign's worker.
 func (st *campaignState) onEvent(ev campaign.Event) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -1202,55 +884,6 @@ func (st *campaignState) onEvent(ev campaign.Event) {
 		st.done++
 	}
 	st.bumpLocked()
-}
-
-// storeWrap backs each campaign job with the content-addressed store:
-// concurrent jobs for one machine configuration run the pipeline once
-// (single-flight), and repeated campaigns hit the cache.
-func (s *server) storeWrap(ctx context.Context, spec campaign.Spec, run func() campaign.Outcome) campaign.Outcome {
-	fp := spec.MachineFingerprint()
-	var direct *campaign.Outcome
-	rec, err := s.st.GetOrComputeCtx(ctx, fp, func() (*store.Record, error) {
-		out := run()
-		direct = &out
-		if out.Err != nil {
-			return nil, out.Err
-		}
-		return &store.Record{
-			Fingerprint:        fp,
-			MachineName:        spec.Def.Name,
-			Mapping:            out.Result.Mapping,
-			MappingFingerprint: out.Result.Mapping.Fingerprint(),
-			Match:              out.Match,
-			SimSeconds:         out.Result.TotalSimSeconds,
-			Measurements:       out.Result.Measurements,
-		}, nil
-	})
-	if direct != nil {
-		// This call executed the pipeline; report its outcome verbatim.
-		return *direct
-	}
-	if err != nil {
-		// Another flight's failure; count it as one shared attempt.
-		return campaign.Outcome{Err: err, Attempts: 1}
-	}
-	return campaign.Outcome{
-		Result: &core.Result{
-			Mapping:         rec.Mapping,
-			TotalSimSeconds: rec.SimSeconds,
-			Measurements:    rec.Measurements,
-		},
-		Match:  rec.Match,
-		Cached: true,
-	}
-}
-
-// traceSink records a campaign attempt's timing channel into the store,
-// content-addressed by the job's machine fingerprint — the same key its
-// result caches under. Retried attempts overwrite atomically, so the
-// stored trace is always the last attempt's complete recording.
-func (s *server) traceSink(spec campaign.Spec, index, attempt int) (io.WriteCloser, error) {
-	return s.st.TraceWriter(spec.MachineFingerprint())
 }
 
 // campaignTraceJSON is one row of the campaign trace index.
@@ -1268,10 +901,8 @@ type campaignTraceJSON struct {
 // their trace availability; with ?job=N it streams job N's binary trace.
 func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	st, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	st := s.campaign(id)
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -1296,7 +927,7 @@ func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) 
 		if n, ok := s.st.StatTrace(fp); ok {
 			row.Available = true
 			row.Bytes = n
-			row.URL = fmt.Sprintf("/campaigns/%s/trace?job=%d", id, i)
+			row.URL = fmt.Sprintf("/v1/campaigns/%s/trace?job=%d", id, i)
 		}
 		index = append(index, row)
 	}
@@ -1308,7 +939,7 @@ func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleGetTrace serves a stored trace directly by machine fingerprint,
-// the content-addressed sibling of GET /mappings/{fingerprint}.
+// the content-addressed sibling of GET /v1/mappings/{fingerprint}.
 func (s *server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {
@@ -1334,19 +965,10 @@ func (s *server) serveTrace(w http.ResponseWriter, fp string) {
 	_, _ = w.Write(data)
 }
 
-// reportToJSON renders the campaign report's API shape; the shape and
-// conversion live in internal/cluster so a worker's completion report
-// is byte-compatible with a locally produced one.
-func reportToJSON(rep *campaign.Report) *cluster.ReportJSON {
-	return cluster.EncodeReport(rep)
-}
-
 func (s *server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	st, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	st := s.campaign(id)
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -1358,11 +980,8 @@ func (s *server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 		"done":   st.done,
 		"events": append([]campaign.Event(nil), st.events...),
 	}
-	if st.report != nil {
-		resp["report"] = reportToJSON(st.report)
-	} else if len(st.reportRaw) > 0 {
-		// Recovered from the queue's terminal record (previous process).
-		resp["report"] = st.reportRaw
+	if len(st.report) > 0 {
+		resp["report"] = st.report
 	}
 	if st.errMsg != "" {
 		resp["err"] = st.errMsg
@@ -1447,8 +1066,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// v1 error codes. Every error response — on /v1 and the deprecated
-// aliases alike — carries the uniform envelope
+// v1 error codes. Every error response carries the uniform envelope
 // {"error":{"code":<code>,"message":<human text>}}.
 const (
 	codeBadRequest = "bad_request"
@@ -1457,8 +1075,9 @@ const (
 	codeDraining   = "draining"
 	codeConflict   = "conflict"
 	codeInternal   = "internal"
-	// codeLeaseLost tells a cluster worker its lease expired and was
-	// requeued or re-granted: stop the job and report nothing further.
+	// codeLeaseLost tells a cluster worker its lease expired, was
+	// cancelled or was re-granted: stop the job and report nothing
+	// further.
 	codeLeaseLost = "lease_lost"
 )
 

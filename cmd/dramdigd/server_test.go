@@ -22,7 +22,7 @@ func newTestServer(t *testing.T) *server {
 
 // newTestServerWith builds a daemon handler over a fresh store and the
 // given queue/server configuration, with lifecycle cleanup: the base
-// context dies with the test, stopping the scheduler goroutine.
+// context dies with the test, stopping the in-process workers.
 func newTestServerWith(t *testing.T, qcfg queue.Config, scfg serverConfig) *server {
 	t.Helper()
 	st, err := store.Open(store.Config{})
@@ -47,8 +47,16 @@ func newTestServerWith(t *testing.T, qcfg queue.Config, scfg serverConfig) *serv
 	return newServer(ctx, st, q, scfg)
 }
 
+// setRunner replaces campaign.Run in every in-process worker — the
+// workers' test seam. Call it before the first submission.
+func setRunner(srv *server, run func(context.Context, []campaign.Spec, campaign.Config) (*campaign.Report, error)) {
+	for _, w := range srv.workers {
+		w.RunCampaign = run
+	}
+}
+
 // testLogf adapts t.Logf for goroutines that may outlive the test body
-// (scheduler, campaign completions): once the test's cleanup phase
+// (workers, campaign completions): once the test's cleanup phase
 // starts, messages are dropped instead of panicking the harness.
 func testLogf(t *testing.T) func(string, ...any) {
 	var mu sync.Mutex
@@ -90,9 +98,9 @@ func waitDone(t *testing.T, srv http.Handler, id string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		code, m := doJSON(t, srv, "GET", "/campaigns/"+id, "")
+		code, m := doJSON(t, srv, "GET", "/v1/campaigns/"+id, "")
 		if code != http.StatusOK {
-			t.Fatalf("GET /campaigns/%s: %d %v", id, code, m)
+			t.Fatalf("GET /v1/campaigns/%s: %d %v", id, code, m)
 		}
 		if status, _ := m["status"].(string); terminalStatus(status) {
 			return m
@@ -107,32 +115,32 @@ func waitDone(t *testing.T, srv http.Handler, id string) map[string]any {
 // the campaign runner stubbed out.
 func TestDaemonHandlerValidation(t *testing.T) {
 	srv := newTestServer(t)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		t.Fatal("runner called for invalid request")
 		return nil, nil
-	}
+	})
 	for _, tc := range []struct {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/campaigns", "{not json", http.StatusBadRequest},
-		{"POST", "/campaigns", "{}", http.StatusBadRequest},                // no machine source
-		{"POST", "/campaigns", `{"machines":[12]}`, http.StatusBadRequest}, // unknown setting
-		{"POST", "/campaigns", `{"custom":[{"standard":"DDR9"}]}`, http.StatusBadRequest},
-		{"POST", "/campaigns", `{"generated":100000000}`, http.StatusBadRequest}, // job-count bomb
-		{"POST", "/campaigns", `{"machines":[1],"generated":256}`, http.StatusBadRequest},
-		{"POST", "/campaigns", `{"machines":[-1],"generated":-100}`, http.StatusBadRequest},                                  // negative offset trick
-		{"POST", "/campaigns", `{"machines":[1],` + strings.Repeat(`"x":"y",`, 200000) + `"seed":1}`, http.StatusBadRequest}, // >1MiB body
-		{"GET", "/campaigns/c999", "", http.StatusNotFound},
-		{"GET", "/mappings/zz", "", http.StatusBadRequest},
-		{"GET", "/mappings/" + strings.Repeat("a", 64), "", http.StatusNotFound},
+		{"POST", "/v1/campaigns", "{not json", http.StatusBadRequest},
+		{"POST", "/v1/campaigns", "{}", http.StatusBadRequest},                // no machine source
+		{"POST", "/v1/campaigns", `{"machines":[12]}`, http.StatusBadRequest}, // unknown setting
+		{"POST", "/v1/campaigns", `{"custom":[{"standard":"DDR9"}]}`, http.StatusBadRequest},
+		{"POST", "/v1/campaigns", `{"generated":100000000}`, http.StatusBadRequest}, // job-count bomb
+		{"POST", "/v1/campaigns", `{"machines":[1],"generated":256}`, http.StatusBadRequest},
+		{"POST", "/v1/campaigns", `{"machines":[-1],"generated":-100}`, http.StatusBadRequest},                                  // negative offset trick
+		{"POST", "/v1/campaigns", `{"machines":[1],` + strings.Repeat(`"x":"y",`, 200000) + `"seed":1}`, http.StatusBadRequest}, // >1MiB body
+		{"GET", "/v1/campaigns/c999", "", http.StatusNotFound},
+		{"GET", "/v1/mappings/zz", "", http.StatusBadRequest},
+		{"GET", "/v1/mappings/" + strings.Repeat("a", 64), "", http.StatusNotFound},
 	} {
 		code, m := doJSON(t, srv, tc.method, tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s %s: %d (want %d): %v", tc.method, tc.path, code, tc.want, m)
 		}
 	}
-	if code, m := doJSON(t, srv, "GET", "/healthz", ""); code != http.StatusOK || m["status"] != "ok" {
+	if code, m := doJSON(t, srv, "GET", "/v1/healthz", ""); code != http.StatusOK || m["status"] != "ok" {
 		t.Errorf("healthz: %d %v", code, m)
 	}
 }
@@ -141,7 +149,7 @@ func TestDaemonHandlerValidation(t *testing.T) {
 // with a stubbed runner that exercises the event plumbing.
 func TestDaemonCampaignLifecycleFake(t *testing.T) {
 	srv := newTestServer(t)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		for i, s := range specs {
 			cfg.OnEvent(campaign.Event{Kind: campaign.EventJobStarted, Job: s.Name, Index: i})
 			cfg.OnEvent(campaign.Event{Kind: campaign.EventJobFinished, Job: s.Name, Index: i, Match: true})
@@ -149,9 +157,9 @@ func TestDaemonCampaignLifecycleFake(t *testing.T) {
 		// A minimal report: campaign.Run's aggregation is tested in its
 		// own package; the daemon only relays it.
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1,2,3]}`)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1,2,3]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /campaigns: %d %v", code, m)
 	}
@@ -186,7 +194,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	post := func() map[string]any {
-		resp, err := http.Post(ts.URL+"/campaigns", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
 			strings.NewReader(`{"machines":[4],"seed":42}`))
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +224,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Cache lookup over real HTTP.
-	resp, err := http.Get(ts.URL + "/mappings/" + machineFP)
+	resp, err := http.Get(ts.URL + "/v1/mappings/" + machineFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +271,12 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: -1, logf: t.Logf})
 
 	started := make(chan struct{})
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		close(started)
 		<-ctx.Done()
 		return &campaign.Report{Total: len(specs)}, ctx.Err()
-	}
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+	})
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST: %d %v", code, m)
 	}
@@ -282,7 +290,7 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 		t.Fatal("drain hung after context cancellation")
 	}
 	id := m["id"].(string)
-	final := doJSONmap(t, srv, "GET", "/campaigns/"+id)
+	final := doJSONmap(t, srv, "GET", "/v1/campaigns/"+id)
 	if final["status"] != "failed" {
 		t.Errorf("cancelled campaign status %v, want failed", final["status"])
 	}
@@ -306,12 +314,12 @@ func doJSONmap(t *testing.T, srv http.Handler, method, path string) map[string]a
 // campaigns at maxCampaigns, oldest first, and keeps serving the newest.
 func TestDaemonCampaignEviction(t *testing.T) {
 	srv := newTestServer(t)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 	var lastID string
 	for i := 0; i < maxCampaigns+10; i++ {
-		code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+		code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST %d: %d %v", i, code, m)
 		}
@@ -324,10 +332,10 @@ func TestDaemonCampaignEviction(t *testing.T) {
 	if n > maxCampaigns+1 {
 		t.Errorf("%d campaigns retained, want <= %d", n, maxCampaigns+1)
 	}
-	if code, _ := doJSON(t, srv, "GET", "/campaigns/"+lastID, ""); code != http.StatusOK {
+	if code, _ := doJSON(t, srv, "GET", "/v1/campaigns/"+lastID, ""); code != http.StatusOK {
 		t.Errorf("newest campaign evicted")
 	}
-	if code, _ := doJSON(t, srv, "GET", "/campaigns/c1", ""); code != http.StatusNotFound {
+	if code, _ := doJSON(t, srv, "GET", "/v1/campaigns/c1", ""); code != http.StatusNotFound {
 		t.Errorf("oldest campaign not evicted")
 	}
 }
@@ -340,14 +348,14 @@ func TestDaemonBackpressure(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{Capacity: 2}, serverConfig{maxRunning: 1})
 	release := make(chan struct{})
 	started := make(chan string, 8)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		started <- specs[0].Name
 		<-release
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 
 	// First campaign occupies the single running slot...
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST 0: %d %v", code, m)
 	}
@@ -356,7 +364,7 @@ func TestDaemonBackpressure(t *testing.T) {
 
 	// Two more fill the pending backlog; both are accepted as queued.
 	for i := 1; i <= 2; i++ {
-		code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
+		code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST %d: %d %v", i, code, m)
 		}
@@ -387,7 +395,62 @@ func TestDaemonBackpressure(t *testing.T) {
 			t.Errorf("campaign %s: %v", id, final["status"])
 		}
 	}
-	if code, _ := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`); code != http.StatusAccepted {
+	if code, _ := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`); code != http.StatusAccepted {
 		t.Errorf("POST after backlog drained rejected: %d", code)
+	}
+}
+
+// TestDaemonRunsBurstConcurrently: with two in-process workers, two
+// campaigns submitted back to back are both running before either
+// finishes — one ready signal fans out across the idle workers.
+func TestDaemonRunsBurstConcurrently(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: 2})
+	release := make(chan struct{})
+	started := make(chan struct{}, 2)
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+		started <- struct{}{}
+		<-release
+		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
+	})
+	var ids []string
+	for _, body := range []string{`{"machines":[1]}`, `{"machines":[2]}`} {
+		code, m := doJSON(t, srv, "POST", "/v1/campaigns", body)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST: %d %v", code, m)
+		}
+		ids = append(ids, m["id"].(string))
+	}
+	for range ids {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("the burst did not start both campaigns")
+		}
+	}
+	for _, id := range ids {
+		if m := doJSONmap(t, srv, "GET", "/v1/campaigns/"+id); m["status"] != "running" {
+			t.Errorf("campaign %s: %v, want running", id, m["status"])
+		}
+	}
+	if m := doJSONmap(t, srv, "GET", "/v1/queue"); m["running"] != float64(2) || m["depth"] != float64(0) {
+		t.Errorf("queue during the burst: %v", m)
+	}
+	// The in-process workers are cluster workers like any other: each
+	// holds one lease in the registry.
+	rows, _ := doJSONmap(t, srv, "GET", "/v1/workers")["workers"].([]any)
+	if len(rows) != 2 {
+		t.Fatalf("worker registry: %v", rows)
+	}
+	for _, r := range rows {
+		if rm := r.(map[string]any); rm["live"] != true || rm["active_leases"] != float64(1) {
+			t.Errorf("in-process worker row: %v", rm)
+		}
+	}
+	close(release)
+	for _, id := range ids {
+		if final := waitDone(t, srv, id); final["status"] != "done" {
+			t.Errorf("campaign %s: %v", id, final["status"])
+		}
 	}
 }

@@ -20,10 +20,8 @@ import (
 // so clients can tell "no spans yet" from "never any spans".
 func (s *server) handleGetCampaignSpans(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	st, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	st := s.campaign(id)
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}

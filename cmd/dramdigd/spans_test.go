@@ -18,8 +18,8 @@ import (
 	"dramdig/internal/queue"
 )
 
-// syncBuffer is a goroutine-safe bytes.Buffer: the scheduler goroutine
-// logs concurrently with the test body's reads.
+// syncBuffer is a goroutine-safe bytes.Buffer: the worker goroutines
+// log concurrently with the test body's reads.
 type syncBuffer struct {
 	mu  sync.Mutex
 	buf bytes.Buffer

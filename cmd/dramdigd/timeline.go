@@ -70,10 +70,8 @@ func spanWorker(sp *obs.SpanData, byID map[obs.SpanID]*obs.SpanData, memo map[ob
 // campaign endpoints.
 func (s *server) handleGetCampaignTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	st, ok := s.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
+	st := s.campaign(id)
+	if st == nil {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}

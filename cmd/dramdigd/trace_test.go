@@ -35,7 +35,7 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
 		strings.NewReader(`{"machines":[4],"seed":42}`))
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 	machineFP := job["machine_fingerprint"].(string)
 
 	// Index: one job, trace available, self-describing URL.
-	resp, err = http.Get(ts.URL + "/campaigns/" + id + "/trace")
+	resp, err = http.Get(ts.URL + "/v1/campaigns/" + id + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 	// Download the binary trace, both by campaign job and by content
 	// address; they must be the same bytes.
 	byJob := get(t, ts.URL+row.URL)
-	byFP := get(t, ts.URL+"/traces/"+machineFP)
+	byFP := get(t, ts.URL+"/v1/traces/"+machineFP)
 	if !bytes.Equal(byJob, byFP) {
 		t.Fatal("job download and content-addressed download differ")
 	}
@@ -123,9 +123,9 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 
 	// Error surface: out-of-range job, unknown campaign, bad fingerprint.
 	for _, path := range []string{
-		"/campaigns/" + id + "/trace?job=9",
-		"/campaigns/nope/trace",
-		"/traces/zz",
+		"/v1/campaigns/" + id + "/trace?job=9",
+		"/v1/campaigns/nope/trace",
+		"/v1/traces/zz",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -142,13 +142,13 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 // report nothing recorded.
 func TestDaemonTracingDisabled(t *testing.T) {
 	srv := newTestServer(t)
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[4],"seed":42}`)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[4],"seed":42}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST: %d %v", code, m)
 	}
 	id := m["id"].(string)
 	waitDone(t, srv, id)
-	code, idx := doJSON(t, srv, "GET", "/campaigns/"+id+"/trace", "")
+	code, idx := doJSON(t, srv, "GET", "/v1/campaigns/"+id+"/trace", "")
 	if code != http.StatusOK {
 		t.Fatalf("GET trace index: %d %v", code, idx)
 	}

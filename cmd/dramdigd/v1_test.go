@@ -1,8 +1,8 @@
 // Contract tests for the versioned daemon surface. Everything here is
 // named TestV1* so CI can run the v1 contract in isolation
 // (go test ./cmd/dramdigd -run TestV1): every /v1 route, the uniform
-// error envelope, the pagination bounds, the deprecated unversioned
-// aliases and one live SSE progress stream.
+// error envelope, the pagination bounds and one live SSE progress
+// stream.
 
 package main
 
@@ -24,13 +24,13 @@ import (
 // stubRunner makes every campaign finish instantly with per-job events.
 func stubRunner(t *testing.T, srv *server) {
 	t.Helper()
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		for i, s := range specs {
 			cfg.OnEvent(campaign.Event{Kind: campaign.EventJobStarted, Job: s.Name, Index: i})
 			cfg.OnEvent(campaign.Event{Kind: campaign.EventJobFinished, Job: s.Name, Index: i, Match: true})
 		}
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 }
 
 // envelope decodes and validates the uniform v1 error envelope.
@@ -111,11 +111,11 @@ func TestV1ErrorEnvelope(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{Capacity: 1}, serverConfig{maxRunning: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		started <- struct{}{}
 		<-release
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 	defer close(release)
 
 	for _, tc := range []struct {
@@ -216,54 +216,18 @@ func TestV1Pagination(t *testing.T) {
 	}
 }
 
-// TestV1DeprecatedAliases: every unversioned route still answers,
-// carries Deprecation and successor-version Link headers, and uses the
-// same error envelope.
-func TestV1DeprecatedAliases(t *testing.T) {
-	srv := newTestServer(t)
-	stubRunner(t, srv)
-	code, m := doJSON(t, srv, "POST", "/campaigns", `{"machines":[1]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("POST /campaigns: %d %v", code, m)
-	}
-	id := m["id"].(string)
-	waitDone(t, srv, id)
-
-	for _, path := range []string{"/campaigns/" + id, "/campaigns/" + id + "/trace", "/healthz"} {
-		r := httptest.NewRequest("GET", path, nil)
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			t.Errorf("GET %s: %d", path, w.Code)
-		}
-		if w.Header().Get("Deprecation") != "true" {
-			t.Errorf("GET %s: no Deprecation header", path)
-		}
-		if link := w.Header().Get("Link"); !strings.Contains(link, "</v1"+path+">") {
-			t.Errorf("GET %s: Link %q lacks the /v1 successor", path, link)
-		}
-	}
-
-	// The alias shares the envelope contract.
-	code, m = doJSON(t, srv, "GET", "/campaigns/c999", "")
-	if code != http.StatusNotFound {
-		t.Fatalf("GET /campaigns/c999: %d", code)
-	}
-	envelope(t, m, "not_found")
-}
-
 // TestV1Events consumes one SSE progress stream end to end: recorded
 // events arrive first, live events as they happen, then the terminal
 // "done" event closes the stream.
 func TestV1Events(t *testing.T) {
 	srv := newTestServer(t)
 	step := make(chan struct{})
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		cfg.OnEvent(campaign.Event{Kind: campaign.EventJobStarted, Job: "No.1", Index: 0})
 		<-step // hold the campaign open until the stream is attached
 		cfg.OnEvent(campaign.Event{Kind: campaign.EventJobFinished, Job: "No.1", Index: 0, Match: true})
 		return &campaign.Report{Total: 1, Succeeded: 1}, nil
-	}
+	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -407,8 +371,7 @@ func postJSON(t *testing.T, srv http.Handler, method, path, body string, hdr map
 
 // TestV1Idempotency: resubmitting a campaign with the same
 // Idempotency-Key returns the original campaign (marked as a replay)
-// instead of enqueueing a duplicate — on /v1 only; the deprecated
-// unversioned alias deliberately ignores the header.
+// instead of enqueueing a duplicate.
 func TestV1Idempotency(t *testing.T) {
 	srv := newTestServer(t)
 	stubRunner(t, srv)
@@ -441,13 +404,6 @@ func TestV1Idempotency(t *testing.T) {
 	if m3["id"] == id {
 		t.Error("distinct keys shared a campaign")
 	}
-
-	// The unversioned alias has no idempotency contract: same key, new
-	// campaign (see MIGRATION.md).
-	_, m4 := postJSON(t, srv, "POST", "/campaigns", `{"machines":[1,2]}`, hdr)
-	if m4["id"] == id {
-		t.Error("deprecated alias honored Idempotency-Key")
-	}
 }
 
 // TestV1QueueEndpoint: GET /v1/queue reports depth, running, capacity
@@ -456,11 +412,11 @@ func TestV1QueueEndpoint(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{Capacity: 7}, serverConfig{maxRunning: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		started <- struct{}{}
 		<-release
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
-	}
+	})
 	defer close(release)
 
 	code, m := doJSON(t, srv, "GET", "/v1/queue", "")
@@ -494,7 +450,7 @@ func TestV1CancelCampaign(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
-	srv.runCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -502,7 +458,7 @@ func TestV1CancelCampaign(t *testing.T) {
 		case <-ctx.Done():
 			return &campaign.Report{Total: len(specs)}, ctx.Err()
 		}
-	}
+	})
 
 	// One running campaign, one stuck behind it in the queue.
 	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)

@@ -28,9 +28,9 @@
 //
 // The context is threaded through every measurement loop, so
 // cancellation and deadlines abort runs promptly; the same holds for
-// campaigns (RunCampaign) and the rowhammer driver. The historical
-// entry points ReverseEngineer, RecordTrace and ReplayTrace remain as
-// thin wrappers over the Engine — see MIGRATION.md.
+// campaigns (RunCampaign) and the rowhammer driver. MIGRATION.md maps
+// the removed ReverseEngineer, RecordTrace and ReplayTrace entry points
+// onto Run.
 //
 // Underneath, the facade re-exports the stable surface of the internal
 // packages:
@@ -92,42 +92,6 @@ type Result = core.Result
 // Flip is an induced rowhammer bit flip (re-exported).
 type Flip = dram.Flip
 
-// Options tunes the legacy ReverseEngineer/RecordTrace/ReplayTrace
-// wrappers. New code should pass EngineOptions to Engine.Run (or the
-// package-level Run) instead: functional options can express an
-// explicit zero seed, which this struct cannot.
-type Options struct {
-	// Seed drives the tool's internal randomness; the recovered mapping
-	// does not depend on it (DRAMDig is deterministic). A zero Seed
-	// means "unset" here — in ReplayTrace it selects the trace's
-	// recorded seed. Use WithSeed(0) with Engine.Run for a genuine
-	// zero.
-	Seed int64
-	// Log, when non-nil, receives progress lines.
-	Log io.Writer
-	// Config overrides the full tool configuration when non-nil;
-	// Seed/Log above are ignored in that case.
-	Config *core.Config
-}
-
-// engineOptions converts legacy Options to the engine's functional
-// options, preserving the historical semantics: a zero Seed stays unset
-// (so trace sources fall back to their recorded seed), and a non-nil
-// Config wins wholesale.
-func (o Options) engineOptions() []EngineOption {
-	if o.Config != nil {
-		return []EngineOption{WithConfig(*o.Config)}
-	}
-	var opts []EngineOption
-	if o.Seed != 0 {
-		opts = append(opts, WithSeed(o.Seed))
-	}
-	if o.Log != nil {
-		opts = append(opts, WithLogger(o.Log))
-	}
-	return opts
-}
-
 // NewMachine builds one of the paper's nine machine settings (no = 1…9).
 // The seed fixes the allocation layout, noise stream and weak-cell
 // population.
@@ -143,13 +107,6 @@ func NewCustomMachine(def MachineDefinition, seed int64) (*Machine, error) {
 
 // Settings returns the paper's nine machine definitions.
 func Settings() []MachineDefinition { return machine.Settings() }
-
-// ReverseEngineer runs DRAMDig against the machine and returns the
-// recovered mapping with run statistics. It is a thin wrapper over
-// Engine.Run with a LiveSource and a background context.
-func ReverseEngineer(m *Machine, opts Options) (*Result, error) {
-	return Run(context.Background(), LiveSource(m), opts.engineOptions()...)
-}
 
 // HammerConfig tunes a rowhammer assessment (re-exported).
 type HammerConfig = rowhammer.Config
@@ -245,33 +202,9 @@ const (
 	ReplayKeyed = trace.Keyed
 )
 
-// RecordTrace runs DRAMDig against the machine while capturing its whole
-// timing channel into w as an internal/trace binary stream. The returned
-// result is the live run's; decode the bytes with DecodeTrace and replay
-// them offline with ReplayTrace. It is a thin wrapper over Engine.Run
-// with a LiveSource and WithTraceSink.
-func RecordTrace(m *Machine, w io.Writer, opts Options) (*Result, error) {
-	return Run(context.Background(), LiveSource(m),
-		append(opts.engineOptions(), WithTraceSink(w))...)
-}
-
-// DecodeTrace reads a recorded trace.
+// DecodeTrace reads a recorded trace (see WithTraceSink); replay it
+// offline with Run over a TraceSource.
 func DecodeTrace(r io.Reader) (*Trace, error) { return trace.Decode(r) }
-
-// ReplayTrace re-runs DRAMDig offline from a recorded trace: the
-// machine's surface rebuilds from the trace header and every latency is
-// served from the recording — zero simulation. With the recorded tool
-// seed (the default) and ReplayStrict, the run is bit-identical to the
-// recorded one. It is a thin wrapper over Engine.Run with a
-// TraceSource.
-//
-// Historical quirk, kept for compatibility: Options.Seed == 0 with a
-// nil Options.Config means "use the recorded seed" — a genuine zero
-// seed is inexpressible here. Engine.Run with WithSeed(0) replays under
-// an explicit zero.
-func ReplayTrace(t *Trace, mode trace.Mode, opts Options) (*Result, error) {
-	return Run(context.Background(), TraceSource(t, mode), opts.engineOptions()...)
-}
 
 // TraceNoise is a composable trace noise model (re-exported).
 type TraceNoise = trace.Noise

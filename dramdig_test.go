@@ -15,7 +15,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	res, err := ReverseEngineer(m, Options{Seed: 7, Log: &log})
+	res, err := Run(context.Background(), LiveSource(m), WithSeed(7), WithLogger(&log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,9 @@ func TestFacadeCampaign(t *testing.T) {
 	}
 }
 
-// TestFacadeEngineSource drives the redesigned public surface: one
-// Engine.Run over a live source with a trace sink, the trace replayed
-// through TraceSource (recorded seed by default), a perturbed replay,
-// and the legacy ReplayTrace shim's Seed==0 behaviour.
+// TestFacadeEngineSource drives the public surface: one Engine.Run over
+// a live source with a trace sink, the trace replayed through
+// TraceSource (recorded seed by default), and a perturbed replay.
 func TestFacadeEngineSource(t *testing.T) {
 	m, err := NewMachine(4, 42)
 	if err != nil {
@@ -136,15 +135,6 @@ func TestFacadeEngineSource(t *testing.T) {
 	}
 	if rep.Mapping.Fingerprint() != res.Mapping.Fingerprint() {
 		t.Fatal("strict replay recovered a different mapping")
-	}
-
-	// Legacy shim: ReplayTrace with Seed==0 keeps the recorded seed.
-	rep2, err := ReplayTrace(tr, ReplayStrict, Options{})
-	if err != nil {
-		t.Fatalf("legacy replay shim: %v", err)
-	}
-	if rep2.Mapping.Fingerprint() != res.Mapping.Fingerprint() {
-		t.Fatal("legacy replay recovered a different mapping")
 	}
 
 	// Perturbed replay under mild jitter still recovers the mapping.

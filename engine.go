@@ -1,7 +1,7 @@
 // The unified Engine/Source surface: one Run call over pluggable
-// measurement sources replaces the historical ReverseEngineer /
-// RecordTrace / ReplayTrace trio (which survive as thin wrappers in
-// dramdig.go). See MIGRATION.md for the old-to-new mapping.
+// measurement sources, which replaced the historical ReverseEngineer /
+// RecordTrace / ReplayTrace trio. See MIGRATION.md for the old-to-new
+// mapping.
 
 package dramdig
 
@@ -64,8 +64,6 @@ func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
 
 // WithSeed pins the tool seed. WithSeed(0) is an explicit zero — only
 // omitting WithSeed lets a trace source default to its recorded seed.
-// (The legacy Options.Seed field could not express this: 0 meant
-// "unset".)
 func WithSeed(seed int64) EngineOption { return engine.WithSeed(seed) }
 
 // WithLogger streams the pipeline's progress lines into w.

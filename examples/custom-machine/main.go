@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,7 +39,7 @@ func main() {
 	}
 	fmt.Println(m.SysInfo().Report())
 
-	res, err := dramdig.ReverseEngineer(m, dramdig.Options{Seed: 3})
+	res, err := dramdig.Run(context.Background(), dramdig.LiveSource(m), dramdig.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}

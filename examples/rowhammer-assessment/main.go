@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 	}
 	fmt.Printf("assessing %s (%s)\n", m.Name(), m.SysInfo().CPU)
 
-	res, err := dramdig.ReverseEngineer(m, dramdig.Options{Seed: 1})
+	res, err := dramdig.Run(context.Background(), dramdig.LiveSource(m), dramdig.WithSeed(1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ func main() {
 	// First recover the mapping (TRR does not affect the timing
 	// channel, only the flips).
 	m := newMachine()
-	res, err := dramdig.ReverseEngineer(m, dramdig.Options{Seed: 7})
+	res, err := dramdig.Run(context.Background(), dramdig.LiveSource(m), dramdig.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}

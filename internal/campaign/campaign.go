@@ -15,9 +15,10 @@
 // The engine is the concurrency layer the dramdigd daemon builds on; it
 // deliberately knows nothing about HTTP or persistence. Per-job execution
 // can be wrapped (Config.Wrap) so a caller may interpose a result cache —
-// the daemon uses this to back jobs with the internal/store single-flight
-// cache — and each attempt's timing channel can be captured into an
-// internal/trace stream (Config.TraceSink) for offline replay.
+// the cluster worker uses this to back jobs with the coordinator's
+// content-addressed store — and each attempt's timing channel can be
+// captured into an internal/trace stream (Config.TraceSink) for offline
+// replay.
 package campaign
 
 import (
@@ -233,8 +234,8 @@ type Config struct {
 	// Wrap, when non-nil, intercepts each job's execution: it receives
 	// the job's context (carrying tracing/pprof state), the spec and a
 	// run function executing the full attempt loop, and may return a
-	// cached Outcome instead of calling run. See cmd/dramdigd for the
-	// store-backed interceptor.
+	// cached Outcome instead of calling run. See internal/cluster's
+	// Worker for the store-backed interceptor.
 	Wrap func(ctx context.Context, spec Spec, run func() Outcome) Outcome
 	// TraceSink, when non-nil, supplies a sink per pipeline attempt for
 	// recording the job's timing channel as an internal/trace stream
@@ -243,9 +244,10 @@ type Config struct {
 	// closes the sink when the attempt finishes, success or not.
 	TraceSink func(spec Spec, index, attempt int) (io.WriteCloser, error)
 	// OnCheckpoint, when non-nil, receives the cumulative Checkpoint
-	// after every successfully completed job (restored jobs included).
-	// Calls are serialized and each checkpoint extends the previous one,
-	// so a durable scheduler can append them to its journal directly.
+	// after every successfully completed job (restored jobs included),
+	// before the job's job_finished event. Calls are serialized and each
+	// checkpoint extends the previous one, so a worker can persist each
+	// one (a heartbeat to its coordinator's WAL) as it arrives.
 	OnCheckpoint func(Checkpoint)
 	// Resume, when non-nil, is a checkpoint from an interrupted run of
 	// the same campaign: jobs it records as complete are not re-executed

@@ -59,39 +59,6 @@ func (cp *Checkpoint) Lookup(index int) (JobCheckpoint, bool) {
 	return JobCheckpoint{}, false
 }
 
-// CheckpointSink is a mailbox between the engine's checkpoint callback
-// and an asynchronous shipper — the remote-worker case, where
-// checkpoints ride heartbeats to the coordinator instead of landing in
-// a local WAL. Put (used as Config.OnCheckpoint) keeps only the newest
-// snapshot; Take drains it. A slow shipper therefore coalesces
-// intermediate checkpoints instead of queueing them — each snapshot is
-// cumulative, so only the newest matters. Safe for concurrent use.
-type CheckpointSink struct {
-	mu    sync.Mutex
-	cp    Checkpoint
-	fresh bool
-}
-
-// Put records the newest checkpoint snapshot.
-func (s *CheckpointSink) Put(cp Checkpoint) {
-	s.mu.Lock()
-	s.cp = cp
-	s.fresh = true
-	s.mu.Unlock()
-}
-
-// Take returns the newest checkpoint not yet taken; ok is false when
-// nothing new arrived since the last Take.
-func (s *CheckpointSink) Take() (cp Checkpoint, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.fresh {
-		return Checkpoint{}, false
-	}
-	s.fresh = false
-	return s.cp, true
-}
-
 // checkpointer accumulates per-job completions and hands the caller a
 // snapshot after each one. The callback runs under the checkpointer's
 // mutex: invocations are serialized and each sees a strictly growing

@@ -165,25 +165,3 @@ func TestCheckpointRestoreMiss(t *testing.T) {
 		t.Error("re-run after restore miss diverged from the original result")
 	}
 }
-
-// TestCheckpointSink: Put coalesces to the newest snapshot; Take drains
-// exactly once.
-func TestCheckpointSink(t *testing.T) {
-	var sink CheckpointSink
-	if _, ok := sink.Take(); ok {
-		t.Fatal("empty sink yielded a checkpoint")
-	}
-	sink.Put(Checkpoint{Seed: 1, Jobs: []JobCheckpoint{{Index: 0}}})
-	sink.Put(Checkpoint{Seed: 1, Jobs: []JobCheckpoint{{Index: 0}, {Index: 1}}})
-	cp, ok := sink.Take()
-	if !ok || len(cp.Jobs) != 2 {
-		t.Fatalf("take: ok=%v jobs=%d, want newest snapshot", ok, len(cp.Jobs))
-	}
-	if _, ok := sink.Take(); ok {
-		t.Fatal("second take yielded a stale checkpoint")
-	}
-	sink.Put(Checkpoint{Seed: 1, Jobs: []JobCheckpoint{{Index: 0}, {Index: 1}, {Index: 2}}})
-	if cp, ok := sink.Take(); !ok || len(cp.Jobs) != 3 {
-		t.Fatalf("take after refill: ok=%v jobs=%d", ok, len(cp.Jobs))
-	}
-}

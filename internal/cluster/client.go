@@ -1,7 +1,8 @@
-// The worker-side HTTP client for the coordinator's cluster API. Every
-// call decodes the daemon's uniform error envelope, and a 409 with code
-// "lease_lost" maps to ErrLeaseLost — the one error a worker handles
-// specially (abandon the job; someone else owns it now).
+// The worker-side HTTP client for the coordinator's cluster API — the
+// Coordinator a worker process leases through. Every call decodes the
+// daemon's uniform error envelope, and a 409 with code "lease_lost" maps
+// to ErrLeaseLost — the one error a worker handles specially (abandon
+// the job; it was cancelled or someone else owns it now).
 
 package cluster
 
@@ -15,16 +16,19 @@ import (
 	"net/http"
 	"time"
 
+	"dramdig/internal/campaign"
 	"dramdig/internal/obs"
 	"dramdig/internal/store"
 )
 
 // ErrLeaseLost means the coordinator no longer honors this worker's
-// lease: it expired and was requeued or re-granted elsewhere. The
-// worker must stop the job and not report its outcome.
+// lease: it expired and was requeued or re-granted elsewhere, or the
+// campaign was cancelled. The worker must stop the job and not report
+// its outcome.
 var ErrLeaseLost = errors.New("cluster: lease lost")
 
-// Client talks to one coordinator on behalf of one named worker.
+// Client talks to one coordinator over HTTP on behalf of one named
+// worker. It implements Coordinator.
 type Client struct {
 	base   string
 	worker string
@@ -123,13 +127,17 @@ func (c *Client) Lease(ctx context.Context) (*LeaseGrant, bool, error) {
 	return &grant, true, nil
 }
 
+// Ready returns nil: a remote coordinator cannot signal new work, so an
+// idle worker polls.
+func (c *Client) Ready() <-chan struct{} { return nil }
+
 // Heartbeat renews the lease, shipping a checkpoint when cp is
 // non-empty and a metrics snapshot when snap is non-empty (both ride
-// the one request), and returns the renewed TTL. This is the cluster's
-// hottest RPC — every worker beats at TTL/3 — so the body is built by
+// the one request). This is the cluster's hottest RPC — every worker
+// beats at TTL/3 and after every finished job — so the body is built by
 // hand and cp/snap (already JSON from their own encoders) are spliced
 // in verbatim instead of being re-scanned by the reflection encoder.
-func (c *Client) Heartbeat(ctx context.Context, id, token string, cp, snap json.RawMessage) (time.Duration, error) {
+func (c *Client) Heartbeat(ctx context.Context, id, token string, cp, snap json.RawMessage) error {
 	body := make(json.RawMessage, 0, 64+len(cp)+len(snap))
 	body = append(body, `{"worker":`...)
 	body = appendQuoted(body, c.worker)
@@ -144,13 +152,9 @@ func (c *Client) Heartbeat(ctx context.Context, id, token string, cp, snap json.
 		body = append(body, snap...)
 	}
 	body = append(body, '}')
-	var resp HeartbeatResponse
 	_, err := c.do(ctx, http.MethodPost, "/v1/cluster/jobs/"+id+"/heartbeat",
-		body, &resp, http.StatusOK)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(resp.TTLMillis) * time.Millisecond, nil
+		body, nil, http.StatusOK)
+	return err
 }
 
 // appendQuoted appends s as a JSON string.
@@ -177,6 +181,48 @@ func (c *Client) Fail(ctx context.Context, id, token, msg string) error {
 		FailRequest{Worker: c.worker, Token: token, Error: msg}, nil,
 		http.StatusOK)
 	return err
+}
+
+// Progress drops per-job events: a remote coordinator follows a
+// campaign's progress through the checkpoints its heartbeats carry.
+func (c *Client) Progress(string, campaign.Event) {}
+
+// GetOrCompute reads fp's result from the coordinator's store or, on a
+// miss, computes it and uploads it before returning — a job's result
+// lands before the job counts as done, so completion never outruns
+// results.
+func (c *Client) GetOrCompute(ctx context.Context, fp string, compute func() (*store.Record, error)) (*store.Record, error) {
+	if rec, ok, err := c.FetchResult(ctx, fp); err == nil && ok {
+		return rec, nil
+	}
+	rec, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.UploadResult(ctx, rec); err != nil {
+		return nil, fmt.Errorf("upload result %s: %w", fp, err)
+	}
+	return rec, nil
+}
+
+// TraceWriter buffers one attempt's timing trace and uploads it under
+// fp on Close. Retried attempts overwrite, so the stored trace is the
+// last attempt's complete recording.
+func (c *Client) TraceWriter(ctx context.Context, fp string) (io.WriteCloser, error) {
+	return &traceUploader{ctx: ctx, client: c, fp: fp}, nil
+}
+
+type traceUploader struct {
+	ctx    context.Context
+	client *Client
+	fp     string
+	buf    bytes.Buffer
+}
+
+func (u *traceUploader) Write(p []byte) (int, error) { return u.buf.Write(p) }
+
+func (u *traceUploader) Close() error {
+	return u.client.UploadTrace(u.ctx, u.fp, u.buf.Bytes())
 }
 
 // UploadResult puts one result record into the coordinator's

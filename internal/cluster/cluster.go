@@ -1,10 +1,12 @@
-// Package cluster is the coordinator/worker subsystem that turns
-// dramdigd into a multi-node system: the coordinator (cmd/dramdigd
-// with -dispatch remote) exposes a lease API under /v1/cluster, and N
-// worker processes (cmd/dramdig-worker) pull queued campaign jobs over
-// HTTP, run them through the same campaign engine a local scheduler
-// would, stream checkpoints back on heartbeats, and upload results and
-// traces into the coordinator's content-addressed store.
+// Package cluster is the coordinator/worker subsystem that executes
+// every dramdigd campaign. A Worker leases queued campaign jobs, runs
+// them through the campaign engine, sends each checkpoint back on a
+// heartbeat and lands results and traces in the coordinator's
+// content-addressed store. It reaches its coordinator through the
+// Coordinator interface: worker processes (cmd/dramdig-worker) use the
+// HTTP Client against the lease API under /v1/cluster, and dramdigd's
+// own in-process workers (-dispatch local) make the same calls
+// directly, with no HTTP and no JSON envelopes on the path.
 //
 // The protocol is four POSTs plus two PUTs:
 //
@@ -63,11 +65,17 @@ type LeaseGrant struct {
 	// TTLMillis is the heartbeat deadline: miss it and the lease
 	// expires, requeueing the job.
 	TTLMillis int64 `json:"ttl_ms"`
-	// TraceParent is the submitting request's W3C trace context; the
+	// TraceParent is the W3C trace context of the grant's
+	// scheduler.dispatch span, on the submitting request's trace; the
 	// worker's campaign spans parent under it.
 	TraceParent string `json:"traceparent,omitempty"`
 	// RequestID is the submitting request's ID, for log correlation.
 	RequestID string `json:"request_id,omitempty"`
+	// Revoked, when non-nil, is closed the moment the coordinator
+	// revokes the lease (a client cancelled the campaign). Only
+	// in-process coordinators set it; a remote worker learns of the
+	// revocation from its next heartbeat's lease_lost.
+	Revoked <-chan struct{} `json:"-"`
 }
 
 // HeartbeatRequest is the POST .../heartbeat body.

@@ -1,21 +1,22 @@
-// The worker process's engine: lease a job, rebuild its specs, run the
-// campaign through the same engine a local scheduler would, heartbeat
-// checkpoints back, and report the outcome. Results and traces go
-// through the coordinator's content-addressed store, so a campaign run
-// remotely leaves exactly the artifacts a local run would.
+// The worker: lease a job, rebuild its specs, run the campaign, send
+// every checkpoint back on a heartbeat, and report the outcome. It is
+// the only code that executes a campaign — in dramdig-worker processes
+// over HTTP, and inside dramdigd as in-process workers — so leases,
+// checkpoints, store write-through and trace capture behave the same
+// wherever a campaign runs.
 
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"runtime"
+	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,41 +30,70 @@ import (
 	"dramdig/internal/timing"
 )
 
+// Coordinator is a worker's link to the queue it leases from and the
+// store its results land in. *Client reaches a coordinator process over
+// HTTP; dramdigd implements it with direct calls for its in-process
+// workers. Calls that act on a lease return ErrLeaseLost once the lease
+// has expired, been cancelled or moved to another worker.
+type Coordinator interface {
+	// Worker names the lease owner.
+	Worker() string
+	// Lease asks for the next job; ok is false when none is pending or
+	// the coordinator is draining.
+	Lease(ctx context.Context) (g *LeaseGrant, ok bool, err error)
+	// Ready is signalled when pending work may have appeared; nil means
+	// the coordinator cannot signal and an idle worker polls.
+	Ready() <-chan struct{}
+	// Heartbeat renews a lease, carrying a checkpoint and a metrics
+	// snapshot when they are non-empty.
+	Heartbeat(ctx context.Context, id, token string, cp, snap json.RawMessage) error
+	// Complete and Fail end a lease with the campaign's outcome.
+	Complete(ctx context.Context, id, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error
+	Fail(ctx context.Context, id, token, msg string) error
+	// Progress relays one per-job event of a leased campaign.
+	Progress(id string, ev campaign.Event)
+	// GetOrCompute returns fp's stored result, or runs compute and
+	// stores what it returns.
+	GetOrCompute(ctx context.Context, fp string, compute func() (*store.Record, error)) (*store.Record, error)
+	// FetchResult returns fp's stored result, if any.
+	FetchResult(ctx context.Context, fp string) (*store.Record, bool, error)
+	// TraceWriter stores the bytes written to it as fp's trace on Close.
+	TraceWriter(ctx context.Context, fp string) (io.WriteCloser, error)
+}
+
 // WorkerConfig tunes a Worker.
 type WorkerConfig struct {
-	// Coordinator is the coordinator's base URL ("http://host:8080").
-	Coordinator string
-	// Name is the worker's stable name — the lease owner and shard ring
-	// member. Required.
-	Name string
 	// Workers caps concurrent campaign jobs (default GOMAXPROCS);
 	// Retries matches the daemon's retry semantics (negative disables).
 	Workers int
 	Retries int
-	// Poll is the idle poll interval when no job is pending (default
-	// 500ms).
+	// Poll is the idle poll interval when the coordinator cannot signal
+	// new work (default 500ms).
 	Poll time.Duration
-	// Tracing uploads per-attempt timing traces to the coordinator.
+	// Tracing records every attempt's timing trace into the
+	// coordinator's store.
 	Tracing bool
 	// Logger receives worker logs (nil discards); Tracer, when non-nil,
-	// records campaign spans and ships them with each completion.
+	// records campaign spans.
 	Logger *slog.Logger
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, collects this worker's telemetry: Go runtime
-	// self-metrics, engine/campaign families, and lease counters.
-	// Snapshots of it piggyback on heartbeats and completions so the
-	// coordinator's federated scrape covers the fleet.
+	// Metrics, when non-nil, collects the engine and campaign families.
+	// A remote worker also registers Go runtime self-metrics and lease
+	// counters, and ships snapshots of the registry on heartbeats and
+	// completions so the coordinator's federated scrape covers the fleet.
 	Metrics *metrics.Registry
-	// HTTPClient overrides the default client (tests).
-	HTTPClient *http.Client
 }
 
 // Worker leases jobs from one coordinator and runs them until its
 // context ends.
 type Worker struct {
-	cfg    WorkerConfig
-	client *Client
-	log    *slog.Logger
+	cfg   WorkerConfig
+	coord Coordinator
+	log   *slog.Logger
+	// remote is set when the coordinator is another process: only then
+	// does the worker ship metrics snapshots and its finished spans.
+	// In-process workers share the coordinator's registry and tracer.
+	remote bool
 
 	// inst and cm instrument the campaign engine when cfg.Metrics is
 	// set; both are nil-safe downstream. ship reduces successive
@@ -80,20 +110,21 @@ type Worker struct {
 	// heartbeats cheaper than snapshotMinInterval apart skip the
 	// encode entirely.
 	lastShip atomic.Int64
+
+	// RunCampaign executes a leased campaign. It is campaign.Run; tests
+	// replace it before the worker's first lease.
+	RunCampaign func(context.Context, []campaign.Spec, campaign.Config) (*campaign.Report, error)
 }
 
 // snapshotMinInterval floors how often heartbeats attempt a metrics
-// snapshot. Heartbeats run at TTL/3, which for short leases can be far
-// faster than any scraper reads the federated page; snapshot shipping
-// keeps its own cadence so a hot heartbeat loop never pays the
+// snapshot. Heartbeats run at TTL/3 and after every finished job, which
+// can be far faster than any scraper reads the federated page; snapshot
+// shipping keeps its own cadence so a hot heartbeat loop never pays the
 // walk-the-registry cost per beat. Completions bypass the floor.
 const snapshotMinInterval = time.Second
 
-// NewWorker builds a worker.
-func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Name == "" {
-		cfg.Name = "worker"
-	}
+// NewWorker builds a worker leasing through c.
+func NewWorker(c Coordinator, cfg WorkerConfig) *Worker {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -104,15 +135,20 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if log == nil {
 		log = logging.Discard()
 	}
+	_, remote := c.(*Client)
 	w := &Worker{
-		cfg:    cfg,
-		client: NewClient(cfg.Coordinator, cfg.Name, cfg.HTTPClient),
-		log:    log.With("worker", cfg.Name),
+		cfg:         cfg,
+		coord:       c,
+		log:         log.With("worker", c.Worker()),
+		remote:      remote,
+		RunCampaign: campaign.Run,
 	}
 	if r := cfg.Metrics; r != nil {
-		metrics.RegisterRuntime(r)
 		w.inst = engine.NewInstrument(r)
 		w.cm = campaign.NewMetrics(r)
+	}
+	if r := cfg.Metrics; r != nil && remote {
+		metrics.RegisterRuntime(r)
 		w.ship = metrics.NewDeltaEncoder(0)
 		r.CounterFunc("dramdig_worker_leases_total",
 			"Lease grants accepted by this worker.", nil,
@@ -128,16 +164,16 @@ func NewWorker(cfg WorkerConfig) *Worker {
 }
 
 // snapshotJSON marshals the worker's current metrics snapshot for the
-// wire; nil when the worker has no registry (the payload fields are
-// omitempty, so old-style heartbeats go out unchanged) or when nothing
-// changed since the last ship. Heartbeats send change-only deltas with
-// a periodic full resync; completions force a full snapshot so a
+// wire; nil when the worker ships no snapshots (in-process, or no
+// registry — the payload fields are omitempty) or when nothing changed
+// since the last ship. Heartbeats send change-only deltas with a
+// periodic full resync; completions force a full snapshot so a
 // coordinator that lost this worker's state (restart, reap) is whole
 // again by the time the job's results land. The snapshot's own encoder
 // is called directly — json.Marshal would re-scan and re-compact its
 // output, doubling the cost of every heartbeat's payload.
 func (w *Worker) snapshotJSON(full bool) json.RawMessage {
-	if w.cfg.Metrics == nil {
+	if w.ship == nil {
 		return nil
 	}
 	now := time.Now()
@@ -161,31 +197,36 @@ func (w *Worker) Stats() (completed, failed uint64) {
 	return w.completed.Load(), w.failed.Load()
 }
 
-// Run polls for leases and executes them until ctx ends. Always
-// returns ctx's error.
+// Run leases jobs and executes them until ctx ends. Always returns
+// ctx's error.
 func (w *Worker) Run(ctx context.Context) error {
-	w.log.Info("worker started", "coordinator", w.cfg.Coordinator)
+	w.log.Info("worker started")
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		grant, ok, err := w.client.Lease(ctx)
-		if err != nil {
-			if ctx.Err() == nil {
-				w.log.Warn("lease request failed", "err", err)
-			}
-			w.sleep(ctx)
+		grant, ok, err := w.coord.Lease(ctx)
+		if err != nil && ctx.Err() == nil {
+			w.log.Warn("lease request failed", "err", err)
+		}
+		if ok {
+			w.runLease(ctx, grant)
 			continue
 		}
-		if !ok {
-			w.sleep(ctx)
-			continue
-		}
-		w.runLease(ctx, grant)
+		w.idle(ctx)
 	}
 }
 
-func (w *Worker) sleep(ctx context.Context) {
+// idle waits until a lease attempt may succeed: on the coordinator's
+// ready signal when it has one, else for one poll interval.
+func (w *Worker) idle(ctx context.Context) {
+	if ready := w.coord.Ready(); ready != nil {
+		select {
+		case <-ctx.Done():
+		case <-ready:
+		}
+		return
+	}
 	t := time.NewTimer(w.cfg.Poll)
 	defer t.Stop()
 	select {
@@ -197,7 +238,7 @@ func (w *Worker) sleep(ctx context.Context) {
 // fail reports a job failure, best-effort.
 func (w *Worker) fail(ctx context.Context, g *LeaseGrant, msg string) {
 	w.failed.Add(1)
-	if err := w.client.Fail(ctx, g.ID, g.Token, msg); err != nil {
+	if err := w.coord.Fail(ctx, g.ID, g.Token, msg); err != nil {
 		w.log.Warn("fail report not delivered", "campaign", g.ID, "err", err)
 	}
 }
@@ -220,11 +261,12 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	}
 
 	// runCtx ends when the campaign should stop: worker shutdown, or
-	// the heartbeat loop learning the lease was lost.
+	// the lease being lost or revoked.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	l := &lease{w: w, g: g, ctx: runCtx, cancel: cancel}
 
-	// Re-enter the submitting request's trace and request ID so the
+	// Re-enter the grant's trace and the submitting request's ID so the
 	// worker's spans and log lines join the coordinator's.
 	tctx := runCtx
 	if w.cfg.Tracer != nil {
@@ -236,60 +278,70 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	if g.RequestID != "" {
 		tctx = logging.WithRequestID(tctx, g.RequestID)
 	}
-	tctx, sp := obs.Start(tctx, "worker.campaign",
-		obs.KV("worker", w.client.Worker()),
+	tctx, sp := obs.Start(tctx, "campaign.run",
+		obs.KV("worker", w.coord.Worker()),
 		obs.KV("campaign", g.ID),
 		obs.Int("jobs", int64(len(specs))),
 		obs.Int("attempt", int64(g.Attempts)))
 	traceID := obs.SpanContextFrom(tctx).TraceID
 
-	var sink campaign.CheckpointSink
-	var lost atomic.Bool
 	hbDone := make(chan struct{})
-	go w.heartbeat(runCtx, g, ttl, &sink, &lost, cancel, hbDone)
+	go l.keepAlive(ttl, hbDone)
 
 	cfg := campaign.Config{
 		Workers:      p.Request.Workers,
 		Retries:      w.cfg.Retries,
 		Seed:         p.Seed,
+		OnEvent:      func(ev campaign.Event) { w.coord.Progress(g.ID, ev) },
 		Wrap:         w.wrap,
 		Restore:      w.restore,
-		OnCheckpoint: sink.Put,
+		OnCheckpoint: l.checkpoint,
 		Metrics:      w.cm,
 		Instrument:   w.inst,
 	}
+	// The operator's worker cap is a ceiling, not a default a client may
+	// exceed.
 	if cfg.Workers <= 0 || cfg.Workers > w.cfg.Workers {
 		cfg.Workers = w.cfg.Workers
 	}
 	if len(g.Checkpoint) > 0 {
 		var cp campaign.Checkpoint
-		if err := json.Unmarshal(g.Checkpoint, &cp); err == nil && cp.Seed == p.Seed {
+		if err := json.Unmarshal(g.Checkpoint, &cp); err != nil {
+			w.log.Warn("corrupt checkpoint ignored", "campaign", g.ID, "err", err)
+		} else if cp.Seed == p.Seed {
 			cfg.Resume = &cp
 		}
 	}
 	if w.cfg.Tracing {
 		cfg.TraceSink = func(spec campaign.Spec, index, attempt int) (io.WriteCloser, error) {
-			return &traceUploader{ctx: tctx, client: w.client, fp: spec.MachineFingerprint()}, nil
+			return w.coord.TraceWriter(tctx, spec.MachineFingerprint())
 		}
 	}
 
 	w.leases.Add(1)
 	w.log.Info("campaign leased", append([]any{"campaign", g.ID, "jobs", len(specs), "attempt", g.Attempts}, obs.LogAttrs(tctx)...)...)
-	rep, runErr := campaign.Run(tctx, specs, cfg)
+	var rep *campaign.Report
+	var runErr error
+	// The pprof label segments CPU profiles by campaign (jobs add their
+	// own "job" label inside, see campaign.runJob).
+	pprof.Do(tctx, pprof.Labels("campaign", g.ID), func(ctx context.Context) {
+		rep, runErr = w.RunCampaign(ctx, specs, cfg)
+	})
 	cancel()
 	<-hbDone
 	sp.SetError(runErr)
 	sp.End()
 
 	switch {
-	case lost.Load():
-		// Someone else owns the job now; reporting anything would be
-		// rejected — and the work must not be double-counted.
+	case l.lost.Load():
+		// The job was cancelled or someone else owns it now; reporting
+		// anything would be rejected — and the work must not be
+		// double-counted.
 		w.log.Warn("lease lost; abandoning job", "campaign", g.ID)
 	case ctx.Err() != nil:
-		// Worker shutdown mid-campaign: leave the lease to expire so the
-		// coordinator requeues the job with its last checkpoint.
-		w.log.Info("shutdown mid-campaign; lease will expire", "campaign", g.ID)
+		// Worker shutdown mid-campaign: the job stays in flight with its
+		// last checkpoint, and the coordinator requeues it.
+		w.log.Info("shutdown mid-campaign; job left in flight", "campaign", g.ID)
 	case runErr != nil:
 		w.log.Warn("campaign failed", "campaign", g.ID, "err", runErr)
 		w.fail(ctx, g, runErr.Error())
@@ -300,10 +352,10 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 			return
 		}
 		var spans []obs.SpanData
-		if w.cfg.Tracer != nil {
+		if w.remote && w.cfg.Tracer != nil {
 			spans = w.cfg.Tracer.TraceSpans(traceID)
 		}
-		if err := w.client.Complete(ctx, g.ID, g.Token, report, spans, w.snapshotJSON(true)); err != nil {
+		if err := w.coord.Complete(ctx, g.ID, g.Token, report, spans, w.snapshotJSON(true)); err != nil {
 			w.failed.Add(1)
 			w.log.Warn("completion not delivered", "campaign", g.ID, "err", err)
 			return
@@ -313,10 +365,63 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	}
 }
 
-// heartbeat renews the lease every ttl/3, shipping the newest
-// checkpoint when one arrived since the last beat. A lease_lost
-// rejection flips lost and cancels the campaign.
-func (w *Worker) heartbeat(ctx context.Context, g *LeaseGrant, ttl time.Duration, sink *campaign.CheckpointSink, lost *atomic.Bool, cancel context.CancelFunc, done chan struct{}) {
+// lease is one running grant's heartbeat state.
+type lease struct {
+	w      *Worker
+	g      *LeaseGrant
+	ctx    context.Context
+	cancel context.CancelFunc
+	lost   atomic.Bool
+
+	// mu serializes beats, so a checkpoint never lands after a newer
+	// one; unsent is the newest checkpoint no beat has delivered yet.
+	mu     sync.Mutex
+	unsent json.RawMessage
+}
+
+// checkpoint sends a finished job's cumulative checkpoint as a
+// heartbeat before the engine announces the job or takes the next one,
+// so the checkpoint is durable by the time its job_finished event is
+// observable. A beat that fails leaves it for the next one to retry.
+func (l *lease) checkpoint(cp campaign.Checkpoint) {
+	data, err := json.Marshal(cp)
+	if err != nil {
+		l.w.log.Warn("encode checkpoint", "campaign", l.g.ID, "err", err)
+		return
+	}
+	l.beat(data)
+}
+
+// beat renews the lease, carrying cp — or, when cp is nil, the newest
+// checkpoint still unsent. A lease_lost answer stops the campaign.
+func (l *lease) beat(cp json.RawMessage) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if cp != nil {
+		l.unsent = cp
+	}
+	// The metrics snapshot rides the beat: fleet telemetry with no extra
+	// connection.
+	err := l.w.coord.Heartbeat(l.ctx, l.g.ID, l.g.Token, l.unsent, l.w.snapshotJSON(false))
+	switch {
+	case err == nil:
+		l.unsent = nil
+	case errors.Is(err, ErrLeaseLost):
+		l.lose()
+	case l.ctx.Err() == nil:
+		l.w.log.Warn("heartbeat failed", "campaign", l.g.ID, "err", err)
+	}
+}
+
+// lose marks the lease gone and stops the campaign.
+func (l *lease) lose() {
+	l.lost.Store(true)
+	l.cancel()
+}
+
+// keepAlive renews the lease every ttl/3 until the campaign stops,
+// and stops it at once if the coordinator revokes the lease.
+func (l *lease) keepAlive(ttl time.Duration, done chan struct{}) {
 	defer close(done)
 	interval := ttl / 3
 	if interval < 10*time.Millisecond {
@@ -324,89 +429,73 @@ func (w *Worker) heartbeat(ctx context.Context, g *LeaseGrant, ttl time.Duration
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	// pending holds a checkpoint taken from the sink but not yet
-	// delivered, so a failed beat retries it — unless a newer one
-	// supersedes it first.
-	var pending campaign.Checkpoint
-	havePending := false
 	for {
 		select {
-		case <-ctx.Done():
+		case <-l.ctx.Done():
+			return
+		case <-l.g.Revoked:
+			l.lose()
 			return
 		case <-tick.C:
+			l.beat(nil)
 		}
-		if snap, ok := sink.Take(); ok {
-			pending, havePending = snap, true
-		}
-		var cp json.RawMessage
-		if havePending {
-			if data, err := json.Marshal(pending); err == nil {
-				cp = data
-			}
-		}
-		// The metrics snapshot rides the beat: fleet telemetry at TTL/3
-		// cadence with no extra connection.
-		if _, err := w.client.Heartbeat(ctx, g.ID, g.Token, cp, w.snapshotJSON(false)); err != nil {
-			if errors.Is(err, ErrLeaseLost) {
-				lost.Store(true)
-				cancel()
-				return
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			w.log.Warn("heartbeat failed", "campaign", g.ID, "err", err)
-			continue
-		}
-		havePending = false
 	}
 }
 
-// wrap backs each job with the coordinator's store over HTTP: a
-// fingerprint hit skips the pipeline, and a fresh result uploads
-// before the job counts as done — completion never outruns results.
+// wrap backs each job with the coordinator's store: a fingerprint hit
+// skips the pipeline, and a fresh result is stored before the job
+// counts as done — completion never outruns results.
 func (w *Worker) wrap(ctx context.Context, spec campaign.Spec, run func() campaign.Outcome) campaign.Outcome {
 	fp := spec.MachineFingerprint()
-	if rec, ok, err := w.client.FetchResult(ctx, fp); err == nil && ok {
-		return campaign.Outcome{
-			Result: &core.Result{
-				Mapping:         rec.Mapping,
-				TotalSimSeconds: rec.SimSeconds,
-				Measurements:    rec.Measurements,
-			},
-			Match:  rec.Match,
-			Cached: true,
+	var direct *campaign.Outcome
+	rec, err := w.coord.GetOrCompute(ctx, fp, func() (*store.Record, error) {
+		out := run()
+		direct = &out
+		if out.Err != nil {
+			return nil, out.Err
 		}
+		return &store.Record{
+			Fingerprint:        fp,
+			MachineName:        spec.Def.Name,
+			Mapping:            out.Result.Mapping,
+			MappingFingerprint: out.Result.Mapping.Fingerprint(),
+			Match:              out.Match,
+			SimSeconds:         out.Result.TotalSimSeconds,
+			Measurements:       out.Result.Measurements,
+		}, nil
+	})
+	if direct != nil {
+		// This call executed the pipeline; report its outcome verbatim
+		// unless storing the result failed.
+		if err != nil && direct.Err == nil {
+			return campaign.Outcome{Err: err, Attempts: direct.Attempts}
+		}
+		return *direct
 	}
-	out := run()
-	if out.Err != nil {
-		return out
+	if err != nil {
+		// Another flight's failure; count it as one shared attempt.
+		return campaign.Outcome{Err: err, Attempts: 1}
 	}
-	rec := &store.Record{
-		Fingerprint:        fp,
-		MachineName:        spec.Def.Name,
-		Mapping:            out.Result.Mapping,
-		MappingFingerprint: out.Result.Mapping.Fingerprint(),
-		Match:              out.Match,
-		SimSeconds:         out.Result.TotalSimSeconds,
-		Measurements:       out.Result.Measurements,
+	return campaign.Outcome{
+		Result: &core.Result{
+			Mapping:         rec.Mapping,
+			TotalSimSeconds: rec.SimSeconds,
+			Measurements:    rec.Measurements,
+		},
+		Match:  rec.Match,
+		Cached: true,
 	}
-	if err := w.client.UploadResult(ctx, rec); err != nil {
-		out = campaign.Outcome{Err: fmt.Errorf("upload result %s: %w", fp, err), Attempts: out.Attempts}
-	}
-	return out
 }
 
 // restore materializes a checkpointed job's outcome from the
-// coordinator's store — the cross-process mirror of the daemon's
-// restoreFromStore. A miss re-runs the job; the deterministic seeds
+// coordinator's store. A miss re-runs the job; the deterministic seeds
 // make the re-run equivalent.
 func (w *Worker) restore(ctx context.Context, spec campaign.Spec, jc campaign.JobCheckpoint) (campaign.Outcome, bool) {
 	fp := jc.MachineFingerprint
 	if fp == "" {
 		fp = spec.MachineFingerprint()
 	}
-	rec, ok, err := w.client.FetchResult(ctx, fp)
+	rec, ok, err := w.coord.FetchResult(ctx, fp)
 	if err != nil || !ok {
 		return campaign.Outcome{}, false
 	}
@@ -419,21 +508,4 @@ func (w *Worker) restore(ctx context.Context, spec campaign.Spec, jc campaign.Jo
 		Match:    rec.Match,
 		Attempts: jc.Attempts,
 	}, true
-}
-
-// traceUploader buffers one attempt's timing trace and uploads it on
-// Close — the remote counterpart of the daemon writing through
-// store.TraceWriter. Retried attempts overwrite, so the stored trace
-// is the last attempt's complete recording.
-type traceUploader struct {
-	ctx    context.Context
-	client *Client
-	fp     string
-	buf    bytes.Buffer
-}
-
-func (u *traceUploader) Write(p []byte) (int, error) { return u.buf.Write(p) }
-
-func (u *traceUploader) Close() error {
-	return u.client.UploadTrace(u.ctx, u.fp, u.buf.Bytes())
 }

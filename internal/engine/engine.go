@@ -1,9 +1,9 @@
 // Package engine is the single entry point for running the DRAMDig
 // pipeline: Engine.Run(ctx, src, ...Option) executes the tool against
 // any source.Source — a live simulated machine, a recorded trace, a
-// perturbed recording — under one option surface. It replaces the
+// perturbed recording — under one option surface. It replaced the
 // facade's historical trio of ReverseEngineer / RecordTrace /
-// ReplayTrace, which survive as thin wrappers.
+// ReplayTrace.
 //
 // Options are functional and applied in order, so an explicit zero is
 // representable: WithSeed(0) pins the tool seed to zero, while omitting
@@ -40,9 +40,8 @@ type settings struct {
 // Engine's base options.
 type Option func(*settings)
 
-// WithSeed pins the tool seed. Unlike the legacy Options.Seed field,
-// WithSeed(0) is an explicit zero — only *omitting* WithSeed lets a
-// trace source's recorded seed apply.
+// WithSeed pins the tool seed. WithSeed(0) is an explicit zero — only
+// *omitting* WithSeed lets a trace source's recorded seed apply.
 func WithSeed(seed int64) Option {
 	return func(s *settings) {
 		s.cfg.Seed = seed
@@ -123,8 +122,7 @@ func NewInstrument(r *metrics.Registry) *timing.Instrument {
 }
 
 // WithConfig replaces the full tool configuration. It marks the seed
-// explicit (a full config states its seed, even a zero one), matching
-// the legacy Options.Config semantics where a supplied config was used
+// explicit: a full config states its seed, even a zero one, and is used
 // verbatim.
 func WithConfig(cfg core.Config) Option {
 	return func(s *settings) {

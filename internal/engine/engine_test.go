@@ -97,8 +97,7 @@ func TestRunCancelsMidPipeline(t *testing.T) {
 
 // TestRunSeedDefaultsToRecording: without WithSeed, a trace source's
 // recorded seed applies and strict replay is bit-identical; WithSeed(0)
-// is a genuine zero (the legacy Options.Seed could not express it) and
-// makes the strict replay diverge.
+// is a genuine zero and makes the strict replay diverge.
 func TestRunSeedDefaultsToRecording(t *testing.T) {
 	var buf bytes.Buffer
 	live, err := New().Run(context.Background(), source.Live(testMachine(t)),

@@ -3,6 +3,7 @@ package queue
 import (
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 var benchPayload = json.RawMessage(`{"request":{"machines":[1,4,7,8],"seed":42},"seed":42}`)
@@ -54,12 +55,12 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%2 == 1 {
-			// Dequeue pops the oldest pending job; checkpoint that one.
-			j, ok, err := q.Dequeue()
+			// Lease takes the oldest pending job; checkpoint that one.
+			j, ok, err := q.Lease("bench", time.Hour, nil)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
-			if err := q.Checkpoint(j.ID, json.RawMessage(`{"jobs":[{"index":0}]}`)); err != nil {
+			if _, err := q.Heartbeat(j.ID, "bench", j.LeaseToken, time.Hour, json.RawMessage(`{"jobs":[{"index":0}]}`)); err != nil {
 				b.Fatal(err)
 			}
 		}

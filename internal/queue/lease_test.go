@@ -3,6 +3,8 @@ package queue
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -264,15 +266,15 @@ func TestLeaseSurvivesWALReplay(t *testing.T) {
 // replays unchanged — the new code must not choke on their absence.
 func TestOldJournalReplays(t *testing.T) {
 	dir := t.TempDir()
-	q, err := Open(Config{Dir: dir})
-	if err != nil {
+	// Two submissions and one pre-lease pickup ("state running" with no
+	// owner or token), exactly as a pre-cluster daemon journaled them.
+	wal := `{"seq":1,"op":"submit","job":{"id":"c1","payload":{"n":0},"state":"submitted","seq":1}}
+{"seq":2,"op":"submit","job":{"id":"c2","payload":{"n":1},"state":"submitted","seq":2}}
+{"seq":3,"op":"state","id":"c1","state":"running"}
+`
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte(wal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	submitN(t, q, 2)
-	if _, ok, err := q.Dequeue(); err != nil || !ok {
-		t.Fatalf("dequeue: ok=%v err=%v", ok, err)
-	}
-	q.wal.Close()
 
 	q2, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -281,6 +283,66 @@ func TestOldJournalReplays(t *testing.T) {
 	defer q2.Close()
 	if st := q2.StatsSnapshot(); st.Pending != 2 || st.Recovered != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestLocalDispatchJournalReplays: the WAL a daemon wrote before local
+// dispatch ran on leases — "state running" pickups, "checkpoint"
+// records and terminal "state" records, captured from that code in
+// testdata/local-dispatch.wal — still opens: finished jobs keep their
+// outcomes and history, the in-flight job comes back pending with its
+// checkpoint, and it then runs to completion through a lease.
+func TestLocalDispatchJournalReplays(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "local-dispatch.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("journal written by local dispatch does not open: %v", err)
+	}
+	defer q.Close()
+
+	st := q.StatsSnapshot()
+	if st.Done != 1 || st.Failed != 1 || st.Cancelled != 1 || st.Pending != 1 || st.Recovered != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+	done, ok := q.Get("c1")
+	if !ok || done.State != StateDone || string(done.Result) != `{"total":2,"succeeded":2}` {
+		t.Fatalf("done job: ok=%v %+v", ok, done)
+	}
+	if done.TraceParent == "" || done.RequestID != "req-1" {
+		t.Fatalf("done job lost its trace context: %+v", done)
+	}
+	if got := historyTypes(done.History); !sameTypes(got, EventSubmitted, EventDequeued, EventCheckpoint, EventDone) {
+		t.Fatalf("done job history %v", got)
+	}
+	if j, _ := q.Get("c3"); j.State != StateFailed || j.Error != "boom" {
+		t.Fatalf("failed job: %+v", j)
+	}
+	if j, _ := q.Get("c4"); j.State != StateCancelled || j.Error != "cancelled by client" {
+		t.Fatalf("cancelled job: %+v", j)
+	}
+	if _, dup, _ := q.Submit(nil, SubmitOptions{IdempotencyKey: "nightly"}); !dup {
+		t.Error("idempotency key lost in replay")
+	}
+
+	l, ok, err := q.Lease("w1", time.Minute, nil)
+	if err != nil || !ok || l.ID != "c2" {
+		t.Fatalf("lease of the recovered job: ok=%v err=%v %+v", ok, err, l)
+	}
+	if l.Attempts != 2 || !strings.Contains(string(l.Checkpoint), `"No.7"`) {
+		t.Fatalf("recovered job lost its progress: %+v", l)
+	}
+	if err := q.CompleteLease(l.ID, "w1", l.LeaseToken, json.RawMessage(`{"total":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if st := q.StatsSnapshot(); st.Done != 2 || st.Pending != 0 || st.Running != 0 {
+		t.Fatalf("stats after completion = %+v", st)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package queue is a durable, prioritized job queue: the persistence
-// layer between the dramdigd HTTP surface and the campaign engine. Jobs
+// layer between the dramdigd HTTP surface and the campaign workers. Jobs
 // carry an opaque JSON payload and walk a small state machine
-// (submitted → running → checkpointed → done/failed, or cancelled); every
+// (submitted → leased → checkpointed → done/failed, or cancelled); every
 // transition appends to a write-ahead log so a crashed or redeployed
 // process re-opens the queue and finds its work exactly where it left
 // it — jobs that were in flight come back as submitted, keeping their
-// latest checkpoint, and the scheduler resumes them instead of losing
+// latest checkpoint, and the next lease resumes them instead of losing
 // them.
 //
 // Durability is built on internal/storage: the WAL is an append-only
@@ -21,22 +21,23 @@
 // find their record already durable, so N concurrent submissions cost
 // one fsync, not N.
 //
-// Jobs can also be *leased* to remote workers (the cluster subsystem):
-// Lease is Dequeue plus an owner, a fencing token and a deadline, all
-// in the WAL. Heartbeat extends the deadline (optionally carrying a
+// Work leaves the queue only as a *lease*: Lease hands the best pending
+// job to a named owner with a fencing token and a deadline, all in the
+// WAL. Heartbeat extends the deadline (optionally carrying a
 // checkpoint), CompleteLease/FailLease terminate — every lease
-// mutation is fenced by the token, so a worker whose lease expired and
-// was re-granted elsewhere is rejected without corrupting state.
-// ExpireLeases requeues jobs whose deadline passed, with checkpoint
-// and attempt count intact — the same requeue semantics crash
-// recovery applies, so a dead worker costs one lease TTL, not a
-// campaign.
+// mutation is fenced by the token, so a worker whose lease expired,
+// was cancelled or was re-granted elsewhere is rejected without
+// corrupting state. ExpireLeases requeues jobs whose deadline passed,
+// with checkpoint and attempt count intact — the same requeue semantics
+// crash recovery applies, so a dead worker costs one lease TTL, not a
+// campaign. Journals written before leases existed (plain "running",
+// "checkpoint" and terminal "state" records) still replay.
 //
 // Backpressure and dedup are first-class: Submit refuses work past the
 // configured pending capacity with ErrFull (the daemon turns that into
 // 429 + Retry-After), and an idempotency key resubmitted while the
 // original job is retained returns that job instead of enqueueing a
-// duplicate. Higher Priority dequeues first; within a priority, FIFO.
+// duplicate. Higher Priority leases first; within a priority, FIFO.
 //
 // With no directory configured the queue runs memory-only: identical
 // semantics, no durability — the mode dramdigd uses when -queue-dir is
@@ -67,10 +68,10 @@ import (
 type State string
 
 const (
-	// StateSubmitted jobs are waiting to be dequeued (including
+	// StateSubmitted jobs are waiting to be leased (including
 	// recovered jobs that were in flight when the process died).
 	StateSubmitted State = "submitted"
-	// StateRunning jobs have been handed to a scheduler.
+	// StateRunning jobs are held by a lease.
 	StateRunning State = "running"
 	// StateCheckpointed jobs are running with recorded partial progress;
 	// recovery returns them to submitted with the checkpoint intact.
@@ -86,7 +87,7 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// InFlight reports whether the job is with a scheduler right now.
+// InFlight reports whether the job is with a worker right now.
 func (s State) InFlight() bool {
 	return s == StateRunning || s == StateCheckpointed
 }
@@ -103,12 +104,12 @@ type Job struct {
 	// Checkpoint is the latest recorded partial progress; cleared when
 	// the job reaches a terminal state.
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
-	// Result is the terminal payload recorded by Finish.
+	// Result is the terminal payload recorded by CompleteLease.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error is the terminal failure message (failed/cancelled).
 	Error string `json:"error,omitempty"`
-	// Attempts counts dequeues: 1 on the first run, more after crash
-	// recovery re-queued the job.
+	// Attempts counts leases: 1 on the first run, more after an expiry
+	// or crash recovery re-queued the job.
 	Attempts int `json:"attempts,omitempty"`
 	// Recovered marks a job that was in flight when a previous process
 	// died and was re-queued at Open.
@@ -117,19 +118,19 @@ type Job struct {
 	Seq           uint64 `json:"seq"`
 	SubmittedUnix int64  `json:"submitted_unix,omitempty"`
 	// SubmittedUnixNano is the precise submission instant — the start of
-	// the queue-wait tracing span reconstructed at dequeue.
+	// the queue-wait tracing span reconstructed at the lease grant.
 	SubmittedUnixNano int64 `json:"submitted_unix_nano,omitempty"`
 	// TraceParent and RequestID carry the submitting request's trace
 	// context (W3C traceparent) and request ID across the enqueue →
-	// scheduler handoff — and, being persisted, across a process death —
+	// lease handoff — and, being persisted, across a process death —
 	// so campaign spans and transition logs stay correlated with the
 	// originating HTTP request. The queue never interprets them.
 	TraceParent string `json:"trace_parent,omitempty"`
 	RequestID   string `json:"request_id,omitempty"`
 	// LeaseOwner, LeaseToken and LeaseExpiresUnixNano describe an active
 	// lease (see Lease): who holds the job, the fencing token that gates
-	// every lease mutation, and the heartbeat deadline. All empty for
-	// locally dequeued jobs; old journals without them replay fine.
+	// every lease mutation, and the heartbeat deadline. Old journals
+	// without them replay fine.
 	LeaseOwner           string `json:"lease_owner,omitempty"`
 	LeaseToken           string `json:"lease_token,omitempty"`
 	LeaseExpiresUnixNano int64  `json:"lease_expires_unix_nano,omitempty"`
@@ -139,8 +140,8 @@ type Job struct {
 	History []Event `json:"history,omitempty"`
 
 	// syncPending marks a job whose submit record is written but not yet
-	// fsync'd; such jobs are invisible to Dequeue and Lease until the
-	// group commit lands. Unexported: never serialized.
+	// fsync'd; such jobs are invisible to Lease until the group commit
+	// lands. Unexported: never serialized.
 	syncPending bool
 }
 
@@ -162,8 +163,8 @@ type Event struct {
 	Seq        uint64 `json:"seq"`
 	AtUnixNano int64  `json:"at_unix_nano,omitempty"`
 	Type       string `json:"type"`
-	// Worker is the lease owner that drove the event ("" for local
-	// scheduler transitions).
+	// Worker is the lease owner that drove the event ("" for transitions
+	// no worker drove).
 	Worker  string `json:"worker,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 	Detail  string `json:"detail,omitempty"`
@@ -174,8 +175,8 @@ type Event struct {
 // information; a renewal that ships a checkpoint records EventCheckpoint.
 const (
 	EventSubmitted  = "submitted"
-	EventDequeued   = "dequeued" // local scheduler pickup
-	EventLeased     = "leased"   // remote worker pickup
+	EventDequeued   = "dequeued" // pickup, in journals written before leases
+	EventLeased     = "leased"   // worker pickup
 	EventCheckpoint = "checkpoint"
 	EventExpired    = "expired"
 	EventRequeued   = "requeued"
@@ -761,9 +762,9 @@ var errClosed = errors.New("queue: closed")
 //
 // In durable mode the record is written under the state lock but
 // fsync'd outside it, so concurrent submissions group-commit into one
-// flush. Until its fsync lands a job is invisible to Dequeue and
-// Lease — Submit never acknowledges (and never hands out) work the
-// disk might not know about.
+// flush. Until its fsync lands a job is invisible to Lease — Submit
+// never acknowledges (and never hands out) work the disk might not
+// know about.
 func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, error) {
 	q.mu.Lock()
 	if q.closed {
@@ -817,8 +818,8 @@ func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, 
 	q.mu.Unlock()
 
 	if err := q.syncTo(j.Seq); err != nil {
-		// Safe to retract: an unsynced job was never visible to Dequeue
-		// or Lease, so nothing raced us to it.
+		// Safe to retract: an unsynced job was never visible to Lease, so
+		// nothing raced us to it.
 		q.mu.Lock()
 		q.rollbackSubmitLocked(&j)
 		q.submitted--
@@ -856,108 +857,10 @@ func better(j, cur *Job) bool {
 		(j.Priority == cur.Priority && j.Seq < cur.Seq)
 }
 
-// Dequeue pops the best pending job (highest priority, then FIFO) and
-// marks it running. The second return is false when nothing is pending.
-func (q *Queue) Dequeue() (Job, bool, error) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return Job{}, false, errClosed
-	}
-	var best *Job
-	for _, j := range q.jobs {
-		if better(j, best) {
-			best = j
-		}
-	}
-	if best == nil {
-		q.mu.Unlock()
-		return Job{}, false, nil
-	}
-	if err := q.transitionLocked(best.ID, walRecord{Op: "state", State: StateRunning}); err != nil {
-		q.mu.Unlock()
-		return Job{}, false, err
-	}
-	out := best.clone()
-	seq := q.seq
-	q.mu.Unlock()
-	if err := q.syncTo(seq); err != nil {
-		return Job{}, false, err
-	}
-	return out, true, nil
-}
-
-// Checkpoint records partial progress for an in-flight job; recovery
-// hands the checkpoint back with the re-queued job.
-func (q *Queue) Checkpoint(id string, cp json.RawMessage) error {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return errClosed
-	}
-	j, ok := q.jobs[id]
-	if !ok {
-		q.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if !j.State.InFlight() {
-		q.mu.Unlock()
-		return fmt.Errorf("%w: checkpoint of %s job %s", ErrBadState, j.State, id)
-	}
-	err := q.transitionLocked(id, walRecord{
-		Op: "checkpoint", Checkpoint: append(json.RawMessage(nil), cp...),
-	})
-	seq := q.seq
-	q.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return q.syncTo(seq)
-}
-
-// Finish moves an in-flight job to done, recording its result.
-func (q *Queue) Finish(id string, result json.RawMessage) error {
-	return q.terminal(id, StateDone, append(json.RawMessage(nil), result...), "")
-}
-
-// Fail moves an in-flight job to failed.
-func (q *Queue) Fail(id, msg string) error {
-	return q.terminal(id, StateFailed, nil, msg)
-}
-
-// Cancelled moves an in-flight job to cancelled — the bookkeeping half
-// of cancelling a running job, after the caller has stopped the work.
-func (q *Queue) Cancelled(id, msg string) error {
-	return q.terminal(id, StateCancelled, nil, msg)
-}
-
-func (q *Queue) terminal(id string, st State, result json.RawMessage, msg string) error {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return errClosed
-	}
-	j, ok := q.jobs[id]
-	if !ok {
-		q.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if !j.State.InFlight() {
-		q.mu.Unlock()
-		return fmt.Errorf("%w: %s of %s job %s", ErrBadState, st, j.State, id)
-	}
-	err := q.transitionLocked(id, walRecord{Op: "state", State: st, Result: result, Error: msg})
-	seq := q.seq
-	q.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return q.syncTo(seq)
-}
-
-// Cancel removes a still-pending job from the queue. Running jobs must
-// be stopped by their scheduler and reported via Cancelled; terminal
-// jobs cannot change.
+// Cancel ends a pending or leased job as cancelled. A leased job's
+// lease dies with it: the holder's next Heartbeat, CompleteLease or
+// FailLease reports ErrLeaseExpired, so it stops without reporting.
+// Terminal jobs cannot change.
 func (q *Queue) Cancel(id, msg string) (Job, error) {
 	q.mu.Lock()
 	if q.closed {
@@ -969,7 +872,7 @@ func (q *Queue) Cancel(id, msg string) (Job, error) {
 		q.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if j.State != StateSubmitted {
+	if j.State.Terminal() {
 		q.mu.Unlock()
 		return Job{}, fmt.Errorf("%w: cancel of %s job %s", ErrBadState, j.State, id)
 	}
@@ -1004,8 +907,9 @@ func newLeaseToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Lease hands the best pending job to owner for ttl: Dequeue plus an
-// owner, a fencing token and a heartbeat deadline, all persisted. When
+// Lease hands the best pending job (highest priority, then FIFO) to
+// owner for ttl, with a fencing token and a heartbeat deadline, all
+// persisted. When
 // prefer is non-nil, the best job it approves of (shard affinity, say)
 // wins over the best overall — but a worker is never starved: with no
 // preferred job pending it gets the best one anyway. The second return
@@ -1013,8 +917,12 @@ func newLeaseToken() string {
 //
 // The returned job's LeaseToken must accompany every Heartbeat,
 // CompleteLease and FailLease for this grant; after the deadline passes
-// and ExpireLeases requeues the job, the token is dead and those calls
-// report ErrLeaseExpired or ErrStaleLease.
+// and ExpireLeases requeues the job, or Cancel ends it, the token is
+// dead and those calls report ErrLeaseExpired or ErrStaleLease.
+//
+// A grant that leaves work pending signals Ready again, so one wakeup
+// fans out across idle workers: a burst of K submissions starts K
+// leases even though Ready holds a single signal.
 func (q *Queue) Lease(owner string, ttl time.Duration, prefer func(Job) bool) (Job, bool, error) {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -1066,10 +974,13 @@ func (q *Queue) Lease(owner string, ttl time.Duration, prefer func(Job) bool) (J
 	if out.Attempts == 1 && out.SubmittedUnixNano > 0 {
 		q.leaseWait.Observe(time.Duration(time.Now().UnixNano() - out.SubmittedUnixNano).Seconds())
 	}
-	seq := q.seq
+	seq, more := q.seq, q.pending > 0
 	q.mu.Unlock()
 	if err := q.syncTo(seq); err != nil {
 		return Job{}, false, err
+	}
+	if more {
+		q.wake()
 	}
 	return out, true, nil
 }
@@ -1292,7 +1203,7 @@ func (q *Queue) StatsSnapshot() Stats {
 }
 
 // RegisterMetrics wires the queue into a metrics registry: backlog and
-// scheduler gauges read live from StatsSnapshot, cumulative submit /
+// lease gauges read live from StatsSnapshot, cumulative submit /
 // dedup / requeue / compaction counters, and WAL append + fsync latency
 // histograms observed on every durable transition. A nil registry is a
 // no-op (the histograms stay nil, which Observe treats as disabled).
@@ -1302,7 +1213,7 @@ func (q *Queue) RegisterMetrics(r *metrics.Registry) {
 	}
 	r.GaugeFunc("dramdig_queue_depth", "Jobs waiting in the backlog (state submitted).", nil,
 		func() float64 { return float64(q.StatsSnapshot().Pending) })
-	r.GaugeFunc("dramdig_queue_running", "Jobs handed to the scheduler (running or checkpointed).", nil,
+	r.GaugeFunc("dramdig_queue_running", "Jobs held by a worker lease (running or checkpointed).", nil,
 		func() float64 { return float64(q.StatsSnapshot().Running) })
 	r.GaugeFunc("dramdig_queue_capacity", "Configured pending-backlog capacity.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Capacity) })
@@ -1331,8 +1242,9 @@ func (q *Queue) RegisterMetrics(r *metrics.Registry) {
 }
 
 // Ready is signaled (capacity-1 channel) whenever pending work may have
-// appeared: after Submit and after Open recovered a backlog. A
-// scheduler selects on it instead of polling.
+// appeared: after Submit, after a lease expiry requeued work, after
+// Open recovered a backlog, and after a Lease that left work pending.
+// Idle workers select on it instead of polling.
 func (q *Queue) Ready() <-chan struct{} { return q.ready }
 
 func (q *Queue) wake() {

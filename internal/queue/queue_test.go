@@ -9,9 +9,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"testing"
+	"time"
 
 	"dramdig/internal/metrics"
-	"testing"
 )
 
 func openTest(t *testing.T, cfg Config) *Queue {
@@ -22,6 +23,13 @@ func openTest(t *testing.T, cfg Config) *Queue {
 	}
 	t.Cleanup(func() { q.Close() })
 	return q
+}
+
+// leaseNext leases the best pending job as worker "w" — the one way
+// work leaves the queue.
+func leaseNext(t *testing.T, q *Queue) (Job, bool, error) {
+	t.Helper()
+	return q.Lease("w", time.Minute, nil)
 }
 
 func mustSubmit(t *testing.T, q *Queue, payload string, opts SubmitOptions) Job {
@@ -36,7 +44,7 @@ func mustSubmit(t *testing.T, q *Queue, payload string, opts SubmitOptions) Job 
 	return j
 }
 
-// TestQueuePriorityFIFO: dequeue order is priority-major, submission
+// TestQueuePriorityFIFO: lease order is priority-major, submission
 // FIFO within a priority.
 func TestQueuePriorityFIFO(t *testing.T) {
 	q := openTest(t, Config{})
@@ -47,7 +55,7 @@ func TestQueuePriorityFIFO(t *testing.T) {
 
 	var got []string
 	for {
-		j, ok, err := q.Dequeue()
+		j, ok, err := leaseNext(t, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +69,11 @@ func TestQueuePriorityFIFO(t *testing.T) {
 	}
 	want := []string{b.ID, c.ID, d.ID, a.ID}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dequeue order %v, want %v", got, want)
+		t.Fatalf("lease order %v, want %v", got, want)
 	}
 }
 
-// TestQueueCapacity: the pending backlog is bounded; dequeued jobs free
+// TestQueueCapacity: the pending backlog is bounded; leased jobs free
 // their slot.
 func TestQueueCapacity(t *testing.T) {
 	q := openTest(t, Config{Capacity: 2})
@@ -74,11 +82,11 @@ func TestQueueCapacity(t *testing.T) {
 	if _, _, err := q.Submit(json.RawMessage(`3`), SubmitOptions{}); !errors.Is(err, ErrFull) {
 		t.Fatalf("over-capacity submit: %v, want ErrFull", err)
 	}
-	if _, ok, err := q.Dequeue(); err != nil || !ok {
-		t.Fatalf("dequeue: %v %v", ok, err)
+	if _, ok, err := leaseNext(t, q); err != nil || !ok {
+		t.Fatalf("lease: %v %v", ok, err)
 	}
 	if _, _, err := q.Submit(json.RawMessage(`3`), SubmitOptions{}); err != nil {
-		t.Fatalf("submit after dequeue freed a slot: %v", err)
+		t.Fatalf("submit after lease freed a slot: %v", err)
 	}
 }
 
@@ -96,13 +104,14 @@ func TestQueueIdempotency(t *testing.T) {
 		t.Errorf("dedup returned payload %s, want the original", j.Payload)
 	}
 
-	if _, ok, _ := q.Dequeue(); !ok {
-		t.Fatal("dequeue")
+	l, ok, _ := leaseNext(t, q)
+	if !ok {
+		t.Fatal("lease")
 	}
 	if _, dup, _ := q.Submit(nil, SubmitOptions{IdempotencyKey: "k1"}); !dup {
 		t.Error("running dedup failed")
 	}
-	if err := q.Finish(orig.ID, json.RawMessage(`"ok"`)); err != nil {
+	if err := q.CompleteLease(orig.ID, "w", l.LeaseToken, json.RawMessage(`"ok"`)); err != nil {
 		t.Fatal(err)
 	}
 	j, dup, err = q.Submit(nil, SubmitOptions{IdempotencyKey: "k1"})
@@ -124,15 +133,18 @@ func TestQueueRecovery(t *testing.T) {
 	run := mustSubmit(t, q1, `{"job":"interrupted"}`, SubmitOptions{})
 	idle := mustSubmit(t, q1, `{"job":"idle"}`, SubmitOptions{Priority: -1})
 
-	for i := 0; i < 2; i++ { // dequeue `done` and `run`
-		if _, ok, err := q1.Dequeue(); err != nil || !ok {
-			t.Fatalf("dequeue %d: %v %v", i, ok, err)
+	tokens := map[string]string{}
+	for i := 0; i < 2; i++ { // lease `done` and `run`
+		l, ok, err := leaseNext(t, q1)
+		if err != nil || !ok {
+			t.Fatalf("lease %d: %v %v", i, ok, err)
 		}
+		tokens[l.ID] = l.LeaseToken
 	}
-	if err := q1.Finish(done.ID, json.RawMessage(`{"r":1}`)); err != nil {
+	if err := q1.CompleteLease(done.ID, "w", tokens[done.ID], json.RawMessage(`{"r":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q1.Checkpoint(run.ID, json.RawMessage(`{"progress":3}`)); err != nil {
+	if _, err := q1.Heartbeat(run.ID, "w", tokens[run.ID], time.Minute, json.RawMessage(`{"progress":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the process "dies" here.
@@ -163,11 +175,11 @@ func TestQueueRecovery(t *testing.T) {
 	if _, dup, _ := q2.Submit(nil, SubmitOptions{IdempotencyKey: "kd"}); !dup {
 		t.Error("idempotency key lost across recovery")
 	}
-	// The interrupted job dequeues before the idle one (same default
+	// The interrupted job leases before the idle one (same default
 	// priority beats priority -1; recovery kept FIFO order).
-	got, ok, err := q2.Dequeue()
+	got, ok, err := leaseNext(t, q2)
 	if err != nil || !ok || got.ID != run.ID {
-		t.Fatalf("first recovered dequeue %v %v %v, want %s", got.ID, ok, err, run.ID)
+		t.Fatalf("first recovered lease %v %v %v, want %s", got.ID, ok, err, run.ID)
 	}
 	if got.Attempts != 2 {
 		t.Errorf("recovered job attempts %d, want 2", got.Attempts)
@@ -270,26 +282,27 @@ func TestQueueTransitions(t *testing.T) {
 	q := openTest(t, Config{})
 	j := mustSubmit(t, q, `{}`, SubmitOptions{})
 
-	if err := q.Finish(j.ID, nil); !errors.Is(err, ErrBadState) {
-		t.Errorf("finish of pending job: %v", err)
+	if err := q.CompleteLease(j.ID, "w", "", nil); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("complete of pending job: %v", err)
 	}
-	if err := q.Checkpoint(j.ID, nil); !errors.Is(err, ErrBadState) {
+	if _, err := q.Heartbeat(j.ID, "w", "", time.Minute, nil); !errors.Is(err, ErrLeaseExpired) {
 		t.Errorf("checkpoint of pending job: %v", err)
 	}
-	if _, _, err := q.Dequeue(); err != nil {
+	l, _, err := leaseNext(t, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Cancel(j.ID, "late"); !errors.Is(err, ErrBadState) {
-		t.Errorf("cancel of running job: %v", err)
-	}
-	if err := q.Finish(j.ID, nil); err != nil {
+	if err := q.CompleteLease(j.ID, "w", l.LeaseToken, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Fail(j.ID, "again"); !errors.Is(err, ErrBadState) {
+	if err := q.FailLease(j.ID, "w", l.LeaseToken, "again"); !errors.Is(err, ErrLeaseExpired) {
 		t.Errorf("fail of done job: %v", err)
 	}
-	if err := q.Finish("nope", nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("finish of unknown job: %v", err)
+	if _, err := q.Cancel(j.ID, "late"); !errors.Is(err, ErrBadState) {
+		t.Errorf("cancel of done job: %v", err)
+	}
+	if err := q.CompleteLease("nope", "w", l.LeaseToken, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("complete of unknown job: %v", err)
 	}
 
 	// Pending cancel is legal and terminal.
@@ -298,8 +311,29 @@ func TestQueueTransitions(t *testing.T) {
 	if err != nil || got.State != StateCancelled || got.Error != "operator said so" {
 		t.Fatalf("cancel: %v %+v", err, got)
 	}
-	if _, ok, _ := q.Dequeue(); ok {
-		t.Error("cancelled job still dequeued")
+	if _, ok, _ := leaseNext(t, q); ok {
+		t.Error("cancelled job still leased")
+	}
+
+	// Leased cancel is legal too: the job ends, and its lease dies with
+	// it — the holder's next heartbeat or completion is fenced off.
+	r := mustSubmit(t, q, `{}`, SubmitOptions{})
+	rl, ok, err := leaseNext(t, q)
+	if err != nil || !ok || rl.ID != r.ID {
+		t.Fatalf("lease: %v %v %+v", ok, err, rl)
+	}
+	got, err = q.Cancel(r.ID, "cancelled by client")
+	if err != nil || got.State != StateCancelled || got.LeaseToken != "" {
+		t.Fatalf("cancel of leased job: %v %+v", err, got)
+	}
+	if _, err := q.Heartbeat(r.ID, "w", rl.LeaseToken, time.Minute, nil); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("heartbeat after cancel: %v, want ErrLeaseExpired", err)
+	}
+	if err := q.CompleteLease(r.ID, "w", rl.LeaseToken, nil); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("complete after cancel: %v, want ErrLeaseExpired", err)
+	}
+	if st := q.StatsSnapshot(); st.Cancelled != 2 || st.Running != 0 || st.Leased != 0 {
+		t.Errorf("stats after cancels: %+v", st)
 	}
 }
 
@@ -310,10 +344,11 @@ func TestQueueTerminalEviction(t *testing.T) {
 	var ids []string
 	for i := 0; i < 4; i++ {
 		j := mustSubmit(t, q, `{}`, SubmitOptions{IdempotencyKey: fmt.Sprintf("k%d", i)})
-		if _, ok, _ := q.Dequeue(); !ok {
-			t.Fatal("dequeue")
+		l, ok, _ := leaseNext(t, q)
+		if !ok {
+			t.Fatal("lease")
 		}
-		if err := q.Finish(j.ID, nil); err != nil {
+		if err := q.CompleteLease(j.ID, "w", l.LeaseToken, nil); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, j.ID)
@@ -354,10 +389,11 @@ func TestQueueConcurrent(t *testing.T) {
 	var finished atomic.Int64
 	for c := 0; c < 2; c++ {
 		done.Add(1)
-		go func() {
+		go func(c int) {
 			defer done.Done()
+			owner := fmt.Sprintf("w%d", c)
 			for finished.Load() < producers*perProducer {
-				j, ok, err := q.Dequeue()
+				j, ok, err := q.Lease(owner, time.Minute, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -365,17 +401,17 @@ func TestQueueConcurrent(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if err := q.Checkpoint(j.ID, json.RawMessage(`1`)); err != nil {
+				if _, err := q.Heartbeat(j.ID, owner, j.LeaseToken, time.Minute, json.RawMessage(`1`)); err != nil {
 					t.Error(err)
 					return
 				}
-				if err := q.Finish(j.ID, nil); err != nil {
+				if err := q.CompleteLease(j.ID, owner, j.LeaseToken, nil); err != nil {
 					t.Error(err)
 					return
 				}
 				finished.Add(1)
 			}
-		}()
+		}(c)
 	}
 	wg.Wait()
 	done.Wait()
@@ -397,8 +433,8 @@ func TestQueueMetrics(t *testing.T) {
 	if _, dup, err := q.Submit(json.RawMessage(`{"n":1}`), SubmitOptions{IdempotencyKey: "k1"}); err != nil || !dup {
 		t.Fatalf("dup submit: dup=%v err=%v", dup, err)
 	}
-	if _, ok, err := q.Dequeue(); err != nil || !ok {
-		t.Fatalf("dequeue: ok=%v err=%v", ok, err)
+	if _, ok, err := leaseNext(t, q); err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
 
 	var sb strings.Builder
@@ -424,7 +460,7 @@ func TestQueueMetrics(t *testing.T) {
 }
 
 // TestQueueTraceContextPersists: the trace context set at Submit rides
-// the job through dequeue and — because it lands in the WAL — through a
+// the job through its lease and — because it lands in the WAL — through a
 // process death, so campaign spans stay parented to the originating
 // request even across recovery.
 func TestQueueTraceContextPersists(t *testing.T) {
@@ -438,12 +474,12 @@ func TestQueueTraceContextPersists(t *testing.T) {
 	if j.SubmittedUnixNano == 0 {
 		t.Fatal("submit did not stamp SubmittedUnixNano")
 	}
-	got, ok, err := q1.Dequeue()
+	got, ok, err := leaseNext(t, q1)
 	if err != nil || !ok {
-		t.Fatalf("dequeue: ok=%v err=%v", ok, err)
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
 	if got.TraceParent != tp || got.RequestID != "req-9" {
-		t.Fatalf("dequeue dropped trace context: %+v", got)
+		t.Fatalf("lease dropped trace context: %+v", got)
 	}
 	if err := q1.Close(); err != nil {
 		t.Fatal(err)
@@ -452,9 +488,9 @@ func TestQueueTraceContextPersists(t *testing.T) {
 	// The job was in flight at "death"; recovery re-queues it with the
 	// trace context intact.
 	q2 := openTest(t, Config{Dir: dir})
-	rec, ok, err := q2.Dequeue()
+	rec, ok, err := leaseNext(t, q2)
 	if err != nil || !ok {
-		t.Fatalf("recovered dequeue: ok=%v err=%v", ok, err)
+		t.Fatalf("recovered lease: ok=%v err=%v", ok, err)
 	}
 	if !rec.Recovered {
 		t.Fatalf("job not marked recovered: %+v", rec)

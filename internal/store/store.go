@@ -11,9 +11,8 @@
 // keyspace inside append-only segment files under <dir>/segments:
 // "result/<fp>" holds the record JSON, "trace/<fp>" the trace stream.
 // The legacy flat layout (<fp>.json / <fp>.trace, one file per
-// fingerprint) auto-migrates into segments the first time a store opens
-// over an old directory, and any flat files that appear later are still
-// readable — lookups fall back to them after a segment miss. A background
+// fingerprint) auto-migrates into segments when a store opens over an
+// old directory; lookups read segments only. A background
 // GC (StartGC) reclaims orphaned traces, enforces the optional disk-size
 // bound, and compacts dead segments. With no directory configured at all,
 // traces live in a bounded in-memory tier as before.
@@ -97,7 +96,7 @@ func resultKey(fp string) string { return resultPrefix + fp }
 func traceKey(fp string) string  { return tracePrefix + fp }
 
 // negCacheCap bounds the negative-lookup cache (fingerprints known to be
-// absent from every tier, so repeated misses skip the legacy disk probe).
+// absent from every tier, so repeated misses skip the segment lookup).
 const negCacheCap = 4096
 
 // Config tunes a store.
@@ -175,7 +174,7 @@ type Store struct {
 	persistResults bool // results persist only when Dir was set
 	gcGrace        time.Duration
 
-	// Bounded negative-lookup cache: blob keys proven absent everywhere.
+	// Bounded negative-lookup cache: result keys proven absent.
 	negCache      map[string]struct{}
 	negCacheOrder []string
 
@@ -557,8 +556,9 @@ func (s *Store) negCacheDropLocked(key string) {
 
 // --- result tier -------------------------------------------------------
 
-// getLocked consults the LRU, then the segment keyspace, then the legacy
-// flat layout, promoting what it finds.
+// getLocked consults the LRU, then the segment keyspace, promoting what
+// it finds. Keys proven absent are remembered in the negative-lookup
+// cache until a put.
 func (s *Store) getLocked(fp string) (*Record, error) {
 	if el, ok := s.items[fp]; ok {
 		s.ll.MoveToFront(el)
@@ -567,26 +567,18 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 	}
 	if s.dir != "" && ValidFingerprint(fp) {
 		key := resultKey(fp)
+		if s.negCacheHasLocked(key) {
+			s.stats.Misses++
+			return nil, nil
+		}
 		readStart := time.Now()
 		data, ok, err := s.blob.Get(key)
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if !ok && !s.negCacheHasLocked(key) {
-			// Legacy flat layout: a <fp>.json dropped into the directory
-			// after Open is still honored. The negative cache keeps
-			// repeated misses off the disk.
-			data, err = os.ReadFile(s.flatPath(fp))
-			if os.IsNotExist(err) {
-				data, err = nil, nil
-				s.negCacheAddLocked(key)
-			} else if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			} else {
-				ok = true
-			}
-		}
-		if ok {
+		if !ok {
+			s.negCacheAddLocked(key)
+		} else {
 			// Only successful reads are observed: index misses return in
 			// microseconds and would skew the latency distribution toward
 			// the low buckets.
@@ -602,9 +594,8 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 				return nil, fmt.Errorf("store: corrupt record %s: %w", fp, verr)
 			}
 			s.stats.Hits++
-			// Promote to memory (and into segments, when the hit came
-			// from a legacy flat file).
-			if perr := s.putLocked(&rec, true); perr != nil {
+			// Promote to memory only: the record is already on disk.
+			if perr := s.putLocked(&rec, false); perr != nil {
 				return nil, perr
 			}
 			return &rec, nil
@@ -645,11 +636,6 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 		s.negCacheDropLocked(key)
 	}
 	return nil
-}
-
-// flatPath is where the legacy one-file-per-record layout kept fp.
-func (s *Store) flatPath(fp string) string {
-	return filepath.Join(s.dir, fp+".json")
 }
 
 // --- iteration ---------------------------------------------------------
@@ -825,13 +811,11 @@ func (s *Store) putTraceBytes(fp string, data []byte) error {
 		s.putMemTrace(fp, data)
 		return nil
 	}
-	key := traceKey(fp)
 	s.mu.Lock()
 	writeStart := time.Now()
-	err := s.blob.Put(key, data)
+	err := s.blob.Put(traceKey(fp), data)
 	if err == nil {
 		s.diskWrite.Observe(time.Since(writeStart).Seconds())
-		s.negCacheDropLocked(key)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -851,32 +835,11 @@ func (s *Store) GetTrace(fp string) ([]byte, bool, error) {
 		s.mu.Unlock()
 		return data, ok, nil
 	}
-	key := traceKey(fp)
-	data, ok, err := s.blob.Get(key)
+	data, ok, err := s.blob.Get(traceKey(fp))
 	if err != nil {
 		return nil, false, fmt.Errorf("store: %w", err)
 	}
-	if ok {
-		return data, true, nil
-	}
-	s.mu.Lock()
-	skip := s.negCacheHasLocked(key)
-	s.mu.Unlock()
-	if skip {
-		return nil, false, nil
-	}
-	// Legacy flat layout fallback.
-	data, err = os.ReadFile(filepath.Join(s.traceDir, fp+".trace"))
-	if os.IsNotExist(err) {
-		s.mu.Lock()
-		s.negCacheAddLocked(key)
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("store: %w", err)
-	}
-	return data, true, nil
+	return data, ok, nil
 }
 
 // StatTrace reports whether a trace exists for the fingerprint and its
@@ -891,14 +854,7 @@ func (s *Store) StatTrace(fp string) (int64, bool) {
 		s.mu.Unlock()
 		return int64(len(data)), ok
 	}
-	if size, ok := s.blob.Stat(traceKey(fp)); ok {
-		return size, true
-	}
-	fi, err := os.Stat(filepath.Join(s.traceDir, fp+".trace"))
-	if err != nil {
-		return 0, false
-	}
-	return fi.Size(), true
+	return s.blob.Stat(traceKey(fp))
 }
 
 // putMemTrace inserts into the bounded in-memory tier, evicting the

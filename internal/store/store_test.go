@@ -245,11 +245,13 @@ func TestStoreComputeErrorNotCached(t *testing.T) {
 
 func TestStoreRejectsCorruptDiskRecord(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir})
-	if err != nil {
+	// A corrupt legacy flat file migrates byte-for-byte and stays
+	// corrupt under its content address.
+	if err := os.WriteFile(filepath.Join(dir, fp(3)+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, fp(3)+".json"), []byte("{not json"), 0o644); err != nil {
+	st, err := Open(Config{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.Get(fp(3)); err == nil {
@@ -271,17 +273,18 @@ func TestStoreComputeKeyMismatch(t *testing.T) {
 
 func TestStoreRejectsMiskeyedDiskRecord(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Drop a legacy flat file whose content is keyed by a different
-	// fingerprint (e.g. an operator renaming cache files by hand).
+	// fingerprint (e.g. an operator renaming cache files by hand); Open
+	// migrates it byte-for-byte under the name it was given.
 	data, err := json.Marshal(testRecord(t, fp(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, fp(2)+".json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(Config{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.Get(fp(2)); err == nil {

@@ -94,13 +94,13 @@ curl -fsS "http://$ADDR/v1/mappings/$fp" >/dev/null \
   || { echo "cluster-smoke: worker-computed result $fp not served from the store" >&2; exit 1; }
 
 # The span tree crosses the process boundary: coordinator spans
-# (queue.wait, cluster.lease) and worker spans (worker.campaign,
+# (queue.wait, scheduler.dispatch) and worker spans (campaign.run,
 # campaign.job, engine phases) on one inbound trace ID.
 spans=$(curl -fsS "http://$ADDR/v1/campaigns/$id/spans")
 echo "$spans" | jq -e --arg tid "$TRACE_ID" '.trace_id == $tid' >/dev/null \
   || { echo "cluster-smoke: span tree not on inbound trace (got $(echo "$spans" | jq -r .trace_id))" >&2; exit 1; }
 names=$(echo "$spans" | jq -r '[.. | objects | .name? // empty] | join(" ")')
-for want in queue.wait cluster.lease worker.campaign campaign.job engine.fine; do
+for want in queue.wait scheduler.dispatch campaign.run campaign.job engine.fine; do
   case " $names " in
     *" $want "*) ;;
     *) echo "cluster-smoke: span tree missing $want (have: $names)" >&2; exit 1 ;;
