@@ -1,11 +1,13 @@
 // Command experiments regenerates the paper's evaluation artefacts —
 // Table I (tool comparison), Table II (recovered mappings), Figure 2
 // (time costs) and Table III (rowhammer flips) — against the simulated
-// machines, printing ASCII tables and optionally CSV files.
+// machines, printing ASCII tables and optionally CSV files. Two opt-in
+// extras go beyond the paper: -only robustness sweeps DRAMDig under
+// scaled timing noise, and -only ablate runs the design ablations.
 //
 // Usage:
 //
-//	experiments [-seed 42] [-only table1,table2,fig2,table3] [-csv dir] [-v]
+//	experiments [-seed 42] [-only table1,table2,fig2,table3,robustness,ablate] [-csv dir] [-v]
 package main
 
 import (
@@ -25,7 +27,7 @@ import (
 func main() {
 	var (
 		seed    = flag.Int64("seed", 42, "master seed")
-		only    = flag.String("only", "table1,table2,fig2,table3", "comma-separated artefacts to regenerate (table1,table2,fig2,table3,ablate)")
+		only    = flag.String("only", "table1,table2,fig2,table3", "comma-separated artefacts to regenerate (table1,table2,fig2,table3,robustness,ablate)")
 		csvDir  = flag.String("csv", "", "when set, also write CSV files into this directory")
 		mdPath  = flag.String("md", "", "when set, also write a markdown report to this file")
 		verbose = flag.Bool("v", false, "print per-run progress")
@@ -121,6 +123,14 @@ func main() {
 		check(err)
 		mdT1 = rows
 		eval.RenderTable1(os.Stdout, rows)
+		fmt.Println()
+	}
+	if want["robustness"] {
+		// The sweep scores a cancelled run as a failure, so a cancelled
+		// sweep must abort before its partial rows render.
+		rows := eval.NoiseSweep(opts, eval.NoiseScales, 24)
+		check(ctx.Err())
+		eval.RenderNoise(os.Stdout, rows)
 		fmt.Println()
 	}
 	if *mdPath != "" {
