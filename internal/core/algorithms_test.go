@@ -122,22 +122,7 @@ func TestSelectionSweepsAllBankPatterns(t *testing.T) {
 	// Drive the real pipeline up to selection via a coarse result built
 	// from ground truth.
 	truth := m.Truth()
-	coarse := &coarseResult{physBits: truth.PhysBits}
-	rowSet := addr.MaskFromBits(truth.RowBits)
-	colSet := addr.MaskFromBits(truth.ColBits)
-	bankSet := addr.MaskFromBits(truth.BankBits())
-	for b := uint(0); b < truth.PhysBits; b++ {
-		bit := uint64(1) << b
-		switch {
-		case bankSet&bit != 0:
-			coarse.bankBits = append(coarse.bankBits, b)
-		case rowSet&bit != 0:
-			coarse.rowBits = append(coarse.rowBits, b)
-		case colSet&bit != 0:
-			coarse.colBits = append(coarse.colBits, b)
-		}
-	}
-	sel, err := tool.selectAddresses(coarse)
+	sel, err := tool.selectAddresses(truthCoarse(truth))
 	if err != nil {
 		t.Fatal(err)
 	}

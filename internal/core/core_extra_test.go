@@ -5,6 +5,7 @@ import (
 
 	"dramdig/internal/addr"
 	"dramdig/internal/machine"
+	"dramdig/internal/mapping"
 )
 
 // TestDeterministicAcrossSeeds is the paper's headline property: the
@@ -60,6 +61,36 @@ func TestSharedBitDetection(t *testing.T) {
 	res6 := runOn(t, 6, 78, 1)
 	if !addr.EqualBitSets(res6.SharedColBits, []uint{7, 9, 12, 13}) {
 		t.Errorf("No.6 shared cols = %v (the empirical lowest-bit rule must exclude 8)", res6.SharedColBits)
+	}
+}
+
+// TestFineRuleReadsCanonicalBasis: Algorithm 3 may return any basis of
+// the bank-function span. Step 3's lowest-bit rule must give the same
+// columns for an equivalent basis whose widest function is not unique:
+// No.6's (18, 22) replaced by (18, 22) ⊕ (8, 9, 12, 13, 18, 19).
+func TestFineRuleReadsCanonicalBasis(t *testing.T) {
+	m, err := machine.NewByNo(6, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := m.Truth()
+	funcs, err := mapping.ParseFuncs("(7, 14), (15, 19), (16, 20), (17, 21), (8, 9, 12, 13, 19, 22), (8, 9, 12, 13, 18, 19)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(&mapping.Mapping{BankFuncs: funcs}).EquivalentTo(&mapping.Mapping{BankFuncs: truth.BankFuncs}) {
+		t.Fatal("test basis does not span the true functions")
+	}
+	tool := calibratedTool(t, m, Config{Seed: 1})
+	fine, err := tool.fineDetect(m.SysInfo(), truthCoarse(truth), funcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !addr.EqualBitSets(fine.sharedCol, []uint{7, 9, 12, 13}) {
+		t.Errorf("shared cols = %v, want 7, 9, 12, 13", fine.sharedCol)
+	}
+	if !addr.EqualBitSets(fine.sharedRow, []uint{19, 20, 21, 22}) {
+		t.Errorf("shared rows = %v, want 19~22", fine.sharedRow)
 	}
 }
 

@@ -19,9 +19,9 @@
 //
 // Shared-column classification follows the paper: the chip spec says how
 // many column bits are still missing; candidates are taken lowest-first,
-// excluding the lowest bit of the (unique) widest function — the paper's
-// empirical observation that since Ivy Bridge that bit is not a column
-// bit.
+// excluding the lowest bit of the (unique) widest function of the
+// canonical basis — the paper's empirical observation that since Ivy
+// Bridge that bit is not a column bit.
 
 package core
 
@@ -31,6 +31,7 @@ import (
 
 	"dramdig/internal/addr"
 	"dramdig/internal/linalg"
+	"dramdig/internal/mapping"
 	"dramdig/internal/sysinfo"
 )
 
@@ -118,8 +119,12 @@ func (t *Tool) fineDetect(info sysinfo.Info, coarse *coarseResult, funcs []uint6
 		}
 	}
 	// Empirical observation: the lowest bit of the unique widest
-	// function (when wider than two bits) is not a column bit.
-	if l, ok := widestFuncLowBit(funcs); ok {
+	// function (when wider than two bits) is not a column bit. The
+	// rule reads the canonical basis: Algorithm 3 may return any basis
+	// of the span, and an equivalent one can have a different widest
+	// function, or two of them.
+	canon := (&mapping.Mapping{BankFuncs: funcs}).Canonicalize().BankFuncs
+	if l, ok := widestFuncLowBit(canon); ok {
 		filtered := colCands[:0]
 		for _, b := range colCands {
 			if b != l {

@@ -20,6 +20,8 @@ import (
 //
 // A change to the decision rules legitimately moves the random streams,
 // so the counts are floors, not exact values; the seeds never change.
+// No run may return a wrong mapping: a run that cannot resolve the
+// mapping must say so.
 func TestNoiseFloors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("576 pipeline runs")
@@ -41,6 +43,9 @@ func TestNoiseFloors(t *testing.T) {
 		}
 		if g.Successes < floor {
 			t.Errorf("noise x%g: %d/%d succeeded, floor %d", scale, g.Successes, g.Runs, floor)
+		}
+		if g.Wrong != 0 {
+			t.Errorf("noise x%g: %d runs returned a wrong mapping", scale, g.Wrong)
 		}
 		t.Logf("noise x%g: %d/%d succeeded (floor %d), %d wrong mappings", scale, g.Successes, g.Runs, floor, g.Wrong)
 	}
