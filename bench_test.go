@@ -1,5 +1,5 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation, plus ablations of the design choices DESIGN.md calls out.
+// evaluation, plus ablations of DRAMDig's design choices.
 //
 //	go test -bench=. -benchmem
 //
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dramdig/internal/core"
@@ -54,10 +55,11 @@ func BenchmarkFigure2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var dig, dr float64
+		var dig, digPaper, dr float64
 		timeouts := 0
 		for _, r := range rows {
 			dig += r.DRAMDigSec
+			digPaper += r.DRAMDigPaperSec
 			dr += r.DRAMASec
 			if r.DRAMATimeout {
 				timeouts++
@@ -67,6 +69,7 @@ func BenchmarkFigure2(b *testing.B) {
 			eval.RenderFigure2(os.Stdout, rows)
 		}
 		b.ReportMetric(dig/9, "dramdig_avg_sim_s")
+		b.ReportMetric(digPaper/9, "dramdig_paper_stop_avg_sim_s")
 		b.ReportMetric(dr/9, "drama_avg_sim_s")
 		b.ReportMetric(float64(timeouts), "drama_timeouts")
 	}
@@ -223,38 +226,14 @@ func BenchmarkAblationRounds(b *testing.B) {
 }
 
 // BenchmarkAblationDriftGuard measures the sentinel-based drift guard on
-// the paper's hardest setting (No.3): without it DRAMDig degrades to
-// DRAMA-like failure.
+// the paper's hardest setting (No.3), over the drift-phase sweep of
+// eval.AblateDriftGuard: without it DRAMDig degrades to DRAMA-like
+// failure.
 func BenchmarkAblationDriftGuard(b *testing.B) {
-	for _, guard := range []bool{true, false} {
-		guard := guard
-		name := "on"
-		if !guard {
-			name = "off"
+	for i := 0; i < b.N; i++ {
+		for _, r := range eval.AblateDriftGuard(eval.Options{}, 24) {
+			b.ReportMetric(float64(r.Successes)/float64(r.Runs), strings.TrimPrefix(r.Param, "guard=")+"_success_rate")
 		}
-		b.Run(name, func(b *testing.B) {
-			succ := 0
-			runs := 0
-			for i := 0; i < b.N; i++ {
-				for _, mseed := range []int64{394, 399, 400} {
-					runs++
-					m, _ := machine.NewByNo(3, mseed)
-					tool, err := core.New(m, core.Config{
-						Seed:              1,
-						MinPoolAddrs:      8192,
-						DisableDriftGuard: !guard,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := tool.Run()
-					if err == nil && res.Mapping.EquivalentTo(m.Truth()) {
-						succ++
-					}
-				}
-			}
-			b.ReportMetric(float64(succ)/float64(runs), "success_rate")
-		})
 	}
 }
 

@@ -82,12 +82,12 @@ func main() {
 		fmt.Println()
 		if *csvDir != "" {
 			writeCSV(*csvDir, "figure2.csv",
-				[]string{"no", "dramdig_s", "drama_s", "drama_timeout", "selected"},
+				[]string{"no", "dramdig_s", "dramdig_paper_stop_s", "drama_s", "drama_timeout", "selected"},
 				func(w io.Writer, headers []string) {
 					var out [][]string
 					for _, r := range rows {
 						out = append(out, []string{
-							fmt.Sprint(r.No), fmt.Sprintf("%.1f", r.DRAMDigSec),
+							fmt.Sprint(r.No), fmt.Sprintf("%.1f", r.DRAMDigSec), fmt.Sprintf("%.1f", r.DRAMDigPaperSec),
 							fmt.Sprintf("%.1f", r.DRAMASec), fmt.Sprint(r.DRAMATimeout), fmt.Sprint(r.SelectedAddrs),
 						})
 					}
@@ -154,8 +154,8 @@ func main() {
 			eval.AblateRounds(opts, []int{150, 600, 2400}, 3))
 		renderAblation("Ablation: minimum selection size (No.1)",
 			eval.AblatePoolSize(opts, []int{4096, 8192, 16384}, 3))
-		renderAblation("Ablation: sentinel drift guard (No.3, enlarged pool)",
-			eval.AblateDriftGuard(opts, 4))
+		renderAblation("Ablation: sentinel drift guard (No.3, enlarged pool, paper stop rule)",
+			eval.AblateDriftGuard(opts, 24))
 	}
 }
 

@@ -146,15 +146,16 @@ func TestSelectionSweepsAllBankPatterns(t *testing.T) {
 	}
 }
 
-// TestPartitionOnCleanPiles: with the default noise model, Algorithm 2
-// groups a real selection into same-bank piles whose members agree with
-// ground truth.
+// TestPartitionPurity: with the default noise model and the paper's stop
+// rule, Algorithm 2 groups a real selection into piles for at least ¾ of
+// the banks. The early stop returns fewer piles by design; its piles are
+// checked in TestEarlyStopPilesPure.
 func TestPartitionPurity(t *testing.T) {
 	m, err := machine.NewByNo(1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool, err := New(m, Config{Seed: 2})
+	tool, err := New(m, Config{Seed: 2, PaperStop: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,13 @@ type Config struct {
 	// Delta is Algorithm 2's pile-size tolerance δ (default 0.2).
 	Delta float64
 	// PerThreshold is Algorithm 2's partitioned-fraction stop
-	// threshold (default 0.85).
+	// threshold (default 0.85): the paper's stop rule, which a run
+	// reaches only under PaperStop or when no early stop verifies.
 	PerThreshold float64
+	// PaperStop runs Algorithm 2 to the paper's stop rule alone. By
+	// default partitioning stops once the bank functions resolved from
+	// the piles so far predict measured conflicts (see partition.go).
+	PaperStop bool
 	// MinPoolAddrs is the minimum number of selected addresses for
 	// Algorithm 2; the selection widens with extra row-bit variation
 	// until it reaches this size (default 4096).
@@ -196,7 +201,7 @@ type Tool struct {
 	target      timing.Target
 	ctx         context.Context // run context; every measurement loop observes it
 	meter       *timing.Meter   // detection measurements (Rounds, Repeats)
-	pmeter      *timing.Meter   // partition measurements (PartitionRounds, median of 3)
+	pmeter      *timing.Meter   // partition measurements (PartitionRounds, majority of 3)
 	rng         *rand.Rand
 	logf        func(string, ...any)
 	calSamples  int
@@ -363,7 +368,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 		len(sel.pool), sel.bMin, sel.bMax, addr.FormatBitRanges(sel.extraBits))
 
 	// Step 2b: Algorithm 2 — partition into piles.
-	piles, err := t.partition(sel.pool, banks)
+	piles, err := t.partition(sel.pool, coarse.bankBits, banks)
 	if err != nil {
 		failPhase(sp, err)
 		return nil, fmt.Errorf("dramdig step 2 (partition): %w", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dramdig/internal/addr"
@@ -116,58 +117,41 @@ func TestStepStatsAccounted(t *testing.T) {
 	}
 }
 
-// TestDriftGuardNecessary is the ablation behind DESIGN.md's drift-guard
-// entry: on the high-drift setting No.3 the guard is what stands between
-// DRAMDig and DRAMA-like failure.
+// TestDriftGuardNecessary is the drift-guard ablation: on the high-drift
+// setting No.3 the guard is what stands between DRAMDig and DRAMA-like
+// failure. A large pool and the paper's stop rule stretch the partition
+// across drift windows. Each run starts at a drift phase derived from its
+// machine seed, (seed mod 24)/24 of a window, as a tool launched at an
+// arbitrary moment would, so the 24 contiguous seeds cover the window
+// evenly instead of relying on where a run happens to start.
 func TestDriftGuardNecessary(t *testing.T) {
-	// A large pool stretches the partition across several drift
-	// windows. The machine seeds are pinned: the simulation is fully
-	// deterministic and these seeds include drift phases that straddle
-	// window boundaries mid-partition.
-	cfg := Config{MinPoolAddrs: 8192}
-	machineSeeds := []int64{394, 399, 400}
-	failures := 0
-	for _, mseed := range machineSeeds {
-		seed := mseed % 7
+	run := func(mseed int64, guard bool) error {
 		m, err := machine.NewByNo(3, mseed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := cfg
-		bad.Seed = 1
-		bad.DisableDriftGuard = true
-		tool, err := New(m, bad)
+		m.AdvanceClock(float64(mseed%24) / 24 * m.Controller().Params().DriftStepSeconds * 1e9)
+		tool, err := New(m, Config{Seed: 1, MinPoolAddrs: 8192, PaperStop: true, DisableDriftGuard: !guard})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = seed
 		res, err := tool.Run()
-		if err != nil {
-			failures++
-			continue
+		if err == nil && !res.Mapping.EquivalentTo(m.Truth()) {
+			err = fmt.Errorf("wrong mapping %s", res.Mapping)
 		}
-		if truth, _ := machine.NewByNo(3, mseed); !res.Mapping.EquivalentTo(truth.Truth()) {
+		return err
+	}
+	failures := 0
+	for mseed := int64(390); mseed < 414; mseed++ {
+		if err := run(mseed, true); err != nil {
+			t.Errorf("guarded run failed on machine seed %d: %v", mseed, err)
+		}
+		if run(mseed, false) != nil {
 			failures++
 		}
 	}
 	if failures == 0 {
 		t.Error("drift guard disabled yet all runs still succeeded on No.3; the ablation lost its teeth")
-	}
-	// With the guard, the same seeds must all succeed.
-	for _, mseed := range machineSeeds {
-		m, _ := machine.NewByNo(3, mseed)
-		good := cfg
-		good.Seed = 1
-		tool, _ := New(m, good)
-		res, err := tool.Run()
-		if err != nil {
-			t.Errorf("guarded run failed on machine seed %d: %v", mseed, err)
-			continue
-		}
-		truth, _ := machine.NewByNo(3, mseed)
-		if !res.Mapping.EquivalentTo(truth.Truth()) {
-			t.Errorf("guarded run recovered wrong mapping on machine seed %d", mseed)
-		}
 	}
 }
 

@@ -6,12 +6,22 @@
 // accepted when its size is within δ of the expected pool/#banks — the
 // tolerance absorbs measurement noise and the few same-bank addresses
 // that share p's row (which measure low and legitimately stay out of the
-// pile). Partitioning stops once at least per_threshold of the pool has
-// been assigned.
+// pile). Each membership decision is a majority vote of up to three
+// shorter measurements: a single whole-measurement outlier (DVFS,
+// preemption) cannot flip it, which is the robustness DRAMDig needs on
+// mobile parts.
 //
-// Each membership decision uses a median of three shorter measurements:
-// a single whole-measurement outlier (DVFS, preemption) cannot flip the
-// decision, which is the robustness DRAMDig needs on mobile parts.
+// The paper stops once at least per_threshold of the pool has been
+// assigned. The bank functions are linear, though, and Algorithm 1's pool
+// is a full cube over the widened bits, so every pile is a coset of one
+// kernel and Algorithm 3 resolves the functions from two clean piles.
+// Partitioning therefore stops early once a verified prediction holds:
+// after the 2nd, 4th, 8th … accepted pile the functions are resolved from
+// the piles so far, and pairs of unassigned addresses they predict to
+// share a bank are measured. A wrong function span puts at most half of
+// its predicted same-bank pairs in one bank, so it cannot reach the
+// (1 − δ) conflict bar; a run that never verifies ends by the paper's
+// rule. Config.PaperStop turns the early stop off.
 
 package core
 
@@ -27,8 +37,21 @@ type pile struct {
 	members []addr.Phys // excludes rep
 }
 
-// partition runs Algorithm 2 over the selected pool.
-func (t *Tool) partition(pool []addr.Phys, banks int) ([]*pile, error) {
+// The early stop's constants, chosen with the noise sweep
+// (eval.NoiseSweep) rather than at the default noise, where every choice
+// recovers every machine.
+const (
+	// verifyFromPiles is the pile count at which the early stop is
+	// first tried; it is retried at every doubling.
+	verifyFromPiles = 2
+	// verifyPairs is the number of predicted same-bank pairs measured
+	// per try.
+	verifyPairs = 32
+)
+
+// partition runs Algorithm 2 over the selected pool; bankBits are the
+// candidate bits Algorithm 3 resolves the early stop's functions over.
+func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile, error) {
 	poolSz := len(pool)
 	if poolSz < 2*banks {
 		return nil, fmt.Errorf("pool of %d addresses too small for %d banks", poolSz, banks)
@@ -87,6 +110,21 @@ func (t *Tool) partition(pool []addr.Phys, banks int) ([]*pile, error) {
 		}
 		piles = append(piles, &pile{rep: p, members: members})
 		remaining = rest
+		if n := len(piles); t.cfg.PaperStop || n < verifyFromPiles || n&(n-1) != 0 {
+			continue
+		}
+		funcs, err := t.resolveFuncs(piles, bankBits, banks)
+		if err != nil {
+			continue
+		}
+		holds, err := t.predictionHolds(funcs, pool, remaining)
+		if err != nil {
+			return nil, err
+		}
+		if holds {
+			t.logf("partition: functions from %d piles verified, stopping early", len(piles))
+			return piles, nil
+		}
 	}
 	if len(piles) == 0 {
 		return nil, fmt.Errorf("no pile reached size %.0f±%.0f%%; noise too high or wrong bank count",
@@ -98,4 +136,55 @@ func (t *Tool) partition(pool []addr.Phys, banks int) ([]*pile, error) {
 			done, poolSz, len(piles), banks)
 	}
 	return piles, nil
+}
+
+// predictionHolds verifies bank functions by measurement. It draws
+// verifyPairs addresses from outside (none of them in a pile yet), pairs
+// each with a pool address the functions put in the same bank, and
+// measures the pairs with the partition meter. The prediction holds when
+// at least (1 − δ) of them conflict — a few same-bank pairs share a row
+// and legitimately measure low — and the forced drift check afterwards
+// did not re-calibrate.
+func (t *Tool) predictionHolds(funcs []uint64, pool, outside []addr.Phys) (bool, error) {
+	if len(outside) == 0 {
+		return false, nil
+	}
+	byBank := make([][]addr.Phys, 1<<len(funcs))
+	for _, a := range pool {
+		b := bankOf(a, funcs)
+		byBank[b] = append(byBank[b], a)
+	}
+	conflicts := 0
+	for i := 0; i < verifyPairs; i++ {
+		if err := t.interrupted(); err != nil {
+			return false, err
+		}
+		a := outside[t.rng.Intn(len(outside))]
+		same := byBank[bankOf(a, funcs)]
+		if len(same) < 2 {
+			return false, nil
+		}
+		// A uniform draw among the others: a appears once in the pool.
+		b := same[t.rng.Intn(len(same)-1)]
+		if b == a {
+			b = same[len(same)-1]
+		}
+		if t.pmeter.IsConflict(a, b) {
+			conflicts++
+		}
+	}
+	moved, err := t.driftGuard(true)
+	if err != nil || moved {
+		return false, err
+	}
+	return float64(conflicts) >= (1-t.cfg.Delta)*verifyPairs, nil
+}
+
+// bankOf numbers a's bank under funcs: bit i is function i's parity.
+func bankOf(a addr.Phys, funcs []uint64) uint64 {
+	var num uint64
+	for i, f := range funcs {
+		num |= a.XorFold(f) << uint(i)
+	}
+	return num
 }

@@ -1,7 +1,7 @@
-// Ablation experiments for the design choices DESIGN.md calls out:
-// pile tolerance δ, partition measurement length, knowledge-guided pool
-// sizing, and the sentinel drift guard. Each returns structured rows so
-// the CLI and the bench harness share one implementation.
+// Ablation experiments for DRAMDig's design choices: pile tolerance δ,
+// partition measurement length, knowledge-guided pool sizing, and the
+// sentinel drift guard. Each returns structured rows so the CLI and the
+// bench harness share one implementation.
 
 package eval
 
@@ -26,14 +26,16 @@ type AblationRow struct {
 	Note string
 }
 
-// ablateRun executes DRAMDig once and scores it. A cancelled context
-// scores as a failed run; the sweeps break out early and their caller
-// checks the context before trusting the rows.
-func ablateRun(ctx context.Context, no int, machineSeed int64, cfg core.Config) (ok bool, simSeconds float64, selected int) {
+// ablateRun executes DRAMDig once and scores it. The run starts phase
+// (in [0, 1)) of the way into a drift window. A cancelled context scores
+// as a failed run; the sweeps break out early and their caller checks
+// the context before trusting the rows.
+func ablateRun(ctx context.Context, no int, machineSeed int64, phase float64, cfg core.Config) (ok bool, simSeconds float64, selected int) {
 	m, err := machine.NewByNo(no, machineSeed)
 	if err != nil {
 		return false, 0, 0
 	}
+	m.AdvanceClock(phase * m.Controller().Params().DriftStepSeconds * 1e9)
 	tool, err := core.New(m, cfg)
 	if err != nil {
 		return false, 0, 0
@@ -55,7 +57,7 @@ func AblateDelta(opts Options, deltas []float64, trials int) []AblationRow {
 			if opts.ctx().Err() != nil {
 				break
 			}
-			ok, sec, _ := ablateRun(opts.ctx(), 2, opts.machineSeed(2)+int64(i), core.Config{Seed: opts.Seed + int64(i), Delta: d})
+			ok, sec, _ := ablateRun(opts.ctx(), 2, opts.machineSeed(2)+int64(i), 0, core.Config{Seed: opts.Seed + int64(i), Delta: d})
 			row.Runs++
 			if ok {
 				row.Successes++
@@ -81,7 +83,7 @@ func AblateRounds(opts Options, rounds []int, trials int) []AblationRow {
 			if opts.ctx().Err() != nil {
 				break
 			}
-			ok, sec, _ := ablateRun(opts.ctx(), 2, opts.machineSeed(2)+int64(i), core.Config{Seed: opts.Seed + int64(i), PartitionRounds: r})
+			ok, sec, _ := ablateRun(opts.ctx(), 2, opts.machineSeed(2)+int64(i), 0, core.Config{Seed: opts.Seed + int64(i), PartitionRounds: r})
 			row.Runs++
 			if ok {
 				row.Successes++
@@ -109,7 +111,7 @@ func AblatePoolSize(opts Options, pools []int, trials int) []AblationRow {
 			if opts.ctx().Err() != nil {
 				break
 			}
-			ok, sec, sel := ablateRun(opts.ctx(), 1, opts.machineSeed(1)+int64(i), core.Config{Seed: opts.Seed + int64(i), MinPoolAddrs: p})
+			ok, sec, sel := ablateRun(opts.ctx(), 1, opts.machineSeed(1)+int64(i), 0, core.Config{Seed: opts.Seed + int64(i), MinPoolAddrs: p})
 			row.Runs++
 			selected = sel
 			if ok {
@@ -127,19 +129,17 @@ func AblatePoolSize(opts Options, pools []int, trials int) []AblationRow {
 	return rows
 }
 
-// driftGuardSeeds are fixed machine seeds for the drift-guard ablation.
-// The simulation is fully deterministic, so the sweep uses a pinned seed
-// set that includes drift phases known to straddle window boundaries;
-// unpinned seeds would make the ablation's outcome depend on phase luck.
-var driftGuardSeeds = []int64{394, 395, 399, 400, 402}
+// driftSeedBase is the first machine seed of the drift-guard ablation;
+// run i takes seed driftSeedBase+i.
+const driftSeedBase = 390
 
 // AblateDriftGuard compares guarded vs unguarded DRAMDig on the
-// high-drift setting No.3, with an enlarged pool so runs span drift
-// windows.
+// high-drift setting No.3, with an enlarged pool and the paper's stop
+// rule so runs span drift windows. Each run starts at a drift phase
+// derived from its machine seed, (seed mod 24)/24 of a window, as a tool
+// launched at an arbitrary moment would: 24 contiguous seeds cover the
+// window evenly, so the outcome does not hinge on where one run starts.
 func AblateDriftGuard(opts Options, trials int) []AblationRow {
-	if trials > len(driftGuardSeeds) {
-		trials = len(driftGuardSeeds)
-	}
 	var rows []AblationRow
 	for _, guard := range []bool{true, false} {
 		name := "guard=on"
@@ -152,9 +152,11 @@ func AblateDriftGuard(opts Options, trials int) []AblationRow {
 			if opts.ctx().Err() != nil {
 				break
 			}
-			ok, sec, _ := ablateRun(opts.ctx(), 3, driftGuardSeeds[i], core.Config{
+			seed := driftSeedBase + int64(i)
+			ok, sec, _ := ablateRun(opts.ctx(), 3, seed, float64(seed%24)/24, core.Config{
 				Seed:              1,
 				MinPoolAddrs:      8192,
+				PaperStop:         true,
 				DisableDriftGuard: !guard,
 			})
 			row.Runs++

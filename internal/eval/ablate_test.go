@@ -21,12 +21,13 @@ func TestAblateDeltaDefaultsWork(t *testing.T) {
 	}
 }
 
-// TestAblateDriftGuardGap: the guard must dominate on No.3.
+// TestAblateDriftGuardGap: the guard must dominate on No.3, over 24
+// contiguous machine seeds that cover the drift window evenly.
 func TestAblateDriftGuardGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full runs")
 	}
-	rows := AblateDriftGuard(Options{Seed: 3}, 5)
+	rows := AblateDriftGuard(Options{Seed: 3}, 24)
 	var on, off AblationRow
 	for _, r := range rows {
 		if strings.Contains(r.Param, "on") {

@@ -14,6 +14,7 @@ package eval
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dramdig/internal/core"
 	"dramdig/internal/machine"
@@ -108,25 +109,36 @@ func noiseRun(opts Options, def machine.Definition, machineSeed, toolSeed int64)
 	return res.Mapping.EquivalentTo(m.Truth()), nil
 }
 
-// RenderNoise writes the sweep as one row per setting and one column per
-// noise level; each cell reads successes/runs, with errors and wrong
-// mappings noted when there are any.
-func RenderNoise(w io.Writer, rows []NoiseRow) {
-	var scales []float64
-	cell := map[[2]float64]NoiseRow{}
-	total := map[float64]NoiseRow{}
+// noiseTotals sums the sweep's rows per noise level.
+func noiseTotals(rows []NoiseRow) map[float64]NoiseRow {
+	totals := map[float64]NoiseRow{}
 	for _, r := range rows {
-		if _, seen := total[r.Scale]; !seen {
-			scales = append(scales, r.Scale)
-		}
-		cell[[2]float64{r.Scale, float64(r.No)}] = r
-		t := total[r.Scale]
+		t := totals[r.Scale]
 		t.Scale = r.Scale
 		t.Runs += r.Runs
 		t.Successes += r.Successes
 		t.Errors += r.Errors
 		t.Wrong += r.Wrong
-		total[r.Scale] = t
+		totals[r.Scale] = t
+	}
+	return totals
+}
+
+// RenderNoise writes the sweep as one row per setting and one column per
+// noise level; each cell reads successes/runs, with errors and wrong
+// mappings noted when there are any.
+func RenderNoise(w io.Writer, rows []NoiseRow) {
+	type key struct {
+		scale float64
+		no    int
+	}
+	var scales []float64
+	cell := map[key]NoiseRow{}
+	for _, r := range rows {
+		if !slices.Contains(scales, r.Scale) {
+			scales = append(scales, r.Scale)
+		}
+		cell[key{r.Scale, r.No}] = r
 	}
 	headers := []string{"Setting"}
 	for _, s := range scales {
@@ -136,13 +148,14 @@ func RenderNoise(w io.Writer, rows []NoiseRow) {
 	for no := 1; no <= 9; no++ {
 		line := []string{fmt.Sprintf("No.%d", no)}
 		for _, s := range scales {
-			line = append(line, noiseCell(cell[[2]float64{s, float64(no)}]))
+			line = append(line, noiseCell(cell[key{s, no}]))
 		}
 		out = append(out, line)
 	}
+	totals := noiseTotals(rows)
 	line := []string{"All"}
 	for _, s := range scales {
-		line = append(line, noiseCell(total[s]))
+		line = append(line, noiseCell(totals[s]))
 	}
 	out = append(out, line)
 	RenderTable(w, "Robustness: DRAMDig successes under scaled timing noise (jitter, outliers, drift)",

@@ -27,15 +27,7 @@ func TestNoiseFloors(t *testing.T) {
 		t.Skip("576 pipeline runs")
 	}
 	floors := map[float64]int{1.5: 245, 2: 158}
-	rows := NoiseSweep(Options{}, []float64{1.5, 2}, 32)
-	got := map[float64]NoiseRow{}
-	for _, r := range rows {
-		g := got[r.Scale]
-		g.Runs += r.Runs
-		g.Successes += r.Successes
-		g.Wrong += r.Wrong
-		got[r.Scale] = g
-	}
+	got := noiseTotals(NoiseSweep(Options{}, []float64{1.5, 2}, 32))
 	for scale, floor := range floors {
 		g := got[scale]
 		if g.Runs != 9*32 {

@@ -120,32 +120,46 @@ func (m *Meter) SampleN(a, b addr.Phys, n int) float64 {
 	if n < 1 {
 		n = 1
 	}
-	// Decisions take the median of a few repeats (three by default); the
-	// buffer keeps them off the heap.
+	// A median takes a few repeats (three for calibration and drift
+	// checks); the buffer keeps them off the heap.
 	var buf [8]float64
 	samples := buf[:0]
 	for i := 0; i < n; i++ {
-		v := m.target.MeasurePair(a, b, m.rounds)
-		m.measures++
-		m.inst.observe(v)
-		samples = append(samples, v)
+		samples = append(samples, m.measure(a, b))
 	}
 	return medianInPlace(samples)
 }
 
-// IsConflict reports whether the pair exhibits a row-buffer conflict
-// (same bank, different row) according to the calibrated threshold.
-func (m *Meter) IsConflict(a, b addr.Phys) bool {
-	return m.Sample(a, b) >= m.thresh
+// measure takes one raw measurement of the pair.
+func (m *Meter) measure(a, b addr.Phys) float64 {
+	v := m.target.MeasurePair(a, b, m.rounds)
+	m.measures++
+	m.inst.observe(v)
+	return v
 }
 
-// IsConflictOnce is a single-measurement (no repeats) conflict test; the
-// partition inner loop uses it with its own tolerance machinery.
-func (m *Meter) IsConflictOnce(a, b addr.Phys) bool {
-	m.measures++
-	v := m.target.MeasurePair(a, b, m.rounds)
-	m.inst.observe(v)
-	return v >= m.thresh
+// IsConflict reports whether the pair exhibits a row-buffer conflict
+// (same bank, different row): whether the median of the repeats reaches
+// the calibrated threshold. With an odd repeat count that median is a
+// majority vote, so the vote is curtailed — sampling stops as soon as
+// one side holds a majority, and with three repeats the third sample is
+// taken only when the first two disagree. The decision is the median
+// rule's on the same samples (a sequential test in Wald's sense). Even
+// repeat counts average the middle pair, so they take every sample.
+func (m *Meter) IsConflict(a, b addr.Phys) bool {
+	if m.repeats%2 == 0 {
+		return m.Sample(a, b) >= m.thresh
+	}
+	majority := m.repeats/2 + 1
+	high, low := 0, 0
+	for high < majority && low < majority {
+		if m.measure(a, b) >= m.thresh {
+			high++
+		} else {
+			low++
+		}
+	}
+	return high == majority
 }
 
 // CalibrationResult describes the fitted latency distribution.

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"dramdig/internal/addr"
+	"dramdig/internal/alloc"
 	"dramdig/internal/machine"
+	"dramdig/internal/sysinfo"
 )
 
 func no1(t testing.TB) *machine.Machine {
@@ -103,10 +106,94 @@ func TestMeasurementCounting(t *testing.T) {
 	if meter.Measurements() != 8 {
 		t.Errorf("measurements = %d, want 8", meter.Measurements())
 	}
+	// Every sample clears a threshold of 1, so the vote ends after two.
 	meter.SetThreshold(1)
-	meter.IsConflictOnce(a, a+128)
-	if meter.Measurements() != 9 {
-		t.Errorf("measurements = %d, want 9", meter.Measurements())
+	meter.IsConflict(a, a+128)
+	if meter.Measurements() != 10 {
+		t.Errorf("measurements = %d, want 10", meter.Measurements())
+	}
+}
+
+// scriptTarget serves MeasurePair from a fixed sample stream.
+type scriptTarget struct {
+	samples []float64
+	next    int
+}
+
+func (s *scriptTarget) SysInfo() sysinfo.Info { return sysinfo.Info{} }
+func (s *scriptTarget) Pool() *alloc.Pool     { return nil }
+func (s *scriptTarget) ClockNs() float64      { return 0 }
+func (s *scriptTarget) AdvanceClock(float64)  {}
+func (s *scriptTarget) MeasurePair(a, b addr.Phys, rounds int) float64 {
+	v := s.samples[s.next]
+	s.next++
+	return v
+}
+
+// TestIsConflictCurtailedVote checks the curtailed vote against the
+// median rule it replaced, on scripted sample streams: for every repeat
+// count the decision is median(first n samples) ≥ threshold, and an odd
+// count consumes exactly the samples up to the first majority. Values
+// equal to the threshold count as conflicts, as they do for the median.
+func TestIsConflictCurtailedVote(t *testing.T) {
+	const thresh = 100
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 2, 3, 4, 5, 7} {
+		for trial := 0; trial < 2000; trial++ {
+			stream := make([]float64, n)
+			for i := range stream {
+				switch rng.Intn(4) {
+				case 0:
+					stream[i] = thresh
+				default:
+					stream[i] = thresh + rng.NormFloat64()*20
+				}
+			}
+			target := &scriptTarget{samples: stream}
+			meter, err := NewMeter(target, 600, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meter.SetThreshold(thresh)
+			got := meter.IsConflict(0, 64)
+			if want := Median(stream) >= thresh; got != want {
+				t.Fatalf("n=%d %v: vote %v, median rule %v", n, stream, got, want)
+			}
+			want := n // even counts take every sample
+			if n%2 == 1 {
+				high, low := 0, 0
+				for want = 0; high <= n/2 && low <= n/2; want++ {
+					if stream[want] >= thresh {
+						high++
+					} else {
+						low++
+					}
+				}
+			}
+			if target.next != want || meter.Measurements() != uint64(want) {
+				t.Fatalf("n=%d %v: took %d samples (counted %d), want %d",
+					n, stream, target.next, meter.Measurements(), want)
+			}
+		}
+	}
+	// With three repeats: two agreeing samples decide, a split takes
+	// the third.
+	for _, c := range []struct {
+		stream []float64
+		want   bool
+		took   int
+	}{
+		{[]float64{120, 130, 0}, true, 2},
+		{[]float64{80, 70, 0}, false, 2},
+		{[]float64{120, 80, 90}, false, 3},
+		{[]float64{80, 120, 100}, true, 3},
+	} {
+		target := &scriptTarget{samples: c.stream}
+		meter, _ := NewMeter(target, 600, 3)
+		meter.SetThreshold(thresh)
+		if got := meter.IsConflict(0, 64); got != c.want || target.next != c.took {
+			t.Errorf("%v: conflict %v after %d samples, want %v after %d", c.stream, got, target.next, c.want, c.took)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR=${ADDR:-127.0.0.1:18081}
-MAX_BYTES=8388608        # disk-tier bound: fits one ~3MB campaign trace, overflows fast
+MAX_BYTES=8388608        # disk-tier bound: fits the ~0.5MB No.1 campaign trace, overflows fast
 SEGMENT=1048576          # segment target at this bound (min of 1MiB default, MaxBytes/4)
 # A leftover listener on the port would answer the probes below and make
 # every later assertion test the wrong process.
