@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"dramdig/internal/obs"
 	"dramdig/internal/queue"
 	"dramdig/internal/store"
+	"dramdig/internal/trace"
 )
 
 // defaultLeaseTTL is the heartbeat deadline handed to workers when the
@@ -588,6 +590,13 @@ func (s *server) handleClusterUploadResult(w http.ResponseWriter, r *http.Reques
 			"record fingerprint %q does not match path %q", rec.Fingerprint, fp)
 		return
 	}
+	// Decoding validated the mapping; its fingerprint is checked here,
+	// once per upload, so the store's read path never re-hashes.
+	if rec.Mapping != nil && rec.MappingFingerprint != rec.Mapping.Fingerprint() {
+		httpError(w, http.StatusBadRequest, codeBadRequest,
+			"mapping_fingerprint %q is not the mapping's fingerprint", rec.MappingFingerprint)
+		return
+	}
 	if err := s.st.Put(&rec); err != nil {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 		return
@@ -598,7 +607,8 @@ func (s *server) handleClusterUploadResult(w http.ResponseWriter, r *http.Reques
 
 // handleClusterUploadTrace stores a worker-recorded timing trace under
 // its machine fingerprint, overwriting atomically like an in-process
-// worker's store.TraceWriter does.
+// worker's store.TraceWriter does. Only the preamble is parsed: the body
+// must be a trace whose header names the path's machine.
 func (s *server) handleClusterUploadTrace(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {
@@ -608,6 +618,16 @@ func (s *server) handleClusterUploadTrace(w http.ResponseWriter, r *http.Request
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, codeBadRequest, "read trace body: %v", err)
+		return
+	}
+	tr, err := trace.NewReader(bytes.NewReader(data))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+		return
+	}
+	if got := tr.Header().Machine.Fingerprint; got != fp {
+		httpError(w, http.StatusBadRequest, codeBadRequest,
+			"trace machine fingerprint %q does not match path %q", got, fp)
 		return
 	}
 	if err := s.st.PutTrace(fp, data); err != nil {

@@ -22,9 +22,12 @@ import (
 
 	"dramdig/internal/campaign"
 	"dramdig/internal/cluster"
+	"dramdig/internal/machine"
 	"dramdig/internal/metrics"
 	"dramdig/internal/obs"
 	"dramdig/internal/queue"
+	"dramdig/internal/store"
+	"dramdig/internal/trace"
 )
 
 // clusterReq issues a request and returns the raw recorder — unlike
@@ -851,5 +854,100 @@ func TestDispatchModesAgree(t *testing.T) {
 		if got.records[fp] != rec {
 			t.Errorf("store record %s differs:\nlocal  %s\nremote %s", fp, rec, got.records[fp])
 		}
+	}
+}
+
+// TestClusterUploadResultValidated: a result record whose
+// mapping_fingerprint is not its mapping's fingerprint is rejected
+// before it is stored, so GET /v1/mappings/{fp} never serves it.
+func TestClusterUploadResultValidated(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	m, err := machine.NewByNo(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := store.Record{
+		Fingerprint: m.Def().Fingerprint(), MachineName: m.Name(),
+		Mapping: m.Truth(), MappingFingerprint: m.Truth().Fingerprint(), Match: true,
+	}
+	bad := good
+	bad.Fingerprint = strings.Repeat("b", 64)
+	bad.MappingFingerprint = strings.Repeat("c", 64)
+	for _, tc := range []struct {
+		rec     store.Record
+		want    int
+		errCode string
+	}{
+		{good, http.StatusOK, ""},
+		{bad, http.StatusBadRequest, "bad_request"},
+	} {
+		body, err := json.Marshal(tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, resp := doJSON(t, srv, "PUT", "/v1/cluster/results/"+tc.rec.Fingerprint, string(body))
+		if code != tc.want {
+			t.Fatalf("PUT result %.12s: %d (want %d): %v", tc.rec.Fingerprint, code, tc.want, resp)
+		}
+		if tc.errCode != "" {
+			envelope(t, resp, tc.errCode)
+		}
+	}
+	if code, resp := doJSON(t, srv, "GET", "/v1/mappings/"+good.Fingerprint, ""); code != http.StatusOK {
+		t.Fatalf("valid record not served: %d %v", code, resp)
+	}
+	if code, resp := doJSON(t, srv, "GET", "/v1/mappings/"+bad.Fingerprint, ""); code != http.StatusNotFound {
+		t.Fatalf("rejected record served: %d %v", code, resp)
+	}
+}
+
+// TestClusterUploadTraceValidated: a trace upload must parse as a trace
+// whose header names the path's machine; anything else is rejected
+// before it is stored, so GET /v1/traces/{fp} never serves it.
+func TestClusterUploadTraceValidated(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	encode := func(no int) (fp string, data []byte) {
+		m, err := machine.NewByNo(no, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		tw, err := trace.NewWriter(&buf, trace.HeaderFor(m, "dramdig", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Append(trace.Sample{A: 0x1000, B: 0x2000, Rounds: 10, LatencyNs: 300}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Def().Fingerprint(), buf.Bytes()
+	}
+	fp1, trace1 := encode(1)
+	fp2, trace2 := encode(2)
+	for _, tc := range []struct {
+		name, fp string
+		data     []byte
+		want     int
+	}{
+		{"valid", fp1, trace1, http.StatusOK},
+		{"zeros", fp2, make([]byte, 4096), http.StatusBadRequest},
+		{"truncated header", fp2, trace2[:20], http.StatusBadRequest},
+		{"another machine's trace", fp2, trace1, http.StatusBadRequest},
+	} {
+		code, resp := doJSON(t, srv, "PUT", "/v1/cluster/traces/"+tc.fp, string(tc.data))
+		if code != tc.want {
+			t.Fatalf("%s: PUT trace: %d (want %d): %v", tc.name, code, tc.want, resp)
+		}
+		if tc.want != http.StatusOK {
+			envelope(t, resp, "bad_request")
+		}
+	}
+	if w := clusterReq(t, srv, "GET", "/v1/traces/"+fp1, ""); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), trace1) {
+		t.Fatalf("valid trace not served intact: %d", w.Code)
+	}
+	if w := clusterReq(t, srv, "GET", "/v1/traces/"+fp2, ""); w.Code != http.StatusNotFound {
+		t.Fatalf("rejected trace served: %d", w.Code)
 	}
 }

@@ -11,7 +11,9 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -98,19 +100,23 @@ func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{cfg: cfg}
-	p.pages = make([]addr.Phys, 0, (cfg.PrimaryBytes+uint64(cfg.ScatterChunks)*cfg.ScatterChunkBytes)/PageSize)
 
 	// Every page of a holed chunk draws from rng, in chunk order, even
 	// when an earlier chunk already holds it: a seed always yields the
-	// same layout, so recorded traces replay. Overlaps are removed after
-	// sorting.
+	// same layout, so recorded traces replay. Each chunk marks its holes
+	// in a bitmap; the pages are written once, in address order, below.
+	chunks := make([]chunk, 0, 1+cfg.ScatterChunks)
 	addChunk := func(base addr.Phys, bytes uint64, holes bool) {
-		for off := uint64(0); off < bytes; off += PageSize {
-			if holes && cfg.HoleProb > 0 && rng.Float64() < cfg.HoleProb {
-				continue
+		c := chunk{base: base, pages: bytes / PageSize}
+		c.holes = make([]uint64, (c.pages+63)/64)
+		if holes && cfg.HoleProb > 0 {
+			for i := uint64(0); i < c.pages; i++ {
+				if rng.Float64() < cfg.HoleProb {
+					c.holes[i/64] |= 1 << (i % 64)
+				}
 			}
-			p.pages = append(p.pages, base+addr.Phys(off))
 		}
+		chunks = append(chunks, c)
 	}
 
 	// Primary chunk: aligned to its own size so that low-bit ranges are
@@ -132,9 +138,70 @@ func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
 		cBase := addr.Phys(uint64(rng.Int63n(int64(cSlots))) * cAlign)
 		addChunk(cBase, cfg.ScatterChunkBytes, true)
 	}
-	slices.Sort(p.pages)
-	p.pages = slices.Compact(p.pages)
+
+	// Chunks whose spans overlap (the same slot, one inside the primary,
+	// or straddling a boundary when the sizes do not nest) form one run,
+	// and a page of a run is owned when any of its chunks holds it.
+	// Writing runs in base order lists every page once, ascending.
+	slices.SortFunc(chunks, func(a, b chunk) int { return cmp.Compare(a.base, b.base) })
+	p.pages = make([]addr.Phys, 0, (cfg.PrimaryBytes+uint64(cfg.ScatterChunks)*cfg.ScatterChunkBytes)/PageSize)
+	for i := 0; i < len(chunks); {
+		run := chunks[i]
+		j := i + 1
+		for ; j < len(chunks) && chunks[j].base < run.end(); j++ {
+			run.pages = max(run.pages, uint64(chunks[j].end()-run.base)/PageSize)
+		}
+		if j > i+1 {
+			run.holes = unionHoles(run, chunks[i:j])
+		}
+		p.pages = run.appendPages(p.pages)
+		i = j
+	}
 	return p, nil
+}
+
+// chunk is one contiguous allocation of pages from base.
+type chunk struct {
+	base  addr.Phys
+	pages uint64
+	holes []uint64 // bit k set: page k is missing
+}
+
+func (c chunk) end() addr.Phys { return c.base + addr.Phys(c.pages*PageSize) }
+
+func (c chunk) hole(k uint64) bool { return c.holes[k/64]&(1<<(k%64)) != 0 }
+
+// appendPages appends the pages c holds to dst, ascending.
+func (c chunk) appendPages(dst []addr.Phys) []addr.Phys {
+	for w, h := range c.holes {
+		owned := ^h
+		if rest := c.pages - uint64(w)*64; rest < 64 {
+			owned &= 1<<rest - 1
+		}
+		for ; owned != 0; owned &= owned - 1 {
+			k := uint64(w)*64 + uint64(bits.TrailingZeros64(owned))
+			dst = append(dst, c.base+addr.Phys(k*PageSize))
+		}
+	}
+	return dst
+}
+
+// unionHoles returns the holes of run, which spans the overlapping
+// chunks cs: a page is missing only when no chunk covering it holds it.
+func unionHoles(run chunk, cs []chunk) []uint64 {
+	holes := make([]uint64, (run.pages+63)/64)
+	for k := range holes {
+		holes[k] = ^uint64(0)
+	}
+	for _, c := range cs {
+		off := uint64(c.base-run.base) / PageSize
+		for k := uint64(0); k < c.pages; k++ {
+			if !c.hole(k) {
+				holes[(off+k)/64] &^= 1 << ((off + k) % 64)
+			}
+		}
+	}
+	return holes
 }
 
 // Pages returns the sorted physical page frames (base addresses). The

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -188,5 +189,22 @@ func TestSmallMemoryRejected(t *testing.T) {
 	cfg.MemBytes = 64 << 20 // primary (64 MiB) cannot fit in half of it
 	if _, err := NewPool(cfg, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("primary larger than half of memory accepted")
+	}
+}
+
+// BenchmarkNewPool builds the default layout at each memory size the
+// paper's nine settings use.
+func BenchmarkNewPool(b *testing.B) {
+	for _, gib := range []uint64{4, 8, 16} {
+		b.Run(fmt.Sprintf("%dGiB", gib), func(b *testing.B) {
+			cfg := DefaultConfig(gib << 30)
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPool(cfg, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -77,9 +77,15 @@ func TestPoolMatchesReference(t *testing.T) {
 	crowded := Config{MemBytes: 256 << 20, PrimaryBytes: 64 << 20, ScatterChunks: 40, ScatterChunkBytes: 8 << 20, HoleProb: 0.1}
 	crowdedFrag := crowded
 	crowdedFrag.FragmentPrimary = true
+	// Chunk sizes that do not nest: 16 MiB chunks straddle the 24 MiB
+	// primary's edges and each other's.
+	straddling := Config{MemBytes: 256 << 20, PrimaryBytes: 24 << 20, ScatterChunks: 40, ScatterChunkBytes: 16 << 20, HoleProb: 0.1, FragmentPrimary: true}
+	straddlingSolid := straddling
+	straddlingSolid.HoleProb = 0
 	configs := map[string]Config{
 		"default": DefaultConfig(8 << 30), "fragment-primary": frag, "no-holes": solid,
 		"crowded": crowded, "crowded-fragmented": crowdedFrag,
+		"straddling": straddling, "straddling-no-holes": straddlingSolid,
 	}
 	const P = addr.Phys(PageSize)
 	for name, cfg := range configs {

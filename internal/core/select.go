@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"dramdig/internal/addr"
@@ -118,25 +119,29 @@ func (t *Tool) selectAddresses(coarse *coarseResult) (*selection, error) {
 // distinct address 2^|missMask| times).
 //
 // The range is aligned: start has none of the offset bits set, so
-// p = start | x for x ascending over the multiples of 2^wMin below
-// end − start, and missMask holds only such offset bits. p | missMask
-// then first reaches each distinct address at x = (address − start) &^
-// missMask, and those first visits ascend: an address not above the
-// previous new one is a repeat.
+// p = start | x where x runs over the multiples of 2^wMin below
+// end − start, which are exactly the submasks of (end − start − 1) &^
+// (2^wMin − 1); missMask holds only such bits. The distinct addresses
+// are therefore start | missMask | x for x a submask of the remaining
+// free bits, and stepping x = (x − free) & free walks those submasks in
+// ascending order (Knuth, TAOCP Vol. 4A §7.1.3), so the list is sorted.
+// A range with no missing page, which is what selectAddresses passes,
+// needs no per-address ownership lookup.
 func enumerateSelection(pool *alloc.Pool, start, end addr.Phys, wMin uint, missMask uint64) []addr.Phys {
+	free := uint64(end-start-1) &^ (uint64(1)<<wMin - 1) &^ missMask
+	owned := !pool.PageMiss(start, end)
 	var sel []addr.Phys
-	next := addr.Phys(0) // one past the highest address visited
-	for p := start; p < end; p += addr.Phys(uint64(1) << wMin) {
-		pp := p | addr.Phys(missMask)
-		if pp < next {
-			continue
+	if owned {
+		sel = make([]addr.Phys, 0, 1<<bits.OnesCount64(free))
+	}
+	for x := uint64(0); ; x = (x - free) & free {
+		if a := start | addr.Phys(missMask|x); owned || pool.Contains(a) {
+			sel = append(sel, a)
 		}
-		next = pp + 1
-		if pool.Contains(pp) {
-			sel = append(sel, pp)
+		if x == free {
+			return sel
 		}
 	}
-	return sel
 }
 
 // nextWideningBit picks the lowest detected row bit not yet used that

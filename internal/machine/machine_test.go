@@ -196,3 +196,18 @@ func TestSettingsCopy(t *testing.T) {
 		t.Error("Settings leaked internal storage")
 	}
 }
+
+// BenchmarkSurface rebuilds each paper setting's tool-visible surface,
+// as every live job and trace replay does once.
+func BenchmarkSurface(b *testing.B) {
+	for _, def := range Settings() {
+		b.Run(def.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Surface(def, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

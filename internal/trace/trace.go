@@ -290,6 +290,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err := json.Unmarshal(hdr, &h); err != nil {
 		return nil, fmt.Errorf("trace: corrupt header: %w", err)
 	}
+	h.Version = version // the preamble's version is the one the bytes follow
 	return &Reader{br: br, h: h}, nil
 }
 

@@ -66,12 +66,22 @@ real_fp=$(curl -fsS "http://$ADDR/v1/campaigns/$id/trace" | jq -r '.traces[0].ma
 curl -fsS "http://$ADDR/v1/traces/$real_fp" -o /dev/null \
   || { echo "storage-smoke: campaign trace not stored" >&2; exit 1; }
 
+# trace_blob FP N prints N bytes of trace for machine fingerprint FP: a
+# trace preamble (magic, version 1, header length, header JSON) naming
+# FP, then random filler. The upload endpoint parses only the preamble
+# and rejects bytes that are not a trace of the path's machine.
+trace_blob() {
+  local hdr="{\"version\":1,\"machine\":{\"fingerprint\":\"$1\"}}"
+  printf "DRTR\\001\\000\\$(printf %03o "${#hdr}")\\000\\000\\000%s" "$hdr"
+  head -c $(($2 - 10 - ${#hdr})) /dev/urandom
+}
+
 # --- orphan reclamation -----------------------------------------------
 # A trace uploaded under a fingerprint no retained job references is an
 # orphan: the GC must reap it once the grace period passes, while the
 # campaign's referenced trace survives.
 orphan_fp=$(printf '%064x' 3735928559)
-head -c 4096 /dev/zero | curl -fsS -X PUT --data-binary @- \
+trace_blob "$orphan_fp" 4096 | curl -fsS -X PUT --data-binary @- \
   "http://$ADDR/v1/cluster/traces/$orphan_fp" >/dev/null
 for i in $(seq 1 60); do
   code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/traces/$orphan_fp")
@@ -96,7 +106,7 @@ mapping=$(curl -fsS "http://$ADDR/v1/mappings/$real_fp")
 seg_dir="$WORKDIR/cache/segments"
 for i in $(seq 1 24); do
   fp=$(printf '%056x%08x' 193 "$i")
-  head -c "$SEGMENT" /dev/urandom | curl -fsS -X PUT --data-binary @- \
+  trace_blob "$fp" "$SEGMENT" | curl -fsS -X PUT --data-binary @- \
     "http://$ADDR/v1/cluster/traces/$fp" >/dev/null
   used=$(du -sb "$seg_dir" | cut -f1)
   if [ "$used" -gt $((MAX_BYTES + SEGMENT)) ]; then
