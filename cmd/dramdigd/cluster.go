@@ -1,7 +1,7 @@
 // The coordinator side of the cluster subsystem: the lease operations
 // every worker goes through — grant, heartbeat with checkpoint,
-// complete, fail — with the campaign-state bookkeeping they drive, the
-// /v1/cluster handlers that serve them to remote workers, the worker
+// progress, complete, fail — the /v1/cluster handlers that serve them
+// to remote workers, the worker
 // registry with its consistent-hash shard ring, the lease-expiry
 // sweeper and the dramdig_cluster_* metric families. The protocol and
 // its wire shapes live in internal/cluster; the queue owns lease
@@ -47,12 +47,12 @@ const defaultLeaseTTL = 30 * time.Second
 // leases survives on the shard ring before being reaped from it.
 const reapAfterTTLs = 10
 
-// workerInfo is the registry's record of one worker.
+// workerInfo is the registry's record of one worker. Its lease count
+// is the queue's (queue.LeasesByOwner).
 type workerInfo struct {
 	name      string
 	lastSeen  time.Time
 	live      bool
-	active    int
 	completed uint64
 	failed    uint64
 	// inProcess marks this daemon's own workers: alive as long as the
@@ -85,7 +85,7 @@ type clusterState struct {
 	snapshots   *metrics.Counter
 }
 
-func newClusterState(reg *metrics.Registry) *clusterState {
+func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 	cl := &clusterState{
 		workers: make(map[string]*workerInfo),
 		ring:    cluster.NewRing(0),
@@ -126,15 +126,7 @@ func newClusterState(reg *metrics.Registry) *clusterState {
 		})
 	reg.GaugeFunc("dramdig_cluster_leases_active",
 		"Leases currently held by cluster workers.", nil,
-		func() float64 {
-			cl.mu.Lock()
-			defer cl.mu.Unlock()
-			n := 0
-			for _, w := range cl.workers {
-				n += w.active
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(q.StatsSnapshot().Leased) })
 	return cl
 }
 
@@ -167,17 +159,12 @@ func (cl *clusterState) inProcess(name string) bool {
 	return w != nil && w.inProcess
 }
 
-// adjust applies a delta to a worker's lease/outcome counters.
+// adjust updates a worker's registry record.
 func (cl *clusterState) adjust(name string, fn func(w *workerInfo)) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w := cl.workers[name]
-	if w == nil {
-		return
-	}
-	fn(w)
-	if w.active < 0 {
-		w.active = 0
+	if w := cl.workers[name]; w != nil {
+		fn(w)
 	}
 }
 
@@ -216,13 +203,13 @@ func (cl *clusterState) metricsInfo(name string, now time.Time) *cluster.WorkerM
 }
 
 // reap drops workers that have been silent past the silence window and
-// hold no leases: off the ring, marked dead, rows retained for
-// /v1/workers history.
-func (cl *clusterState) reap(now time.Time, silence time.Duration) {
+// hold no leases (leases counts them per worker): off the ring, marked
+// dead, rows retained for /v1/workers history.
+func (cl *clusterState) reap(now time.Time, silence time.Duration, leases map[string]int) {
 	cl.mu.Lock()
 	var dead []string
 	for _, w := range cl.workers {
-		if w.live && !w.inProcess && w.active == 0 && now.Sub(w.lastSeen) > silence {
+		if w.live && !w.inProcess && leases[w.name] == 0 && now.Sub(w.lastSeen) > silence {
 			w.live = false
 			dead = append(dead, w.name)
 		}
@@ -236,8 +223,9 @@ func (cl *clusterState) reap(now time.Time, silence time.Duration) {
 	}
 }
 
-// statuses renders the /v1/workers rows, sorted by name.
-func (cl *clusterState) statuses() []cluster.WorkerStatus {
+// statuses renders the /v1/workers rows, sorted by name; leases counts
+// each worker's active leases.
+func (cl *clusterState) statuses(leases map[string]int) []cluster.WorkerStatus {
 	now := time.Now()
 	cl.mu.Lock()
 	rows := make([]cluster.WorkerStatus, 0, len(cl.workers))
@@ -248,7 +236,7 @@ func (cl *clusterState) statuses() []cluster.WorkerStatus {
 			// An age, not a timestamp: meaningful to any reader without
 			// clock agreement with the coordinator.
 			LastHeartbeatAgeMillis: now.Sub(w.lastSeen).Milliseconds(),
-			ActiveLeases:           w.active,
+			ActiveLeases:           leases[w.name],
 			Completed:              w.completed,
 			Failed:                 w.failed,
 		})
@@ -287,8 +275,9 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	// preferred job pending the worker takes the front of the queue.
 	// In-process workers share the daemon's store and always take the
 	// front.
+	inProcess := s.cl.inProcess(worker)
 	var prefer func(queue.Job) bool
-	if !s.cl.inProcess(worker) {
+	if !inProcess {
 		prefer = func(j queue.Job) bool {
 			return s.cl.owner(cluster.ShardKey(j.Payload, j.ID)) == worker
 		}
@@ -299,36 +288,22 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	}
 	leased := time.Now()
 	s.cl.granted.Inc()
-	s.cl.adjust(worker, func(wi *workerInfo) { wi.active++ })
 
-	s.mu.Lock()
-	st := s.campaigns[job.ID]
-	if st == nil {
-		specList, total := s.specsFromPayload(job.Payload)
-		st = newCampaignState(job.ID, "queued", specList, total)
-		st.requestID = job.RequestID
-		st.traceID = traceIDOf(job.TraceParent)
-		s.campaigns[job.ID] = st
-		s.order = append(s.order, job.ID)
+	// An in-process holder is revoked at once when its campaign is
+	// cancelled. A DELETE racing this grant may have looked for the
+	// channel before it was registered, so the lease is re-checked after.
+	var revoked chan struct{}
+	if inProcess {
+		revoked = make(chan struct{})
+		s.mu.Lock()
+		s.revokes[job.ID] = revocation{token: job.LeaseToken, ch: revoked}
+		s.mu.Unlock()
+		if cur, ok := s.q.Get(job.ID); !ok || cur.LeaseToken != job.LeaseToken {
+			s.endRevoke(job.ID, job.LeaseToken)
+			return nil, false, nil
+		}
 	}
-	s.mu.Unlock()
-	revoke := make(chan struct{})
-	st.mu.Lock()
-	cancelled := terminalStatus(st.status)
-	if !cancelled {
-		st.status = "running"
-		st.worker = worker
-		st.revoke = revoke
-		st.bumpLocked()
-	}
-	total := st.total
-	st.mu.Unlock()
-	if cancelled {
-		// A DELETE cancelled the job between its grant and this update:
-		// the lease died with it.
-		s.cl.adjust(worker, func(wi *workerInfo) { wi.active-- })
-		return nil, false, nil
-	}
+	total := len(specsOf(job.Payload))
 
 	// Re-enter the submitting request's trace: queue.wait is
 	// reconstructed from the persisted submission instant, and
@@ -367,7 +342,7 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 		TTLMillis:   s.cfg.leaseTTL.Milliseconds(),
 		TraceParent: traceParent,
 		RequestID:   job.RequestID,
-		Revoked:     revoke,
+		Revoked:     revoked,
 	}, true, nil
 }
 
@@ -394,16 +369,25 @@ func (s *server) heartbeat(id, worker, token string, cp, snap json.RawMessage) e
 	return nil
 }
 
+// progress records one per-job event of a leased campaign in its queue
+// history, fenced by the lease token.
+func (s *server) progress(id, worker, token string, ev campaign.Event) error {
+	data, err := json.Marshal(ev)
+	if err != nil {
+		return err
+	}
+	return s.fenced(s.q.Progress(id, worker, token, string(ev.Kind), data))
+}
+
 // complete records a worker's finished campaign: terminal queue state
-// with the report, shipped spans into the tracer, campaign state to
-// "done".
+// with the report, and the shipped spans into the tracer.
 func (s *server) complete(id, worker, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error {
 	if err := s.q.CompleteLease(id, worker, token, report); err != nil {
 		return s.fenced(err)
 	}
+	s.endRevoke(id, token)
 	s.cl.completions.Inc()
 	s.cl.adjust(worker, func(wi *workerInfo) {
-		wi.active--
 		wi.completed++
 		wi.lastSeen = time.Now()
 	})
@@ -413,7 +397,6 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 	if s.tracer != nil && len(spans) > 0 {
 		s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
 	}
-	s.finish(id, worker, "done", "", report)
 	s.logf("campaign %s: completed by worker %s", id, worker)
 	s.logTransition(id, "running", "done", "worker", worker)
 	return nil
@@ -424,43 +407,15 @@ func (s *server) fail(id, worker, token, msg string) error {
 	if err := s.q.FailLease(id, worker, token, msg); err != nil {
 		return s.fenced(err)
 	}
+	s.endRevoke(id, token)
 	s.cl.failures.Inc()
 	s.cl.adjust(worker, func(wi *workerInfo) {
-		wi.active--
 		wi.failed++
 		wi.lastSeen = time.Now()
 	})
-	s.finish(id, worker, "failed", msg, nil)
 	s.logf("campaign %s: failed on worker %s: %s", id, worker, msg)
 	s.logTransition(id, "running", "failed", "worker", worker, "err", msg)
 	return nil
-}
-
-// finish moves a campaign's state to its terminal status.
-func (s *server) finish(id, worker, status, errMsg string, report json.RawMessage) {
-	if st := s.campaign(id); st != nil {
-		st.mu.Lock()
-		st.status = status
-		st.errMsg = errMsg
-		st.worker = worker
-		st.revoke = nil
-		if status == "done" {
-			st.report = report
-			st.done = st.total
-		}
-		st.bumpLocked()
-		st.mu.Unlock()
-	}
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
-}
-
-// progress records one per-job event an in-process worker relays.
-func (s *server) progress(id string, ev campaign.Event) {
-	if st := s.campaign(id); st != nil {
-		st.onEvent(ev)
-	}
 }
 
 // --- /v1/cluster handlers ---------------------------------------------
@@ -508,8 +463,8 @@ func leaseError(w http.ResponseWriter, err error) bool {
 }
 
 // handleClusterHeartbeat extends a lease, persisting any checkpoint
-// riding along and reflecting it in the campaign's progress. Heartbeats
-// are accepted during drain: leases already out are allowed to land.
+// riding along. Heartbeats are accepted during drain: leases already
+// out are allowed to land.
 func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
@@ -521,22 +476,25 @@ func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	if leaseError(w, s.heartbeat(id, req.Worker, req.Token, req.Checkpoint, req.Metrics)) {
 		return
 	}
-	// A remote worker relays no per-job events; its checkpoints are the
-	// campaign's progress. Only the job count matters here.
-	var progress struct {
-		Jobs []struct{} `json:"jobs"`
-	}
-	if len(req.Checkpoint) > 0 && json.Unmarshal(req.Checkpoint, &progress) == nil {
-		if st := s.campaign(id); st != nil {
-			st.mu.Lock()
-			st.done = max(st.done, len(progress.Jobs))
-			st.bumpLocked()
-			st.mu.Unlock()
-		}
-	}
 	writeJSON(w, http.StatusOK, cluster.HeartbeatResponse{
 		TTLMillis: s.cfg.leaseTTL.Milliseconds(),
 	})
+}
+
+// handleClusterProgress records one per-job event of a leased campaign
+// (204). Like heartbeats, progress is accepted during drain.
+func (s *server) handleClusterProgress(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	r.Body = http.MaxBytesReader(w, r.Body, 1<<16)
+	var req cluster.ProgressRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, codeBadRequest, "bad progress body: %v", err)
+		return
+	}
+	if leaseError(w, s.progress(id, req.Worker, req.Token, req.Event)) {
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleClusterComplete records a worker's finished campaign.
@@ -643,7 +601,7 @@ func (s *server) handleClusterUploadTrace(w http.ResponseWriter, r *http.Request
 // and a digest of its last metrics snapshot.
 func (s *server) handleGetWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"workers":      s.cl.statuses(),
+		"workers":      s.cl.statuses(s.q.LeasesByOwner()),
 		"dispatch":     s.cfg.dispatch,
 		"lease_ttl_ms": s.cfg.leaseTTL.Milliseconds(),
 	})
@@ -686,20 +644,12 @@ func (s *server) sweepLeases() {
 			}
 			for _, job := range lapsed {
 				s.cl.expired.Inc()
-				s.cl.adjust(job.LeaseOwner, func(wi *workerInfo) { wi.active-- })
-				if st := s.campaign(job.ID); st != nil {
-					st.mu.Lock()
-					st.status = "queued"
-					st.worker = ""
-					st.revoke = nil
-					st.bumpLocked()
-					st.mu.Unlock()
-				}
+				s.endRevoke(job.ID, job.LeaseToken)
 				s.logf("campaign %s: lease expired on worker %s; requeued", job.ID, job.LeaseOwner)
 				s.logTransition(job.ID, "running", "queued",
 					"reason", "lease expired", "worker", job.LeaseOwner, "attempt", job.Attempts)
 			}
-			s.cl.reap(now, reapAfterTTLs*s.cfg.leaseTTL)
+			s.cl.reap(now, reapAfterTTLs*s.cfg.leaseTTL, s.q.LeasesByOwner())
 		}
 	}
 }

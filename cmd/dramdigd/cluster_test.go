@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -503,10 +504,9 @@ func TestClusterMetricsFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.cl.adjust("w1", func(wi *workerInfo) {
-		wi.active = 0
 		wi.lastSeen = time.Now().Add(-time.Hour)
 	})
-	srv.cl.reap(time.Now(), time.Minute)
+	srv.cl.reap(time.Now(), time.Minute, srv.q.LeasesByOwner())
 	page = clusterReq(t, srv, "GET", "/v1/cluster/metrics", "").Body.String()
 	if strings.Contains(page, "fed_probe_total") {
 		t.Fatalf("reaped worker still on the federated page:\n%s", page)
@@ -784,12 +784,14 @@ func TestClusterCancelLeased(t *testing.T) {
 }
 
 // dispatchRun is what one campaign leaves behind: its report with the
-// wall-time fields removed, its queue history's event types and the
-// store records of its machines.
+// wall-time fields removed, its queue history's lifecycle event types,
+// its progress events as a sorted multiset of kind and job index, and
+// the store records of its machines.
 type dispatchRun struct {
-	report  map[string]any
-	history []string
-	records map[string]string
+	report   map[string]any
+	history  []string
+	progress []string
+	records  map[string]string
 }
 
 func collectRun(t *testing.T, srv *server, id, body string) dispatchRun {
@@ -806,8 +808,19 @@ func collectRun(t *testing.T, srv *server, id, body string) dispatchRun {
 	hist, _ := srv.q.History(id)
 	run := dispatchRun{report: rep, records: map[string]string{}}
 	for _, ev := range hist {
-		run.history = append(run.history, ev.Type)
+		if len(ev.Data) == 0 {
+			run.history = append(run.history, ev.Type)
+			continue
+		}
+		// The engine's dispatcher delivers events in completion order,
+		// which races across jobs; only the multiset is deterministic.
+		var pe campaign.Event
+		if err := json.Unmarshal(ev.Data, &pe); err != nil {
+			t.Fatalf("progress event %s: %v", ev.Data, err)
+		}
+		run.progress = append(run.progress, fmt.Sprintf("%s/%d", pe.Kind, pe.Index))
 	}
+	sort.Strings(run.progress)
 	for _, fp := range mustSpecFingerprints(t, body) {
 		rec, ok, err := srv.st.Get(fp)
 		if err != nil || !ok {
@@ -827,7 +840,7 @@ func collectRun(t *testing.T, srv *server, id, body string) dispatchRun {
 // TestDispatchModesAgree pins the single execution path: one campaign
 // run by the daemon's in-process workers and by a cluster.Worker over
 // HTTP gives the same report (apart from wall time), the same queue
-// history and the same store records.
+// history, the same progress events and the same store records.
 func TestDispatchModesAgree(t *testing.T) {
 	const body = `{"machines":[1,2],"seed":42}`
 
@@ -849,6 +862,9 @@ func TestDispatchModesAgree(t *testing.T) {
 	}
 	if fmt.Sprint(got.history) != fmt.Sprint(want.history) {
 		t.Errorf("queue histories differ: local %v, remote %v", want.history, got.history)
+	}
+	if len(want.progress) == 0 || fmt.Sprint(got.progress) != fmt.Sprint(want.progress) {
+		t.Errorf("progress events differ: local %v, remote %v", want.progress, got.progress)
 	}
 	for fp, rec := range want.records {
 		if got.records[fp] != rec {

@@ -1,9 +1,8 @@
 // Local dispatch: -max-running cluster.Workers inside the daemon, each
 // leasing through inProcess — the lease operations of cluster.go called
 // directly, with no HTTP and no JSON envelopes — over the daemon's own
-// store, registry and tracer. Leases, checkpoints, fencing and the
-// campaign-state bookkeeping are therefore the ones remote workers go
-// through.
+// store, registry and tracer. Leases, checkpoints, progress events and
+// fencing are therefore the ones remote workers go through.
 
 package main
 
@@ -76,7 +75,9 @@ func (c *inProcess) Fail(_ context.Context, id, token, msg string) error {
 	return c.s.fail(id, c.name, token, msg)
 }
 
-func (c *inProcess) Progress(id string, ev campaign.Event) { c.s.progress(id, ev) }
+func (c *inProcess) Progress(_ context.Context, id, token string, ev campaign.Event) error {
+	return c.s.progress(id, c.name, token, ev)
+}
 
 // GetOrCompute keeps the store's single-flight deduplication and its
 // store.read/store.persist spans.

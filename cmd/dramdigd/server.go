@@ -17,6 +17,16 @@
 // durable queue (-queue-dir) a restarted daemon re-enqueues interrupted
 // campaigns and resumes them from their last checkpoint, replaying
 // already-finished jobs from the result store.
+//
+// A campaign's queue job is its only state. Workers record their
+// per-job progress events in the job's history (queue.Progress), and
+// every campaign read — GET, the index, the SSE stream, the trace
+// index, spans, the timeline, cancel and the transition logs — derives
+// from queue.Get or queue.Jobs, so a campaign reads the same whichever
+// worker ran it and across restarts, for as long as the queue retains
+// it (queue.Config.KeepTerminal). Reads see a transition as soon as the
+// queue applies it, microseconds before its group commit; a crash in
+// that window re-runs the job from its checkpoint to the same report.
 
 package main
 
@@ -110,71 +120,20 @@ type server struct {
 	fpMu    sync.Mutex
 	fpCache map[string][]string
 
-	mu        sync.Mutex
-	draining  bool
-	campaigns map[string]*campaignState
-	// order tracks campaign insertion for eviction: finished campaigns
-	// past maxCampaigns are dropped oldest-first so a long-lived daemon
-	// doesn't hoard every report ever produced.
-	order []string
+	mu       sync.Mutex
+	draining bool
+	// revokes holds the revocation channel of each campaign leased to an
+	// in-process worker (see cluster.LeaseGrant.Revoked): cancelling the
+	// campaign closes it, so the worker stops at once.
+	revokes map[string]revocation
 
 	wg sync.WaitGroup // in-process workers
 }
 
-// campaignState tracks one submitted campaign.
-type campaignState struct {
-	mu     sync.Mutex
-	id     string
-	status string // "queued", "running", "done", "failed", "cancelled"
-	total  int
-	// done counts finished jobs, from the progress events of in-process
-	// workers or the checkpoints of remote ones.
-	done int
-	// specs keeps the submitted jobs so the trace endpoint can map job
-	// indices to machine fingerprints.
-	specs  []campaign.Spec
-	events []campaign.Event
-	// report is the worker's completion report (the API shape), also
-	// recovered from the queue's terminal record after a restart.
-	report json.RawMessage
-	errMsg string
-	// requestID and traceID tie the campaign back to the HTTP request
-	// that submitted it: every transition log line carries both, and the
-	// spans endpoint serves the trace's tree. They ride the queue record
-	// (see queue.Job.TraceParent), so they survive restarts too.
-	requestID string
-	traceID   string
-	// worker names the worker holding this campaign's lease, and revoke
-	// is closed when a client cancels it (see cluster.LeaseGrant.Revoked).
-	worker string
-	revoke chan struct{}
-	// changed is closed and replaced on every mutation — a broadcast
-	// the SSE event streams block on.
-	changed chan struct{}
-}
-
-func newCampaignState(id, status string, specs []campaign.Spec, total int) *campaignState {
-	if len(specs) > 0 {
-		total = len(specs)
-	}
-	return &campaignState{
-		id:      id,
-		status:  status,
-		total:   total,
-		specs:   specs,
-		changed: make(chan struct{}),
-	}
-}
-
-// terminalStatus reports whether a campaign status is final.
-func terminalStatus(status string) bool {
-	return status == "done" || status == "failed" || status == "cancelled"
-}
-
-// bumpLocked wakes every blocked event stream. Callers hold st.mu.
-func (st *campaignState) bumpLocked() {
-	close(st.changed)
-	st.changed = make(chan struct{})
+// revocation is one in-process lease's revocation channel.
+type revocation struct {
+	token string
+	ch    chan struct{}
 }
 
 func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg serverConfig) *server {
@@ -197,17 +156,17 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 		cfg.leaseTTL = defaultLeaseTTL
 	}
 	s := &server{
-		st:        st,
-		q:         q,
-		baseCtx:   baseCtx,
-		cfg:       cfg,
-		logf:      cfg.logf,
-		log:       cfg.logger,
-		reg:       cfg.registry,
-		ids:       logging.NewIDGen(),
-		campaigns: make(map[string]*campaignState),
-		fpCache:   make(map[string][]string),
-		tracer:    cfg.tracer,
+		st:      st,
+		q:       q,
+		baseCtx: baseCtx,
+		cfg:     cfg,
+		logf:    cfg.logf,
+		log:     cfg.logger,
+		reg:     cfg.registry,
+		ids:     logging.NewIDGen(),
+		revokes: make(map[string]revocation),
+		fpCache: make(map[string][]string),
+		tracer:  cfg.tracer,
 	}
 	// Every layer registers into the one registry: daemon middleware,
 	// queue WAL/backlog, store cache tiers, the cluster, and — through
@@ -216,7 +175,7 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 	s.om = newServerMetrics(s.reg)
 	s.q.RegisterMetrics(s.reg)
 	s.st.RegisterMetrics(s.reg)
-	s.cl = newClusterState(s.reg)
+	s.cl = newClusterState(s.reg, s.q)
 	if tr := s.tracer; tr != nil {
 		s.reg.CounterFunc("dramdig_trace_spans_started_total",
 			"Spans opened by the tracer.", nil,
@@ -249,6 +208,7 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 	// checkpoints, report outcomes and upload artifacts.
 	s.mux.HandleFunc("POST /v1/cluster/lease", s.handleClusterLease)
 	s.mux.HandleFunc("POST /v1/cluster/jobs/{id}/heartbeat", s.handleClusterHeartbeat)
+	s.mux.HandleFunc("POST /v1/cluster/jobs/{id}/progress", s.handleClusterProgress)
 	s.mux.HandleFunc("POST /v1/cluster/jobs/{id}/complete", s.handleClusterComplete)
 	s.mux.HandleFunc("POST /v1/cluster/jobs/{id}/fail", s.handleClusterFail)
 	s.mux.HandleFunc("PUT /v1/cluster/results/{fingerprint}", s.handleClusterUploadResult)
@@ -263,7 +223,6 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 
 	s.handler = s.observe(s.mux)
 
-	s.recoverFromQueue()
 	if cfg.dispatch != "remote" {
 		s.startWorkers()
 	}
@@ -295,7 +254,7 @@ func (s *server) referencedFingerprints() map[string]bool {
 		live[job.ID] = true
 		fps, ok := s.fpCache[job.ID]
 		if !ok {
-			specList, _ := s.specsFromPayload(job.Payload)
+			specList := specsOf(job.Payload)
 			fps = make([]string, 0, len(specList))
 			for _, spec := range specList {
 				fps = append(fps, spec.MachineFingerprint())
@@ -316,44 +275,32 @@ func (s *server) referencedFingerprints() map[string]bool {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// maxCampaigns bounds retained campaign states (running ones never count
-// against the bound — they are skipped by eviction). maxCampaignJobs
-// bounds one request's job count and maxRunning is the default number
-// of in-process workers; both keep a hostile client from
-// pinning the daemon's memory or cores with cheap POSTs. The Retry-After
-// hint on 429/503 rejections derives from the live queue depth (see
-// retryAfterSecondsHint in observe.go).
+// maxCampaignJobs bounds one request's job count and maxRunning is the
+// default number of in-process workers; both keep a hostile client from
+// pinning the daemon's memory or cores with cheap POSTs. Retained
+// campaigns are bounded by the queue (queue.Config.KeepTerminal). The
+// Retry-After hint on 429/503 rejections derives from the live queue
+// depth (see retryAfterSecondsHint in observe.go).
 const (
-	maxCampaigns    = 64
 	maxCampaignJobs = cluster.MaxCampaignJobs
 	maxRunning      = 8
 )
 
-// campaign returns the campaign's state, nil when not retained.
-func (s *server) campaign(id string) *campaignState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.campaigns[id]
-}
-
 // logTransition emits the structured log line for a campaign state
 // transition — one line per transition, with the campaign ID on every
 // line so transitions correlate across the daemon's lifetime. The
-// originating request's ID and trace ID ride along from the campaign
-// state (which carries them across restarts via the queue record), so
-// transition lines correlate with the request log and span tree without
-// the caller threading them through. Callers must not hold s.mu or the
-// campaign's st.mu.
+// originating request's ID and trace ID ride along from the campaign's
+// queue job (which carries them across restarts), so transition lines
+// correlate with the request log and span tree without the caller
+// threading them through.
 func (s *server) logTransition(id, from, to string, attrs ...any) {
-	if st := s.campaign(id); st != nil {
-		st.mu.Lock()
-		if st.requestID != "" {
-			attrs = append(attrs, "request_id", st.requestID)
+	if job, ok := s.q.Get(id); ok {
+		if job.RequestID != "" {
+			attrs = append(attrs, "request_id", job.RequestID)
 		}
-		if st.traceID != "" {
-			attrs = append(attrs, "trace_id", st.traceID)
+		if tid := traceIDOf(job.TraceParent); tid != "" {
+			attrs = append(attrs, "trace_id", tid)
 		}
-		st.mu.Unlock()
 	}
 	s.log.Info("campaign transition",
 		append([]any{"campaign", id, "from", from, "to", to}, attrs...)...)
@@ -362,33 +309,8 @@ func (s *server) logTransition(id, from, to string, attrs ...any) {
 // drain blocks until every in-process worker has stopped; call after
 // cancelling the base context. The campaigns they abandoned stay in
 // flight in the queue — with their checkpoints — for the next boot to
-// resume; this process reports them failed.
-func (s *server) drain() {
-	s.wg.Wait()
-	if s.baseCtx.Err() == nil {
-		return
-	}
-	errMsg := s.baseCtx.Err().Error()
-	s.mu.Lock()
-	states := make([]*campaignState, 0, len(s.campaigns))
-	for _, st := range s.campaigns {
-		states = append(states, st)
-	}
-	s.mu.Unlock()
-	for _, st := range states {
-		st.mu.Lock()
-		abandoned := st.status == "running" && s.cl.inProcess(st.worker)
-		if abandoned {
-			st.status, st.errMsg = "failed", errMsg
-			st.bumpLocked()
-		}
-		st.mu.Unlock()
-		if abandoned {
-			s.logf("campaign %s: failed: %s", st.id, errMsg)
-			s.logTransition(st.id, "running", "failed", "err", errMsg)
-		}
-	}
-}
+// resume, and read "running" until then.
+func (s *server) drain() { s.wg.Wait() }
 
 // beginDrain flips the daemon into shutdown mode: new campaign
 // submissions are refused with 503 + Retry-After instead of accepting
@@ -407,54 +329,44 @@ func (s *server) beginDrain() {
 // shapes) so every worker deserializes it identically.
 type campaignPayload = cluster.Payload
 
-// recoverFromQueue rebuilds campaign states for every job the queue
-// retained across a restart: pending jobs (including re-enqueued
-// interrupted ones) appear as "queued" and are leased by the next
-// worker; terminal jobs keep answering GET with their recorded
-// outcome.
-func (s *server) recoverFromQueue() {
-	for _, job := range s.q.Jobs() {
-		st := s.stateFromJob(job)
-		if st == nil {
-			continue
-		}
-		s.campaigns[job.ID] = st
-		s.order = append(s.order, job.ID)
-		if job.Recovered {
-			s.logf("campaign %s: recovered from queue (attempt %d)", job.ID, job.Attempts+1)
-		}
+// campaignStatus maps a queue state onto the campaign status the API
+// reports.
+func campaignStatus(st queue.State) string {
+	switch {
+	case st == queue.StateSubmitted:
+		return "queued"
+	case st.InFlight():
+		return "running"
 	}
+	return string(st)
 }
 
-// stateFromJob rebuilds a campaign's in-memory state from its queue
-// record — used at boot recovery and when an idempotent replay hits a
-// job whose state was evicted. Returns nil for in-flight states, which
-// always have a live state already.
-func (s *server) stateFromJob(job queue.Job) *campaignState {
-	var status string
-	switch job.State {
-	case queue.StateSubmitted:
-		status = "queued"
-	case queue.StateDone:
-		status = "done"
-	case queue.StateFailed:
-		status = "failed"
-	case queue.StateCancelled:
-		status = "cancelled"
-	default:
-		return nil
+// campaignProgress derives a campaign's job count from its payload and
+// its finished-job count from its history: the current attempt's
+// job_finished and job_failed events, or every job once it is done.
+func campaignProgress(job queue.Job) (total, done int) {
+	total = len(specsOf(job.Payload))
+	if job.State == queue.StateDone {
+		return total, total
 	}
-	specList, total := s.specsFromPayload(job.Payload)
-	st := newCampaignState(job.ID, status, specList, total)
-	st.requestID = job.RequestID
-	st.traceID = traceIDOf(job.TraceParent)
-	st.report = job.Result
-	st.errMsg = job.Error
-	if status == "done" {
-		// done/total mirror the job count for finished work.
-		st.done = st.total
+	for _, ev := range job.History {
+		if ev.Attempt == job.Attempts && (ev.Type == string(campaign.EventJobFinished) || ev.Type == string(campaign.EventJobFailed)) {
+			done++
+		}
 	}
-	return st
+	return total, done
+}
+
+// campaignEvents returns the progress events in a campaign's history,
+// earlier attempts' included, in the order they were recorded.
+func campaignEvents(job queue.Job) []json.RawMessage {
+	var out []json.RawMessage
+	for _, ev := range job.History {
+		if len(ev.Data) > 0 {
+			out = append(out, ev.Data)
+		}
+	}
+	return out
 }
 
 // traceIDOf extracts the 32-hex trace ID from a persisted traceparent
@@ -467,18 +379,18 @@ func traceIDOf(traceParent string) string {
 	return sc.TraceID.String()
 }
 
-// specsFromPayload rebuilds a queued campaign's specs; on any error it
-// returns no specs (the worker fails the job cleanly when it leases it).
-func (s *server) specsFromPayload(payload json.RawMessage) ([]campaign.Spec, int) {
+// specsOf rebuilds a queued campaign's specs; on any error it returns
+// no specs (the worker fails the job cleanly when it leases it).
+func specsOf(payload json.RawMessage) []campaign.Spec {
 	var p campaignPayload
 	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, 0
+		return nil
 	}
 	specList, err := cluster.BuildSpecs(p.Request, p.Seed)
 	if err != nil {
-		return nil, 0
+		return nil
 	}
-	return specList, len(specList)
+	return specList
 }
 
 // --- request/response shapes -----------------------------------------
@@ -557,39 +469,9 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	status := "queued"
 	if dup {
 		// The original submission's campaign answers for the duplicate.
-		// Its in-memory state may have been evicted while the queue still
-		// retains the job — rebuild it so the returned URL resolves.
 		w.Header().Set("Idempotency-Replayed", "true")
-		s.mu.Lock()
-		st := s.campaigns[job.ID]
-		if st == nil {
-			st = s.stateFromJob(job)
-			if st != nil {
-				s.campaigns[job.ID] = st
-				s.order = append(s.order, job.ID)
-			}
-		}
-		s.mu.Unlock()
-		if st != nil {
-			st.mu.Lock()
-			status = st.status
-			st.mu.Unlock()
-		}
+		status = campaignStatus(job.State)
 	} else {
-		// A worker races this insert: Submit already woke it, and its
-		// lease may have created (and advanced) the state first. Never
-		// overwrite an existing state — that would orphan the one the
-		// running campaign updates.
-		s.mu.Lock()
-		if s.campaigns[job.ID] == nil {
-			ns := newCampaignState(job.ID, "queued", specList, len(specList))
-			ns.requestID = opts.RequestID
-			ns.traceID = traceIDOf(opts.TraceParent)
-			s.campaigns[job.ID] = ns
-			s.order = append(s.order, job.ID)
-			s.evictLocked()
-		}
-		s.mu.Unlock()
 		s.logf("campaign %s: queued %d jobs (priority %d)", job.ID, len(specList), job.Priority)
 		s.logTransition(job.ID, "", "queued", "jobs", len(specList), "priority", job.Priority)
 	}
@@ -611,21 +493,19 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 // says "cancelling" (202) while the work unwinds.
 func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := s.campaign(id)
-	if st == nil {
+	job, ok := s.q.Get(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
-	st.mu.Lock()
-	status := st.status
-	st.mu.Unlock()
-	if terminalStatus(status) {
-		httpError(w, http.StatusConflict, codeConflict, "campaign %s already %s", id, status)
+	if job.State.Terminal() {
+		httpError(w, http.StatusConflict, codeConflict, "campaign %s already %s", id, job.State)
 		return
 	}
 
 	const msg = "cancelled by client"
-	if _, err := s.q.Cancel(id, msg); err != nil {
+	job, err := s.q.Cancel(id, msg)
+	if err != nil {
 		if errors.Is(err, queue.ErrBadState) {
 			// The campaign finished since we read its status.
 			httpError(w, http.StatusConflict, codeConflict, "campaign %s already finished", id)
@@ -634,23 +514,36 @@ func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, codeInternal, "%v", err)
 		return
 	}
-	st.mu.Lock()
-	from, holder, revoke := st.status, st.worker, st.revoke
-	st.status, st.errMsg, st.revoke = "cancelled", msg, nil
-	st.bumpLocked()
-	st.mu.Unlock()
-	s.logTransition(id, from, "cancelled")
-	if from != "running" {
+	// The cancellation event names the worker whose lease died with it.
+	holder := job.History[len(job.History)-1].Worker
+	if holder == "" {
 		s.logf("campaign %s: cancelled while queued", id)
+		s.logTransition(id, "queued", "cancelled")
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
 		return
 	}
-	if revoke != nil {
-		close(revoke)
+	if ch := s.endRevoke(id, ""); ch != nil {
+		close(ch)
 	}
-	s.cl.adjust(holder, func(wi *workerInfo) { wi.active-- })
 	s.logf("campaign %s: cancelled while leased to %s", id, holder)
+	s.logTransition(id, "running", "cancelled")
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
+}
+
+// endRevoke forgets a campaign's in-process revocation and returns its
+// channel (nil when none is registered). An empty token matches any
+// lease — a cancel kills whichever is current; otherwise only the lease
+// the channel was registered for, so a stale caller never ends its
+// successor's.
+func (s *server) endRevoke(id, token string) chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rv, ok := s.revokes[id]
+	if !ok || (token != "" && rv.token != token) {
+		return nil
+	}
+	delete(s.revokes, id)
+	return rv.ch
 }
 
 // handleGetQueue reports queue health: backlog depth, running (leased)
@@ -729,16 +622,8 @@ func (s *server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	states := make([]*campaignState, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- { // newest first
-		if st := s.campaigns[s.order[i]]; st != nil {
-			states = append(states, st)
-		}
-	}
-	s.mu.Unlock()
-
-	total := len(states)
+	jobs := s.q.Jobs()
+	total := len(jobs)
 	if offset > total {
 		offset = total
 	}
@@ -747,13 +632,13 @@ func (s *server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 		end = total
 	}
 	page := make([]campaignSummary, 0, end-offset)
-	for _, st := range states[offset:end] {
-		st.mu.Lock()
+	for i := offset; i < end; i++ {
+		job := jobs[total-1-i] // newest first
+		jobsTotal, done := campaignProgress(job)
 		page = append(page, campaignSummary{
-			ID: st.id, Status: st.status, Total: st.total, Done: st.done,
-			URL: "/v1/campaigns/" + st.id,
+			ID: job.ID, Status: campaignStatus(job.State), Total: jobsTotal, Done: done,
+			URL: "/v1/campaigns/" + job.ID,
 		})
-		st.mu.Unlock()
 	}
 	resp := map[string]any{
 		"campaigns": page,
@@ -769,13 +654,14 @@ func (s *server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 
 // handleCampaignEvents streams a campaign's progress as Server-Sent
 // Events: every recorded event is sent (event: <kind>, data: JSON),
-// then live events as they arrive, then a final "done" event carrying
-// the terminal status. The stream ends when the campaign finishes, the
-// client disconnects, or the daemon shuts down.
+// then live events as the queue applies them, then a final "done" event
+// carrying the terminal status. The stream ends when the campaign
+// finishes, the client disconnects, or the daemon shuts down.
 func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := s.campaign(id)
-	if st == nil {
+	changed := s.q.Changed()
+	job, ok := s.q.Get(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -793,36 +679,30 @@ func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 	s.om.sseSubs.Inc()
 	defer s.om.sseSubs.Dec()
 
-	sent := 0
+	var sent uint64 // Seq of the last event written
 	for {
-		st.mu.Lock()
-		pending := append([]campaign.Event(nil), st.events[sent:]...)
-		sent += len(pending)
-		status := st.status
-		done, total := st.done, st.total
-		errMsg := st.errMsg
-		changed := st.changed
-		st.mu.Unlock()
-
-		for _, ev := range pending {
-			data, err := json.Marshal(ev)
-			if err != nil {
+		wrote := false
+		for _, ev := range job.History {
+			if len(ev.Data) == 0 || ev.Seq <= sent {
 				continue
 			}
-			if _, werr := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Kind, data); werr != nil {
+			sent = ev.Seq
+			wrote = true
+			if _, werr := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, ev.Data); werr != nil {
 				// The subscriber's connection is gone; every remaining
 				// event for this stream is undeliverable.
 				s.om.sseDropped.Inc()
 				return
 			}
 		}
-		if len(pending) > 0 {
+		if wrote {
 			fl.Flush()
 		}
-		if terminalStatus(status) {
-			final := map[string]any{"status": status, "done": done, "total": total}
-			if errMsg != "" {
-				final["err"] = errMsg
+		if job.State.Terminal() {
+			total, done := campaignProgress(job)
+			final := map[string]any{"status": campaignStatus(job.State), "done": done, "total": total}
+			if job.Error != "" {
+				final["err"] = job.Error
 			}
 			data, _ := json.Marshal(final)
 			fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
@@ -840,50 +720,11 @@ func (s *server) handleCampaignEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()
 		}
-	}
-}
-
-// evictLocked drops the oldest finished campaigns once the retained
-// count exceeds maxCampaigns. Callers hold s.mu.
-func (s *server) evictLocked() {
-	over := len(s.campaigns) - maxCampaigns
-	if over <= 0 {
-		return
-	}
-	var kept []string
-	for _, id := range s.order {
-		st := s.campaigns[id]
-		if st == nil {
-			continue
+		changed = s.q.Changed()
+		if job, ok = s.q.Get(id); !ok {
+			return // evicted from the queue mid-stream
 		}
-		evictable := false
-		if over > 0 {
-			st.mu.Lock()
-			// Only terminal states may go: evicting a queued state would
-			// orphan a backlogged job — unreachable by GET/DELETE while
-			// a worker may still lease it.
-			evictable = terminalStatus(st.status)
-			st.mu.Unlock()
-		}
-		if evictable {
-			delete(s.campaigns, id)
-			over--
-			continue
-		}
-		kept = append(kept, id)
 	}
-	s.order = kept
-}
-
-// onEvent records one progress event from the campaign's worker.
-func (st *campaignState) onEvent(ev campaign.Event) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.events = append(st.events, ev)
-	if ev.Kind == campaign.EventJobFinished || ev.Kind == campaign.EventJobFailed {
-		st.done++
-	}
-	st.bumpLocked()
 }
 
 // campaignTraceJSON is one row of the campaign trace index.
@@ -901,14 +742,12 @@ type campaignTraceJSON struct {
 // their trace availability; with ?job=N it streams job N's binary trace.
 func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := s.campaign(id)
-	if st == nil {
+	job, ok := s.q.Get(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
-	st.mu.Lock()
-	specs := st.specs
-	st.mu.Unlock()
+	specs := specsOf(job.Payload)
 
 	if jobStr := r.URL.Query().Get("job"); jobStr != "" {
 		job, err := strconv.Atoi(jobStr)
@@ -967,26 +806,25 @@ func (s *server) serveTrace(w http.ResponseWriter, fp string) {
 
 func (s *server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := s.campaign(id)
-	if st == nil {
+	job, ok := s.q.Get(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
-	st.mu.Lock()
+	total, done := campaignProgress(job)
 	resp := map[string]any{
-		"id":     st.id,
-		"status": st.status,
-		"total":  st.total,
-		"done":   st.done,
-		"events": append([]campaign.Event(nil), st.events...),
+		"id":     job.ID,
+		"status": campaignStatus(job.State),
+		"total":  total,
+		"done":   done,
+		"events": campaignEvents(job),
 	}
-	if len(st.report) > 0 {
-		resp["report"] = st.report
+	if len(job.Result) > 0 {
+		resp["report"] = job.Result
 	}
-	if st.errMsg != "" {
-		resp["err"] = st.errMsg
+	if job.Error != "" {
+		resp["err"] = job.Error
 	}
-	st.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1042,14 +880,11 @@ func etagMatch(header, etag string) bool {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	n := len(s.campaigns)
-	s.mu.Unlock()
 	qs := s.q.StatsSnapshot()
 	ss := s.st.StatsSnapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
-		"campaigns": n,
+		"campaigns": qs.Pending + qs.Running + qs.Done + qs.Failed + qs.Cancelled,
 		// Top-level probe fields; the full snapshots nest below.
 		"queue_depth":   qs.Pending,
 		"cache_entries": ss.Entries,

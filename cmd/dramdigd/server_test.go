@@ -92,6 +92,11 @@ func doJSON(t *testing.T, srv http.Handler, method, path, body string) (int, map
 	return w.Code, m
 }
 
+// terminalStatus reports whether a campaign status is final.
+func terminalStatus(status string) bool {
+	return status == "done" || status == "failed" || status == "cancelled"
+}
+
 // waitDone polls the campaign endpoint until it reaches a terminal
 // status (queued and running are both transient now).
 func waitDone(t *testing.T, srv http.Handler, id string) map[string]any {
@@ -255,9 +260,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonShutdownCancelsCampaigns: cancelling the base context fails
+// TestDaemonShutdownCancelsCampaigns: cancelling the base context stops
 // in-flight jobs and drain() returns — while the queue keeps the job in
-// flight for the next boot instead of marking it failed.
+// flight for the next boot instead of marking it failed, so the
+// campaign still reads "running".
 func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 	st, err := store.Open(store.Config{})
 	if err != nil {
@@ -291,8 +297,8 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 	}
 	id := m["id"].(string)
 	final := doJSONmap(t, srv, "GET", "/v1/campaigns/"+id)
-	if final["status"] != "failed" {
-		t.Errorf("cancelled campaign status %v, want failed", final["status"])
+	if final["status"] != "running" {
+		t.Errorf("abandoned campaign status %v, want running", final["status"])
 	}
 	// The queue deliberately still counts the job as in flight — that is
 	// the record recovery resumes from at the next boot.
@@ -311,14 +317,16 @@ func doJSONmap(t *testing.T, srv http.Handler, method, path string) map[string]a
 }
 
 // TestDaemonCampaignEviction: a long-lived daemon caps retained finished
-// campaigns at maxCampaigns, oldest first, and keeps serving the newest.
+// campaigns at the queue's KeepTerminal, oldest first, and keeps serving
+// the newest.
 func TestDaemonCampaignEviction(t *testing.T) {
-	srv := newTestServer(t)
+	const keep = 16
+	srv := newTestServerWith(t, queue.Config{KeepTerminal: keep}, serverConfig{})
 	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
 	})
 	var lastID string
-	for i := 0; i < maxCampaigns+10; i++ {
+	for i := 0; i < keep+10; i++ {
 		code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`)
 		if code != http.StatusAccepted {
 			t.Fatalf("POST %d: %d %v", i, code, m)
@@ -326,11 +334,11 @@ func TestDaemonCampaignEviction(t *testing.T) {
 		lastID = m["id"].(string)
 		waitDone(t, srv, lastID)
 	}
-	srv.mu.Lock()
-	n := len(srv.campaigns)
-	srv.mu.Unlock()
-	if n > maxCampaigns+1 {
-		t.Errorf("%d campaigns retained, want <= %d", n, maxCampaigns+1)
+	if n := len(srv.q.Jobs()); n > keep {
+		t.Errorf("%d campaigns retained, want <= %d", n, keep)
+	}
+	if _, m := doJSON(t, srv, "GET", "/v1/campaigns?limit=100", ""); m["total"] != float64(keep) {
+		t.Errorf("campaign index lists %v campaigns, want %d", m["total"], keep)
 	}
 	if code, _ := doJSON(t, srv, "GET", "/v1/campaigns/"+lastID, ""); code != http.StatusOK {
 		t.Errorf("newest campaign evicted")

@@ -20,8 +20,8 @@ import (
 // so clients can tell "no spans yet" from "never any spans".
 func (s *server) handleGetCampaignSpans(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := s.campaign(id)
-	if st == nil {
+	job, ok := s.q.Get(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -30,9 +30,7 @@ func (s *server) handleGetCampaignSpans(w http.ResponseWriter, r *http.Request) 
 			"tracing is disabled (-trace-spans 0)")
 		return
 	}
-	st.mu.Lock()
-	traceID := st.traceID
-	st.mu.Unlock()
+	traceID := traceIDOf(job.TraceParent)
 	if traceID == "" {
 		// Pre-tracing queue records (an upgrade with jobs in the WAL)
 		// have no trace context; answer an empty tree, not an error.

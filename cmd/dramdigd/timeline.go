@@ -70,8 +70,8 @@ func spanWorker(sp *obs.SpanData, byID map[obs.SpanID]*obs.SpanData, memo map[ob
 // campaign endpoints.
 func (s *server) handleGetCampaignTimeline(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st := s.campaign(id)
-	if st == nil {
+	job, ok := s.q.Get(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
@@ -87,8 +87,7 @@ func (s *server) handleGetCampaignTimeline(w http.ResponseWriter, r *http.Reques
 	}
 
 	var events []timelineEvent
-	history, _ := s.q.History(id)
-	for _, ev := range history {
+	for _, ev := range job.History {
 		events = append(events, timelineEvent{
 			AtUnixNano: ev.AtUnixNano,
 			Source:     "queue",
@@ -99,9 +98,7 @@ func (s *server) handleGetCampaignTimeline(w http.ResponseWriter, r *http.Reques
 		})
 	}
 
-	st.mu.Lock()
-	traceID := st.traceID
-	st.mu.Unlock()
+	traceID := traceIDOf(job.TraceParent)
 	if s.tracer != nil && traceID != "" {
 		if tid, err := obs.ParseTraceID(traceID); err == nil {
 			spans := s.tracer.TraceSpans(tid)

@@ -19,6 +19,7 @@ import (
 
 	"dramdig/internal/campaign"
 	"dramdig/internal/queue"
+	"dramdig/internal/store"
 )
 
 // stubRunner makes every campaign finish instantly with per-job events.
@@ -533,5 +534,136 @@ func TestV1Draining(t *testing.T) {
 	}
 	if code, qm := doJSON(t, srv, "GET", "/v1/queue", ""); code != http.StatusOK || qm["draining"] != true {
 		t.Errorf("GET /v1/queue during drain: %d %v", code, qm)
+	}
+}
+
+// replayEvents reads the SSE stream of a finished campaign to its end
+// and returns each event as "name data".
+func replayEvents(t *testing.T, url, id string) []string {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/campaigns/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events stream of %s: %d", id, resp.StatusCode)
+	}
+	var out []string
+	var name string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			name = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			out = append(out, name+" "+strings.TrimPrefix(line, "data: "))
+		}
+	}
+	return out
+}
+
+// TestV1EventsRemoteDispatch: a campaign run by a remote cluster.Worker
+// records its per-job events like a local one. GET lists them, and the
+// SSE stream replays job_started before job_finished for every job, then
+// done — clients cannot tell which dispatch mode served them.
+func TestV1EventsRemoteDispatch(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	startWorker(t, ts.URL, "solo", 2)
+
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1,4]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: %d %v", code, m)
+	}
+	id := m["id"].(string)
+	final := waitDone(t, srv, id)
+	if final["status"] != "done" {
+		t.Fatalf("remote campaign: %v", final)
+	}
+	if events, _ := final["events"].([]any); len(events) != 4 {
+		t.Fatalf("GET lists %d events, want 4: %v", len(events), final["events"])
+	}
+
+	replay := replayEvents(t, ts.URL, id)
+	if len(replay) != 5 || !strings.HasPrefix(replay[4], "done ") {
+		t.Fatalf("SSE replay %v, want 4 job events then done", replay)
+	}
+	started := map[float64]bool{}
+	finished := map[float64]bool{}
+	for _, line := range replay[:4] {
+		name, data, _ := strings.Cut(line, " ")
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("event %q: %v", line, err)
+		}
+		idx, _ := ev["index"].(float64)
+		switch name {
+		case string(campaign.EventJobStarted):
+			started[idx] = true
+		case string(campaign.EventJobFinished):
+			if !started[idx] {
+				t.Fatalf("job %v finished before it started: %v", idx, replay)
+			}
+			finished[idx] = true
+		default:
+			t.Fatalf("unexpected event %q", line)
+		}
+	}
+	if len(started) != 2 || len(finished) != 2 {
+		t.Fatalf("SSE replay %v, want each of 2 jobs started and finished", replay)
+	}
+}
+
+// TestV1EventsSurviveRestart: a finished campaign's events outlive the
+// daemon that ran it. After a restart over the same queue directory,
+// GET and the SSE replay serve exactly the events they served before.
+func TestV1EventsSurviveRestart(t *testing.T) {
+	queueDir := t.TempDir()
+	boot := func() (*server, *queue.Queue, context.CancelFunc) {
+		st, err := store.Open(store.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := queue.Open(queue.Config{Dir: queueDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		return newServer(ctx, st, q, serverConfig{workers: 2, retries: 1, logf: testLogf(t)}), q, cancel
+	}
+
+	srv1, q1, cancel1 := boot()
+	stubRunner(t, srv1)
+	code, m := doJSON(t, srv1, "POST", "/v1/campaigns", `{"machines":[1,2]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: %d %v", code, m)
+	}
+	id := m["id"].(string)
+	before := waitDone(t, srv1, id)
+	ts1 := httptest.NewServer(srv1)
+	replayBefore := replayEvents(t, ts1.URL, id)
+	ts1.Close()
+	cancel1()
+	srv1.drain()
+	if err := q1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, q2, cancel2 := boot()
+	t.Cleanup(func() { cancel2(); q2.Close() })
+	after := doJSONmap(t, srv2, "GET", "/v1/campaigns/"+id)
+	wantEvents, _ := json.Marshal(before["events"])
+	gotEvents, _ := json.Marshal(after["events"])
+	if n, _ := before["events"].([]any); len(n) != 4 || string(gotEvents) != string(wantEvents) {
+		t.Fatalf("events across restart:\nbefore %s\nafter  %s", wantEvents, gotEvents)
+	}
+	ts2 := httptest.NewServer(srv2)
+	t.Cleanup(ts2.Close)
+	replayAfter := replayEvents(t, ts2.URL, id)
+	if fmt.Sprint(replayAfter) != fmt.Sprint(replayBefore) {
+		t.Fatalf("SSE replay across restart:\nbefore %v\nafter  %v", replayBefore, replayAfter)
 	}
 }

@@ -183,9 +183,13 @@ func (c *Client) Fail(ctx context.Context, id, token, msg string) error {
 	return err
 }
 
-// Progress drops per-job events: a remote coordinator follows a
-// campaign's progress through the checkpoints its heartbeats carry.
-func (c *Client) Progress(string, campaign.Event) {}
+// Progress records one per-job event of the leased campaign.
+func (c *Client) Progress(ctx context.Context, id, token string, ev campaign.Event) error {
+	_, err := c.do(ctx, http.MethodPost, "/v1/cluster/jobs/"+id+"/progress",
+		ProgressRequest{Worker: c.worker, Token: token, Event: ev}, nil,
+		http.StatusNoContent)
+	return err
+}
 
 // GetOrCompute reads fp's result from the coordinator's store or, on a
 // miss, computes it and uploads it before returning — a job's result

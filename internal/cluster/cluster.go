@@ -8,10 +8,11 @@
 // own in-process workers (-dispatch local) make the same calls
 // directly, with no HTTP and no JSON envelopes on the path.
 //
-// The protocol is four POSTs plus two PUTs:
+// The protocol is five POSTs plus two PUTs:
 //
 //	POST /v1/cluster/lease                   lease the next pending job (204: nothing pending)
 //	POST /v1/cluster/jobs/{id}/heartbeat     extend the lease, optionally shipping a checkpoint
+//	POST /v1/cluster/jobs/{id}/progress      record one per-job event in the job's queue history
 //	POST /v1/cluster/jobs/{id}/complete      finish: report + the worker's finished spans
 //	POST /v1/cluster/jobs/{id}/fail          fail with a message
 //	PUT  /v1/cluster/results/{fingerprint}   upload one store record (content-addressed)
@@ -37,6 +38,7 @@ package cluster
 import (
 	"encoding/json"
 
+	"dramdig/internal/campaign"
 	"dramdig/internal/obs"
 )
 
@@ -90,6 +92,15 @@ type HeartbeatRequest struct {
 	// on the heartbeat so fleet telemetry needs no extra connection.
 	// Optional: coordinators ignore its absence, old workers never send it.
 	Metrics json.RawMessage `json:"metrics,omitempty"`
+}
+
+// ProgressRequest is the POST .../progress body: one per-job event of a
+// leased campaign, which the coordinator records in the job's history —
+// the one history every campaign read and event stream is served from.
+type ProgressRequest struct {
+	Worker string         `json:"worker"`
+	Token  string         `json:"token"`
+	Event  campaign.Event `json:"event"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat with the renewed TTL.

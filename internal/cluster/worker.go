@@ -50,8 +50,9 @@ type Coordinator interface {
 	// Complete and Fail end a lease with the campaign's outcome.
 	Complete(ctx context.Context, id, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error
 	Fail(ctx context.Context, id, token, msg string) error
-	// Progress relays one per-job event of a leased campaign.
-	Progress(id string, ev campaign.Event)
+	// Progress records one per-job event of a leased campaign in the
+	// job's queue history.
+	Progress(ctx context.Context, id, token string, ev campaign.Event) error
 	// GetOrCompute returns fp's stored result, or runs compute and
 	// stores what it returns.
 	GetOrCompute(ctx context.Context, fp string, compute func() (*store.Record, error)) (*store.Record, error)
@@ -292,7 +293,7 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 		Workers:      p.Request.Workers,
 		Retries:      w.cfg.Retries,
 		Seed:         p.Seed,
-		OnEvent:      func(ev campaign.Event) { w.coord.Progress(g.ID, ev) },
+		OnEvent:      l.progress,
 		Wrap:         w.wrap,
 		Restore:      w.restore,
 		OnCheckpoint: l.checkpoint,
@@ -410,6 +411,19 @@ func (l *lease) beat(cp json.RawMessage) {
 		l.lose()
 	case l.ctx.Err() == nil:
 		l.w.log.Warn("heartbeat failed", "campaign", l.g.ID, "err", err)
+	}
+}
+
+// progress records one per-job event; a lease_lost answer stops the
+// campaign, as it does for a heartbeat.
+func (l *lease) progress(ev campaign.Event) {
+	err := l.w.coord.Progress(l.ctx, l.g.ID, l.g.Token, ev)
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrLeaseLost):
+		l.lose()
+	case l.ctx.Err() == nil:
+		l.w.log.Warn("progress event not recorded", "campaign", l.g.ID, "event", ev.Kind, "err", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -80,4 +81,67 @@ func BenchmarkRecover(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+// BenchmarkCompact measures one snapshot compaction of 256 retained
+// jobs shaped like a served five-machine campaign: five checkpoints and
+// ten progress events in the history, and a report of about 1.7 KB.
+func BenchmarkCompact(b *testing.B) {
+	const jobs, machines = 256, 5
+	// Built in memory, where nothing fsyncs, then compacted into a
+	// directory: the snapshot is the same as a durable queue's.
+	q, err := Open(Config{Capacity: jobs, KeepTerminal: jobs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := `{"name":"No.%d","machine_fingerprint":"%064d","mapping_fingerprint":"%064d","ok":true,"match":true,"cached":true,"attempts":0,"sim_s":8.6453,"measurements":19240,"wall_s":0.00012}`
+	report := `{"total":5,"succeeded":5,"failed":0,"cached":5,"resumed":0,"wall_s":0.0021,"jobs":[`
+	for m := 0; m < machines; m++ {
+		if m > 0 {
+			report += ","
+		}
+		report += fmt.Sprintf(row, m+1, m, m)
+	}
+	report += `]}`
+	for i := 0; i < jobs; i++ {
+		if _, _, err := q.Submit(benchPayload, SubmitOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		l, _, err := q.Lease("local-1", time.Hour, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cp := `{"seed":42,"jobs":[`
+		for m := 0; m < machines; m++ {
+			ev := fmt.Sprintf(`{"kind":"job_started","job":"No.%d","index":%d,"attempt":0}`, m+1, m)
+			if err := q.Progress(l.ID, "local-1", l.LeaseToken, "job_started", json.RawMessage(ev)); err != nil {
+				b.Fatal(err)
+			}
+			if m > 0 {
+				cp += ","
+			}
+			cp += fmt.Sprintf(`{"index":%d,"name":"No.%d","machine_fingerprint":"%064d","tool_seed":%d,"match":true,"sim_s":8.6453,"mapping_fingerprint":"%064d"}`, m, m+1, m, 42+m*7919, m)
+			if _, err := q.Heartbeat(l.ID, "local-1", l.LeaseToken, time.Hour, json.RawMessage(cp+`]}`)); err != nil {
+				b.Fatal(err)
+			}
+			ev = fmt.Sprintf(`{"kind":"job_finished","job":"No.%d","index":%d,"attempt":0,"match":true,"cached":true,"sim_s":8.6453}`, m+1, m)
+			if err := q.Progress(l.ID, "local-1", l.LeaseToken, "job_finished", json.RawMessage(ev)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := q.CompleteLease(l.ID, "local-1", l.LeaseToken, json.RawMessage(report)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	q.cfg.Dir = b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.mu.Lock()
+		err := q.compactLocked()
+		q.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -129,7 +129,9 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 // TestLeaseStaleComplete: the fencing scenario — worker 1's lease
 // expires, the job is requeued and re-leased to worker 2; worker 1's
 // late completion must be rejected and worker 2's must land, exactly
-// once, with checkpoint and attempt count carried over.
+// once, with checkpoint and attempt count carried over. The lease lapses
+// through a sweep dated past its deadline, not a sleep: a durable
+// lease's own fsync can outlast any short TTL.
 func TestLeaseStaleComplete(t *testing.T) {
 	q, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
@@ -138,15 +140,14 @@ func TestLeaseStaleComplete(t *testing.T) {
 	defer q.Close()
 	submitN(t, q, 1)
 
-	j1, ok, err := q.Lease("w1", time.Millisecond, nil)
+	j1, ok, err := q.Lease("w1", time.Minute, nil)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	if _, err := q.Heartbeat(j1.ID, "w1", j1.LeaseToken, time.Millisecond, json.RawMessage(`{"done":2}`)); err != nil {
+	if _, err := q.Heartbeat(j1.ID, "w1", j1.LeaseToken, time.Minute, json.RawMessage(`{"done":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	if _, err := q.ExpireLeases(time.Now()); err != nil {
+	if _, err := q.ExpireLeases(time.Now().Add(2 * time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,7 +24,8 @@
 // Work leaves the queue only as a *lease*: Lease hands the best pending
 // job to a named owner with a fencing token and a deadline, all in the
 // WAL. Heartbeat extends the deadline (optionally carrying a
-// checkpoint), CompleteLease/FailLease terminate — every lease
+// checkpoint), Progress appends one of the holder's own events to the
+// job's history, CompleteLease/FailLease terminate — every lease
 // mutation is fenced by the token, so a worker whose lease expired,
 // was cancelled or was re-granted elsewhere is rejected without
 // corrupting state. ExpireLeases requeues jobs whose deadline passed,
@@ -47,13 +48,16 @@ package queue
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,6 +172,9 @@ type Event struct {
 	Worker  string `json:"worker,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
 	Detail  string `json:"detail,omitempty"`
+	// Data is the caller's JSON for an event recorded by Progress (its
+	// Type is the caller's kind); lifecycle events carry none.
+	Data json.RawMessage `json:"data,omitempty"`
 }
 
 // Event types. Bare lease renewals are deliberately not recorded — at
@@ -187,8 +194,10 @@ const (
 
 // maxJobHistory bounds one job's recorded events. Past the cap the
 // oldest events after the submission are dropped — the submission
-// anchors the timeline, the tail keeps the recent lifecycle.
-const maxJobHistory = 512
+// anchors the timeline, the tail keeps the recent lifecycle. One
+// attempt of a 256-job campaign (two progress events and a checkpoint
+// per job) fits.
+const maxJobHistory = 2048
 
 func (j *Job) recordEvent(ev Event) {
 	j.History = append(j.History, ev)
@@ -327,6 +336,9 @@ type Queue struct {
 	leaseWait *metrics.Histogram
 
 	ready chan struct{} // signaled (cap 1) when pending work appears
+	// changed is closed and replaced on every applied record: the
+	// broadcast readers of job state block on (see Changed).
+	changed chan struct{}
 }
 
 const (
@@ -340,7 +352,7 @@ const (
 // leases existed replay unchanged.
 type walRecord struct {
 	Seq        uint64          `json:"seq"`
-	Op         string          `json:"op"` // "submit", "state", "checkpoint", "lease", "renew", "expire"
+	Op         string          `json:"op"` // "submit", "state", "checkpoint", "lease", "renew", "progress", "expire"
 	Job        *Job            `json:"job,omitempty"`
 	ID         string          `json:"id,omitempty"`
 	State      State           `json:"state,omitempty"`
@@ -352,6 +364,9 @@ type walRecord struct {
 	Owner        string `json:"owner,omitempty"`
 	Token        string `json:"token,omitempty"`
 	LeaseExpires int64  `json:"lease_expires,omitempty"`
+	// Kind and Data are a progress record's event (see Progress).
+	Kind string          `json:"kind,omitempty"`
+	Data json.RawMessage `json:"data,omitempty"`
 	// At stamps when the mutation happened (UnixNano) so replay rebuilds
 	// the same event history. Optional: journals written before event
 	// history existed replay with zero timestamps (submit events fall
@@ -360,7 +375,8 @@ type walRecord struct {
 }
 
 // snapshot is the compacted on-disk state: everything the WAL said, as
-// of Seq.
+// of Seq. It is written one job at a time (see writeSnapshot) and read
+// whole; snapshots written indented by earlier versions still load.
 type snapshot struct {
 	Version int    `json:"version"`
 	Seq     uint64 `json:"seq"`
@@ -376,10 +392,11 @@ type snapshot struct {
 func Open(cfg Config) (*Queue, error) {
 	cfg.setDefaults()
 	q := &Queue{
-		cfg:   cfg,
-		jobs:  make(map[string]*Job),
-		byKey: make(map[string]string),
-		ready: make(chan struct{}, 1),
+		cfg:     cfg,
+		jobs:    make(map[string]*Job),
+		byKey:   make(map[string]string),
+		ready:   make(chan struct{}, 1),
+		changed: make(chan struct{}),
 	}
 	if cfg.Dir == "" {
 		return q, nil
@@ -504,15 +521,23 @@ func isLastLine(data, line []byte) bool {
 // applyLocked folds one record into the in-memory state. It is the
 // single mutation path: live transitions build a record, apply it, then
 // append it — so replaying the WAL reproduces exactly the state the
-// live process had.
+// live process had. Every applied record wakes the readers blocked on
+// Changed.
 func (q *Queue) applyLocked(rec walRecord) error {
+	j := rec.Job
+	if rec.Op != "submit" {
+		if j = q.jobs[rec.ID]; j == nil {
+			return fmt.Errorf("%s record %d for unknown job %s", rec.Op, rec.Seq, rec.ID)
+		}
+	}
 	switch rec.Op {
 	case "submit":
-		if rec.Job == nil {
+		if j == nil {
 			return fmt.Errorf("submit record %d has no job", rec.Seq)
 		}
-		j := rec.Job.clone()
-		q.jobs[j.ID] = &j
+		c := j.clone()
+		j = &c
+		q.jobs[j.ID] = j
 		if j.State == StateSubmitted {
 			q.pending++
 		}
@@ -532,10 +557,6 @@ func (q *Queue) applyLocked(rec walRecord) error {
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: at, Type: EventSubmitted})
 		}
 	case "state":
-		j, ok := q.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("state record %d for unknown job %s", rec.Seq, rec.ID)
-		}
 		if j.State == StateSubmitted && rec.State != StateSubmitted {
 			q.pending--
 		}
@@ -565,18 +586,10 @@ func (q *Queue) applyLocked(rec walRecord) error {
 			q.evictTerminalLocked()
 		}
 	case "checkpoint":
-		j, ok := q.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("checkpoint record %d for unknown job %s", rec.Seq, rec.ID)
-		}
 		j.State = StateCheckpointed
 		j.Checkpoint = rec.Checkpoint
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventCheckpoint, Worker: j.LeaseOwner, Attempt: j.Attempts})
 	case "lease":
-		j, ok := q.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("lease record %d for unknown job %s", rec.Seq, rec.ID)
-		}
 		if j.State == StateSubmitted {
 			q.pending--
 		}
@@ -585,10 +598,6 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = rec.Owner, rec.Token, rec.LeaseExpires
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventLeased, Worker: rec.Owner, Attempt: j.Attempts})
 	case "renew":
-		j, ok := q.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("renew record %d for unknown job %s", rec.Seq, rec.ID)
-		}
 		j.LeaseExpiresUnixNano = rec.LeaseExpires
 		if len(rec.Checkpoint) > 0 {
 			j.State = StateCheckpointed
@@ -597,11 +606,9 @@ func (q *Queue) applyLocked(rec walRecord) error {
 			// flood it); checkpoint-carrying ones are progress.
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventCheckpoint, Worker: j.LeaseOwner, Attempt: j.Attempts})
 		}
+	case "progress":
+		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: rec.Kind, Worker: j.LeaseOwner, Attempt: j.Attempts, Data: rec.Data})
 	case "expire":
-		j, ok := q.jobs[rec.ID]
-		if !ok {
-			return fmt.Errorf("expire record %d for unknown job %s", rec.Seq, rec.ID)
-		}
 		owner := j.LeaseOwner
 		requeued := j.State.InFlight()
 		if requeued {
@@ -616,6 +623,8 @@ func (q *Queue) applyLocked(rec walRecord) error {
 	default:
 		return fmt.Errorf("record %d has unknown op %q", rec.Seq, rec.Op)
 	}
+	close(q.changed)
+	q.changed = make(chan struct{})
 	return nil
 }
 
@@ -652,7 +661,8 @@ func (q *Queue) appendLocked(rec walRecord) error {
 	q.walAppend.Observe(time.Since(start).Seconds())
 	q.walLen++
 	if q.walLen >= q.cfg.CompactEvery {
-		return q.compactAndResetLocked()
+		// The O_APPEND handle follows the truncated file; nothing to reopen.
+		return q.compactLocked()
 	}
 	return nil
 }
@@ -690,15 +700,7 @@ func (q *Queue) compactLocked() error {
 	if q.cfg.Dir == "" {
 		return nil
 	}
-	snap := snapshot{Version: 1, Seq: q.seq, NextID: q.nextID}
-	for _, j := range q.jobs {
-		snap.Jobs = append(snap.Jobs, j.clone())
-	}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("queue: encode snapshot: %w", err)
-	}
-	if err := storage.WriteFileAtomic(filepath.Join(q.cfg.Dir, snapshotName), data, 0o644); err != nil {
+	if err := storage.WriteFileAtomic(filepath.Join(q.cfg.Dir, snapshotName), 0o644, q.writeSnapshot); err != nil {
 		return fmt.Errorf("queue: snapshot: %w", err)
 	}
 	// The snapshot now covers every WAL record; a crash between the
@@ -721,13 +723,45 @@ func (q *Queue) compactLocked() error {
 	return nil
 }
 
-// compactAndResetLocked compacts and reopens the WAL handle at offset 0.
-func (q *Queue) compactAndResetLocked() error {
-	if err := q.compactLocked(); err != nil {
+// writeSnapshot streams the snapshot as compact JSON, one job per line
+// in submission order, so compaction holds one encoded job at a time
+// rather than a copy of the whole queue. Callers hold q.mu.
+func (q *Queue) writeSnapshot(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, `{"version":1,"seq":%d,"next_id":%d,"jobs":[`, q.seq, q.nextID); err != nil {
 		return err
 	}
-	// The O_APPEND handle tracks the truncated file; nothing to reopen.
-	return nil
+	enc := json.NewEncoder(w)
+	for i, j := range q.sortedLocked(nil) {
+		if i > 0 {
+			if _, err := io.WriteString(w, ","); err != nil {
+				return err
+			}
+		}
+		if err := enc.Encode(j); err != nil {
+			return fmt.Errorf("queue: encode snapshot: %w", err)
+		}
+	}
+	_, err := io.WriteString(w, "]}\n")
+	return err
+}
+
+// sortedLocked returns the jobs keep approves of (every job when keep is
+// nil) in submission order; ties, which only a foreign journal can hold,
+// break by ID so the order never depends on map iteration.
+func (q *Queue) sortedLocked(keep func(*Job) bool) []*Job {
+	out := make([]*Job, 0, len(q.jobs))
+	for _, j := range q.jobs {
+		if keep == nil || keep(j) {
+			out = append(out, j)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Job) int {
+		if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
+	return out
 }
 
 // Close compacts (durable mode) and releases the WAL. Further calls on
@@ -1014,15 +1048,11 @@ func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration, cp json.Ra
 		q.mu.Unlock()
 		return Job{}, errClosed
 	}
-	j, err := q.leasedLocked(id, owner, token)
+	now := time.Now()
+	j, err := q.liveLeaseLocked(id, owner, token, now)
 	if err != nil {
 		q.mu.Unlock()
 		return Job{}, err
-	}
-	now := time.Now()
-	if j.LeaseExpiresUnixNano <= now.UnixNano() {
-		q.mu.Unlock()
-		return Job{}, fmt.Errorf("%w: job %s heartbeat after deadline", ErrLeaseExpired, id)
 	}
 	rec := walRecord{Op: "renew", LeaseExpires: now.Add(ttl).UnixNano()}
 	if len(cp) > 0 {
@@ -1039,6 +1069,32 @@ func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration, cp json.Ra
 		return Job{}, err
 	}
 	return out, nil
+}
+
+// liveLeaseLocked is leasedLocked plus the deadline (see Heartbeat).
+func (q *Queue) liveLeaseLocked(id, owner, token string, now time.Time) (*Job, error) {
+	j, err := q.leasedLocked(id, owner, token)
+	if err == nil && j.LeaseExpiresUnixNano <= now.UnixNano() {
+		err = fmt.Errorf("%w: job %s lease past its deadline", ErrLeaseExpired, id)
+	}
+	return j, err
+}
+
+// Progress appends one event of the lease holder's own to the job's
+// history: kind becomes the event's Type and data its Data. It is fenced
+// like Heartbeat. Its WAL record is not fsync'd on its own: the holder's
+// next synced mutation (a checkpoint heartbeat, the completion) covers
+// it, and until then a crash may drop it. Readers see it at once.
+func (q *Queue) Progress(id, owner, token, kind string, data json.RawMessage) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return errClosed
+	}
+	if _, err := q.liveLeaseLocked(id, owner, token, time.Now()); err != nil {
+		return err
+	}
+	return q.transitionLocked(id, walRecord{Op: "progress", Kind: kind, Data: append(json.RawMessage(nil), data...)})
 }
 
 // CompleteLease moves a leased job to done, fenced by the token.
@@ -1085,17 +1141,10 @@ func (q *Queue) ExpireLeases(now time.Time) ([]Job, error) {
 	}
 	deadline := now.UnixNano()
 	var lapsed []Job
-	for _, j := range q.jobs {
-		if j.State.InFlight() && j.LeaseToken != "" && j.LeaseExpiresUnixNano <= deadline {
-			lapsed = append(lapsed, j.clone())
-		}
-	}
-	for i := 1; i < len(lapsed); i++ {
-		for k := i; k > 0 && lapsed[k].Seq < lapsed[k-1].Seq; k-- {
-			lapsed[k], lapsed[k-1] = lapsed[k-1], lapsed[k]
-		}
-	}
-	for _, j := range lapsed {
+	for _, j := range q.sortedLocked(func(j *Job) bool {
+		return j.State.InFlight() && j.LeaseToken != "" && j.LeaseExpiresUnixNano <= deadline
+	}) {
+		lapsed = append(lapsed, j.clone())
 		if err := q.transitionLocked(j.ID, walRecord{Op: "expire"}); err != nil {
 			q.mu.Unlock()
 			return lapsed, err
@@ -1156,12 +1205,20 @@ func (q *Queue) Jobs() []Job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]Job, 0, len(q.jobs))
-	for _, j := range q.jobs {
+	for _, j := range q.sortedLocked(nil) {
 		out = append(out, j.clone())
 	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].Seq < out[k-1].Seq; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
+	return out
+}
+
+// LeasesByOwner counts the active leases each worker holds.
+func (q *Queue) LeasesByOwner() map[string]int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make(map[string]int)
+	for _, j := range q.jobs {
+		if j.State.InFlight() && j.LeaseToken != "" {
+			out[j.LeaseOwner]++
 		}
 	}
 	return out
@@ -1247,6 +1304,15 @@ func (q *Queue) RegisterMetrics(r *metrics.Registry) {
 // Idle workers select on it instead of polling.
 func (q *Queue) Ready() <-chan struct{} { return q.ready }
 
+// Changed returns a channel closed by the next applied transition of
+// any job. A reader takes it before reading the state it watches, so
+// no transition can slip between the read and the wait.
+func (q *Queue) Changed() <-chan struct{} {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.changed
+}
+
 func (q *Queue) wake() {
 	select {
 	case q.ready <- struct{}{}:
@@ -1258,20 +1324,10 @@ func (q *Queue) wake() {
 // Eviction is a pure function of job state, so WAL replay converges on
 // the same retained set without eviction records.
 func (q *Queue) evictTerminalLocked() {
-	var terminal []*Job
-	for _, j := range q.jobs {
-		if j.State.Terminal() {
-			terminal = append(terminal, j)
-		}
-	}
+	terminal := q.sortedLocked(func(j *Job) bool { return j.State.Terminal() })
 	over := len(terminal) - q.cfg.KeepTerminal
 	if over <= 0 {
 		return
-	}
-	for i := 1; i < len(terminal); i++ {
-		for k := i; k > 0 && terminal[k].Seq < terminal[k-1].Seq; k-- {
-			terminal[k], terminal[k-1] = terminal[k-1], terminal[k]
-		}
 	}
 	for _, j := range terminal[:over] {
 		delete(q.jobs, j.ID)

@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -368,11 +370,19 @@ func TestBlobIterate(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
-	if err := WriteFileAtomic(path, []byte("v1"), 0o644); err != nil {
+	put := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := WriteFileAtomic(path, 0o644, put("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(path, []byte("v2-longer"), 0o644); err != nil {
+	if err := WriteFileAtomic(path, 0o644, put("v2-longer")); err != nil {
 		t.Fatal(err)
+	}
+	// A failing writer leaves the old content in place.
+	sentinel := errors.New("encode failed")
+	if err := WriteFileAtomic(path, 0o644, func(io.Writer) error { return sentinel }); err != sentinel {
+		t.Fatalf("failing writer: err=%v, want the writer's error", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil || string(data) != "v2-longer" {

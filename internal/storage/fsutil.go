@@ -6,16 +6,20 @@
 package storage
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// WriteFileAtomic durably replaces path with data using the
-// temp-file → fsync → rename → dir-fsync idiom. After it returns nil,
-// a crash at any point leaves either the old content or the new content
-// at path, never a torn mix.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+// WriteFileAtomic durably replaces path with what write produces, using
+// the temp-file → fsync → rename → dir-fsync idiom. write sees a
+// buffered writer, so a caller can stream its content in small pieces.
+// After it returns nil, a crash at any point leaves either the old
+// content or the new content at path, never a torn mix; an error from
+// write leaves the old content.
+func WriteFileAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -30,7 +34,12 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		cleanup()
 		return fmt.Errorf("storage: chmod temp: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	if err := write(bw); err != nil {
+		cleanup()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
 		cleanup()
 		return fmt.Errorf("storage: write temp: %w", err)
 	}
