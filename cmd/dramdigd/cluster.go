@@ -1,11 +1,11 @@
 // The coordinator side of the cluster subsystem: the lease operations
 // every worker goes through — grant, heartbeat with checkpoint,
 // progress, complete, fail — the /v1/cluster handlers that serve them
-// to remote workers, the worker
-// registry with its consistent-hash shard ring, the lease-expiry
-// sweeper and the dramdig_cluster_* metric families. The protocol and
-// its wire shapes live in internal/cluster; the queue owns lease
-// durability (fencing tokens, WAL-backed expiry-requeue). In-process
+// to remote workers, the worker registry with its consistent-hash
+// shard ring, the lease-expiry sweeper and the dramdig_cluster_*
+// metric families. The protocol and its wire shapes live in
+// internal/cluster; the queue owns lease durability (fencing tokens,
+// WAL-backed expiry-requeue) and the campaign history. In-process
 // workers call the same operations directly (inprocess.go).
 //
 // Exactly-once across worker death: a worker that stops heartbeating
@@ -303,7 +303,7 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 			return nil, false, nil
 		}
 	}
-	total := len(specsOf(job.Payload))
+	total := len(specsFromPayload(job.Payload))
 
 	// Re-enter the submitting request's trace: queue.wait is
 	// reconstructed from the persisted submission instant, and

@@ -254,7 +254,7 @@ func (s *server) referencedFingerprints() map[string]bool {
 		live[job.ID] = true
 		fps, ok := s.fpCache[job.ID]
 		if !ok {
-			specList := specsOf(job.Payload)
+			specList := specsFromPayload(job.Payload)
 			fps = make([]string, 0, len(specList))
 			for _, spec := range specList {
 				fps = append(fps, spec.MachineFingerprint())
@@ -345,7 +345,7 @@ func campaignStatus(st queue.State) string {
 // its finished-job count from its history: the current attempt's
 // job_finished and job_failed events, or every job once it is done.
 func campaignProgress(job queue.Job) (total, done int) {
-	total = len(specsOf(job.Payload))
+	total = len(specsFromPayload(job.Payload))
 	if job.State == queue.StateDone {
 		return total, total
 	}
@@ -379,9 +379,9 @@ func traceIDOf(traceParent string) string {
 	return sc.TraceID.String()
 }
 
-// specsOf rebuilds a queued campaign's specs; on any error it returns
-// no specs (the worker fails the job cleanly when it leases it).
-func specsOf(payload json.RawMessage) []campaign.Spec {
+// specsFromPayload rebuilds a queued campaign's specs; on any error it
+// returns no specs (the worker fails the job cleanly when it leases it).
+func specsFromPayload(payload json.RawMessage) []campaign.Spec {
 	var p campaignPayload
 	if err := json.Unmarshal(payload, &p); err != nil {
 		return nil
@@ -747,7 +747,7 @@ func (s *server) handleGetCampaignTrace(w http.ResponseWriter, r *http.Request) 
 		httpError(w, http.StatusNotFound, codeNotFound, "no campaign %q", id)
 		return
 	}
-	specs := specsOf(job.Payload)
+	specs := specsFromPayload(job.Payload)
 
 	if jobStr := r.URL.Query().Get("job"); jobStr != "" {
 		job, err := strconv.Atoi(jobStr)

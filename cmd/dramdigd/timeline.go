@@ -1,11 +1,12 @@
 // The per-campaign timeline: GET /v1/campaigns/{id}/timeline assembles
 // one chronological view of everything that happened to a campaign,
 // across processes. Queue history supplies the durable lifecycle
-// (submitted, leased, checkpoints, expiries, requeues, terminal state —
-// replayed from the WAL, so it survives restarts); the tracer's span
-// ring supplies the fine-grained execution record, including spans the
-// workers shipped back with their completions. Each event names the
-// worker that produced it, so "which node did what, when" is one GET.
+// (submitted, leased, checkpoints, the workers' per-job progress events,
+// expiries, requeues, terminal state — replayed from the WAL, so it
+// survives restarts); the tracer's span ring supplies the fine-grained
+// execution record, including spans the workers shipped back with their
+// completions. Each event names the worker that produced it, so "which
+// node did what, when" is one GET.
 
 package main
 

@@ -1,9 +1,10 @@
 // The worker: lease a job, rebuild its specs, run the campaign, send
-// every checkpoint back on a heartbeat, and report the outcome. It is
-// the only code that executes a campaign — in dramdig-worker processes
-// over HTTP, and inside dramdigd as in-process workers — so leases,
-// checkpoints, store write-through and trace capture behave the same
-// wherever a campaign runs.
+// every checkpoint back on a heartbeat and every per-job event as
+// progress, and report the outcome. It is the only code that executes a
+// campaign — in dramdig-worker processes over HTTP, and inside dramdigd
+// as in-process workers — so leases, checkpoints, progress events,
+// store write-through and trace capture behave the same wherever a
+// campaign runs.
 
 package cluster
 
