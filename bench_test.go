@@ -294,9 +294,8 @@ func BenchmarkCampaign(b *testing.B) {
 // BenchmarkEngineLiveVsReplay contrasts one full pipeline run on a live
 // simulated machine against the identical run re-served from a recorded
 // trace through the Engine/Source API — the offline path's speedup is
-// the reason recorded campaigns exist. cmd/benchjson mirrors this pair
-// into BENCH_campaign.json (engine_live_vs_replay) so the ratio is
-// tracked across PRs.
+// the reason recorded campaigns exist. End to end, perfbench's
+// replay_small workload tracks strict replays across commits.
 func BenchmarkEngineLiveVsReplay(b *testing.B) {
 	record := func(b *testing.B) *Trace {
 		b.Helper()

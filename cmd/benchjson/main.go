@@ -1,45 +1,38 @@
-// Command benchjson runs the repository's campaign, engine and queue
-// benchmarks through testing.Benchmark and emits the results as JSON, so
-// the performance trajectory can be tracked across commits:
+// Command benchjson runs the microbenchmarks the end-to-end benchmark
+// (perfbench) cannot resolve through testing.Benchmark and writes them
+// as JSON, so their trajectory can be tracked across commits:
 //
-//	benchjson [-o BENCH_campaign.json] [-machines 4] [-seed 1]
+//	benchjson [-o BENCH_campaign.json]
 //
-// The output is one self-contained document: host facts plus one entry
-// per benchmark with iterations, ns/op and the benchmark's custom
-// metrics (machines/s, samples/s, jobs/s, ...), including the
-// engine_live_vs_replay row tracking how much faster a trace replay is
-// than the live simulation it recorded, the durable-queue rows
-// (queue_submit, queue_submit_batched, queue_recover) tracking the
-// WAL's fsync-bound submit path, the group-commit batching of
-// concurrent submissions, and crash-recovery replay throughput, and
-// the metrics_overhead
-// and tracing_overhead rows tracking what the hot-path sample
-// instrumentation and the per-phase span tracer cost relative to an
-// uninstrumented run, and the heartbeat rows (heartbeat_bare,
-// heartbeat_with_snapshot, heartbeat_snapshot_overhead) tracking what
-// piggybacking a worker's metrics snapshot on a lease heartbeat costs
-// over the bare renewal, and the storage rows (store_put_flat,
-// store_put_segment, store_read_cached, store_gc_sweep,
-// store_put_overhead) tracking what the segment-based blob layout costs
-// on the persist path relative to the old one-file-per-record flat
-// layout (budget: a few percent), plus warm-cache read latency and GC
-// sweep throughput.
+// The rows are the engine's live pipeline bare, with per-sample metrics
+// instrumentation and with a span tracer; the durable queue's submit
+// paths (sequential, group-committed, memory-only) and crash recovery;
+// the lease heartbeat bare and carrying the worker's metrics snapshot;
+// and the segment store's persist, warm read and GC sweep. Every row
+// runs runsPerRow times, round by round so a slow phase of the host
+// hits every row alike, and records its median ns/op with the min and
+// max. Three derived rows hold an instrumentation cost to its budget:
+// metrics_overhead, tracing_overhead and heartbeat_snapshot_overhead.
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"dramdig"
+	"dramdig/internal/campaign"
 	"dramdig/internal/cluster"
 	"dramdig/internal/engine"
 	"dramdig/internal/machine"
@@ -47,15 +40,31 @@ import (
 	"dramdig/internal/obs"
 	"dramdig/internal/queue"
 	"dramdig/internal/store"
-	"dramdig/internal/trace"
 )
 
-// benchResult is one benchmark's row in the JSON document.
+// runsPerRow is how many times every row runs. One run cannot resolve
+// a few percent on a shared host: the fsync-bound heartbeat alone moved
+// by more than 10% between single runs.
+const runsPerRow = 5
+
+// overheadBudgetPct is what instrumentation may cost over the bare run.
+const overheadBudgetPct = 3.0
+
+// benchResult is one benchmark's row in the JSON document: the median
+// run's ns/op, iterations and custom metrics, with the spread over all
+// runs.
 type benchResult struct {
 	Name       string             `json:"name"`
+	Runs       int                `json:"runs"`
 	Iterations int                `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
+	MinNsPerOp float64            `json:"min_ns_per_op"`
+	MaxNsPerOp float64            `json:"max_ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Verdict grades an overhead row against overheadBudgetPct: "within
+	// budget", "over budget", or "unresolved" when the per-round
+	// overheads straddle the budget.
+	Verdict string `json:"verdict,omitempty"`
 }
 
 type document struct {
@@ -65,158 +74,67 @@ type document struct {
 	Benchmarks  []benchResult `json:"benchmarks"`
 }
 
+// rows are the measured benchmarks, in output order.
+var rows = []struct {
+	name string
+	fn   func(b *testing.B)
+}{
+	{"engine_live", benchEngineLive},
+	{"engine_live_instrumented", benchEngineLiveInstrumented},
+	{"engine_live_traced", benchEngineLiveTraced},
+	{"queue_submit", benchQueueSubmit},
+	{"queue_submit_batched", benchQueueSubmitBatched},
+	{"queue_submit_memory", benchQueueSubmitMemory},
+	{"queue_recover", benchQueueRecover},
+	{"heartbeat_bare", func(b *testing.B) { benchHeartbeat(b, false) }},
+	{"heartbeat_with_snapshot", func(b *testing.B) { benchHeartbeat(b, true) }},
+	{"store_put_segment", benchStorePutSegment},
+	{"store_read_cached", benchStoreReadCached},
+	{"store_gc_sweep", benchStoreGCSweep},
+}
+
+// overheads derive a row from two measured ones: what cost costs over
+// bare. key names the cost row's median in the derived row's metrics.
+var overheads = []struct{ name, bare, cost, key string }{
+	// Per-sample instrumentation: an atomic counter increment plus a
+	// histogram observation on every timing measurement.
+	{"metrics_overhead", "engine_live", "engine_live_instrumented", "instrumented_ns_op"},
+	// A span tracer on the context: five phase spans per run plus the
+	// tracer check on the sample path.
+	{"tracing_overhead", "engine_live", "engine_live_traced", "traced_ns_op"},
+	// The worker's metrics snapshot riding the lease heartbeat.
+	{"heartbeat_snapshot_overhead", "heartbeat_bare", "heartbeat_with_snapshot", "snapshot_ns_op"},
+}
+
 func main() {
-	var (
-		out      = flag.String("o", "BENCH_campaign.json", "output file (- for stdout)")
-		machines = flag.Int("machines", 4, "campaign size (cheapest paper settings first)")
-		seed     = flag.Int64("seed", 1, "campaign tool seed")
-	)
+	out := flag.String("o", "BENCH_campaign.json", "output file (- for stdout)")
 	flag.Parse()
 
-	specs := campaignSpecs(*machines)
+	// results[name][k] is the row's run in round k.
+	results := make(map[string][]testing.BenchmarkResult, len(rows))
+	for round := 1; round <= runsPerRow; round++ {
+		for _, row := range rows {
+			r := testing.Benchmark(row.fn)
+			results[row.name] = append(results[row.name], r)
+			fmt.Fprintf(os.Stderr, "benchjson: round %d/%d %-26s %14.0f ns/op  %v\n",
+				round, runsPerRow, row.name, nsPerOp(r), r.Extra)
+		}
+	}
+
 	doc := document{
 		CreatedUnix: time.Now().Unix(),
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
-
-	run := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		row := benchResult{
-			Name:       name,
-			Iterations: r.N,
-			NsPerOp:    float64(r.NsPerOp()),
-			Metrics:    map[string]float64{},
-		}
-		for k, v := range r.Extra {
-			row.Metrics[k] = v
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		fmt.Fprintf(os.Stderr, "benchjson: %-22s %10d ns/op  %v\n", name, r.NsPerOp(), r.Extra)
+	for _, row := range rows {
+		doc.Benchmarks = append(doc.Benchmarks, summarize(row.name, results[row.name]))
 	}
-
-	run("campaign_sequential", func(b *testing.B) { benchCampaign(b, specs, 1, *seed) })
-	run(fmt.Sprintf("campaign_pooled_%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		benchCampaign(b, specs, runtime.GOMAXPROCS(0), *seed)
-	})
-	run("trace_record", benchTraceRecord)
-	run("trace_replay_strict", benchTraceReplay)
-	run("engine_live", benchEngineLive)
-	run("engine_live_instrumented", benchEngineLiveInstrumented)
-	run("engine_live_traced", benchEngineLiveTraced)
-	run("engine_replay_strict", benchEngineReplay)
-	run("queue_submit", benchQueueSubmit)
-	run("queue_submit_batched", benchQueueSubmitBatched)
-	run("queue_submit_memory", benchQueueSubmitMemory)
-	run("queue_recover", benchQueueRecover)
-	run("heartbeat_bare", func(b *testing.B) { benchHeartbeat(b, false) })
-	run("heartbeat_with_snapshot", func(b *testing.B) { benchHeartbeat(b, true) })
-	run("store_put_segment", benchStorePutSegment)
-	run("store_read_cached", benchStoreReadCached)
-	run("store_gc_sweep", benchStoreGCSweep)
-
-	// BenchmarkEngineLiveVsReplay: one derived row so the JSON document
-	// tracks live-vs-trace-replay throughput directly across PRs. The
-	// inputs are looked up by name so reordering run() calls cannot
-	// silently pair the wrong benchmarks.
-	byName := func(name string) *benchResult {
-		for i := range doc.Benchmarks {
-			if doc.Benchmarks[i].Name == name {
-				return &doc.Benchmarks[i]
-			}
-		}
-		return nil
-	}
-	live, replay := byName("engine_live"), byName("engine_replay_strict")
-	switch {
-	case live == nil || replay == nil || replay.NsPerOp <= 0:
-		fmt.Fprintln(os.Stderr, "benchjson: skipping engine_live_vs_replay (inputs missing or degenerate)")
-	default:
-		row := benchResult{
-			Name:       "engine_live_vs_replay",
-			Iterations: replay.Iterations,
-			NsPerOp:    replay.NsPerOp,
-			Metrics: map[string]float64{
-				"live_ns_op":     live.NsPerOp,
-				"replay_ns_op":   replay.NsPerOp,
-				"replay_speedup": live.NsPerOp / replay.NsPerOp,
-			},
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		fmt.Fprintf(os.Stderr, "benchjson: %-22s replay speedup %.2fx\n",
-			row.Name, row.Metrics["replay_speedup"])
-	}
-
-	// metrics_overhead: the same derived-row treatment for the cost of
-	// per-sample instrumentation — an atomic counter increment plus a
-	// histogram observation on every timing measurement. The observability
-	// contract is that this stays within a few percent of the bare run.
-	bare, inst := byName("engine_live"), byName("engine_live_instrumented")
-	switch {
-	case bare == nil || inst == nil || bare.NsPerOp <= 0:
-		fmt.Fprintln(os.Stderr, "benchjson: skipping metrics_overhead (inputs missing or degenerate)")
-	default:
-		row := benchResult{
-			Name:       "metrics_overhead",
-			Iterations: inst.Iterations,
-			NsPerOp:    inst.NsPerOp,
-			Metrics: map[string]float64{
-				"bare_ns_op":         bare.NsPerOp,
-				"instrumented_ns_op": inst.NsPerOp,
-				"overhead_pct":       (inst.NsPerOp/bare.NsPerOp - 1) * 100,
-			},
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		fmt.Fprintf(os.Stderr, "benchjson: %-22s overhead %+.2f%%\n",
-			row.Name, row.Metrics["overhead_pct"])
-	}
-
-	// tracing_overhead: the cost of running the same pipeline with a span
-	// tracer on the context — five phase spans per run plus the tracer
-	// check on the sample path. Budget: a few percent over the bare run.
-	traced := byName("engine_live_traced")
-	switch {
-	case bare == nil || traced == nil || bare.NsPerOp <= 0:
-		fmt.Fprintln(os.Stderr, "benchjson: skipping tracing_overhead (inputs missing or degenerate)")
-	default:
-		row := benchResult{
-			Name:       "tracing_overhead",
-			Iterations: traced.Iterations,
-			NsPerOp:    traced.NsPerOp,
-			Metrics: map[string]float64{
-				"bare_ns_op":   bare.NsPerOp,
-				"traced_ns_op": traced.NsPerOp,
-				"overhead_pct": (traced.NsPerOp/bare.NsPerOp - 1) * 100,
-			},
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		fmt.Fprintf(os.Stderr, "benchjson: %-22s overhead %+.2f%%\n",
-			row.Name, row.Metrics["overhead_pct"])
-	}
-
-	// heartbeat_snapshot_overhead: what piggybacking a full metrics
-	// snapshot on a lease heartbeat costs over the bare renewal. The
-	// round trip is WAL-fsync-bound, so encoding and federating the
-	// snapshot must stay within a few percent of the bare beat — that is
-	// what makes "no extra connection" fleet telemetry free in practice.
-	hbBare, hbSnap := byName("heartbeat_bare"), byName("heartbeat_with_snapshot")
-	switch {
-	case hbBare == nil || hbSnap == nil || hbBare.NsPerOp <= 0:
-		fmt.Fprintln(os.Stderr, "benchjson: skipping heartbeat_snapshot_overhead (inputs missing or degenerate)")
-	default:
-		row := benchResult{
-			Name:       "heartbeat_snapshot_overhead",
-			Iterations: hbSnap.Iterations,
-			NsPerOp:    hbSnap.NsPerOp,
-			Metrics: map[string]float64{
-				"bare_ns_op":     hbBare.NsPerOp,
-				"snapshot_ns_op": hbSnap.NsPerOp,
-				"overhead_pct":   (hbSnap.NsPerOp/hbBare.NsPerOp - 1) * 100,
-			},
-		}
-		doc.Benchmarks = append(doc.Benchmarks, row)
-		fmt.Fprintf(os.Stderr, "benchjson: %-22s overhead %+.2f%%\n",
-			row.Name, row.Metrics["overhead_pct"])
+	for _, o := range overheads {
+		res := overhead(o.name, o.key, results[o.bare], results[o.cost])
+		doc.Benchmarks = append(doc.Benchmarks, res)
+		fmt.Fprintf(os.Stderr, "benchjson: %-26s overhead %+.2f%% (rounds %+.2f%% .. %+.2f%%): %s\n",
+			res.Name, res.Metrics["overhead_pct"], res.Metrics["overhead_pct_min"],
+			res.Metrics["overhead_pct_max"], res.Verdict)
 	}
 
 	data, err := json.MarshalIndent(doc, "", "  ")
@@ -234,92 +152,67 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", *out, len(doc.Benchmarks))
 }
 
-// campaignSpecs picks n of the paper's cheaper settings (same choice as
-// the root BenchmarkCampaign: No.1, No.4, No.7, No.8 first).
-func campaignSpecs(n int) []dramdig.CampaignSpec {
-	all := dramdig.PaperCampaign(42)
-	order := []int{0, 3, 6, 7, 1, 2, 4, 5, 8}
-	if n <= 0 || n > len(order) {
-		n = len(order)
-	}
-	specs := make([]dramdig.CampaignSpec, 0, n)
-	for _, i := range order[:n] {
-		specs = append(specs, all[i])
-	}
-	return specs
+// nsPerOp is a run's time per iteration, unrounded.
+func nsPerOp(r testing.BenchmarkResult) float64 {
+	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
-func benchCampaign(b *testing.B, specs []dramdig.CampaignSpec, workers int, seed int64) {
-	for i := 0; i < b.N; i++ {
-		rep, err := dramdig.RunCampaign(context.Background(), specs, dramdig.CampaignConfig{
-			Workers: workers,
-			Seed:    seed,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Succeeded != len(specs) {
-			b.Fatalf("campaign degraded: %d/%d jobs ok", rep.Succeeded, rep.Total)
-		}
+// summarize folds one row's runs into the median run's figures and the
+// min and max ns/op over all of them.
+func summarize(name string, runs []testing.BenchmarkResult) benchResult {
+	sorted := slices.Clone(runs)
+	slices.SortFunc(sorted, func(a, b testing.BenchmarkResult) int {
+		return cmp.Compare(nsPerOp(a), nsPerOp(b))
+	})
+	med := sorted[len(sorted)/2]
+	res := benchResult{
+		Name:       name,
+		Runs:       len(runs),
+		Iterations: med.N,
+		NsPerOp:    nsPerOp(med),
+		MinNsPerOp: nsPerOp(sorted[0]),
+		MaxNsPerOp: nsPerOp(sorted[len(sorted)-1]),
+		Metrics:    map[string]float64{},
 	}
-	b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "machines/s")
+	for k, v := range med.Extra {
+		res.Metrics[k] = v
+	}
+	return res
 }
 
-// recordedTrace runs the engine once over a fresh No.4 with a trace
-// sink and returns the decoded recording.
-func recordedTrace(b *testing.B) *trace.Trace {
-	b.Helper()
-	m, err := dramdig.NewMachine(4, 42)
-	if err != nil {
-		b.Fatal(err)
+// overhead derives the cost row's overhead over the bare one from the
+// two rows' medians. Its spread is the least and the most overhead any
+// one round measured, pairing the two rows' runs of that round, and the
+// budget is unresolved when that spread straddles it.
+func overhead(name, key string, bareRuns, costRuns []testing.BenchmarkResult) benchResult {
+	pct := func(c, b float64) float64 { return (c/b - 1) * 100 }
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for k := range costRuns {
+		o := pct(nsPerOp(costRuns[k]), nsPerOp(bareRuns[k]))
+		lo, hi = min(lo, o), max(hi, o)
 	}
-	var buf bytes.Buffer
-	if _, err := dramdig.Run(context.Background(), dramdig.LiveSource(m),
-		dramdig.WithSeed(42), dramdig.WithTraceSink(&buf)); err != nil {
-		b.Fatal(err)
+	bare, res := summarize("", bareRuns), summarize(name, costRuns)
+	res.Metrics = map[string]float64{
+		"bare_ns_op":       bare.NsPerOp,
+		key:                res.NsPerOp,
+		"overhead_pct":     pct(res.NsPerOp, bare.NsPerOp),
+		"overhead_pct_min": lo,
+		"overhead_pct_max": hi,
+		"budget_pct":       overheadBudgetPct,
 	}
-	tr, err := dramdig.DecodeTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		b.Fatal(err)
+	switch {
+	case hi <= overheadBudgetPct:
+		res.Verdict = "within budget"
+	case lo > overheadBudgetPct:
+		res.Verdict = "over budget"
+	default:
+		res.Verdict = "unresolved"
 	}
-	return tr
-}
-
-// benchTraceRecord measures the recording overhead over a full pipeline
-// run on setting No.4.
-func benchTraceRecord(b *testing.B) {
-	var samples int
-	for i := 0; i < b.N; i++ {
-		m, err := dramdig.NewMachine(4, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		res, err := dramdig.Run(context.Background(), dramdig.LiveSource(m),
-			dramdig.WithSeed(42), dramdig.WithTraceSink(&buf))
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples = int(res.Measurements)
-	}
-	b.ReportMetric(float64(samples*b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
-// benchTraceReplay measures offline replay throughput: the full pipeline
-// re-served from a recorded trace with zero simulation.
-func benchTraceReplay(b *testing.B) {
-	tr := recordedTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dramdig.Run(context.Background(), dramdig.TraceSource(tr, dramdig.ReplayStrict)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(tr.Samples)*b.N)/b.Elapsed().Seconds(), "samples/s")
+	return res
 }
 
 // benchEngineLive measures one full live pipeline run per iteration —
-// the baseline of the live-vs-replay comparison.
+// the bare side of the metrics and tracing overhead comparisons.
 func benchEngineLive(b *testing.B) {
 	var meas uint64
 	for i := 0; i < b.N; i++ {
@@ -378,19 +271,6 @@ func benchEngineLiveTraced(b *testing.B) {
 		meas = res.Measurements
 	}
 	b.ReportMetric(float64(meas)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
-// benchEngineReplay measures the identical pipeline served from a
-// recording — the replay side of the live-vs-replay comparison.
-func benchEngineReplay(b *testing.B) {
-	tr := recordedTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dramdig.Run(context.Background(), dramdig.TraceSource(tr, dramdig.ReplayStrict)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(tr.Samples)*b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
 // benchPayload approximates a queued campaign request.
@@ -523,15 +403,13 @@ func benchQueueRecover(b *testing.B) {
 // benchHeartbeat measures the worker→coordinator heartbeat round trip
 // against a real durable queue: the handler renews the lease through
 // q.Heartbeat (one WAL append + fsync, what the live coordinator pays)
-// and folds any shipped metrics into a federation as raw bytes, the way
-// /v1/cluster/heartbeat does. withSnapshot runs the beat exactly as
-// cluster.Worker does with a registry attached — snapshot a realistic
-// registry (runtime self-metrics plus the engine families) every beat,
-// reduce it to a change-only delta with periodic full resyncs, and
-// splice the encoded bytes into the request — so the delta over the
-// bare beat is the real price of piggybacked fleet telemetry. Like the
-// worker, snapshot attempts are floored at one per second: a beat
-// inside the window ships nothing and pays only a clock read.
+// and decodes any shipped metrics into a federation, the way
+// /v1/cluster/heartbeat does. withSnapshot ships as cluster.Worker
+// does: the whole snapshot of a registry holding the runtime, engine
+// and campaign families a worker carries, encoded by encoding/json, at
+// most once a second — a beat inside the window ships nothing and pays only a
+// clock read. The gap over the bare beat is the real price of fleet
+// telemetry on the heartbeat.
 func benchHeartbeat(b *testing.B, withSnapshot bool) {
 	dir, err := os.MkdirTemp("", "benchhb")
 	if err != nil {
@@ -562,7 +440,12 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		fed.UpdateRaw(req.Worker, req.Metrics, time.Now())
+		if len(req.Metrics) > 0 {
+			if err := fed.Update(req.Worker, req.Metrics, time.Now()); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(cluster.HeartbeatResponse{TTLMillis: time.Hour.Milliseconds()})
 	}))
@@ -571,7 +454,7 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 	reg := metrics.NewRegistry()
 	metrics.RegisterRuntime(reg)
 	engine.NewInstrument(reg)
-	ship := metrics.NewDeltaEncoder(0)
+	campaign.NewMetrics(reg)
 	client := cluster.NewClient(srv.URL, "bench-worker", srv.Client())
 	ctx := context.Background()
 	var lastShip time.Time
@@ -580,13 +463,8 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 		var snap json.RawMessage
 		if withSnapshot && time.Since(lastShip) >= time.Second {
 			lastShip = time.Now()
-			// Snapshot, delta-reduce, encode — Worker.snapshotJSON's path.
-			if s := ship.Encode(reg.Snapshot(), false); s != nil {
-				data, err := s.MarshalJSON()
-				if err != nil {
-					b.Fatal(err)
-				}
-				snap = data
+			if snap, err = json.Marshal(reg.Snapshot()); err != nil {
+				b.Fatal(err)
 			}
 		}
 		if err := client.Heartbeat(ctx, j.ID, j.LeaseToken, nil, snap); err != nil {

@@ -171,20 +171,6 @@ func (cl *clusterState) adjust(name string, fn func(w *workerInfo)) {
 // owner returns the shard ring's preferred worker for a key.
 func (cl *clusterState) owner(key string) string { return cl.ring.Owner(key) }
 
-// ingestSnapshot folds one worker's shipped metrics snapshot into the
-// federation as raw bytes — the decode happens at scrape time, not per
-// beat, so telemetry adds only a byte copy to the heartbeat path.
-// Malformed or absent snapshots are ignored (the federation falls back
-// to the worker's last good one) — telemetry must never fail a
-// heartbeat or completion.
-func (cl *clusterState) ingestSnapshot(worker string, raw json.RawMessage) {
-	if worker == "" || len(raw) == 0 {
-		return
-	}
-	cl.fed.UpdateRaw(worker, raw, time.Now())
-	cl.snapshots.Inc()
-}
-
 // metricsInfo digests a worker's latest federated snapshot for its
 // /v1/workers row; nil when the worker never shipped one.
 func (cl *clusterState) metricsInfo(name string, now time.Time) *cluster.WorkerMetricsInfo {
@@ -365,8 +351,23 @@ func (s *server) heartbeat(id, worker, token string, cp, snap json.RawMessage) e
 	}
 	s.cl.heartbeats.Inc()
 	s.cl.adjust(worker, func(wi *workerInfo) { wi.lastSeen = time.Now() })
-	s.cl.ingestSnapshot(worker, snap)
+	s.ingestSnapshot(worker, snap)
 	return nil
+}
+
+// ingestSnapshot decodes one worker's shipped metrics snapshot into the
+// federation. A snapshot that does not decode or names an invalid
+// family, kind or label is refused and logged, and the worker's
+// previous one stays: telemetry never fails a heartbeat or completion.
+func (s *server) ingestSnapshot(worker string, raw json.RawMessage) {
+	if len(raw) == 0 {
+		return
+	}
+	if err := s.cl.fed.Update(worker, raw, time.Now()); err != nil {
+		s.log.Warn("metrics snapshot refused", "worker", worker, "err", err)
+		return
+	}
+	s.cl.snapshots.Inc()
 }
 
 // progress records one per-job event of a leased campaign in its queue
@@ -393,7 +394,7 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 	})
 	// The completion snapshot is a short-lived worker's last word: it
 	// lands even if the process exits before its next heartbeat.
-	s.cl.ingestSnapshot(worker, snap)
+	s.ingestSnapshot(worker, snap)
 	if s.tracer != nil && len(spans) > 0 {
 		s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
 	}

@@ -513,6 +513,49 @@ func TestClusterMetricsFederation(t *testing.T) {
 	}
 }
 
+// TestClusterMetricsRefusesForgedSnapshot: a heartbeat whose metrics
+// payload carries a family name, a kind or a label name with exposition
+// syntax in it still renews the lease, but the snapshot is refused
+// whole — no forged sample reaches the federated page, not even one
+// without an instance label posing as a coordinator series — and it is
+// not counted as accepted.
+func TestClusterMetricsRefusesForgedSnapshot(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":3}`, nil)
+	id := m["id"].(string)
+	g, ok := leaseAs(t, srv, "w1")
+	if !ok {
+		t.Fatal("no grant")
+	}
+	beat := func(snap string) {
+		t.Helper()
+		code, _ := doJSON(t, srv, "POST", "/v1/cluster/jobs/"+id+"/heartbeat",
+			fmt.Sprintf(`{"worker":"w1","token":%q,"metrics":%s}`, g.Token, snap))
+		if code != http.StatusOK {
+			t.Fatalf("heartbeat: %d, want 200", code)
+		}
+	}
+	beat(`{"families":[{"name":"real_total","kind":"counter","children":[{"value":1}]}]}`)
+	beat(`{"families":[` +
+		`{"name":"x 1\nforged2_total","kind":"counter","children":[{"value":1}]},` +
+		`{"name":"y_total","kind":"counter\nforged3_total 7","children":[{"value":1}]},` +
+		`{"name":"z_total","kind":"counter","children":[{"labels":{"a\"} 1\nforged_total{x=\"":"v"},"value":1}]}]}`)
+
+	page := clusterReq(t, srv, "GET", "/v1/cluster/metrics", "").Body.String()
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "forged") {
+			t.Errorf("forged line on the federated page: %q", line)
+		}
+	}
+	if !strings.Contains(page, `real_total{instance="w1"} 1`) {
+		t.Errorf("refused snapshot dropped the worker's previous one:\n%s", page)
+	}
+	own := clusterReq(t, srv, "GET", "/v1/metrics", "").Body.String()
+	if !strings.Contains(own, "dramdig_cluster_metric_snapshots_total 1\n") {
+		t.Errorf("accepted-snapshot count is not 1:\n%s", own)
+	}
+}
+
 // mustSpecFingerprints resolves a campaign request body to its machine
 // fingerprints via the same deterministic spec builder both sides use.
 func mustSpecFingerprints(t *testing.T, body string) []string {

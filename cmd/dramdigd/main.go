@@ -104,7 +104,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheDir   = flag.String("cache-dir", "", "persist results under this directory's segment blob store (empty: memory only)")
-		traceDir   = flag.String("trace-dir", "", "record every job's timing trace under this directory (empty: tracing off)")
+		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); traces persist in <cache-dir>/segments, or in this directory's segments/ without -cache-dir, and legacy .trace files here migrate on boot")
 		queueDir   = flag.String("queue-dir", "", "persist the job queue (WAL + snapshots) under this directory (empty: memory only, no crash recovery)")
 		maxEntries = flag.Int("cache-entries", 128, "in-memory LRU capacity")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "default campaign worker pool size")

@@ -833,8 +833,8 @@ func (s *server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
 // is the ETag: a client revalidating with If-None-Match gets 304 without
 // the store (or the disk) being consulted at all — if the client holds a
 // representation of this fingerprint, it is by construction current.
-// Cold misses are absorbed by the store's bounded negative-lookup cache,
-// so repeated probes for unknown fingerprints stay off the disk too.
+// A cold miss is answered by the store's in-memory segment index, so
+// repeated probes for unknown fingerprints stay off the disk too.
 func (s *server) handleGetMapping(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fingerprint")
 	if !store.ValidFingerprint(fp) {

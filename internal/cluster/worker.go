@@ -98,19 +98,19 @@ type Worker struct {
 	remote bool
 
 	// inst and cm instrument the campaign engine when cfg.Metrics is
-	// set; both are nil-safe downstream. ship reduces successive
-	// snapshots to change-only deltas for the heartbeat wire.
+	// set; both are nil-safe downstream. ship is set for a remote worker
+	// with a registry: only it sends metrics snapshots.
 	inst *timing.Instrument
 	cm   *campaign.Metrics
-	ship *metrics.DeltaEncoder
+	ship bool
 
 	completed atomic.Uint64
 	failed    atomic.Uint64
 	leases    atomic.Uint64
 
 	// lastShip is the unix-nano time of the last snapshot encode;
-	// heartbeats cheaper than snapshotMinInterval apart skip the
-	// encode entirely.
+	// heartbeats less than snapshotMinInterval after it skip the encode
+	// entirely.
 	lastShip atomic.Int64
 
 	// RunCampaign executes a leased campaign. It is campaign.Run; tests
@@ -151,7 +151,7 @@ func NewWorker(c Coordinator, cfg WorkerConfig) *Worker {
 	}
 	if r := cfg.Metrics; r != nil && remote {
 		metrics.RegisterRuntime(r)
-		w.ship = metrics.NewDeltaEncoder(0)
+		w.ship = true
 		r.CounterFunc("dramdig_worker_leases_total",
 			"Lease grants accepted by this worker.", nil,
 			func() float64 { return float64(w.leases.Load()) })
@@ -165,29 +165,22 @@ func NewWorker(c Coordinator, cfg WorkerConfig) *Worker {
 	return w
 }
 
-// snapshotJSON marshals the worker's current metrics snapshot for the
+// snapshotJSON marshals the worker's whole metrics snapshot for the
 // wire; nil when the worker ships no snapshots (in-process, or no
-// registry — the payload fields are omitempty) or when nothing changed
-// since the last ship. Heartbeats send change-only deltas with a
-// periodic full resync; completions force a full snapshot so a
-// coordinator that lost this worker's state (restart, reap) is whole
-// again by the time the job's results land. The snapshot's own encoder
-// is called directly — json.Marshal would re-scan and re-compact its
-// output, doubling the cost of every heartbeat's payload.
-func (w *Worker) snapshotJSON(full bool) json.RawMessage {
-	if w.ship == nil {
+// registry — the payload fields are omitempty) or, unless force is set,
+// when the last one left under snapshotMinInterval ago. Completions
+// force a snapshot so the coordinator holds the worker's state by the
+// time the job's results land.
+func (w *Worker) snapshotJSON(force bool) json.RawMessage {
+	if !w.ship {
 		return nil
 	}
-	now := time.Now()
-	if !full && now.UnixNano()-w.lastShip.Load() < int64(snapshotMinInterval) {
+	now := time.Now().UnixNano()
+	if !force && now-w.lastShip.Load() < int64(snapshotMinInterval) {
 		return nil
 	}
-	snap := w.ship.Encode(w.cfg.Metrics.Snapshot(), full)
-	w.lastShip.Store(now.UnixNano())
-	if snap == nil {
-		return nil
-	}
-	data, err := snap.MarshalJSON()
+	w.lastShip.Store(now)
+	data, err := json.Marshal(w.cfg.Metrics.Snapshot())
 	if err != nil {
 		return nil
 	}

@@ -189,6 +189,10 @@ const (
 	kindHistogram metricKind = "histogram"
 )
 
+func (k metricKind) valid() bool {
+	return k == kindCounter || k == kindGauge || k == kindHistogram
+}
+
 // child is one labeled instance inside a family. Exactly one of the
 // value fields is set.
 type child struct {
@@ -240,14 +244,17 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 }
 
 // Histogram registers (or finds) a histogram with the given upper
-// bounds (ascending; +Inf implicit). Re-registration must use the same
-// bounds.
+// bounds (finite and ascending; +Inf implicit). Re-registration must
+// use the same bounds.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels) *Histogram {
 	if r == nil {
 		return nil
 	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
+	for i, b := range buckets {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			panic(fmt.Sprintf("metrics: histogram %s bucket %v is not finite", name, b))
+		}
+		if i > 0 && b <= buckets[i-1] {
 			panic(fmt.Sprintf("metrics: histogram %s buckets not ascending", name))
 		}
 	}
@@ -284,15 +291,12 @@ func (r *Registry) Declare(name, help string, kind string) {
 	if r == nil {
 		return
 	}
-	k := metricKind(kind)
-	switch k {
-	case kindCounter, kindGauge, kindHistogram:
-	default:
+	if !metricKind(kind).valid() {
 		panic(fmt.Sprintf("metrics: Declare %s: unknown kind %q", name, kind))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.familyLocked(name, help, k, nil)
+	r.familyLocked(name, help, metricKind(kind), nil)
 }
 
 func (r *Registry) register(name, help string, kind metricKind, buckets []float64, labels Labels, fn func() float64) *child {
@@ -379,36 +383,35 @@ func cloneLabels(l Labels) Labels {
 	return out
 }
 
-// mustValidName enforces the Prometheus metric-name grammar
-// ([a-zA-Z_:][a-zA-Z0-9_:]*).
-func mustValidName(name string) {
+// validName reports whether name fits the Prometheus metric-name
+// grammar ([a-zA-Z_:][a-zA-Z0-9_:]*) or, with colons false, the
+// label-name grammar ([a-zA-Z_][a-zA-Z0-9_]*).
+func validName(name string, colons bool) bool {
 	if name == "" {
-		panic("metrics: empty name")
+		return false
 	}
 	for i, c := range name {
-		ok := c == '_' || c == ':' ||
+		ok := c == '_' || (colons && c == ':') ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
-			panic(fmt.Sprintf("metrics: invalid name %q", name))
+			return false
 		}
+	}
+	return true
+}
+
+// mustValidName enforces the metric-name grammar at registration.
+func mustValidName(name string) {
+	if !validName(name, true) {
+		panic(fmt.Sprintf("metrics: invalid name %q", name))
 	}
 }
 
-// mustValidLabelName enforces the label-name grammar
-// ([a-zA-Z_][a-zA-Z0-9_]*) — unlike metric names, colons are not legal
-// in label names.
+// mustValidLabelName enforces the label-name grammar at registration.
 func mustValidLabelName(name string) {
-	if name == "" {
-		panic("metrics: empty label name")
-	}
-	for i, c := range name {
-		ok := c == '_' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			panic(fmt.Sprintf("metrics: invalid label name %q", name))
-		}
+	if !validName(name, false) {
+		panic(fmt.Sprintf("metrics: invalid label name %q", name))
 	}
 }
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,6 +81,18 @@ func TestInvalidNamePanics(t *testing.T) {
 		}
 	}()
 	r.Counter("bad-name", "", nil)
+}
+
+// TestNonFiniteBucketPanics: a +Inf bound (the +Inf bucket is
+// implicit) would make every snapshot of the registry unencodable.
+func TestNonFiniteBucketPanics(t *testing.T) {
+	r := NewRegistry()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("non-finite bucket bound did not panic")
+		}
+	}()
+	r.Histogram("inf_seconds", "", []float64{1, math.Inf(1)}, nil)
 }
 
 func TestHistogramBuckets(t *testing.T) {

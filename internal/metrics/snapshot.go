@@ -1,11 +1,12 @@
 // Snapshot/merge support: a Registry can export its current state as a
-// compact, JSON-encodable Snapshot, and a Federation re-renders
-// snapshots from many instances (cluster workers) as one exposition
-// page with an `instance` label injected on every sample. This is how
-// worker telemetry reaches the coordinator: workers piggyback a
-// snapshot on their existing heartbeat, the coordinator's Federation
-// keeps the latest per worker, and GET /v1/cluster/metrics renders the
-// fleet as if one registry had collected it all.
+// JSON-encodable Snapshot, and a Federation re-renders snapshots from
+// many instances (cluster workers) as one exposition page with an
+// `instance` label injected on every sample. This is how worker
+// telemetry reaches the coordinator: a worker ships its whole snapshot
+// on a heartbeat at most once a second and on every completion, the
+// coordinator's Federation decodes and validates each one as it arrives
+// and keeps the latest per worker, and GET /v1/cluster/metrics renders
+// the fleet as if one registry had collected it all.
 //
 // Snapshots are values, not live views: histogram bucket counts are
 // copied non-cumulative (the wire shape stays small and mergeable) and
@@ -18,9 +19,10 @@ package metrics
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net/http"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -31,11 +33,6 @@ import (
 // children's current values. The JSON shape is the cluster heartbeat
 // payload; keep it backward-decodable (add fields, never repurpose).
 type Snapshot struct {
-	// Delta marks a change-only snapshot produced by a DeltaEncoder:
-	// Families holds just the children whose values moved since the
-	// sender's previous ship (help omitted), to be merged onto the
-	// receiver's last known state. False means the full registry state.
-	Delta    bool             `json:"delta,omitempty"`
 	Families []FamilySnapshot `json:"families,omitempty"`
 }
 
@@ -93,8 +90,9 @@ func (s *Snapshot) Total(name string) (float64, bool) {
 // values (including GaugeFunc/CounterFunc callbacks) after releasing
 // it, so callbacks that take other components' locks cannot deadlock
 // against registration. Children are sorted by label signature, making
-// the snapshot deterministic for a given state. A nil registry returns
-// an empty snapshot.
+// the snapshot deterministic for a given state. A non-finite callback
+// reading or histogram sum reads as 0, since JSON has no NaN or Inf. A
+// nil registry returns an empty snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{}
 	if r == nil {
@@ -134,7 +132,7 @@ func (r *Registry) Snapshot() *Snapshot {
 			cs := ChildSnapshot{Labels: cloneLabels(c.labels)}
 			switch {
 			case c.fn != nil:
-				cs.Value = c.fn()
+				cs.Value = finite(c.fn())
 			case c.counter != nil:
 				cs.Value = float64(c.counter.Value())
 			case c.gauge != nil:
@@ -144,7 +142,7 @@ func (r *Registry) Snapshot() *Snapshot {
 				for k := range c.hist.counts {
 					cs.BucketCounts[k] = c.hist.counts[k].Load()
 				}
-				cs.Sum = c.hist.Sum()
+				cs.Sum = finite(c.hist.Sum())
 				cs.Count = c.hist.Count()
 			}
 			fs.Children = append(fs.Children, cs)
@@ -154,99 +152,78 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
+// finite returns v, or 0 for NaN and ±Inf.
+func finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
+}
+
 // Federation holds the latest snapshot per instance and renders them
-// as one exposition page. Instances age out explicitly (Remove /
-// ExpireBefore) — the coordinator ties their lifetime to its worker
-// registry, so a reaped worker's metrics vanish with its ring
-// membership.
+// as one exposition page. Instances age out explicitly (Remove) — the
+// coordinator ties their lifetime to its worker registry, so a reaped
+// worker's metrics vanish with its ring membership.
 type Federation struct {
 	mu        sync.Mutex
-	instances map[string]*fedEntry
+	instances map[string]fedEntry
 }
 
 type fedEntry struct {
-	raw   []byte    // undecoded snapshot bytes (nil once decoded)
-	snap  *Snapshot // decoded snapshot; lazily from raw
-	prev  *fedEntry // entry this one replaced — delta base and malformed fallback
-	depth int       // undecoded chain length behind this entry
-	at    time.Time
-}
-
-// snapshot returns the entry's decoded snapshot, decoding raw bytes on
-// first use. Decoding at read time keeps the heartbeat ingest path to a
-// byte copy; scrapes are rare, beats are not. A delta snapshot is
-// merged onto the previous entry's state; a malformed one is ignored in
-// favor of the last good one rather than blanking the instance. Callers
-// must hold the federation lock.
-func (e *fedEntry) snapshot() *Snapshot {
-	if e.snap != nil {
-		return e.snap
-	}
-	s := new(Snapshot)
-	if err := json.Unmarshal(e.raw, s); err != nil {
-		s = new(Snapshot)
-		if e.prev != nil {
-			s = e.prev.snapshot()
-		}
-	} else if s.Delta {
-		base := &Snapshot{}
-		if e.prev != nil {
-			base = e.prev.snapshot()
-		}
-		s = applyDelta(base, s)
-	}
-	e.snap, e.raw, e.prev, e.depth = s, nil, nil, 0
-	return e.snap
+	snap *Snapshot
+	at   time.Time
 }
 
 // NewFederation returns an empty federation.
 func NewFederation() *Federation {
-	return &Federation{instances: make(map[string]*fedEntry)}
+	return &Federation{instances: make(map[string]fedEntry)}
 }
 
-// Update records instance's latest snapshot, taken (or received) at at.
-// The federation keeps the snapshot pointer; callers must not mutate it
-// afterwards.
-func (f *Federation) Update(instance string, snap *Snapshot, at time.Time) {
-	if f == nil || instance == "" || snap == nil {
-		return
+// Update decodes raw as instance's latest snapshot, received at at. A
+// payload that does not decode, or that names a family, kind or label
+// the exposition format cannot carry, is refused with an error and the
+// instance keeps its previous snapshot: foreign bytes never reach the
+// rendered page unchecked.
+func (f *Federation) Update(instance string, raw []byte, at time.Time) error {
+	if f == nil {
+		return nil
+	}
+	if instance == "" {
+		return errors.New("metrics: snapshot without an instance")
+	}
+	snap := new(Snapshot)
+	if err := json.Unmarshal(raw, snap); err != nil {
+		return fmt.Errorf("metrics: decode snapshot: %w", err)
+	}
+	if err := snap.validate(); err != nil {
+		return err
 	}
 	f.mu.Lock()
-	f.instances[instance] = &fedEntry{snap: snap, at: at}
+	f.instances[instance] = fedEntry{snap: snap, at: at}
 	f.mu.Unlock()
+	return nil
 }
 
-// maxFedChain bounds how many undecoded payloads a never-read instance
-// may accumulate before the federation collapses the chain eagerly —
-// the amortized cost of one decode every N beats instead of unbounded
-// memory on an unscraped coordinator.
-const maxFedChain = 64
-
-// UpdateRaw records instance's latest snapshot (full or delta) as
-// undecoded JSON bytes, deferring the decode to the next read
-// (WritePrometheus or Info). This is the heartbeat ingest path: the
-// coordinator receives a payload per beat per worker but renders the
-// page on the scrape interval, so paying the decode at read time takes
-// it off the cluster's hottest RPC. The bytes are copied; bytes that
-// fail to decode later are ignored in favor of the instance's previous
-// state, and delta payloads merge onto it.
-func (f *Federation) UpdateRaw(instance string, raw []byte, at time.Time) {
-	if f == nil || instance == "" || len(raw) == 0 {
-		return
-	}
-	e := &fedEntry{raw: append([]byte(nil), raw...), at: at}
-	f.mu.Lock()
-	if prev := f.instances[instance]; prev != nil {
-		e.prev = prev
-		if prev.snap == nil {
-			e.depth = prev.depth + 1
+// validate applies the registry's registration checks to a foreign
+// snapshot: family names and label names must fit their grammars and
+// every kind must be one the registry renders.
+func (s *Snapshot) validate() error {
+	for _, fam := range s.Families {
+		if !validName(fam.Name, true) {
+			return fmt.Errorf("metrics: invalid family name %q", fam.Name)
 		}
-		if e.depth >= maxFedChain {
-			e.snapshot()
+		if !metricKind(fam.Kind).valid() {
+			return fmt.Errorf("metrics: family %s: unknown kind %q", fam.Name, fam.Kind)
+		}
+		for _, c := range fam.Children {
+			for k := range c.Labels {
+				if !validName(k, false) {
+					return fmt.Errorf("metrics: family %s: invalid label name %q", fam.Name, k)
+				}
+			}
 		}
 	}
-	f.instances[instance] = e
-	f.mu.Unlock()
+	return nil
 }
 
 // Remove drops one instance's snapshot; the return reports whether it
@@ -257,30 +234,9 @@ func (f *Federation) Remove(instance string) bool {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.instances[instance]; !ok {
-		return false
-	}
+	_, ok := f.instances[instance]
 	delete(f.instances, instance)
-	return true
-}
-
-// ExpireBefore drops every instance whose snapshot is older than
-// cutoff and returns their names, sorted.
-func (f *Federation) ExpireBefore(cutoff time.Time) []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	var stale []string
-	for name, e := range f.instances {
-		if e.at.Before(cutoff) {
-			stale = append(stale, name)
-			delete(f.instances, name)
-		}
-	}
-	f.mu.Unlock()
-	sort.Strings(stale)
-	return stale
+	return ok
 }
 
 // Info returns one instance's latest snapshot and its timestamp.
@@ -291,25 +247,7 @@ func (f *Federation) Info(instance string) (*Snapshot, time.Time, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e, ok := f.instances[instance]
-	if !ok {
-		return nil, time.Time{}, false
-	}
-	return e.snapshot(), e.at, true
-}
-
-// Instances returns the federated instance names, sorted.
-func (f *Federation) Instances() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	names := make([]string, 0, len(f.instances))
-	for name := range f.instances {
-		names = append(names, name)
-	}
-	f.mu.Unlock()
-	sort.Strings(names)
-	return names
+	return e.snap, e.at, ok
 }
 
 // fedRow is one renderable sample set: a child with its instance label
@@ -349,7 +287,7 @@ func (f *Federation) WritePrometheus(w io.Writer) error {
 	sort.Strings(names)
 	snaps := make([]*Snapshot, len(names))
 	for i, name := range names {
-		snaps[i] = f.instances[name].snapshot()
+		snaps[i] = f.instances[name].snap
 	}
 	f.mu.Unlock()
 
@@ -427,25 +365,23 @@ func (f *Federation) WritePrometheus(w io.Writer) error {
 
 // instanceSignature renders a child's labels with the federation's
 // instance label injected. A pre-existing "instance" label moves to
-// "exported_instance" so the injected one is authoritative.
+// "exported_instance" so the injected one is authoritative; when that
+// name is taken too, "exported_" is prepended until it is free, as
+// Prometheus does, so no label is lost and every render is the same.
 func instanceSignature(l Labels, instance string) string {
 	out := make(Labels, len(l)+1)
 	for k, v := range l {
-		if k == "instance" {
-			out["exported_instance"] = v
-			continue
+		if k != "instance" {
+			out[k] = v
+		}
+	}
+	if v, ok := l["instance"]; ok {
+		k := "exported_instance"
+		for _, taken := out[k]; taken; _, taken = out[k] {
+			k = "exported_" + k
 		}
 		out[k] = v
 	}
 	out["instance"] = instance
 	return labelSignature(out)
-}
-
-// Handler serves the federated exposition page — what the coordinator
-// mounts at /v1/cluster/metrics.
-func (f *Federation) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = f.WritePrometheus(w)
-	})
 }

@@ -27,7 +27,7 @@ import (
 // per-file layout this store replaced, which also relied on the OS to
 // write back), but a segment is fsynced when it is sealed, before any
 // compaction removes the records' previous home, and on Close. Callers
-// that need a stronger guarantee set Options.SyncEvery.
+// that need a stronger guarantee call Sync.
 type BlobStore struct {
 	mu     sync.Mutex
 	dir    string
@@ -56,8 +56,6 @@ type Options struct {
 	// When a Put pushes the store past the bound, least-recently-used
 	// blobs are evicted and dead segments compacted until it fits.
 	MaxBytes int64
-	// SyncEvery fsyncs the active segment after every Put and Delete.
-	SyncEvery bool
 }
 
 // BlobInfo describes one live blob during Iterate.
@@ -350,11 +348,6 @@ func (bs *BlobStore) appendLocked(rec []byte) (int64, error) {
 	}
 	bs.active.bytes += int64(len(rec))
 	bs.bytes += int64(len(rec))
-	if bs.opts.SyncEvery {
-		if err := bs.f.Sync(); err != nil {
-			return 0, fmt.Errorf("storage: fsync segment: %w", err)
-		}
-	}
 	return off, nil
 }
 

@@ -73,7 +73,7 @@ func (bs *BlobStore) sweep(reclaim func(key string, age time.Duration) bool) (Sw
 			bs.stats.ReclaimedBlobs++
 			bs.stats.ReclaimedBytes += uint64(size)
 		}
-		if len(doomed) > 0 && !bs.opts.SyncEvery {
+		if len(doomed) > 0 {
 			// Phase one must be durable before compaction removes the
 			// records' only other copy.
 			if err := bs.f.Sync(); err != nil {

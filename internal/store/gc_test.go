@@ -321,28 +321,32 @@ func TestStoreIterate(t *testing.T) {
 	}
 }
 
-func TestStoreNegativeCacheSkipsDisk(t *testing.T) {
+// TestStoreMissOpensNoFile: a miss is answered by the in-memory
+// segment index alone. With the segment directory moved aside, any
+// file a lookup opened would fail it; three misses still answer
+// ok=false with no error.
+func TestStoreMissOpensNoFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if err := s.Put(testRecord(t, fp(1))); err != nil {
+		t.Fatal(err)
+	}
+	segs := filepath.Join(dir, "segments")
+	if err := os.Rename(segs, segs+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Rename(segs+".aside", segs)
 	for i := 0; i < 3; i++ {
 		if _, ok, err := s.Get(fp(9)); ok || err != nil {
 			t.Fatalf("lookup %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	st := s.StatsSnapshot()
-	if st.NegativeCacheHits < 2 {
-		t.Fatalf("negative cache hits = %d, want >= 2", st.NegativeCacheHits)
-	}
-	// A put must invalidate the cached miss.
-	if err := s.Put(testRecord(t, fp(9))); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Get(fp(9)); !ok || err != nil {
-		t.Fatalf("record invisible after put: ok=%v err=%v", ok, err)
+	if n := s.StatsSnapshot().NegativeLookups; n != 3 {
+		t.Fatalf("negative lookups = %d, want 3", n)
 	}
 }
 

@@ -95,19 +95,17 @@ const (
 func resultKey(fp string) string { return resultPrefix + fp }
 func traceKey(fp string) string  { return tracePrefix + fp }
 
-// negCacheCap bounds the negative-lookup cache (fingerprints known to be
-// absent from every tier, so repeated misses skip the segment lookup).
-const negCacheCap = 4096
-
 // Config tunes a store.
 type Config struct {
 	// Dir enables result persistence under this directory; empty keeps
 	// results memory-only. Segments live under Dir/segments; legacy flat
 	// <fp>.json files in Dir migrate into them on Open.
 	Dir string
-	// TraceDir is where recorded timing traces persist. Empty falls back
-	// to Dir; with both empty, traces live in a bounded in-memory tier.
-	// Legacy flat <fp>.trace files in TraceDir migrate on Open.
+	// TraceDir is where legacy flat <fp>.trace files migrate from on
+	// Open. Traces persist in the shared keyspace under Dir/segments;
+	// only without Dir do they persist under TraceDir/segments. Empty
+	// falls back to Dir; with both empty, traces live in a bounded
+	// in-memory tier.
 	TraceDir string
 	// MaxEntries caps the in-memory LRU front (default 128). Persistence
 	// is unaffected by eviction: evicted records reload from disk. The
@@ -143,9 +141,6 @@ type Stats struct {
 	// tier — requests for fingerprints the store has never seen (distinct
 	// from GetOrCompute misses, which turn into computes).
 	NegativeLookups uint64 `json:"negative_lookups"`
-	// NegativeCacheHits counts lookups answered by the bounded
-	// negative-lookup cache without touching the disk.
-	NegativeCacheHits uint64 `json:"negative_cache_hits"`
 	// Disk-tier shape: live blobs, segment files, and their total bytes.
 	DiskBlobs int   `json:"disk_blobs"`
 	DiskBytes int64 `json:"disk_bytes"`
@@ -173,10 +168,6 @@ type Store struct {
 	blob           *storage.BlobStore
 	persistResults bool // results persist only when Dir was set
 	gcGrace        time.Duration
-
-	// Bounded negative-lookup cache: result keys proven absent.
-	negCache      map[string]struct{}
-	negCacheOrder []string
 
 	// Disk-tier latency histograms; nil (no-op) until RegisterMetrics.
 	diskRead  *metrics.Histogram
@@ -225,7 +216,6 @@ func Open(cfg Config) (*Store, error) {
 		flight:         make(map[string]*flightCall),
 		persistResults: cfg.Dir != "",
 		gcGrace:        cfg.GCGrace,
-		negCache:       make(map[string]struct{}),
 		traceDir:       traceDir,
 		memTraces:      make(map[string][]byte),
 		memTraceAt:     make(map[string]time.Time),
@@ -483,8 +473,6 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.StatsSnapshot().PersistErrors) })
 	r.CounterFunc("dramdig_store_negative_lookups_total", "Get calls for fingerprints the store has never seen.", nil,
 		func() float64 { return float64(s.StatsSnapshot().NegativeLookups) })
-	r.CounterFunc("dramdig_store_negative_cache_hits_total", "Misses answered by the negative-lookup cache without touching disk.", nil,
-		func() float64 { return float64(s.StatsSnapshot().NegativeCacheHits) })
 	r.GaugeFunc("dramdig_store_entries", "Records in the in-memory LRU tier.", nil,
 		func() float64 { return float64(s.Len()) })
 	r.GaugeFunc("dramdig_store_disk_bytes", "Total bytes in the segment files of the disk tier.", nil,
@@ -526,39 +514,11 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// --- negative-lookup cache ---------------------------------------------
-
-// negCacheHasLocked reports whether key was already proven absent.
-func (s *Store) negCacheHasLocked(key string) bool {
-	_, ok := s.negCache[key]
-	if ok {
-		s.stats.NegativeCacheHits++
-	}
-	return ok
-}
-
-func (s *Store) negCacheAddLocked(key string) {
-	if _, ok := s.negCache[key]; ok {
-		return
-	}
-	s.negCache[key] = struct{}{}
-	s.negCacheOrder = append(s.negCacheOrder, key)
-	for len(s.negCacheOrder) > negCacheCap {
-		evict := s.negCacheOrder[0]
-		s.negCacheOrder = s.negCacheOrder[1:]
-		delete(s.negCache, evict)
-	}
-}
-
-func (s *Store) negCacheDropLocked(key string) {
-	delete(s.negCache, key)
-}
-
 // --- result tier -------------------------------------------------------
 
 // getLocked consults the LRU, then the segment keyspace, promoting what
-// it finds. Keys proven absent are remembered in the negative-lookup
-// cache until a put.
+// it finds. A key the segment index does not hold misses without
+// opening any file.
 func (s *Store) getLocked(fp string) (*Record, error) {
 	if el, ok := s.items[fp]; ok {
 		s.ll.MoveToFront(el)
@@ -566,19 +526,12 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 		return el.Value.(*Record), nil
 	}
 	if s.dir != "" && ValidFingerprint(fp) {
-		key := resultKey(fp)
-		if s.negCacheHasLocked(key) {
-			s.stats.Misses++
-			return nil, nil
-		}
 		readStart := time.Now()
-		data, ok, err := s.blob.Get(key)
+		data, ok, err := s.blob.Get(resultKey(fp))
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if !ok {
-			s.negCacheAddLocked(key)
-		} else {
+		if ok {
 			// Only successful reads are observed: index misses return in
 			// microseconds and would skew the latency distribution toward
 			// the low buckets.
@@ -627,13 +580,11 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 		if err != nil {
 			return fmt.Errorf("store: encode %s: %w", rec.Fingerprint, err)
 		}
-		key := resultKey(rec.Fingerprint)
 		writeStart := time.Now()
-		if err := s.blob.Put(key, data); err != nil {
+		if err := s.blob.Put(resultKey(rec.Fingerprint), data); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 		s.diskWrite.Observe(time.Since(writeStart).Seconds())
-		s.negCacheDropLocked(key)
 	}
 	return nil
 }
@@ -765,20 +716,6 @@ func (s *Store) StartGC(ctx context.Context, interval time.Duration, referenced 
 }
 
 // --- trace tier --------------------------------------------------------
-
-// TracePath returns where a fingerprint's trace persisted under the
-// legacy flat layout, or "" now that traces live inside the shared
-// segment keyspace (use GetTrace/StatTrace for access).
-func (s *Store) TracePath(fp string) string {
-	if s.traceDir == "" {
-		return ""
-	}
-	p := filepath.Join(s.traceDir, fp+".trace")
-	if _, err := os.Stat(p); err == nil {
-		return p
-	}
-	return ""
-}
 
 // TraceWriter returns a sink that stores the bytes written to it as the
 // fingerprint's trace when closed. The trace appears under its content

@@ -330,11 +330,8 @@ func TestStoreTraceTierDisk(t *testing.T) {
 	if n, ok := s.StatTrace(key); !ok || n != int64(len(payload)) {
 		t.Fatalf("StatTrace = %d,%v", n, ok)
 	}
-	// Traces live inside the shared segment keyspace now, so there is no
-	// per-trace flat path and no stray files in the trace directory.
-	if p := s.TracePath(key); p != "" {
-		t.Fatalf("segment-backed store reports flat trace path %q", p)
-	}
+	// Traces live inside the shared segment keyspace, so the trace
+	// directory holds no stray files.
 	entries, err := os.ReadDir(filepath.Join(dir, "traces"))
 	if err != nil {
 		t.Fatal(err)
@@ -364,9 +361,6 @@ func TestStoreTraceTierMemory(t *testing.T) {
 	s, err := Open(Config{MaxEntries: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.TracePath(fp(1)) != "" {
-		t.Fatal("memory store reports a trace path")
 	}
 	for i := 1; i <= 3; i++ {
 		if err := s.PutTrace(fp(i), []byte{byte(i)}); err != nil {
