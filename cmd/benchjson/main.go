@@ -96,8 +96,9 @@ var rows = []struct {
 // overheads derive a row from two measured ones: what cost costs over
 // bare. key names the cost row's median in the derived row's metrics.
 var overheads = []struct{ name, bare, cost, key string }{
-	// Per-sample instrumentation: an atomic counter increment plus a
-	// histogram observation on every timing measurement.
+	// Per-sample instrumentation: each meter batches its samples and
+	// folds them into the shared counter and histogram every 4,096
+	// samples and at every step's end.
 	{"metrics_overhead", "engine_live", "engine_live_instrumented", "instrumented_ns_op"},
 	// A span tracer on the context: five phase spans per run plus the
 	// tracer check on the sample path.

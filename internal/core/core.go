@@ -201,7 +201,7 @@ type Tool struct {
 	target      timing.Target
 	ctx         context.Context // run context; every measurement loop observes it
 	meter       *timing.Meter   // detection measurements (Rounds, Repeats)
-	pmeter      *timing.Meter   // partition measurements (PartitionRounds, majority of 3)
+	pmeter      *timing.Meter   // partition measurements (PartitionRounds, 3 repeats)
 	rng         *rand.Rand
 	logf        func(string, ...any)
 	calSamples  int
@@ -258,6 +258,17 @@ func (t *Tool) measurements() uint64 {
 	return n
 }
 
+// flushInstrument folds both meters' batched samples into the run's
+// instrument (see timing.Instrument).
+func (t *Tool) flushInstrument() {
+	if t.meter != nil {
+		t.meter.Flush()
+	}
+	if t.pmeter != nil {
+		t.pmeter.Flush()
+	}
+}
+
 // New creates a DRAMDig instance for a target.
 func New(target timing.Target, cfg Config) (*Tool, error) {
 	cfg.setDefaults()
@@ -291,6 +302,9 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 		ctx = context.Background()
 	}
 	t.ctx = ctx
+	// Every return path, a failed phase or cancellation included, leaves
+	// the instrument agreeing with the meters.
+	defer t.flushInstrument()
 	start := time.Now()
 	startClock := t.target.ClockNs()
 	res := &Result{Steps: make(map[string]StepStats)}
@@ -421,6 +435,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (t *Tool) recordStep(res *Result, sp *obs.Span, name string, clock0 float64, meas0 uint64) {
+	t.flushInstrument()
 	stats := StepStats{
 		SimSeconds:   (t.target.ClockNs() - clock0) / 1e9,
 		Measurements: t.measurements() - meas0,

@@ -6,10 +6,15 @@
 // accepted when its size is within δ of the expected pool/#banks — the
 // tolerance absorbs measurement noise and the few same-bank addresses
 // that share p's row (which measure low and legitimately stay out of the
-// pile). Each membership decision is a majority vote of up to three
-// shorter measurements: a single whole-measurement outlier (DVFS,
-// preemption) cannot flip it, which is the robustness DRAMDig needs on
-// mobile parts.
+// pile). Each membership decision takes up to three shorter
+// measurements and admits q only when all three read high; the first
+// low one ends it (timing.Meter.IsConflictUnanimous). Whole-measurement
+// outliers (DVFS, preemption) only add latency, and p meets a
+// non-conflicting address (#banks − 1)/#banks of the time, so a false
+// high is the error that fills a pile with strangers: a majority vote
+// admits one at about 3p² per pair, the unanimous vote at p³. A false
+// low only leaves a member out, which the size tolerance absorbs. That
+// is the robustness DRAMDig needs on mobile parts.
 //
 // The paper stops once at least per_threshold of the pool has been
 // assigned. The bank functions are linear, though, and Algorithm 1's pool
@@ -87,7 +92,7 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 			if i == ri {
 				continue
 			}
-			if t.pmeter.IsConflict(p, q) {
+			if t.pmeter.IsConflictUnanimous(p, q) {
 				members = append(members, q)
 			} else {
 				rest = append(rest, q)

@@ -164,11 +164,19 @@ func TestRunProgress(t *testing.T) {
 // TestRunInstrumented: WithInstrument counts every raw measurement and
 // feeds the latency distribution; the run result is identical to an
 // uninstrumented run (instrumentation must not perturb the pipeline).
+// The meters batch their samples, so the count must agree with them at
+// every step boundary and after a run ends, completed or cancelled.
 func TestRunInstrumented(t *testing.T) {
 	r := metrics.NewRegistry()
 	in := NewInstrument(r)
+	var stepped uint64
 	res, err := New().Run(context.Background(), source.Live(testMachine(t)),
-		WithSeed(7), WithInstrument(in))
+		WithSeed(7), WithInstrument(in), WithProgress(func(step string, st core.StepStats) {
+			stepped += st.Measurements
+			if got := in.Samples.Value(); got != stepped {
+				t.Errorf("after %s: instrument saw %d samples, steps so far took %d", step, got, stepped)
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +186,24 @@ func TestRunInstrumented(t *testing.T) {
 	if in.Samples.Value() != res.Measurements {
 		t.Fatalf("instrument saw %d samples, result reports %d measurements",
 			in.Samples.Value(), res.Measurements)
+	}
+
+	// A cancelled run returns mid-phase; its batched samples still reach
+	// the instrument. The wrapped run counts every measurement the
+	// meters took.
+	for _, after := range []int{100, int(res.Measurements) / 2} {
+		cin := NewInstrument(metrics.NewRegistry())
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelSource{Source: source.Live(testMachine(t)), cancel: cancel, after: after}
+		_, err := New().Run(ctx, src, WithSeed(7), WithInstrument(cin))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel@%d: err = %v, want context.Canceled", after, err)
+		}
+		if got := cin.Samples.Value(); got != uint64(src.run.calls) || cin.LatencyNs.Count() != got {
+			t.Fatalf("cancel@%d: instrument saw %d samples (histogram %d), meters took %d",
+				after, got, cin.LatencyNs.Count(), src.run.calls)
+		}
 	}
 
 	bare, err := New().Run(context.Background(), source.Live(testMachine(t)), WithSeed(7))

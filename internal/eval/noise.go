@@ -22,7 +22,7 @@ import (
 )
 
 // NoiseScales are the sweep's noise levels.
-var NoiseScales = []float64{1, 1.5, 2, 3}
+var NoiseScales = []float64{1, 1.5, 2, 3, 4, 6}
 
 // NoiseRow is one setting's outcome at one noise level.
 type NoiseRow struct {

@@ -8,11 +8,13 @@
 // Two properties shape the design:
 //
 //   - Hot-path safety. Metric updates are single atomic operations (the
-//     histogram adds one CAS for its sum) and never allocate, so the
-//     engine's MeasurePair loop can observe every sample. All metric
-//     methods are nil-receiver no-ops: code instruments unconditionally
-//     and a nil metric — what a nil *Registry hands out — disables the
-//     instrumentation at the cost of one predictable branch.
+//     histogram adds one CAS for its sum) and never allocate. A loop
+//     that one goroutine owns, like the engine's MeasurePair loop,
+//     observes into a HistogramBatch without atomics and merges it now
+//     and then. All metric methods are nil-receiver no-ops: code
+//     instruments unconditionally and a nil metric — what a nil
+//     *Registry hands out — disables the instrumentation at the cost of
+//     one predictable branch.
 //
 //   - No dependencies. The package imports only the standard library, so
 //     internal/timing and internal/queue can use it without dragging an
@@ -120,13 +122,74 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
+	i := bucketOf(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// bucketOf returns the index of the bucket holding v: bucket i holds
+// values in (bounds[i−1], bounds[i]], the last one everything above.
+func bucketOf(bounds []float64, v float64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
+}
+
+// HistogramBatch gathers observations for one Histogram in plain fields,
+// for a hot path that a single goroutine owns: observing costs no
+// atomic operation, and Histogram.Merge folds the batch in with one
+// atomic add per bucket.
+type HistogramBatch struct {
+	bounds []float64
+	counts []uint64 // len(bounds)+1, last is +Inf
+	sum    float64
+	count  uint64
+	last   int // bucket of the previous observation, tried first
+}
+
+// NewBatch returns an empty batch with h's buckets. A nil h gives a
+// batch that only counts, and merging it into h does nothing.
+func (h *Histogram) NewBatch() *HistogramBatch {
+	b := &HistogramBatch{}
+	if h != nil {
+		b.bounds = h.bounds
+	}
+	b.counts = make([]uint64, len(b.bounds)+1)
+	return b
+}
+
+// Observe records one value in the batch.
+func (b *HistogramBatch) Observe(v float64) {
+	i := b.last
+	if (i > 0 && v <= b.bounds[i-1]) || (i < len(b.bounds) && v > b.bounds[i]) {
+		i = bucketOf(b.bounds, v)
+		b.last = i
+	}
+	b.counts[i]++
+	b.count++
+	b.sum += v
+}
+
+// Count returns the number of observations not yet merged.
+func (b *HistogramBatch) Count() uint64 { return b.count }
+
+// Merge folds b's observations into h and empties b; a nil h drops
+// them. b must come from h.NewBatch.
+func (h *Histogram) Merge(b *HistogramBatch) {
+	if h != nil && b.count > 0 {
+		for i, n := range b.counts {
+			if n > 0 {
+				h.counts[i].Add(n)
+			}
+		}
+		h.count.Add(b.count)
+		h.sum.Add(b.sum)
+	}
+	clear(b.counts)
+	b.sum, b.count = 0, 0
 }
 
 // Count returns the number of observations (0 for nil).

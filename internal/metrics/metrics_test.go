@@ -125,6 +125,69 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge: observations gathered in batches and merged render
+// exactly as the same values observed one by one. The values are
+// multiples of 2⁻¹¹ (the engine's bounds among them), so every sum is
+// exact whichever way it is grouped; a merged batch is empty, and a
+// batch of a nil histogram only counts.
+func TestHistogramMerge(t *testing.T) {
+	bounds := ExpBuckets(25, 1.5, 12)
+	var vals []float64
+	for i := 0; i < 3000; i++ {
+		switch i % 5 {
+		case 0:
+			vals = append(vals, bounds[i%len(bounds)]) // on a bound
+		case 1:
+			vals = append(vals, float64(i%4000)/4) // a run across buckets
+		default:
+			vals = append(vals, 240+float64(i%3)*80) // the bimodal pair
+		}
+	}
+	vals = append(vals, 0, -1, 1e6)
+
+	direct, merged := NewRegistry(), NewRegistry()
+	hd := direct.Histogram("lat_ns", "Latency.", bounds, nil)
+	hm := merged.Histogram("lat_ns", "Latency.", bounds, nil)
+	b := hm.NewBatch()
+	for i, v := range vals {
+		hd.Observe(v)
+		b.Observe(v)
+		if i%1000 == 999 {
+			hm.Merge(b)
+			if b.Count() != 0 {
+				t.Fatalf("batch holds %d after a merge", b.Count())
+			}
+		}
+	}
+	if b.Count() != uint64(len(vals)%1000) {
+		t.Fatalf("batch count %d, want %d", b.Count(), len(vals)%1000)
+	}
+	hm.Merge(b)
+	hm.Merge(b) // an empty batch changes nothing
+	var want, got strings.Builder
+	if err := direct.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("merged render differs:\n%s\nobserved one by one:\n%s", got.String(), want.String())
+	}
+
+	var none *Histogram
+	nb := none.NewBatch()
+	nb.Observe(1)
+	nb.Observe(2)
+	if nb.Count() != 2 {
+		t.Fatalf("nil histogram's batch counted %d, want 2", nb.Count())
+	}
+	none.Merge(nb)
+	if nb.Count() != 0 {
+		t.Fatalf("merge into nil left %d in the batch", nb.Count())
+	}
+}
+
 func TestRenderFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dramdig_http_requests_total", "HTTP requests.", Labels{"route": "/v1/queue", "method": "GET", "code": "200"}).Add(3)

@@ -127,22 +127,25 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraceParents are values ParseTraceParent must refuse; they
+// also seed FuzzParseTraceParent.
+var malformedTraceParents = []string{
+	"",
+	"garbage",
+	"00-abc-def-01",
+	"00-00000000000000000000000000000000-0102030405060708-01",       // zero trace ID
+	"00-0102030405060708090a0b0c0d0e0f10-0000000000000000-01",       // zero span ID
+	"ff-0102030405060708090a0b0c0d0e0f10-0102030405060708-01",       // version ff
+	"00-0102030405060708090a0b0c0d0e0f10-0102030405060708-01-extra", // v00 extra field
+	"zz-0102030405060708090a0b0c0d0e0f10-0102030405060708-01",       // non-hex version
+	"00-0102030405060708090a0b0c0d0e0fXX-0102030405060708-01",       // non-hex trace
+	"00-0102030405060708090a0b0c0d0e0f10-01020304050607XX-01",       // non-hex span
+	"00-0102030405060708090a0b0c0d0e0f10-0102030405060708-XX",       // non-hex flags
+	"00-0102030405060708090a0b0c0d0e0f-0102030405060708-01",         // short trace
+}
+
 func TestParseTraceParentMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"garbage",
-		"00-abc-def-01",
-		"00-00000000000000000000000000000000-0102030405060708-01",       // zero trace ID
-		"00-0102030405060708090a0b0c0d0e0f10-0000000000000000-01",       // zero span ID
-		"ff-0102030405060708090a0b0c0d0e0f10-0102030405060708-01",       // version ff
-		"00-0102030405060708090a0b0c0d0e0f10-0102030405060708-01-extra", // v00 extra field
-		"zz-0102030405060708090a0b0c0d0e0f10-0102030405060708-01",       // non-hex version
-		"00-0102030405060708090a0b0c0d0e0fXX-0102030405060708-01",       // non-hex trace
-		"00-0102030405060708090a0b0c0d0e0f10-01020304050607XX-01",       // non-hex span
-		"00-0102030405060708090a0b0c0d0e0f10-0102030405060708-XX",       // non-hex flags
-		"00-0102030405060708090a0b0c0d0e0f-0102030405060708-01",         // short trace
-	}
-	for _, s := range bad {
+	for _, s := range malformedTraceParents {
 		if _, err := ParseTraceParent(s); err == nil {
 			t.Errorf("ParseTraceParent(%q) accepted malformed input", s)
 		}

@@ -45,9 +45,11 @@ const CacheLineBits = 6
 // Instrument is hot-path measurement instrumentation shared by a run's
 // meters: a raw-sample throughput counter and a histogram of the measured
 // latencies themselves (ns) — the latter renders the bimodal SBDR
-// distribution directly on /v1/metrics. A nil *Instrument is a no-op, so
-// the uninstrumented hot path pays exactly one predictable branch per raw
-// measurement.
+// distribution directly on /v1/metrics. Each meter batches its samples
+// and folds them in with Meter.Flush, so the shared atomics are touched
+// once per flushEvery samples rather than four times per sample. A nil
+// *Instrument is a no-op, so the uninstrumented hot path pays exactly
+// one predictable branch per raw measurement.
 type Instrument struct {
 	// Samples counts raw MeasurePair calls.
 	Samples *metrics.Counter
@@ -55,15 +57,9 @@ type Instrument struct {
 	LatencyNs *metrics.Histogram
 }
 
-// observe records one raw measurement. The metric types are themselves
-// nil-safe, so a partially populated Instrument works too.
-func (in *Instrument) observe(v float64) {
-	if in == nil {
-		return
-	}
-	in.Samples.Inc()
-	in.LatencyNs.Observe(v)
-}
+// flushEvery bounds how many samples a meter holds back from its
+// instrument, so a long phase still shows progress on a scrape.
+const flushEvery = 4096
 
 // Meter wraps a Target with a measurement policy: rounds per measurement,
 // median-of-repeats robustness, a calibrated conflict threshold, and
@@ -76,6 +72,7 @@ type Meter struct {
 	thresh   float64
 	measures uint64
 	inst     *Instrument
+	batch    *metrics.HistogramBatch // inst's samples not yet flushed
 
 	haveSentinels bool
 	sentinelLow   [2]addr.Phys // a pair known not to conflict
@@ -107,8 +104,27 @@ func (m *Meter) SetThreshold(t float64) { m.thresh = t }
 // Rounds returns the configured rounds per raw measurement.
 func (m *Meter) Rounds() int { return m.rounds }
 
-// SetInstrument attaches hot-path instrumentation (nil detaches it).
-func (m *Meter) SetInstrument(in *Instrument) { m.inst = in }
+// SetInstrument attaches hot-path instrumentation (nil detaches it),
+// flushing what the meter held for the previous one.
+func (m *Meter) SetInstrument(in *Instrument) {
+	m.Flush()
+	m.inst, m.batch = in, nil
+	if in != nil {
+		m.batch = in.LatencyNs.NewBatch()
+	}
+}
+
+// Flush folds the samples the meter has batched into its instrument.
+// The meter flushes every flushEvery samples on its own; its owner
+// flushes at phase boundaries and before returning, so the instrument
+// agrees with Measurements whenever a run reports.
+func (m *Meter) Flush() {
+	if m.batch == nil || m.batch.Count() == 0 {
+		return
+	}
+	m.inst.Samples.Add(m.batch.Count())
+	m.inst.LatencyNs.Merge(m.batch)
+}
 
 // Sample measures the pair repeats times and returns the median latency.
 func (m *Meter) Sample(a, b addr.Phys) float64 {
@@ -134,7 +150,12 @@ func (m *Meter) SampleN(a, b addr.Phys, n int) float64 {
 func (m *Meter) measure(a, b addr.Phys) float64 {
 	v := m.target.MeasurePair(a, b, m.rounds)
 	m.measures++
-	m.inst.observe(v)
+	if m.batch != nil {
+		m.batch.Observe(v)
+		if m.batch.Count() >= flushEvery {
+			m.Flush()
+		}
+	}
 	return v
 }
 
@@ -160,6 +181,24 @@ func (m *Meter) IsConflict(a, b addr.Phys) bool {
 		}
 	}
 	return high == majority
+}
+
+// IsConflictUnanimous is the one-sided sequential test for a conflict:
+// the pair conflicts only when every one of the meter's repeats samples
+// reaches the threshold, and the first low sample ends the vote. It
+// suits a scan where most pairs do not conflict and the noise only adds
+// latency (whole-measurement outliers), so a false high is the costly
+// error: a non-conflicting pair takes one sample instead of the
+// majority vote's two, and a stranger passes with probability pʳ
+// instead of about 3p² at r = 3. The price is a false low whenever one
+// of a conflicting pair's r samples falls below the threshold.
+func (m *Meter) IsConflictUnanimous(a, b addr.Phys) bool {
+	for i := 0; i < m.repeats; i++ {
+		if m.measure(a, b) < m.thresh {
+			return false
+		}
+	}
+	return true
 }
 
 // CalibrationResult describes the fitted latency distribution.

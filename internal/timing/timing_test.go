@@ -8,6 +8,7 @@ import (
 	"dramdig/internal/addr"
 	"dramdig/internal/alloc"
 	"dramdig/internal/machine"
+	"dramdig/internal/metrics"
 	"dramdig/internal/sysinfo"
 )
 
@@ -194,6 +195,104 @@ func TestIsConflictCurtailedVote(t *testing.T) {
 		if got := meter.IsConflict(0, 64); got != c.want || target.next != c.took {
 			t.Errorf("%v: conflict %v after %d samples, want %v after %d", c.stream, got, target.next, c.want, c.took)
 		}
+	}
+}
+
+// TestIsConflictUnanimous checks the one-sided vote on scripted sample
+// streams: for every repeat count the decision is "each of the first n
+// samples reaches the threshold", and the vote takes the samples up to
+// and including the first low one (all n when none is low). Values
+// equal to the threshold count as high, as they do for IsConflict.
+func TestIsConflictUnanimous(t *testing.T) {
+	const thresh = 100
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 3, 4, 5, 7} {
+		for trial := 0; trial < 2000; trial++ {
+			stream := make([]float64, n)
+			for i := range stream {
+				switch rng.Intn(4) {
+				case 0:
+					stream[i] = thresh
+				default:
+					stream[i] = thresh + 5 + rng.NormFloat64()*20
+				}
+			}
+			target := &scriptTarget{samples: stream}
+			meter, err := NewMeter(target, 600, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meter.SetThreshold(thresh)
+			got := meter.IsConflictUnanimous(0, 64)
+			want, took := true, n
+			for i, v := range stream {
+				if v < thresh {
+					want, took = false, i+1
+					break
+				}
+			}
+			if got != want {
+				t.Fatalf("n=%d %v: vote %v, want %v", n, stream, got, want)
+			}
+			if target.next != took || meter.Measurements() != uint64(took) {
+				t.Fatalf("n=%d %v: took %d samples (counted %d), want %d",
+					n, stream, target.next, meter.Measurements(), took)
+			}
+		}
+	}
+	// With three repeats: a low sample ends the vote at once, a
+	// conflict takes three highs.
+	for _, c := range []struct {
+		stream []float64
+		want   bool
+		took   int
+	}{
+		{[]float64{80, 130, 130}, false, 1},
+		{[]float64{120, 80, 130}, false, 2},
+		{[]float64{120, 130, 99}, false, 3},
+		{[]float64{120, 100, 130}, true, 3},
+	} {
+		target := &scriptTarget{samples: c.stream}
+		meter, _ := NewMeter(target, 600, 3)
+		meter.SetThreshold(thresh)
+		if got := meter.IsConflictUnanimous(0, 64); got != c.want || target.next != c.took {
+			t.Errorf("%v: conflict %v after %d samples, want %v after %d", c.stream, got, target.next, c.want, c.took)
+		}
+	}
+}
+
+// TestInstrumentBatches: a meter holds its samples back from the
+// instrument until flushEvery of them have gathered or its owner calls
+// Flush; detaching the instrument flushes too.
+func TestInstrumentBatches(t *testing.T) {
+	r := metrics.NewRegistry()
+	in := &Instrument{
+		Samples:   r.Counter("samples_total", "", nil),
+		LatencyNs: r.Histogram("latency_ns", "", metrics.ExpBuckets(25, 1.5, 12), nil),
+	}
+	m := no1(t)
+	meter, _ := NewMeter(m, 600, 1)
+	meter.SetInstrument(in)
+	a := m.Pool().Pages()[0]
+	meter.SampleN(a, a+128, flushEvery-1)
+	if got := in.Samples.Value(); got != 0 {
+		t.Fatalf("instrument saw %d samples before a flush", got)
+	}
+	meter.SampleN(a, a+128, 2)
+	if got := in.Samples.Value(); got != flushEvery || in.LatencyNs.Count() != flushEvery {
+		t.Fatalf("instrument saw %d samples (histogram %d) at the batch bound, want %d",
+			got, in.LatencyNs.Count(), flushEvery)
+	}
+	meter.Flush()
+	if got := in.Samples.Value(); got != meter.Measurements() || in.LatencyNs.Count() != got {
+		t.Fatalf("after Flush: instrument %d (histogram %d), meter %d",
+			got, in.LatencyNs.Count(), meter.Measurements())
+	}
+	meter.SampleN(a, a+128, 5)
+	meter.SetInstrument(nil)
+	meter.SampleN(a, a+128, 5)
+	if got := in.Samples.Value(); got != meter.Measurements()-5 {
+		t.Fatalf("after detaching: instrument %d, want %d", got, meter.Measurements()-5)
 	}
 }
 
