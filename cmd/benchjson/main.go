@@ -364,7 +364,7 @@ func benchQueueRecover(b *testing.B) {
 		switch i % 3 {
 		case 0: // leave pending
 		case 1: // in flight with a checkpoint — the crash-recovery case
-			j, ok, err := q.Lease("bench", time.Hour, nil)
+			j, ok, err := q.Lease("bench", time.Hour)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
@@ -372,7 +372,7 @@ func benchQueueRecover(b *testing.B) {
 				b.Fatal(err)
 			}
 		case 2:
-			j, ok, err := q.Lease("bench", time.Hour, nil)
+			j, ok, err := q.Lease("bench", time.Hour)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
@@ -425,7 +425,7 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 	if _, _, err := q.Submit(benchPayload, queue.SubmitOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	j, ok, err := q.Lease("bench-worker", time.Hour, nil)
+	j, ok, err := q.Lease("bench-worker", time.Hour)
 	if err != nil || !ok {
 		b.Fatal(ok, err)
 	}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dramdig-worker [-coordinator http://localhost:8080] [-name NAME]
-//	               [-workers N] [-retries N] [-poll 500ms] [-trace] [-v]
+//	               [-workers N] [-retries N] [-poll 500ms] [-trace]
 //	               [-log-format text|json] [-log-level info]
 //	               [-trace-spans N] [-version]
 //
@@ -15,8 +15,8 @@
 // checkpoints, results, traces — lives on the coordinator. Killing a
 // worker mid-campaign costs at most one lease TTL; the coordinator
 // requeues the job with its last checkpoint and another worker resumes
-// it. Start any number of workers against one coordinator; the
-// coordinator shards jobs across them by machine fingerprint.
+// it. Start any number of workers against one coordinator; each
+// leases the queue's next job, highest priority first, then oldest.
 //
 // SIGINT/SIGTERM stop the worker after abandoning its current lease
 // (the coordinator requeues it at the next sweep).
@@ -48,7 +48,6 @@ func main() {
 		retries     = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "idle poll interval when no job is pending")
 		tracing     = flag.Bool("trace", false, "record timing traces and upload them to the coordinator")
-		verbose     = flag.Bool("v", false, "log progress to stderr")
 		logFormat   = flag.String("log-format", logging.FormatText, "structured log format: text or json")
 		logLevel    = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 		traceSpans  = flag.Int("trace-spans", 4096, "finished spans retained for completion shipping (0 disables tracing)")
@@ -97,10 +96,7 @@ func main() {
 		// coordinator federates them at /v1/cluster/metrics.
 		Metrics: metrics.NewRegistry(),
 	})
-	if *verbose {
-		fmt.Fprintf(os.Stderr, "dramdig-worker: %s leasing from %s (workers %d)\n",
-			*name, *coordinator, *workers)
-	}
+	logger.Info("worker started", "name", *name, "coordinator", *coordinator, "workers", *workers)
 	err = w.Run(ctx)
 	completed, failed := w.Stats()
 	logger.Info("worker stopped", "completed", completed, "failed", failed)

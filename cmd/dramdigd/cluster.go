@@ -1,12 +1,11 @@
 // The coordinator side of the cluster subsystem: the lease operations
 // every worker goes through — grant, heartbeat with checkpoint,
 // progress, complete, fail — the /v1/cluster handlers that serve them
-// to remote workers, the worker registry with its consistent-hash
-// shard ring, the lease-expiry sweeper and the dramdig_cluster_*
-// metric families. The protocol and its wire shapes live in
-// internal/cluster; the queue owns lease durability (fencing tokens,
-// WAL-backed expiry-requeue) and the campaign history. In-process
-// workers call the same operations directly (inprocess.go).
+// to remote workers, the worker registry, the lease-expiry sweeper and
+// the dramdig_cluster_* metric families. The protocol and its wire
+// shapes live in internal/cluster; the queue owns lease durability
+// (fencing tokens, WAL-backed expiry-requeue) and the campaign history.
+// In-process workers call the same operations directly (inprocess.go).
 //
 // Exactly-once across worker death: a worker that stops heartbeating
 // loses its lease after one TTL; the sweeper requeues the job with its
@@ -44,7 +43,7 @@ import (
 const defaultLeaseTTL = 30 * time.Second
 
 // reapAfterTTLs is how many silent lease TTLs a worker with no active
-// leases survives on the shard ring before being reaped from it.
+// leases stays live in the registry before being reaped.
 const reapAfterTTLs = 10
 
 // workerInfo is the registry's record of one worker. Its lease count
@@ -60,14 +59,11 @@ type workerInfo struct {
 	inProcess bool
 }
 
-// clusterState tracks registered workers, the shard ring and the
-// cluster metric counters. All mutation goes through its mutex; the
-// ring has its own lock so the queue's prefer callback can consult it
-// without holding cl.mu.
+// clusterState tracks registered workers and the cluster metric
+// counters. All mutation goes through its mutex.
 type clusterState struct {
 	mu      sync.Mutex
 	workers map[string]*workerInfo
-	ring    *cluster.Ring
 
 	// fed holds the latest metrics snapshot per worker; its entries live
 	// and die with the worker registry (see reap).
@@ -88,7 +84,6 @@ type clusterState struct {
 func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 	cl := &clusterState{
 		workers: make(map[string]*workerInfo),
-		ring:    cluster.NewRing(0),
 		fed:     metrics.NewFederation(),
 		granted: reg.Counter("dramdig_cluster_leases_granted_total",
 			"Job leases granted to cluster workers.", nil),
@@ -112,7 +107,7 @@ func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 			"Worker metrics snapshots accepted into the federation.", nil),
 	}
 	reg.GaugeFunc("dramdig_cluster_workers",
-		"Cluster workers currently live on the shard ring.", nil,
+		"Cluster workers currently live in the registry.", nil,
 		func() float64 {
 			cl.mu.Lock()
 			defer cl.mu.Unlock()
@@ -130,10 +125,10 @@ func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 	return cl
 }
 
-// touch registers a worker (or refreshes its liveness) and puts it on
-// the shard ring.
+// touch registers a worker or refreshes its liveness.
 func (cl *clusterState) touch(name string) {
 	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	w := cl.workers[name]
 	if w == nil {
 		w = &workerInfo{name: name}
@@ -141,8 +136,6 @@ func (cl *clusterState) touch(name string) {
 	}
 	w.lastSeen = time.Now()
 	w.live = true
-	cl.mu.Unlock()
-	cl.ring.Add(name)
 }
 
 // addInProcess registers one of this daemon's own workers.
@@ -168,9 +161,6 @@ func (cl *clusterState) adjust(name string, fn func(w *workerInfo)) {
 	}
 }
 
-// owner returns the shard ring's preferred worker for a key.
-func (cl *clusterState) owner(key string) string { return cl.ring.Owner(key) }
-
 // metricsInfo digests a worker's latest federated snapshot for its
 // /v1/workers row; nil when the worker never shipped one.
 func (cl *clusterState) metricsInfo(name string, now time.Time) *cluster.WorkerMetricsInfo {
@@ -189,8 +179,8 @@ func (cl *clusterState) metricsInfo(name string, now time.Time) *cluster.WorkerM
 }
 
 // reap drops workers that have been silent past the silence window and
-// hold no leases (leases counts them per worker): off the ring, marked
-// dead, rows retained for /v1/workers history.
+// hold no leases (leases counts them per worker): marked dead, rows
+// retained for /v1/workers history.
 func (cl *clusterState) reap(now time.Time, silence time.Duration, leases map[string]int) {
 	cl.mu.Lock()
 	var dead []string
@@ -202,7 +192,6 @@ func (cl *clusterState) reap(now time.Time, silence time.Duration, leases map[st
 	}
 	cl.mu.Unlock()
 	for _, name := range dead {
-		cl.ring.Remove(name)
 		// A reaped worker's metrics leave the federated page with it —
 		// stale samples would otherwise look like a live flat-lined node.
 		cl.fed.Remove(name)
@@ -229,7 +218,6 @@ func (cl *clusterState) statuses(leases map[string]int) []cluster.WorkerStatus {
 	}
 	cl.mu.Unlock()
 	for i := range rows {
-		rows[i].ShardShare = cl.ring.Share(rows[i].Name)
 		rows[i].Metrics = cl.metricsInfo(rows[i].Name, now)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
@@ -255,20 +243,7 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	}
 	s.cl.touch(worker)
 
-	// Shard affinity: a remote worker prefers jobs whose machine
-	// fingerprint hashes to it, so one machine's results and traces tend
-	// to flow through one node. Preference, not assignment — with no
-	// preferred job pending the worker takes the front of the queue.
-	// In-process workers share the daemon's store and always take the
-	// front.
-	inProcess := s.cl.inProcess(worker)
-	var prefer func(queue.Job) bool
-	if !inProcess {
-		prefer = func(j queue.Job) bool {
-			return s.cl.owner(cluster.ShardKey(j.Payload, j.ID)) == worker
-		}
-	}
-	job, ok, err := s.q.Lease(worker, s.cfg.leaseTTL, prefer)
+	job, ok, err := s.q.Lease(worker, s.cfg.leaseTTL)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -279,7 +254,7 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	// cancelled. A DELETE racing this grant may have looked for the
 	// channel before it was registered, so the lease is re-checked after.
 	var revoked chan struct{}
-	if inProcess {
+	if s.cl.inProcess(worker) {
 		revoked = make(chan struct{})
 		s.mu.Lock()
 		s.revokes[job.ID] = revocation{token: job.LeaseToken, ch: revoked}
@@ -315,7 +290,6 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 		defer dsp.End()
 	}
 
-	s.logf("campaign %s: leased to worker %s (%d jobs, attempt %d)", job.ID, worker, total, job.Attempts)
 	s.logTransition(job.ID, "queued", "running",
 		"worker", worker, "jobs", total, "attempt", job.Attempts)
 	return &cluster.LeaseGrant{
@@ -398,7 +372,6 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 	if s.tracer != nil && len(spans) > 0 {
 		s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
 	}
-	s.logf("campaign %s: completed by worker %s", id, worker)
 	s.logTransition(id, "running", "done", "worker", worker)
 	return nil
 }
@@ -414,7 +387,6 @@ func (s *server) fail(id, worker, token, msg string) error {
 		wi.failed++
 		wi.lastSeen = time.Now()
 	})
-	s.logf("campaign %s: failed on worker %s: %s", id, worker, msg)
 	s.logTransition(id, "running", "failed", "worker", worker, "err", msg)
 	return nil
 }
@@ -598,8 +570,8 @@ func (s *server) handleClusterUploadTrace(w http.ResponseWriter, r *http.Request
 }
 
 // handleGetWorkers reports the worker registry: liveness (as heartbeat
-// age), lease and outcome counts, each worker's exact shard-ring share,
-// and a digest of its last metrics snapshot.
+// age), lease and outcome counts, and a digest of its last metrics
+// snapshot.
 func (s *server) handleGetWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workers":      s.cl.statuses(s.q.LeasesByOwner()),
@@ -615,14 +587,14 @@ func (s *server) handleGetWorkers(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.cl.fed.WritePrometheus(w); err != nil {
-		s.logf("cluster metrics write: %v", err)
+		s.log.Warn("cluster metrics write failed", "err", err)
 	}
 }
 
 // sweepLeases expires overdue leases on a timer: each expired job goes
 // back to "queued" (checkpoint intact) for the next worker to pick up.
-// It also reaps long-silent remote workers from the shard ring. Exits
-// with the base context.
+// It also reaps long-silent remote workers. Exits with the base
+// context.
 func (s *server) sweepLeases() {
 	interval := s.cfg.leaseTTL / 4
 	if interval < 25*time.Millisecond {
@@ -640,13 +612,12 @@ func (s *server) sweepLeases() {
 		case now := <-t.C:
 			lapsed, err := s.q.ExpireLeases(now)
 			if err != nil {
-				s.logf("lease sweep: %v", err)
+				s.log.Error("lease sweep failed", "err", err)
 				continue
 			}
 			for _, job := range lapsed {
 				s.cl.expired.Inc()
 				s.endRevoke(job.ID, job.LeaseToken)
-				s.logf("campaign %s: lease expired on worker %s; requeued", job.ID, job.LeaseOwner)
 				s.logTransition(job.ID, "running", "queued",
 					"reason", "lease expired", "worker", job.LeaseOwner, "attempt", job.Attempts)
 			}

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dramdigd [-addr :8080] [-cache-dir DIR] [-trace-dir DIR] [-queue-dir DIR]
-//	         [-workers N] [-retries N] [-max-running N] [-max-queued N] [-v]
+//	         [-workers N] [-retries N] [-max-running N] [-max-queued N]
 //	         [-pprof-addr :6060] [-log-format text|json] [-log-level info]
 //	         [-trace-spans N] [-trace-slow-threshold DUR]
 //	         [-store-max-bytes N] [-store-gc-interval 1m] [-store-gc-grace 5m]
@@ -26,7 +26,7 @@
 //	GET    /v1/mappings/{fingerprint}  cached mapping by machine fingerprint
 //	GET    /v1/traces/{fingerprint}    recorded timing trace by machine fingerprint
 //	GET    /v1/queue                   queue depth, running campaigns, capacity, drain flag
-//	GET    /v1/workers                 cluster worker registry: liveness, leases, shard shares
+//	GET    /v1/workers                 cluster worker registry: liveness, leases, outcomes
 //	GET    /v1/healthz                 liveness + queue depth, cache entries, full statistics
 //	GET    /v1/metrics                 Prometheus text exposition of every layer's metrics (alias /metrics)
 //
@@ -111,7 +111,6 @@ func main() {
 		retries    = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
 		maxRun     = flag.Int("max-running", maxRunning, "in-process workers under local dispatch: concurrently executing campaigns; the rest wait in the queue")
 		maxQueued  = flag.Int("max-queued", 64, "pending campaign backlog before POSTs get 429")
-		verbose    = flag.Bool("v", false, "log progress to stderr")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty: off)")
 		logFormat  = flag.String("log-format", logging.FormatText, "structured log format: text or json")
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
@@ -133,12 +132,6 @@ func main() {
 		fatal(fmt.Errorf("-dispatch %q: want local or remote", *dispatch))
 	}
 
-	logf := func(string, ...any) {}
-	if *verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "dramdigd: "+format+"\n", args...)
-		}
-	}
 	logger, err := logging.New(os.Stderr, *logFormat, *logLevel)
 	if err != nil {
 		fatal(err)
@@ -184,7 +177,6 @@ func main() {
 		retries:    r,
 		tracing:    *traceDir != "",
 		maxRunning: *maxRun,
-		logf:       logf,
 		registry:   registry,
 		logger:     logger,
 		tracer:     tracer,

@@ -64,13 +64,11 @@ type serverConfig struct {
 	// dispatch (default 8), so it bounds concurrently executing
 	// campaigns; everything beyond it waits in the queue.
 	maxRunning int
-	logf       func(format string, args ...any)
 	// registry collects every layer's metrics; nil gets a fresh registry
 	// (tests and main both scrape it via GET /v1/metrics).
 	registry *metrics.Registry
 	// logger receives structured request and campaign-transition logs;
-	// nil discards them. The printf-style logf above stays the legacy
-	// progress channel.
+	// nil discards them.
 	logger *slog.Logger
 	// tracer records request-scoped spans across every layer; nil
 	// disables tracing (every instrumentation site degrades to a no-op).
@@ -101,7 +99,6 @@ type server struct {
 	q       *queue.Queue
 	baseCtx context.Context
 	cfg     serverConfig
-	logf    func(format string, args ...any)
 	log     *slog.Logger
 	// reg is the metrics registry every layer registers into; om is the
 	// daemon's own metric set; ids mints request IDs.
@@ -109,8 +106,8 @@ type server struct {
 	om     *serverMetrics
 	ids    *logging.IDGen
 	tracer *obs.Tracer
-	// cl tracks cluster workers, their shard ring and lease counters
-	// (cluster.go); the lease-expiry sweeper feeds it.
+	// cl tracks cluster workers and lease counters (cluster.go); the
+	// lease-expiry sweeper feeds it.
 	cl *clusterState
 	// workers are the in-process workers of local dispatch.
 	workers []*cluster.Worker
@@ -137,9 +134,6 @@ type revocation struct {
 }
 
 func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg serverConfig) *server {
-	if cfg.logf == nil {
-		cfg.logf = func(string, ...any) {}
-	}
 	if cfg.maxRunning <= 0 {
 		cfg.maxRunning = maxRunning
 	}
@@ -160,7 +154,6 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 		q:       q,
 		baseCtx: baseCtx,
 		cfg:     cfg,
-		logf:    cfg.logf,
 		log:     cfg.logger,
 		reg:     cfg.registry,
 		ids:     logging.NewIDGen(),
@@ -472,7 +465,6 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Idempotency-Replayed", "true")
 		status = campaignStatus(job.State)
 	} else {
-		s.logf("campaign %s: queued %d jobs (priority %d)", job.ID, len(specList), job.Priority)
 		s.logTransition(job.ID, "", "queued", "jobs", len(specList), "priority", job.Priority)
 	}
 
@@ -517,7 +509,6 @@ func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 	// The cancellation event names the worker whose lease died with it.
 	holder := job.History[len(job.History)-1].Worker
 	if holder == "" {
-		s.logf("campaign %s: cancelled while queued", id)
 		s.logTransition(id, "queued", "cancelled")
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
 		return
@@ -525,8 +516,7 @@ func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 	if ch := s.endRevoke(id, ""); ch != nil {
 		close(ch)
 	}
-	s.logf("campaign %s: cancelled while leased to %s", id, holder)
-	s.logTransition(id, "running", "cancelled")
+	s.logTransition(id, "running", "cancelled", "worker", holder)
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -41,9 +40,6 @@ func newTestServerWith(t *testing.T, qcfg queue.Config, scfg serverConfig) *serv
 	if scfg.retries == 0 {
 		scfg.retries = 1
 	}
-	if scfg.logf == nil {
-		scfg.logf = testLogf(t)
-	}
 	return newServer(ctx, st, q, scfg)
 }
 
@@ -52,26 +48,6 @@ func newTestServerWith(t *testing.T, qcfg queue.Config, scfg serverConfig) *serv
 func setRunner(srv *server, run func(context.Context, []campaign.Spec, campaign.Config) (*campaign.Report, error)) {
 	for _, w := range srv.workers {
 		w.RunCampaign = run
-	}
-}
-
-// testLogf adapts t.Logf for goroutines that may outlive the test body
-// (workers, campaign completions): once the test's cleanup phase
-// starts, messages are dropped instead of panicking the harness.
-func testLogf(t *testing.T) func(string, ...any) {
-	var mu sync.Mutex
-	finished := false
-	t.Cleanup(func() {
-		mu.Lock()
-		finished = true
-		mu.Unlock()
-	})
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !finished {
-			t.Logf(format, args...)
-		}
 	}
 }
 
@@ -274,7 +250,7 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: -1, logf: t.Logf})
+	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: -1})
 
 	started := make(chan struct{})
 	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {

@@ -98,7 +98,7 @@ func TestMappingRepeatedMissesHitNegativeCache(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	srv := newServer(ctx, st, q, serverConfig{workers: 1, retries: 1, logf: testLogf(t)})
+	srv := newServer(ctx, st, q, serverConfig{workers: 1, retries: 1})
 
 	missing := fmt.Sprintf("%064x", 0x404)
 	for i := 0; i < 3; i++ {
@@ -131,7 +131,6 @@ func TestDaemonGCReapsOrphanedTraces(t *testing.T) {
 		retries:    1,
 		tracing:    true,
 		gcInterval: 10 * time.Millisecond,
-		logf:       testLogf(t),
 	})
 
 	// Two campaigns over distinct machines; finishing the second evicts

@@ -31,7 +31,7 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: 1, tracing: true, logf: t.Logf})
+	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: 1, tracing: true})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -617,6 +617,49 @@ func TestV1EventsRemoteDispatch(t *testing.T) {
 	}
 }
 
+// TestV1PriorityRemoteDispatch: remote workers lease in the queue's
+// documented order, highest priority first and then the oldest
+// submission, whichever worker asks. Three workers register before any
+// campaign arrives; on a fresh server each, every one of them gets the
+// priority-5 campaign and then the oldest priority-0 one.
+func TestV1PriorityRemoteDispatch(t *testing.T) {
+	workers := []string{"w1", "w2", "w3"}
+	for _, worker := range workers {
+		t.Run(worker, func(t *testing.T) {
+			srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+			for _, w := range workers {
+				if _, ok := leaseAs(t, srv, w); ok {
+					t.Fatalf("%s leased from an empty queue", w)
+				}
+			}
+			submit := func(body string) string {
+				code, m := doJSON(t, srv, "POST", "/v1/campaigns", body)
+				if code != http.StatusAccepted {
+					t.Fatalf("POST %s: %d %v", body, code, m)
+				}
+				return m["id"].(string)
+			}
+			oldest := submit(`{"machines":[1]}`)
+			for no := 2; no <= 8; no++ {
+				submit(fmt.Sprintf(`{"machines":[%d]}`, no))
+			}
+			urgent := submit(`{"machines":[9],"priority":5}`)
+
+			var got []string
+			for range 2 {
+				g, ok := leaseAs(t, srv, worker)
+				if !ok {
+					t.Fatalf("%s got no grant after %v", worker, got)
+				}
+				got = append(got, g.ID)
+			}
+			if want := []string{urgent, oldest}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s leased %v, want %v", worker, got, want)
+			}
+		})
+	}
+}
+
 // TestV1EventsSurviveRestart: a finished campaign's events outlive the
 // daemon that ran it. After a restart over the same queue directory,
 // GET and the SSE replay serve exactly the events they served before.
@@ -632,7 +675,7 @@ func TestV1EventsSurviveRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		return newServer(ctx, st, q, serverConfig{workers: 2, retries: 1, logf: testLogf(t)}), q, cancel
+		return newServer(ctx, st, q, serverConfig{workers: 2, retries: 1}), q, cancel
 	}
 
 	srv1, q1, cancel1 := boot()

@@ -22,10 +22,9 @@
 // carries a fencing token, missed heartbeats expire the lease and
 // requeue the job (checkpoint intact), and a worker whose lease was
 // re-granted elsewhere gets 409 {"error":{"code":"lease_lost"}} and
-// abandons. Shard affinity — which worker a job *prefers* — is
-// consistent hashing of the job's machine fingerprint over the
-// registered workers (see Ring); it steers result/trace locality
-// without ever starving a worker.
+// abandons. Every worker, remote or in-process, leases in the queue's
+// own order: highest priority first, then oldest. Workers keep no
+// state between leases, so which worker takes a job does not matter.
 //
 // Trace context crosses the process boundary in both directions: the
 // lease grant carries the submitting request's W3C traceparent, the
@@ -44,8 +43,8 @@ import (
 
 // LeaseRequest is the POST /v1/cluster/lease body.
 type LeaseRequest struct {
-	// Worker is the worker's stable name — the lease owner, the shard
-	// ring member and the /v1/workers row key.
+	// Worker is the worker's stable name — the lease owner and the
+	// /v1/workers row key.
 	Worker string `json:"worker"`
 }
 
@@ -136,7 +135,7 @@ type FailRequest struct {
 type WorkerStatus struct {
 	Name string `json:"name"`
 	// Live is false once the worker has been silent long enough to be
-	// reaped from the shard ring.
+	// reaped; its row stays for history.
 	Live bool `json:"live"`
 	// LastHeartbeatAgeMillis is how long ago the worker was last heard
 	// from — an age, not a raw timestamp, so readers need no clock
@@ -146,9 +145,6 @@ type WorkerStatus struct {
 	ActiveLeases int    `json:"active_leases"`
 	Completed    uint64 `json:"completed"`
 	Failed       uint64 `json:"failed"`
-	// ShardShare is the fraction of the fingerprint keyspace this
-	// worker's ring segments own (0 when not on the ring).
-	ShardShare float64 `json:"shard_share"`
 	// Metrics summarizes the worker's last federated snapshot; nil until
 	// the worker has shipped one.
 	Metrics *WorkerMetricsInfo `json:"metrics,omitempty"`

@@ -46,27 +46,6 @@ func TestBuildSpecsRejects(t *testing.T) {
 	}
 }
 
-func TestShardKey(t *testing.T) {
-	payload, err := json.Marshal(Payload{Request: CampaignRequest{Machines: []int{3}}, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := ShardKey(payload, "fallback")
-	specs, err := BuildSpecs(CampaignRequest{Machines: []int{3}}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != specs[0].MachineFingerprint() {
-		t.Fatalf("shard key %q is not the first spec's fingerprint %q", key, specs[0].MachineFingerprint())
-	}
-	if got := ShardKey(json.RawMessage(`{not json`), "fb"); got != "fb" {
-		t.Fatalf("garbage payload shard key = %q, want fallback", got)
-	}
-	if got := ShardKey(json.RawMessage(`{"request":{},"seed":1}`), "fb2"); got != "fb2" {
-		t.Fatalf("unbuildable payload shard key = %q, want fallback", got)
-	}
-}
-
 // FuzzBuildSpecs: every campaign a worker runs passes through
 // BuildSpecs on a payload it decoded from the queue. For arbitrary
 // payload JSON it must not panic, and two calls must return the same

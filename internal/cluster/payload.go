@@ -7,7 +7,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"dramdig/internal/campaign"
@@ -229,20 +228,4 @@ func EncodeReport(rep *campaign.Report) *ReportJSON {
 		})
 	}
 	return out
-}
-
-// ShardKey extracts a job payload's shard key: the first spec's machine
-// fingerprint, the canonical content address its results will live
-// under. Unbuildable payloads fall back to fallback (typically the job
-// ID) so they still hash somewhere deterministic.
-func ShardKey(payload json.RawMessage, fallback string) string {
-	var p Payload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return fallback
-	}
-	specList, err := BuildSpecs(p.Request, p.Seed)
-	if err != nil || len(specList) == 0 {
-		return fallback
-	}
-	return specList[0].MachineFingerprint()
 }

@@ -57,7 +57,7 @@ func BenchmarkRecover(b *testing.B) {
 		}
 		if i%2 == 1 {
 			// Lease takes the oldest pending job; checkpoint that one.
-			j, ok, err := q.Lease("bench", time.Hour, nil)
+			j, ok, err := q.Lease("bench", time.Hour)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
@@ -107,7 +107,7 @@ func BenchmarkCompact(b *testing.B) {
 		if _, _, err := q.Submit(benchPayload, SubmitOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		l, _, err := q.Lease("local-1", time.Hour, nil)
+		l, _, err := q.Lease("local-1", time.Hour)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func progressJournal(f *testing.F) []byte {
 	must(err)
 
 	// The priority job runs, checkpoints, expires, is re-leased and fails.
-	l, _, err := q.Lease("w1", time.Minute, nil)
+	l, _, err := q.Lease("w1", time.Minute)
 	must(err)
 	must(q.Progress(l.ID, "w1", l.LeaseToken, "job_started", json.RawMessage(`{"kind":"job_started","job":"No.7","index":0,"attempt":0}`)))
 	_, err = q.Heartbeat(l.ID, "w1", l.LeaseToken, time.Minute, json.RawMessage(`{"seed":5,"jobs":[{"index":0}]}`))
@@ -35,13 +35,13 @@ func progressJournal(f *testing.F) []byte {
 	must(q.Progress(l.ID, "w1", l.LeaseToken, "job_finished", json.RawMessage(`{"kind":"job_finished","job":"No.7","index":0,"attempt":0,"match":true}`)))
 	_, err = q.ExpireLeases(time.Now().Add(time.Hour))
 	must(err)
-	l, _, err = q.Lease("w2", time.Minute, nil)
+	l, _, err = q.Lease("w2", time.Minute)
 	must(err)
 	must(q.Progress(l.ID, "w2", l.LeaseToken, "job_failed", json.RawMessage(`{"kind":"job_failed","job":"No.7","index":0,"attempt":1,"err":"boom"}`)))
 	must(q.FailLease(l.ID, "w2", l.LeaseToken, "boom"))
 
 	// The other completes.
-	l, _, err = q.Lease("w1", time.Minute, nil)
+	l, _, err = q.Lease("w1", time.Minute)
 	must(err)
 	must(q.CompleteLease(l.ID, "w1", l.LeaseToken, json.RawMessage(`{"total":2}`)))
 

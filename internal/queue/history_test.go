@@ -40,7 +40,7 @@ func TestJobHistoryLifecycle(t *testing.T) {
 	defer q.Close()
 	j := submitN(t, q, 1)[0]
 
-	l1, ok, err := q.Lease("w1", 5*time.Millisecond, nil)
+	l1, ok, err := q.Lease("w1", 5*time.Millisecond)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -51,7 +51,7 @@ func TestJobHistoryLifecycle(t *testing.T) {
 	if _, err := q.ExpireLeases(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	l2, ok, err := q.Lease("w2", time.Minute, nil)
+	l2, ok, err := q.Lease("w2", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("re-lease: ok=%v err=%v", ok, err)
 	}
@@ -113,7 +113,7 @@ func TestJobHistoryPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := submitN(t, q, 1)[0]
-	l, ok, err := q.Lease("w1", time.Minute, nil)
+	l, ok, err := q.Lease("w1", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -171,7 +171,7 @@ func TestJobHistoryCap(t *testing.T) {
 	}
 	defer q.Close()
 	j := submitN(t, q, 1)[0]
-	l, ok, err := q.Lease("w1", time.Hour, nil)
+	l, ok, err := q.Lease("w1", time.Hour)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -205,7 +205,7 @@ func TestLeaseWaitHistogram(t *testing.T) {
 	q.RegisterMetrics(r)
 	submitN(t, q, 1)
 
-	l, ok, err := q.Lease("w1", 5*time.Millisecond, nil)
+	l, ok, err := q.Lease("w1", 5*time.Millisecond)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -216,7 +216,7 @@ func TestLeaseWaitHistogram(t *testing.T) {
 	if _, err := q.ExpireLeases(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	l2, ok, err := q.Lease("w2", time.Minute, nil)
+	l2, ok, err := q.Lease("w2", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("re-lease: ok=%v err=%v", ok, err)
 	}
@@ -244,7 +244,7 @@ func TestLeaseWaitHistogram(t *testing.T) {
 	defer q2.Close()
 	r2 := metrics.NewRegistry()
 	q2.RegisterMetrics(r2)
-	if _, ok, err := q2.Lease("w1", time.Minute, nil); err != nil || !ok {
+	if _, ok, err := q2.Lease("w1", time.Minute); err != nil || !ok {
 		t.Fatalf("post-restart lease: ok=%v err=%v", ok, err)
 	}
 	snap := r2.Snapshot()

@@ -35,11 +35,11 @@ func TestLeaseBasic(t *testing.T) {
 	defer q.Close()
 	submitN(t, q, 2)
 
-	j1, ok, err := q.Lease("w1", time.Minute, nil)
+	j1, ok, err := q.Lease("w1", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("lease 1: ok=%v err=%v", ok, err)
 	}
-	j2, ok, err := q.Lease("w2", time.Minute, nil)
+	j2, ok, err := q.Lease("w2", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("lease 2: ok=%v err=%v", ok, err)
 	}
@@ -52,7 +52,7 @@ func TestLeaseBasic(t *testing.T) {
 	if j1.Attempts != 1 {
 		t.Fatalf("attempts = %d, want 1", j1.Attempts)
 	}
-	if _, ok, _ := q.Lease("w3", time.Minute, nil); ok {
+	if _, ok, _ := q.Lease("w3", time.Minute); ok {
 		t.Fatal("third lease should find nothing pending")
 	}
 
@@ -90,7 +90,7 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 	defer q.Close()
 	submitN(t, q, 1)
 
-	j, ok, err := q.Lease("w1", 5*time.Millisecond, nil)
+	j, ok, err := q.Lease("w1", 5*time.Millisecond)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -140,7 +140,7 @@ func TestLeaseStaleComplete(t *testing.T) {
 	defer q.Close()
 	submitN(t, q, 1)
 
-	j1, ok, err := q.Lease("w1", time.Minute, nil)
+	j1, ok, err := q.Lease("w1", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -151,7 +151,7 @@ func TestLeaseStaleComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, ok, err := q.Lease("w2", time.Minute, nil)
+	j2, ok, err := q.Lease("w2", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("re-lease: ok=%v err=%v", ok, err)
 	}
@@ -190,35 +190,6 @@ func TestLeaseStaleComplete(t *testing.T) {
 	}
 }
 
-// TestLeasePrefer: the shard-affinity hook — a preferred job wins over
-// an older, otherwise-better one, and with no preferred job pending the
-// worker still gets work.
-func TestLeasePrefer(t *testing.T) {
-	q, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	jobs := submitN(t, q, 3)
-
-	want := jobs[2].ID
-	j, ok, err := q.Lease("w1", time.Minute, func(j Job) bool { return j.ID == want })
-	if err != nil || !ok {
-		t.Fatalf("lease: ok=%v err=%v", ok, err)
-	}
-	if j.ID != want {
-		t.Fatalf("preferred lease got %s, want %s", j.ID, want)
-	}
-	// No pending job satisfies the preference: fall back to FIFO.
-	j, ok, err = q.Lease("w1", time.Minute, func(Job) bool { return false })
-	if err != nil || !ok {
-		t.Fatalf("fallback lease: ok=%v err=%v", ok, err)
-	}
-	if j.ID != jobs[0].ID {
-		t.Fatalf("fallback lease got %s, want %s", j.ID, jobs[0].ID)
-	}
-}
-
 // TestLeaseSurvivesWALReplay: lease state round-trips through the WAL —
 // a reopened queue requeues leased jobs like any other in-flight work,
 // clearing the lease so the dead grant cannot be acted on.
@@ -229,7 +200,7 @@ func TestLeaseSurvivesWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, q, 1)
-	j, ok, err := q.Lease("w1", time.Minute, nil)
+	j, ok, err := q.Lease("w1", time.Minute)
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
@@ -332,7 +303,7 @@ func TestLocalDispatchJournalReplays(t *testing.T) {
 		t.Error("idempotency key lost in replay")
 	}
 
-	l, ok, err := q.Lease("w1", time.Minute, nil)
+	l, ok, err := q.Lease("w1", time.Minute)
 	if err != nil || !ok || l.ID != "c2" {
 		t.Fatalf("lease of the recovered job: ok=%v err=%v %+v", ok, err, l)
 	}
@@ -437,7 +408,7 @@ func TestGroupCommitMixedOps(t *testing.T) {
 			worker := "w" + strings.Repeat("x", w+1)
 			deadline := time.Now().Add(10 * time.Second)
 			for time.Now().Before(deadline) {
-				j, ok, err := q.Lease(worker, time.Minute, nil)
+				j, ok, err := q.Lease(worker, time.Minute)
 				if err != nil {
 					t.Errorf("lease: %v", err)
 					return

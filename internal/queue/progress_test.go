@@ -62,7 +62,7 @@ func TestProgressFenced(t *testing.T) {
 	submitN(t, q, 2)
 	data := json.RawMessage(progressData)
 
-	l, _, err := q.Lease("w1", time.Minute, nil)
+	l, _, err := q.Lease("w1", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestProgressFenced(t *testing.T) {
 		t.Fatalf("after expiry: err=%v, want ErrLeaseExpired", err)
 	}
 
-	c, _, err := q.Lease("w1", time.Minute, nil)
+	c, _, err := q.Lease("w1", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestProgressSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, q, 1)
-	l, _, err := q.Lease("w", time.Minute, nil)
+	l, _, err := q.Lease("w", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestProgressDataRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitN(t, q, 1)
-	l, _, err := q.Lease("w", time.Minute, nil)
+	l, _, err := q.Lease("w", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestChangedFires(t *testing.T) {
 	}
 	var l Job
 	step("submit", func() error { _, _, err := q.Submit(json.RawMessage(`{}`), SubmitOptions{}); return err })
-	step("lease", func() (err error) { l, _, err = q.Lease("w", time.Minute, nil); return err })
+	step("lease", func() (err error) { l, _, err = q.Lease("w", time.Minute); return err })
 	step("progress", func() error {
 		return q.Progress(l.ID, "w", l.LeaseToken, "job_started", json.RawMessage(progressData))
 	})
@@ -286,7 +286,7 @@ func TestChangedFires(t *testing.T) {
 		return err
 	})
 	step("expiry", func() error { _, err := q.ExpireLeases(time.Now().Add(time.Hour)); return err })
-	step("re-lease", func() (err error) { l, _, err = q.Lease("w", time.Minute, nil); return err })
+	step("re-lease", func() (err error) { l, _, err = q.Lease("w", time.Minute); return err })
 	step("complete", func() error { return q.CompleteLease(l.ID, "w", l.LeaseToken, nil) })
 	step("submit", func() error { _, _, err := q.Submit(json.RawMessage(`{}`), SubmitOptions{}); return err })
 	step("cancel", func() error { _, err := q.Cancel("c2", "stop"); return err })

@@ -943,11 +943,8 @@ func newLeaseToken() string {
 
 // Lease hands the best pending job (highest priority, then FIFO) to
 // owner for ttl, with a fencing token and a heartbeat deadline, all
-// persisted. When
-// prefer is non-nil, the best job it approves of (shard affinity, say)
-// wins over the best overall — but a worker is never starved: with no
-// preferred job pending it gets the best one anyway. The second return
-// is false when nothing is pending.
+// persisted. Every caller gets the same order. The second return is
+// false when nothing is pending.
 //
 // The returned job's LeaseToken must accompany every Heartbeat,
 // CompleteLease and FailLease for this grant; after the deadline passes
@@ -957,7 +954,7 @@ func newLeaseToken() string {
 // A grant that leaves work pending signals Ready again, so one wakeup
 // fans out across idle workers: a burst of K submissions starts K
 // leases even though Ready holds a single signal.
-func (q *Queue) Lease(owner string, ttl time.Duration, prefer func(Job) bool) (Job, bool, error) {
+func (q *Queue) Lease(owner string, ttl time.Duration) (Job, bool, error) {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
@@ -966,26 +963,11 @@ func (q *Queue) Lease(owner string, ttl time.Duration, prefer func(Job) bool) (J
 		q.mu.Unlock()
 		return Job{}, false, errClosed
 	}
-	var best, preferred *Job
+	var pick *Job
 	for _, j := range q.jobs {
-		if !better(j, best) {
-			continue
+		if better(j, pick) {
+			pick = j
 		}
-		best = j
-	}
-	if prefer != nil {
-		for _, j := range q.jobs {
-			if j.State != StateSubmitted || j.syncPending || !prefer(j.clone()) {
-				continue
-			}
-			if preferred == nil || better(j, preferred) {
-				preferred = j
-			}
-		}
-	}
-	pick := best
-	if preferred != nil {
-		pick = preferred
 	}
 	if pick == nil {
 		q.mu.Unlock()

@@ -29,7 +29,7 @@ func openTest(t *testing.T, cfg Config) *Queue {
 // work leaves the queue.
 func leaseNext(t *testing.T, q *Queue) (Job, bool, error) {
 	t.Helper()
-	return q.Lease("w", time.Minute, nil)
+	return q.Lease("w", time.Minute)
 }
 
 func mustSubmit(t *testing.T, q *Queue, payload string, opts SubmitOptions) Job {
@@ -393,7 +393,7 @@ func TestQueueConcurrent(t *testing.T) {
 			defer done.Done()
 			owner := fmt.Sprintf("w%d", c)
 			for finished.Load() < producers*perProducer {
-				j, ok, err := q.Lease(owner, time.Minute, nil)
+				j, ok, err := q.Lease(owner, time.Minute)
 				if err != nil {
 					t.Error(err)
 					return

@@ -18,7 +18,14 @@ if curl -fsS --max-time 2 "http://$ADDR/v1/healthz" >/dev/null 2>&1; then
   exit 1
 fi
 WORKDIR=$(mktemp -d)
-trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+# Wait for the killed daemon before removing its directories: it
+# compacts its queue on the way out.
+cleanup() {
+  kill "${DAEMON_PID:-}" 2>/dev/null || true
+  wait "${DAEMON_PID:-}" 2>/dev/null || true
+  rm -rf "$WORKDIR"
+}
+trap cleanup EXIT
 
 go build -o "$WORKDIR/dramdigd" ./cmd/dramdigd
 

@@ -21,7 +21,14 @@ if curl -fsS --max-time 2 "http://$ADDR/v1/healthz" >/dev/null 2>&1; then
   exit 1
 fi
 WORKDIR=$(mktemp -d)
-trap 'kill "$DAEMON_PID" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+# Wait for the killed daemon before removing its directories: it
+# compacts its queue on the way out.
+cleanup() {
+  kill "${DAEMON_PID:-}" 2>/dev/null || true
+  wait "${DAEMON_PID:-}" 2>/dev/null || true
+  rm -rf "$WORKDIR"
+}
+trap cleanup EXIT
 
 go build -o "$WORKDIR/dramdigd" ./cmd/dramdigd
 
@@ -104,11 +111,26 @@ mapping=$(curl -fsS "http://$ADDR/v1/mappings/$real_fp")
 # one segment for a GC compaction caught mid-copy (live records are
 # copied into the active segment before the old one is removed).
 seg_dir="$WORKDIR/cache/segments"
+# seg_bytes prints the segment directory's size in bytes. du exits
+# non-zero when the store removes a segment while du walks the
+# directory; a later walk sees the settled listing, so retry a few times.
+seg_bytes() {
+  local out
+  for _ in 1 2 3 4 5; do
+    if out=$(du -sb "$seg_dir" 2>&1); then
+      echo "$out" | cut -f1
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "storage-smoke: du failed five times on $seg_dir: $out" >&2
+  return 1
+}
 for i in $(seq 1 24); do
   fp=$(printf '%056x%08x' 193 "$i")
   trace_blob "$fp" "$SEGMENT" | curl -fsS -X PUT --data-binary @- \
     "http://$ADDR/v1/cluster/traces/$fp" >/dev/null
-  used=$(du -sb "$seg_dir" | cut -f1)
+  used=$(seg_bytes)
   if [ "$used" -gt $((MAX_BYTES + SEGMENT)) ]; then
     echo "storage-smoke: disk tier over bound mid-volume: $used > $MAX_BYTES + one segment" >&2
     exit 1
@@ -134,7 +156,7 @@ for i in $(seq 1 60); do
   prev=$disk_bytes
   sleep 0.5
 done
-used=$(du -sb "$seg_dir" | cut -f1)
+used=$(seg_bytes)
 delta=$((disk_bytes - used)); [ "$delta" -lt 0 ] && delta=$((-delta))
 if [ "$delta" -gt "$SEGMENT" ]; then
   echo "storage-smoke: dramdig_store_disk_bytes=$disk_bytes but du=$used (delta $delta > one segment $SEGMENT)" >&2
@@ -167,7 +189,7 @@ curl -fsS "http://$ADDR/v1/healthz" | jq -e '.status == "ok"' >/dev/null \
   || { echo "storage-smoke: daemon unhealthy after restart" >&2; exit 1; }
 curl -fsS "http://$ADDR/v1/mappings/$real_fp" | jq -e --arg fp "$real_fp" '.fingerprint == $fp' >/dev/null \
   || { echo "storage-smoke: campaign mapping lost across restart" >&2; exit 1; }
-used=$(du -sb "$seg_dir" | cut -f1)
+used=$(seg_bytes)
 if [ "$used" -gt "$MAX_BYTES" ]; then
   echo "storage-smoke: disk tier over bound after restart: $used > $MAX_BYTES bytes" >&2
   exit 1
