@@ -343,7 +343,7 @@ func benchQueueSubmitMemory(b *testing.B) {
 }
 
 // benchQueueRecover measures crash recovery: reopening a queue whose
-// WAL holds a mixed backlog (pending, checkpointed in-flight, done) and
+// WAL holds a mixed backlog (pending, renewed in-flight, done) and
 // re-materializing every job.
 func benchQueueRecover(b *testing.B) {
 	const jobs = 256
@@ -363,12 +363,12 @@ func benchQueueRecover(b *testing.B) {
 		// Lease takes the oldest pending job; act on that one.
 		switch i % 3 {
 		case 0: // leave pending
-		case 1: // in flight with a checkpoint — the crash-recovery case
+		case 1: // in flight with a renewed lease — the crash-recovery case
 			j, ok, err := q.Lease("bench", time.Hour)
 			if err != nil || !ok {
 				b.Fatal(ok, err)
 			}
-			if _, err := q.Heartbeat(j.ID, "bench", j.LeaseToken, time.Hour, json.RawMessage(`{"jobs":[{"index":0}]}`)); err != nil {
+			if _, err := q.Heartbeat(j.ID, "bench", j.LeaseToken, time.Hour); err != nil {
 				b.Fatal(err)
 			}
 		case 2:
@@ -437,7 +437,7 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if _, err := q.Heartbeat(j.ID, req.Worker, req.Token, time.Hour, req.Checkpoint); err != nil {
+		if _, err := q.Heartbeat(j.ID, req.Worker, req.Token, time.Hour); err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
@@ -468,7 +468,7 @@ func benchHeartbeat(b *testing.B, withSnapshot bool) {
 				b.Fatal(err)
 			}
 		}
-		if err := client.Heartbeat(ctx, j.ID, j.LeaseToken, nil, snap); err != nil {
+		if err := client.Heartbeat(ctx, j.ID, j.LeaseToken, snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Command dramdig-worker is a cluster worker for dramdigd: it leases
 // queued campaign jobs from a coordinator over HTTP (/v1/cluster) and
 // runs them through the same cluster.Worker the coordinator's own
-// in-process workers use — checkpoints go back on heartbeats, results
-// and timing traces into the coordinator's content-addressed store.
+// in-process workers use — results and timing traces go into the
+// coordinator's content-addressed store.
 //
 // Usage:
 //
@@ -11,11 +11,11 @@
 //	               [-log-format text|json] [-log-level info]
 //	               [-trace-spans N] [-version]
 //
-// The worker is stateless: everything durable — queue entries,
-// checkpoints, results, traces — lives on the coordinator. Killing a
-// worker mid-campaign costs at most one lease TTL; the coordinator
-// requeues the job with its last checkpoint and another worker resumes
-// it. Start any number of workers against one coordinator; each
+// The worker is stateless: everything durable — queue entries, results,
+// traces — lives on the coordinator. Killing a worker mid-campaign
+// costs at most one lease TTL; the coordinator requeues the job and
+// another worker resumes it, finding the finished jobs' results in the
+// store. Start any number of workers against one coordinator; each
 // leases the queue's next job, highest priority first, then oldest.
 //
 // SIGINT/SIGTERM stop the worker after abandoning its current lease

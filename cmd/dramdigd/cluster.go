@@ -1,6 +1,6 @@
 // The coordinator side of the cluster subsystem: the lease operations
-// every worker goes through — grant, heartbeat with checkpoint,
-// progress, complete, fail — the /v1/cluster handlers that serve them
+// every worker goes through — grant, heartbeat, progress, complete,
+// fail — the /v1/cluster handlers that serve them
 // to remote workers, the worker registry, the lease-expiry sweeper and
 // the dramdig_cluster_* metric families. The protocol and its wire
 // shapes live in internal/cluster; the queue owns lease durability
@@ -8,9 +8,9 @@
 // In-process workers call the same operations directly (inprocess.go).
 //
 // Exactly-once across worker death: a worker that stops heartbeating
-// loses its lease after one TTL; the sweeper requeues the job with its
-// last shipped checkpoint, the next worker resumes from it, and the
-// dead worker's late completion is fenced off by its stale token. A
+// loses its lease after one TTL; the sweeper requeues the job, the next
+// worker finds the dead worker's finished jobs in the result store, and
+// the dead worker's late completion is fenced off by its stale token. A
 // coordinator restart requeues every remotely leased job the same way
 // — surviving workers' heartbeats come back lease_lost and they
 // abandon, so no job ever completes twice.
@@ -264,7 +264,7 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 			return nil, false, nil
 		}
 	}
-	total := len(specsFromPayload(job.Payload))
+	total := campaignJobs(job.Payload)
 
 	// Re-enter the submitting request's trace: queue.wait is
 	// reconstructed from the persisted submission instant, and
@@ -295,7 +295,6 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	return &cluster.LeaseGrant{
 		ID:          job.ID,
 		Payload:     job.Payload,
-		Checkpoint:  job.Checkpoint,
 		Attempts:    job.Attempts,
 		Priority:    job.Priority,
 		Token:       job.LeaseToken,
@@ -317,10 +316,10 @@ func (s *server) fenced(err error) error {
 	return err
 }
 
-// heartbeat extends a lease; a checkpoint riding along is persisted in
-// the queue WAL, and a metrics snapshot lands in the federation.
-func (s *server) heartbeat(id, worker, token string, cp, snap json.RawMessage) error {
-	if _, err := s.q.Heartbeat(id, worker, token, s.cfg.leaseTTL, cp); err != nil {
+// heartbeat extends a lease; a metrics snapshot riding along lands in
+// the federation.
+func (s *server) heartbeat(id, worker, token string, snap json.RawMessage) error {
+	if _, err := s.q.Heartbeat(id, worker, token, s.cfg.leaseTTL); err != nil {
 		return s.fenced(err)
 	}
 	s.cl.heartbeats.Inc()
@@ -357,6 +356,16 @@ func (s *server) progress(id, worker, token string, ev campaign.Event) error {
 // complete records a worker's finished campaign: terminal queue state
 // with the report, and the shipped spans into the tracer.
 func (s *server) complete(id, worker, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error {
+	// The holder's telemetry lands before the campaign reads "done", so
+	// a reader that sees it done finds the worker's spans and metrics;
+	// the completion snapshot is often a short campaign's only one.
+	// CompleteLease below stays the fence for the outcome.
+	if job, ok := s.q.Get(id); ok && job.LeaseToken != "" && job.LeaseOwner == worker && job.LeaseToken == token {
+		s.ingestSnapshot(worker, snap)
+		if s.tracer != nil && len(spans) > 0 {
+			s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
+		}
+	}
 	if err := s.q.CompleteLease(id, worker, token, report); err != nil {
 		return s.fenced(err)
 	}
@@ -366,12 +375,6 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 		wi.completed++
 		wi.lastSeen = time.Now()
 	})
-	// The completion snapshot is a short-lived worker's last word: it
-	// lands even if the process exits before its next heartbeat.
-	s.ingestSnapshot(worker, snap)
-	if s.tracer != nil && len(spans) > 0 {
-		s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
-	}
 	s.logTransition(id, "running", "done", "worker", worker)
 	return nil
 }
@@ -435,9 +438,8 @@ func leaseError(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// handleClusterHeartbeat extends a lease, persisting any checkpoint
-// riding along. Heartbeats are accepted during drain: leases already
-// out are allowed to land.
+// handleClusterHeartbeat extends a lease. Heartbeats are accepted
+// during drain: leases already out are allowed to land.
 func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	r.Body = http.MaxBytesReader(w, r.Body, 4<<20)
@@ -446,7 +448,7 @@ func (s *server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 		httpError(w, http.StatusBadRequest, codeBadRequest, "bad heartbeat body: %v", err)
 		return
 	}
-	if leaseError(w, s.heartbeat(id, req.Worker, req.Token, req.Checkpoint, req.Metrics)) {
+	if leaseError(w, s.heartbeat(id, req.Worker, req.Token, req.Metrics)) {
 		return
 	}
 	writeJSON(w, http.StatusOK, cluster.HeartbeatResponse{
@@ -592,7 +594,7 @@ func (s *server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepLeases expires overdue leases on a timer: each expired job goes
-// back to "queued" (checkpoint intact) for the next worker to pick up.
+// back to "queued" for the next worker to pick up.
 // It also reaps long-silent remote workers. Exits with the base
 // context.
 func (s *server) sweepLeases() {

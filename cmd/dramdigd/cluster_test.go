@@ -572,13 +572,12 @@ func mustSpecFingerprints(t *testing.T, body string) []string {
 	return fps
 }
 
-// killSwitch simulates a worker dying at the worst moment. The first
-// checkpoint-bearing heartbeat from the victim passes through (so the
-// coordinator has recorded progress) and then the victim is killed;
-// if the victim reaches its completion call before any checkpoint
-// shipped, the completion is refused and the victim killed there
-// instead. Either way the victim never completes its job, and once
-// dead, none of its calls reach the coordinator again.
+// killSwitch simulates a worker dying at the worst moment. The victim's
+// first job_finished progress event passes through — by then that
+// job's result is in the coordinator's store — and then the victim is
+// killed. The event always precedes the completion call, so the victim
+// never completes its job, and once dead, none of its calls reach the
+// coordinator again.
 type killSwitch struct {
 	next   http.Handler
 	victim string
@@ -608,32 +607,18 @@ func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == "POST" && strings.HasPrefix(r.URL.Path, "/v1/cluster/") {
 		data, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(data))
-		var body struct {
-			Worker     string          `json:"worker"`
-			Checkpoint json.RawMessage `json:"checkpoint"`
-		}
+		var body cluster.ProgressRequest
 		_ = json.Unmarshal(data, &body)
 		if body.Worker == k.victim {
-			refuse := func() {
+			if k.tripped() {
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusServiceUnavailable)
 				fmt.Fprint(w, `{"error":{"code":"unavailable","message":"connection lost"}}`)
-			}
-			if k.tripped() {
-				refuse()
 				return
 			}
-			if strings.HasSuffix(r.URL.Path, "/complete") {
-				k.trip()
-				refuse()
-				return
-			}
-			if strings.HasSuffix(r.URL.Path, "/heartbeat") && len(body.Checkpoint) > 0 {
-				var cp campaign.Checkpoint
-				if err := json.Unmarshal(body.Checkpoint, &cp); err == nil && len(cp.Jobs) > 0 {
-					// Let the checkpoint land first, then kill.
-					defer k.trip()
-				}
+			if body.Event.Kind == campaign.EventJobFinished {
+				// Let the event land first, then kill.
+				defer k.trip()
 			}
 		}
 	}
@@ -643,9 +628,9 @@ func (k *killSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestRecoveryKillWorker: kill one of the cluster workers mid-campaign
 // and require the campaign to still complete exactly once, with result
 // fingerprints identical to an uninterrupted local run. The victim's
-// lease must expire and requeue the job — checkpoint intact — for the
-// surviving worker, which resumes from the checkpoint (or replays
-// already-uploaded results from the store) instead of redoing the work.
+// lease must expire and requeue the job for the surviving worker, which
+// serves the victim's finished job from the result store instead of
+// redoing the work.
 // Named into the TestRecovery suite so CI runs it under -race.
 func TestRecoveryKillWorker(t *testing.T) {
 	const body = `{"machines":[1,4,7],"seed":5,"workers":1}`
@@ -665,7 +650,7 @@ func TestRecoveryKillWorker(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// The victim leases the campaign first; the kill switch ends it the
-	// moment it has either shipped a checkpoint or tried to complete.
+	// moment its first job_finished event lands.
 	victim := cluster.NewWorker(cluster.NewClient(ts.URL, "casualty", nil), cluster.WorkerConfig{
 		Workers: 1,
 		Retries: 1,
@@ -708,12 +693,10 @@ func TestRecoveryKillWorker(t *testing.T) {
 	}
 
 	// The victim's partial work was reused, not redone: the survivor
-	// resumed from the checkpoint and/or replayed uploaded results.
+	// served its finished job from the store.
 	rep := final["report"].(map[string]any)
-	resumed, _ := rep["resumed"].(float64)
-	cached, _ := rep["cached"].(float64)
-	if resumed+cached < 1 {
-		t.Errorf("no work carried across the worker death (resumed %v, cached %v)", resumed, cached)
+	if cached, _ := rep["cached"].(float64); cached < 1 {
+		t.Errorf("no work carried across the worker death (cached %v)", cached)
 	}
 
 	// Exactly once, through a real expiry.

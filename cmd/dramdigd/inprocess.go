@@ -1,8 +1,8 @@
 // Local dispatch: -max-running cluster.Workers inside the daemon, each
 // leasing through inProcess — the lease operations of cluster.go called
 // directly, with no HTTP and no JSON envelopes — over the daemon's own
-// store, registry and tracer. Leases, checkpoints, progress events and
-// fencing are therefore the ones remote workers go through.
+// store, registry and tracer. Leases, progress events and fencing are
+// therefore the ones remote workers go through.
 
 package main
 
@@ -63,8 +63,8 @@ func (c *inProcess) Lease(context.Context) (*cluster.LeaseGrant, bool, error) {
 
 func (c *inProcess) Ready() <-chan struct{} { return c.s.q.Ready() }
 
-func (c *inProcess) Heartbeat(_ context.Context, id, token string, cp, snap json.RawMessage) error {
-	return c.s.heartbeat(id, c.name, token, cp, snap)
+func (c *inProcess) Heartbeat(_ context.Context, id, token string, snap json.RawMessage) error {
+	return c.s.heartbeat(id, c.name, token, snap)
 }
 
 func (c *inProcess) Complete(_ context.Context, id, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error {
@@ -83,10 +83,6 @@ func (c *inProcess) Progress(_ context.Context, id, token string, ev campaign.Ev
 // store.read/store.persist spans.
 func (c *inProcess) GetOrCompute(ctx context.Context, fp string, compute func() (*store.Record, error)) (*store.Record, error) {
 	return c.s.st.GetOrComputeCtx(ctx, fp, compute)
-}
-
-func (c *inProcess) FetchResult(ctx context.Context, fp string) (*store.Record, bool, error) {
-	return c.s.st.GetCtx(ctx, fp)
 }
 
 func (c *inProcess) TraceWriter(_ context.Context, fp string) (io.WriteCloser, error) {

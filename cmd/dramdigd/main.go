@@ -49,8 +49,8 @@
 // concurrent campaigns under local dispatch — and a full backlog is
 // refused with 429 + Retry-After. With -queue-dir set the queue is
 // WAL-backed: a restarted daemon re-enqueues campaigns that were
-// interrupted mid-run and resumes them from their last checkpoint,
-// replaying already-finished jobs from the result store (-cache-dir).
+// interrupted mid-run, and their already-finished jobs come back from
+// the result store as cache hits (durably so with -cache-dir).
 // `Idempotency-Key` on POST /v1/campaigns deduplicates resubmissions of
 // the same campaign across the retained job history.
 //
@@ -74,8 +74,8 @@
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: new submissions are
 // refused with 503 + Retry-After, in-process workers stop their
-// campaigns and are drained before exit — the queue entries (and
-// checkpoints) survive for the next boot to resume.
+// campaigns and are drained before exit — the queue entries survive
+// for the next boot to resume.
 package main
 
 import (
@@ -249,7 +249,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dramdigd: campaigns still draining after 30s, exiting anyway")
 	}
 	// Compact and release the queue: interrupted campaigns stay recorded
-	// as in flight, with their checkpoints, for the next boot to resume.
+	// as in flight for the next boot to resume.
 	if err := q.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "dramdigd: queue close:", err)
 	}

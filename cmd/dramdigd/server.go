@@ -15,8 +15,8 @@
 // (inprocess.go); with -dispatch remote they are dramdig-worker
 // processes. Every state transition lands in the queue's WAL. With a
 // durable queue (-queue-dir) a restarted daemon re-enqueues interrupted
-// campaigns and resumes them from their last checkpoint, replaying
-// already-finished jobs from the result store.
+// campaigns, and their already-finished jobs come back from the result
+// store as cache hits.
 //
 // A campaign's queue job is its only state. Workers record their
 // per-job progress events in the job's history (queue.Progress), and
@@ -26,7 +26,7 @@
 // worker ran it and across restarts, for as long as the queue retains
 // it (queue.Config.KeepTerminal). Reads see a transition as soon as the
 // queue applies it, microseconds before its group commit; a crash in
-// that window re-runs the job from its checkpoint to the same report.
+// that window re-runs the campaign, from the store, to the same report.
 
 package main
 
@@ -197,8 +197,8 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 	s.mux.HandleFunc("GET /v1/traces/{fingerprint}", s.handleGetTrace)
 	s.mux.HandleFunc("GET /v1/queue", s.handleGetQueue)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	// The cluster lease API (cluster.go): workers pull jobs, heartbeat
-	// checkpoints, report outcomes and upload artifacts.
+	// The cluster lease API (cluster.go): workers pull jobs, renew
+	// leases, report outcomes and upload artifacts.
 	s.mux.HandleFunc("POST /v1/cluster/lease", s.handleClusterLease)
 	s.mux.HandleFunc("POST /v1/cluster/jobs/{id}/heartbeat", s.handleClusterHeartbeat)
 	s.mux.HandleFunc("POST /v1/cluster/jobs/{id}/progress", s.handleClusterProgress)
@@ -301,8 +301,8 @@ func (s *server) logTransition(id, from, to string, attrs ...any) {
 
 // drain blocks until every in-process worker has stopped; call after
 // cancelling the base context. The campaigns they abandoned stay in
-// flight in the queue — with their checkpoints — for the next boot to
-// resume, and read "running" until then.
+// flight in the queue for the next boot to resume, and read "running"
+// until then.
 func (s *server) drain() { s.wg.Wait() }
 
 // beginDrain flips the daemon into shutdown mode: new campaign
@@ -338,7 +338,7 @@ func campaignStatus(st queue.State) string {
 // its finished-job count from its history: the current attempt's
 // job_finished and job_failed events, or every job once it is done.
 func campaignProgress(job queue.Job) (total, done int) {
-	total = len(specsFromPayload(job.Payload))
+	total = campaignJobs(job.Payload)
 	if job.State == queue.StateDone {
 		return total, total
 	}
@@ -370,6 +370,16 @@ func traceIDOf(traceParent string) string {
 		return ""
 	}
 	return sc.TraceID.String()
+}
+
+// campaignJobs counts a queued campaign's jobs without building their
+// specs; a payload that does not decode counts 0.
+func campaignJobs(payload json.RawMessage) int {
+	var p campaignPayload
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return 0
+	}
+	return p.Request.Jobs()
 }
 
 // specsFromPayload rebuilds a queued campaign's specs; on any error it

@@ -1,7 +1,7 @@
 // The per-campaign timeline: GET /v1/campaigns/{id}/timeline assembles
 // one chronological view of everything that happened to a campaign,
 // across processes. Queue history supplies the durable lifecycle
-// (submitted, leased, checkpoints, the workers' per-job progress events,
+// (submitted, leased, the workers' per-job progress events,
 // expiries, requeues, terminal state — replayed from the WAL, so it
 // survives restarts); the tracer's span ring supplies the fine-grained
 // execution record, including spans the workers shipped back with their

@@ -158,15 +158,6 @@ type CampaignReport = campaign.Report
 // CampaignJob is one job's outcome inside a report (re-exported).
 type CampaignJob = campaign.JobResult
 
-// CampaignCheckpoint is the cumulative completion record a campaign
-// emits through CampaignConfig.OnCheckpoint and resumes from via
-// CampaignConfig.Resume/Restore (re-exported).
-type CampaignCheckpoint = campaign.Checkpoint
-
-// CampaignJobCheckpoint is one completed job's checkpoint entry
-// (re-exported).
-type CampaignJobCheckpoint = campaign.JobCheckpoint
-
 // PaperCampaign returns campaign jobs for the paper's nine Table II
 // settings.
 func PaperCampaign(seed int64) []CampaignSpec { return campaign.PaperSpecs(seed) }

@@ -186,10 +186,9 @@ type Event struct {
 	Attempt int `json:"attempt"`
 	// Err carries the failure message (attempt_failed / job_failed).
 	Err string `json:"err,omitempty"`
-	// Match, Cached, Resumed and SimSeconds describe a finished job.
+	// Match, Cached and SimSeconds describe a finished job.
 	Match      bool    `json:"match,omitempty"`
 	Cached     bool    `json:"cached,omitempty"`
-	Resumed    bool    `json:"resumed,omitempty"`
 	SimSeconds float64 `json:"sim_s,omitempty"`
 }
 
@@ -202,16 +201,9 @@ type Outcome struct {
 	// Cached marks an outcome served by a wrapper's cache rather than a
 	// pipeline run.
 	Cached bool
-	// Resumed marks an outcome restored from a resume checkpoint rather
-	// than executed in this run.
-	Resumed bool
 	// Attempts is the number of pipeline attempts executed (0 for a
 	// cache hit).
 	Attempts int
-	// ToolSeed is the derived per-(job, attempt) seed of the successful
-	// attempt (0 for cached or failed outcomes); it lands in the job's
-	// checkpoint entry.
-	ToolSeed int64
 	// Err is the last attempt's failure, nil on success.
 	Err error
 }
@@ -243,23 +235,8 @@ type Config struct {
 	// tracing that attempt; a sink error fails the attempt. The engine
 	// closes the sink when the attempt finishes, success or not.
 	TraceSink func(spec Spec, index, attempt int) (io.WriteCloser, error)
-	// OnCheckpoint, when non-nil, receives the cumulative Checkpoint
-	// after every successfully completed job (restored jobs included),
-	// before the job's job_finished event. Calls are serialized and each
-	// checkpoint extends the previous one, so a worker can persist each
-	// one (a heartbeat to its coordinator's WAL) as it arrives.
-	OnCheckpoint func(Checkpoint)
-	// Resume, when non-nil, is a checkpoint from an interrupted run of
-	// the same campaign: jobs it records as complete are not re-executed
-	// but restored through Restore. Its Seed must match Config.Seed.
-	Resume *Checkpoint
-	// Restore materializes a checkpointed job's outcome — typically from
-	// the content-addressed result store. Returning false re-runs the
-	// job instead; the deterministic per-(job, attempt) seeds make the
-	// re-run produce the result the checkpoint recorded.
-	Restore func(ctx context.Context, spec Spec, jc JobCheckpoint) (Outcome, bool)
-	// Metrics, when non-nil, receives job-lifecycle counts and
-	// checkpoint latency (see NewMetrics).
+	// Metrics, when non-nil, receives job-lifecycle counts (see
+	// NewMetrics).
 	Metrics *Metrics
 	// Instrument, when non-nil, is attached to every pipeline attempt's
 	// meters (hot-path sample counting; see timing.Instrument). It does
@@ -291,10 +268,6 @@ func Run(ctx context.Context, specs []Spec, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("campaign: no specs")
 	}
 	cfg.setDefaults()
-	if cfg.Resume != nil && cfg.Resume.Seed != cfg.Seed {
-		return nil, fmt.Errorf("campaign: resume checkpoint was taken under seed %d, campaign runs seed %d",
-			cfg.Resume.Seed, cfg.Seed)
-	}
 	// More workers than jobs is pure goroutine waste — and Workers may
 	// come from an untrusted request (dramdigd), so clamp hard.
 	if cfg.Workers > len(specs) {
@@ -321,7 +294,6 @@ func Run(ctx context.Context, specs []Spec, cfg Config) (*Report, error) {
 		}()
 	}
 
-	cpr := newCheckpointer(cfg.Seed, cfg.Metrics.wrapCheckpoint(cfg.OnCheckpoint))
 	jobs := make(chan int)
 	results := make([]JobResult, len(specs))
 	var wg sync.WaitGroup
@@ -330,7 +302,7 @@ func Run(ctx context.Context, specs []Spec, cfg Config) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				results[idx] = runJob(ctx, specs[idx], cfg, idx, emit, cpr)
+				results[idx] = runJob(ctx, specs[idx], cfg, idx, emit)
 			}
 		}()
 	}
@@ -355,9 +327,8 @@ func Run(ctx context.Context, specs []Spec, cfg Config) (*Report, error) {
 }
 
 // runJob executes one spec (through the wrapper when configured) and
-// converts the outcome into a JobResult. Jobs recorded complete in
-// cfg.Resume restore through cfg.Restore instead of executing.
-func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event), cpr *checkpointer) JobResult {
+// converts the outcome into a JobResult.
+func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event)) JobResult {
 	name := spec.Name
 	if name == "" {
 		name = spec.Def.Name
@@ -373,21 +344,12 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 		obs.KV("job", name), obs.Int("index", int64(idx)))
 
 	var out Outcome
-	resumed, restoredJC := false, JobCheckpoint{}
 	pprof.Do(ctx, pprof.Labels("job", name), func(ctx context.Context) {
-		if jc, ok := cfg.Resume.Lookup(idx); ok && cfg.Restore != nil {
-			if restored, ok := cfg.Restore(ctx, spec, jc); ok && restored.Err == nil && restored.Result != nil {
-				restored.Resumed = true
-				out, resumed, restoredJC = restored, true, jc
-			}
-		}
-		if !resumed {
-			run := func() Outcome { return attemptLoop(ctx, spec, cfg, idx, name, emit) }
-			if cfg.Wrap != nil {
-				out = cfg.Wrap(ctx, spec, run)
-			} else {
-				out = run()
-			}
+		run := func() Outcome { return attemptLoop(ctx, spec, cfg, idx, name, emit) }
+		if cfg.Wrap != nil {
+			out = cfg.Wrap(ctx, spec, run)
+		} else {
+			out = run()
 		}
 	})
 
@@ -399,24 +361,14 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 		Attempts:           out.Attempts,
 		Match:              out.Match,
 		Cached:             out.Cached,
-		Resumed:            out.Resumed,
 		MachineFingerprint: spec.MachineFingerprint(),
 		WallSeconds:        time.Since(start).Seconds(),
 	}
 	if out.Err == nil && out.Result != nil && out.Result.Mapping != nil {
 		jr.Fingerprint = out.Result.Mapping.Fingerprint()
-		// Checkpoint before announcing: when a job_finished event is
-		// observable, the job's completion record already exists.
-		if resumed {
-			// Carry the original entry forward so the cumulative
-			// checkpoint still covers this job after a second crash.
-			cpr.add(restoredJC)
-		} else {
-			cpr.add(jobCheckpoint(idx, jr, out.ToolSeed))
-		}
-		cfg.Metrics.jobFinished(out.Resumed)
+		cfg.Metrics.jobFinished()
 		emit(Event{Kind: EventJobFinished, Job: name, Index: idx,
-			Match: out.Match, Cached: out.Cached, Resumed: out.Resumed,
+			Match: out.Match, Cached: out.Cached,
 			SimSeconds: out.Result.TotalSimSeconds})
 	} else {
 		if jr.Err == nil {
@@ -428,9 +380,6 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 	span.SetAttrInt("attempts", int64(jr.Attempts))
 	if jr.Cached {
 		span.SetAttr("cached", "true")
-	}
-	if jr.Resumed {
-		span.SetAttr("resumed", "true")
 	}
 	span.SetError(jr.Err)
 	span.End()
@@ -449,9 +398,9 @@ func attemptLoop(ctx context.Context, spec Spec, cfg Config, idx int, name strin
 		if err := ctx.Err(); err != nil {
 			return Outcome{Err: err, Attempts: attempt}
 		}
-		res, match, seed, err := runAttempt(ctx, spec, cfg, idx, attempt)
+		res, match, err := runAttempt(ctx, spec, cfg, idx, attempt)
 		if err == nil {
-			return Outcome{Result: res, Match: match, Attempts: attempt + 1, ToolSeed: seed}
+			return Outcome{Result: res, Match: match, Attempts: attempt + 1}
 		}
 		if ctx.Err() != nil {
 			return Outcome{Err: ctx.Err(), Attempts: attempt + 1}
@@ -464,12 +413,11 @@ func attemptLoop(ctx context.Context, spec Spec, cfg Config, idx int, name strin
 	return Outcome{Err: lastErr, Attempts: cfg.Retries + 1}
 }
 
-// runAttempt executes one pipeline attempt; the third return is the
-// derived tool seed the attempt ran under (the checkpoint records it).
-func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*core.Result, bool, int64, error) {
+// runAttempt executes one pipeline attempt.
+func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*core.Result, bool, error) {
 	src, err := spec.source(attempt)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	toolCfg := core.Config{}
 	if spec.Tool != nil {
@@ -497,12 +445,12 @@ func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*
 
 	run, err := src.Open()
 	if err != nil {
-		return nil, false, 0, fmt.Errorf("campaign: %w", err)
+		return nil, false, fmt.Errorf("campaign: %w", err)
 	}
 	tool, err := core.New(run, toolCfg)
 	if err != nil {
 		run.Close()
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	res, runErr := tool.RunContext(ctx)
 	cerr := run.Close()
@@ -510,16 +458,16 @@ func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*
 		if cerr != nil && ctx.Err() == nil {
 			// A deferred source error (replay divergence, trace-write
 			// failure) usually explains the pipeline error; keep both.
-			return nil, false, 0, errors.Join(cerr, runErr)
+			return nil, false, errors.Join(cerr, runErr)
 		}
-		return nil, false, 0, runErr
+		return nil, false, runErr
 	}
 	if cerr != nil {
-		return nil, false, 0, fmt.Errorf("campaign: source: %w", cerr)
+		return nil, false, fmt.Errorf("campaign: source: %w", cerr)
 	}
 	match := false
 	if truth := source.Truth(run); truth != nil && res.Mapping != nil {
 		match = res.Mapping.EquivalentTo(truth)
 	}
-	return res, match, toolCfg.Seed, nil
+	return res, match, nil
 }

@@ -1,32 +1,21 @@
-// Campaign metrics: job-lifecycle counters and checkpoint latency,
-// attached through Config.Metrics. The struct's fields are the nil-safe
-// types of internal/metrics and the struct pointer itself is nil-safe,
-// so an unconfigured campaign pays nothing but nil checks.
+// Campaign metrics: job-lifecycle counters, attached through
+// Config.Metrics. The struct's fields are the nil-safe types of
+// internal/metrics and the struct pointer itself is nil-safe, so an
+// unconfigured campaign pays nothing but nil checks.
 
 package campaign
 
-import (
-	"time"
-
-	"dramdig/internal/metrics"
-)
+import "dramdig/internal/metrics"
 
 // Metrics is the campaign layer's instrumentation. Build one with
 // NewMetrics (or populate fields directly in tests) and attach it via
 // Config.Metrics; a nil *Metrics disables everything.
 type Metrics struct {
-	// JobsStarted counts workers picking a job up (restored jobs
-	// included).
+	// JobsStarted counts workers picking a job up.
 	JobsStarted *metrics.Counter
 	// JobsSucceeded / JobsFailed count terminal job outcomes.
 	JobsSucceeded *metrics.Counter
 	JobsFailed    *metrics.Counter
-	// JobsResumed counts jobs restored from a resume checkpoint instead
-	// of re-executed.
-	JobsResumed *metrics.Counter
-	// CheckpointSeconds times the OnCheckpoint callback — for the durable
-	// scheduler this is the checkpoint's WAL append.
-	CheckpointSeconds *metrics.Histogram
 }
 
 // NewMetrics registers the campaign metric families on r and returns the
@@ -39,11 +28,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 			"Campaign jobs that produced a mapping.", nil),
 		JobsFailed: r.Counter("dramdig_campaign_jobs_failed_total",
 			"Campaign jobs that exhausted their attempts.", nil),
-		JobsResumed: r.Counter("dramdig_campaign_jobs_resumed_total",
-			"Campaign jobs restored from a resume checkpoint.", nil),
-		CheckpointSeconds: r.Histogram("dramdig_campaign_checkpoint_seconds",
-			"OnCheckpoint callback latency per completed job.",
-			metrics.ExpBuckets(10e-6, 4, 10), nil),
 	}
 }
 
@@ -53,31 +37,14 @@ func (m *Metrics) jobStarted() {
 	}
 }
 
-func (m *Metrics) jobFinished(resumed bool) {
-	if m == nil {
-		return
-	}
-	m.JobsSucceeded.Inc()
-	if resumed {
-		m.JobsResumed.Inc()
+func (m *Metrics) jobFinished() {
+	if m != nil {
+		m.JobsSucceeded.Inc()
 	}
 }
 
 func (m *Metrics) jobFailed() {
 	if m != nil {
 		m.JobsFailed.Inc()
-	}
-}
-
-// wrapCheckpoint decorates an OnCheckpoint callback with latency
-// observation; with no metrics (or no callback) it returns fn unchanged.
-func (m *Metrics) wrapCheckpoint(fn func(Checkpoint)) func(Checkpoint) {
-	if m == nil || fn == nil {
-		return fn
-	}
-	return func(cp Checkpoint) {
-		start := time.Now()
-		fn(cp)
-		m.CheckpointSeconds.Observe(time.Since(start).Seconds())
 	}
 }

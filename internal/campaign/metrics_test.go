@@ -19,18 +19,16 @@ func testInstrument(r *metrics.Registry) *timing.Instrument {
 	}
 }
 
-// TestCampaignMetrics: Config.Metrics counts job lifecycle and times
-// checkpoints; Config.Instrument counts every raw measurement of every
-// attempt.
+// TestCampaignMetrics: Config.Metrics counts job lifecycle;
+// Config.Instrument counts every raw measurement of every attempt.
 func TestCampaignMetrics(t *testing.T) {
 	r := metrics.NewRegistry()
 	m := NewMetrics(r)
 	inst := testInstrument(r)
 	rep, err := Run(context.Background(), []Spec{mustSpec(t, 1), mustSpec(t, 4)}, Config{
-		Seed:         3,
-		Metrics:      m,
-		Instrument:   inst,
-		OnCheckpoint: func(Checkpoint) {},
+		Seed:       3,
+		Metrics:    m,
+		Instrument: inst,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +39,6 @@ func TestCampaignMetrics(t *testing.T) {
 	if m.JobsStarted.Value() != 2 || m.JobsSucceeded.Value() != 2 || m.JobsFailed.Value() != 0 {
 		t.Fatalf("lifecycle counters: started=%d succeeded=%d failed=%d",
 			m.JobsStarted.Value(), m.JobsSucceeded.Value(), m.JobsFailed.Value())
-	}
-	if m.CheckpointSeconds.Count() != 2 {
-		t.Fatalf("checkpoint observations = %d, want 2", m.CheckpointSeconds.Count())
 	}
 	var want uint64
 	for _, jr := range rep.Jobs {
@@ -60,7 +55,6 @@ func TestCampaignMetrics(t *testing.T) {
 	for _, fam := range []string{
 		"dramdig_campaign_jobs_started_total 2",
 		"dramdig_campaign_jobs_succeeded_total 2",
-		"dramdig_campaign_checkpoint_seconds_count 2",
 	} {
 		if !strings.Contains(sb.String(), fam) {
 			t.Errorf("render missing %q", fam)

@@ -26,11 +26,9 @@ type JobResult struct {
 	// Attempts counts pipeline attempts (0 for a cache hit).
 	Attempts int
 	// Match reports ground-truth equivalence; Cached marks wrapper
-	// cache hits; Resumed marks outcomes restored from a resume
-	// checkpoint instead of executed in this run.
-	Match   bool
-	Cached  bool
-	Resumed bool
+	// cache hits.
+	Match  bool
+	Cached bool
 	// Fingerprint is the recovered mapping's content hash (success only);
 	// MachineFingerprint is the definition's hash (always set), the key
 	// result caches use.
@@ -82,7 +80,7 @@ type Report struct {
 	// Jobs holds one entry per spec, in spec order.
 	Jobs []JobResult
 	// Counters over the jobs.
-	Total, Succeeded, Failed, Matched, Cached, Resumed int
+	Total, Succeeded, Failed, Matched, Cached int
 	// SuccessRate is Succeeded/Total.
 	SuccessRate float64
 	// Sim summarizes successful jobs' simulated run times (the paper's
@@ -111,9 +109,6 @@ func buildReport(specs []Spec, results []JobResult, wallSeconds float64) *Report
 		}
 		if jr.Cached {
 			r.Cached++
-		}
-		if jr.Resumed {
-			r.Resumed++
 		}
 		if jr.Result != nil {
 			sims = append(sims, jr.Result.TotalSimSeconds)
@@ -148,8 +143,6 @@ func (r *Report) RenderTable(w io.Writer) {
 		switch {
 		case jr.Err != nil:
 			status = "FAILED: " + jr.Err.Error()
-		case jr.Resumed:
-			status = "ok (resumed)"
 		case jr.Cached:
 			status = "ok (cached)"
 		}

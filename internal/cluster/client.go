@@ -131,22 +131,17 @@ func (c *Client) Lease(ctx context.Context) (*LeaseGrant, bool, error) {
 // idle worker polls.
 func (c *Client) Ready() <-chan struct{} { return nil }
 
-// Heartbeat renews the lease, shipping a checkpoint when cp is
-// non-empty and a metrics snapshot when snap is non-empty (both ride
-// the one request). This is the cluster's hottest RPC — every worker
-// beats at TTL/3 and after every finished job — so the body is built by
-// hand and cp/snap (already JSON from their own encoders) are spliced
-// in verbatim instead of being re-scanned by the reflection encoder.
-func (c *Client) Heartbeat(ctx context.Context, id, token string, cp, snap json.RawMessage) error {
-	body := make(json.RawMessage, 0, 64+len(cp)+len(snap))
+// Heartbeat renews the lease, shipping a metrics snapshot when snap is
+// non-empty. This is the cluster's hottest RPC — every worker beats at
+// TTL/3 — so the body is built by hand and snap (already JSON from its
+// own encoder) is spliced in verbatim instead of being re-scanned by
+// the reflection encoder.
+func (c *Client) Heartbeat(ctx context.Context, id, token string, snap json.RawMessage) error {
+	body := make(json.RawMessage, 0, 64+len(snap))
 	body = append(body, `{"worker":`...)
 	body = appendQuoted(body, c.worker)
 	body = append(body, `,"token":`...)
 	body = appendQuoted(body, token)
-	if len(cp) > 0 {
-		body = append(body, `,"checkpoint":`...)
-		body = append(body, cp...)
-	}
 	if len(snap) > 0 {
 		body = append(body, `,"metrics":`...)
 		body = append(body, snap...)

@@ -1,8 +1,8 @@
 // Package cluster is the coordinator/worker subsystem that executes
 // every dramdigd campaign. A Worker leases queued campaign jobs, runs
-// them through the campaign engine, sends each checkpoint back on a
-// heartbeat and lands results and traces in the coordinator's
-// content-addressed store. It reaches its coordinator through the
+// them through the campaign engine, renews its lease on a heartbeat and
+// lands results and traces in the coordinator's content-addressed
+// store. It reaches its coordinator through the
 // Coordinator interface: worker processes (cmd/dramdig-worker) use the
 // HTTP Client against the lease API under /v1/cluster, and dramdigd's
 // own in-process workers (-dispatch local) make the same calls
@@ -11,7 +11,7 @@
 // The protocol is five POSTs plus two PUTs:
 //
 //	POST /v1/cluster/lease                   lease the next pending job (204: nothing pending)
-//	POST /v1/cluster/jobs/{id}/heartbeat     extend the lease, optionally shipping a checkpoint
+//	POST /v1/cluster/jobs/{id}/heartbeat     extend the lease, optionally shipping a metrics snapshot
 //	POST /v1/cluster/jobs/{id}/progress      record one per-job event in the job's queue history
 //	POST /v1/cluster/jobs/{id}/complete      finish: report + the worker's finished spans
 //	POST /v1/cluster/jobs/{id}/fail          fail with a message
@@ -20,9 +20,10 @@
 //
 // Exactly-once flows from the queue's lease machinery: each grant
 // carries a fencing token, missed heartbeats expire the lease and
-// requeue the job (checkpoint intact), and a worker whose lease was
-// re-granted elsewhere gets 409 {"error":{"code":"lease_lost"}} and
-// abandons. Every worker, remote or in-process, leases in the queue's
+// requeue the job, and a worker whose lease was re-granted elsewhere
+// gets 409 {"error":{"code":"lease_lost"}} and abandons. The requeued
+// job redoes nothing: results land in the store before a job counts as
+// done, so the next worker finds every finished job there. Every worker, remote or in-process, leases in the queue's
 // own order: highest priority first, then oldest. Workers keep no
 // state between leases, so which worker takes a job does not matter.
 //
@@ -55,9 +56,6 @@ type LeaseGrant struct {
 	ID string `json:"id"`
 	// Payload is the queued campaign payload (cluster.Payload as JSON).
 	Payload json.RawMessage `json:"payload"`
-	// Checkpoint is the job's latest recorded progress, if any; a worker
-	// resumes from it instead of redoing finished jobs.
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// Attempts counts grants including this one (1 on the first run).
 	Attempts int `json:"attempts"`
 	Priority int `json:"priority,omitempty"`
@@ -83,10 +81,6 @@ type LeaseGrant struct {
 type HeartbeatRequest struct {
 	Worker string `json:"worker"`
 	Token  string `json:"token"`
-	// Checkpoint is the newest campaign checkpoint since the last
-	// heartbeat, if any — the coordinator persists it in the queue WAL,
-	// so a lease expiry (or coordinator restart) resumes, not restarts.
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// Metrics is the worker's current metrics.Snapshot (JSON), piggybacked
 	// on the heartbeat so fleet telemetry needs no extra connection.
 	// Optional: coordinators ignore its absence, old workers never send it.

@@ -50,7 +50,7 @@ func TestBuildSpecsRejects(t *testing.T) {
 // BuildSpecs on a payload it decoded from the queue. For arbitrary
 // payload JSON it must not panic, and two calls must return the same
 // specs and fingerprints — the determinism cross-process exactly-once
-// rests on.
+// rests on — as many as CampaignRequest.Jobs counts without building.
 func FuzzBuildSpecs(f *testing.F) {
 	for _, seed := range []string{
 		`{"request":{"machines":[1,4]},"seed":42}`,
@@ -59,6 +59,7 @@ func FuzzBuildSpecs(f *testing.F) {
 		`{"request":{"generated":-1},"seed":0}`,
 		`{"request":{"machines":[0,10,-2]},"seed":-9}`,
 		`{}`,
+		`{"request":{"generated":9223372036854775807,"custom":[{}]},"seed":0}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -78,8 +79,8 @@ func FuzzBuildSpecs(f *testing.F) {
 			}
 			return
 		}
-		if len(a) != len(b) {
-			t.Fatalf("spec counts %d vs %d", len(a), len(b))
+		if len(a) != len(b) || len(a) != p.Request.Jobs() {
+			t.Fatalf("spec counts %d vs %d, Jobs() counts %d", len(a), len(b), p.Request.Jobs())
 		}
 		for i := range a {
 			if a[i].Name != b[i].Name || a[i].Seed != b[i].Seed ||

@@ -87,6 +87,21 @@ type CampaignRequest struct {
 	Priority int `json:"priority,omitempty"`
 }
 
+// Jobs counts the specs BuildSpecs expands a valid request into,
+// without building them: one per paper setting (nine for -1), one per
+// generated machine and one per custom definition.
+func (r CampaignRequest) Jobs() int {
+	n := len(r.Custom) + r.Generated
+	for _, no := range r.Machines {
+		if no == -1 {
+			n += len(machine.Settings())
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
 // Payload is what a campaign job carries through the queue: the
 // validated request plus the resolved seed. Specs rebuild from it
 // deterministically, which is what makes a recovered job — or the same
@@ -103,19 +118,11 @@ type Payload struct {
 func BuildSpecs(req CampaignRequest, seed int64) ([]campaign.Spec, error) {
 	// Bound the job count before anything allocates proportionally to
 	// the request; a negative generated count must not be allowed to
-	// drive the estimate down.
+	// drive the estimate down, nor a huge one to wrap it negative.
 	if req.Generated < 0 {
 		return nil, fmt.Errorf("generated count %d is negative", req.Generated)
 	}
-	est := len(req.Custom) + req.Generated
-	for _, no := range req.Machines {
-		if no == -1 {
-			est += len(machine.Settings())
-		} else {
-			est++
-		}
-	}
-	if est > MaxCampaignJobs {
+	if est := max(req.Jobs(), req.Generated); est > MaxCampaignJobs {
 		return nil, fmt.Errorf("campaign of %d jobs exceeds the limit of %d", est, MaxCampaignJobs)
 	}
 	var out []campaign.Spec
@@ -147,8 +154,8 @@ func BuildSpecs(req CampaignRequest, seed int64) ([]campaign.Spec, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty campaign: give machines, generated or custom")
 	}
-	// Defense-in-depth re-check: est above mirrors the construction of
-	// out; if the two ever drift apart, this keeps the bound authoritative.
+	// Defense-in-depth re-check: Jobs mirrors the construction of out;
+	// if the two ever drift apart, this keeps the bound authoritative.
 	if len(out) > MaxCampaignJobs {
 		return nil, fmt.Errorf("campaign of %d jobs exceeds the limit of %d", len(out), MaxCampaignJobs)
 	}
@@ -157,13 +164,10 @@ func BuildSpecs(req CampaignRequest, seed int64) ([]campaign.Spec, error) {
 
 // JobJSON is one job row in a campaign status response.
 type JobJSON struct {
-	Name   string `json:"name"`
-	OK     bool   `json:"ok"`
-	Match  bool   `json:"match"`
-	Cached bool   `json:"cached"`
-	// Resumed marks a job restored from a recovery checkpoint instead of
-	// executed in this process.
-	Resumed     bool    `json:"resumed,omitempty"`
+	Name        string  `json:"name"`
+	OK          bool    `json:"ok"`
+	Match       bool    `json:"match"`
+	Cached      bool    `json:"cached"`
 	Attempts    int     `json:"attempts"`
 	SimSeconds  float64 `json:"sim_s,omitempty"`
 	WallSeconds float64 `json:"wall_s"`
@@ -191,7 +195,6 @@ type ReportJSON struct {
 	Failed      int            `json:"failed"`
 	Matched     int            `json:"matched"`
 	Cached      int            `json:"cached"`
-	Resumed     int            `json:"resumed,omitempty"`
 	SuccessRate float64        `json:"success_rate"`
 	WallSeconds float64        `json:"wall_s"`
 	SimSeconds  campaign.Stats `json:"sim_s"`
@@ -203,13 +206,13 @@ type ReportJSON struct {
 func EncodeReport(rep *campaign.Report) *ReportJSON {
 	out := &ReportJSON{
 		Total: rep.Total, Succeeded: rep.Succeeded, Failed: rep.Failed,
-		Matched: rep.Matched, Cached: rep.Cached, Resumed: rep.Resumed,
+		Matched: rep.Matched, Cached: rep.Cached,
 		SuccessRate: rep.SuccessRate, WallSeconds: rep.WallSeconds, SimSeconds: rep.Sim,
 	}
 	for _, jr := range rep.Jobs {
 		j := JobJSON{
 			Name: jr.Name, OK: jr.Err == nil, Match: jr.Match, Cached: jr.Cached,
-			Resumed: jr.Resumed, Attempts: jr.Attempts, WallSeconds: jr.WallSeconds,
+			Attempts: jr.Attempts, WallSeconds: jr.WallSeconds,
 			MappingFingerprint: jr.Fingerprint,
 			MachineFingerprint: jr.MachineFingerprint,
 		}

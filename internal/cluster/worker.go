@@ -1,10 +1,12 @@
-// The worker: lease a job, rebuild its specs, run the campaign, send
-// every checkpoint back on a heartbeat and every per-job event as
-// progress, and report the outcome. It is the only code that executes a
-// campaign — in dramdig-worker processes over HTTP, and inside dramdigd
-// as in-process workers — so leases, checkpoints, progress events,
-// store write-through and trace capture behave the same wherever a
-// campaign runs.
+// The worker: lease a job, rebuild its specs, run the campaign behind
+// the coordinator's result store, send every per-job event as progress,
+// and report the outcome. It is the only code that executes a campaign
+// — in dramdig-worker processes over HTTP, and inside dramdigd as
+// in-process workers — so leases, progress events, store write-through
+// and trace capture behave the same wherever a campaign runs. A
+// requeued campaign needs no record of its own progress: every job an
+// earlier attempt finished is already in the store, and wrap serves it
+// from there.
 
 package cluster
 
@@ -17,7 +19,6 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,9 +46,9 @@ type Coordinator interface {
 	// Ready is signalled when pending work may have appeared; nil means
 	// the coordinator cannot signal and an idle worker polls.
 	Ready() <-chan struct{}
-	// Heartbeat renews a lease, carrying a checkpoint and a metrics
-	// snapshot when they are non-empty.
-	Heartbeat(ctx context.Context, id, token string, cp, snap json.RawMessage) error
+	// Heartbeat renews a lease, carrying a metrics snapshot when it is
+	// non-empty.
+	Heartbeat(ctx context.Context, id, token string, snap json.RawMessage) error
 	// Complete and Fail end a lease with the campaign's outcome.
 	Complete(ctx context.Context, id, token string, report json.RawMessage, spans []obs.SpanData, snap json.RawMessage) error
 	Fail(ctx context.Context, id, token, msg string) error
@@ -57,8 +58,6 @@ type Coordinator interface {
 	// GetOrCompute returns fp's stored result, or runs compute and
 	// stores what it returns.
 	GetOrCompute(ctx context.Context, fp string, compute func() (*store.Record, error)) (*store.Record, error)
-	// FetchResult returns fp's stored result, if any.
-	FetchResult(ctx context.Context, fp string) (*store.Record, bool, error)
 	// TraceWriter stores the bytes written to it as fp's trace on Close.
 	TraceWriter(ctx context.Context, fp string) (io.WriteCloser, error)
 }
@@ -119,8 +118,8 @@ type Worker struct {
 }
 
 // snapshotMinInterval floors how often heartbeats attempt a metrics
-// snapshot. Heartbeats run at TTL/3 and after every finished job, which
-// can be far faster than any scraper reads the federated page; snapshot
+// snapshot. Heartbeats run at TTL/3, which under a short lease TTL is
+// far faster than any scraper reads the federated page; snapshot
 // shipping keeps its own cadence so a hot heartbeat loop never pays the
 // walk-the-registry cost per beat. Completions bypass the floor.
 const snapshotMinInterval = time.Second
@@ -284,28 +283,18 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	go l.keepAlive(ttl, hbDone)
 
 	cfg := campaign.Config{
-		Workers:      p.Request.Workers,
-		Retries:      w.cfg.Retries,
-		Seed:         p.Seed,
-		OnEvent:      l.progress,
-		Wrap:         w.wrap,
-		Restore:      w.restore,
-		OnCheckpoint: l.checkpoint,
-		Metrics:      w.cm,
-		Instrument:   w.inst,
+		Workers:    p.Request.Workers,
+		Retries:    w.cfg.Retries,
+		Seed:       p.Seed,
+		OnEvent:    l.progress,
+		Wrap:       w.wrap,
+		Metrics:    w.cm,
+		Instrument: w.inst,
 	}
 	// The operator's worker cap is a ceiling, not a default a client may
 	// exceed.
 	if cfg.Workers <= 0 || cfg.Workers > w.cfg.Workers {
 		cfg.Workers = w.cfg.Workers
-	}
-	if len(g.Checkpoint) > 0 {
-		var cp campaign.Checkpoint
-		if err := json.Unmarshal(g.Checkpoint, &cp); err != nil {
-			w.log.Warn("corrupt checkpoint ignored", "campaign", g.ID, "err", err)
-		} else if cp.Seed == p.Seed {
-			cfg.Resume = &cp
-		}
 	}
 	if w.cfg.Tracing {
 		cfg.TraceSink = func(spec campaign.Spec, index, attempt int) (io.WriteCloser, error) {
@@ -334,8 +323,8 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 		// double-counted.
 		w.log.Warn("lease lost; abandoning job", "campaign", g.ID)
 	case ctx.Err() != nil:
-		// Worker shutdown mid-campaign: the job stays in flight with its
-		// last checkpoint, and the coordinator requeues it.
+		// Worker shutdown mid-campaign: the job stays in flight, and the
+		// coordinator requeues it; its finished jobs wait in the store.
 		w.log.Info("shutdown mid-campaign; job left in flight", "campaign", g.ID)
 	case runErr != nil:
 		w.log.Warn("campaign failed", "campaign", g.ID, "err", runErr)
@@ -367,40 +356,15 @@ type lease struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	lost   atomic.Bool
-
-	// mu serializes beats, so a checkpoint never lands after a newer
-	// one; unsent is the newest checkpoint no beat has delivered yet.
-	mu     sync.Mutex
-	unsent json.RawMessage
 }
 
-// checkpoint sends a finished job's cumulative checkpoint as a
-// heartbeat before the engine announces the job or takes the next one,
-// so the checkpoint is durable by the time its job_finished event is
-// observable. A beat that fails leaves it for the next one to retry.
-func (l *lease) checkpoint(cp campaign.Checkpoint) {
-	data, err := json.Marshal(cp)
-	if err != nil {
-		l.w.log.Warn("encode checkpoint", "campaign", l.g.ID, "err", err)
-		return
-	}
-	l.beat(data)
-}
-
-// beat renews the lease, carrying cp — or, when cp is nil, the newest
-// checkpoint still unsent. A lease_lost answer stops the campaign.
-func (l *lease) beat(cp json.RawMessage) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cp != nil {
-		l.unsent = cp
-	}
+// beat renews the lease. A lease_lost answer stops the campaign.
+func (l *lease) beat() {
 	// The metrics snapshot rides the beat: fleet telemetry with no extra
 	// connection.
-	err := l.w.coord.Heartbeat(l.ctx, l.g.ID, l.g.Token, l.unsent, l.w.snapshotJSON(false))
+	err := l.w.coord.Heartbeat(l.ctx, l.g.ID, l.g.Token, l.w.snapshotJSON(false))
 	switch {
 	case err == nil:
-		l.unsent = nil
 	case errors.Is(err, ErrLeaseLost):
 		l.lose()
 	case l.ctx.Err() == nil:
@@ -445,14 +409,16 @@ func (l *lease) keepAlive(ttl time.Duration, done chan struct{}) {
 			l.lose()
 			return
 		case <-tick.C:
-			l.beat(nil)
+			l.beat()
 		}
 	}
 }
 
 // wrap backs each job with the coordinator's store: a fingerprint hit
 // skips the pipeline, and a fresh result is stored before the job
-// counts as done — completion never outruns results.
+// counts as done — completion never outruns results. That order is what
+// lets a requeued campaign resume from the store alone: every job an
+// earlier attempt finished comes back here as a hit, reported cached.
 func (w *Worker) wrap(ctx context.Context, spec campaign.Spec, run func() campaign.Outcome) campaign.Outcome {
 	fp := spec.MachineFingerprint()
 	var direct *campaign.Outcome
@@ -493,27 +459,4 @@ func (w *Worker) wrap(ctx context.Context, spec campaign.Spec, run func() campai
 		Match:  rec.Match,
 		Cached: true,
 	}
-}
-
-// restore materializes a checkpointed job's outcome from the
-// coordinator's store. A miss re-runs the job; the deterministic seeds
-// make the re-run equivalent.
-func (w *Worker) restore(ctx context.Context, spec campaign.Spec, jc campaign.JobCheckpoint) (campaign.Outcome, bool) {
-	fp := jc.MachineFingerprint
-	if fp == "" {
-		fp = spec.MachineFingerprint()
-	}
-	rec, ok, err := w.coord.FetchResult(ctx, fp)
-	if err != nil || !ok {
-		return campaign.Outcome{}, false
-	}
-	return campaign.Outcome{
-		Result: &core.Result{
-			Mapping:         rec.Mapping,
-			TotalSimSeconds: rec.SimSeconds,
-			Measurements:    rec.Measurements,
-		},
-		Match:    rec.Match,
-		Attempts: jc.Attempts,
-	}, true
 }

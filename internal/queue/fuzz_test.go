@@ -26,11 +26,11 @@ func progressJournal(f *testing.F) []byte {
 	_, _, err = q.Submit(json.RawMessage(`{"request":{"machines":[7]},"seed":5}`), SubmitOptions{Priority: 1})
 	must(err)
 
-	// The priority job runs, checkpoints, expires, is re-leased and fails.
+	// The priority job runs, renews, expires, is re-leased and fails.
 	l, _, err := q.Lease("w1", time.Minute)
 	must(err)
 	must(q.Progress(l.ID, "w1", l.LeaseToken, "job_started", json.RawMessage(`{"kind":"job_started","job":"No.7","index":0,"attempt":0}`)))
-	_, err = q.Heartbeat(l.ID, "w1", l.LeaseToken, time.Minute, json.RawMessage(`{"seed":5,"jobs":[{"index":0}]}`))
+	_, err = q.Heartbeat(l.ID, "w1", l.LeaseToken, time.Minute)
 	must(err)
 	must(q.Progress(l.ID, "w1", l.LeaseToken, "job_finished", json.RawMessage(`{"kind":"job_finished","job":"No.7","index":0,"attempt":0,"match":true}`)))
 	_, err = q.ExpireLeases(time.Now().Add(time.Hour))
@@ -60,6 +60,14 @@ func FuzzQueueReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	cpWAL, err := os.ReadFile(filepath.Join("testdata", "checkpoint.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cpSnap, err := os.ReadFile(filepath.Join("testdata", "checkpoint-snapshot.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	progress := progressJournal(f)
 	f.Add(local, []byte(nil))
 	f.Add(progress, []byte(nil))
@@ -69,6 +77,8 @@ func FuzzQueueReplay(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"op":"submit","job":{"id":"c1","state":"done","seq":1}}
 {"seq":2,"op":"submit","job":{"id":"c2","state":"done","seq":1}}
 `), []byte(nil))
+	// The snapshot and WAL a daemon that shipped checkpoints left behind.
+	f.Add(cpWAL, cpSnap)
 
 	f.Fuzz(func(t *testing.T, wal, snap []byte) {
 		dir := t.TempDir()

@@ -30,8 +30,8 @@ func sameTypes(got []string, want ...string) bool {
 }
 
 // TestJobHistoryLifecycle: a full lease lifecycle — submit, lease,
-// checkpointed renewal, expiry with requeue, re-lease, completion —
-// leaves an ordered, worker-attributed event trail.
+// renewal, expiry with requeue, re-lease, completion — leaves an
+// ordered, worker-attributed event trail; the renewal leaves none.
 func TestJobHistoryLifecycle(t *testing.T) {
 	q, err := Open(Config{})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestJobHistoryLifecycle(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	if _, err := q.Heartbeat(l1.ID, "w1", l1.LeaseToken, 5*time.Millisecond, json.RawMessage(`{"p":1}`)); err != nil {
+	if _, err := q.Heartbeat(l1.ID, "w1", l1.LeaseToken, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -64,20 +64,20 @@ func TestJobHistoryLifecycle(t *testing.T) {
 		t.Fatalf("History(%s) not found", j.ID)
 	}
 	if !sameTypes(historyTypes(evs),
-		EventSubmitted, EventLeased, EventCheckpoint, EventExpired, EventRequeued, EventLeased, EventDone) {
+		EventSubmitted, EventLeased, EventExpired, EventRequeued, EventLeased, EventDone) {
 		t.Fatalf("history = %v", historyTypes(evs))
 	}
 	if evs[1].Worker != "w1" || evs[1].Attempt != 1 {
 		t.Fatalf("leased event = %+v", evs[1])
 	}
-	if evs[2].Worker != "w1" || evs[3].Worker != "w1" {
-		t.Fatalf("checkpoint/expired not attributed to w1: %+v %+v", evs[2], evs[3])
+	if evs[2].Worker != "w1" {
+		t.Fatalf("expired not attributed to w1: %+v", evs[2])
 	}
-	if evs[5].Worker != "w2" || evs[5].Attempt != 2 {
-		t.Fatalf("re-lease event = %+v", evs[5])
+	if evs[4].Worker != "w2" || evs[4].Attempt != 2 {
+		t.Fatalf("re-lease event = %+v", evs[4])
 	}
-	if evs[6].Worker != "w2" {
-		t.Fatalf("done event = %+v", evs[6])
+	if evs[5].Worker != "w2" {
+		t.Fatalf("done event = %+v", evs[5])
 	}
 	// Seqs are non-decreasing; expiry and its requeue share one WAL
 	// record, hence one seq.
@@ -117,7 +117,7 @@ func TestJobHistoryPersists(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	if _, err := q.Heartbeat(l.ID, "w1", l.LeaseToken, time.Minute, json.RawMessage(`{"p":2}`)); err != nil {
+	if err := q.Progress(l.ID, "w1", l.LeaseToken, "job_started", json.RawMessage(`{"p":2}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Close(); err != nil {
@@ -134,11 +134,11 @@ func TestJobHistoryPersists(t *testing.T) {
 		t.Fatalf("history lost across reopen")
 	}
 	if !sameTypes(historyTypes(evs),
-		EventSubmitted, EventLeased, EventCheckpoint, EventRequeued) {
+		EventSubmitted, EventLeased, "job_started", EventRequeued) {
 		t.Fatalf("history after reopen = %v", historyTypes(evs))
 	}
-	if evs[1].Worker != "w1" {
-		t.Fatalf("worker attribution lost across reopen: %+v", evs[1])
+	if evs[1].Worker != "w1" || evs[2].Worker != "w1" || string(evs[2].Data) != `{"p":2}` {
+		t.Fatalf("worker attribution or event data lost across reopen: %+v %+v", evs[1], evs[2])
 	}
 	if evs[3].Detail != "recovered" {
 		t.Fatalf("recovery requeue event = %+v", evs[3])
@@ -157,7 +157,7 @@ func TestJobHistoryPersists(t *testing.T) {
 	defer q3.Close()
 	evs3, ok := q3.History(j.ID)
 	if !ok || !sameTypes(historyTypes(evs3),
-		EventSubmitted, EventLeased, EventCheckpoint, EventRequeued) {
+		EventSubmitted, EventLeased, "job_started", EventRequeued) {
 		t.Fatalf("history after second reopen = %v, ok=%v", historyTypes(evs3), ok)
 	}
 }
@@ -176,7 +176,7 @@ func TestJobHistoryCap(t *testing.T) {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
 	for i := 0; i < maxJobHistory+100; i++ {
-		if _, err := q.Heartbeat(l.ID, "w1", l.LeaseToken, time.Hour, json.RawMessage(`{"i":1}`)); err != nil {
+		if err := q.Progress(l.ID, "w1", l.LeaseToken, "job_finished", json.RawMessage(`{"i":1}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestJobHistoryCap(t *testing.T) {
 	if evs[0].Type != EventSubmitted {
 		t.Fatalf("submission event evicted: %+v", evs[0])
 	}
-	if evs[len(evs)-1].Type != EventCheckpoint {
+	if evs[len(evs)-1].Type != "job_finished" {
 		t.Fatalf("tail = %+v", evs[len(evs)-1])
 	}
 }

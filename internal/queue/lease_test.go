@@ -94,16 +94,16 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	// A live heartbeat extends the deadline and can carry a checkpoint.
-	hb, err := q.Heartbeat(j.ID, "w1", j.LeaseToken, 5*time.Millisecond, json.RawMessage(`{"done":1}`))
+	// A live heartbeat extends the deadline.
+	hb, err := q.Heartbeat(j.ID, "w1", j.LeaseToken, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hb.State != StateCheckpointed || string(hb.Checkpoint) != `{"done":1}` {
-		t.Fatalf("after heartbeat: state=%s cp=%s", hb.State, hb.Checkpoint)
+	if hb.State != StateRunning || hb.LeaseToken != j.LeaseToken {
+		t.Fatalf("after heartbeat: %+v", hb)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if _, err := q.Heartbeat(j.ID, "w1", j.LeaseToken, time.Minute, nil); !errors.Is(err, ErrLeaseExpired) {
+	if _, err := q.Heartbeat(j.ID, "w1", j.LeaseToken, time.Minute); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("late heartbeat: err=%v, want ErrLeaseExpired", err)
 	}
 
@@ -118,9 +118,6 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 	if got.State != StateSubmitted || got.LeaseToken != "" {
 		t.Fatalf("after expiry: state=%s token=%q", got.State, got.LeaseToken)
 	}
-	if string(got.Checkpoint) != `{"done":1}` {
-		t.Fatalf("checkpoint lost on expiry: %s", got.Checkpoint)
-	}
 	if st := q.StatsSnapshot(); st.Expired != 1 || st.Pending != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -129,7 +126,7 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 // TestLeaseStaleComplete: the fencing scenario — worker 1's lease
 // expires, the job is requeued and re-leased to worker 2; worker 1's
 // late completion must be rejected and worker 2's must land, exactly
-// once, with checkpoint and attempt count carried over. The lease lapses
+// once, with the attempt count carried over. The lease lapses
 // through a sweep dated past its deadline, not a sleep: a durable
 // lease's own fsync can outlast any short TTL.
 func TestLeaseStaleComplete(t *testing.T) {
@@ -144,7 +141,7 @@ func TestLeaseStaleComplete(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	if _, err := q.Heartbeat(j1.ID, "w1", j1.LeaseToken, time.Minute, json.RawMessage(`{"done":2}`)); err != nil {
+	if _, err := q.Heartbeat(j1.ID, "w1", j1.LeaseToken, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := q.ExpireLeases(time.Now().Add(2 * time.Minute)); err != nil {
@@ -158,9 +155,6 @@ func TestLeaseStaleComplete(t *testing.T) {
 	if j2.ID != j1.ID {
 		t.Fatalf("re-lease got %s, want %s", j2.ID, j1.ID)
 	}
-	if string(j2.Checkpoint) != `{"done":2}` {
-		t.Fatalf("checkpoint not carried: %s", j2.Checkpoint)
-	}
 	if j2.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", j2.Attempts)
 	}
@@ -169,7 +163,7 @@ func TestLeaseStaleComplete(t *testing.T) {
 	if err := q.CompleteLease(j1.ID, "w1", j1.LeaseToken, json.RawMessage(`"stale"`)); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("stale complete: err=%v, want ErrStaleLease", err)
 	}
-	if _, err := q.Heartbeat(j1.ID, "w1", j1.LeaseToken, time.Minute, nil); !errors.Is(err, ErrStaleLease) {
+	if _, err := q.Heartbeat(j1.ID, "w1", j1.LeaseToken, time.Minute); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("stale heartbeat: err=%v, want ErrStaleLease", err)
 	}
 	// The stale attempt corrupted nothing: w2 still owns the job.
@@ -204,7 +198,7 @@ func TestLeaseSurvivesWALReplay(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	if _, err := q.Heartbeat(j.ID, "w1", j.LeaseToken, time.Minute, json.RawMessage(`{"done":3}`)); err != nil {
+	if _, err := q.Heartbeat(j.ID, "w1", j.LeaseToken, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	// Abandon without Close: recovery must replay the WAL records.
@@ -225,46 +219,65 @@ func TestLeaseSurvivesWALReplay(t *testing.T) {
 	if got.LeaseOwner != "" || got.LeaseToken != "" || got.LeaseExpiresUnixNano != 0 {
 		t.Fatalf("lease survived restart: %+v", got)
 	}
-	if string(got.Checkpoint) != `{"done":3}` {
-		t.Fatalf("checkpoint lost: %s", got.Checkpoint)
-	}
 	// The old token is dead on the new process.
-	if _, err := q2.Heartbeat(j.ID, "w1", j.LeaseToken, time.Minute, nil); !errors.Is(err, ErrLeaseExpired) {
+	if _, err := q2.Heartbeat(j.ID, "w1", j.LeaseToken, time.Minute); !errors.Is(err, ErrLeaseExpired) {
 		t.Fatalf("heartbeat across restart: err=%v, want ErrLeaseExpired", err)
 	}
 }
 
-// TestOldJournalReplays: a WAL written before the lease fields existed
-// replays unchanged — the new code must not choke on their absence.
-func TestOldJournalReplays(t *testing.T) {
+// TestCheckpointJournalReplays: the state a daemon that still shipped
+// campaign checkpoints leaves when killed mid-campaign, captured from
+// that code in testdata: a snapshot holding a "checkpointed" job with a
+// checkpoint field, and WAL "renew" records carrying checkpoints for
+// another job. Both jobs come back pending and recovered with their
+// attempt counts, the checkpoints are dropped, and they lease again in
+// FIFO order.
+func TestCheckpointJournalReplays(t *testing.T) {
 	dir := t.TempDir()
-	// Two submissions and one pre-lease pickup ("state running" with no
-	// owner or token), exactly as a pre-cluster daemon journaled them.
-	wal := `{"seq":1,"op":"submit","job":{"id":"c1","payload":{"n":0},"state":"submitted","seq":1}}
-{"seq":2,"op":"submit","job":{"id":"c2","payload":{"n":1},"state":"submitted","seq":2}}
-{"seq":3,"op":"state","id":"c1","state":"running"}
-`
-	if err := os.WriteFile(filepath.Join(dir, walName), []byte(wal), 0o644); err != nil {
-		t.Fatal(err)
+	for name, fixture := range map[string]string{snapshotName: "checkpoint-snapshot.json", walName: "checkpoint.wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	q2, err := Open(Config{Dir: dir})
+	q, err := Open(Config{Dir: dir})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("state written with checkpoints does not open: %v", err)
 	}
-	defer q2.Close()
-	if st := q2.StatsSnapshot(); st.Pending != 2 || st.Recovered != 1 {
+	defer q.Close()
+
+	if st := q.StatsSnapshot(); st.Pending != 2 || st.Running != 0 || st.Recovered != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+	for id, attempts := range map[string]int{"c1": 2, "c2": 1} {
+		j, ok := q.Get(id)
+		if !ok || j.State != StateSubmitted || !j.Recovered || j.Attempts != attempts || j.LeaseToken != "" {
+			t.Fatalf("%s after recovery: ok=%v %+v (want %d attempts)", id, ok, j, attempts)
+		}
+	}
+	for _, id := range []string{"c1", "c2"} {
+		l, ok, err := q.Lease("w1", time.Minute)
+		if err != nil || !ok || l.ID != id {
+			t.Fatalf("lease: ok=%v err=%v got %q, want %s", ok, err, l.ID, id)
+		}
+		if err := q.CompleteLease(l.ID, "w1", l.LeaseToken, json.RawMessage(`{"total":2}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := q.StatsSnapshot(); st.Done != 2 || st.Pending != 0 {
+		t.Fatalf("stats after completion = %+v", st)
 	}
 }
 
-// TestLocalDispatchJournalReplays: the WAL a daemon wrote before local
-// dispatch ran on leases — "state running" pickups, "checkpoint"
-// records and terminal "state" records, captured from that code in
-// testdata/local-dispatch.wal — still opens: finished jobs keep their
-// outcomes and history, the in-flight job comes back pending with its
-// checkpoint, and it then runs to completion through a lease.
-func TestLocalDispatchJournalReplays(t *testing.T) {
+// TestPreLeaseJournalRefused: a WAL written before local dispatch ran
+// on leases — "state running" pickups and checkpoint records,
+// captured from that code in testdata/local-dispatch.wal — is refused
+// with an error naming its first non-terminal state record, not
+// half-replayed.
+func TestPreLeaseJournalRefused(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "local-dispatch.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -274,47 +287,12 @@ func TestLocalDispatchJournalReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("journal written by local dispatch does not open: %v", err)
+	if err == nil {
+		q.Close()
+		t.Fatal("a pre-lease journal opened")
 	}
-	defer q.Close()
-
-	st := q.StatsSnapshot()
-	if st.Done != 1 || st.Failed != 1 || st.Cancelled != 1 || st.Pending != 1 || st.Recovered != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	done, ok := q.Get("c1")
-	if !ok || done.State != StateDone || string(done.Result) != `{"total":2,"succeeded":2}` {
-		t.Fatalf("done job: ok=%v %+v", ok, done)
-	}
-	if done.TraceParent == "" || done.RequestID != "req-1" {
-		t.Fatalf("done job lost its trace context: %+v", done)
-	}
-	if got := historyTypes(done.History); !sameTypes(got, EventSubmitted, EventDequeued, EventCheckpoint, EventDone) {
-		t.Fatalf("done job history %v", got)
-	}
-	if j, _ := q.Get("c3"); j.State != StateFailed || j.Error != "boom" {
-		t.Fatalf("failed job: %+v", j)
-	}
-	if j, _ := q.Get("c4"); j.State != StateCancelled || j.Error != "cancelled by client" {
-		t.Fatalf("cancelled job: %+v", j)
-	}
-	if _, dup, _ := q.Submit(nil, SubmitOptions{IdempotencyKey: "nightly"}); !dup {
-		t.Error("idempotency key lost in replay")
-	}
-
-	l, ok, err := q.Lease("w1", time.Minute)
-	if err != nil || !ok || l.ID != "c2" {
-		t.Fatalf("lease of the recovered job: ok=%v err=%v %+v", ok, err, l)
-	}
-	if l.Attempts != 2 || !strings.Contains(string(l.Checkpoint), `"No.7"`) {
-		t.Fatalf("recovered job lost its progress: %+v", l)
-	}
-	if err := q.CompleteLease(l.ID, "w1", l.LeaseToken, json.RawMessage(`{"total":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if st := q.StatsSnapshot(); st.Done != 2 || st.Pending != 0 || st.Running != 0 {
-		t.Fatalf("stats after completion = %+v", st)
+	if msg := err.Error(); !strings.Contains(msg, "state record 2") || !strings.Contains(msg, `"running"`) {
+		t.Fatalf("refusal does not name the running state record: %v", err)
 	}
 }
 

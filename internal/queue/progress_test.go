@@ -119,12 +119,12 @@ func TestProgressAddsNoFsync(t *testing.T) {
 	if after := q.walFsync.Count(); after != before {
 		t.Fatalf("10 progress records cost %d fsyncs, want 0", after-before)
 	}
-	// The next checkpoint heartbeat syncs once and covers them all.
-	if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute, json.RawMessage(`{"jobs":[]}`)); err != nil {
+	// The next heartbeat syncs once and covers them all.
+	if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if after := q.walFsync.Count(); after != before+1 {
-		t.Fatalf("checkpoint after progress: %d fsyncs, want 1", after-before)
+		t.Fatalf("heartbeat after progress: %d fsyncs, want 1", after-before)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestProgressSurvivesCrash(t *testing.T) {
 	if err := q.Progress(l.ID, "w", l.LeaseToken, "job_finished", json.RawMessage(progressData)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute, json.RawMessage(`{"jobs":[{"index":0}]}`)); err != nil {
+	if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	q.wal.Close() // crash: no Close, no compaction
@@ -282,7 +282,7 @@ func TestChangedFires(t *testing.T) {
 		return q.Progress(l.ID, "w", l.LeaseToken, "job_started", json.RawMessage(progressData))
 	})
 	step("heartbeat", func() error {
-		_, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute, json.RawMessage(`{}`))
+		_, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute)
 		return err
 	})
 	step("expiry", func() error { _, err := q.ExpireLeases(time.Now().Add(time.Hour)); return err })

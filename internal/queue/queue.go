@@ -1,12 +1,12 @@
 // Package queue is a durable, prioritized job queue: the persistence
 // layer between the dramdigd HTTP surface and the campaign workers. Jobs
 // carry an opaque JSON payload and walk a small state machine
-// (submitted → leased → checkpointed → done/failed, or cancelled); every
-// transition appends to a write-ahead log so a crashed or redeployed
-// process re-opens the queue and finds its work exactly where it left
-// it — jobs that were in flight come back as submitted, keeping their
-// latest checkpoint, and the next lease resumes them instead of losing
-// them.
+// (submitted → running under a lease → done/failed, or cancelled);
+// every transition appends to a write-ahead log so a crashed or
+// redeployed process re-opens the queue and finds its work exactly
+// where it left it — jobs that were in flight come back as submitted,
+// keeping their attempt count, and the next lease runs them again
+// instead of losing them.
 //
 // Durability is built on internal/storage: the WAL is an append-only
 // file of JSON lines (storage.AppendLog), fsync'd before a mutation is
@@ -23,16 +23,15 @@
 //
 // Work leaves the queue only as a *lease*: Lease hands the best pending
 // job to a named owner with a fencing token and a deadline, all in the
-// WAL. Heartbeat extends the deadline (optionally carrying a
-// checkpoint), Progress appends one of the holder's own events to the
-// job's history, CompleteLease/FailLease terminate — every lease
-// mutation is fenced by the token, so a worker whose lease expired,
-// was cancelled or was re-granted elsewhere is rejected without
-// corrupting state. ExpireLeases requeues jobs whose deadline passed,
-// with checkpoint and attempt count intact — the same requeue semantics
+// WAL. Heartbeat extends the deadline, Progress appends one of the
+// holder's own events to the job's history, CompleteLease/FailLease
+// terminate — every lease mutation is fenced by the token, so a worker
+// whose lease expired, was cancelled or was re-granted elsewhere is
+// rejected without corrupting state. ExpireLeases requeues jobs whose
+// deadline passed, attempt count intact — the same requeue semantics
 // crash recovery applies, so a dead worker costs one lease TTL, not a
-// campaign. Journals written before leases existed (plain "running",
-// "checkpoint" and terminal "state" records) still replay.
+// campaign. A journal written before leases existed holds "state"
+// records with non-terminal states; Open refuses it.
 //
 // Backpressure and dedup are first-class: Submit refuses work past the
 // configured pending capacity with ErrFull (the daemon turns that into
@@ -77,9 +76,6 @@ const (
 	StateSubmitted State = "submitted"
 	// StateRunning jobs are held by a lease.
 	StateRunning State = "running"
-	// StateCheckpointed jobs are running with recorded partial progress;
-	// recovery returns them to submitted with the checkpoint intact.
-	StateCheckpointed State = "checkpointed"
 	// StateDone, StateFailed and StateCancelled are terminal.
 	StateDone      State = "done"
 	StateFailed    State = "failed"
@@ -91,23 +87,22 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// InFlight reports whether the job is with a worker right now.
+// InFlight reports whether the job is with a worker right now: neither
+// waiting nor finished. Besides running, that covers the "checkpointed"
+// state older snapshots hold, so Open requeues those jobs too.
 func (s State) InFlight() bool {
-	return s == StateRunning || s == StateCheckpointed
+	return s != StateSubmitted && !s.Terminal()
 }
 
-// Job is one queued unit of work. The queue never interprets Payload,
-// Checkpoint or Result; they are the caller's JSON. Jobs returned by
-// queue methods are copies — mutate freely, the queue keeps its own.
+// Job is one queued unit of work. The queue never interprets Payload
+// or Result; they are the caller's JSON. Jobs returned by queue methods
+// are copies — mutate freely, the queue keeps its own.
 type Job struct {
 	ID             string          `json:"id"`
 	Priority       int             `json:"priority,omitempty"`
 	IdempotencyKey string          `json:"idempotency_key,omitempty"`
 	Payload        json.RawMessage `json:"payload,omitempty"`
 	State          State           `json:"state"`
-	// Checkpoint is the latest recorded partial progress; cleared when
-	// the job reaches a terminal state.
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 	// Result is the terminal payload recorded by CompleteLease.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error is the terminal failure message (failed/cancelled).
@@ -177,26 +172,23 @@ type Event struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// Event types. Bare lease renewals are deliberately not recorded — at
-// TTL/3 cadence they would drown the history without adding lifecycle
-// information; a renewal that ships a checkpoint records EventCheckpoint.
+// Event types. Lease renewals are deliberately not recorded — at TTL/3
+// cadence they would drown the history without adding lifecycle
+// information.
 const (
-	EventSubmitted  = "submitted"
-	EventDequeued   = "dequeued" // pickup, in journals written before leases
-	EventLeased     = "leased"   // worker pickup
-	EventCheckpoint = "checkpoint"
-	EventExpired    = "expired"
-	EventRequeued   = "requeued"
-	EventDone       = "done"
-	EventFailed     = "failed"
-	EventCancelled  = "cancelled"
+	EventSubmitted = "submitted"
+	EventLeased    = "leased" // worker pickup
+	EventExpired   = "expired"
+	EventRequeued  = "requeued"
+	EventDone      = "done"
+	EventFailed    = "failed"
+	EventCancelled = "cancelled"
 )
 
 // maxJobHistory bounds one job's recorded events. Past the cap the
 // oldest events after the submission are dropped — the submission
-// anchors the timeline, the tail keeps the recent lifecycle. One
-// attempt of a 256-job campaign (two progress events and a checkpoint
-// per job) fits.
+// anchors the timeline, the tail keeps the recent lifecycle. Several
+// attempts of a 256-job campaign (two progress events per job) fit.
 const maxJobHistory = 2048
 
 func (j *Job) recordEvent(ev Event) {
@@ -274,7 +266,7 @@ type SubmitOptions struct {
 type Stats struct {
 	Capacity  int `json:"capacity"`
 	Pending   int `json:"pending"`
-	Running   int `json:"running"` // running + checkpointed
+	Running   int `json:"running"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
 	Cancelled int `json:"cancelled"`
@@ -347,18 +339,16 @@ const (
 )
 
 // walRecord is one WAL line. Submit records carry the whole job; state,
-// checkpoint and lease records patch an existing one. The lease fields
-// (Owner/Token/LeaseExpires) are optional — journals written before
-// leases existed replay unchanged.
+// lease, renew, progress and expire records patch an existing one.
+// Fields older versions wrote (a renewal's checkpoint) are ignored.
 type walRecord struct {
-	Seq        uint64          `json:"seq"`
-	Op         string          `json:"op"` // "submit", "state", "checkpoint", "lease", "renew", "progress", "expire"
-	Job        *Job            `json:"job,omitempty"`
-	ID         string          `json:"id,omitempty"`
-	State      State           `json:"state,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	Seq    uint64          `json:"seq"`
+	Op     string          `json:"op"` // "submit", "state", "lease", "renew", "progress", "expire"
+	Job    *Job            `json:"job,omitempty"`
+	ID     string          `json:"id,omitempty"`
+	State  State           `json:"state,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
 	// Lease patch: who holds the job, the fencing token and the
 	// heartbeat deadline (UnixNano).
 	Owner        string `json:"owner,omitempty"`
@@ -387,7 +377,7 @@ type snapshot struct {
 // Open loads (or creates) a queue. With Config.Dir set it recovers
 // persisted state: snapshot first, then WAL records with newer sequence
 // numbers; jobs that were in flight return to submitted with their
-// checkpoints intact and Recovered set, and the recovered state is
+// attempt counts intact and Recovered set, and the recovered state is
 // compacted back to disk before Open returns.
 func Open(cfg Config) (*Queue, error) {
 	cfg.setDefaults()
@@ -408,7 +398,7 @@ func Open(cfg Config) (*Queue, error) {
 		return nil, err
 	}
 	// Re-queue interrupted work: anything in flight when the previous
-	// process died is pending again, checkpoint and attempt count kept.
+	// process died is pending again, attempt count kept.
 	// Leases die with the process that granted them — the token is gone,
 	// so a worker still heartbeating an old lease gets ErrLeaseExpired
 	// and abandons; the requeued job runs exactly once.
@@ -557,38 +547,30 @@ func (q *Queue) applyLocked(rec walRecord) error {
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: at, Type: EventSubmitted})
 		}
 	case "state":
-		if j.State == StateSubmitted && rec.State != StateSubmitted {
+		// Only a journal written before leases existed moves a job to a
+		// non-terminal state here ("running" on pickup).
+		if !rec.State.Terminal() {
+			return fmt.Errorf("state record %d moves job %s to non-terminal state %q (a journal written before leases)", rec.Seq, rec.ID, rec.State)
+		}
+		if j.State == StateSubmitted {
 			q.pending--
 		}
-		// Attribute terminal events to the worker that held the lease;
-		// the lease fields are cleared below.
+		// Attribute terminal events to the worker that held the lease.
 		owner := j.LeaseOwner
 		j.State = rec.State
+		j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = "", "", 0
 		switch rec.State {
-		case StateRunning:
-			j.Attempts++
-			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventDequeued, Attempt: j.Attempts})
 		case StateDone:
 			j.Result = rec.Result
-			j.Checkpoint = nil
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventDone, Worker: owner, Attempt: j.Attempts})
 		case StateFailed:
 			j.Error = rec.Error
-			j.Checkpoint = nil
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventFailed, Worker: owner, Attempt: j.Attempts, Detail: rec.Error})
 		case StateCancelled:
 			j.Error = rec.Error
-			j.Checkpoint = nil
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventCancelled, Worker: owner, Attempt: j.Attempts, Detail: rec.Error})
 		}
-		if rec.State.Terminal() {
-			j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = "", "", 0
-			q.evictTerminalLocked()
-		}
-	case "checkpoint":
-		j.State = StateCheckpointed
-		j.Checkpoint = rec.Checkpoint
-		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventCheckpoint, Worker: j.LeaseOwner, Attempt: j.Attempts})
+		q.evictTerminalLocked()
 	case "lease":
 		if j.State == StateSubmitted {
 			q.pending--
@@ -599,13 +581,6 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventLeased, Worker: rec.Owner, Attempt: j.Attempts})
 	case "renew":
 		j.LeaseExpiresUnixNano = rec.LeaseExpires
-		if len(rec.Checkpoint) > 0 {
-			j.State = StateCheckpointed
-			j.Checkpoint = rec.Checkpoint
-			// Bare renewals are not history-worthy (TTL/3 cadence would
-			// flood it); checkpoint-carrying ones are progress.
-			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventCheckpoint, Worker: j.LeaseOwner, Attempt: j.Attempts})
-		}
 	case "progress":
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: rec.Kind, Worker: j.LeaseOwner, Attempt: j.Attempts, Data: rec.Data})
 	case "expire":
@@ -1017,11 +992,10 @@ func (q *Queue) leasedLocked(id, owner, token string) (*Job, error) {
 	return j, nil
 }
 
-// Heartbeat extends a lease by ttl, optionally recording a checkpoint
-// in the same WAL record. A heartbeat after the deadline is refused
-// with ErrLeaseExpired even before the expiry sweep has requeued the
-// job — late is late, deterministically.
-func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration, cp json.RawMessage) (Job, error) {
+// Heartbeat extends a lease by ttl. A heartbeat after the deadline is
+// refused with ErrLeaseExpired even before the expiry sweep has
+// requeued the job — late is late, deterministically.
+func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration) (Job, error) {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
 	}
@@ -1036,11 +1010,7 @@ func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration, cp json.Ra
 		q.mu.Unlock()
 		return Job{}, err
 	}
-	rec := walRecord{Op: "renew", LeaseExpires: now.Add(ttl).UnixNano()}
-	if len(cp) > 0 {
-		rec.Checkpoint = append(json.RawMessage(nil), cp...)
-	}
-	if err := q.transitionLocked(id, rec); err != nil {
+	if err := q.transitionLocked(id, walRecord{Op: "renew", LeaseExpires: now.Add(ttl).UnixNano()}); err != nil {
 		q.mu.Unlock()
 		return Job{}, err
 	}
@@ -1065,8 +1035,8 @@ func (q *Queue) liveLeaseLocked(id, owner, token string, now time.Time) (*Job, e
 // Progress appends one event of the lease holder's own to the job's
 // history: kind becomes the event's Type and data its Data. It is fenced
 // like Heartbeat. Its WAL record is not fsync'd on its own: the holder's
-// next synced mutation (a checkpoint heartbeat, the completion) covers
-// it, and until then a crash may drop it. Readers see it at once.
+// next synced mutation (a heartbeat, the completion) covers it, and
+// until then a crash may drop it. Readers see it at once.
 func (q *Queue) Progress(id, owner, token, kind string, data json.RawMessage) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -1112,8 +1082,7 @@ func (q *Queue) finishLease(id, owner, token string, st State, result json.RawMe
 }
 
 // ExpireLeases requeues every leased job whose deadline is at or before
-// now, checkpoint and attempt count intact — the owner is presumed
-// dead. The returned jobs are snapshots from before the requeue, so the
+// now, attempt count intact — the owner is presumed dead. The returned jobs are snapshots from before the requeue, so the
 // caller sees who held each lease and when it lapsed.
 func (q *Queue) ExpireLeases(now time.Time) ([]Job, error) {
 	q.mu.Lock()
@@ -1222,7 +1191,7 @@ func (q *Queue) StatsSnapshot() Stats {
 		switch j.State {
 		case StateSubmitted:
 			st.Pending++
-		case StateRunning, StateCheckpointed:
+		case StateRunning:
 			st.Running++
 			if j.LeaseToken != "" {
 				st.Leased++
@@ -1252,7 +1221,7 @@ func (q *Queue) RegisterMetrics(r *metrics.Registry) {
 	}
 	r.GaugeFunc("dramdig_queue_depth", "Jobs waiting in the backlog (state submitted).", nil,
 		func() float64 { return float64(q.StatsSnapshot().Pending) })
-	r.GaugeFunc("dramdig_queue_running", "Jobs held by a worker lease (running or checkpointed).", nil,
+	r.GaugeFunc("dramdig_queue_running", "Jobs held by a worker lease (state running).", nil,
 		func() float64 { return float64(q.StatsSnapshot().Running) })
 	r.GaugeFunc("dramdig_queue_capacity", "Configured pending-backlog capacity.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Capacity) })

@@ -122,7 +122,7 @@ func TestQueueIdempotency(t *testing.T) {
 
 // TestQueueRecovery is the contract at the heart of the subsystem: a
 // queue reopened after an unclean death (no Close) finds every job, and
-// in-flight jobs are pending again with their checkpoints.
+// in-flight jobs are pending again with their attempt counts.
 func TestQueueRecovery(t *testing.T) {
 	dir := t.TempDir()
 	q1, err := Open(Config{Dir: dir})
@@ -144,7 +144,7 @@ func TestQueueRecovery(t *testing.T) {
 	if err := q1.CompleteLease(done.ID, "w", tokens[done.ID], json.RawMessage(`{"r":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q1.Heartbeat(run.ID, "w", tokens[run.ID], time.Minute, json.RawMessage(`{"progress":3}`)); err != nil {
+	if _, err := q1.Heartbeat(run.ID, "w", tokens[run.ID], time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	// No Close: the process "dies" here.
@@ -163,7 +163,7 @@ func TestQueueRecovery(t *testing.T) {
 	if !ok || j.State != StateSubmitted || !j.Recovered {
 		t.Fatalf("interrupted job after recovery: ok=%v %+v", ok, j)
 	}
-	if string(j.Checkpoint) != `{"progress":3}` || j.Attempts != 1 {
+	if j.Attempts != 1 || j.LeaseToken != "" {
 		t.Fatalf("interrupted job lost progress: %+v", j)
 	}
 	j, ok = q2.Get(idle.ID)
@@ -285,8 +285,8 @@ func TestQueueTransitions(t *testing.T) {
 	if err := q.CompleteLease(j.ID, "w", "", nil); !errors.Is(err, ErrLeaseExpired) {
 		t.Errorf("complete of pending job: %v", err)
 	}
-	if _, err := q.Heartbeat(j.ID, "w", "", time.Minute, nil); !errors.Is(err, ErrLeaseExpired) {
-		t.Errorf("checkpoint of pending job: %v", err)
+	if _, err := q.Heartbeat(j.ID, "w", "", time.Minute); !errors.Is(err, ErrLeaseExpired) {
+		t.Errorf("heartbeat of pending job: %v", err)
 	}
 	l, _, err := leaseNext(t, q)
 	if err != nil {
@@ -326,7 +326,7 @@ func TestQueueTransitions(t *testing.T) {
 	if err != nil || got.State != StateCancelled || got.LeaseToken != "" {
 		t.Fatalf("cancel of leased job: %v %+v", err, got)
 	}
-	if _, err := q.Heartbeat(r.ID, "w", rl.LeaseToken, time.Minute, nil); !errors.Is(err, ErrLeaseExpired) {
+	if _, err := q.Heartbeat(r.ID, "w", rl.LeaseToken, time.Minute); !errors.Is(err, ErrLeaseExpired) {
 		t.Errorf("heartbeat after cancel: %v, want ErrLeaseExpired", err)
 	}
 	if err := q.CompleteLease(r.ID, "w", rl.LeaseToken, nil); !errors.Is(err, ErrLeaseExpired) {
@@ -401,7 +401,7 @@ func TestQueueConcurrent(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if _, err := q.Heartbeat(j.ID, owner, j.LeaseToken, time.Minute, json.RawMessage(`1`)); err != nil {
+				if _, err := q.Heartbeat(j.ID, owner, j.LeaseToken, time.Minute); err != nil {
 					t.Error(err)
 					return
 				}

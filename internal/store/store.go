@@ -28,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -304,31 +303,17 @@ func (s *Store) migrateFlat() error {
 }
 
 // Get returns the record for the fingerprint, consulting memory then
-// disk. Returned records are shared — treat them as read-only. It is
-// GetCtx with a background context (no tracing).
+// disk. Returned records are shared — treat them as read-only.
 func (s *Store) Get(fp string) (*Record, bool, error) {
-	return s.GetCtx(context.Background(), fp)
-}
-
-// GetCtx is Get under a context: when the context carries a tracer the
-// lookup records a store.read span (child of the caller's span) with
-// the fingerprint and hit/miss outcome.
-func (s *Store) GetCtx(ctx context.Context, fp string) (*Record, bool, error) {
-	_, sp := obs.Start(ctx, "store.read", obs.KV("fp", shortFP(fp)))
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec, err := s.getLocked(fp)
 	if err != nil {
-		s.mu.Unlock()
-		sp.SetError(err)
-		sp.End()
 		return nil, false, err
 	}
 	if rec == nil {
 		s.stats.NegativeLookups++
 	}
-	s.mu.Unlock()
-	sp.SetAttr("hit", strconv.FormatBool(rec != nil))
-	sp.End()
 	return rec, rec != nil, nil
 }
 

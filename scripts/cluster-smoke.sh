@@ -34,7 +34,7 @@ go build -o "$WORKDIR/dramdig-worker" ./cmd/dramdig-worker
 
 # The short lease TTL makes workers heartbeat every ~80ms, so a
 # campaign of ~19 serialized jobs crosses several heartbeats — enough
-# to exercise checkpoint shipping without ever lapsing a live lease.
+# to exercise lease renewal without ever lapsing a live lease.
 "$WORKDIR/dramdigd" -addr "$ADDR" -dispatch remote -lease-ttl 250ms \
   -cache-dir "$WORKDIR/cache" -queue-dir "$WORKDIR/queue" \
   -log-format json >"$WORKDIR/daemon.log" 2>&1 &
