@@ -343,7 +343,7 @@ func benchQueueSubmitMemory(b *testing.B) {
 }
 
 // benchQueueRecover measures crash recovery: reopening a queue whose
-// WAL holds a mixed backlog (pending, renewed in-flight, done) and
+// WAL holds a mixed backlog (pending, in flight, done) and
 // re-materializing every job.
 func benchQueueRecover(b *testing.B) {
 	const jobs = 256
@@ -403,9 +403,9 @@ func benchQueueRecover(b *testing.B) {
 
 // benchHeartbeat measures the worker→coordinator heartbeat round trip
 // against a real durable queue: the handler renews the lease through
-// q.Heartbeat (one WAL append + fsync, what the live coordinator pays)
-// and decodes any shipped metrics into a federation, the way
-// /v1/cluster/heartbeat does. withSnapshot ships as cluster.Worker
+// q.Heartbeat (in memory: with no progress pending it appends and
+// fsyncs nothing) and decodes any shipped metrics into a federation,
+// the way /v1/cluster/heartbeat does. withSnapshot ships as cluster.Worker
 // does: the whole snapshot of a registry holding the runtime, engine
 // and campaign families a worker carries, encoded by encoding/json, at
 // most once a second — a beat inside the window ships nothing and pays only a

@@ -940,31 +940,35 @@ func TestClusterUploadResultValidated(t *testing.T) {
 	}
 }
 
+// oneSampleTrace encodes a one-sample trace of paper machine no and
+// returns it with the machine's fingerprint.
+func oneSampleTrace(t *testing.T, no int) (fp string, data []byte) {
+	t.Helper()
+	m, err := machine.NewByNo(no, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw, err := trace.NewWriter(&buf, trace.HeaderFor(m, "dramdig", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Append(trace.Sample{A: 0x1000, B: 0x2000, Rounds: 10, LatencyNs: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return m.Def().Fingerprint(), buf.Bytes()
+}
+
 // TestClusterUploadTraceValidated: a trace upload must parse as a trace
 // whose header names the path's machine; anything else is rejected
 // before it is stored, so GET /v1/traces/{fp} never serves it.
 func TestClusterUploadTraceValidated(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
-	encode := func(no int) (fp string, data []byte) {
-		m, err := machine.NewByNo(no, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		tw, err := trace.NewWriter(&buf, trace.HeaderFor(m, "dramdig", 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Append(trace.Sample{A: 0x1000, B: 0x2000, Rounds: 10, LatencyNs: 300}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return m.Def().Fingerprint(), buf.Bytes()
-	}
-	fp1, trace1 := encode(1)
-	fp2, trace2 := encode(2)
+	fp1, trace1 := oneSampleTrace(t, 1)
+	fp2, trace2 := oneSampleTrace(t, 2)
 	for _, tc := range []struct {
 		name, fp string
 		data     []byte
@@ -988,5 +992,22 @@ func TestClusterUploadTraceValidated(t *testing.T) {
 	}
 	if w := clusterReq(t, srv, "GET", "/v1/traces/"+fp2, ""); w.Code != http.StatusNotFound {
 		t.Fatalf("rejected trace served: %d", w.Code)
+	}
+}
+
+// TestClusterClientUploadTraceReason: a worker whose trace upload is
+// refused learns the coordinator's reason, not just the status line.
+func TestClusterClientUploadTraceReason(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	_, trace1 := oneSampleTrace(t, 1)
+	fp2, _ := oneSampleTrace(t, 2)
+	err := cluster.NewClient(ts.URL, "w1", nil).UploadTrace(context.Background(), fp2, trace1)
+	if err == nil {
+		t.Fatal("another machine's trace was accepted")
+	}
+	if !strings.Contains(err.Error(), "does not match path") {
+		t.Fatalf("upload error lacks the coordinator's reason: %v", err)
 	}
 }

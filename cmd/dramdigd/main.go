@@ -62,8 +62,8 @@
 // "Storage layer"): -store-max-bytes bounds its size with LRU eviction,
 // and a background GC (-store-gc-interval, -store-gc-grace) reclaims
 // traces whose jobs have been evicted from the queue and compacts dead
-// segments. Legacy flat-file cache directories migrate automatically on
-// first boot.
+// segments. Flat-file cache directories from releases before the
+// segment store are not read (see MIGRATION.md).
 //
 // Example:
 //
@@ -104,7 +104,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheDir   = flag.String("cache-dir", "", "persist results under this directory's segment blob store (empty: memory only)")
-		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); traces persist in <cache-dir>/segments, or in this directory's segments/ without -cache-dir, and legacy .trace files here migrate on boot")
+		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); traces persist in <cache-dir>/segments, or in this directory's segments/ without -cache-dir")
 		queueDir   = flag.String("queue-dir", "", "persist the job queue (WAL + snapshots) under this directory (empty: memory only, no crash recovery)")
 		maxEntries = flag.Int("cache-entries", 128, "in-memory LRU capacity")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "default campaign worker pool size")

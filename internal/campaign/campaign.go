@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"dramdig/internal/core"
+	"dramdig/internal/engine"
 	"dramdig/internal/machine"
 	"dramdig/internal/obs"
 	"dramdig/internal/source"
@@ -233,7 +234,8 @@ type Config struct {
 	// recording the job's timing channel as an internal/trace stream
 	// (header + every MeasurePair sample). Returning (nil, nil) skips
 	// tracing that attempt; a sink error fails the attempt. The engine
-	// closes the sink when the attempt finishes, success or not.
+	// closes the sink when the attempt's run finishes, success or not; a
+	// sink whose source fails to open is dropped unclosed, unwritten.
 	TraceSink func(spec Spec, index, attempt int) (io.WriteCloser, error)
 	// Metrics, when non-nil, receives job-lifecycle counts (see
 	// NewMetrics).
@@ -413,7 +415,7 @@ func attemptLoop(ctx context.Context, spec Spec, cfg Config, idx int, name strin
 	return Outcome{Err: lastErr, Attempts: cfg.Retries + 1}
 }
 
-// runAttempt executes one pipeline attempt.
+// runAttempt executes one pipeline attempt through engine.Run.
 func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*core.Result, bool, error) {
 	src, err := spec.source(attempt)
 	if err != nil {
@@ -431,42 +433,28 @@ func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*
 	}
 	if sg, ok := src.(source.SeedSuggester); ok {
 		// Replay sources carry the recorded tool seed; a derived one
-		// would make strict replays diverge.
+		// would make strict replays diverge. WithConfig marks the seed
+		// explicit, so the engine does not apply the suggestion itself.
 		toolCfg.Seed = sg.SuggestedToolSeed()
 	}
-
-	// With a trace sink configured, the source is wrapped so the
-	// attempt's whole timing channel is captured for offline replay.
+	opts := []engine.Option{engine.WithConfig(toolCfg)}
+	// With a trace sink configured, the attempt's whole timing channel
+	// is captured for offline replay.
 	if cfg.TraceSink != nil {
-		src = source.Traced(src, "dramdig", toolCfg.Seed, func() (io.WriteCloser, error) {
-			return cfg.TraceSink(spec, idx, attempt)
-		})
+		sink, err := cfg.TraceSink(spec, idx, attempt)
+		if err != nil {
+			return nil, false, fmt.Errorf("campaign: trace sink: %w", err)
+		}
+		if sink != nil {
+			opts = append(opts, engine.WithTraceSink(sink))
+		}
 	}
-
-	run, err := src.Open()
+	res, err := engine.New().Run(ctx, src, opts...)
 	if err != nil {
-		return nil, false, fmt.Errorf("campaign: %w", err)
-	}
-	tool, err := core.New(run, toolCfg)
-	if err != nil {
-		run.Close()
 		return nil, false, err
 	}
-	res, runErr := tool.RunContext(ctx)
-	cerr := run.Close()
-	if runErr != nil {
-		if cerr != nil && ctx.Err() == nil {
-			// A deferred source error (replay divergence, trace-write
-			// failure) usually explains the pipeline error; keep both.
-			return nil, false, errors.Join(cerr, runErr)
-		}
-		return nil, false, runErr
-	}
-	if cerr != nil {
-		return nil, false, fmt.Errorf("campaign: source: %w", cerr)
-	}
 	match := false
-	if truth := source.Truth(run); truth != nil && res.Mapping != nil {
+	if truth := source.Truth(src); truth != nil && res.Mapping != nil {
 		match = res.Mapping.EquivalentTo(truth)
 	}
 	return res, match, nil

@@ -50,31 +50,30 @@ func NewClient(base, worker string, hc *http.Client) *Client {
 // Worker returns the worker name this client leases as.
 func (c *Client) Worker() string { return c.worker }
 
-// do sends one JSON request and decodes the response into out (nil to
-// discard). Statuses outside okStatuses decode the error envelope;
-// lease_lost becomes ErrLeaseLost.
+// do sends one request and decodes the response into out (nil to
+// discard). body is nil, []byte (sent verbatim as octet-stream) or any
+// other value (sent as JSON). Statuses outside okStatuses decode the
+// error envelope; lease_lost becomes ErrLeaseLost.
 func (c *Client) do(ctx context.Context, method, path string, body, out any, okStatuses ...int) (int, error) {
 	var rd io.Reader
-	if body != nil {
-		if raw, ok := body.(json.RawMessage); ok {
-			// Pre-encoded body: send it verbatim. The heartbeat path
-			// builds its own bytes so the metrics snapshot isn't
-			// re-scanned and re-compacted by the reflection encoder.
-			rd = bytes.NewReader(raw)
-		} else {
-			data, err := json.Marshal(body)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: encode %s: %w", path, err)
-			}
-			rd = bytes.NewReader(data)
+	contentType := ""
+	switch b := body.(type) {
+	case nil:
+	case []byte:
+		rd, contentType = bytes.NewReader(b), "application/octet-stream"
+	default:
+		data, err := json.Marshal(b)
+		if err != nil {
+			return 0, fmt.Errorf("cluster: encode %s: %w", path, err)
 		}
+		rd, contentType = bytes.NewReader(data), "application/json"
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: %w", err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -82,14 +81,18 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any, okS
 	}
 	defer resp.Body.Close()
 	for _, ok := range okStatuses {
-		if resp.StatusCode == ok {
-			if out != nil && resp.StatusCode != http.StatusNoContent {
-				if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-					return resp.StatusCode, fmt.Errorf("cluster: decode %s response: %w", path, err)
-				}
-			}
+		if resp.StatusCode != ok {
+			continue
+		}
+		if out == nil || resp.StatusCode == http.StatusNoContent {
+			// Read to EOF so the connection is reused.
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 			return resp.StatusCode, nil
 		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, fmt.Errorf("cluster: decode %s response: %w", path, err)
+		}
+		return resp.StatusCode, nil
 	}
 	var env struct {
 		Error struct {
@@ -132,33 +135,12 @@ func (c *Client) Lease(ctx context.Context) (*LeaseGrant, bool, error) {
 func (c *Client) Ready() <-chan struct{} { return nil }
 
 // Heartbeat renews the lease, shipping a metrics snapshot when snap is
-// non-empty. This is the cluster's hottest RPC — every worker beats at
-// TTL/3 — so the body is built by hand and snap (already JSON from its
-// own encoder) is spliced in verbatim instead of being re-scanned by
-// the reflection encoder.
+// non-empty.
 func (c *Client) Heartbeat(ctx context.Context, id, token string, snap json.RawMessage) error {
-	body := make(json.RawMessage, 0, 64+len(snap))
-	body = append(body, `{"worker":`...)
-	body = appendQuoted(body, c.worker)
-	body = append(body, `,"token":`...)
-	body = appendQuoted(body, token)
-	if len(snap) > 0 {
-		body = append(body, `,"metrics":`...)
-		body = append(body, snap...)
-	}
-	body = append(body, '}')
 	_, err := c.do(ctx, http.MethodPost, "/v1/cluster/jobs/"+id+"/heartbeat",
-		body, nil, http.StatusOK)
+		HeartbeatRequest{Worker: c.worker, Token: token, Metrics: snap}, nil,
+		http.StatusOK)
 	return err
-}
-
-// appendQuoted appends s as a JSON string.
-func appendQuoted(buf []byte, s string) []byte {
-	q, err := json.Marshal(s)
-	if err != nil { // cannot happen for a string
-		return append(buf, `""`...)
-	}
-	return append(buf, q...)
 }
 
 // Complete reports a finished job: the campaign report, the worker's
@@ -235,22 +217,9 @@ func (c *Client) UploadResult(ctx context.Context, rec *store.Record) error {
 // UploadTrace puts one binary timing trace into the coordinator's
 // store, content-addressed by machine fingerprint.
 func (c *Client) UploadTrace(ctx context.Context, fp string, data []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		c.base+"/v1/cluster/traces/"+fp, bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("cluster: upload trace %s: %w", fp, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("cluster: upload trace %s: %s", fp, resp.Status)
-	}
-	return nil
+	_, err := c.do(ctx, http.MethodPut, "/v1/cluster/traces/"+fp, data, nil,
+		http.StatusOK, http.StatusCreated)
+	return err
 }
 
 // FetchResult reads a cached result by machine fingerprint from the

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dramdig/internal/metrics"
 )
 
 func submitN(t *testing.T, q *Queue, n int) []Job {
@@ -120,6 +122,56 @@ func TestLeaseHeartbeatAfterExpiry(t *testing.T) {
 	}
 	if st := q.StatsSnapshot(); st.Expired != 1 || st.Pending != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestHeartbeatJournalsNothing: with no progress pending, a heartbeat
+// neither grows the WAL nor fsyncs, and the deadline it sets in memory
+// is still the one that governs: a sweep at the lease's first deadline
+// requeues nothing, and a heartbeat past that deadline succeeds.
+func TestHeartbeatJournalsNothing(t *testing.T) {
+	dir := t.TempDir()
+	q := openTest(t, Config{Dir: dir})
+	q.RegisterMetrics(metrics.NewRegistry())
+	submitN(t, q, 1)
+	// Long enough for the lease's own fsync to land well inside it.
+	l, ok, err := q.Lease("w", 400*time.Millisecond)
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	walSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size, fsyncs := walSize(), q.walFsync.Count()
+	hb, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := walSize(); got != size {
+		t.Fatalf("heartbeat grew the WAL from %d to %d bytes", size, got)
+	}
+	if got := q.walFsync.Count(); got != fsyncs {
+		t.Fatalf("heartbeat cost %d fsyncs, want 0", got-fsyncs)
+	}
+	if hb.LeaseExpiresUnixNano <= l.LeaseExpiresUnixNano {
+		t.Fatalf("deadline not renewed: %d, lease %d", hb.LeaseExpiresUnixNano, l.LeaseExpiresUnixNano)
+	}
+
+	oldDeadline := time.Unix(0, l.LeaseExpiresUnixNano)
+	if lapsed, err := q.ExpireLeases(oldDeadline); err != nil || len(lapsed) != 0 {
+		t.Fatalf("sweep at the first deadline: lapsed=%+v err=%v", lapsed, err)
+	}
+	time.Sleep(time.Until(oldDeadline) + 10*time.Millisecond)
+	if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Hour); err != nil {
+		t.Fatalf("heartbeat past the first deadline: %v", err)
+	}
+	if got := q.walFsync.Count(); got != fsyncs {
+		t.Fatalf("two heartbeats cost %d fsyncs, want 0", got-fsyncs)
 	}
 }
 

@@ -254,8 +254,8 @@ func TestIndentedSnapshotLoads(t *testing.T) {
 }
 
 // TestChangedFires: every applied transition closes the channel Changed
-// handed out before it — submit, lease, progress, heartbeat, expiry,
-// completion and cancel alike.
+// handed out before it — submit, lease, progress, expiry, completion and
+// cancel alike. A heartbeat applies no record and does not fire it.
 func TestChangedFires(t *testing.T) {
 	q := openTest(t, Config{})
 	step := func(name string, fn func() error) {
@@ -281,10 +281,15 @@ func TestChangedFires(t *testing.T) {
 	step("progress", func() error {
 		return q.Progress(l.ID, "w", l.LeaseToken, "job_started", json.RawMessage(progressData))
 	})
-	step("heartbeat", func() error {
-		_, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute)
-		return err
-	})
+	ch := q.Changed()
+	if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute); err != nil {
+		t.Fatalf("heartbeat: %v", err)
+	}
+	select {
+	case <-ch:
+		t.Fatal("heartbeat: Changed fired")
+	default:
+	}
 	step("expiry", func() error { _, err := q.ExpireLeases(time.Now().Add(time.Hour)); return err })
 	step("re-lease", func() (err error) { l, _, err = q.Lease("w", time.Minute); return err })
 	step("complete", func() error { return q.CompleteLease(l.ID, "w", l.LeaseToken, nil) })

@@ -228,10 +228,11 @@ type Config struct {
 	// CompactEvery is the number of WAL records between automatic
 	// snapshot compactions (default 1024).
 	CompactEvery int
-	// IDPrefix prefixes generated job IDs (default "c", matching the
-	// daemon's historical campaign IDs).
-	IDPrefix string
 }
+
+// idPrefix prefixes generated job IDs ("c1", "c2", …), the daemon's
+// campaign IDs.
+const idPrefix = "c"
 
 func (c *Config) setDefaults() {
 	if c.Capacity <= 0 {
@@ -242,9 +243,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 1024
-	}
-	if c.IDPrefix == "" {
-		c.IDPrefix = "c"
 	}
 }
 
@@ -339,11 +337,12 @@ const (
 )
 
 // walRecord is one WAL line. Submit records carry the whole job; state,
-// lease, renew, progress and expire records patch an existing one.
-// Fields older versions wrote (a renewal's checkpoint) are ignored.
+// lease, progress and expire records patch an existing one. Journals
+// written by older versions also hold "renew" records (a heartbeat's
+// deadline, once with a checkpoint); they replay as no-ops.
 type walRecord struct {
 	Seq    uint64          `json:"seq"`
-	Op     string          `json:"op"` // "submit", "state", "lease", "renew", "progress", "expire"
+	Op     string          `json:"op"` // "submit", "state", "lease", "progress", "expire"; "renew" on replay only
 	Job    *Job            `json:"job,omitempty"`
 	ID     string          `json:"id,omitempty"`
 	State  State           `json:"state,omitempty"`
@@ -534,7 +533,7 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		if j.IdempotencyKey != "" {
 			q.byKey[j.IdempotencyKey] = j.ID
 		}
-		if n := parseID(j.ID, q.cfg.IDPrefix); n >= q.nextID {
+		if n := parseID(j.ID); n >= q.nextID {
 			q.nextID = n
 		}
 		// Submit records predating the At field still anchor the
@@ -580,7 +579,9 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = rec.Owner, rec.Token, rec.LeaseExpires
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventLeased, Worker: rec.Owner, Attempt: j.Attempts})
 	case "renew":
-		j.LeaseExpiresUnixNano = rec.LeaseExpires
+		// Written by older heartbeats. A renewal only moved the deadline,
+		// and Open clears the lease of every job still in flight, so
+		// nothing it set survives recovery.
 	case "progress":
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: rec.Kind, Worker: j.LeaseOwner, Attempt: j.Attempts, Data: rec.Data})
 	case "expire":
@@ -604,11 +605,12 @@ func (q *Queue) applyLocked(rec walRecord) error {
 }
 
 // parseID extracts the numeric part of a generated ID ("c17" → 17).
-func parseID(id, prefix string) uint64 {
-	if !strings.HasPrefix(id, prefix) {
+func parseID(id string) uint64 {
+	num, ok := strings.CutPrefix(id, idPrefix)
+	if !ok {
 		return 0
 	}
-	n, err := strconv.ParseUint(id[len(prefix):], 10, 64)
+	n, err := strconv.ParseUint(num, 10, 64)
 	if err != nil {
 		return 0
 	}
@@ -799,7 +801,7 @@ func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, 
 	q.seq++
 	now := time.Now()
 	j := Job{
-		ID:                fmt.Sprintf("%s%d", q.cfg.IDPrefix, q.nextID),
+		ID:                fmt.Sprintf("%s%d", idPrefix, q.nextID),
 		Priority:          opts.Priority,
 		IdempotencyKey:    opts.IdempotencyKey,
 		Payload:           append(json.RawMessage(nil), payload...),
@@ -994,7 +996,11 @@ func (q *Queue) leasedLocked(id, owner, token string) (*Job, error) {
 
 // Heartbeat extends a lease by ttl. A heartbeat after the deadline is
 // refused with ErrLeaseExpired even before the expiry sweep has
-// requeued the job — late is late, deterministically.
+// requeued the job — late is late, deterministically. The new deadline
+// is kept in memory only: leases die with the process (Open requeues
+// every job in flight), so a journaled renewal would never be read
+// back. The heartbeat still makes the holder's earlier progress records
+// durable; with nothing pending it writes and fsyncs nothing.
 func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration) (Job, error) {
 	if ttl <= 0 {
 		ttl = defaultLeaseTTL
@@ -1010,10 +1016,7 @@ func (q *Queue) Heartbeat(id, owner, token string, ttl time.Duration) (Job, erro
 		q.mu.Unlock()
 		return Job{}, err
 	}
-	if err := q.transitionLocked(id, walRecord{Op: "renew", LeaseExpires: now.Add(ttl).UnixNano()}); err != nil {
-		q.mu.Unlock()
-		return Job{}, err
-	}
+	j.LeaseExpiresUnixNano = now.Add(ttl).UnixNano()
 	out := j.clone()
 	seq := q.seq
 	q.mu.Unlock()

@@ -2,9 +2,9 @@
 // measurements come from. A Source bundles machine identity (name,
 // content-addressed fingerprint, trace header) with the ability to open
 // a timing surface; implementations cover a live simulated machine
-// (Live), a recorded trace replayed offline (FromTrace), a perturbed
-// recording (Perturbed), and a tracing wrapper that captures any
-// source's timing channel while it runs (Traced).
+// (Live), a recorded trace replayed offline (FromTrace) and a perturbed
+// recording (Perturbed). RecordRun captures any opened run's timing
+// channel into a trace while it runs.
 //
 // The Engine (internal/engine), the campaign runner (internal/campaign)
 // and the public facade all consume Sources, so "run against hardware",
@@ -15,7 +15,6 @@ package source
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"dramdig/internal/machine"
 	"dramdig/internal/mapping"
@@ -49,9 +48,9 @@ type Run interface {
 	Close() error
 }
 
-// Truther is implemented by runs that know the machine's ground-truth
-// mapping (live machines). Trace-backed runs deliberately do not: a
-// shared recording must not leak the answer.
+// Truther is implemented by sources that know the machine's
+// ground-truth mapping (live machines). Trace-backed sources
+// deliberately do not: a shared recording must not leak the answer.
 type Truther interface {
 	// Truth returns the ground-truth mapping, or nil when unknown.
 	Truth() *mapping.Mapping
@@ -64,10 +63,10 @@ type SeedSuggester interface {
 	SuggestedToolSeed() int64
 }
 
-// Truth extracts the ground-truth mapping behind a run, or nil when the
-// run does not expose one (offline replays).
-func Truth(r Run) *mapping.Mapping {
-	if t, ok := r.(Truther); ok {
+// Truth extracts the ground-truth mapping behind a source, or nil when
+// the source does not expose one (offline replays).
+func Truth(s Source) *mapping.Mapping {
+	if t, ok := s.(Truther); ok {
 		return t.Truth()
 	}
 	return nil
@@ -89,8 +88,10 @@ func (s liveSource) Header(tool string, toolSeed int64) trace.Header {
 }
 func (s liveSource) Open() (Run, error) { return liveRun{s.m}, nil }
 
-// liveRun adapts a machine to the Run interface; Close is a no-op and
 // Truth exposes the simulator's ground truth.
+func (s liveSource) Truth() *mapping.Mapping { return s.m.Truth() }
+
+// liveRun adapts a machine to the Run interface; Close is a no-op.
 type liveRun struct{ *machine.Machine }
 
 func (r liveRun) Close() error { return nil }
@@ -141,50 +142,7 @@ func Perturbed(t *trace.Trace, mode trace.Mode, seed int64, models ...trace.Nois
 	return FromTrace(trace.Perturb(t, seed, models...), mode)
 }
 
-// --- tracing wrapper ---------------------------------------------------
-
-type tracedSource struct {
-	src  Source
-	tool string
-	seed int64
-	sink func() (io.WriteCloser, error)
-}
-
-// Traced wraps src so every opened run records its full timing channel
-// into a fresh sink. tool and toolSeed parameterize the written trace
-// header. A sink returning (nil, nil) skips recording for that run; a
-// sink error fails Open.
-func Traced(src Source, tool string, toolSeed int64, sink func() (io.WriteCloser, error)) Source {
-	return tracedSource{src: src, tool: tool, seed: toolSeed, sink: sink}
-}
-
-func (s tracedSource) Name() string        { return s.src.Name() }
-func (s tracedSource) Fingerprint() string { return s.src.Fingerprint() }
-func (s tracedSource) Header(tool string, toolSeed int64) trace.Header {
-	return s.src.Header(tool, toolSeed)
-}
-
-func (s tracedSource) Open() (Run, error) {
-	run, err := s.src.Open()
-	if err != nil {
-		return nil, err
-	}
-	wc, err := s.sink()
-	if err != nil {
-		run.Close()
-		return nil, fmt.Errorf("source: trace sink: %w", err)
-	}
-	if wc == nil {
-		return run, nil
-	}
-	tw, err := trace.NewWriter(wc, s.src.Header(s.tool, s.seed))
-	if err != nil {
-		wc.Close()
-		run.Close()
-		return nil, fmt.Errorf("source: trace writer: %w", err)
-	}
-	return RecordRun(run, tw), nil
-}
+// --- recording ---------------------------------------------------------
 
 // RecordRun wraps an open run so every measurement is appended to tw.
 // Close flushes and closes the writer (and its underlying sink), then
@@ -204,7 +162,3 @@ func (r *tracedRun) Close() error {
 	uerr := r.under.Close()
 	return errors.Join(uerr, cerr)
 }
-
-// Truth forwards the wrapped run's ground truth, keeping campaign match
-// verification working under tracing.
-func (r *tracedRun) Truth() *mapping.Mapping { return Truth(r.under) }

@@ -3,7 +3,6 @@ package source
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"dramdig/internal/core"
@@ -20,19 +19,21 @@ func testMachine(t *testing.T) *machine.Machine {
 	return m
 }
 
-// record runs the pipeline over a traced live source and returns the
+// record runs the pipeline over a recorded live run and returns the
 // decoded trace plus the live result.
 func record(t *testing.T, seed int64) (*trace.Trace, *core.Result) {
 	t.Helper()
-	m := testMachine(t)
+	src := Live(testMachine(t))
 	var buf bytes.Buffer
-	src := Traced(Live(m), "dramdig", seed, func() (io.WriteCloser, error) {
-		return nopCloser{&buf}, nil
-	})
-	run, err := src.Open()
+	tw, err := trace.NewWriter(&buf, src.Header("dramdig", seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	live, err := src.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := RecordRun(live, tw)
 	tool, err := core.New(run, core.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +52,6 @@ func record(t *testing.T, seed int64) (*trace.Trace, *core.Result) {
 	return tr, res
 }
 
-type nopCloser struct{ io.Writer }
-
-func (nopCloser) Close() error { return nil }
-
 func TestLiveSourceIdentity(t *testing.T) {
 	m := testMachine(t)
 	src := Live(m)
@@ -72,8 +69,8 @@ func TestLiveSourceIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if truth := Truth(run); truth == nil || !truth.EquivalentTo(m.Truth()) {
-		t.Error("live run does not expose ground truth")
+	if truth := Truth(src); truth == nil || !truth.EquivalentTo(m.Truth()) {
+		t.Error("live source does not expose ground truth")
 	}
 	if err := run.Close(); err != nil {
 		t.Errorf("live close: %v", err)
@@ -92,12 +89,12 @@ func TestTraceSourceRoundTrip(t *testing.T) {
 	if got := src.(SeedSuggester).SuggestedToolSeed(); got != 7 {
 		t.Errorf("suggested seed %d, want 7", got)
 	}
+	if Truth(src) != nil {
+		t.Fatal("replay source leaks ground truth")
+	}
 	run, err := src.Open()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if Truth(run) != nil {
-		t.Fatal("replay run leaks ground truth")
 	}
 	tool, err := core.New(run, core.Config{Seed: 7})
 	if err != nil {
@@ -131,21 +128,6 @@ func TestTraceSourceDivergenceSurfacesOnClose(t *testing.T) {
 	var derr *trace.DivergenceError
 	if err := run.Close(); !errors.As(err, &derr) {
 		t.Fatalf("close returned %v, want a DivergenceError", err)
-	}
-}
-
-// TestTracedSkipsOnNilSink: a (nil, nil) sink disables recording and
-// returns the underlying run untouched.
-func TestTracedSkipsOnNilSink(t *testing.T) {
-	m := testMachine(t)
-	src := Traced(Live(m), "dramdig", 1, func() (io.WriteCloser, error) { return nil, nil })
-	run, err := src.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer run.Close()
-	if _, ok := run.(liveRun); !ok {
-		t.Fatalf("nil sink wrapped the run anyway: %T", run)
 	}
 }
 

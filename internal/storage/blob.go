@@ -26,8 +26,7 @@ import (
 // Durability policy: individual Puts are not fsynced (matching the flat
 // per-file layout this store replaced, which also relied on the OS to
 // write back), but a segment is fsynced when it is sealed, before any
-// compaction removes the records' previous home, and on Close. Callers
-// that need a stronger guarantee call Sync.
+// compaction removes the records' previous home, and on Close.
 type BlobStore struct {
 	mu     sync.Mutex
 	dir    string
@@ -56,12 +55,6 @@ type Options struct {
 	// When a Put pushes the store past the bound, least-recently-used
 	// blobs are evicted and dead segments compacted until it fits.
 	MaxBytes int64
-}
-
-// BlobInfo describes one live blob during Iterate.
-type BlobInfo struct {
-	Key  string
-	Size int64
 }
 
 // SweepStats are cumulative counters for GC activity since Open.
@@ -458,27 +451,6 @@ func (bs *BlobStore) deleteLocked(key string) (int64, error) {
 	return loc.size, nil
 }
 
-// Iterate calls fn for every live blob whose key starts with prefix, in
-// key order. fn must not call back into the BlobStore. Returning a
-// non-nil error stops the scan and returns that error.
-func (bs *BlobStore) Iterate(prefix string, fn func(BlobInfo) error) error {
-	bs.mu.Lock()
-	infos := make([]BlobInfo, 0, len(bs.index))
-	for k, loc := range bs.index {
-		if strings.HasPrefix(k, prefix) {
-			infos = append(infos, BlobInfo{Key: k, Size: loc.size})
-		}
-	}
-	bs.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Key < infos[j].Key })
-	for _, in := range infos {
-		if err := fn(in); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Len returns the number of live blobs.
 func (bs *BlobStore) Len() int {
 	bs.mu.Lock()
@@ -505,16 +477,6 @@ func (bs *BlobStore) Stats() SweepStats {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	return bs.stats
-}
-
-// Sync fsyncs the active segment.
-func (bs *BlobStore) Sync() error {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if bs.f == nil {
-		return nil
-	}
-	return bs.f.Sync()
 }
 
 // Close fsyncs and closes the active segment. Further mutations fail.

@@ -326,47 +326,6 @@ func TestBlobSweepGracePeriod(t *testing.T) {
 	}
 }
 
-func TestBlobIterate(t *testing.T) {
-	bs := openTest(t, t.TempDir(), Options{})
-	for _, k := range []string{"trace/b", "result/a", "trace/a", "result/c"} {
-		if err := bs.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []string
-	if err := bs.Iterate("trace/", func(in BlobInfo) error {
-		got = append(got, in.Key)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "trace/a" || got[1] != "trace/b" {
-		t.Fatalf("Iterate = %v", got)
-	}
-	var all []string
-	if err := bs.Iterate("", func(in BlobInfo) error {
-		all = append(all, in.Key)
-		if in.Size != int64(len(in.Key)) {
-			t.Fatalf("size mismatch for %s", in.Key)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 4 {
-		t.Fatalf("full Iterate saw %d keys", len(all))
-	}
-	sentinel := fmt.Errorf("stop")
-	n := 0
-	err := bs.Iterate("", func(BlobInfo) error {
-		n++
-		return sentinel
-	})
-	if err != sentinel || n != 1 {
-		t.Fatalf("early-stop: err=%v n=%d", err, n)
-	}
-}
-
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,74 +11,19 @@ import (
 	"dramdig/internal/storage"
 )
 
-func writeFlatRecord(t *testing.T, dir, fingerprint string) {
-	t.Helper()
-	data, err := json.MarshalIndent(testRecord(t, fingerprint), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, fingerprint+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStoreMigratesFlatLayout(t *testing.T) {
+// TestStoreTornTailReopen: a crash that tears the tail of the active
+// segment loses no record or trace written before it; reopening drops
+// the torn bytes and serves everything else.
+func TestStoreTornTailReopen(t *testing.T) {
 	dir := t.TempDir()
-	writeFlatRecord(t, dir, fp(1))
-	writeFlatRecord(t, dir, fp(2))
-	tracePayload := []byte("DRTR-legacy-trace")
-	if err := os.WriteFile(filepath.Join(dir, fp(1)+".trace"), tracePayload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Junk that must not migrate or break Open.
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	s, err := Open(Config{Dir: dir})
 	if err != nil {
-		t.Fatalf("Open over flat layout: %v", err)
+		t.Fatal(err)
 	}
-	defer s.Close()
 	for i := 1; i <= 2; i++ {
-		rec, ok, err := s.Get(fp(i))
-		if err != nil || !ok {
-			t.Fatalf("record %d after migration: ok=%v err=%v", i, ok, err)
+		if err := s.Put(testRecord(t, fp(i))); err != nil {
+			t.Fatal(err)
 		}
-		if rec.Fingerprint != fp(i) {
-			t.Fatalf("record %d keyed %s", i, rec.Fingerprint)
-		}
-	}
-	got, ok, err := s.GetTrace(fp(1))
-	if err != nil || !ok || string(got) != string(tracePayload) {
-		t.Fatalf("trace after migration: %q ok=%v err=%v", got, ok, err)
-	}
-	// Flat files are gone; segments and the junk file remain.
-	for _, name := range []string{fp(1) + ".json", fp(2) + ".json", fp(1) + ".trace"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("flat file %s survived migration", name)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "segments")); err != nil {
-		t.Fatalf("no segments directory: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
-		t.Fatalf("unrelated file disturbed: %v", err)
-	}
-}
-
-func TestStoreCrashDuringMigration(t *testing.T) {
-	// A crash mid-migration leaves some records in both layouts (the blob
-	// copy is written before the flat file is removed) and possibly a torn
-	// tail on the active segment. Reopening must serve every record and
-	// re-run the migration idempotently.
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testRecord(t, fp(1))); err != nil {
-		t.Fatal(err)
 	}
 	if err := s.PutTrace(fp(1), []byte("trace-one")); err != nil {
 		t.Fatal(err)
@@ -87,12 +31,6 @@ func TestStoreCrashDuringMigration(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Record 1 exists in segments AND again as a flat file (migration
-	// copied it but crashed before the remove)...
-	writeFlatRecord(t, dir, fp(1))
-	// ...record 2 only as a flat file (its migration never started)...
-	writeFlatRecord(t, dir, fp(2))
-	// ...and the crash tore the tail of the active segment.
 	segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
@@ -108,21 +46,16 @@ func TestStoreCrashDuringMigration(t *testing.T) {
 
 	re, err := Open(Config{Dir: dir})
 	if err != nil {
-		t.Fatalf("reopen after migration crash: %v", err)
+		t.Fatalf("reopen over a torn tail: %v", err)
 	}
 	defer re.Close()
 	for i := 1; i <= 2; i++ {
 		if _, ok, err := re.Get(fp(i)); err != nil || !ok {
-			t.Fatalf("record %d lost across migration crash: ok=%v err=%v", i, ok, err)
+			t.Fatalf("record %d lost across the torn tail: ok=%v err=%v", i, ok, err)
 		}
 	}
 	if got, ok, err := re.GetTrace(fp(1)); err != nil || !ok || string(got) != "trace-one" {
-		t.Fatalf("trace lost across migration crash: %q ok=%v err=%v", got, ok, err)
-	}
-	for i := 1; i <= 2; i++ {
-		if _, err := os.Stat(filepath.Join(dir, fp(i)+".json")); !os.IsNotExist(err) {
-			t.Fatalf("flat file %d survived re-migration", i)
-		}
+		t.Fatalf("trace lost across the torn tail: %q ok=%v err=%v", got, ok, err)
 	}
 }
 
@@ -277,47 +210,6 @@ func TestStoreStartGCReapsInBackground(t *testing.T) {
 			t.Fatal("background GC never reaped the orphan")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestStoreIterate(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Put(testRecord(t, fp(1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testRecord(t, fp(2))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutTrace(fp(1), []byte("trace")); err != nil {
-		t.Fatal(err)
-	}
-	count := map[string]int{}
-	if err := s.Iterate("", func(key string, size int64) error {
-		if size <= 0 {
-			return fmt.Errorf("blob %s has size %d", key, size)
-		}
-		count[key]++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(count) != 3 {
-		t.Fatalf("Iterate saw %d keys: %v", len(count), count)
-	}
-	var traces []string
-	if err := s.Iterate("trace/", func(key string, size int64) error {
-		traces = append(traces, key)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 1 || traces[0] != "trace/"+fp(1) {
-		t.Fatalf("trace Iterate = %v", traces)
 	}
 }
 

@@ -10,12 +10,11 @@
 // On disk, results and recorded timing traces share one content-addressed
 // keyspace inside append-only segment files under <dir>/segments:
 // "result/<fp>" holds the record JSON, "trace/<fp>" the trace stream.
-// The legacy flat layout (<fp>.json / <fp>.trace, one file per
-// fingerprint) auto-migrates into segments when a store opens over an
-// old directory; lookups read segments only. A background
-// GC (StartGC) reclaims orphaned traces, enforces the optional disk-size
-// bound, and compacts dead segments. With no directory configured at all,
-// traces live in a bounded in-memory tier as before.
+// Segments are the only layout read: flat <fp>.json and <fp>.trace files
+// left in a directory by releases before the segment store are neither
+// read nor removed. A background GC (StartGC) reclaims orphaned traces,
+// enforces the optional disk-size bound, and compacts dead segments. With
+// no directory configured at all, traces live in a bounded in-memory tier.
 package store
 
 import (
@@ -25,9 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -97,14 +94,12 @@ func traceKey(fp string) string  { return tracePrefix + fp }
 // Config tunes a store.
 type Config struct {
 	// Dir enables result persistence under this directory; empty keeps
-	// results memory-only. Segments live under Dir/segments; legacy flat
-	// <fp>.json files in Dir migrate into them on Open.
+	// results memory-only. Results and traces share the segments under
+	// Dir/segments.
 	Dir string
-	// TraceDir is where legacy flat <fp>.trace files migrate from on
-	// Open. Traces persist in the shared keyspace under Dir/segments;
-	// only without Dir do they persist under TraceDir/segments. Empty
-	// falls back to Dir; with both empty, traces live in a bounded
-	// in-memory tier.
+	// TraceDir persists traces alone, under TraceDir/segments, when Dir
+	// is empty; with Dir set it is unused. With both empty, traces live
+	// in a bounded in-memory tier.
 	TraceDir string
 	// MaxEntries caps the in-memory LRU front (default 128). Persistence
 	// is unaffected by eviction: evicted records reload from disk. The
@@ -155,7 +150,6 @@ type Stats struct {
 // Store is safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
-	dir    string
 	cap    int
 	ll     *list.List               // front = most recently used
 	items  map[string]*list.Element // value: *Record
@@ -174,7 +168,6 @@ type Store struct {
 
 	// Trace tier: the shared blob keyspace, or the bounded memTraces map
 	// (FIFO by memTraceOrder) when no directory is configured at all.
-	traceDir      string
 	memTraces     map[string][]byte
 	memTraceAt    map[string]time.Time
 	memTraceOrder []string
@@ -186,42 +179,25 @@ type flightCall struct {
 	err  error
 }
 
-// Open creates a store; with Config.Dir set, the directory is created and
-// records persist across processes (loaded lazily on Get misses). Legacy
-// flat-file layouts migrate into the segment keyspace here.
+// Open creates a store; with Config.Dir set, records persist across
+// processes (loaded lazily on Get misses).
 func Open(cfg Config) (*Store, error) {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 128
 	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
-	traceDir := cfg.TraceDir
-	if traceDir == "" {
-		traceDir = cfg.Dir
-	}
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
 	s := &Store{
-		dir:            cfg.Dir,
 		cap:            cfg.MaxEntries,
 		ll:             list.New(),
 		items:          make(map[string]*list.Element),
 		flight:         make(map[string]*flightCall),
 		persistResults: cfg.Dir != "",
 		gcGrace:        cfg.GCGrace,
-		traceDir:       traceDir,
 		memTraces:      make(map[string][]byte),
 		memTraceAt:     make(map[string]time.Time),
 	}
 	root := cfg.Dir
 	if root == "" {
-		root = traceDir
+		root = cfg.TraceDir
 	}
 	if root != "" {
 		bs, err := storage.OpenBlobStore(storage.Options{
@@ -233,73 +209,8 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		s.blob = bs
-		if err := s.migrateFlat(); err != nil {
-			bs.Close()
-			return nil, err
-		}
 	}
 	return s, nil
-}
-
-// migrateFlat imports legacy one-file-per-fingerprint layouts into the
-// segment keyspace and removes the flat files. The blob store is fsynced
-// before any flat file is deleted, so a crash at any point leaves every
-// record readable from one layout or the other; a re-run is idempotent
-// (later puts replace earlier ones).
-func (s *Store) migrateFlat() error {
-	type flatFile struct{ path, key string }
-	var moved []flatFile
-	scan := func(dir, suffix, prefix string) error {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("store: migrate scan: %w", err)
-		}
-		for _, e := range ents {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, suffix) {
-				continue
-			}
-			fp := strings.TrimSuffix(name, suffix)
-			if !ValidFingerprint(fp) {
-				continue
-			}
-			path := filepath.Join(dir, name)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return fmt.Errorf("store: migrate read: %w", err)
-			}
-			// Content moves byte-for-byte: a corrupt or miskeyed flat
-			// file stays corrupt under the content address and is
-			// rejected at read time, exactly as before.
-			if err := s.blob.Put(prefix+fp, data); err != nil {
-				return err
-			}
-			moved = append(moved, flatFile{path: path, key: prefix + fp})
-		}
-		return nil
-	}
-	if s.dir != "" {
-		if err := scan(s.dir, ".json", resultPrefix); err != nil {
-			return err
-		}
-	}
-	if s.traceDir != "" {
-		if err := scan(s.traceDir, ".trace", tracePrefix); err != nil {
-			return err
-		}
-	}
-	if len(moved) == 0 {
-		return nil
-	}
-	if err := s.blob.Sync(); err != nil {
-		return err
-	}
-	for _, f := range moved {
-		if err := storage.RemoveDurable(f.path); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Get returns the record for the fingerprint, consulting memory then
@@ -510,7 +421,7 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 		s.stats.Hits++
 		return el.Value.(*Record), nil
 	}
-	if s.dir != "" && ValidFingerprint(fp) {
+	if s.persistResults && ValidFingerprint(fp) {
 		readStart := time.Now()
 		data, ok, err := s.blob.Get(resultKey(fp))
 		if err != nil {
@@ -570,45 +481,6 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 			return fmt.Errorf("store: %w", err)
 		}
 		s.diskWrite.Observe(time.Since(writeStart).Seconds())
-	}
-	return nil
-}
-
-// --- iteration ---------------------------------------------------------
-
-// Iterate calls fn for every live blob whose key starts with prefix, in
-// key order. Keys are "result/<fp>" and "trace/<fp>". For memory-only
-// stores the in-memory tiers are enumerated instead (result sizes are
-// reported as 0 — records are not serialized to measure them). fn must
-// not call back into the store.
-func (s *Store) Iterate(prefix string, fn func(key string, size int64) error) error {
-	if s.blob != nil {
-		return s.blob.Iterate(prefix, func(in storage.BlobInfo) error {
-			return fn(in.Key, in.Size)
-		})
-	}
-	s.mu.Lock()
-	type kv struct {
-		key  string
-		size int64
-	}
-	var infos []kv
-	for fp := range s.items {
-		if k := resultKey(fp); strings.HasPrefix(k, prefix) {
-			infos = append(infos, kv{key: k})
-		}
-	}
-	for fp, data := range s.memTraces {
-		if k := traceKey(fp); strings.HasPrefix(k, prefix) {
-			infos = append(infos, kv{key: k, size: int64(len(data))})
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].key < infos[j].key })
-	for _, in := range infos {
-		if err := fn(in.key, in.size); err != nil {
-			return err
-		}
 	}
 	return nil
 }

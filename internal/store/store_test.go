@@ -15,6 +15,7 @@ import (
 
 	"dramdig/internal/machine"
 	"dramdig/internal/metrics"
+	"dramdig/internal/storage"
 )
 
 func testRecord(t *testing.T, fp string) *Record {
@@ -243,13 +244,25 @@ func TestStoreComputeErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestStoreRejectsCorruptDiskRecord(t *testing.T) {
-	dir := t.TempDir()
-	// A corrupt legacy flat file migrates byte-for-byte and stays
-	// corrupt under its content address.
-	if err := os.WriteFile(filepath.Join(dir, fp(3)+".json"), []byte("{not json"), 0o644); err != nil {
+// putRawResult writes data under fp's result key straight into the
+// segments a store over dir reads, past Put's validation.
+func putRawResult(t *testing.T, dir, fp string, data []byte) {
+	t.Helper()
+	bs, err := storage.OpenBlobStore(storage.Options{Dir: filepath.Join(dir, "segments")})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := bs.Put(resultKey(fp), data); err != nil {
+		t.Fatal(err)
+	}
+	if err := bs.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStoreRejectsCorruptDiskRecord(t *testing.T) {
+	dir := t.TempDir()
+	putRawResult(t, dir, fp(3), []byte("{not json"))
 	st, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -273,16 +286,13 @@ func TestStoreComputeKeyMismatch(t *testing.T) {
 
 func TestStoreRejectsMiskeyedDiskRecord(t *testing.T) {
 	dir := t.TempDir()
-	// Drop a legacy flat file whose content is keyed by a different
-	// fingerprint (e.g. an operator renaming cache files by hand); Open
-	// migrates it byte-for-byte under the name it was given.
+	// A record whose content is keyed by a different fingerprint than
+	// the address it is stored under.
 	data, err := json.Marshal(testRecord(t, fp(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, fp(2)+".json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	putRawResult(t, dir, fp(2), data)
 	st, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -330,10 +340,10 @@ func TestStoreTraceTierDisk(t *testing.T) {
 	if n, ok := s.StatTrace(key); !ok || n != int64(len(payload)) {
 		t.Fatalf("StatTrace = %d,%v", n, ok)
 	}
-	// Traces live inside the shared segment keyspace, so the trace
-	// directory holds no stray files.
+	// Traces live inside the shared segment keyspace, so nothing is
+	// written to the trace directory (the store need not create it).
 	entries, err := os.ReadDir(filepath.Join(dir, "traces"))
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {

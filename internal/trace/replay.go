@@ -209,18 +209,5 @@ func (r *Replayer) Calls() int { return r.calls }
 // last value (always 0 in strict mode).
 func (r *Replayer) Reused() int { return r.reused }
 
-// Remaining returns the number of recorded samples not yet served
-// (strict mode; keyed mode counts across all keys).
-func (r *Replayer) Remaining() int {
-	if r.mode == Strict {
-		return len(r.samples) - r.pos
-	}
-	n := 0
-	for _, idxs := range r.byKey {
-		n += len(idxs)
-	}
-	return n
-}
-
 // Err returns the first divergence, or nil for a faithful replay so far.
 func (r *Replayer) Err() error { return r.err }
