@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +45,61 @@ func TestNoiseFloors(t *testing.T) {
 			t.Errorf("noise x%g: %d runs returned a wrong mapping", scale, g.Wrong)
 		}
 		t.Logf("noise x%g: %d/%d succeeded (floor %d), %d wrong mappings", scale, g.Successes, g.Runs, floor, g.Wrong)
+	}
+}
+
+// generatedNoiseDefs returns the generated oracle's fixed machines: the
+// first n definitions machine.GenerateDefinition builds under seeds 1,
+// 2, 3 …, skipping seeds whose draw does not fit the address space.
+func generatedNoiseDefs(n int) []machine.Definition {
+	var defs []machine.Definition
+	for seed := int64(1); len(defs) < n; seed++ {
+		if def, err := machine.GenerateDefinition(rand.New(rand.NewSource(seed))); err == nil {
+			defs = append(defs, def)
+		}
+	}
+	return defs
+}
+
+// TestNoiseFloorsGenerated is the noise oracle over generated machines:
+// 96 fixed definitions from all three of the generator's families
+// (disjoint, channel and wide), each at every level of NoiseScales.
+// Run i uses noiseSeeds(0, i). The floors follow TestNoiseFloors' 2σ
+// rule over the level's n = 96 runs:
+//
+//	×1 to ×6: 96/96 succeeded at every level (σ 1.0), floor 96 − 2 = 94
+//
+// No run may return a wrong mapping.
+func TestNoiseFloorsGenerated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("576 pipeline runs")
+	}
+	const n, floor = 96, 94
+	defs := generatedNoiseDefs(n)
+	for _, family := range []string{"gen-disjoint-", "gen-channel-", "gen-wide-"} {
+		if !slices.ContainsFunc(defs, func(d machine.Definition) bool { return strings.HasPrefix(d.Name, family) }) {
+			t.Fatalf("no %s machine among the oracle's %d definitions", family, n)
+		}
+	}
+	for _, scale := range NoiseScales {
+		var g NoiseRow
+		for i, def := range defs {
+			mseed, tseed := noiseSeeds(0, i)
+			switch ok, err := noiseRun(Options{}, ScaleNoise(def, scale), mseed, tseed); {
+			case err != nil:
+				g.Errors++
+			case ok:
+				g.Successes++
+			default:
+				g.Wrong++
+				t.Errorf("noise x%g: %s (machine seed %d, tool seed %d) returned a wrong mapping", scale, def.Name, mseed, tseed)
+			}
+		}
+		if g.Successes < floor {
+			t.Errorf("noise x%g: %d/%d generated machines succeeded, floor %d", scale, g.Successes, n, floor)
+		}
+		t.Logf("noise x%g: %d/%d generated machines succeeded (floor %d), %d errors, %d wrong mappings",
+			scale, g.Successes, n, floor, g.Errors, g.Wrong)
 	}
 }
 
