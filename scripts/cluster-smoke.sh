@@ -32,10 +32,18 @@ trap cleanup EXIT
 go build -o "$WORKDIR/dramdigd" ./cmd/dramdigd
 go build -o "$WORKDIR/dramdig-worker" ./cmd/dramdig-worker
 
-# The short lease TTL makes workers heartbeat every ~80ms, so a
-# campaign of ~19 serialized jobs crosses several heartbeats — enough
-# to exercise lease renewal without ever lapsing a live lease.
-"$WORKDIR/dramdigd" -addr "$ADDR" -dispatch remote -lease-ttl 250ms \
+# The heartbeat check below needs the campaign to outlive several
+# heartbeat intervals (lease TTL / 3 = 50 ms) whatever the engine's
+# speed. The campaign is therefore the largest a request may ask for:
+# 256 serialized jobs (cluster.MaxCampaignJobs), the nine settings plus
+# 247 generated machines. The generated ones share two dozen
+# definitions, so 223 jobs are store hits, and a store hit costs the
+# lease protocol's per-job round trips, not a measurement. On a 2-vCPU
+# VM the campaign runs 240–560 ms (5–11 intervals), and the same
+# campaign with every job a store hit still runs 170–220 ms (3.4–4.5
+# intervals): the floor an infinitely fast engine would leave. A live
+# lease lapses only after a 100 ms stall between heartbeats.
+"$WORKDIR/dramdigd" -addr "$ADDR" -dispatch remote -lease-ttl 150ms \
   -cache-dir "$WORKDIR/cache" -queue-dir "$WORKDIR/queue" \
   -log-format json >"$WORKDIR/daemon.log" 2>&1 &
 DAEMON_PID=$!
@@ -63,7 +71,7 @@ W2_PID=$!
 TRACE_ID="4bf92f3577b34da6a3ce929d0e0e4736"
 TRACEPARENT="00-$TRACE_ID-00f067aa0ba902b7-01"
 post=$(curl -fsS "http://$ADDR/v1/campaigns" \
-  -H "traceparent: $TRACEPARENT" -d '{"machines":[-1],"generated":10,"seed":42,"workers":1}')
+  -H "traceparent: $TRACEPARENT" -d '{"machines":[-1],"generated":247,"seed":42,"workers":1}')
 id=$(echo "$post" | jq -r .id)
 for i in $(seq 1 150); do
   status=$(curl -fsS "http://$ADDR/v1/campaigns/$id" | jq -r .status)
@@ -119,9 +127,9 @@ for family in \
   dramdig_cluster_spans_ingested_total \
   dramdig_cluster_workers \
   dramdig_cluster_leases_active; do
-  echo "$scrape" | grep -q "^# TYPE $family " \
+  grep -q "^# TYPE $family " <<<"$scrape" \
     || { echo "cluster-smoke: family $family missing from scrape" >&2
-         echo "$scrape" | grep '^# TYPE' >&2; exit 1; }
+         grep '^# TYPE' <<<"$scrape" >&2; exit 1; }
 done
 for moved in \
   "dramdig_cluster_leases_granted_total [1-9]" \
@@ -130,9 +138,9 @@ for moved in \
   "dramdig_cluster_results_uploaded_total [1-9]" \
   "dramdig_cluster_spans_ingested_total [1-9]" \
   "dramdig_cluster_workers 2"; do
-  echo "$scrape" | grep -Eq "^$moved" \
+  grep -Eq "^$moved" <<<"$scrape" \
     || { echo "cluster-smoke: expected \"$moved\" in scrape" >&2
-         echo "$scrape" | grep '^dramdig_cluster' >&2; exit 1; }
+         grep '^dramdig_cluster' <<<"$scrape" >&2; exit 1; }
 done
 
 # Fleet telemetry: every registry row reports liveness as an age (the
@@ -149,10 +157,10 @@ echo "$workers" | jq -e '[.workers[] | select(.completed > 0) | .metrics.engine_
 # instance label per sample, and its engine totals agree with the
 # per-worker digests /v1/workers serves from the same snapshots.
 fed=$(curl -fsS "http://$ADDR/v1/cluster/metrics")
-echo "$fed" | grep -Eq '^dramdig_engine_samples_total\{instance="smoke-w[12]"\} [1-9]' \
+grep -Eq '^dramdig_engine_samples_total\{instance="smoke-w[12]"\} [1-9]' <<<"$fed" \
   || { echo "cluster-smoke: no instance-labeled engine samples in federation" >&2
-       echo "$fed" | head -40 >&2; exit 1; }
-echo "$fed" | grep -Eq '^dramdig_go_goroutines\{instance="smoke-w[12]"\} [1-9]' \
+       head -40 <<<"$fed" >&2; exit 1; }
+grep -Eq '^dramdig_go_goroutines\{instance="smoke-w[12]"\} [1-9]' <<<"$fed" \
   || { echo "cluster-smoke: no worker runtime self-metrics in federation" >&2; exit 1; }
 fed_samples=$(echo "$fed" | awk '/^dramdig_engine_samples_total\{/ {sum += $2} END {print sum+0}')
 digest_samples=$(echo "$workers" | jq '[.workers[].metrics.engine_samples // 0] | add')
@@ -160,8 +168,10 @@ digest_samples=$(echo "$workers" | jq '[.workers[].metrics.engine_samples // 0] 
   || { echo "cluster-smoke: federated engine samples ($fed_samples) != worker digests ($digest_samples)" >&2; exit 1; }
 
 # The campaign timeline is one chronological view across both
-# processes: queue lifecycle events plus spans, worker-attributed.
-timeline=$(curl -fsS "http://$ADDR/v1/campaigns/$id/timeline")
+# processes: queue lifecycle events plus spans, worker-attributed. The
+# 256-job campaign leaves about 1,400 events, past the default limit of
+# 1,000, which would cut off the final "done".
+timeline=$(curl -fsS "http://$ADDR/v1/campaigns/$id/timeline?limit=5000")
 echo "$timeline" | jq -e '.events | length > 0' >/dev/null \
   || { echo "cluster-smoke: empty timeline: $timeline" >&2; exit 1; }
 echo "$timeline" | jq -e '[.events[].at_unix_nano] | . == sort' >/dev/null \

@@ -89,7 +89,7 @@ for family in \
   dramdig_sse_subscribers \
   dramdig_build_info \
   dramdig_trace_spans_finished_total; do
-  echo "$scrape" | grep -q "^# TYPE $family " \
+  grep -q "^# TYPE $family " <<<"$scrape" \
     || { echo "metrics-smoke: family $family missing from scrape" >&2; exit 1; }
 done
 
@@ -98,10 +98,10 @@ for moved in \
   "dramdig_queue_submitted_total 1" \
   "dramdig_campaign_jobs_started_total 1" \
   "dramdig_campaign_jobs_succeeded_total 1"; do
-  echo "$scrape" | grep -q "^$moved\$" \
+  grep -q "^$moved\$" <<<"$scrape" \
     || { echo "metrics-smoke: expected \"$moved\" in scrape" >&2; exit 1; }
 done
-echo "$scrape" | grep -q '^dramdig_engine_samples_total [1-9]' \
+grep -q '^dramdig_engine_samples_total [1-9]' <<<"$scrape" \
   || { echo "metrics-smoke: engine recorded no samples" >&2; exit 1; }
 
 # The campaign's span tree must be rooted at the inbound trace ID and
@@ -133,4 +133,4 @@ grep -q "\"trace_id\":\"$TRACE_ID\"" "$WORKDIR/daemon.log" \
   || { echo "metrics-smoke: no log line carries the inbound trace_id" >&2; exit 1; }
 
 nspans=$(echo "$spans" | jq '[.. | objects | .name? // empty] | length')
-echo "metrics-smoke: ok (campaign $id, $(echo "$scrape" | grep -c '^dramdig_') dramdig series, $nspans spans on trace $TRACE_ID)"
+echo "metrics-smoke: ok (campaign $id, $(grep -c '^dramdig_' <<<"$scrape") dramdig series, $nspans spans on trace $TRACE_ID)"
