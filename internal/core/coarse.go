@@ -51,14 +51,19 @@ func (t *Tool) pairForBit(pool *alloc.Pool, mask uint64, trials int) [][2]addr.P
 }
 
 // voteConflict measures all pairs and reports whether a strict majority
-// conflicts.
+// conflicts. A pair counts as conflicting only on the meter's unanimous
+// vote (timing.Meter.IsConflictUnanimous): both tests read a conflict as
+// the finding (a row bit, a column bit), and whole-measurement outliers
+// only add latency, so a false high is the error that moves a bank-
+// function bit out of Algorithm 3's candidates and yields a wrong
+// mapping that still validates.
 func (t *Tool) voteConflict(pairs [][2]addr.Phys) bool {
 	if len(pairs) == 0 {
 		return false
 	}
 	high := 0
 	for _, p := range pairs {
-		if t.meter.IsConflict(p[0], p[1]) {
+		if t.meter.IsConflictUnanimous(p[0], p[1]) {
 			high++
 		}
 	}

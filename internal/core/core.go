@@ -45,7 +45,9 @@ type Config struct {
 	// measurements (default 3).
 	Repeats int
 	// CalibSamples is the number of random pairs used for threshold
-	// calibration (default 24 × #banks, at least 768).
+	// calibration (default 12 × #banks, at least 384). Random pairs
+	// conflict about 1/#banks of the time, so the default expects at
+	// least 12 conflicting pairs on any setting.
 	CalibSamples int
 	// BitTrials is the number of base addresses tried per bit in
 	// coarse detection (default 8).
@@ -56,9 +58,11 @@ type Config struct {
 	// threshold (default 0.85): the paper's stop rule, which a run
 	// reaches only under PaperStop or when no early stop verifies.
 	PerThreshold float64
-	// PaperStop runs Algorithm 2 to the paper's stop rule alone. By
-	// default partitioning stops once the bank functions resolved from
-	// the piles so far predict measured conflicts (see partition.go).
+	// PaperStop runs Algorithm 2 to the paper's stop rule alone, each
+	// round scanning all that remains. By default partitioning first
+	// builds truncated piles and stops once the bank functions resolved
+	// from the piles so far predict measured conflicts (see
+	// partition.go).
 	PaperStop bool
 	// MinPoolAddrs is the minimum number of selected addresses for
 	// Algorithm 2; the selection widens with extra row-bit variation
@@ -71,8 +75,9 @@ type Config struct {
 	// FuncPileFrac is the fraction of piles a mask must be constant on
 	// to become a candidate function (default 0.9).
 	FuncPileFrac float64
-	// MaxPartitionIters bounds Algorithm 2's retry loop as a multiple
-	// of the bank count (default 8).
+	// MaxPartitionIters bounds Algorithm 2's full-scan rounds as a
+	// multiple of the bank count (default 8); the truncated rounds
+	// have their own bound (see partition.go).
 	MaxPartitionIters int
 	// GuardGapSimSeconds throttles routine sentinel drift checks to at
 	// most one per this much simulated time (default 1 s). Post-
@@ -132,6 +137,15 @@ func (c *Config) setDefaults() {
 	if c.GuardGapSimSeconds == 0 {
 		c.GuardGapSimSeconds = 1
 	}
+}
+
+// calibrationPairs is the number of random pairs a calibration
+// measures on a target with the given bank count.
+func (c Config) calibrationPairs(banks int) int {
+	if c.CalibSamples != 0 {
+		return c.CalibSamples
+	}
+	return max(12*banks, 384)
 }
 
 // Validate rejects unusable configurations.
@@ -334,15 +348,8 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	t.pmeter = pmeter
 	stepClock, stepMeas := t.target.ClockNs(), t.measurements()
 	sp := t.startPhase("calibrate")
-	calSamples := t.cfg.CalibSamples
-	if calSamples == 0 {
-		calSamples = 24 * banks
-		if calSamples < 768 {
-			calSamples = 768
-		}
-	}
-	t.calSamples = calSamples
-	cal, err := meter.CalibrateContext(ctx, t.rng, calSamples)
+	t.calSamples = t.cfg.calibrationPairs(banks)
+	cal, err := meter.CalibrateContext(ctx, t.rng, t.calSamples)
 	if err != nil {
 		failPhase(sp, err)
 		return nil, fmt.Errorf("dramdig: %w", err)

@@ -60,7 +60,7 @@ func calibratedTool(t *testing.T, target timing.Target, cfg Config) *Tool {
 	if tool.pmeter, err = timing.NewMeter(target, tool.cfg.PartitionRounds, 3); err != nil {
 		t.Fatal(err)
 	}
-	tool.calSamples = 768
+	tool.calSamples = tool.cfg.calibrationPairs(target.SysInfo().TotalBanks())
 	cal, err := tool.meter.Calibrate(tool.rng, tool.calSamples)
 	if err != nil {
 		t.Fatal(err)

@@ -25,13 +25,28 @@
 // the piles so far, and pairs of unassigned addresses they predict to
 // share a bank are measured. A wrong function span puts at most half of
 // its predicted same-bank pairs in one bank, so it cannot reach the
-// (1 − δ) conflict bar; a run that never verifies ends by the paper's
-// rule. Config.PaperStop turns the early stop off.
+// (1 − δ) conflict bar.
+//
+// Algorithm 3 reads a pile only through the masks constant on it, so a
+// pile needs just enough members to span its coset, not the whole bank.
+// By default the pool is therefore shuffled once, and each round scans
+// the remaining addresses in that order until the pile holds pileCap
+// members. The round's pile size is extrapolated from the share of the
+// scanned addresses that joined, and the δ bounds apply to that. Only the
+// pile's members leave the pool. A later representative from an earlier
+// pile's bank scans a prefix that pile has emptied of its bank, so its
+// extrapolated size falls short and the round is retried. When
+// truncatedRounds × #banks rounds verify no prediction, the piles are
+// discarded and the same rounds rerun uncapped: full scans, each over
+// all that remains, which end by the paper's rule when no early stop
+// fires. Config.PaperStop runs only the uncapped rounds, without the
+// early stop.
 
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dramdig/internal/addr"
 )
@@ -52,24 +67,54 @@ const (
 	// verifyPairs is the number of predicted same-bank pairs measured
 	// per try.
 	verifyPairs = 32
+	// pileCap is the member count at which a truncated round stops
+	// scanning. Algorithm 3 reads a pile only through the masks constant
+	// on it, so the members need only span the pile's coset of the
+	// functions' kernel, of dimension 3 on No.1 and 8 on No.6.
+	pileCap = 24
+	// truncatedRounds bounds the truncated rounds, as a multiple of the
+	// bank count, before partition falls back to full scans.
+	truncatedRounds = 4
 )
 
 // partition runs Algorithm 2 over the selected pool; bankBits are the
 // candidate bits Algorithm 3 resolves the early stop's functions over.
+// By default it first builds truncated piles over the pool in one
+// shuffled order and keeps them only when the early stop verifies them;
+// otherwise, and always under PaperStop, it scans in full.
 func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile, error) {
-	poolSz := len(pool)
-	if poolSz < 2*banks {
-		return nil, fmt.Errorf("pool of %d addresses too small for %d banks", poolSz, banks)
+	if len(pool) < 2*banks {
+		return nil, fmt.Errorf("pool of %d addresses too small for %d banks", len(pool), banks)
 	}
+	if !t.cfg.PaperStop {
+		order := slices.Clone(pool)
+		t.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		piles, err := t.partitionRounds(order, bankBits, banks, pileCap, truncatedRounds*banks)
+		if piles != nil || err != nil {
+			return piles, err
+		}
+		t.logf("partition: no prediction verified from truncated piles; rescanning in full")
+	}
+	return t.partitionRounds(pool, bankBits, banks, 0, t.cfg.MaxPartitionIters*banks)
+}
+
+// partitionRounds runs up to maxRounds of Algorithm 2's rounds over the
+// pool in the given order. A round measures a random representative
+// against the remaining addresses in that order. With memberCap > 0 the
+// scan stops once the pile holds memberCap members, and the rounds
+// return piles only when the early stop verifies them, nil otherwise.
+// With memberCap 0 every round scans all that remains, and the rounds
+// end by the paper's rule when no early stop fires.
+func (t *Tool) partitionRounds(order []addr.Phys, bankBits []uint, banks, memberCap, maxRounds int) ([]*pile, error) {
+	poolSz := len(order)
 	pileSz := float64(poolSz) / float64(banks)
 	lo := (1 - t.cfg.Delta) * pileSz
 	hi := (1 + t.cfg.Delta) * pileSz
 	stopRemaining := int((1 - t.cfg.PerThreshold) * float64(poolSz))
 
-	remaining := append([]addr.Phys(nil), pool...)
+	remaining := slices.Clone(order)
 	var piles []*pile
-	maxIters := t.cfg.MaxPartitionIters * banks
-	for iter := 0; iter < maxIters; iter++ {
+	for round := 0; round < maxRounds; round++ {
 		if len(remaining) <= stopRemaining || len(piles) == banks {
 			break
 		}
@@ -79,8 +124,12 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 		// Randomly select the round's representative.
 		ri := t.rng.Intn(len(remaining))
 		p := remaining[ri]
-		var members, rest []addr.Phys
+		var members []addr.Phys
+		scanned := 0
 		for i, q := range remaining {
+			if memberCap > 0 && len(members) == memberCap {
+				break
+			}
 			// The scan is the pipeline's hottest measurement loop —
 			// millions of samples on big settings — so cancellation is
 			// polled inside it, not just per round.
@@ -92,10 +141,9 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 			if i == ri {
 				continue
 			}
+			scanned++
 			if t.pmeter.IsConflictUnanimous(p, q) {
 				members = append(members, q)
-			} else {
-				rest = append(rest, q)
 			}
 		}
 		// A drift step mid-scan silently corrupts the whole scan;
@@ -108,13 +156,18 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 			continue
 		}
 		sz := float64(len(members)) + 1 // rep included in pile size
+		if memberCap > 0 && len(members) == memberCap {
+			// A truncated scan: extrapolate the pile over all that
+			// remains from the share of the scanned addresses it took.
+			sz = float64(len(members))/float64(scanned)*float64(len(remaining)-1) + 1
+		}
 		if sz < lo || sz > hi {
 			// Noise-corrupted round: keep everything and retry
 			// with another representative.
 			continue
 		}
 		piles = append(piles, &pile{rep: p, members: members})
-		remaining = rest
+		remaining = withoutPile(remaining, ri, members)
 		if n := len(piles); t.cfg.PaperStop || n < verifyFromPiles || n&(n-1) != 0 {
 			continue
 		}
@@ -122,7 +175,7 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 		if err != nil {
 			continue
 		}
-		holds, err := t.predictionHolds(funcs, pool, remaining)
+		holds, err := t.predictionHolds(funcs, order, remaining)
 		if err != nil {
 			return nil, err
 		}
@@ -130,6 +183,9 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 			t.logf("partition: functions from %d piles verified, stopping early", len(piles))
 			return piles, nil
 		}
+	}
+	if memberCap > 0 {
+		return nil, nil
 	}
 	if len(piles) == 0 {
 		return nil, fmt.Errorf("no pile reached size %.0f±%.0f%%; noise too high or wrong bank count",
@@ -141,6 +197,23 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 			done, poolSz, len(piles), banks)
 	}
 	return piles, nil
+}
+
+// withoutPile returns remaining less the representative at index ri and
+// the members, which a round collects in scan order.
+func withoutPile(remaining []addr.Phys, ri int, members []addr.Phys) []addr.Phys {
+	rest := make([]addr.Phys, 0, len(remaining)-1-len(members))
+	for i, q := range remaining {
+		if i == ri {
+			continue
+		}
+		if len(members) > 0 && q == members[0] {
+			members = members[1:]
+			continue
+		}
+		rest = append(rest, q)
+	}
+	return rest
 }
 
 // predictionHolds verifies bank functions by measurement. It draws

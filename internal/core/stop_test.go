@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dramdig/internal/addr"
@@ -13,12 +15,12 @@ import (
 var earlyStopSettings = []int{1, 2, 6, 7}
 
 // TestEarlyStopPilesPure drives Steps 1–2b on real measurements: the
-// partition stops early, and each pile it returns is pure against ground
-// truth as Algorithm 3 reads piles — under every true bank function, at
-// least PileAgreeFrac of the pile shares the representative's parity.
-// (Strays are false conflicts, so they grow with the scan: the first
-// piles, which scan the whole pool, collect the most, a few percent on
-// the noisy settings.)
+// partition stops early on truncated piles, and each pile it returns is
+// pure against ground truth as Algorithm 3 reads piles — under every
+// true bank function, at least PileAgreeFrac of the pile shares the
+// representative's parity. A truncated pile holds pileCap members plus
+// its representative, so one stranger in 25 passes the bar and two fail
+// it.
 func TestEarlyStopPilesPure(t *testing.T) {
 	for _, no := range earlyStopSettings {
 		for mseed := int64(1); mseed <= 3; mseed++ {
@@ -44,19 +46,69 @@ func TestEarlyStopPilesPure(t *testing.T) {
 				t.Errorf("No.%d seed %d: %d piles of %d banks; the early stop did not fire", no, mseed, len(piles), truth.NumBanks())
 			}
 			for i, p := range piles {
-				for _, f := range truth.BankFuncs {
-					agree := 1 // the representative
-					for _, a := range p.members {
-						if a.XorFold(f) == p.rep.XorFold(f) {
-							agree++
-						}
-					}
-					if n := 1 + len(p.members); float64(agree) < tool.cfg.PileAgreeFrac*float64(n) {
-						t.Errorf("No.%d seed %d pile %d: %d of %d addresses agree under %s",
-							no, mseed, i, agree, n, addr.FormatBits(addr.BitsFromMask(f)))
-					}
+				if len(p.members) != pileCap {
+					t.Errorf("No.%d seed %d pile %d: %d members, want a truncated pile of %d", no, mseed, i, len(p.members), pileCap)
 				}
+				checkPilePure(t, fmt.Sprintf("No.%d seed %d pile %d", no, mseed, i), p, truth.BankFuncs, tool.cfg.PileAgreeFrac)
 			}
+		}
+	}
+}
+
+// checkPilePure fails the test unless, under every true bank function,
+// at least frac of the pile shares the representative's parity.
+func checkPilePure(t *testing.T, name string, p *pile, funcs []uint64, frac float64) {
+	t.Helper()
+	for _, f := range funcs {
+		agree := 1 // the representative
+		for _, a := range p.members {
+			if a.XorFold(f) == p.rep.XorFold(f) {
+				agree++
+			}
+		}
+		if n := 1 + len(p.members); float64(agree) < frac*float64(n) {
+			t.Errorf("%s: %d of %d addresses agree under %s", name, agree, n, addr.FormatBits(addr.BitsFromMask(f)))
+		}
+	}
+}
+
+// TestPartitionFallsBackToFullScans: with no candidate bits, no
+// prediction can verify, so the truncated rounds run out their budget.
+// partition must then discard their piles and rerun the rounds uncapped:
+// every pile it returns is a full scan's, larger than pileCap and pure,
+// and together they reach the paper's stop rule.
+func TestPartitionFallsBackToFullScans(t *testing.T) {
+	for _, no := range []int{1, 7} {
+		m, err := machine.NewByNo(no, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := m.Truth()
+		var fellBack bool
+		tool := calibratedTool(t, m, Config{Seed: 3, Logf: func(format string, args ...any) {
+			fellBack = fellBack || strings.Contains(format, "rescanning in full")
+		}})
+		sel, err := tool.selectAddresses(truthCoarse(truth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		piles, err := tool.partition(sel.pool, nil, truth.NumBanks())
+		if err != nil {
+			t.Fatalf("No.%d: %v", no, err)
+		}
+		if !fellBack {
+			t.Errorf("No.%d: partition did not report falling back to full scans", no)
+		}
+		assigned := 0
+		for i, p := range piles {
+			assigned += 1 + len(p.members)
+			if len(p.members) <= pileCap {
+				t.Errorf("No.%d pile %d: %d members, a truncated pile survived the fallback", no, i, len(p.members))
+			}
+			checkPilePure(t, fmt.Sprintf("No.%d pile %d", no, i), p, truth.BankFuncs, tool.cfg.PileAgreeFrac)
+		}
+		if len(piles) < truth.NumBanks() && float64(assigned) < tool.cfg.PerThreshold*float64(len(sel.pool)) {
+			t.Errorf("No.%d: %d piles hold %d of %d addresses, short of the paper's stop rule", no, len(piles), assigned, len(sel.pool))
 		}
 	}
 }

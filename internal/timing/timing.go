@@ -193,7 +193,13 @@ func (m *Meter) IsConflict(a, b addr.Phys) bool {
 // instead of about 3p² at r = 3. The price is a false low whenever one
 // of a conflicting pair's r samples falls below the threshold.
 func (m *Meter) IsConflictUnanimous(a, b addr.Phys) bool {
-	for i := 0; i < m.repeats; i++ {
+	return m.allHigh(a, b, m.repeats)
+}
+
+// allHigh reports whether n samples of the pair all reach the
+// threshold; the first that does not ends the test.
+func (m *Meter) allHigh(a, b addr.Phys, n int) bool {
+	for i := 0; i < n; i++ {
 		if m.measure(a, b) < m.thresh {
 			return false
 		}
@@ -301,13 +307,21 @@ func (m *Meter) CalibrateContext(ctx context.Context, rng *rand.Rand, samples in
 // classify as expected. A false return means platform drift has moved the
 // latency distribution relative to the calibrated threshold and the caller
 // should re-calibrate. Meters without sentinels report true.
+//
+// The low sentinel reads as drifted only when all three of its samples
+// reach the threshold, and its first low sample ends that test, as in
+// IsConflictUnanimous: whole-measurement outliers only add latency, so
+// under a median two of them would call drift and cost a full
+// re-calibration. The high sentinel, measured only when the low one
+// holds, keeps the median of three.
 func (m *Meter) DriftOK() bool {
 	if !m.haveSentinels {
 		return true
 	}
-	low := m.SampleN(m.sentinelLow[0], m.sentinelLow[1], 3)
-	high := m.SampleN(m.sentinelHigh[0], m.sentinelHigh[1], 3)
-	return low < m.thresh && high >= m.thresh
+	if m.allHigh(m.sentinelLow[0], m.sentinelLow[1], 3) {
+		return false
+	}
+	return m.SampleN(m.sentinelHigh[0], m.sentinelHigh[1], 3) >= m.thresh
 }
 
 func abs(x float64) float64 {

@@ -320,6 +320,38 @@ func TestDriftOKDetectsShift(t *testing.T) {
 	}
 }
 
+// TestDriftOKOneSided checks the drift check on scripted sample streams:
+// the low sentinel's samples come first, and it reads as drifted only
+// on three highs, its first low sample ending that test; the high
+// sentinel, measured only after the low one holds, keeps the median of
+// three.
+func TestDriftOKOneSided(t *testing.T) {
+	const thresh = 100
+	for _, c := range []struct {
+		name   string
+		stream []float64
+		ok     bool
+		took   int
+	}{
+		{"low sentinel low at once", []float64{80, 120, 130, 110}, true, 4},
+		{"low sentinel low on its third", []float64{120, 130, 90, 120, 130, 110}, true, 6},
+		{"low sentinel on three highs", []float64{120, 130, 100}, false, 3},
+		{"high sentinel median high", []float64{80, 90, 120, 110}, true, 4},
+		{"high sentinel median low", []float64{80, 120, 90, 95}, false, 4},
+		{"high sentinel one high", []float64{80, 130, 90, 80}, false, 4},
+	} {
+		target := &scriptTarget{samples: c.stream}
+		meter, _ := NewMeter(target, 600, 3)
+		meter.SetThreshold(thresh)
+		meter.sentinelLow = [2]addr.Phys{0, 64}
+		meter.sentinelHigh = [2]addr.Phys{128, 192}
+		meter.haveSentinels = true
+		if got := meter.DriftOK(); got != c.ok || target.next != c.took {
+			t.Errorf("%s %v: ok %v after %d samples, want %v after %d", c.name, c.stream, got, target.next, c.ok, c.took)
+		}
+	}
+}
+
 func TestDriftOKWithoutSentinels(t *testing.T) {
 	m := no1(t)
 	meter, _ := NewMeter(m, 600, 1)
