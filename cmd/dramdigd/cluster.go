@@ -363,7 +363,11 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 	if job, ok := s.q.Get(id); ok && job.LeaseToken != "" && job.LeaseOwner == worker && job.LeaseToken == token {
 		s.ingestSnapshot(worker, snap)
 		if s.tracer != nil && len(spans) > 0 {
-			s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
+			n := s.tracer.Ingest(spans...)
+			s.cl.spans.Add(uint64(n))
+			if n < len(spans) {
+				s.log.Warn("worker spans refused", "worker", worker, "refused", len(spans)-n)
+			}
 		}
 	}
 	if err := s.q.CompleteLease(id, worker, token, report); err != nil {

@@ -219,3 +219,28 @@ func TestDebugSpansBadLimit(t *testing.T) {
 		t.Fatalf("GET debug spans with bad limit: %d %v, want 400", code, m)
 	}
 }
+
+// TestSpanWorkerParentCycle: worker spans that name each other as
+// parents must not send the timeline's worker attribution into endless
+// recursion; an attributed ancestor outside the cycle still resolves.
+func TestSpanWorkerParentCycle(t *testing.T) {
+	id := func(s string) obs.SpanID {
+		sid, err := obs.ParseSpanID(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sid
+	}
+	a := &obs.SpanData{SpanID: id("0000000000000001"), Parent: id("0000000000000002")}
+	b := &obs.SpanData{SpanID: id("0000000000000002"), Parent: id("0000000000000001")}
+	root := &obs.SpanData{SpanID: id("0000000000000003"), Attrs: []obs.Attr{obs.KV("worker", "w1")}}
+	child := &obs.SpanData{SpanID: id("0000000000000004"), Parent: root.SpanID}
+	byID := map[obs.SpanID]*obs.SpanData{a.SpanID: a, b.SpanID: b, root.SpanID: root, child.SpanID: child}
+	memo := map[obs.SpanID]string{}
+	if w := spanWorker(a, byID, memo); w != "" {
+		t.Errorf("cycle resolved to worker %q", w)
+	}
+	if w := spanWorker(child, byID, memo); w != "w1" {
+		t.Errorf("child of w1's span resolved to %q", w)
+	}
+}

@@ -44,11 +44,14 @@ const defaultTimelineLimit = 1000
 // spanWorker resolves which worker produced a span: its own "worker"
 // attribute, or the nearest ancestor's. Coordinator-side spans (HTTP
 // handling, queue.wait) have no worker anywhere on their chain and
-// resolve to "".
+// resolve to "". The span is memoized as "" before its parent is read,
+// so a parent chain that loops back (worker spans naming each other as
+// parents) ends there instead of recursing forever.
 func spanWorker(sp *obs.SpanData, byID map[obs.SpanID]*obs.SpanData, memo map[obs.SpanID]string) string {
 	if w, ok := memo[sp.SpanID]; ok {
 		return w
 	}
+	memo[sp.SpanID] = ""
 	w := ""
 	for _, a := range sp.Attrs {
 		if a.Key == "worker" {

@@ -72,7 +72,13 @@ func TestTracerIngest(t *testing.T) {
 		End:     time.Now().Add(time.Millisecond),
 	}
 	bad := SpanData{Name: "no ids"}
-	if n := tr.Ingest(remote, bad); n != 1 {
+	backwards := remote
+	backwards.SpanID = mustSpanID(t, "00f067aa0ba902b8")
+	backwards.End = backwards.Start.Add(-5 * time.Microsecond)
+	ownParent := remote
+	ownParent.SpanID = mustSpanID(t, "00f067aa0ba902b9")
+	ownParent.Parent = ownParent.SpanID
+	if n := tr.Ingest(remote, bad, backwards, ownParent); n != 1 {
 		t.Fatalf("ingested %d, want 1", n)
 	}
 	_ = ctx
@@ -102,4 +108,25 @@ func mustSpanID(t *testing.T, s string) SpanID {
 		t.Fatal(err)
 	}
 	return id
+}
+
+// TestSpanDataDecodeRefusesImpossibleSpans: the wire decoder refuses a
+// span with a negative duration or with itself as parent, as it refuses
+// malformed IDs.
+func TestSpanDataDecodeRefusesImpossibleSpans(t *testing.T) {
+	for _, body := range []string{
+		`{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","name":"x","start_unix_nano":1700000000000000000,"duration_ns":-5000}`,
+		`{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","parent_span_id":"00f067aa0ba902b7","name":"x","start_unix_nano":1700000000000000000,"duration_ns":5000}`,
+		`{"trace_id":"00000000000000000000000000000000","span_id":"00f067aa0ba902b7","name":"x"}`,
+	} {
+		var sp SpanData
+		if err := json.Unmarshal([]byte(body), &sp); err == nil {
+			t.Errorf("decoded %s as %+v", body, sp)
+		}
+	}
+	var sp SpanData
+	ok := `{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","name":"x","start_unix_nano":1700000000000000000}`
+	if err := json.Unmarshal([]byte(ok), &sp); err != nil || sp.Duration() != 0 {
+		t.Errorf("zero-length span refused: %v", err)
+	}
 }

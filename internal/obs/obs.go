@@ -218,6 +218,20 @@ type SpanData struct {
 // Duration is the span's wall-clock length.
 func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 
+// validate reports why a finished span cannot be retained: a zero ID, a
+// parent that is the span itself, or an end before its start.
+func (d SpanData) validate() error {
+	switch {
+	case d.TraceID.IsZero() || d.SpanID.IsZero():
+		return fmt.Errorf("obs: span %q lacks a trace or span ID", d.Name)
+	case d.Parent == d.SpanID:
+		return fmt.Errorf("obs: span %s is its own parent", d.SpanID)
+	case d.End.Before(d.Start):
+		return fmt.Errorf("obs: span %s ends %v before it starts", d.SpanID, -d.Duration())
+	}
+	return nil
+}
+
 // spanJSON is the wire shape of one span.
 type spanJSON struct {
 	TraceID      string            `json:"trace_id"`
@@ -257,7 +271,9 @@ func (d SpanData) MarshalJSON() ([]byte, error) { return marshalJSON(d.json()) }
 // UnmarshalJSON parses the wire shape back into a SpanData — the
 // inverse of MarshalJSON, so finished spans can be shipped across a
 // process boundary (a worker's campaign spans riding its completion
-// report) and ingested into another tracer's ring.
+// report) and ingested into another tracer's ring. It refuses a span
+// that no tracer could have finished: one that is its own parent or
+// whose duration is negative.
 func (d *SpanData) UnmarshalJSON(b []byte) error {
 	var j spanJSON
 	if err := json.Unmarshal(b, &j); err != nil {
@@ -278,7 +294,7 @@ func (d *SpanData) UnmarshalJSON(b []byte) error {
 		}
 	}
 	start := time.Unix(0, j.StartUnixNs)
-	*d = SpanData{
+	sp := SpanData{
 		TraceID: tid,
 		SpanID:  sid,
 		Parent:  parent,
@@ -287,6 +303,10 @@ func (d *SpanData) UnmarshalJSON(b []byte) error {
 		End:     start.Add(time.Duration(j.DurationNs)),
 		Status:  j.Status,
 	}
+	if err := sp.validate(); err != nil {
+		return err
+	}
+	*d = sp
 	if len(j.Attrs) > 0 {
 		keys := make([]string, 0, len(j.Attrs))
 		for k := range j.Attrs {
@@ -581,7 +601,8 @@ func (t *Tracer) finish(data SpanData) {
 
 // Ingest lands already-finished spans — typically deserialized from a
 // remote process — in the ring, exactly as if they had finished here,
-// and returns how many it accepted. Spans without valid IDs are
+// and returns how many it accepted. Spans without valid IDs, spans that
+// are their own parent and spans that end before they start are
 // skipped. The started counter deliberately does not move: these spans
 // were started elsewhere, and Stats should not suggest this tracer is
 // leaking unfinished spans.
@@ -591,7 +612,7 @@ func (t *Tracer) Ingest(spans ...SpanData) int {
 	}
 	n := 0
 	for _, sp := range spans {
-		if sp.TraceID.IsZero() || sp.SpanID.IsZero() {
+		if sp.validate() != nil {
 			continue
 		}
 		t.finish(sp)
