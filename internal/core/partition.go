@@ -79,17 +79,15 @@ const (
 
 // partition runs Algorithm 2 over the selected pool; bankBits are the
 // candidate bits Algorithm 3 resolves the early stop's functions over.
-// By default it first builds truncated piles over the pool in one
-// shuffled order and keeps them only when the early stop verifies them;
-// otherwise, and always under PaperStop, it scans in full.
+// By default it first builds truncated piles and keeps them only when
+// the early stop verifies them; otherwise, and always under PaperStop,
+// it scans in full.
 func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile, error) {
 	if len(pool) < 2*banks {
 		return nil, fmt.Errorf("pool of %d addresses too small for %d banks", len(pool), banks)
 	}
 	if !t.cfg.PaperStop {
-		order := slices.Clone(pool)
-		t.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		piles, err := t.partitionRounds(order, bankBits, banks, pileCap, truncatedRounds*banks)
+		piles, err := t.partitionRounds(pool, bankBits, banks, pileCap, truncatedRounds*banks)
 		if piles != nil || err != nil {
 			return piles, err
 		}
@@ -99,20 +97,23 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 }
 
 // partitionRounds runs up to maxRounds of Algorithm 2's rounds over the
-// pool in the given order. A round measures a random representative
-// against the remaining addresses in that order. With memberCap > 0 the
-// scan stops once the pile holds memberCap members, and the rounds
-// return piles only when the early stop verifies them, nil otherwise.
-// With memberCap 0 every round scans all that remains, and the rounds
-// end by the paper's rule when no early stop fires.
-func (t *Tool) partitionRounds(order []addr.Phys, bankBits []uint, banks, memberCap, maxRounds int) ([]*pile, error) {
-	poolSz := len(order)
+// pool. A round measures a random representative against the remaining
+// addresses in order. With memberCap > 0 that order is one shuffle of
+// the pool, each scan stops once the pile holds memberCap members, and
+// the rounds return piles only when the early stop verifies them, nil
+// otherwise. With memberCap 0 every round scans all that remains, and
+// the rounds end by the paper's rule when no early stop fires.
+func (t *Tool) partitionRounds(pool []addr.Phys, bankBits []uint, banks, memberCap, maxRounds int) ([]*pile, error) {
+	poolSz := len(pool)
 	pileSz := float64(poolSz) / float64(banks)
 	lo := (1 - t.cfg.Delta) * pileSz
 	hi := (1 + t.cfg.Delta) * pileSz
 	stopRemaining := int((1 - t.cfg.PerThreshold) * float64(poolSz))
 
-	remaining := slices.Clone(order)
+	remaining := slices.Clone(pool)
+	if memberCap > 0 {
+		t.rng.Shuffle(len(remaining), func(i, j int) { remaining[i], remaining[j] = remaining[j], remaining[i] })
+	}
 	var piles []*pile
 	for round := 0; round < maxRounds; round++ {
 		if len(remaining) <= stopRemaining || len(piles) == banks {
@@ -175,7 +176,7 @@ func (t *Tool) partitionRounds(order []addr.Phys, bankBits []uint, banks, member
 		if err != nil {
 			continue
 		}
-		holds, err := t.predictionHolds(funcs, order, remaining)
+		holds, err := t.predictionHolds(funcs, pool, remaining)
 		if err != nil {
 			return nil, err
 		}
