@@ -363,11 +363,7 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 	if job, ok := s.q.Get(id); ok && job.LeaseToken != "" && job.LeaseOwner == worker && job.LeaseToken == token {
 		s.ingestSnapshot(worker, snap)
 		if s.tracer != nil && len(spans) > 0 {
-			n := s.tracer.Ingest(spans...)
-			s.cl.spans.Add(uint64(n))
-			if n < len(spans) {
-				s.log.Warn("worker spans refused", "worker", worker, "refused", len(spans)-n)
-			}
+			s.cl.spans.Add(uint64(s.tracer.Ingest(spans...)))
 		}
 	}
 	if err := s.q.CompleteLease(id, worker, token, report); err != nil {

@@ -52,11 +52,12 @@ func (t *Tool) pairForBit(pool *alloc.Pool, mask uint64, trials int) [][2]addr.P
 
 // voteConflict measures all pairs and reports whether a strict majority
 // conflicts. A pair counts as conflicting only on the meter's unanimous
-// vote (timing.Meter.IsConflictUnanimous): both tests read a conflict as
-// the finding (a row bit, a column bit), and whole-measurement outliers
-// only add latency, so a false high is the error that moves a bank-
-// function bit out of Algorithm 3's candidates and yields a wrong
-// mapping that still validates.
+// vote (timing.Meter.IsConflictUnanimous): every caller reads a conflict
+// as the finding (a row or column bit here, a shared row bit in Step 3),
+// and whole-measurement outliers only add latency, so a false high is
+// the costly error. In the column test it moves a bank-function bit out
+// of Algorithm 3's candidates and yields a wrong mapping that still
+// validates.
 func (t *Tool) voteConflict(pairs [][2]addr.Phys) bool {
 	if len(pairs) == 0 {
 		return false
