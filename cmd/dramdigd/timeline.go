@@ -37,8 +37,9 @@ type timelineEvent struct {
 }
 
 // defaultTimelineLimit bounds the response when the client doesn't ask
-// for one; ?limit raises or lowers it. The response always reports the
-// total so a truncated read is visible.
+// for one; ?limit raises or lowers it. A truncated timeline keeps its
+// newest events, the campaign's terminal state among them, and the
+// response always reports the total so a truncated read is visible.
 const defaultTimelineLimit = 1000
 
 // spanWorker resolves which worker produced a span: its own "worker"
@@ -143,7 +144,7 @@ func (s *server) handleGetCampaignTimeline(w http.ResponseWriter, r *http.Reques
 	total := len(events)
 	truncated := total > limit
 	if truncated {
-		events = events[:limit]
+		events = events[total-limit:]
 	}
 	if events == nil {
 		events = []timelineEvent{}

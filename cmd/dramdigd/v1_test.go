@@ -313,6 +313,42 @@ func TestV1Events(t *testing.T) {
 
 // TestV1EventsAfterCompletion: attaching to a finished campaign replays
 // the recorded events and terminates immediately.
+// TestV1TimelineKeepsNewestEvents: a timeline cut by ?limit keeps its
+// newest events, so a finished campaign's terminal queue event survives
+// the cut, and the response reports the cut and the full total.
+func TestV1TimelineKeepsNewestEvents(t *testing.T) {
+	srv := newTestServer(t)
+	stubRunner(t, srv)
+	code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1,2]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: %d %v", code, m)
+	}
+	id := m["id"].(string)
+	waitDone(t, srv, id)
+
+	_, full := doJSON(t, srv, "GET", "/v1/campaigns/"+id+"/timeline", "")
+	all, _ := full["events"].([]any)
+	if len(all) <= 2 || full["truncated"] != false || full["total"] != float64(len(all)) {
+		t.Fatalf("full timeline: %d events, total %v, truncated %v", len(all), full["total"], full["truncated"])
+	}
+	code, cut := doJSON(t, srv, "GET", "/v1/campaigns/"+id+"/timeline?limit=2", "")
+	if code != http.StatusOK {
+		t.Fatalf("GET timeline?limit=2: %d %v", code, cut)
+	}
+	events, _ := cut["events"].([]any)
+	if len(events) != 2 || cut["truncated"] != true || cut["total"] != full["total"] {
+		t.Fatalf("cut timeline: %d events, total %v, truncated %v", len(events), cut["total"], cut["truncated"])
+	}
+	for i, e := range events {
+		if want := all[len(all)-2+i]; fmt.Sprint(e) != fmt.Sprint(want) {
+			t.Errorf("cut event %d = %v, want the full timeline's %v", i, e, want)
+		}
+	}
+	if last := events[1].(map[string]any); last["source"] != "queue" || last["type"] != "done" {
+		t.Errorf("last event %v, want the terminal queue event", last)
+	}
+}
+
 func TestV1EventsAfterCompletion(t *testing.T) {
 	srv := newTestServer(t)
 	stubRunner(t, srv)

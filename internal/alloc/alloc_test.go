@@ -3,6 +3,7 @@ package alloc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dramdig/internal/addr"
@@ -53,7 +54,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPoolInvariants(t *testing.T) {
 	p := newTestPool(t, DefaultConfig(8<<30), 42)
-	pages := p.Pages()
+	pages := slices.Collect(p.All())
 	if len(pages) == 0 {
 		t.Fatal("empty pool")
 	}
@@ -108,7 +109,7 @@ func TestFragmentedPrimary(t *testing.T) {
 
 func TestContains(t *testing.T) {
 	p := newTestPool(t, DefaultConfig(8<<30), 11)
-	pg := p.Pages()[0]
+	pg := slices.Collect(p.All())[0]
 	if !p.Contains(pg) || !p.Contains(pg+63) || !p.Contains(pg+addr.Phys(PageSize-1)) {
 		t.Error("bytes of an owned page reported absent")
 	}
@@ -168,7 +169,7 @@ func TestDeterministicLayout(t *testing.T) {
 	if a.NumPages() != b.NumPages() {
 		t.Fatal("same seed produced different pools")
 	}
-	pa, pb := a.Pages(), b.Pages()
+	pa, pb := slices.Collect(a.All()), slices.Collect(b.All())
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatalf("page %d differs", i)
@@ -178,7 +179,7 @@ func TestDeterministicLayout(t *testing.T) {
 
 func TestMaxPhys(t *testing.T) {
 	p := newTestPool(t, DefaultConfig(8<<30), 37)
-	last := p.Pages()[p.NumPages()-1]
+	last := slices.Collect(p.All())[p.NumPages()-1]
 	if p.MaxPhys() != last+addr.Phys(PageSize) {
 		t.Errorf("MaxPhys = %v", p.MaxPhys())
 	}
@@ -206,5 +207,32 @@ func BenchmarkNewPool(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRandomAddr draws cache-line addresses from the default
+// layout, as calibration and Step 1's pair search do.
+func BenchmarkRandomAddr(b *testing.B) {
+	p := newTestPool(b, DefaultConfig(8<<30), 1)
+	rng := rand.New(rand.NewSource(2))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.RandomAddr(rng, 64)
+	}
+}
+
+// BenchmarkContainsPage looks up the addresses Step 1's pair search
+// tests: a drawn address with one bit from 6 to 32 flipped, which lands
+// outside the pool about as often as not.
+func BenchmarkContainsPage(b *testing.B) {
+	p := newTestPool(b, DefaultConfig(8<<30), 1)
+	rng := rand.New(rand.NewSource(2))
+	probes := make([]addr.Phys, 4096)
+	for i := range probes {
+		probes[i] = p.RandomAddr(rng, 64) ^ addr.Phys(1)<<(6+rng.Intn(27))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.ContainsPage(probes[i%len(probes)])
 	}
 }

@@ -66,7 +66,8 @@ func (p *refPool) pageMiss(start, end addr.Phys) bool {
 	return false
 }
 
-func TestPoolMatchesReference(t *testing.T) {
+// refConfigs are the layouts the reference tests compare on.
+func refConfigs() map[string]Config {
 	frag := DefaultConfig(8 << 30)
 	frag.FragmentPrimary = true
 	frag.HoleProb = 0.05
@@ -82,13 +83,22 @@ func TestPoolMatchesReference(t *testing.T) {
 	straddling := Config{MemBytes: 256 << 20, PrimaryBytes: 24 << 20, ScatterChunks: 40, ScatterChunkBytes: 16 << 20, HoleProb: 0.1, FragmentPrimary: true}
 	straddlingSolid := straddling
 	straddlingSolid.HoleProb = 0
-	configs := map[string]Config{
+	// Chunks of 10 and 3 pages sit off the pool's 64-page word grid, so
+	// runs start and end inside words and touching runs share one.
+	offGrid := Config{MemBytes: 1 << 20, PrimaryBytes: 10 * PageSize, ScatterChunks: 40, ScatterChunkBytes: 3 * PageSize, HoleProb: 0.1, FragmentPrimary: true}
+	// Chunks of 300 and 100 pages span several words off the grid.
+	offGridWide := Config{MemBytes: 64 << 20, PrimaryBytes: 300 * PageSize, ScatterChunks: 60, ScatterChunkBytes: 100 * PageSize, HoleProb: 0.05}
+	return map[string]Config{
 		"default": DefaultConfig(8 << 30), "fragment-primary": frag, "no-holes": solid,
 		"crowded": crowded, "crowded-fragmented": crowdedFrag,
 		"straddling": straddling, "straddling-no-holes": straddlingSolid,
+		"off-grid": offGrid, "off-grid-wide": offGridWide,
 	}
+}
+
+func TestPoolMatchesReference(t *testing.T) {
 	const P = addr.Phys(PageSize)
-	for name, cfg := range configs {
+	for name, cfg := range refConfigs() {
 		for seed := int64(1); seed <= 4; seed++ {
 			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			got, err := NewPool(cfg, rngA)
@@ -99,7 +109,7 @@ func TestPoolMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(got.Pages(), ref.pages) {
+			if !slices.Equal(slices.Collect(got.All()), ref.pages) {
 				t.Fatalf("%s seed %d: %d pages, reference %d, or a different layout", name, seed, got.NumPages(), len(ref.pages))
 			}
 			if s, e := got.PrimaryRange(); s != ref.primary.start || e != ref.primary.end {
@@ -144,6 +154,39 @@ func TestPoolMatchesReference(t *testing.T) {
 			}
 			if s, e := got.PrimaryRange(); got.PageMiss(s, e) != ref.pageMiss(s, e) {
 				t.Fatalf("%s seed %d: PageMiss over the primary differs", name, seed)
+			}
+		}
+	}
+}
+
+// TestRandomAddrMatchesReference: RandomAddr draws the same addresses
+// as indexing the reference's page list, and consumes the same draws.
+func TestRandomAddrMatchesReference(t *testing.T) {
+	for name, cfg := range refConfigs() {
+		for seed := int64(1); seed <= 4; seed++ {
+			got, err := NewPool(cfg, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefPool(cfg, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumPages() != len(ref.pages) {
+				t.Fatalf("%s seed %d: %d pages, reference %d", name, seed, got.NumPages(), len(ref.pages))
+			}
+			for _, align := range []uint64{64, PageSize} {
+				rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				for i := 0; i < 10000; i++ {
+					a := got.RandomAddr(rngA, align)
+					b := ref.pages[rngB.Intn(len(ref.pages))] + addr.Phys(uint64(rngB.Int63n(int64(PageSize/align)))*align)
+					if a != b {
+						t.Fatalf("%s seed %d align %d: draw %d is %v, reference %v", name, seed, align, i, a, b)
+					}
+				}
+				if a, b := rngA.Int63(), rngB.Int63(); a != b {
+					t.Fatalf("%s seed %d align %d: rng diverged after the draws", name, seed, align)
+				}
 			}
 		}
 	}

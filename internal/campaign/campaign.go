@@ -64,7 +64,9 @@ type Spec struct {
 	// make strict replays diverge.
 	Source func(attempt int) (source.Source, error)
 	// FP overrides the machine-identity fingerprint reported for
-	// source-based jobs (live jobs fingerprint their definition).
+	// source-based jobs (live jobs fingerprint their definition). A
+	// running job sets it, so Config.Wrap and Config.TraceSink always
+	// receive the spec with its fingerprint in FP.
 	FP string
 }
 
@@ -331,6 +333,10 @@ func Run(ctx context.Context, specs []Spec, cfg Config) (*Report, error) {
 // runJob executes one spec (through the wrapper when configured) and
 // converts the outcome into a JobResult.
 func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event)) JobResult {
+	// Hashing a definition is not free (about 0.1 ms on the largest
+	// settings), and the wrapper, the trace sink and the result each
+	// want the fingerprint: compute it once and carry it in the spec.
+	spec.FP = spec.MachineFingerprint()
 	name := spec.Name
 	if name == "" {
 		name = spec.Def.Name
@@ -363,7 +369,7 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 		Attempts:           out.Attempts,
 		Match:              out.Match,
 		Cached:             out.Cached,
-		MachineFingerprint: spec.MachineFingerprint(),
+		MachineFingerprint: spec.FP,
 		WallSeconds:        time.Since(start).Seconds(),
 	}
 	if out.Err == nil && out.Result != nil && out.Result.Mapping != nil {

@@ -202,6 +202,35 @@ func TestCampaignWrap(t *testing.T) {
 	}
 }
 
+// TestCampaignWrapReceivesFingerprint: a job computes its machine
+// fingerprint once, and the wrapper receives it in the spec.
+func TestCampaignWrapReceivesFingerprint(t *testing.T) {
+	specs := []Spec{mustSpec(t, 1), mustSpec(t, 6)}
+	var got []Spec
+	rep, err := Run(context.Background(), specs, Config{
+		Seed:    5,
+		Workers: 1,
+		Wrap: func(_ context.Context, spec Spec, run func() Outcome) Outcome {
+			got = append(got, spec)
+			return run()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(specs) {
+		t.Fatalf("wrapper saw %d jobs, want %d", len(got), len(specs))
+	}
+	for i, spec := range got {
+		if want := spec.Def.Fingerprint(); spec.FP == "" || spec.FP != want {
+			t.Errorf("%s: wrapper got FP %q, want %q", spec.Def.Name, spec.FP, want)
+		}
+		if jr := rep.Jobs[i]; jr.MachineFingerprint != jr.Spec.Def.Fingerprint() {
+			t.Errorf("%s: report carries fingerprint %q", jr.Name, jr.MachineFingerprint)
+		}
+	}
+}
+
 // TestGeneratedSpecs: generation is deterministic in the seed and the
 // pipeline handles a generated machine end to end.
 func TestGeneratedSpecs(t *testing.T) {

@@ -80,7 +80,7 @@ func TestBehaviourGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			buf := make([]byte, 0, 8*pool.NumPages())
-			for _, pg := range pool.Pages() {
+			for pg := range pool.All() {
 				buf = binary.LittleEndian.AppendUint64(buf, uint64(pg))
 			}
 			sum := sha256.Sum256(buf)

@@ -389,7 +389,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 		len(sel.pool), sel.bMin, sel.bMax, addr.FormatBitRanges(sel.extraBits))
 
 	// Step 2b: Algorithm 2 — partition into piles.
-	piles, err := t.partition(sel.pool, coarse.bankBits, banks)
+	piles, verified, err := t.partition(sel.pool, coarse.bankBits, banks)
 	if err != nil {
 		failPhase(sp, err)
 		return nil, fmt.Errorf("dramdig step 2 (partition): %w", err)
@@ -401,7 +401,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	// Step 2c: Algorithm 3 — bank address function detection.
 	stepClock, stepMeas = t.target.ClockNs(), t.measurements()
 	sp = t.startPhase("resolve")
-	funcs, err := t.resolveFuncs(piles, coarse.bankBits, banks)
+	funcs, err := t.resolve(piles, verified, coarse.bankBits, banks)
 	if err != nil {
 		failPhase(sp, err)
 		return nil, fmt.Errorf("dramdig step 2 (resolve): %w", err)

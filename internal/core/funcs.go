@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dramdig/internal/addr"
 	"dramdig/internal/linalg"
@@ -26,32 +27,48 @@ import (
 // paper's settings need at most 14.
 const maxBankCandidateBits = 16
 
-// resolveFuncs runs Algorithm 3.
-func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64, error) {
-	if len(bankBits) > maxBankCandidateBits {
-		return nil, fmt.Errorf("%d bank-bit candidates exceed enumeration limit %d",
-			len(bankBits), maxBankCandidateBits)
+// resolve runs Step 2c on the piles partition returned. When the early
+// stop verified functions on exactly these piles, those are what
+// Algorithm 3 returns on them, so they are reused rather than scored
+// again. The nominal cost of scoring is charged all the same: the
+// resolve step's simulated time, the drift guard's clock and so every
+// later measurement stay what running Algorithm 3 again leaves them.
+func (t *Tool) resolve(piles []*pile, verified []uint64, bankBits []uint, banks int) ([]uint64, error) {
+	if verified == nil {
+		return t.resolveFuncs(piles, bankBits, banks)
 	}
+	t.chargeMasks(bits.OnesCount64(addr.MaskFromBits(bankBits)), len(piles))
+	return verified, nil
+}
+
+// resolveFuncs runs Algorithm 3 over the piles.
+func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64, error) {
+	tl, err := newTally(bankBits, t.cfg.PileAgreeFrac)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range piles {
+		tl.add(p)
+	}
+	return t.resolveTallied(tl, piles, banks)
+}
+
+// resolveTallied runs Algorithm 3 on the piles tl has scored.
+func (t *Tool) resolveTallied(tl *tally, piles []*pile, banks int) ([]uint64, error) {
 	L := log2int(banks)
 	if L == 0 {
 		return nil, fmt.Errorf("single-bank system has no bank functions")
 	}
-
-	// Count, for every mask, the piles it is constant on.
-	bits := addr.BitsFromMask(addr.MaskFromBits(bankBits))
-	constCount := constCounts(piles, bits, t.cfg.PileAgreeFrac)
-	nMasks := len(constCount) - 1
-	// Mask evaluation is tool-side CPU work; charge a nominal cost.
-	t.target.AdvanceClock(float64(nMasks*len(piles)) * 50)
+	t.chargeMasks(len(tl.bits), len(piles))
 
 	need := int(t.cfg.FuncPileFrac * float64(len(piles)))
 	if need < 1 {
 		need = 1
 	}
 	var candidates []uint64
-	for m, n := range constCount {
+	for m, n := range tl.counts {
 		if m != 0 && n >= need {
-			candidates = append(candidates, uint64(addr.Phys(0).Deposit(bits, uint64(m))))
+			candidates = append(candidates, uint64(addr.Phys(0).Deposit(tl.bits, uint64(m))))
 		}
 	}
 	if len(candidates) == 0 {
@@ -95,24 +112,54 @@ func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64
 	return chosen, nil
 }
 
-// constCounts returns, for every mask over bits (bit i of the index
-// selects physical bit bits[i]), the number of piles on which at least
-// frac of the members, the representative included, agree with the
-// representative's parity under that mask.
-func constCounts(piles []*pile, bits []uint, frac float64) []int {
-	counts := make([]int, 1<<len(bits))
-	agree := make([]int32, len(counts))
-	for _, p := range piles {
-		pileAgreement(agree, p, bits)
-		n := float64(1 + len(p.members))
-		for m, a := range agree {
-			if float64(a) >= frac*n {
-				counts[m]++
-			}
+// chargeMasks advances the clock by the nominal cost of scoring every
+// non-empty mask over nBits candidate bits on the given number of piles:
+// mask evaluation is tool-side CPU work.
+func (t *Tool) chargeMasks(nBits, piles int) {
+	nMasks := 1<<nBits - 1
+	t.target.AdvanceClock(float64(nMasks*piles) * 50)
+}
+
+// tally counts, for every mask over bits (bit i of the index selects
+// physical bit bits[i]), the piles on which at least frac of the
+// members, the representative included, agree with the representative's
+// parity under that mask. Piles are added one at a time, each scored
+// once, and the buffers live as long as the tally.
+type tally struct {
+	bits   []uint
+	frac   float64
+	counts []int
+	agree  []int32
+}
+
+// newTally returns an empty tally over the distinct candidate bits.
+func newTally(bankBits []uint, frac float64) (*tally, error) {
+	if len(bankBits) > maxBankCandidateBits {
+		return nil, fmt.Errorf("%d bank-bit candidates exceed enumeration limit %d",
+			len(bankBits), maxBankCandidateBits)
+	}
+	bits := addr.BitsFromMask(addr.MaskFromBits(bankBits))
+	return &tally{
+		bits:   bits,
+		frac:   frac,
+		counts: make([]int, 1<<len(bits)),
+		agree:  make([]int32, 1<<len(bits)),
+	}, nil
+}
+
+// add scores one pile.
+func (tl *tally) add(p *pile) {
+	pileAgreement(tl.agree, p, tl.bits)
+	n := float64(1 + len(p.members))
+	for m, a := range tl.agree {
+		if float64(a) >= tl.frac*n {
+			tl.counts[m]++
 		}
 	}
-	return counts
 }
+
+// reset forgets every pile added so far.
+func (tl *tally) reset() { clear(tl.counts) }
 
 // pileAgreement fills agree, of length 2^len(bits), with the number of
 // the pile's addresses (representative included) whose parity under each

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dramdig/internal/addr"
@@ -10,6 +11,25 @@ import (
 // all returns rep plus members.
 func (p *pile) all() []addr.Phys {
 	return append([]addr.Phys{p.rep}, p.members...)
+}
+
+// constCounts scores the piles in one batch, as Algorithm 3 did before
+// the tally: for every mask over bits, the number of piles on which at
+// least frac of the members, the representative included, agree with
+// the representative's parity. It is kept as the tally's reference.
+func constCounts(piles []*pile, bits []uint, frac float64) []int {
+	counts := make([]int, 1<<len(bits))
+	agree := make([]int32, len(counts))
+	for _, p := range piles {
+		pileAgreement(agree, p, bits)
+		n := float64(1 + len(p.members))
+		for m, a := range agree {
+			if float64(a) >= frac*n {
+				counts[m]++
+			}
+		}
+	}
+	return counts
 }
 
 // constCountsRef is the brute-force mask scoring constCounts replaced:
@@ -161,6 +181,46 @@ func TestConstCountsAtThreshold(t *testing.T) {
 		}
 		if got := constCountsRef([]*pile{p}, bits, tc.frac)[f]; got != tc.want {
 			t.Errorf("reference at frac %v: count %d, want %d", tc.frac, got, tc.want)
+		}
+	}
+}
+
+// TestTallyMatchesConstCounts: a tally fed one pile at a time holds
+// constCounts over the piles added so far, at every step and after a
+// reset, for |B| from 4 to 14.
+func TestTallyMatchesConstCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const frac = 0.95
+	for nb := 4; nb <= 14; nb++ {
+		var mask uint64
+		for _, b := range rng.Perm(37)[:nb] {
+			mask |= 1 << (b + 3)
+		}
+		bits := addr.BitsFromMask(mask)
+		funcs := hiddenFuncs(rng, bits, nb/2)
+		tl, err := newTally(bits, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			var piles []*pile
+			for i := 0; i < 6; i++ {
+				size := []int{1, 25, 40, 1 + rng.Intn(300)}[rng.Intn(4)]
+				dirty := int((1 - frac) * float64(size))
+				if rng.Intn(3) == 0 {
+					dirty = rng.Intn(size)
+				}
+				p := randomPile(rng, bits, funcs, size, dirty)
+				piles = append(piles, p)
+				tl.add(p)
+				if want := constCounts(piles, bits, frac); !slices.Equal(tl.counts, want) {
+					t.Fatalf("|B|=%d round %d: tally of %d piles differs from constCounts", nb, round, len(piles))
+				}
+			}
+			tl.reset()
+			if slices.ContainsFunc(tl.counts, func(n int) bool { return n != 0 }) {
+				t.Fatalf("|B|=%d: reset left counts behind", nb)
+			}
 		}
 	}
 }

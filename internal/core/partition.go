@@ -25,7 +25,9 @@
 // the piles so far, and pairs of unassigned addresses they predict to
 // share a bank are measured. A wrong function span puts at most half of
 // its predicted same-bank pairs in one bank, so it cannot reach the
-// (1 − δ) conflict bar.
+// (1 − δ) conflict bar. Each accepted pile is scored for Algorithm 3
+// once, into a tally the early stop resolves from, and functions it
+// verifies are the resolve step's result (see resolve).
 //
 // Algorithm 3 reads a pile only through the masks constant on it, so a
 // pile needs just enough members to span its coset, not the whole bank.
@@ -81,19 +83,28 @@ const (
 // candidate bits Algorithm 3 resolves the early stop's functions over.
 // By default it first builds truncated piles and keeps them only when
 // the early stop verifies them; otherwise, and always under PaperStop,
-// it scans in full.
-func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile, error) {
+// it scans in full. When the early stop fired, it also returns the
+// functions it verified on the returned piles.
+func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile, []uint64, error) {
 	if len(pool) < 2*banks {
-		return nil, fmt.Errorf("pool of %d addresses too small for %d banks", len(pool), banks)
+		return nil, nil, fmt.Errorf("pool of %d addresses too small for %d banks", len(pool), banks)
 	}
-	if !t.cfg.PaperStop {
-		piles, err := t.partitionRounds(pool, bankBits, banks, pileCap, truncatedRounds*banks)
-		if piles != nil || err != nil {
-			return piles, err
-		}
-		t.logf("partition: no prediction verified from truncated piles; rescanning in full")
+	if t.cfg.PaperStop {
+		return t.partitionRounds(pool, nil, banks, 0, t.cfg.MaxPartitionIters*banks)
 	}
-	return t.partitionRounds(pool, bankBits, banks, 0, t.cfg.MaxPartitionIters*banks)
+	// The early stop scores each accepted pile once, into one tally.
+	// With too many candidate bits to enumerate there is none, and no
+	// early stop: Algorithm 3 refuses those bits in the resolve step.
+	tl, _ := newTally(bankBits, t.cfg.PileAgreeFrac)
+	piles, verified, err := t.partitionRounds(pool, tl, banks, pileCap, truncatedRounds*banks)
+	if piles != nil || err != nil {
+		return piles, verified, err
+	}
+	t.logf("partition: no prediction verified from truncated piles; rescanning in full")
+	if tl != nil {
+		tl.reset()
+	}
+	return t.partitionRounds(pool, tl, banks, 0, t.cfg.MaxPartitionIters*banks)
 }
 
 // partitionRounds runs up to maxRounds of Algorithm 2's rounds over the
@@ -102,8 +113,11 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 // the pool, each scan stops once the pile holds memberCap members, and
 // the rounds return piles only when the early stop verifies them, nil
 // otherwise. With memberCap 0 every round scans all that remains, and
-// the rounds end by the paper's rule when no early stop fires.
-func (t *Tool) partitionRounds(pool []addr.Phys, bankBits []uint, banks, memberCap, maxRounds int) ([]*pile, error) {
+// the rounds end by the paper's rule when no early stop fires. Each
+// accepted pile is added to tl, which must hold no other; the early
+// stop runs only with a tally, and its verified functions are returned
+// with the piles.
+func (t *Tool) partitionRounds(pool []addr.Phys, tl *tally, banks, memberCap, maxRounds int) ([]*pile, []uint64, error) {
 	poolSz := len(pool)
 	pileSz := float64(poolSz) / float64(banks)
 	lo := (1 - t.cfg.Delta) * pileSz
@@ -120,7 +134,7 @@ func (t *Tool) partitionRounds(pool []addr.Phys, bankBits []uint, banks, memberC
 			break
 		}
 		if _, err := t.driftGuard(false); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		// Randomly select the round's representative.
 		ri := t.rng.Intn(len(remaining))
@@ -136,7 +150,7 @@ func (t *Tool) partitionRounds(pool []addr.Phys, bankBits []uint, banks, memberC
 			// polled inside it, not just per round.
 			if i&63 == 0 {
 				if err := t.interrupted(); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			if i == ri {
@@ -151,7 +165,7 @@ func (t *Tool) partitionRounds(pool []addr.Phys, bankBits []uint, banks, memberC
 		// verify the sentinels before trusting it.
 		moved, err := t.driftGuard(true)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if moved {
 			continue
@@ -169,41 +183,45 @@ func (t *Tool) partitionRounds(pool []addr.Phys, bankBits []uint, banks, memberC
 		}
 		piles = append(piles, &pile{rep: p, members: members})
 		remaining = withoutPile(remaining, ri, members)
-		if n := len(piles); t.cfg.PaperStop || n < verifyFromPiles || n&(n-1) != 0 {
+		if tl == nil {
 			continue
 		}
-		funcs, err := t.resolveFuncs(piles, bankBits, banks)
+		tl.add(piles[len(piles)-1])
+		if n := len(piles); n < verifyFromPiles || n&(n-1) != 0 {
+			continue
+		}
+		funcs, err := t.resolveTallied(tl, piles, banks)
 		if err != nil {
 			continue
 		}
 		holds, err := t.predictionHolds(funcs, pool, remaining)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if holds {
 			t.logf("partition: functions from %d piles verified, stopping early", len(piles))
-			return piles, nil
+			return piles, funcs, nil
 		}
 	}
 	if memberCap > 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if len(piles) == 0 {
-		return nil, fmt.Errorf("no pile reached size %.0f±%.0f%%; noise too high or wrong bank count",
+		return nil, nil, fmt.Errorf("no pile reached size %.0f±%.0f%%; noise too high or wrong bank count",
 			pileSz, t.cfg.Delta*100)
 	}
 	done := poolSz - len(remaining)
 	if float64(done) < t.cfg.PerThreshold*float64(poolSz) && len(piles) < banks {
-		return nil, fmt.Errorf("partition stalled: %d/%d addresses in %d piles (want %d banks)",
+		return nil, nil, fmt.Errorf("partition stalled: %d/%d addresses in %d piles (want %d banks)",
 			done, poolSz, len(piles), banks)
 	}
-	return piles, nil
+	return piles, nil, nil
 }
 
-// withoutPile returns remaining less the representative at index ri and
-// the members, which a round collects in scan order.
+// withoutPile removes from remaining, in place, the representative at
+// index ri and the members, which a round collects in scan order.
 func withoutPile(remaining []addr.Phys, ri int, members []addr.Phys) []addr.Phys {
-	rest := make([]addr.Phys, 0, len(remaining)-1-len(members))
+	rest := remaining[:0]
 	for i, q := range remaining {
 		if i == ri {
 			continue
@@ -228,10 +246,22 @@ func (t *Tool) predictionHolds(funcs []uint64, pool, outside []addr.Phys) (bool,
 	if len(outside) == 0 {
 		return false, nil
 	}
-	byBank := make([][]addr.Phys, 1<<len(funcs))
-	for _, a := range pool {
-		b := bankOf(a, funcs)
-		byBank[b] = append(byBank[b], a)
+	// A stable counting sort of the pool by bank: bank b's addresses,
+	// in pool order, are byBank[start[b]:start[b+1]].
+	bank := make([]uint32, len(pool))
+	start := make([]int, 1<<len(funcs)+1)
+	for i, a := range pool {
+		bank[i] = uint32(bankOf(a, funcs))
+		start[bank[i]+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	byBank := make([]addr.Phys, len(pool))
+	next := slices.Clone(start)
+	for i, a := range pool {
+		byBank[next[bank[i]]] = a
+		next[bank[i]]++
 	}
 	conflicts := 0
 	for i := 0; i < verifyPairs; i++ {
@@ -239,7 +269,8 @@ func (t *Tool) predictionHolds(funcs []uint64, pool, outside []addr.Phys) (bool,
 			return false, err
 		}
 		a := outside[t.rng.Intn(len(outside))]
-		same := byBank[bankOf(a, funcs)]
+		k := bankOf(a, funcs)
+		same := byBank[start[k]:start[k+1]]
 		if len(same) < 2 {
 			return false, nil
 		}

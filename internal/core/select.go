@@ -81,7 +81,7 @@ func (t *Tool) selectAddresses(coarse *coarseResult) (*selection, error) {
 	pageMask := rangeMask &^ (alloc.PageSize - 1)
 	var start, end addr.Phys
 	found := false
-	for _, p := range pool.Pages() {
+	for p := range pool.All() {
 		if uint64(p)&pageMask != pageMask {
 			continue
 		}

@@ -51,7 +51,7 @@ func TestEnumerateSelectionMatchesMap(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(tc.rangeSeed))
-		pages := pool.Pages()
+		pages := slices.Collect(pool.All())
 		total, owned := 0, 0
 		for i := 0; i < 400; i++ {
 			wMin := uint(6 + rng.Intn(9))

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"dramdig/internal/addr"
 	"dramdig/internal/machine"
 	"dramdig/internal/mapping"
+	"dramdig/internal/memctrl"
 )
 
 // earlyStopSettings span disjoint and overlapped functions, DDR3 and DDR4,
@@ -38,12 +40,12 @@ func TestEarlyStopPilesPure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			piles, err := tool.partition(sel.pool, coarse.bankBits, truth.NumBanks())
+			piles, verified, err := tool.partition(sel.pool, coarse.bankBits, truth.NumBanks())
 			if err != nil {
 				t.Fatalf("No.%d seed %d: %v", no, mseed, err)
 			}
-			if len(piles) >= truth.NumBanks()/2 {
-				t.Errorf("No.%d seed %d: %d piles of %d banks; the early stop did not fire", no, mseed, len(piles), truth.NumBanks())
+			if len(piles) >= truth.NumBanks()/2 || verified == nil {
+				t.Errorf("No.%d seed %d: %d piles of %d banks, verified functions %v; the early stop did not fire", no, mseed, len(piles), truth.NumBanks(), verified)
 			}
 			for i, p := range piles {
 				if len(p.members) != pileCap {
@@ -92,12 +94,15 @@ func TestPartitionFallsBackToFullScans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		piles, err := tool.partition(sel.pool, nil, truth.NumBanks())
+		piles, verified, err := tool.partition(sel.pool, nil, truth.NumBanks())
 		if err != nil {
 			t.Fatalf("No.%d: %v", no, err)
 		}
 		if !fellBack {
 			t.Errorf("No.%d: partition did not report falling back to full scans", no)
+		}
+		if verified != nil {
+			t.Errorf("No.%d: functions %v verified with no candidate bits", no, verified)
 		}
 		assigned := 0
 		for i, p := range piles {
@@ -147,6 +152,120 @@ func TestPredictionHoldsRefusesWrongFunctions(t *testing.T) {
 				t.Errorf("No.%d seed %d: wrong functions %s accepted (%v)", no, mseed,
 					(&mapping.Mapping{BankFuncs: wrong}).FuncString(), err)
 			}
+		}
+	}
+}
+
+// TestResolveReusesVerifiedFunctions: when the early stop fired, the
+// resolve step returns the functions it verified and leaves the same
+// record as running Algorithm 3 afresh on the same piles from the same
+// state: equal functions, equal simulated seconds and no measurement.
+func TestResolveReusesVerifiedFunctions(t *testing.T) {
+	for _, no := range earlyStopSettings {
+		for mseed := int64(1); mseed <= 3; mseed++ {
+			type outcome struct {
+				funcs, verified []uint64
+				stats           StepStats
+			}
+			var got [2]outcome // reused, then fresh
+			for i := range got {
+				m, err := machine.NewByNo(no, mseed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				banks := m.Truth().NumBanks()
+				tool := calibratedTool(t, m, Config{Seed: mseed})
+				coarse, err := tool.coarseDetect(m.SysInfo())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sel, err := tool.selectAddresses(coarse)
+				if err != nil {
+					t.Fatal(err)
+				}
+				piles, verified, err := tool.partition(sel.pool, coarse.bankBits, banks)
+				if err != nil || verified == nil {
+					t.Fatalf("No.%d seed %d: the early stop did not fire (%v)", no, mseed, err)
+				}
+				clock, meas := m.ClockNs(), tool.measurements()
+				var funcs []uint64
+				if i == 0 {
+					funcs, err = tool.resolve(piles, verified, coarse.bankBits, banks)
+				} else {
+					funcs, err = tool.resolveFuncs(piles, coarse.bankBits, banks)
+				}
+				if err != nil {
+					t.Fatalf("No.%d seed %d: %v", no, mseed, err)
+				}
+				got[i] = outcome{funcs, verified, StepStats{
+					SimSeconds:   (m.ClockNs() - clock) / 1e9,
+					Measurements: tool.measurements() - meas,
+				}}
+			}
+			reused, fresh := got[0], got[1]
+			if !slices.Equal(reused.funcs, fresh.funcs) || !slices.Equal(reused.verified, fresh.verified) {
+				t.Errorf("No.%d seed %d: reused functions %v, fresh %v", no, mseed, reused.funcs, fresh.funcs)
+			}
+			if reused.stats != fresh.stats || fresh.stats.SimSeconds == 0 || fresh.stats.Measurements != 0 {
+				t.Errorf("No.%d seed %d: reused step %+v, fresh %+v", no, mseed, reused.stats, fresh.stats)
+			}
+		}
+	}
+}
+
+// TestFallbackVerifiesItsOwnPiles: when the truncated rounds verify
+// nothing, partition discards their piles and rescans in full, and the
+// early stop's tally starts afresh with the full scans. Functions the
+// early stop then verifies must be Algorithm 3's on the piles partition
+// returns. The runs are the noise sweep's at ×6 on No.3
+// (eval.ScaleNoise, eval's noise seeds 1, 13 and 14), which fall back; a
+// tally still holding the discarded piles verifies functions there that
+// the returned piles do not support.
+func TestFallbackVerifiesItsOwnPiles(t *testing.T) {
+	for _, i := range []int64{1, 13, 14} {
+		def, err := machine.ByNo(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := def.ParamsTweak
+		def.ParamsTweak = func(p *memctrl.Params) {
+			if own != nil {
+				own(p)
+			}
+			p.JitterSigmaNs *= 6
+			p.OutlierProb = min(1, p.OutlierProb*6)
+			p.MeasOutlierProb = min(1, p.MeasOutlierProb*6)
+			p.DriftAmpNs *= 6
+		}
+		m, err := machine.New(def, 8000+i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		banks := m.Truth().NumBanks()
+		var fellBack bool
+		tool := calibratedTool(t, m, Config{Seed: 7919*i + 1, Logf: func(format string, args ...any) {
+			fellBack = fellBack || strings.Contains(format, "rescanning in full")
+		}})
+		coarse, err := tool.coarseDetect(m.SysInfo())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := tool.selectAddresses(coarse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		piles, verified, err := tool.partition(sel.pool, coarse.bankBits, banks)
+		if err != nil {
+			t.Fatalf("seed %d: %v", i, err)
+		}
+		if !fellBack {
+			t.Fatalf("seed %d: partition did not fall back to full scans", i)
+		}
+		if verified == nil {
+			continue
+		}
+		if fresh, err := tool.resolveFuncs(piles, coarse.bankBits, banks); err != nil || !slices.Equal(verified, fresh) {
+			t.Errorf("seed %d: verified %v on %d piles, where Algorithm 3 gives %v (%v)", i, verified, len(piles), fresh, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rowhammer
 
 import (
+	"slices"
 	"testing"
 
 	"dramdig/internal/machine"
@@ -78,7 +79,7 @@ func TestOneLocationWeakerThanDoubleSided(t *testing.T) {
 // explicit — a closed-page controller exposes no row-buffer side channel.
 func TestTimingChannelGoneOnClosedPage(t *testing.T) {
 	m := closedPageNo2(t)
-	base := m.Pool().Pages()[0]
+	base := slices.Collect(m.Pool().All())[0]
 	sbdr, err := m.Truth().RowNeighbor(base, 3)
 	if err != nil {
 		t.Fatal(err)

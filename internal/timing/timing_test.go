@@ -3,6 +3,7 @@ package timing
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dramdig/internal/addr"
@@ -98,7 +99,7 @@ func TestSampleMedianRobustness(t *testing.T) {
 func TestMeasurementCounting(t *testing.T) {
 	m := no1(t)
 	meter, _ := NewMeter(m, 600, 3)
-	a := m.Pool().Pages()[0]
+	a := slices.Collect(m.Pool().All())[0]
 	meter.Sample(a, a+128)
 	if meter.Measurements() != 3 {
 		t.Errorf("measurements = %d, want 3", meter.Measurements())
@@ -273,7 +274,7 @@ func TestInstrumentBatches(t *testing.T) {
 	m := no1(t)
 	meter, _ := NewMeter(m, 600, 1)
 	meter.SetInstrument(in)
-	a := m.Pool().Pages()[0]
+	a := slices.Collect(m.Pool().All())[0]
 	meter.SampleN(a, a+128, flushEvery-1)
 	if got := in.Samples.Value(); got != 0 {
 		t.Fatalf("instrument saw %d samples before a flush", got)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"dramdig/internal/machine"
@@ -26,7 +27,7 @@ func FuzzTraceDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	r := NewRecorder(m, w)
-	pages := m.Pool().Pages()
+	pages := slices.Collect(m.Pool().All())
 	for i := 0; i < 8; i++ {
 		r.MeasurePair(pages[i], pages[len(pages)-1-i], 100*(i+1))
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestHeaderSurfaceMatchesMachine(t *testing.T) {
 	if info != m.SysInfo() {
 		t.Fatalf("rebuilt sysinfo differs:\n got %+v\nwant %+v", info, m.SysInfo())
 	}
-	got, want := pool.Pages(), m.Pool().Pages()
+	got, want := slices.Collect(pool.All()), slices.Collect(m.Pool().All())
 	if len(got) != len(want) {
 		t.Fatalf("rebuilt pool has %d pages, want %d", len(got), len(want))
 	}
@@ -167,7 +168,7 @@ func TestHeaderSurfaceCustomMachine(t *testing.T) {
 	if info != m.SysInfo() {
 		t.Fatalf("rebuilt sysinfo differs")
 	}
-	if pool.NumPages() != m.Pool().NumPages() || pool.Pages()[0] != m.Pool().Pages()[0] {
+	if pool.NumPages() != m.Pool().NumPages() || slices.Collect(pool.All())[0] != slices.Collect(m.Pool().All())[0] {
 		t.Fatalf("rebuilt pool differs")
 	}
 }
@@ -202,7 +203,7 @@ func TestRecorderForwardsAndCaptures(t *testing.T) {
 	if rec.Pool() != m.Pool() {
 		t.Fatal("Pool not forwarded")
 	}
-	pages := m.Pool().Pages()
+	pages := slices.Collect(m.Pool().All())
 	a, b := pages[0], pages[len(pages)/2]
 	before := rec.ClockNs()
 	v := rec.MeasurePair(a, b, 64)

@@ -170,7 +170,8 @@ digest_samples=$(echo "$workers" | jq '[.workers[].metrics.engine_samples // 0] 
 # The campaign timeline is one chronological view across both
 # processes: queue lifecycle events plus spans, worker-attributed. The
 # 256-job campaign leaves about 1,400 events, past the default limit of
-# 1,000, which would cut off the final "done".
+# 1,000; a cut timeline keeps its newest events, so the default view
+# would lose the early "leased" this check wants beside the final "done".
 timeline=$(curl -fsS "http://$ADDR/v1/campaigns/$id/timeline?limit=5000")
 echo "$timeline" | jq -e '.events | length > 0' >/dev/null \
   || { echo "cluster-smoke: empty timeline: $timeline" >&2; exit 1; }
