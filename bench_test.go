@@ -15,13 +15,18 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dramdig/internal/core"
 	"dramdig/internal/drama"
+	"dramdig/internal/engine"
 	"dramdig/internal/eval"
 	"dramdig/internal/machine"
+	"dramdig/internal/metrics"
+	"dramdig/internal/obs"
 )
 
 // BenchmarkTable2 regenerates Table II: DRAMDig's recovered mappings on
@@ -117,110 +122,79 @@ func BenchmarkTable1(b *testing.B) {
 }
 
 // BenchmarkReverseEngineerPerSetting reports DRAMDig's simulated cost per
-// machine — the per-bar breakdown behind Figure 2.
+// machine — the per-bar breakdown behind Figure 2. Every iteration runs
+// the same machine at the same tool seed, so sim_s, measurements and
+// selected describe that one run whatever -benchtime is.
 func BenchmarkReverseEngineerPerSetting(b *testing.B) {
 	for no := 1; no <= 9; no++ {
-		no := no
 		b.Run(fmt.Sprintf("No%d", no), func(b *testing.B) {
+			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				m, err := machine.NewByNo(no, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
-				tool, err := core.New(m, core.Config{Seed: int64(i)})
+				tool, err := core.New(m, core.Config{Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := tool.Run()
-				if err != nil {
+				if res, err = tool.Run(); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.TotalSimSeconds, "sim_s")
-				b.ReportMetric(float64(res.Measurements), "measurements")
-				b.ReportMetric(float64(res.SelectedAddrs), "selected")
 			}
+			b.ReportMetric(res.TotalSimSeconds, "sim_s")
+			b.ReportMetric(float64(res.Measurements), "measurements")
+			b.ReportMetric(float64(res.SelectedAddrs), "selected")
 		})
 	}
 }
 
 // --- Ablations -------------------------------------------------------
 
+// benchAblation runs one trial of one point of an eval ablation sweep
+// per iteration, at one fixed seed, and reports its outcome.
+func benchAblation(b *testing.B, name string, sweep func(eval.Options) []eval.AblationRow) {
+	b.Run(name, func(b *testing.B) {
+		var r eval.AblationRow
+		for i := 0; i < b.N; i++ {
+			r = sweep(eval.Options{Seed: 1})[0]
+		}
+		b.ReportMetric(float64(r.Successes), "success")
+		b.ReportMetric(r.AvgSimSeconds, "sim_s")
+		b.ReportMetric(float64(r.Selected), "selected")
+	})
+}
+
 // BenchmarkAblationSelection contrasts DRAMDig's knowledge-guided
-// Algorithm 1 pool against progressively oversized pools: the selected
-// address count drives the partition cost (paper §IV-B).
+// Algorithm 1 pool against progressively oversized pools
+// (eval.AblatePoolSize): the selected address count drives the
+// partition cost (paper §IV-B).
 func BenchmarkAblationSelection(b *testing.B) {
 	for _, minPool := range []int{4096, 8192, 16384} {
-		minPool := minPool
-		b.Run(fmt.Sprintf("pool%d", minPool), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, _ := machine.NewByNo(1, 42)
-				tool, err := core.New(m, core.Config{Seed: 1, MinPoolAddrs: minPool})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tool.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.TotalSimSeconds, "sim_s")
-				b.ReportMetric(float64(res.SelectedAddrs), "selected")
-			}
+		benchAblation(b, fmt.Sprintf("pool%d", minPool), func(o eval.Options) []eval.AblationRow {
+			return eval.AblatePoolSize(o, []int{minPool}, 1)
 		})
 	}
 }
 
-// BenchmarkAblationDelta sweeps Algorithm 2's pile tolerance δ. Too
-// tight a tolerance rejects legitimate piles (same-row members keep
-// piles slightly under the ideal size); the paper's 0.2 is comfortable.
+// BenchmarkAblationDelta sweeps Algorithm 2's pile tolerance δ
+// (eval.AblateDelta). Too tight a tolerance rejects legitimate piles
+// (same-row members keep piles slightly under the ideal size); the
+// paper's 0.2 is comfortable.
 func BenchmarkAblationDelta(b *testing.B) {
 	for _, delta := range []float64{0.05, 0.2, 0.4} {
-		delta := delta
-		b.Run(fmt.Sprintf("delta%.2f", delta), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, _ := machine.NewByNo(2, 42)
-				tool, err := core.New(m, core.Config{Seed: 1, Delta: delta})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tool.Run()
-				ok := 0.0
-				sim := 0.0
-				if err == nil {
-					if res.Mapping.EquivalentTo(m.Truth()) {
-						ok = 1
-					}
-					sim = res.TotalSimSeconds
-				}
-				b.ReportMetric(ok, "success")
-				b.ReportMetric(sim, "sim_s")
-			}
+		benchAblation(b, fmt.Sprintf("delta%.2f", delta), func(o eval.Options) []eval.AblationRow {
+			return eval.AblateDelta(o, []float64{delta}, 1)
 		})
 	}
 }
 
-// BenchmarkAblationRounds sweeps the partition measurement length:
-// shorter measurements are cheaper but noisier.
+// BenchmarkAblationRounds sweeps the partition measurement length
+// (eval.AblateRounds): shorter measurements are cheaper but noisier.
 func BenchmarkAblationRounds(b *testing.B) {
 	for _, rounds := range []int{150, 600, 2400} {
-		rounds := rounds
-		b.Run(fmt.Sprintf("rounds%d", rounds), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, _ := machine.NewByNo(2, 42)
-				tool, err := core.New(m, core.Config{Seed: 1, PartitionRounds: rounds})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tool.Run()
-				ok, sim := 0.0, 0.0
-				if err == nil {
-					if res.Mapping.EquivalentTo(m.Truth()) {
-						ok = 1
-					}
-					sim = res.TotalSimSeconds
-				}
-				b.ReportMetric(ok, "success")
-				b.ReportMetric(sim, "sim_s")
-			}
+		benchAblation(b, fmt.Sprintf("rounds%d", rounds), func(o eval.Options) []eval.AblationRow {
+			return eval.AblateRounds(o, []int{rounds}, 1)
 		})
 	}
 }
@@ -338,4 +312,58 @@ func BenchmarkEngineLiveVsReplay(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(tr.Samples)*b.N)/b.Elapsed().Seconds(), "samples/s")
 	})
+}
+
+// BenchmarkEngineOverhead prices the engine's per-sample metrics
+// instrumentation and a span tracer against the bare pipeline; it is
+// the metrics_overhead and tracing_overhead rows of BENCH_campaign.json.
+// Every iteration runs one No.4 pipeline (machine build included, as in
+// EngineLiveVsReplay/live) three ways: bare, instrumented on a real
+// registry, and with a tracer on the context. The three rotate which
+// goes first, so a slow phase of the host hits them alike. Each side
+// reports its mean time per run as <side>_ns_op. Each cost side also
+// reports the median over iterations of its overhead on the same
+// iteration's bare run, as <side>_overhead_pct: ratios within one
+// iteration cancel the host's slow phases, and their median ignores
+// the odd run the scheduler interrupts.
+func BenchmarkEngineOverhead(b *testing.B) {
+	inst := engine.NewInstrument(metrics.NewRegistry())
+	traced := obs.WithTracer(context.Background(), obs.NewTracer(obs.Config{Capacity: 4096}))
+	sides := []struct {
+		name string
+		ctx  context.Context
+		opts []EngineOption
+	}{
+		{"bare", context.Background(), []EngineOption{WithSeed(42)}},
+		{"instrumented", context.Background(), []EngineOption{WithSeed(42), engine.WithInstrument(inst)}},
+		{"traced", traced, []EngineOption{WithSeed(42)}},
+	}
+	ns := make([][]float64, len(sides)) // ns[side][iteration]
+	for i := 0; i < b.N; i++ {
+		for k := range sides {
+			s := (i + k) % len(sides)
+			start := time.Now()
+			m, err := NewMachine(4, 42)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Run(sides[s].ctx, LiveSource(m), sides[s].opts...); err != nil {
+				b.Fatal(err)
+			}
+			ns[s] = append(ns[s], float64(time.Since(start)))
+		}
+	}
+	pct := make([]float64, b.N)
+	for s, side := range sides {
+		var sum float64
+		for i, t := range ns[s] {
+			sum += t
+			pct[i] = (t/ns[0][i] - 1) * 100
+		}
+		b.ReportMetric(sum/float64(b.N), side.name+"_ns_op")
+		if s > 0 {
+			slices.Sort(pct)
+			b.ReportMetric(pct[b.N/2], side.name+"_overhead_pct")
+		}
+	}
 }

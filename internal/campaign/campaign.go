@@ -54,10 +54,6 @@ type Spec struct {
 	// Seed is the machine seed (allocation layout, noise stream); retry
 	// attempts perturb it deterministically.
 	Seed int64
-	// Tool, when non-nil, overrides the DRAMDig configuration for this
-	// job. The engine still controls the tool seed — it derives one per
-	// (job, attempt) so concurrent jobs never share randomness.
-	Tool *core.Config
 	// Source, when non-nil, supplies the job's measurement source per
 	// attempt instead of the Def/Seed live machine. Sources that
 	// suggest a tool seed (trace replays) pin it — a derived seed would
@@ -427,15 +423,11 @@ func runAttempt(ctx context.Context, spec Spec, cfg Config, idx, attempt int) (*
 	if err != nil {
 		return nil, false, err
 	}
-	toolCfg := core.Config{}
-	if spec.Tool != nil {
-		toolCfg = *spec.Tool
-	}
-	toolCfg.Seed = cfg.Seed + int64(idx)*7919 + int64(attempt)*104729
-	if cfg.Instrument != nil {
-		// Campaign-level instrumentation wins over a spec's own only when
-		// actually configured.
-		toolCfg.Instrument = cfg.Instrument
+	// Every (job, attempt) gets its own tool seed, so concurrent jobs
+	// never share randomness.
+	toolCfg := core.Config{
+		Seed:       cfg.Seed + int64(idx)*7919 + int64(attempt)*104729,
+		Instrument: cfg.Instrument,
 	}
 	if sg, ok := src.(source.SeedSuggester); ok {
 		// Replay sources carry the recorded tool seed; a derived one

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dramdig/internal/core"
 	"dramdig/internal/machine"
 )
 
@@ -253,24 +252,6 @@ func TestGeneratedSpecs(t *testing.T) {
 	}
 	if jr := rep.Jobs[0]; jr.Err != nil || !jr.Match {
 		t.Errorf("generated machine %s: err=%v match=%v", jr.Name, jr.Err, jr.Match)
-	}
-}
-
-// TestCampaignToolOverride: a per-spec tool config flows through — an
-// oversized Algorithm 1 pool must show up in the result's SelectedAddrs.
-func TestCampaignToolOverride(t *testing.T) {
-	spec := mustSpec(t, 1)
-	spec.Tool = &core.Config{MinPoolAddrs: 8192}
-	rep, err := Run(context.Background(), []Spec{spec}, Config{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr := rep.Jobs[0]
-	if jr.Err != nil {
-		t.Fatal(jr.Err)
-	}
-	if jr.Result.SelectedAddrs < 8192 {
-		t.Errorf("SelectedAddrs = %d, want >= 8192: tool override not applied", jr.Result.SelectedAddrs)
 	}
 }
 

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"dramdig/internal/campaign"
 	"dramdig/internal/metrics"
+	"dramdig/internal/queue"
 )
 
 // inProcessCoord names its worker and nothing more: enough for
@@ -118,4 +122,78 @@ func BenchmarkWorkerSnapshot(b *testing.B) {
 		}
 		b.ReportMetric(float64(ships)/b.Elapsed().Seconds(), "ships/s")
 	})
+}
+
+// BenchmarkHeartbeatSnapshot prices the metrics snapshot a remote
+// worker's heartbeats carry; it is the heartbeat_snapshot_overhead row
+// of BENCH_campaign.json. Each iteration sends one bare heartbeat and
+// one carrying shippingWorker's snapshotJSON(false), alternating which
+// goes first. The handler renews the lease on a durable queue (in
+// memory: it appends and fsyncs nothing) and folds any snapshot into a
+// federation, as /v1/cluster/jobs/{id}/heartbeat does. As in Worker,
+// the snapshot side encodes at most once a second, so nearly all of
+// its beats ship nothing and the cost sits in a few of them, which a
+// per-iteration median would drop. The benchmark therefore compares
+// summed time: bare_ns_op and snapshot_ns_op are each side's mean, and
+// snapshot_overhead_pct is the ratio of the two sums.
+func BenchmarkHeartbeatSnapshot(b *testing.B) {
+	q, err := queue.Open(queue.Config{Dir: b.TempDir(), Capacity: 1 << 30, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer q.Close()
+	if _, _, err := q.Submit(json.RawMessage(`{"request":{"machines":[1,4,7,8],"seed":42},"seed":42}`), queue.SubmitOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	j, ok, err := q.Lease("w1", time.Hour)
+	if err != nil || !ok {
+		b.Fatal(ok, err)
+	}
+	fed := metrics.NewFederation()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req HeartbeatRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if _, err := q.Heartbeat(j.ID, req.Worker, req.Token, time.Hour); err != nil {
+			http.Error(w, err.Error(), http.StatusConflict)
+			return
+		}
+		if len(req.Metrics) > 0 {
+			if err := fed.Update(req.Worker, req.Metrics, time.Now()); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(HeartbeatResponse{TTLMillis: time.Hour.Milliseconds()})
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, "w1", srv.Client())
+	w := shippingWorker(b)
+	ctx := context.Background()
+	// The first call dials; neither side should pay for it.
+	if err := c.Heartbeat(ctx, j.ID, j.LeaseToken, nil); err != nil {
+		b.Fatal(err)
+	}
+	var sum [2]time.Duration // bare, snapshot
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range 2 {
+			side := (i + k) % 2
+			start := time.Now()
+			var snap json.RawMessage
+			if side == 1 {
+				snap = w.snapshotJSON(false)
+			}
+			if err := c.Heartbeat(ctx, j.ID, j.LeaseToken, snap); err != nil {
+				b.Fatal(err)
+			}
+			sum[side] += time.Since(start)
+		}
+	}
+	b.ReportMetric(float64(sum[0])/float64(b.N), "bare_ns_op")
+	b.ReportMetric(float64(sum[1])/float64(b.N), "snapshot_ns_op")
+	b.ReportMetric((float64(sum[1])/float64(sum[0])-1)*100, "snapshot_overhead_pct")
 }

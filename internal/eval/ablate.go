@@ -22,6 +22,9 @@ type AblationRow struct {
 	Runs, Successes int
 	// AvgSimSeconds averages the simulated cost of successful runs.
 	AvgSimSeconds float64
+	// Selected is the address count Algorithm 1 selected in the last
+	// run (0 when that run failed before selecting).
+	Selected int
 	// Note carries sweep-specific extra data.
 	Note string
 }
@@ -47,18 +50,20 @@ func ablateRun(ctx context.Context, no int, machineSeed int64, phase float64, cf
 	return res.Mapping.EquivalentTo(m.Truth()), res.TotalSimSeconds, res.SelectedAddrs
 }
 
-// AblateDelta sweeps Algorithm 2's pile tolerance on setting No.2.
-func AblateDelta(opts Options, deltas []float64, trials int) []AblationRow {
+// sweep runs trials of DRAMDig on setting no for every value and scores
+// each value into a row labelled fmt.Sprintf(param, value). trial gives
+// run i of a value its machine seed, start phase and tool configuration.
+func sweep[V any](opts Options, no int, param string, values []V, trials int,
+	trial func(v V, i int) (machineSeed int64, phase float64, cfg core.Config)) []AblationRow {
 	var rows []AblationRow
-	for _, d := range deltas {
-		row := AblationRow{Param: fmt.Sprintf("delta=%.2f", d)}
+	for _, v := range values {
+		row := AblationRow{Param: fmt.Sprintf(param, v)}
 		var sum float64
-		for i := 0; i < trials; i++ {
-			if opts.ctx().Err() != nil {
-				break
-			}
-			ok, sec, _ := ablateRun(opts.ctx(), 2, opts.machineSeed(2)+int64(i), 0, core.Config{Seed: opts.Seed + int64(i), Delta: d})
+		for i := 0; i < trials && opts.ctx().Err() == nil; i++ {
+			seed, phase, cfg := trial(v, i)
+			ok, sec, sel := ablateRun(opts.ctx(), no, seed, phase, cfg)
 			row.Runs++
+			row.Selected = sel
 			if ok {
 				row.Successes++
 				sum += sec
@@ -68,63 +73,33 @@ func AblateDelta(opts Options, deltas []float64, trials int) []AblationRow {
 			row.AvgSimSeconds = sum / float64(row.Successes)
 		}
 		rows = append(rows, row)
-		opts.logf("ablate %s: %d/%d ok, avg %.0f s", row.Param, row.Successes, row.Runs, row.AvgSimSeconds)
+		opts.logf("ablate %s: %d/%d ok, avg %.0f s, %d selected", row.Param, row.Successes, row.Runs, row.AvgSimSeconds, row.Selected)
 	}
 	return rows
 }
 
+// AblateDelta sweeps Algorithm 2's pile tolerance on setting No.2.
+func AblateDelta(opts Options, deltas []float64, trials int) []AblationRow {
+	return sweep(opts, 2, "delta=%.2f", deltas, trials, func(d float64, i int) (int64, float64, core.Config) {
+		return opts.machineSeed(2) + int64(i), 0, core.Config{Seed: opts.Seed + int64(i), Delta: d}
+	})
+}
+
 // AblateRounds sweeps the partition measurement length on setting No.2.
 func AblateRounds(opts Options, rounds []int, trials int) []AblationRow {
-	var rows []AblationRow
-	for _, r := range rounds {
-		row := AblationRow{Param: fmt.Sprintf("rounds=%d", r)}
-		var sum float64
-		for i := 0; i < trials; i++ {
-			if opts.ctx().Err() != nil {
-				break
-			}
-			ok, sec, _ := ablateRun(opts.ctx(), 2, opts.machineSeed(2)+int64(i), 0, core.Config{Seed: opts.Seed + int64(i), PartitionRounds: r})
-			row.Runs++
-			if ok {
-				row.Successes++
-				sum += sec
-			}
-		}
-		if row.Successes > 0 {
-			row.AvgSimSeconds = sum / float64(row.Successes)
-		}
-		rows = append(rows, row)
-		opts.logf("ablate %s: %d/%d ok, avg %.0f s", row.Param, row.Successes, row.Runs, row.AvgSimSeconds)
-	}
-	return rows
+	return sweep(opts, 2, "rounds=%d", rounds, trials, func(r, i int) (int64, float64, core.Config) {
+		return opts.machineSeed(2) + int64(i), 0, core.Config{Seed: opts.Seed + int64(i), PartitionRounds: r}
+	})
 }
 
 // AblatePoolSize sweeps the minimum selection size on setting No.1: the
 // knowledge-guided pool is the efficiency lever of Algorithm 1.
 func AblatePoolSize(opts Options, pools []int, trials int) []AblationRow {
-	var rows []AblationRow
-	for _, p := range pools {
-		row := AblationRow{Param: fmt.Sprintf("pool=%d", p)}
-		var sum float64
-		selected := 0
-		for i := 0; i < trials; i++ {
-			if opts.ctx().Err() != nil {
-				break
-			}
-			ok, sec, sel := ablateRun(opts.ctx(), 1, opts.machineSeed(1)+int64(i), 0, core.Config{Seed: opts.Seed + int64(i), MinPoolAddrs: p})
-			row.Runs++
-			selected = sel
-			if ok {
-				row.Successes++
-				sum += sec
-			}
-		}
-		if row.Successes > 0 {
-			row.AvgSimSeconds = sum / float64(row.Successes)
-		}
-		row.Note = fmt.Sprintf("%d selected", selected)
-		rows = append(rows, row)
-		opts.logf("ablate %s: %d/%d ok, avg %.0f s (%s)", row.Param, row.Successes, row.Runs, row.AvgSimSeconds, row.Note)
+	rows := sweep(opts, 1, "pool=%d", pools, trials, func(p, i int) (int64, float64, core.Config) {
+		return opts.machineSeed(1) + int64(i), 0, core.Config{Seed: opts.Seed + int64(i), MinPoolAddrs: p}
+	})
+	for k := range rows {
+		rows[k].Note = fmt.Sprintf("%d selected", rows[k].Selected)
 	}
 	return rows
 }
@@ -140,38 +115,15 @@ const driftSeedBase = 390
 // launched at an arbitrary moment would: 24 contiguous seeds cover the
 // window evenly, so the outcome does not hinge on where one run starts.
 func AblateDriftGuard(opts Options, trials int) []AblationRow {
-	var rows []AblationRow
-	for _, guard := range []bool{true, false} {
-		name := "guard=on"
-		if !guard {
-			name = "guard=off"
+	return sweep(opts, 3, "guard=%s", []string{"on", "off"}, trials, func(guard string, i int) (int64, float64, core.Config) {
+		seed := driftSeedBase + int64(i)
+		return seed, float64(seed%24) / 24, core.Config{
+			Seed:              1,
+			MinPoolAddrs:      8192,
+			PaperStop:         true,
+			DisableDriftGuard: guard == "off",
 		}
-		row := AblationRow{Param: name}
-		var sum float64
-		for i := 0; i < trials; i++ {
-			if opts.ctx().Err() != nil {
-				break
-			}
-			seed := driftSeedBase + int64(i)
-			ok, sec, _ := ablateRun(opts.ctx(), 3, seed, float64(seed%24)/24, core.Config{
-				Seed:              1,
-				MinPoolAddrs:      8192,
-				PaperStop:         true,
-				DisableDriftGuard: !guard,
-			})
-			row.Runs++
-			if ok {
-				row.Successes++
-				sum += sec
-			}
-		}
-		if row.Successes > 0 {
-			row.AvgSimSeconds = sum / float64(row.Successes)
-		}
-		rows = append(rows, row)
-		opts.logf("ablate %s: %d/%d ok", row.Param, row.Successes, row.Runs)
-	}
-	return rows
+	})
 }
 
 // RenderAblation writes an ablation sweep as a table.

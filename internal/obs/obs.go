@@ -19,8 +19,9 @@
 // a nil *Span and a context without a tracer are all no-ops costing one
 // predictable branch, so layers instrument unconditionally and pay
 // nothing when tracing is not configured. Span creation is kept off the
-// measurement hot path (phases, not samples); cmd/benchjson tracks the
-// cost as the tracing_overhead row.
+// measurement hot path (phases, not samples); the root package's
+// BenchmarkEngineOverhead prices it against bare runs, recorded as
+// BENCH_campaign.json's tracing_overhead row.
 package obs
 
 import (

@@ -18,7 +18,7 @@ import (
 	"dramdig/internal/storage"
 )
 
-func testRecord(t *testing.T, fp string) *Record {
+func testRecord(t testing.TB, fp string) *Record {
 	t.Helper()
 	def, err := machine.ByNo(1)
 	if err != nil {
