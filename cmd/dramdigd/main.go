@@ -47,10 +47,11 @@
 // Campaigns flow through a durable job queue (internal/queue): POST
 // validates and enqueues, workers lease the jobs — at most -max-running
 // concurrent campaigns under local dispatch — and a full backlog is
-// refused with 429 + Retry-After. With -queue-dir set the queue is
-// WAL-backed: a restarted daemon re-enqueues campaigns that were
-// interrupted mid-run, and their already-finished jobs come back from
-// the result store as cache hits (durably so with -cache-dir).
+// refused with 429 + Retry-After. With -queue-dir set the queue keeps
+// a checksummed journal, queue.log: a restarted daemon re-enqueues
+// campaigns that were interrupted mid-run, and their already-finished
+// jobs come back from the result store as cache hits (durably so with
+// -cache-dir).
 // `Idempotency-Key` on POST /v1/campaigns deduplicates resubmissions of
 // the same campaign across the retained job history.
 //
@@ -105,7 +106,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		cacheDir   = flag.String("cache-dir", "", "persist results under this directory's segment blob store (empty: memory only)")
 		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); traces persist in <cache-dir>/segments, or in this directory's segments/ without -cache-dir")
-		queueDir   = flag.String("queue-dir", "", "persist the job queue (WAL + snapshots) under this directory (empty: memory only, no crash recovery)")
+		queueDir   = flag.String("queue-dir", "", "persist the job queue as one journal, queue.log, under this directory (empty: memory only, no crash recovery)")
 		maxEntries = flag.Int("cache-entries", 128, "in-memory LRU capacity")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "default campaign worker pool size")
 		retries    = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")

@@ -7,10 +7,13 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"dramdig/internal/storage"
 )
 
-// progressJournal returns the WAL of a campaign run through every lease
-// operation — progress records included — before any compaction.
+// progressJournal returns the journal of a campaign run through every
+// lease operation — progress records included — before any compaction
+// but Open's.
 func progressJournal(f *testing.F) []byte {
 	must := func(err error) {
 		if err != nil {
@@ -45,16 +48,17 @@ func progressJournal(f *testing.F) []byte {
 	must(err)
 	must(q.CompleteLease(l.ID, "w1", l.LeaseToken, json.RawMessage(`{"total":2}`)))
 
-	data, err := os.ReadFile(filepath.Join(dir, walName))
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
 	must(err)
 	return data
 }
 
-// FuzzQueueReplay feeds arbitrary journal bytes, optionally under an
-// arbitrary snapshot, to recovery. Open must never panic, and whatever
-// it accepts must survive its own snapshot: Close and reopen give the
-// same jobs. Opaque JSON fields are compared as encoded, since the
-// snapshot re-encodes them compactly.
+// FuzzQueueReplay feeds arbitrary journal bytes, and optionally an
+// arbitrary snapshot.json and wal.log of the releases before the
+// journal, to recovery. Open must never panic, and whatever it accepts
+// must survive its own compaction: Close and reopen give the same jobs.
+// Opaque JSON fields are compared as encoded, since compaction
+// re-encodes them compactly.
 func FuzzQueueReplay(f *testing.F) {
 	local, err := os.ReadFile(filepath.Join("testdata", "local-dispatch.wal"))
 	if err != nil {
@@ -69,24 +73,26 @@ func FuzzQueueReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	progress := progressJournal(f)
-	f.Add(local, []byte(nil))
-	f.Add(progress, []byte(nil))
-	f.Add(progress[:len(progress)/2], []byte(`{"version":1,"seq":2,"next_id":9,"jobs":[{"id":"c9","state":"running","seq":1}]}`))
+	f.Add([]byte(nil), []byte(nil), local)
+	f.Add(progress, []byte(nil), []byte(nil))
+	f.Add(progress[:len(progress)/2], []byte(`{"version":1,"seq":2,"next_id":9,"jobs":[{"id":"c9","state":"running","seq":1}]}`), []byte(nil))
 	// Two jobs sharing a submission number, which only a foreign journal
 	// holds: their order must not follow map iteration.
-	f.Add([]byte(`{"seq":1,"op":"submit","job":{"id":"c1","state":"done","seq":1}}
-{"seq":2,"op":"submit","job":{"id":"c2","state":"done","seq":1}}
-`), []byte(nil))
-	// The snapshot and WAL a daemon that shipped checkpoints left behind.
-	f.Add(cpWAL, cpSnap)
+	twins := storage.AppendRecord(nil, []byte(`{"seq":1,"op":"submit","job":{"id":"c1","state":"done","seq":1}}`))
+	twins = storage.AppendRecord(twins, []byte(`{"seq":2,"op":"submit","job":{"id":"c2","state":"done","seq":1}}`))
+	f.Add(twins, []byte(nil), []byte(nil))
+	// The snapshot and WAL a daemon that shipped checkpoints left behind,
+	// and its snapshot alone, as a clean stop leaves it.
+	f.Add([]byte(nil), cpSnap, cpWAL)
+	f.Add([]byte(nil), cpSnap, []byte(nil))
 
-	f.Fuzz(func(t *testing.T, wal, snap []byte) {
+	f.Fuzz(func(t *testing.T, journal, snap, wal []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if len(snap) > 0 {
-			if err := os.WriteFile(filepath.Join(dir, snapshotName), snap, 0o644); err != nil {
+		for name, data := range map[string][]byte{journalName: journal, oldSnapshotName: snap, oldWALName: wal} {
+			if len(data) == 0 {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -141,7 +141,7 @@ func TestHeartbeatJournalsNothing(t *testing.T) {
 	}
 	walSize := func() int64 {
 		t.Helper()
-		fi, err := os.Stat(filepath.Join(dir, walName))
+		fi, err := os.Stat(filepath.Join(dir, journalName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,22 +278,38 @@ func TestLeaseSurvivesWALReplay(t *testing.T) {
 }
 
 // TestCheckpointJournalReplays: the state a daemon that still shipped
-// campaign checkpoints leaves when killed mid-campaign, captured from
-// that code in testdata: a snapshot holding a "checkpointed" job with a
-// checkpoint field, and WAL "renew" records carrying checkpoints for
-// another job. Both jobs come back pending and recovered with their
-// attempt counts, the checkpoints are dropped, and they lease again in
-// FIFO order.
+// campaign checkpoints left, captured from that code in testdata. Its
+// snapshot alone, as a clean stop leaves it, imports: a "checkpointed"
+// job with a checkpoint field and a running one come back pending and
+// recovered with their attempt counts, the checkpoints are dropped, and
+// they lease again in FIFO order. With that release's WAL beside it,
+// still holding the "renew" records a kill mid-campaign left, Open
+// refuses.
 func TestCheckpointJournalReplays(t *testing.T) {
+	snap, err := os.ReadFile(filepath.Join("testdata", "checkpoint-snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join("testdata", "checkpoint.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	for name, fixture := range map[string]string{snapshotName: "checkpoint-snapshot.json", walName: "checkpoint.wal"} {
-		data, err := os.ReadFile(filepath.Join("testdata", fixture))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, data := range map[string][]byte{oldSnapshotName: snap, oldWALName: wal} {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if q, err := Open(Config{Dir: dir}); err == nil {
+		q.Close()
+		t.Fatal("a WAL holding records was not refused")
+	} else if !strings.Contains(err.Error(), filepath.Join(dir, oldWALName)) {
+		t.Fatalf("refusal does not name the WAL: %v", err)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, oldSnapshotName), snap, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	q, err := Open(Config{Dir: dir})
 	if err != nil {
@@ -327,15 +343,14 @@ func TestCheckpointJournalReplays(t *testing.T) {
 // TestPreLeaseJournalRefused: a WAL written before local dispatch ran
 // on leases — "state running" pickups and checkpoint records,
 // captured from that code in testdata/local-dispatch.wal — is refused
-// with an error naming its first non-terminal state record, not
-// half-replayed.
+// with an error naming the file and the remedy, not half-replayed.
 func TestPreLeaseJournalRefused(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "local-dispatch.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, oldWALName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Open(Config{Dir: dir})
@@ -343,8 +358,8 @@ func TestPreLeaseJournalRefused(t *testing.T) {
 		q.Close()
 		t.Fatal("a pre-lease journal opened")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "state record 2") || !strings.Contains(msg, `"running"`) {
-		t.Fatalf("refusal does not name the running state record: %v", err)
+	if msg := err.Error(); !strings.Contains(msg, filepath.Join(dir, oldWALName)) || !strings.Contains(msg, "stop it cleanly") {
+		t.Fatalf("refusal does not name the WAL and the remedy: %v", err)
 	}
 }
 

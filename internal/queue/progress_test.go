@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"dramdig/internal/metrics"
+	"dramdig/internal/storage"
 )
 
 // progressData is one event as a worker reports it: compact JSON, the
@@ -204,12 +206,13 @@ func TestProgressDataRoundTrip(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if err != nil {
+	if err := storage.ReadLog(filepath.Join(dir, journalName), func(data []byte) error {
+		if bytes.Contains(data, []byte("\n ")) {
+			t.Fatalf("journal record is indented:\n%s", data)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if bytes.Contains(snap, []byte("\n ")) {
-		t.Fatalf("snapshot is indented:\n%s", snap)
 	}
 
 	q2 := openTest(t, Config{Dir: dir})
@@ -226,9 +229,16 @@ func TestProgressDataRoundTrip(t *testing.T) {
 }
 
 // TestIndentedSnapshotLoads: a snapshot written indented, as earlier
-// versions wrote it, still opens.
+// versions wrote it, is imported with its jobs, IDs and histories, and
+// goes once the journal holds them.
 func TestIndentedSnapshotLoads(t *testing.T) {
 	dir := t.TempDir()
+	type snapshot struct {
+		Version int    `json:"version"`
+		Seq     uint64 `json:"seq"`
+		NextID  uint64 `json:"next_id"`
+		Jobs    []Job  `json:"jobs"`
+	}
 	old := snapshot{Version: 1, Seq: 4, NextID: 2, Jobs: []Job{
 		{ID: "c1", Payload: json.RawMessage(`{"n":1}`), State: StateDone, Result: json.RawMessage(`"r"`), Seq: 1,
 			History: []Event{{Seq: 1, Type: EventSubmitted}, {Seq: 4, Type: EventDone}}},
@@ -238,10 +248,13 @@ func TestIndentedSnapshotLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, oldSnapshotName), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	q := openTest(t, Config{Dir: dir})
+	if _, err := os.Stat(filepath.Join(dir, oldSnapshotName)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("imported snapshot left in place: %v", err)
+	}
 	if st := q.StatsSnapshot(); st.Done != 1 || st.Pending != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -250,6 +263,35 @@ func TestIndentedSnapshotLoads(t *testing.T) {
 	}
 	if j := mustSubmit(t, q, `{"n":3}`, SubmitOptions{}); j.ID != "c3" {
 		t.Fatalf("next ID %s, want c3", j.ID)
+	}
+}
+
+// TestJournalWinsOverOldFiles: a journal beside an older release's files,
+// as a crash between an import's compaction and their removal leaves
+// it, is what Open replays; the old files are not read, and they go.
+func TestJournalWinsOverOldFiles(t *testing.T) {
+	dir := t.TempDir()
+	q := openTest(t, Config{Dir: dir})
+	j := mustSubmit(t, q, `{"n":1}`, SubmitOptions{})
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		oldSnapshotName: `{"version":1,"seq":1,"next_id":7,"jobs":[{"id":"c7","state":"submitted","seq":1}]}`,
+		oldWALName:      `{"seq":2,"op":"submit","job":{"id":"c8","state":"submitted","seq":2}}` + "\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q2 := openTest(t, Config{Dir: dir})
+	if jobs := q2.Jobs(); len(jobs) != 1 || jobs[0].ID != j.ID {
+		t.Fatalf("jobs %+v, want only %s from the journal", jobs, j.ID)
+	}
+	for _, name := range []string{oldSnapshotName, oldWALName} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s left beside the journal: %v", name, err)
+		}
 	}
 }
 

@@ -8,14 +8,17 @@
 // keeping their attempt count, and the next lease runs them again
 // instead of losing them.
 //
-// Durability is built on internal/storage: the WAL is an append-only
-// file of JSON lines (storage.AppendLog), fsync'd before a mutation is
-// acknowledged; periodically (and on every Open and Close) the whole
-// queue state is compacted into a snapshot written atomically
-// (storage.WriteFileAtomic) and the WAL is reset. Recovery loads the
-// snapshot, replays WAL records with newer sequence numbers, and
-// tolerates a torn final line — the one write a crash can actually
-// tear. Concurrent mutations group-commit: records are written under
+// Durability is built on internal/storage: the journal, queue.log, is a
+// storage.AppendLog of checksummed records, one JSON walRecord each,
+// fsync'd before a mutation is acknowledged. Periodically (and on every
+// Open and Close) compaction replaces it atomically
+// (storage.WriteFileAtomic) with a head record and one submit record per
+// retained job. Recovery replays it through storage.ReadLog, which cuts
+// a torn last record — the one write a crash can actually tear — and
+// refuses a bad record anywhere else. A directory a cleanly stopped
+// older release left (snapshot.json beside an empty JSON-line wal.log)
+// is imported once; a wal.log that still holds records is refused.
+// Concurrent mutations group-commit: records are written under
 // the state lock but fsync'd outside it by a leader — whoever reaches
 // the sync lock first flushes everything written so far, and the rest
 // find their record already durable, so N concurrent submissions cost
@@ -30,8 +33,7 @@
 // rejected without corrupting state. ExpireLeases requeues jobs whose
 // deadline passed, attempt count intact — the same requeue semantics
 // crash recovery applies, so a dead worker costs one lease TTL, not a
-// campaign. A journal written before leases existed holds "state"
-// records with non-terminal states; Open refuses it.
+// campaign.
 //
 // Backpressure and dedup are first-class: Submit refuses work past the
 // configured pending capacity with ErrFull (the daemon turns that into
@@ -45,7 +47,6 @@
 package queue
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"crypto/rand"
@@ -54,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -134,8 +136,8 @@ type Job struct {
 	LeaseToken           string `json:"lease_token,omitempty"`
 	LeaseExpiresUnixNano int64  `json:"lease_expires_unix_nano,omitempty"`
 	// History records the job's lifecycle events in order (see Event).
-	// It is rebuilt identically by WAL replay and persisted through
-	// snapshot compaction, so a campaign timeline survives restarts.
+	// It is rebuilt identically by journal replay and carried whole by
+	// compaction, so a campaign timeline survives restarts.
 	History []Event `json:"history,omitempty"`
 
 	// syncPending marks a job whose submit record is written but not yet
@@ -216,7 +218,7 @@ var (
 
 // Config tunes a queue. The zero value is a usable memory-only queue.
 type Config struct {
-	// Dir holds the WAL and snapshot; empty keeps the queue in memory.
+	// Dir holds the journal, queue.log; empty keeps the queue in memory.
 	Dir string
 	// Capacity bounds jobs in StateSubmitted (default 64). In-flight and
 	// terminal jobs do not count: backpressure is about the backlog.
@@ -225,8 +227,8 @@ type Config struct {
 	// oldest are evicted past the cap, which also ends their
 	// idempotency-dedup window.
 	KeepTerminal int
-	// CompactEvery is the number of WAL records between automatic
-	// snapshot compactions (default 1024).
+	// CompactEvery is the number of journal records between automatic
+	// compactions (default 1024).
 	CompactEvery int
 }
 
@@ -278,7 +280,7 @@ type Stats struct {
 	Submitted uint64 `json:"submitted"`
 	Deduped   uint64 `json:"deduped"`
 	// Requeued counts in-flight jobs Open returned to the backlog after
-	// a process death; Compactions counts snapshot compactions.
+	// a process death; Compactions counts journal compactions.
 	Requeued    uint64 `json:"requeued"`
 	Compactions uint64 `json:"compactions"`
 	// Expired counts leases the expiry sweep requeued after missed
@@ -295,15 +297,16 @@ type Queue struct {
 	pending int               // jobs in StateSubmitted (capacity check is O(1))
 	seq     uint64            // last assigned WAL sequence number
 	nextID  uint64
-	wal     *storage.AppendLog // nil in memory mode
+	wal     *storage.AppendLog // the journal; nil in memory mode
 	walLen  int                // records since last compaction
 	closed  bool
 
 	// Group-commit state. Records are written to the WAL under q.mu but
 	// fsync'd under walMu, usually after q.mu is released (lock order is
-	// q.mu → walMu; walMu is never held while taking q.mu): syncTo skips
-	// the fsync entirely when a concurrent leader already pushed the
-	// durable watermark (syncedSeq) past the caller's record. writtenSeq
+	// q.mu → walMu; walMu is never held while taking q.mu; q.wal changes
+	// only under both): syncTo skips the fsync entirely when a concurrent
+	// leader already pushed the durable watermark (syncedSeq) past the
+	// caller's record. writtenSeq
 	// is the highest sequence number written to the file, stored under
 	// q.mu and read under walMu, hence atomic.
 	walMu      sync.Mutex
@@ -332,17 +335,22 @@ type Queue struct {
 }
 
 const (
-	walName      = "wal.log"
-	snapshotName = "snapshot.json"
+	journalName = "queue.log"
+	// The files of releases before the journal: a JSON snapshot and a
+	// JSON-line WAL that a clean stop left empty.
+	oldSnapshotName = "snapshot.json"
+	oldWALName      = "wal.log"
 )
 
-// walRecord is one WAL line. Submit records carry the whole job; state,
-// lease, progress and expire records patch an existing one. Journals
-// written by older versions also hold "renew" records (a heartbeat's
-// deadline, once with a checkpoint); they replay as no-ops.
+// walRecord is one journal record. A compacted journal opens with a
+// "head" record, which carries the sequence number and the last
+// generated ID, and holds one "submit" record per retained job. After it
+// come the live mutations: submit records carry the whole job; state,
+// lease, progress and expire records patch an existing one.
 type walRecord struct {
 	Seq    uint64          `json:"seq"`
-	Op     string          `json:"op"` // "submit", "state", "lease", "progress", "expire"; "renew" on replay only
+	Op     string          `json:"op"` // "head", "submit", "state", "lease", "progress", "expire"
+	NextID uint64          `json:"next_id,omitempty"`
 	Job    *Job            `json:"job,omitempty"`
 	ID     string          `json:"id,omitempty"`
 	State  State           `json:"state,omitempty"`
@@ -357,27 +365,15 @@ type walRecord struct {
 	Kind string          `json:"kind,omitempty"`
 	Data json.RawMessage `json:"data,omitempty"`
 	// At stamps when the mutation happened (UnixNano) so replay rebuilds
-	// the same event history. Optional: journals written before event
-	// history existed replay with zero timestamps (submit events fall
-	// back to the job's SubmittedUnixNano).
+	// the same event history.
 	At int64 `json:"at,omitempty"`
 }
 
-// snapshot is the compacted on-disk state: everything the WAL said, as
-// of Seq. It is written one job at a time (see writeSnapshot) and read
-// whole; snapshots written indented by earlier versions still load.
-type snapshot struct {
-	Version int    `json:"version"`
-	Seq     uint64 `json:"seq"`
-	NextID  uint64 `json:"next_id"`
-	Jobs    []Job  `json:"jobs"`
-}
-
 // Open loads (or creates) a queue. With Config.Dir set it recovers
-// persisted state: snapshot first, then WAL records with newer sequence
-// numbers; jobs that were in flight return to submitted with their
-// attempt counts intact and Recovered set, and the recovered state is
-// compacted back to disk before Open returns.
+// persisted state by replaying the journal; jobs that were in flight
+// return to submitted with their attempt counts intact and Recovered
+// set, and the recovered state is compacted back to disk before Open
+// returns.
 func Open(cfg Config) (*Queue, error) {
 	cfg.setDefaults()
 	q := &Queue{
@@ -393,7 +389,7 @@ func Open(cfg Config) (*Queue, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("queue: %w", err)
 	}
-	if err := q.recover(); err != nil {
+	if err := q.load(); err != nil {
 		return nil, err
 	}
 	// Re-queue interrupted work: anything in flight when the previous
@@ -401,6 +397,7 @@ func Open(cfg Config) (*Queue, error) {
 	// Leases die with the process that granted them — the token is gone,
 	// so a worker still heartbeating an old lease gets ErrLeaseExpired
 	// and abandons; the requeued job runs exactly once.
+	q.pending = 0
 	for _, j := range q.jobs {
 		if j.State.InFlight() {
 			j.State = StateSubmitted
@@ -411,22 +408,20 @@ func Open(cfg Config) (*Queue, error) {
 			// the compaction below, like the state flip itself.
 			j.recordEvent(Event{Seq: q.seq, AtUnixNano: time.Now().UnixNano(), Type: EventRequeued, Attempt: j.Attempts, Detail: "recovered"})
 		}
-	}
-	q.pending = 0
-	for _, j := range q.jobs {
 		if j.State == StateSubmitted {
 			q.pending++
 		}
 	}
-	wal, err := storage.OpenAppendLog(filepath.Join(cfg.Dir, walName))
-	if err != nil {
-		return nil, fmt.Errorf("queue: %w", err)
-	}
-	q.wal = wal
-	// Persist the recovered view and start from a clean WAL.
+	// Persist the recovered view as a fresh journal. Only then may an
+	// imported release's files go.
 	if err := q.compactLocked(); err != nil {
-		wal.Close()
 		return nil, err
+	}
+	for _, name := range []string{oldSnapshotName, oldWALName} {
+		if err := storage.RemoveDurable(filepath.Join(cfg.Dir, name)); err != nil {
+			q.wal.Close()
+			return nil, fmt.Errorf("queue: %w", err)
+		}
 	}
 	if q.pending > 0 {
 		q.wake()
@@ -434,77 +429,65 @@ func Open(cfg Config) (*Queue, error) {
 	return q, nil
 }
 
-// recover loads the snapshot and replays the WAL into memory.
-func (q *Queue) recover() error {
-	snapPath := filepath.Join(q.cfg.Dir, snapshotName)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var snap snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("queue: corrupt snapshot %s: %w", snapPath, err)
+// load replays the journal into memory. A directory without one is new,
+// or was left by a release that kept a snapshot (see importOld).
+func (q *Queue) load() error {
+	err := storage.ReadLog(filepath.Join(q.cfg.Dir, journalName), func(data []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return err
 		}
-		q.seq, q.nextID = snap.Seq, snap.NextID
-		for i := range snap.Jobs {
-			j := snap.Jobs[i]
-			q.jobs[j.ID] = &j
-			if j.IdempotencyKey != "" {
-				q.byKey[j.IdempotencyKey] = j.ID
-			}
+		if rec.Op == "head" {
+			q.nextID = rec.NextID
+		} else if err := q.applyLocked(rec); err != nil {
+			return err
 		}
-	} else if !os.IsNotExist(err) {
+		q.seq = rec.Seq
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return q.importOld()
+	}
+	if err != nil {
+		return fmt.Errorf("queue: replay %s: %w", journalName, err)
+	}
+	return nil
+}
+
+// importOld loads the snapshot.json an older release compacted its
+// state into on a clean stop. Such a stop leaves that release's
+// JSON-line wal.log empty; one that still holds records is refused,
+// since this release does not read JSON lines.
+func (q *Queue) importOld() error {
+	walPath := filepath.Join(q.cfg.Dir, oldWALName)
+	if fi, err := os.Stat(walPath); err == nil && fi.Size() > 0 {
+		return fmt.Errorf("queue: %s holds records this release does not read: start the release that wrote it on %s and stop it cleanly, which compacts them into %s, then start this one", walPath, q.cfg.Dir, oldSnapshotName)
+	} else if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("queue: %w", err)
 	}
-
-	walPath := filepath.Join(q.cfg.Dir, walName)
-	data, err := os.ReadFile(walPath)
-	if os.IsNotExist(err) {
+	snapPath := filepath.Join(q.cfg.Dir, oldSnapshotName)
+	data, err := os.ReadFile(snapPath)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("queue: %w", err)
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var pending []walRecord
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn tail is the one corruption a crash legitimately
-			// produces; drop it. Anything before the tail is real
-			// corruption and must not be silently eaten.
-			if isLastLine(data, line) {
-				break
-			}
-			return fmt.Errorf("queue: corrupt WAL record (seq after %d): %w", q.seq, err)
-		}
-		pending = append(pending, rec)
+	var snap struct {
+		Seq    uint64 `json:"seq"`
+		NextID uint64 `json:"next_id"`
+		Jobs   []Job  `json:"jobs"`
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("queue: %w", err)
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return fmt.Errorf("queue: corrupt snapshot %s: %w", snapPath, err)
 	}
-	for _, rec := range pending {
-		if rec.Seq <= q.seq {
-			continue // already folded into the snapshot
+	q.seq, q.nextID = snap.Seq, snap.NextID
+	for i := range snap.Jobs {
+		if err := q.applyLocked(walRecord{Op: "submit", Job: &snap.Jobs[i]}); err != nil {
+			return fmt.Errorf("queue: import %s: %w", snapPath, err)
 		}
-		if err := q.applyLocked(rec); err != nil {
-			return fmt.Errorf("queue: WAL replay: %w", err)
-		}
-		q.seq = rec.Seq
 	}
 	return nil
-}
-
-// isLastLine reports whether line is the final non-empty line of data.
-func isLastLine(data, line []byte) bool {
-	idx := bytes.LastIndex(data, line)
-	if idx < 0 {
-		return false
-	}
-	rest := bytes.TrimSpace(data[idx+len(line):])
-	return len(rest) == 0
 }
 
 // applyLocked folds one record into the in-memory state. It is the
@@ -536,20 +519,9 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		if n := parseID(j.ID); n >= q.nextID {
 			q.nextID = n
 		}
-		// Submit records predating the At field still anchor the
-		// timeline: the job carries its own submission stamp.
-		at := rec.At
-		if at == 0 {
-			at = j.SubmittedUnixNano
-		}
-		if len(j.History) == 0 {
-			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: at, Type: EventSubmitted})
-		}
 	case "state":
-		// Only a journal written before leases existed moves a job to a
-		// non-terminal state here ("running" on pickup).
 		if !rec.State.Terminal() {
-			return fmt.Errorf("state record %d moves job %s to non-terminal state %q (a journal written before leases)", rec.Seq, rec.ID, rec.State)
+			return fmt.Errorf("state record %d moves job %s to non-terminal state %q", rec.Seq, rec.ID, rec.State)
 		}
 		if j.State == StateSubmitted {
 			q.pending--
@@ -578,10 +550,6 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		j.Attempts++
 		j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = rec.Owner, rec.Token, rec.LeaseExpires
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventLeased, Worker: rec.Owner, Attempt: j.Attempts})
-	case "renew":
-		// Written by older heartbeats. A renewal only moved the deadline,
-		// and Open clears the lease of every job still in flight, so
-		// nothing it set survives recovery.
 	case "progress":
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: rec.Kind, Worker: j.LeaseOwner, Attempt: j.Attempts, Data: rec.Data})
 	case "expire":
@@ -630,15 +598,13 @@ func (q *Queue) appendLocked(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("queue: encode WAL record: %w", err)
 	}
-	data = append(data, '\n')
-	if _, err := q.wal.Write(data); err != nil {
+	if err := q.wal.Append(data); err != nil {
 		return fmt.Errorf("queue: %w", err)
 	}
 	q.writtenSeq.Store(rec.Seq)
 	q.walAppend.Observe(time.Since(start).Seconds())
 	q.walLen++
 	if q.walLen >= q.cfg.CompactEvery {
-		// The O_APPEND handle follows the truncated file; nothing to reopen.
 		return q.compactLocked()
 	}
 	return nil
@@ -670,56 +636,65 @@ func (q *Queue) syncTo(seq uint64) error {
 	return nil
 }
 
-// compactLocked writes the full state as an atomic, durable snapshot
-// (storage.WriteFileAtomic), then resets the WAL, whose records are all
-// ≤ the snapshot's sequence number.
+// compactLocked replaces the journal, atomically and durably, with one
+// that holds the full state (see writeJournal), then appends to it.
+// Durable mode only.
 func (q *Queue) compactLocked() error {
-	if q.cfg.Dir == "" {
-		return nil
+	path := filepath.Join(q.cfg.Dir, journalName)
+	if err := storage.WriteFileAtomic(path, 0o644, q.writeJournal); err != nil {
+		return fmt.Errorf("queue: compact: %w", err)
 	}
-	if err := storage.WriteFileAtomic(filepath.Join(q.cfg.Dir, snapshotName), 0o644, q.writeSnapshot); err != nil {
-		return fmt.Errorf("queue: snapshot: %w", err)
+	wal, err := storage.OpenAppendLog(path)
+	if err != nil {
+		return fmt.Errorf("queue: %w", err)
 	}
-	// The snapshot now covers every WAL record; a crash between the
-	// snapshot landing and this reset is safe because replay skips
-	// records with seq ≤ the snapshot's.
-	if q.wal != nil {
-		if err := q.wal.Reset(); err != nil {
-			return fmt.Errorf("queue: %w", err)
-		}
-	}
-	q.walLen = 0
-	q.compactions++
-	// Every record ≤ q.seq is now durable via the snapshot; advance the
-	// group-commit watermark so pending syncTo calls skip the fsync.
+	// Swap the handle under walMu, so a straggling syncTo never fsyncs a
+	// closed file. Every record ≤ q.seq is durable in the new journal, so
+	// pending syncTo calls skip the fsync, and closing the replaced
+	// file's handle can lose nothing.
 	q.walMu.Lock()
+	if q.wal != nil {
+		q.wal.Close()
+	}
+	q.wal = wal
 	if q.seq > q.syncedSeq {
 		q.syncedSeq = q.seq
 	}
 	q.walMu.Unlock()
+	q.walLen = 0
+	q.compactions++
 	return nil
 }
 
-// writeSnapshot streams the snapshot as compact JSON, one job per line
-// in submission order, so compaction holds one encoded job at a time
-// rather than a copy of the whole queue. Callers hold q.mu.
-func (q *Queue) writeSnapshot(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, `{"version":1,"seq":%d,"next_id":%d,"jobs":[`, q.seq, q.nextID); err != nil {
+// writeJournal streams a compacted journal: the head record, then one
+// submit record per job in submission order, each encoded into the same
+// reused buffers, so compaction holds one encoded job at a time rather
+// than a copy of the whole queue. Callers hold q.mu.
+func (q *Queue) writeJournal(w io.Writer) error {
+	var buf bytes.Buffer
+	var frame []byte
+	enc := json.NewEncoder(&buf)
+	put := func(rec *walRecord) error {
+		buf.Reset()
+		if err := enc.Encode(rec); err != nil {
+			return fmt.Errorf("queue: encode journal: %w", err)
+		}
+		frame = storage.AppendRecord(frame[:0], buf.Bytes())
+		_, err := w.Write(frame)
 		return err
 	}
-	enc := json.NewEncoder(w)
-	for i, j := range q.sortedLocked(nil) {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		if err := enc.Encode(j); err != nil {
-			return fmt.Errorf("queue: encode snapshot: %w", err)
+	rec := walRecord{Seq: q.seq, Op: "head", NextID: q.nextID}
+	if err := put(&rec); err != nil {
+		return err
+	}
+	rec = walRecord{Seq: q.seq, Op: "submit"}
+	for _, j := range q.sortedLocked(nil) {
+		rec.Job = j
+		if err := put(&rec); err != nil {
+			return err
 		}
 	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
+	return nil
 }
 
 // sortedLocked returns the jobs keep approves of (every job when keep is
@@ -811,9 +786,10 @@ func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, 
 		SubmittedUnixNano: now.UnixNano(),
 		TraceParent:       opts.TraceParent,
 		RequestID:         opts.RequestID,
+		History:           []Event{{Seq: q.seq, AtUnixNano: now.UnixNano(), Type: EventSubmitted}},
 		syncPending:       q.wal != nil,
 	}
-	rec := walRecord{Seq: q.seq, Op: "submit", Job: &j, At: now.UnixNano()}
+	rec := walRecord{Seq: q.seq, Op: "submit", Job: &j}
 	if err := q.applyLocked(rec); err != nil {
 		q.mu.Unlock()
 		return Job{}, false, err
@@ -1234,7 +1210,7 @@ func (q *Queue) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(q.StatsSnapshot().Deduped) })
 	r.CounterFunc("dramdig_queue_requeued_total", "Interrupted jobs re-queued at recovery.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Requeued) })
-	r.CounterFunc("dramdig_queue_compactions_total", "WAL snapshot compactions.", nil,
+	r.CounterFunc("dramdig_queue_compactions_total", "Journal compactions.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Compactions) })
 	r.GaugeFunc("dramdig_queue_leased", "In-flight jobs held under an active worker lease.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Leased) })

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"dramdig/internal/metrics"
+	"dramdig/internal/storage"
 )
 
 func openTest(t *testing.T, cfg Config) *Queue {
@@ -193,8 +195,9 @@ func TestQueueRecovery(t *testing.T) {
 	}
 }
 
-// TestQueueTornTail: a partial final WAL line (torn write at crash) is
-// dropped; corruption before the tail is an error.
+// TestQueueTornTail: a torn final journal record (a write cut short at
+// crash) is dropped; a corrupt record before an intact one is an error
+// naming the journal and the offset, and leaves the journal as it was.
 func TestQueueTornTail(t *testing.T) {
 	dir := t.TempDir()
 	q1, err := Open(Config{Dir: dir})
@@ -202,13 +205,14 @@ func TestQueueTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep := mustSubmit(t, q1, `{"keep":true}`, SubmitOptions{})
-	walPath := filepath.Join(dir, walName)
+	journalPath := filepath.Join(dir, journalName)
 
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(journalPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":999,"op":"submit","job":{"id":`); err != nil {
+	torn := storage.AppendRecord(nil, []byte(`{"seq":999,"op":"submit","job":{"id":"c999","state":"submitted","seq":999}}`))
+	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -220,20 +224,35 @@ func TestQueueTornTail(t *testing.T) {
 	if _, ok := q2.Get(keep.ID); !ok {
 		t.Error("intact record lost with the torn tail")
 	}
+	if _, ok := q2.Get("c999"); ok {
+		t.Error("torn record replayed")
+	}
 	q2.Close()
 
-	// Corruption in the middle is not silently eaten.
-	if err := os.WriteFile(walPath, []byte("{garbage\n{\"also\": \"broken\"}\n"), 0o644); err != nil {
+	// Corruption in the middle is not silently eaten: a byte flipped in
+	// the head record, with the job's submit record intact after it.
+	data, err := os.ReadFile(journalPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, snapshotName))
+	data[8] ^= 0xff
+	if err := os.WriteFile(journalPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Open(Config{Dir: dir}); err == nil {
-		t.Fatal("mid-WAL corruption went unnoticed")
+		t.Fatal("mid-journal corruption went unnoticed")
+	} else if want := journalPath + ": torn record at offset 0"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if after, _ := os.ReadFile(journalPath); !bytes.Equal(after, data) {
+		t.Fatal("refused journal changed")
 	}
 }
 
-// TestQueueCompaction: the WAL truncates once CompactEvery records
-// accumulate, and the snapshot alone reproduces the state.
+// TestQueueCompaction: once CompactEvery records accumulate, the journal
+// is rewritten as a head record plus one submit record per job, later
+// records append after them, and that journal alone reproduces the
+// state. A durable queue's directory holds nothing but the journal.
 func TestQueueCompaction(t *testing.T) {
 	dir := t.TempDir()
 	q1, err := Open(Config{Dir: dir, CompactEvery: 4})
@@ -244,36 +263,48 @@ func TestQueueCompaction(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		last = mustSubmit(t, q1, fmt.Sprintf(`{"i":%d}`, i), SubmitOptions{})
 	}
-	fi, err := os.Stat(filepath.Join(dir, walName))
-	if err != nil {
+	// 6 submits with CompactEvery=4: compacted at 4, so the 4 compacted
+	// jobs follow the head and 2 appended records follow them.
+	var ops []string
+	if err := storage.ReadLog(filepath.Join(dir, journalName), func(data []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			return err
+		}
+		ops = append(ops, fmt.Sprintf("%s@%d", rec.Op, rec.Seq))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// 6 submits with CompactEvery=4: compacted at 4, so ≤ 2 records left.
-	if fi.Size() == 0 {
-		t.Fatal("WAL empty right after an uncompacted submit")
-	}
-	var snap snapshot
-	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Jobs) != 4 {
-		t.Fatalf("snapshot has %d jobs, want the 4 compacted ones", len(snap.Jobs))
+	if got, want := strings.Join(ops, " "), "head@4 submit@4 submit@4 submit@4 submit@4 submit@5 submit@6"; got != want {
+		t.Fatalf("journal records %s, want %s", got, want)
 	}
 
-	q2, err := Open(Config{Dir: dir})
+	q2, err := Open(Config{Dir: dir, CompactEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer q2.Close()
 	if got := q2.StatsSnapshot().Pending; got != 6 {
 		t.Fatalf("recovered %d pending jobs, want 6", got)
 	}
 	if _, ok := q2.Get(last.ID); !ok {
 		t.Error("post-compaction submit lost")
+	}
+	for i := 0; i < 4; i++ {
+		mustSubmit(t, q2, `{}`, SubmitOptions{})
+	}
+	if n := q2.StatsSnapshot().Compactions; n != 2 {
+		t.Fatalf("%d compactions, want Open's and one mid-run", n)
+	}
+	if err := q2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != journalName {
+		t.Fatalf("queue directory holds %d entries, want only %s", len(ents), journalName)
 	}
 }
 
@@ -368,9 +399,10 @@ func TestQueueTerminalEviction(t *testing.T) {
 }
 
 // TestQueueConcurrent hammers the queue from many goroutines — run
-// under -race this is the data-race check.
+// under -race this is the data-race check. Compacting every few records
+// swaps the journal's append handle under concurrent group commits.
 func TestQueueConcurrent(t *testing.T) {
-	q := openTest(t, Config{Dir: t.TempDir(), Capacity: 1024})
+	q := openTest(t, Config{Dir: t.TempDir(), Capacity: 1024, CompactEvery: 7})
 	const producers, perProducer = 4, 25
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

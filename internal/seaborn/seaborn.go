@@ -46,31 +46,17 @@ type Target interface {
 
 // Config tunes the sweep.
 type Config struct {
-	// MaxStrideBytes bounds the stride sweep (default 4 MiB).
-	MaxStrideBytes uint64
-	// BasesPerStride is how many base addresses each stride is hammered
-	// from (default 24).
-	BasesPerStride int
 	// ActsPerAggressor per burst (default 90_000).
 	ActsPerAggressor uint64
-	// MinKernelRank is the evidence needed before analysis (default:
-	// stop when extra sweeps add no rank for two rounds).
-	MinKernelRank int
 	// TimeoutSimSeconds caps the run (default 7200).
 	TimeoutSimSeconds float64
-	// Seed drives base selection.
+	// Seed drives pair selection.
 	Seed int64
 	// Logf receives progress lines.
 	Logf func(format string, args ...any)
 }
 
 func (c *Config) setDefaults() {
-	if c.MaxStrideBytes == 0 {
-		c.MaxStrideBytes = 4 << 20
-	}
-	if c.BasesPerStride == 0 {
-		c.BasesPerStride = 24
-	}
 	if c.ActsPerAggressor == 0 {
 		c.ActsPerAggressor = 90_000
 	}
@@ -127,8 +113,9 @@ func New(target Target, cfg Config) (*Tool, error) {
 	return &Tool{cfg: cfg, target: target, rng: rand.New(rand.NewSource(cfg.Seed)), logf: logf}, nil
 }
 
-// Run sweeps strides, collecting flip evidence until the kernel rank
-// stops growing, then solves for the consistent function space.
+// Run hammers random page pairs of the allocation in sweeps of 8,192
+// bursts, collecting flip evidence until three sweeps in a row add no
+// kernel rank, then solves for the consistent function space.
 func (t *Tool) Run() (*Result, error) {
 	return t.RunContext(context.Background())
 }

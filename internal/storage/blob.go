@@ -20,8 +20,8 @@ import (
 // rewrites a segment's live records into the active segment before
 // removing the old file — the second phase of a crash-safe two-phase
 // delete. Only the highest-numbered segment (the one being appended to at
-// crash time) may carry a torn tail; a torn record in any sealed segment
-// is reported as corruption.
+// crash time) may carry a torn tail; any other bad record is reported as
+// corruption (see readLog).
 //
 // Durability policy: individual Puts are not fsynced (matching the flat
 // per-file layout this store replaced, which also relied on the OS to
@@ -85,6 +85,9 @@ type blobLoc struct {
 const (
 	recBlob      = 'b'
 	recTombstone = 't'
+	// recJournal is an AppendLog record: no key, and a payload whose
+	// meaning belongs to the log's owner.
+	recJournal = 'j'
 
 	defaultSegmentBytes = 1 << 20
 	segSuffix           = ".seg"
@@ -92,7 +95,7 @@ const (
 
 // OpenBlobStore opens (creating if needed) the store at opts.Dir, scans
 // all segments to rebuild the index, truncates a torn tail on the active
-// segment, and fails on torn or corrupt sealed segments.
+// segment, and fails on any other torn or corrupt record.
 func OpenBlobStore(opts Options) (*BlobStore, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("storage: blob store needs a directory")
@@ -122,9 +125,17 @@ func OpenBlobStore(opts Options) (*BlobStore, error) {
 	}
 	now := time.Now()
 	for i, id := range ids {
+		// Replay the segment into the index. Only the newest may end in
+		// a torn record.
 		s := &segment{id: id, path: segmentPath(opts.Dir, id)}
-		last := i == len(ids)-1
-		if err := bs.scanSegment(s, last, now); err != nil {
+		s.bytes, err = readLog(s.path, i == len(ids)-1, func(off int64, typ byte, key string, data []byte, recLen int64) error {
+			bs.unindexLocked(key)
+			if typ == recBlob {
+				bs.indexLocked(key, &blobLoc{seg: s, off: off + recLen - 4 - int64(len(data)), size: int64(len(data)), recBytes: recLen, at: now})
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
 		if s.bytes == 0 && s.live == 0 {
@@ -189,77 +200,70 @@ func listSegmentIDs(dir string) ([]uint64, error) {
 	return ids, nil
 }
 
-// encodeRecord renders one record. Wire format:
+// appendRecord appends one record to dst. Wire format:
 //
 //	type(1) | keyLen uvarint | dataLen uvarint | key | data | crc32-IEEE(4, LE)
 //
-// The checksum covers everything before it. dataOff is the offset of the
-// payload within the returned slice.
-func encodeRecord(typ byte, key string, data []byte) (rec []byte, dataOff int64) {
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(data)+4)
-	buf = append(buf, typ)
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = binary.AppendUvarint(buf, uint64(len(data)))
-	buf = append(buf, key...)
-	dataOff = int64(len(buf))
-	buf = append(buf, data...)
-	crc := crc32.ChecksumIEEE(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	return buf, dataOff
+// The checksum covers everything before it. Segments and append logs
+// share it, and readLog reads both.
+func appendRecord(dst []byte, typ byte, key string, data []byte) []byte {
+	start := len(dst)
+	dst = append(dst, typ)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = binary.AppendUvarint(dst, uint64(len(data)))
+	dst = append(dst, key...)
+	dst = append(dst, data...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// scanSegment replays one segment file into the index. When last is true
-// a torn trailing record is tolerated and truncated away (the crash
-// window of an unsynced active segment); otherwise it is corruption.
-func (bs *BlobStore) scanSegment(s *segment, last bool, now time.Time) error {
-	data, err := os.ReadFile(s.path)
+// encodeRecord renders one segment record; dataOff is the offset of the
+// payload within it.
+func encodeRecord(typ byte, key string, data []byte) (rec []byte, dataOff int64) {
+	rec = appendRecord(make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key)+len(data)+4), typ, key, data)
+	return rec, int64(len(rec) - len(data) - 4)
+}
+
+// readLog reads the log at path and hands fn each record in order: its
+// offset, type, key, payload (aliasing the file's bytes) and length. It
+// returns the length of the intact records. Segments and journals share
+// one rule for a record that does not parse: when tail is set and no
+// intact record starts after it, it is the write a crash tore, and
+// readLog cuts it from the file so appends resume on a record boundary.
+// Anywhere else it is corruption: readLog fails naming the file and the
+// offset, and leaves the file as it is.
+func readLog(path string, tail bool, fn func(off int64, typ byte, key string, data []byte, recLen int64) error) (int64, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("storage: read segment: %w", err)
+		return 0, fmt.Errorf("storage: read log: %w", err)
 	}
 	off := int64(0)
 	for off < int64(len(data)) {
-		typ, key, payloadOff, payloadLen, recLen, ok := parseRecord(data[off:])
+		typ, key, dataOff, dataLen, recLen, ok := parseRecord(data[off:])
 		if !ok {
-			if !last {
-				return fmt.Errorf("storage: segment %s: torn record at offset %d in sealed segment", filepath.Base(s.path), off)
+			if !tail || intactAfter(data[off+1:]) {
+				return 0, fmt.Errorf("storage: corrupt log %s: torn record at offset %d", path, off)
 			}
-			// Torn tail on the segment that was active at crash time:
-			// drop it so appends resume from a clean boundary.
-			if err := os.Truncate(s.path, off); err != nil {
-				return fmt.Errorf("storage: truncate torn tail: %w", err)
+			if err := os.Truncate(path, off); err != nil {
+				return 0, fmt.Errorf("storage: truncate torn tail: %w", err)
 			}
 			break
 		}
-		switch typ {
-		case recBlob:
-			if old, ok := bs.index[key]; ok {
-				old.seg.live -= old.recBytes
-				bs.live -= old.recBytes
-				bs.lru.Remove(old.elem)
-			}
-			loc := &blobLoc{
-				seg:      s,
-				off:      off + payloadOff,
-				size:     payloadLen,
-				recBytes: recLen,
-				at:       now,
-			}
-			loc.elem = bs.lru.PushFront(key)
-			bs.index[key] = loc
-			s.live += recLen
-			bs.live += recLen
-		case recTombstone:
-			if old, ok := bs.index[key]; ok {
-				old.seg.live -= old.recBytes
-				bs.live -= old.recBytes
-				bs.lru.Remove(old.elem)
-				delete(bs.index, key)
-			}
+		if err := fn(off, typ, key, data[off+dataOff:off+dataOff+dataLen], recLen); err != nil {
+			return 0, err
 		}
 		off += recLen
 	}
-	s.bytes = off
-	return nil
+	return off, nil
+}
+
+// intactAfter reports whether an intact record starts anywhere in b.
+func intactAfter(b []byte) bool {
+	for i := range b {
+		if _, _, _, _, _, ok := parseRecord(b[i:]); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // parseRecord decodes one record from b. ok is false when the bytes do
@@ -269,7 +273,7 @@ func parseRecord(b []byte) (typ byte, key string, dataOff, dataLen, recLen int64
 		return 0, "", 0, 0, 0, false
 	}
 	typ = b[0]
-	if typ != recBlob && typ != recTombstone {
+	if typ != recBlob && typ != recTombstone && typ != recJournal {
 		return typ, "", 0, 0, 0, false
 	}
 	p := 1
@@ -369,23 +373,30 @@ func (bs *BlobStore) putLocked(key string, data []byte, at time.Time) error {
 	if err != nil {
 		return err
 	}
-	if old, ok := bs.index[key]; ok {
-		old.seg.live -= old.recBytes
-		bs.live -= old.recBytes
-		bs.lru.Remove(old.elem)
-	}
-	loc := &blobLoc{
-		seg:      bs.active,
-		off:      off + dataOff,
-		size:     int64(len(data)),
-		recBytes: int64(len(rec)),
-		at:       at,
-	}
+	bs.unindexLocked(key)
+	bs.indexLocked(key, &blobLoc{seg: bs.active, off: off + dataOff, size: int64(len(data)), recBytes: int64(len(rec)), at: at})
+	return nil
+}
+
+// indexLocked makes loc key's live copy, the most recently used.
+func (bs *BlobStore) indexLocked(key string, loc *blobLoc) {
 	loc.elem = bs.lru.PushFront(key)
 	bs.index[key] = loc
-	bs.active.live += loc.recBytes
+	loc.seg.live += loc.recBytes
 	bs.live += loc.recBytes
-	return nil
+}
+
+// unindexLocked forgets key's live copy and returns it (nil when key is
+// not live).
+func (bs *BlobStore) unindexLocked(key string) *blobLoc {
+	loc := bs.index[key]
+	if loc != nil {
+		loc.seg.live -= loc.recBytes
+		bs.live -= loc.recBytes
+		bs.lru.Remove(loc.elem)
+		delete(bs.index, key)
+	}
+	return loc
 }
 
 // Get returns the blob stored under key. ok reports whether the key is
@@ -436,19 +447,14 @@ func (bs *BlobStore) Delete(key string) error {
 }
 
 func (bs *BlobStore) deleteLocked(key string) (int64, error) {
-	loc, ok := bs.index[key]
-	if !ok {
+	if _, ok := bs.index[key]; !ok {
 		return 0, nil
 	}
 	rec, _ := encodeRecord(recTombstone, key, nil)
 	if _, err := bs.appendLocked(rec); err != nil {
 		return 0, err
 	}
-	loc.seg.live -= loc.recBytes
-	bs.live -= loc.recBytes
-	bs.lru.Remove(loc.elem)
-	delete(bs.index, key)
-	return loc.size, nil
+	return bs.unindexLocked(key).size, nil
 }
 
 // Len returns the number of live blobs.

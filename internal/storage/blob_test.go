@@ -171,6 +171,46 @@ func TestBlobTornSealedSegmentIsCorruption(t *testing.T) {
 	}
 }
 
+// TestBlobCorruptRecordBeforeIntactIsRefused: a bad record in the newest
+// segment with an intact record after it is corruption, not a torn
+// tail. Open fails naming the segment and the offset, and leaves the
+// file as it was, the intact record after the bad one included.
+func TestBlobCorruptRecordBeforeIntactIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	bs := openTest(t, dir, Options{})
+	for _, k := range []string{"a", "b", "c"} {
+		if err := bs.Put(k, []byte("value-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if len(segs) != 1 {
+		t.Fatalf("want one segment, have %d", len(segs))
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := encodeRecord(recBlob, "a", []byte("value-a"))
+	data[len(rec)+len(rec)/2] ^= 0xff // inside b's record
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenBlobStore(Options{Dir: dir})
+	if err == nil {
+		t.Fatal("a corrupt record before an intact one opened")
+	}
+	if want := fmt.Sprintf("%s: torn record at offset %d", segs[0], len(rec)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if after, _ := os.ReadFile(segs[0]); !bytes.Equal(after, data) {
+		t.Fatalf("refused segment changed from %d to %d bytes", len(data), len(after))
+	}
+}
+
 func TestBlobTombstoneSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	bs := openTest(t, dir, Options{})
@@ -355,38 +395,53 @@ func TestWriteFileAtomic(t *testing.T) {
 
 func TestAppendLog(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "wal.log")
+	path := filepath.Join(dir, "queue.log")
+	if _, err := OpenAppendLog(path); err == nil {
+		t.Fatal("opened a log that does not exist")
+	}
+	// A log starts as a whole file written at once, then grows by appends.
+	if err := WriteFileAtomic(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(AppendRecord(nil, []byte("one")))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	l, err := OpenAppendLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Write([]byte("one\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Write([]byte("two\n")); err != nil {
+	if err := l.Append([]byte("two")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := os.ReadFile(path)
-	if string(data) != "one\ntwo\n" {
-		t.Fatalf("log = %q", data)
-	}
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if fi, _ := os.Stat(path); fi.Size() != 0 {
-		t.Fatalf("Reset left %d bytes", fi.Size())
-	}
-	if _, err := l.Write([]byte("three\n")); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, _ = os.ReadFile(path)
-	if string(data) != "three\n" {
-		t.Fatalf("after reset log = %q", data)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A crash mid-append leaves part of a third record, which the reader
+	// cuts from the file.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := AppendRecord(nil, []byte("three"))
+	if _, err := f.Write(torn[:len(torn)-2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var got []string
+	if err := ReadLog(path, func(data []byte) error { got = append(got, string(data)); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != "one,two" {
+		t.Fatalf("log = %q", got)
+	}
+	if after, _ := os.Stat(path); after.Size() != fi.Size() {
+		t.Fatalf("torn record left the log at %d bytes, want %d", after.Size(), fi.Size())
 	}
 }

@@ -1,8 +1,9 @@
 // Package storage is the shared durability layer under the result store
 // and the job queue. It owns every temp-file/rename/fsync idiom in the
-// tree: callers describe *what* must survive a crash (an atomic snapshot,
+// tree: callers describe *what* must survive a crash (an atomic rewrite,
 // an append-only log, a content-addressed blob) and storage decides how
-// the bytes reach disk.
+// the bytes reach disk. Segments and append logs are one record format,
+// read by one reader with one torn-tail rule.
 package storage
 
 import (
@@ -85,40 +86,48 @@ func RemoveDurable(path string) error {
 	return SyncDir(filepath.Dir(path))
 }
 
-// AppendLog is an append-only log file with explicit sync points — the
-// shape a write-ahead log wants. Opening it creates the file if needed
-// and makes the creation durable.
+// AppendLog is an append-only log of checksummed records in the segment
+// format (see appendRecord), with explicit sync points — the shape a
+// write-ahead log wants. ReadLog reads it back.
 type AppendLog struct {
-	f *os.File
+	f   *os.File
+	buf []byte // the record being appended, reused
 }
 
-// OpenAppendLog opens (creating if absent) an append-only log at path.
+// OpenAppendLog opens the log at path for appending. The log must exist:
+// WriteFileAtomic creates it, durably, with its first records.
 func OpenAppendLog(path string) (*AppendLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open log: %w", err)
-	}
-	if err := SyncDir(filepath.Dir(path)); err != nil {
-		f.Close()
-		return nil, err
 	}
 	return &AppendLog{f: f}, nil
 }
 
-// Write appends p to the log. The bytes are not durable until Sync.
-func (l *AppendLog) Write(p []byte) (int, error) { return l.f.Write(p) }
-
-// Sync makes all previously written bytes durable.
-func (l *AppendLog) Sync() error { return l.f.Sync() }
-
-// Reset truncates the log to zero length and makes the truncation
-// durable. Used after the logged state has been captured in a snapshot.
-func (l *AppendLog) Reset() error {
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("storage: truncate log: %w", err)
-	}
-	return l.f.Sync()
+// Append writes data to the log as one record, in one write, so a crash
+// can tear only the last record. It is not durable until Sync.
+func (l *AppendLog) Append(data []byte) error {
+	l.buf = AppendRecord(l.buf[:0], data)
+	_, err := l.f.Write(l.buf)
+	return err
 }
+
+// Sync makes all previously appended records durable.
+func (l *AppendLog) Sync() error { return l.f.Sync() }
 
 // Close closes the underlying file without an implicit sync.
 func (l *AppendLog) Close() error { return l.f.Close() }
+
+// AppendRecord appends data to dst framed as one AppendLog record, for a
+// caller that writes a whole log at once under WriteFileAtomic.
+func AppendRecord(dst, data []byte) []byte { return appendRecord(dst, recJournal, "", data) }
+
+// ReadLog reads the log at path, passing each record's payload to fn in
+// order; the payload is valid only during the call. A torn last record is
+// cut from the file, and any other bad record fails ReadLog with the file
+// and its offset (see readLog). A missing file fails with an error that
+// matches fs.ErrNotExist.
+func ReadLog(path string, fn func(data []byte) error) error {
+	_, err := readLog(path, true, func(_ int64, _ byte, _ string, data []byte, _ int64) error { return fn(data) })
+	return err
+}
