@@ -216,11 +216,7 @@ func BenchmarkAblationDriftGuard(b *testing.B) {
 func BenchmarkDRAMAConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m, _ := machine.NewByNo(8, 42)
-		tool, err := drama.New(m, drama.Config{Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := tool.Run()
+		res, err := drama.New(m, drama.Config{Seed: int64(i)}).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,7 +331,7 @@ func BenchmarkEngineOverhead(b *testing.B) {
 		opts []EngineOption
 	}{
 		{"bare", context.Background(), []EngineOption{WithSeed(42)}},
-		{"instrumented", context.Background(), []EngineOption{WithSeed(42), engine.WithInstrument(inst)}},
+		{"instrumented", context.Background(), []EngineOption{WithConfig(ToolConfig{Seed: 42, Instrument: inst})}},
 		{"traced", traced, []EngineOption{WithSeed(42)}},
 	}
 	ns := make([][]float64, len(sides)) // ns[side][iteration]

@@ -83,11 +83,7 @@ func main() {
 			printMappingJSON(res.Mapping, nil, nil, nil, 0)
 		}
 	case "drama":
-		tool, err := drama.New(m, drama.Config{Seed: *seed, Logf: logf})
-		if err != nil {
-			fatal(err)
-		}
-		res, err := tool.RunContext(ctx)
+		res, err := drama.New(m, drama.Config{Seed: *seed, Logf: logf}).RunContext(ctx)
 		if errors.Is(err, drama.ErrTimeout) {
 			fmt.Printf("DRAMA: %v\n", err)
 			return
@@ -101,11 +97,7 @@ func main() {
 			printMappingJSON(res.Mapping, res.Funcs, res.RowBits, res.ColBits, m.SysInfo().PhysBits())
 		}
 	case "xiao":
-		tool, err := xiao.New(m, xiao.Config{Seed: *seed, Logf: logf})
-		if err != nil {
-			fatal(err)
-		}
-		res, err := tool.RunContext(ctx)
+		res, err := xiao.New(m, xiao.Config{Seed: *seed, Logf: logf}).RunContext(ctx)
 		var stuck *xiao.ErrStuck
 		if errors.As(err, &stuck) {
 			fmt.Printf("Xiao et al.: %v\n", err)
@@ -120,11 +112,7 @@ func main() {
 			printMappingJSON(res.Mapping, res.Funcs, res.RowBits, res.ColBits, m.SysInfo().PhysBits())
 		}
 	case "seaborn":
-		tool, err := seaborn.New(m, seaborn.Config{Seed: *seed, Logf: logf})
-		if err != nil {
-			fatal(err)
-		}
-		res, err := tool.RunContext(ctx)
+		res, err := seaborn.New(m, seaborn.Config{Seed: *seed, Logf: logf}).RunContext(ctx)
 		if errors.Is(err, seaborn.ErrNoFlips) {
 			fmt.Printf("Seaborn et al.: %v\n", err)
 			return

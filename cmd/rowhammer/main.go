@@ -54,11 +54,7 @@ func main() {
 		fmt.Printf("recovered mapping: %s (%.0f sim s)\n", res.Mapping, res.TotalSimSeconds)
 		belief = rowhammer.FromMapping(res.Mapping)
 	case "drama":
-		dr, err := drama.New(m, drama.Config{Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
-		res, err := dr.Run()
+		res, err := drama.New(m, drama.Config{Seed: *seed}).Run()
 		if errors.Is(err, drama.ErrTimeout) {
 			fmt.Printf("DRAMA produced no mapping (%v); nothing to hammer with\n", err)
 			return

@@ -108,7 +108,10 @@ func NewCustomMachine(def MachineDefinition, seed int64) (*Machine, error) {
 // Settings returns the paper's nine machine definitions.
 func Settings() []MachineDefinition { return machine.Settings() }
 
-// HammerConfig tunes a rowhammer assessment (re-exported).
+// HammerConfig tunes a rowhammer assessment (re-exported): its mode,
+// the many-sided aggressor count, the session length and the seed. The
+// activations per aggressor and the per-victim flip-scan cost are
+// constants.
 type HammerConfig = rowhammer.Config
 
 // Hammering modes (re-exported).

@@ -52,8 +52,12 @@ type Engine = engine.Engine
 type EngineOption = engine.Option
 
 // ToolConfig is the full DRAMDig pipeline configuration (re-exported);
-// pass it with WithConfig when the tuning knobs beyond seed and logging
-// matter.
+// pass it with WithConfig. Its tuning fields are the ones the
+// evaluation varies: Delta, PartitionRounds and MinPoolAddrs (the
+// parameter ablations), PaperStop (Figure 2's paper stop rule and the
+// drift-guard ablation) and DisableDriftGuard (that ablation). Seed,
+// Logf, OnStep and Instrument are what the engine's options and
+// campaigns set. Every other parameter of the pipeline is a constant.
 type ToolConfig = core.Config
 
 // StepStats records one pipeline step's cost (re-exported).

@@ -33,12 +33,16 @@ type coarseResult struct {
 	physBits   uint
 }
 
-// pairForBit draws up to trials base addresses whose mask-flip stays
+// bitTrials is the number of address pairs a bit vote measures (Steps 1
+// and 3).
+const bitTrials = 8
+
+// pairForBit draws up to bitTrials base addresses whose mask-flip stays
 // inside the pool, returning found pairs.
-func (t *Tool) pairForBit(pool *alloc.Pool, mask uint64, trials int) [][2]addr.Phys {
+func (t *Tool) pairForBit(pool *alloc.Pool, mask uint64) [][2]addr.Phys {
 	var pairs [][2]addr.Phys
-	attempts := trials * 64
-	for len(pairs) < trials && attempts > 0 {
+	attempts := bitTrials * 64
+	for len(pairs) < bitTrials && attempts > 0 {
 		attempts--
 		a := pool.RandomAddr(t.rng, 1<<timing.CacheLineBits)
 		b := a.FlipMask(mask)
@@ -105,7 +109,7 @@ func (t *Tool) coarseDetect(info sysinfo.Info) (*coarseResult, error) {
 	reachable := make(map[uint]bool)
 	isRow := make(map[uint]bool)
 	for b := uint(timing.CacheLineBits); b < physBits; b++ {
-		pairs := t.pairForBit(pool, uint64(1)<<b, t.cfg.BitTrials)
+		pairs := t.pairForBit(pool, uint64(1)<<b)
 		if len(pairs) == 0 {
 			continue // unreachable within the allocation
 		}
@@ -151,7 +155,7 @@ func (t *Tool) coarseDetect(info sysinfo.Info) (*coarseResult, error) {
 			continue
 		}
 		mask := (uint64(1) << b) | (uint64(1) << helper)
-		pairs := t.pairForBit(pool, mask, t.cfg.BitTrials)
+		pairs := t.pairForBit(pool, mask)
 		if len(pairs) == 0 {
 			return nil, fmt.Errorf("no address pairs available for column test on bit %d", b)
 		}

@@ -33,31 +33,14 @@ import (
 	"dramdig/internal/timing"
 )
 
-// Config tunes DRAMDig. Zero values select defaults.
+// Config tunes DRAMDig. Zero values select defaults. The pipeline's
+// other parameters are constants beside the code that reads them.
 type Config struct {
-	// Rounds is the alternating-access rounds per raw latency
-	// measurement in detection steps (default 1200).
-	Rounds int
 	// PartitionRounds is the rounds used inside the Algorithm 2 inner
 	// loop, where millions of measurements happen (default 600).
 	PartitionRounds int
-	// Repeats is the median-of-n repeat count for detection
-	// measurements (default 3).
-	Repeats int
-	// CalibSamples is the number of random pairs used for threshold
-	// calibration (default 12 × #banks, at least 384). Random pairs
-	// conflict about 1/#banks of the time, so the default expects at
-	// least 12 conflicting pairs on any setting.
-	CalibSamples int
-	// BitTrials is the number of base addresses tried per bit in
-	// coarse detection (default 8).
-	BitTrials int
 	// Delta is Algorithm 2's pile-size tolerance δ (default 0.2).
 	Delta float64
-	// PerThreshold is Algorithm 2's partitioned-fraction stop
-	// threshold (default 0.85): the paper's stop rule, which a run
-	// reaches only under PaperStop or when no early stop verifies.
-	PerThreshold float64
 	// PaperStop runs Algorithm 2 to the paper's stop rule alone, each
 	// round scanning all that remains. By default partitioning first
 	// builds truncated piles and stops once the bank functions resolved
@@ -68,21 +51,6 @@ type Config struct {
 	// Algorithm 2; the selection widens with extra row-bit variation
 	// until it reaches this size (default 4096).
 	MinPoolAddrs int
-	// PileAgreeFrac is the fraction of a pile's members that must agree
-	// on a mask's parity for the mask to count as constant on that pile
-	// (default 0.95); tolerates partition contamination.
-	PileAgreeFrac float64
-	// FuncPileFrac is the fraction of piles a mask must be constant on
-	// to become a candidate function (default 0.9).
-	FuncPileFrac float64
-	// MaxPartitionIters bounds Algorithm 2's full-scan rounds as a
-	// multiple of the bank count (default 8); the truncated rounds
-	// have their own bound (see partition.go).
-	MaxPartitionIters int
-	// GuardGapSimSeconds throttles routine sentinel drift checks to at
-	// most one per this much simulated time (default 1 s). Post-
-	// operation verification checks are never throttled.
-	GuardGapSimSeconds float64
 	// DisableDriftGuard turns off sentinel-based drift detection and
 	// re-calibration (ablation: without it DRAMDig degrades to
 	// DRAMA-like behaviour on drifting machines).
@@ -104,47 +72,35 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.Rounds == 0 {
-		c.Rounds = 1200
-	}
 	if c.PartitionRounds == 0 {
 		c.PartitionRounds = 600
-	}
-	if c.Repeats == 0 {
-		c.Repeats = 3
-	}
-	if c.BitTrials == 0 {
-		c.BitTrials = 8
 	}
 	if c.Delta == 0 {
 		c.Delta = 0.2
 	}
-	if c.PerThreshold == 0 {
-		c.PerThreshold = 0.85
-	}
 	if c.MinPoolAddrs == 0 {
 		c.MinPoolAddrs = 4096
 	}
-	if c.PileAgreeFrac == 0 {
-		c.PileAgreeFrac = 0.95
-	}
-	if c.FuncPileFrac == 0 {
-		c.FuncPileFrac = 0.9
-	}
-	if c.MaxPartitionIters == 0 {
-		c.MaxPartitionIters = 8
-	}
-	if c.GuardGapSimSeconds == 0 {
-		c.GuardGapSimSeconds = 1
-	}
 }
 
+// The detection meter's settings: calibration, the drift sentinels and
+// the bit votes of Steps 1 and 3 alternate meterRounds accesses per raw
+// measurement and read the median of meterRepeats of them.
+const (
+	meterRounds  = 1200
+	meterRepeats = 3
+)
+
+// guardGapNs throttles routine sentinel drift checks to at most one per
+// simulated second. Post-operation verification checks are never
+// throttled.
+const guardGapNs = 1e9
+
 // calibrationPairs is the number of random pairs a calibration
-// measures on a target with the given bank count.
-func (c Config) calibrationPairs(banks int) int {
-	if c.CalibSamples != 0 {
-		return c.CalibSamples
-	}
+// measures on a target with the given bank count. Random pairs conflict
+// about 1/#banks of the time, so it expects at least 12 conflicting
+// pairs on any setting.
+func calibrationPairs(banks int) int {
 	return max(12*banks, 384)
 }
 
@@ -152,15 +108,6 @@ func (c Config) calibrationPairs(banks int) int {
 func (c Config) Validate() error {
 	if c.Delta < 0 || c.Delta >= 1 {
 		return fmt.Errorf("core: Delta %v outside [0,1)", c.Delta)
-	}
-	if c.PerThreshold < 0 || c.PerThreshold > 1 {
-		return fmt.Errorf("core: PerThreshold %v outside [0,1]", c.PerThreshold)
-	}
-	if c.PileAgreeFrac < 0.5 || c.PileAgreeFrac > 1 {
-		return fmt.Errorf("core: PileAgreeFrac %v outside [0.5,1]", c.PileAgreeFrac)
-	}
-	if c.FuncPileFrac < 0.5 || c.FuncPileFrac > 1 {
-		return fmt.Errorf("core: FuncPileFrac %v outside [0.5,1]", c.FuncPileFrac)
 	}
 	return nil
 }
@@ -214,7 +161,7 @@ type Tool struct {
 	cfg         Config
 	target      timing.Target
 	ctx         context.Context // run context; every measurement loop observes it
-	meter       *timing.Meter   // detection measurements (Rounds, Repeats)
+	meter       *timing.Meter   // detection measurements (meterRounds, meterRepeats)
 	pmeter      *timing.Meter   // partition measurements (PartitionRounds, 3 repeats)
 	rng         *rand.Rand
 	logf        func(string, ...any)
@@ -243,7 +190,7 @@ func (t *Tool) driftGuard(force bool) (bool, error) {
 	if t.cfg.DisableDriftGuard || t.meter == nil {
 		return false, nil
 	}
-	if !force && t.target.ClockNs()-t.lastGuardNs < t.cfg.GuardGapSimSeconds*1e9 {
+	if !force && t.target.ClockNs()-t.lastGuardNs < guardGapNs {
 		return false, nil
 	}
 	t.lastGuardNs = t.target.ClockNs()
@@ -334,7 +281,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 		info.CPU, info.Microarch, info.Standard, banks, info.MemBytes>>30)
 
 	// Step 0: calibrate the timing channel.
-	meter, err := timing.NewMeter(t.target, t.cfg.Rounds, t.cfg.Repeats)
+	meter, err := timing.NewMeter(t.target, meterRounds, meterRepeats)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +295,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	t.pmeter = pmeter
 	stepClock, stepMeas := t.target.ClockNs(), t.measurements()
 	sp := t.startPhase("calibrate")
-	t.calSamples = t.cfg.calibrationPairs(banks)
+	t.calSamples = calibrationPairs(banks)
 	cal, err := meter.CalibrateContext(ctx, t.rng, t.calSamples)
 	if err != nil {
 		failPhase(sp, err)

@@ -160,9 +160,6 @@ func TestConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Delta: 1.5},
 		{Delta: -0.1},
-		{PerThreshold: 1.5},
-		{PileAgreeFrac: 0.3},
-		{FuncPileFrac: 0.2},
 	} {
 		if _, err := New(m, bad); err == nil {
 			t.Errorf("config %+v accepted", bad)

@@ -94,7 +94,7 @@ func (t *Tool) fineDetect(info sysinfo.Info, coarse *coarseResult, funcs []uint6
 			res.sharedRow = append(res.sharedRow, x)
 			continue
 		}
-		pairs := t.pairForBit(t.target.Pool(), mu, t.cfg.BitTrials)
+		pairs := t.pairForBit(t.target.Pool(), mu)
 		if len(pairs) == 0 {
 			return nil, fmt.Errorf("no address pairs for kernel mask %s", addr.FormatBits(addr.BitsFromMask(mu)))
 		}

@@ -27,6 +27,16 @@ import (
 // paper's settings need at most 14.
 const maxBankCandidateBits = 16
 
+const (
+	// pileAgreeFrac is the fraction of a pile's members that must agree
+	// on a mask's parity for the mask to count as constant on that pile;
+	// it tolerates partition contamination.
+	pileAgreeFrac = 0.95
+	// funcPileFrac is the fraction of piles a mask must be constant on
+	// to become a candidate function.
+	funcPileFrac = 0.9
+)
+
 // resolve runs Step 2c on the piles partition returned. When the early
 // stop verified functions on exactly these piles, those are what
 // Algorithm 3 returns on them, so they are reused rather than scored
@@ -43,7 +53,7 @@ func (t *Tool) resolve(piles []*pile, verified []uint64, bankBits []uint, banks 
 
 // resolveFuncs runs Algorithm 3 over the piles.
 func (t *Tool) resolveFuncs(piles []*pile, bankBits []uint, banks int) ([]uint64, error) {
-	tl, err := newTally(bankBits, t.cfg.PileAgreeFrac)
+	tl, err := newTally(bankBits, pileAgreeFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +71,7 @@ func (t *Tool) resolveTallied(tl *tally, piles []*pile, banks int) ([]uint64, er
 	}
 	t.chargeMasks(len(tl.bits), len(piles))
 
-	need := int(t.cfg.FuncPileFrac * float64(len(piles)))
+	need := int(funcPileFrac * float64(len(piles)))
 	if need < 1 {
 		need = 1
 	}

@@ -164,7 +164,7 @@ func TestConstCountsMatchBruteForce(t *testing.T) {
 }
 
 // TestConstCountsAtThreshold pins the boundary: with 19 of 20 members
-// agreeing, a mask is constant at PileAgreeFrac 0.95 and not at 0.96.
+// agreeing, a mask is constant at pileAgreeFrac 0.95 and not at 0.96.
 func TestConstCountsAtThreshold(t *testing.T) {
 	bits := []uint{6, 13, 14}
 	f := uint64(1<<6 | 1<<13) // holds bits[0] alone, as randomPile needs

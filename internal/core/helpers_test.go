@@ -54,13 +54,13 @@ func calibratedTool(t *testing.T, target timing.Target, cfg Config) *Tool {
 		t.Fatal(err)
 	}
 	tool.ctx = context.Background()
-	if tool.meter, err = timing.NewMeter(target, tool.cfg.Rounds, tool.cfg.Repeats); err != nil {
+	if tool.meter, err = timing.NewMeter(target, meterRounds, meterRepeats); err != nil {
 		t.Fatal(err)
 	}
 	if tool.pmeter, err = timing.NewMeter(target, tool.cfg.PartitionRounds, 3); err != nil {
 		t.Fatal(err)
 	}
-	tool.calSamples = tool.cfg.calibrationPairs(target.SysInfo().TotalBanks())
+	tool.calSamples = calibrationPairs(target.SysInfo().TotalBanks())
 	cal, err := tool.meter.Calibrate(tool.rng, tool.calSamples)
 	if err != nil {
 		t.Fatal(err)

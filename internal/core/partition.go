@@ -79,6 +79,19 @@ const (
 	truncatedRounds = 4
 )
 
+// The paper's Algorithm 2 parameters besides δ (Config.Delta).
+const (
+	// perThreshold is the paper's stop rule: the full-scan rounds end
+	// once this fraction of the pool sits in piles, which a run reaches
+	// only under PaperStop or when no early stop verifies. It is typed
+	// so that 1 − perThreshold is the float64 difference, not the exact
+	// 0.15.
+	perThreshold float64 = 0.85
+	// fullScanRounds bounds the full-scan rounds, as a multiple of the
+	// bank count.
+	fullScanRounds = 8
+)
+
 // partition runs Algorithm 2 over the selected pool; bankBits are the
 // candidate bits Algorithm 3 resolves the early stop's functions over.
 // By default it first builds truncated piles and keeps them only when
@@ -90,12 +103,12 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 		return nil, nil, fmt.Errorf("pool of %d addresses too small for %d banks", len(pool), banks)
 	}
 	if t.cfg.PaperStop {
-		return t.partitionRounds(pool, nil, banks, 0, t.cfg.MaxPartitionIters*banks)
+		return t.partitionRounds(pool, nil, banks, 0, fullScanRounds*banks)
 	}
 	// The early stop scores each accepted pile once, into one tally.
 	// With too many candidate bits to enumerate there is none, and no
 	// early stop: Algorithm 3 refuses those bits in the resolve step.
-	tl, _ := newTally(bankBits, t.cfg.PileAgreeFrac)
+	tl, _ := newTally(bankBits, pileAgreeFrac)
 	piles, verified, err := t.partitionRounds(pool, tl, banks, pileCap, truncatedRounds*banks)
 	if piles != nil || err != nil {
 		return piles, verified, err
@@ -104,7 +117,7 @@ func (t *Tool) partition(pool []addr.Phys, bankBits []uint, banks int) ([]*pile,
 	if tl != nil {
 		tl.reset()
 	}
-	return t.partitionRounds(pool, tl, banks, 0, t.cfg.MaxPartitionIters*banks)
+	return t.partitionRounds(pool, tl, banks, 0, fullScanRounds*banks)
 }
 
 // partitionRounds runs up to maxRounds of Algorithm 2's rounds over the
@@ -122,7 +135,7 @@ func (t *Tool) partitionRounds(pool []addr.Phys, tl *tally, banks, memberCap, ma
 	pileSz := float64(poolSz) / float64(banks)
 	lo := (1 - t.cfg.Delta) * pileSz
 	hi := (1 + t.cfg.Delta) * pileSz
-	stopRemaining := int((1 - t.cfg.PerThreshold) * float64(poolSz))
+	stopRemaining := int((1 - perThreshold) * float64(poolSz))
 
 	remaining := slices.Clone(pool)
 	if memberCap > 0 {
@@ -211,7 +224,7 @@ func (t *Tool) partitionRounds(pool []addr.Phys, tl *tally, banks, memberCap, ma
 			pileSz, t.cfg.Delta*100)
 	}
 	done := poolSz - len(remaining)
-	if float64(done) < t.cfg.PerThreshold*float64(poolSz) && len(piles) < banks {
+	if float64(done) < perThreshold*float64(poolSz) && len(piles) < banks {
 		return nil, nil, fmt.Errorf("partition stalled: %d/%d addresses in %d piles (want %d banks)",
 			done, poolSz, len(piles), banks)
 	}

@@ -19,7 +19,7 @@ var earlyStopSettings = []int{1, 2, 6, 7}
 // TestEarlyStopPilesPure drives Steps 1–2b on real measurements: the
 // partition stops early on truncated piles, and each pile it returns is
 // pure against ground truth as Algorithm 3 reads piles — under every
-// true bank function, at least PileAgreeFrac of the pile shares the
+// true bank function, at least pileAgreeFrac of the pile shares the
 // representative's parity. A truncated pile holds pileCap members plus
 // its representative, so one stranger in 25 passes the bar and two fail
 // it.
@@ -51,7 +51,7 @@ func TestEarlyStopPilesPure(t *testing.T) {
 				if len(p.members) != pileCap {
 					t.Errorf("No.%d seed %d pile %d: %d members, want a truncated pile of %d", no, mseed, i, len(p.members), pileCap)
 				}
-				checkPilePure(t, fmt.Sprintf("No.%d seed %d pile %d", no, mseed, i), p, truth.BankFuncs, tool.cfg.PileAgreeFrac)
+				checkPilePure(t, fmt.Sprintf("No.%d seed %d pile %d", no, mseed, i), p, truth.BankFuncs, pileAgreeFrac)
 			}
 		}
 	}
@@ -110,9 +110,9 @@ func TestPartitionFallsBackToFullScans(t *testing.T) {
 			if len(p.members) <= pileCap {
 				t.Errorf("No.%d pile %d: %d members, a truncated pile survived the fallback", no, i, len(p.members))
 			}
-			checkPilePure(t, fmt.Sprintf("No.%d pile %d", no, i), p, truth.BankFuncs, tool.cfg.PileAgreeFrac)
+			checkPilePure(t, fmt.Sprintf("No.%d pile %d", no, i), p, truth.BankFuncs, pileAgreeFrac)
 		}
-		if len(piles) < truth.NumBanks() && float64(assigned) < tool.cfg.PerThreshold*float64(len(sel.pool)) {
+		if len(piles) < truth.NumBanks() && float64(assigned) < perThreshold*float64(len(sel.pool)) {
 			t.Errorf("No.%d: %d piles hold %d of %d addresses, short of the paper's stop rule", no, len(piles), assigned, len(sel.pool))
 		}
 	}

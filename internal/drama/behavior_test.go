@@ -17,7 +17,7 @@ func mappingFuncString(f uint64) string {
 // converges and its functions span the true bank-function space.
 func TestRecoversFunctionSpanOnNo1(t *testing.T) {
 	m, _ := machine.NewByNo(1, 7)
-	tool, _ := New(m, Config{Seed: 11})
+	tool := New(m, Config{Seed: 11})
 	res, err := tool.Run()
 	if err != nil {
 		t.Fatalf("drama on No.1: %v", err)
@@ -40,7 +40,7 @@ func TestNondeterministicOutput(t *testing.T) {
 	outs := map[string]bool{}
 	for seed := int64(0); seed < 4; seed++ {
 		m, _ := machine.NewByNo(1, 7)
-		tool, _ := New(m, Config{Seed: 100 + seed})
+		tool := New(m, Config{Seed: 100 + seed})
 		res, err := tool.Run()
 		if err != nil {
 			continue
@@ -56,7 +56,7 @@ func TestNondeterministicOutput(t *testing.T) {
 // roughly two hours on these settings without producing results.
 func TestTimesOutOnNo3(t *testing.T) {
 	m, _ := machine.NewByNo(3, 7)
-	tool, _ := New(m, Config{Seed: 11})
+	tool := New(m, Config{Seed: 11})
 	if _, err := tool.Run(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want timeout on No.3, got %v", err)
 	}
@@ -64,7 +64,7 @@ func TestTimesOutOnNo3(t *testing.T) {
 
 func TestTimesOutOnNo7(t *testing.T) {
 	m, _ := machine.NewByNo(7, 7)
-	tool, _ := New(m, Config{Seed: 11})
+	tool := New(m, Config{Seed: 11})
 	if _, err := tool.Run(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("want timeout on No.7, got %v", err)
 	}
@@ -74,7 +74,7 @@ func TestTimesOutOnNo7(t *testing.T) {
 // hundreds of simulated seconds — the Figure 2 gap.
 func TestSlowerThanDRAMDigBudget(t *testing.T) {
 	m, _ := machine.NewByNo(8, 7)
-	tool, _ := New(m, Config{Seed: 3})
+	tool := New(m, Config{Seed: 3})
 	res, err := tool.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestWideFunctionFormVaries(t *testing.T) {
 	forms := map[string]bool{}
 	for seed := int64(0); seed < 4; seed++ {
 		m, _ := machine.NewByNo(5, 7+seed)
-		tool, _ := New(m, Config{Seed: 200 + seed})
+		tool := New(m, Config{Seed: 200 + seed})
 		res, err := tool.Run()
 		if err != nil {
 			continue

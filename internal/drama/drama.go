@@ -35,32 +35,8 @@ import (
 	"dramdig/internal/timing"
 )
 
-// Config tunes the DRAMA reimplementation. Zero values select defaults.
+// Config seeds and logs a DRAMA run.
 type Config struct {
-	// PoolAddrs is the number of blindly sampled addresses (default
-	// 3000).
-	PoolAddrs int
-	// Rounds is the alternating-access rounds per raw measurement
-	// (default 2400 — DRAMA measures long).
-	Rounds int
-	// MembershipAvg is how many raw measurements a set-membership
-	// decision averages (default 10, as in the original tool).
-	MembershipAvg int
-	// MaxMaskBits caps the XOR-mask brute force (default 7).
-	MaxMaskBits int
-	// SampleCheck is how many members per set a mask is verified
-	// against (default 128).
-	SampleCheck int
-	// CoverageFrac stops set collection once this fraction of the pool
-	// is assigned (default 0.8).
-	CoverageFrac float64
-	// MinSetSize rejects sets smaller than this (default 12).
-	MinSetSize int
-	// BitTrials is the per-bit trial count for row detection (default 6).
-	BitTrials int
-	// TimeoutSimSeconds aborts the run after this much simulated time
-	// (default 7200 — the paper killed DRAMA after two hours).
-	TimeoutSimSeconds float64
 	// Seed drives the run's randomness. DRAMA's output depends on it —
 	// that is the non-determinism the paper criticizes.
 	Seed int64
@@ -68,35 +44,32 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) setDefaults() {
-	if c.PoolAddrs == 0 {
-		c.PoolAddrs = 3000
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 2400
-	}
-	if c.MembershipAvg == 0 {
-		c.MembershipAvg = 10
-	}
-	if c.MaxMaskBits == 0 {
-		c.MaxMaskBits = 7
-	}
-	if c.SampleCheck == 0 {
-		c.SampleCheck = 128
-	}
-	if c.CoverageFrac == 0 {
-		c.CoverageFrac = 0.8
-	}
-	if c.MinSetSize == 0 {
-		c.MinSetSize = 12
-	}
-	if c.BitTrials == 0 {
-		c.BitTrials = 6
-	}
-	if c.TimeoutSimSeconds == 0 {
-		c.TimeoutSimSeconds = 7200
-	}
-}
+// DRAMA's parameters.
+const (
+	// poolAddrs is the number of blindly sampled addresses.
+	poolAddrs = 3000
+	// measureRounds is the alternating-access rounds per raw
+	// measurement: DRAMA measures long.
+	measureRounds = 2400
+	// membershipAvg is how many raw measurements a set-membership
+	// decision averages, as in the original tool.
+	membershipAvg = 10
+	// maxMaskBits caps the XOR-mask brute force.
+	maxMaskBits = 7
+	// sampleCheck is how many members per set a mask is verified
+	// against.
+	sampleCheck = 128
+	// coverageFrac stops set collection once this fraction of the pool
+	// is assigned.
+	coverageFrac = 0.8
+	// minSetSize rejects sets smaller than this.
+	minSetSize = 12
+	// bitTrials is the per-bit trial count for row detection.
+	bitTrials = 6
+	// timeoutSimSeconds aborts the run after this much simulated time:
+	// the paper killed DRAMA after two hours.
+	timeoutSimSeconds = 7200
+)
 
 // ErrTimeout is returned when DRAMA exhausts its simulated time budget
 // without converging (the paper's No.3/No.7 behaviour).
@@ -133,7 +106,6 @@ func (r *Result) String() string {
 
 // Tool is a configured DRAMA instance.
 type Tool struct {
-	cfg    Config
 	target timing.Target
 	ctx    context.Context
 	meter  *timing.Meter
@@ -143,18 +115,16 @@ type Tool struct {
 }
 
 // New creates a DRAMA instance.
-func New(target timing.Target, cfg Config) (*Tool, error) {
-	cfg.setDefaults()
+func New(target timing.Target, cfg Config) *Tool {
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Tool{
-		cfg:    cfg,
 		target: target,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		logf:   logf,
-	}, nil
+	}
 }
 
 // Run executes DRAMA until it converges or times out.
@@ -172,7 +142,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	t.ctx = ctx
 	start := time.Now()
 	clock0 := t.target.ClockNs()
-	meter, err := timing.NewMeter(t.target, t.cfg.Rounds, 1)
+	meter, err := timing.NewMeter(t.target, measureRounds, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +160,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if (t.target.ClockNs()-clock0)/1e9 > t.cfg.TimeoutSimSeconds {
+		if (t.target.ClockNs()-clock0)/1e9 > timeoutSimSeconds {
 			return nil, fmt.Errorf("%w (after %d attempts, %.0f simulated seconds)",
 				ErrTimeout, attempts, (t.target.ClockNs()-clock0)/1e9)
 		}
@@ -212,11 +182,11 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 // isMemberAvg implements DRAMA's averaged membership test.
 func (t *Tool) isMemberAvg(a, b addr.Phys) bool {
 	var sum float64
-	for i := 0; i < t.cfg.MembershipAvg; i++ {
-		sum += t.target.MeasurePair(a, b, t.cfg.Rounds)
+	for i := 0; i < membershipAvg; i++ {
+		sum += t.target.MeasurePair(a, b, measureRounds)
 	}
-	t.meas += uint64(t.cfg.MembershipAvg)
-	return sum/float64(t.cfg.MembershipAvg) >= t.meter.Threshold()
+	t.meas += membershipAvg
+	return sum/membershipAvg >= t.meter.Threshold()
 }
 
 // attempt performs one full collection + analysis pass.
@@ -229,11 +199,11 @@ func (t *Tool) attempt(clock0 float64) (*Result, error) {
 	remaining := pool
 	var sets [][]addr.Phys
 	failedTries := 0
-	for float64(len(pool)-len(remaining)) < t.cfg.CoverageFrac*float64(len(pool)) {
+	for float64(len(pool)-len(remaining)) < coverageFrac*float64(len(pool)) {
 		if err := t.ctx.Err(); err != nil {
 			return nil, err
 		}
-		if (t.target.ClockNs()-clock0)/1e9 > t.cfg.TimeoutSimSeconds {
+		if (t.target.ClockNs()-clock0)/1e9 > timeoutSimSeconds {
 			return nil, fmt.Errorf("timeout during set collection")
 		}
 		if failedTries > 4*(len(sets)+4) {
@@ -257,7 +227,7 @@ func (t *Tool) attempt(clock0 float64) (*Result, error) {
 				rest = append(rest, q)
 			}
 		}
-		if len(members) < t.cfg.MinSetSize || len(members) > len(pool)/2 {
+		if len(members) < minSetSize || len(members) > len(pool)/2 {
 			failedTries++
 			continue
 		}
@@ -290,7 +260,7 @@ func (t *Tool) attempt(clock0 float64) (*Result, error) {
 		searchBits = append(searchBits, b)
 	}
 	var candidates []uint64
-	for k := 1; k <= t.cfg.MaxMaskBits; k++ {
+	for k := 1; k <= maxMaskBits; k++ {
 		addr.Combinations(searchBits, k, func(mask uint64) bool {
 			if t.maskConstantOnSets(mask, sets) {
 				candidates = append(candidates, mask)
@@ -366,12 +336,12 @@ func (t *Tool) attempt(clock0 float64) (*Result, error) {
 	return res, nil
 }
 
-// samplePool draws PoolAddrs random cache-line-aligned addresses.
+// samplePool draws poolAddrs random cache-line-aligned addresses.
 func (t *Tool) samplePool() []addr.Phys {
 	pool := t.target.Pool()
-	seen := make(map[addr.Phys]struct{}, t.cfg.PoolAddrs)
-	out := make([]addr.Phys, 0, t.cfg.PoolAddrs)
-	for len(out) < t.cfg.PoolAddrs {
+	seen := make(map[addr.Phys]struct{}, poolAddrs)
+	out := make([]addr.Phys, 0, poolAddrs)
+	for len(out) < poolAddrs {
 		a := pool.RandomAddr(t.rng, 1<<timing.CacheLineBits)
 		if _, dup := seen[a]; dup {
 			continue
@@ -387,10 +357,7 @@ func (t *Tool) samplePool() []addr.Phys {
 // majority-style check), anything more kills the mask.
 func (t *Tool) maskConstantOnSets(mask uint64, sets [][]addr.Phys) bool {
 	for _, set := range sets {
-		n := len(set)
-		if n > t.cfg.SampleCheck {
-			n = t.cfg.SampleCheck
-		}
+		n := min(len(set), sampleCheck)
 		allowed := 1 + n/64
 		want := set[0].XorFold(mask)
 		disagree := 0
@@ -415,8 +382,8 @@ func (t *Tool) detectRows(physBits uint) ([]uint, error) {
 	unreachable := make([]uint, 0)
 	for b := uint(timing.CacheLineBits); b < physBits; b++ {
 		votes, high := 0, 0
-		tries := t.cfg.BitTrials * 64
-		for votes < t.cfg.BitTrials && tries > 0 {
+		tries := bitTrials * 64
+		for votes < bitTrials && tries > 0 {
 			tries--
 			a := pool.RandomAddr(t.rng, 1<<timing.CacheLineBits)
 			q := a.FlipBit(b)

@@ -13,18 +13,14 @@ func newTool(t testing.TB) (*Tool, *machine.Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool, err := New(m, Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tool, m
+	return New(m, Config{Seed: 5}), m
 }
 
 func TestSamplePoolProperties(t *testing.T) {
 	tool, m := newTool(t)
 	pool := tool.samplePool()
-	if len(pool) != tool.cfg.PoolAddrs {
-		t.Fatalf("pool size %d, want %d", len(pool), tool.cfg.PoolAddrs)
+	if len(pool) != poolAddrs {
+		t.Fatalf("pool size %d, want %d", len(pool), poolAddrs)
 	}
 	seen := map[addr.Phys]bool{}
 	for _, a := range pool {
@@ -68,15 +64,6 @@ func TestMaskConstancyTolerance(t *testing.T) {
 	// Any clean set plus one broken set kills the mask.
 	if tool.maskConstantOnSets(mask, [][]addr.Phys{mkSet(0), mkSet(6)}) {
 		t.Error("broken second set accepted")
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	c.setDefaults()
-	if c.PoolAddrs != 3000 || c.Rounds != 2400 || c.MembershipAvg != 10 ||
-		c.MaxMaskBits != 7 || c.TimeoutSimSeconds != 7200 {
-		t.Errorf("unexpected defaults: %+v", c)
 	}
 }
 

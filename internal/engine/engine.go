@@ -96,21 +96,14 @@ func WithProgress(fn func(step string, stats core.StepStats)) Option {
 	}
 }
 
-// WithInstrument attaches hot-path measurement instrumentation to every
-// meter the run creates. A nil instrument detaches it. Note WithConfig
-// replaces the full configuration including the instrument, so order
-// WithInstrument after WithConfig.
-func WithInstrument(in *timing.Instrument) Option {
-	return func(s *settings) { s.cfg.Instrument = in }
-}
-
 // NewInstrument registers the engine's hot-path metric family pair on r
-// and returns the instrument to pass to WithInstrument:
-// dramdig_engine_samples_total counts raw MeasurePair calls and
-// dramdig_engine_sample_latency_ns is the distribution of measured
-// per-access latencies — on a calibrated channel it renders the bimodal
-// hit/conflict split directly. A nil registry returns a usable no-op
-// instrument.
+// and returns an instrument for core.Config.Instrument, which a run
+// takes through WithConfig and a campaign through its own
+// Config.Instrument. dramdig_engine_samples_total counts raw MeasurePair
+// calls and dramdig_engine_sample_latency_ns is the distribution of
+// measured per-access latencies — on a calibrated channel it renders
+// the bimodal hit/conflict split directly. A nil registry returns a
+// usable no-op instrument.
 func NewInstrument(r *metrics.Registry) *timing.Instrument {
 	return &timing.Instrument{
 		Samples: r.Counter("dramdig_engine_samples_total",

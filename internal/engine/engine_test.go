@@ -161,17 +161,18 @@ func TestRunProgress(t *testing.T) {
 	}
 }
 
-// TestRunInstrumented: WithInstrument counts every raw measurement and
-// feeds the latency distribution; the run result is identical to an
-// uninstrumented run (instrumentation must not perturb the pipeline).
-// The meters batch their samples, so the count must agree with them at
-// every step boundary and after a run ends, completed or cancelled.
+// TestRunInstrumented: an instrument set through WithConfig counts every
+// raw measurement and feeds the latency distribution; the run result is
+// identical to an uninstrumented run (instrumentation must not perturb
+// the pipeline). The meters batch their samples, so the count must
+// agree with them at every step boundary and after a run ends,
+// completed or cancelled.
 func TestRunInstrumented(t *testing.T) {
 	r := metrics.NewRegistry()
 	in := NewInstrument(r)
 	var stepped uint64
 	res, err := New().Run(context.Background(), source.Live(testMachine(t)),
-		WithSeed(7), WithInstrument(in), WithProgress(func(step string, st core.StepStats) {
+		WithConfig(core.Config{Seed: 7, Instrument: in}), WithProgress(func(step string, st core.StepStats) {
 			stepped += st.Measurements
 			if got := in.Samples.Value(); got != stepped {
 				t.Errorf("after %s: instrument saw %d samples, steps so far took %d", step, got, stepped)
@@ -195,7 +196,7 @@ func TestRunInstrumented(t *testing.T) {
 		cin := NewInstrument(metrics.NewRegistry())
 		ctx, cancel := context.WithCancel(context.Background())
 		src := &cancelSource{Source: source.Live(testMachine(t)), cancel: cancel, after: after}
-		_, err := New().Run(ctx, src, WithSeed(7), WithInstrument(cin))
+		_, err := New().Run(ctx, src, WithConfig(core.Config{Seed: 7, Instrument: cin}))
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel@%d: err = %v, want context.Canceled", after, err)

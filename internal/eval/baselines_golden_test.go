@@ -15,8 +15,8 @@ import (
 	"dramdig/internal/xiao"
 )
 
-// baselinesGoldenPath pins what the baselines and the rowhammer driver
-// do on a fixed corpus: DRAMA, Xiao et al. and Seaborn on the nine paper
+// baselinesGoldenPath pins what the baselines and rowhammer sessions do
+// on a fixed corpus: DRAMA, Xiao et al. and Seaborn on the nine paper
 // settings, and rowhammer's three modes with the true mapping on the
 // Table III settings. A change meant to leave them alone must leave it
 // byte-identical. The corpus reaches their failure modes too: DRAMA's
@@ -66,11 +66,7 @@ func baselineRuns(t *testing.T) []baselineRecord {
 	var recs []baselineRecord
 	for no := 1; no <= 9; no++ {
 		m := newMachine(no)
-		dr, err := drama.New(m, drama.Config{Seed: opts.Seed + 100 + int64(no)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := dr.Run()
+		res, err := drama.New(m, drama.Config{Seed: opts.Seed + 100 + int64(no)}).Run()
 		rec := baselineRecord{Tool: "drama", No: no}
 		if err == nil {
 			rec.SimSeconds, rec.Sets, rec.Attempts = res.TotalSimSeconds, res.Sets, res.Attempts
@@ -79,11 +75,7 @@ func baselineRuns(t *testing.T) []baselineRecord {
 	}
 	for no := 1; no <= 9; no++ {
 		m := newMachine(no)
-		xt, err := xiao.New(m, xiao.Config{Seed: opts.Seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := xt.Run()
+		res, err := xiao.New(m, xiao.Config{Seed: opts.Seed}).Run()
 		rec := baselineRecord{Tool: "xiao", No: no}
 		if err == nil {
 			rec.SimSeconds = res.TotalSimSeconds
@@ -92,11 +84,7 @@ func baselineRuns(t *testing.T) []baselineRecord {
 	}
 	for no := 1; no <= 9; no++ {
 		m := newMachine(no)
-		st, err := seaborn.New(m, seaborn.Config{Seed: opts.Seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := st.Run()
+		res, err := seaborn.New(m, seaborn.Config{Seed: opts.Seed}).Run()
 		rec := baselineRecord{Tool: "seaborn", No: no}
 		if err == nil {
 			rec.SimSeconds, rec.KernelVectors = res.TotalSimSeconds, res.KernelVectors

@@ -184,10 +184,7 @@ func Figure2(opts Options) ([]Fig2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		dr, err := drama.New(m2, drama.Config{Seed: opts.Seed + 100 + int64(no)})
-		if err != nil {
-			return nil, err
-		}
+		dr := drama.New(m2, drama.Config{Seed: opts.Seed + 100 + int64(no)})
 		drRes, err := dr.RunContext(opts.ctx())
 		switch {
 		case errors.Is(err, drama.ErrTimeout):
@@ -287,10 +284,7 @@ func Table3(opts Options) ([]Table3Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			dr, err := drama.New(md, drama.Config{Seed: opts.Seed + int64(100*no+test)})
-			if err != nil {
-				return nil, err
-			}
+			dr := drama.New(md, drama.Config{Seed: opts.Seed + int64(100*no+test)})
 			drRes, err := dr.RunContext(opts.ctx())
 			if errors.Is(err, drama.ErrTimeout) {
 				row.Drama[test] = 0
@@ -443,10 +437,7 @@ func scoreDrama(opts Options) Table1Row {
 			if err != nil {
 				continue
 			}
-			tool, err := drama.New(m, drama.Config{Seed: opts.Seed + int64(trial*23+no)})
-			if err != nil {
-				continue
-			}
+			tool := drama.New(m, drama.Config{Seed: opts.Seed + int64(trial*23+no)})
 			res, err := tool.RunContext(opts.ctx())
 			if err != nil {
 				opts.logf("Table I DRAMA No.%d trial %d: %v", no, trial, err)
@@ -491,10 +482,7 @@ func scoreXiao(opts Options) Table1Row {
 		if err != nil {
 			continue
 		}
-		tool, err := xiao.New(m, xiao.Config{Seed: opts.Seed})
-		if err != nil {
-			continue
-		}
+		tool := xiao.New(m, xiao.Config{Seed: opts.Seed})
 		res, err := tool.RunContext(opts.ctx())
 		if err != nil {
 			opts.logf("Table I Xiao No.%d: %v", no, err)
@@ -525,10 +513,7 @@ func scoreSeaborn(opts Options) Table1Row {
 		if err != nil {
 			continue
 		}
-		tool, err := seaborn.New(m, seaborn.Config{Seed: opts.Seed})
-		if err != nil {
-			continue
-		}
+		tool := seaborn.New(m, seaborn.Config{Seed: opts.Seed})
 		res, err := tool.RunContext(opts.ctx())
 		if err != nil || !res.Exact {
 			opts.logf("Table I Seaborn No.%d: err=%v exact=%v", no, err, res != nil && res.Exact)

@@ -493,8 +493,11 @@ func (q *Queue) importOld() error {
 // applyLocked folds one record into the in-memory state. It is the
 // single mutation path: live transitions build a record, apply it, then
 // append it — so replaying the WAL reproduces exactly the state the
-// live process had. Every applied record wakes the readers blocked on
-// Changed.
+// live process had. A submit record's job is kept as it is: replay and
+// import decode a fresh one, and Submit passes a clone of the job it
+// returns. The live paths, Submit and transitionLocked, wake the
+// readers blocked on Changed; no reader can wait on a queue Open has
+// not returned yet.
 func (q *Queue) applyLocked(rec walRecord) error {
 	j := rec.Job
 	if rec.Op != "submit" {
@@ -507,8 +510,6 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		if j == nil {
 			return fmt.Errorf("submit record %d has no job", rec.Seq)
 		}
-		c := j.clone()
-		j = &c
 		q.jobs[j.ID] = j
 		if j.State == StateSubmitted {
 			q.pending++
@@ -567,8 +568,6 @@ func (q *Queue) applyLocked(rec walRecord) error {
 	default:
 		return fmt.Errorf("record %d has unknown op %q", rec.Seq, rec.Op)
 	}
-	close(q.changed)
-	q.changed = make(chan struct{})
 	return nil
 }
 
@@ -789,11 +788,14 @@ func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, 
 		History:           []Event{{Seq: q.seq, AtUnixNano: now.UnixNano(), Type: EventSubmitted}},
 		syncPending:       q.wal != nil,
 	}
-	rec := walRecord{Seq: q.seq, Op: "submit", Job: &j}
+	kept := j.clone()
+	rec := walRecord{Seq: q.seq, Op: "submit", Job: &kept}
 	if err := q.applyLocked(rec); err != nil {
 		q.mu.Unlock()
 		return Job{}, false, err
 	}
+	close(q.changed)
+	q.changed = make(chan struct{})
 	if err := q.appendLocked(rec); err != nil {
 		// The WAL is the source of truth; an unpersistable submit must
 		// not be admitted.
@@ -814,9 +816,7 @@ func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, 
 		return Job{}, false, err
 	}
 	q.mu.Lock()
-	if kept, ok := q.jobs[j.ID]; ok {
-		kept.syncPending = false
-	}
+	kept.syncPending = false
 	q.mu.Unlock()
 	j.syncPending = false
 	q.wake()
@@ -1104,6 +1104,8 @@ func (q *Queue) transitionLocked(id string, rec walRecord) error {
 	if err := q.applyLocked(rec); err != nil {
 		return err
 	}
+	close(q.changed)
+	q.changed = make(chan struct{})
 	return q.appendLocked(rec)
 }
 

@@ -88,15 +88,9 @@ type Config struct {
 	// Aggressors is the group size for ManySided mode (default 8, must
 	// be even and ≥ 4).
 	Aggressors int
-	// ActsPerAggressor is the number of activations per aggressor row
-	// per victim (default 90_000 — about one refresh window's worth).
-	ActsPerAggressor uint64
 	// BudgetSimSeconds is the session length (default 300 s, the
 	// paper's 5 minutes).
 	BudgetSimSeconds float64
-	// VerifyOverheadNs is the per-victim cost of scanning for flips
-	// (default 5 ms).
-	VerifyOverheadNs float64
 	// Seed drives victim selection.
 	Seed int64
 }
@@ -105,16 +99,18 @@ func (c *Config) setDefaults() {
 	if c.Aggressors == 0 {
 		c.Aggressors = 8
 	}
-	if c.ActsPerAggressor == 0 {
-		c.ActsPerAggressor = 90_000
-	}
 	if c.BudgetSimSeconds == 0 {
 		c.BudgetSimSeconds = 300
 	}
-	if c.VerifyOverheadNs == 0 {
-		c.VerifyOverheadNs = 5e6
-	}
 }
+
+const (
+	// actsPerAggressor is the number of activations per aggressor row
+	// per victim: about one refresh window's worth.
+	actsPerAggressor = 90_000
+	// verifyOverheadNs is the per-victim cost of scanning for flips.
+	verifyOverheadNs = 5e6
+)
 
 // Result summarizes one hammer session.
 type Result struct {
@@ -192,12 +188,12 @@ func (s *Session) RunContext(ctx context.Context) (Result, error) {
 		}
 		v := pool.RandomAddr(s.rng, 64)
 		// Victim bookkeeping and flip scan cost time either way.
-		s.target.AdvanceClock(s.cfg.VerifyOverheadNs)
+		s.target.AdvanceClock(verifyOverheadNs)
 		var flips []dram.Flip
 		switch s.cfg.Mode {
 		case OneLocation:
 			res.Victims++
-			flips = s.target.HammerOne(v, 2*s.cfg.ActsPerAggressor)
+			flips = s.target.HammerOne(v, 2*actsPerAggressor)
 		case ManySided:
 			group, ok := s.manySidedGroup(v)
 			if !ok {
@@ -208,7 +204,7 @@ func (s *Session) RunContext(ctx context.Context) (Result, error) {
 			// Each aggressor gets the full dose; the burst spreads
 			// over several refresh windows, which is many-sided's
 			// intrinsic cost — and why it only pays off against TRR.
-			flips = s.target.HammerMany(group, s.cfg.ActsPerAggressor)
+			flips = s.target.HammerMany(group, actsPerAggressor)
 		default:
 			a1, a2, ok := s.aggressors(v)
 			if !ok {
@@ -216,7 +212,7 @@ func (s *Session) RunContext(ctx context.Context) (Result, error) {
 				continue
 			}
 			res.Victims++
-			flips = s.target.HammerPair(a1, a2, s.cfg.ActsPerAggressor)
+			flips = s.target.HammerPair(a1, a2, actsPerAggressor)
 		}
 		for _, f := range flips {
 			if _, dup := seen[f]; !dup {

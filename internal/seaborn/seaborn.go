@@ -44,26 +44,20 @@ type Target interface {
 	AdvanceClock(ns float64)
 }
 
-// Config tunes the sweep.
+// Config seeds and logs a sweep.
 type Config struct {
-	// ActsPerAggressor per burst (default 90_000).
-	ActsPerAggressor uint64
-	// TimeoutSimSeconds caps the run (default 7200).
-	TimeoutSimSeconds float64
 	// Seed drives pair selection.
 	Seed int64
 	// Logf receives progress lines.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) setDefaults() {
-	if c.ActsPerAggressor == 0 {
-		c.ActsPerAggressor = 90_000
-	}
-	if c.TimeoutSimSeconds == 0 {
-		c.TimeoutSimSeconds = 7200
-	}
-}
+const (
+	// actsPerAggressor is the activations per aggressor in one burst.
+	actsPerAggressor = 90_000
+	// timeoutSimSeconds caps the run.
+	timeoutSimSeconds = 7200
+)
 
 // ErrNoFlips is returned when the machine never flips: the blind method
 // learns nothing (its non-generic failure mode).
@@ -97,20 +91,18 @@ func (r *Result) String() string {
 
 // Tool is a configured instance.
 type Tool struct {
-	cfg    Config
 	target Target
 	rng    *rand.Rand
 	logf   func(string, ...any)
 }
 
 // New creates an instance.
-func New(target Target, cfg Config) (*Tool, error) {
-	cfg.setDefaults()
+func New(target Target, cfg Config) *Tool {
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Tool{cfg: cfg, target: target, rng: rand.New(rand.NewSource(cfg.Seed)), logf: logf}, nil
+	return &Tool{target: target, rng: rand.New(rand.NewSource(cfg.Seed)), logf: logf}
 }
 
 // Run hammers random page pairs of the allocation in sweeps of 8,192
@@ -143,14 +135,14 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	lastRank, stagnant := 0, 0
 	const burstsPerSweep = 8192
 	for sweep := 0; stagnant < 3; sweep++ {
-		if (t.target.ClockNs()-clock0)/1e9 > t.cfg.TimeoutSimSeconds {
+		if (t.target.ClockNs()-clock0)/1e9 > timeoutSimSeconds {
 			break
 		}
 		for i := 0; i < burstsPerSweep; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if (t.target.ClockNs()-clock0)/1e9 > t.cfg.TimeoutSimSeconds {
+			if (t.target.ClockNs()-clock0)/1e9 > timeoutSimSeconds {
 				break
 			}
 			// Blind pair selection inside the contiguous allocation,
@@ -163,7 +155,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 			if a == b {
 				continue
 			}
-			flips := t.target.HammerPair(a, b, t.cfg.ActsPerAggressor)
+			flips := t.target.HammerPair(a, b, actsPerAggressor)
 			if len(flips) == 0 {
 				continue
 			}

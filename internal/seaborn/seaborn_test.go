@@ -16,10 +16,7 @@ func TestBlindAnalysisOnVulnerableDDR3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool, err := New(m, Config{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tool := New(m, Config{Seed: 9})
 	res, err := tool.Run()
 	if err != nil {
 		t.Fatalf("blind analysis failed on the vulnerable No.1: %v", err)
@@ -44,7 +41,7 @@ func TestBlindAnalysisOnVulnerableDDR3(t *testing.T) {
 // give up with ErrNoFlips — its non-generic failure mode.
 func TestFailsOnResistantMachine(t *testing.T) {
 	m, _ := machine.NewByNo(5, 17)
-	tool, _ := New(m, Config{Seed: 9, TimeoutSimSeconds: 2000})
+	tool := New(m, Config{Seed: 9})
 	_, err := tool.Run()
 	if !errors.Is(err, ErrNoFlips) {
 		t.Fatalf("want ErrNoFlips on No.5, got %v", err)
@@ -56,7 +53,7 @@ func TestFailsOnResistantMachine(t *testing.T) {
 // exact — the "manual pruning" caveat of the original analysis.
 func TestCandidateSpaceUnderdetermined(t *testing.T) {
 	m, _ := machine.NewByNo(2, 17)
-	tool, _ := New(m, Config{Seed: 9})
+	tool := New(m, Config{Seed: 9})
 	res, err := tool.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -101,9 +101,6 @@ func (m *Meter) Threshold() float64 { return m.thresh }
 // SetThreshold overrides the threshold (tests, ablations).
 func (m *Meter) SetThreshold(t float64) { m.thresh = t }
 
-// Rounds returns the configured rounds per raw measurement.
-func (m *Meter) Rounds() int { return m.rounds }
-
 // SetInstrument attaches hot-path instrumentation (nil detaches it),
 // flushing what the meter held for the previous one.
 func (m *Meter) SetInstrument(in *Instrument) {

@@ -27,38 +27,28 @@ import (
 	"dramdig/internal/timing"
 )
 
-// Config tunes the Xiao et al. reimplementation.
+// Config seeds and logs a run of the Xiao et al. reimplementation.
 type Config struct {
-	// Rounds per raw measurement (default 1600).
-	Rounds int
-	// Repeats per decision (default 3).
-	Repeats int
-	// BitTrials per bit/pair test (default 8).
-	BitTrials int
-	// RetrySweeps is how many times the tool re-sweeps pair candidates
-	// before declaring itself stuck (default 3 — the original code
-	// loops forever; the paper killed it manually).
-	RetrySweeps int
 	// Seed drives base-address selection.
 	Seed int64
 	// Logf receives progress lines.
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) setDefaults() {
-	if c.Rounds == 0 {
-		c.Rounds = 1600
-	}
-	if c.Repeats == 0 {
-		c.Repeats = 3
-	}
-	if c.BitTrials == 0 {
-		c.BitTrials = 8
-	}
-	if c.RetrySweeps == 0 {
-		c.RetrySweeps = 3
-	}
-}
+// The tool's parameters.
+const (
+	// measureRounds is the alternating-access rounds per raw
+	// measurement.
+	measureRounds = 1600
+	// measureRepeats is the median-of-n repeat count per decision.
+	measureRepeats = 3
+	// bitTrials is the number of address pairs per bit or pair test.
+	bitTrials = 8
+	// retrySweeps is how many times the tool re-sweeps pair candidates
+	// before declaring itself stuck: the original code loops forever,
+	// and the paper killed it manually.
+	retrySweeps = 3
+)
 
 // ErrStuck reports the tool's non-generic failure mode: it resolved only
 // a subset of the bank functions and cannot make further progress.
@@ -96,7 +86,6 @@ func (r *Result) String() string {
 
 // Tool is a configured instance.
 type Tool struct {
-	cfg    Config
 	target timing.Target
 	ctx    context.Context
 	meter  *timing.Meter
@@ -105,18 +94,16 @@ type Tool struct {
 }
 
 // New creates an instance.
-func New(target timing.Target, cfg Config) (*Tool, error) {
-	cfg.setDefaults()
+func New(target timing.Target, cfg Config) *Tool {
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	return &Tool{
-		cfg:    cfg,
 		target: target,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		logf:   logf,
-	}, nil
+	}
 }
 
 // votePairs measures pairs differing in mask; true when a majority
@@ -124,8 +111,8 @@ func New(target timing.Target, cfg Config) (*Tool, error) {
 func (t *Tool) votePairs(mask uint64) (bool, bool) {
 	pool := t.target.Pool()
 	var found, high int
-	attempts := t.cfg.BitTrials * 64
-	for found < t.cfg.BitTrials && attempts > 0 {
+	attempts := bitTrials * 64
+	for found < bitTrials && attempts > 0 {
 		attempts--
 		a := pool.RandomAddr(t.rng, 1<<timing.CacheLineBits)
 		b := a.FlipMask(mask)
@@ -166,7 +153,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	for 1<<(L+1) <= banks {
 		L++
 	}
-	meter, err := timing.NewMeter(t.target, t.cfg.Rounds, t.cfg.Repeats)
+	meter, err := timing.NewMeter(t.target, measureRounds, measureRepeats)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +207,7 @@ func (t *Tool) RunContext(ctx context.Context) (*Result, error) {
 	// completes.
 	var funcs []uint64
 	seen := map[uint64]bool{}
-	for sweep := 0; sweep < t.cfg.RetrySweeps && len(funcs) < L; sweep++ {
+	for sweep := 0; sweep < retrySweeps && len(funcs) < L; sweep++ {
 		for i := 0; i < len(bankBits); i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err

@@ -20,10 +20,7 @@ func TestXiaoGenericity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tool, err := New(m, Config{Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tool := New(m, Config{Seed: 3})
 		res, err := tool.Run()
 		var stuck *ErrStuck
 		switch {
@@ -55,7 +52,7 @@ func TestXiaoGenericity(t *testing.T) {
 // functions").
 func TestStuckMessageMatchesPaperStyle(t *testing.T) {
 	m, _ := machine.NewByNo(6, 31)
-	tool, _ := New(m, Config{Seed: 3})
+	tool := New(m, Config{Seed: 3})
 	_, err := tool.Run()
 	var stuck *ErrStuck
 	if !errors.As(err, &stuck) {
@@ -85,7 +82,7 @@ func TestXiaoDeterministic(t *testing.T) {
 	var outs []string
 	for _, seed := range []int64{1, 77} {
 		m, _ := machine.NewByNo(3, 13)
-		tool, _ := New(m, Config{Seed: seed})
+		tool := New(m, Config{Seed: seed})
 		res, err := tool.Run()
 		if err != nil {
 			t.Fatal(err)
