@@ -70,7 +70,6 @@ type clusterState struct {
 	fed *metrics.Federation
 
 	granted     *metrics.Counter
-	expired     *metrics.Counter
 	heartbeats  *metrics.Counter
 	rejections  *metrics.Counter
 	completions *metrics.Counter
@@ -87,8 +86,6 @@ func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 		fed:     metrics.NewFederation(),
 		granted: reg.Counter("dramdig_cluster_leases_granted_total",
 			"Job leases granted to cluster workers.", nil),
-		expired: reg.Counter("dramdig_cluster_leases_expired_total",
-			"Leases expired by the sweeper (job requeued).", nil),
 		heartbeats: reg.Counter("dramdig_cluster_heartbeats_total",
 			"Lease heartbeats accepted.", nil),
 		rejections: reg.Counter("dramdig_cluster_lease_rejections_total",
@@ -122,6 +119,9 @@ func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 	reg.GaugeFunc("dramdig_cluster_leases_active",
 		"Leases currently held by cluster workers.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Leased) })
+	reg.CounterFunc("dramdig_cluster_leases_expired_total",
+		"Leases expired by the sweeper (job requeued).", nil,
+		func() float64 { return float64(q.StatsSnapshot().Expired) })
 	return cl
 }
 
@@ -618,7 +618,6 @@ func (s *server) sweepLeases() {
 				continue
 			}
 			for _, job := range lapsed {
-				s.cl.expired.Inc()
 				s.endRevoke(job.ID, job.LeaseToken)
 				s.logTransition(job.ID, "running", "queued",
 					"reason", "lease expired", "worker", job.LeaseOwner, "attempt", job.Attempts)

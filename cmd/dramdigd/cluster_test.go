@@ -229,6 +229,10 @@ func TestClusterLeaseExpiry(t *testing.T) {
 	if qs.Expired < 1 {
 		t.Fatalf("no lease expiry recorded: %+v", qs)
 	}
+	// The metrics page reads the same count from the queue.
+	if want := fmt.Sprintf("dramdig_cluster_leases_expired_total %d\n", qs.Expired); !strings.Contains(scrape(t, srv, "/v1/metrics"), want) {
+		t.Errorf("metrics page lacks %q", want)
+	}
 }
 
 // startWorker runs a cluster worker against the coordinator URL until

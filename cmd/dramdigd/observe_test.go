@@ -70,11 +70,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`dramdig_http_requests_total{code="202",method="POST",route="/v1/campaigns"} 1`,
 		"dramdig_queue_submitted_total 1",
-		// The stub runner bypasses campaign.Run, so the lifecycle counters
-		// stay zero here — rendering at 0 proves the campaign and engine
-		// families are wired into the daemon's registry (increments are
-		// covered by the campaign package tests).
-		"dramdig_campaign_jobs_started_total 0",
+		// The stub runner bypasses campaign.Run but emits its job
+		// events, which the worker counts: one job started. The engine
+		// never ran, so its samples read 0, which proves the engine
+		// family is wired into the daemon's registry.
+		"dramdig_campaign_jobs_started_total 1",
 		"dramdig_engine_samples_total 0",
 		`route="/v1/metrics"`, // the middleware observes the scrape itself
 	} {

@@ -235,9 +235,6 @@ type Config struct {
 	// closes the sink when the attempt's run finishes, success or not; a
 	// sink whose source fails to open is dropped unclosed, unwritten.
 	TraceSink func(spec Spec, index, attempt int) (io.WriteCloser, error)
-	// Metrics, when non-nil, receives job-lifecycle counts (see
-	// NewMetrics).
-	Metrics *Metrics
 	// Instrument, when non-nil, is attached to every pipeline attempt's
 	// meters (hot-path sample counting; see timing.Instrument). It does
 	// not perturb results — instrumented and bare runs recover identical
@@ -338,7 +335,6 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 		name = spec.Def.Name
 	}
 	start := time.Now()
-	cfg.Metrics.jobStarted()
 	emit(Event{Kind: EventJobStarted, Job: name, Index: idx})
 
 	// The job span parents every engine-phase and store span below, and
@@ -370,7 +366,6 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 	}
 	if out.Err == nil && out.Result != nil && out.Result.Mapping != nil {
 		jr.Fingerprint = out.Result.Mapping.Fingerprint()
-		cfg.Metrics.jobFinished()
 		emit(Event{Kind: EventJobFinished, Job: name, Index: idx,
 			Match: out.Match, Cached: out.Cached,
 			SimSeconds: out.Result.TotalSimSeconds})
@@ -378,7 +373,6 @@ func runJob(ctx context.Context, spec Spec, cfg Config, idx int, emit func(Event
 		if jr.Err == nil {
 			jr.Err = fmt.Errorf("campaign: wrapper returned neither result nor error")
 		}
-		cfg.Metrics.jobFailed()
 		emit(Event{Kind: EventJobFailed, Job: name, Index: idx, Err: jr.Err.Error()})
 	}
 	span.SetAttrInt("attempts", int64(jr.Attempts))

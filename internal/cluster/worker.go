@@ -96,11 +96,13 @@ type Worker struct {
 	// In-process workers share the coordinator's registry and tracer.
 	remote bool
 
-	// inst and cm instrument the campaign engine when cfg.Metrics is
-	// set; both are nil-safe downstream. ship is set for a remote worker
+	// inst instruments the campaign engine and jobs counts the job
+	// events by kind when cfg.Metrics is set. Both are nil-safe: a kind
+	// without a counter, and every kind without a registry, reads a nil
+	// counter, which counts nothing. ship is set for a remote worker
 	// with a registry: only it sends metrics snapshots.
 	inst *timing.Instrument
-	cm   *campaign.Metrics
+	jobs map[campaign.EventKind]*metrics.Counter
 	ship bool
 
 	completed atomic.Uint64
@@ -146,7 +148,14 @@ func NewWorker(c Coordinator, cfg WorkerConfig) *Worker {
 	}
 	if r := cfg.Metrics; r != nil {
 		w.inst = engine.NewInstrument(r)
-		w.cm = campaign.NewMetrics(r)
+		w.jobs = map[campaign.EventKind]*metrics.Counter{
+			campaign.EventJobStarted: r.Counter("dramdig_campaign_jobs_started_total",
+				"Campaign jobs picked up by a worker.", nil),
+			campaign.EventJobFinished: r.Counter("dramdig_campaign_jobs_succeeded_total",
+				"Campaign jobs that produced a mapping.", nil),
+			campaign.EventJobFailed: r.Counter("dramdig_campaign_jobs_failed_total",
+				"Campaign jobs that exhausted their attempts.", nil),
+		}
 	}
 	if r := cfg.Metrics; r != nil && remote {
 		metrics.RegisterRuntime(r)
@@ -185,6 +194,9 @@ func (w *Worker) snapshotJSON(force bool) json.RawMessage {
 	}
 	return data
 }
+
+// count adds one job event to its kind's lifecycle counter.
+func (w *Worker) count(ev campaign.Event) { w.jobs[ev.Kind].Inc() }
 
 // Stats reports lifetime completion counts (tests and shutdown logs).
 func (w *Worker) Stats() (completed, failed uint64) {
@@ -288,7 +300,6 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 		Seed:       p.Seed,
 		OnEvent:    l.progress,
 		Wrap:       w.wrap,
-		Metrics:    w.cm,
 		Instrument: w.inst,
 	}
 	// The operator's worker cap is a ceiling, not a default a client may
@@ -372,9 +383,11 @@ func (l *lease) beat() {
 	}
 }
 
-// progress records one per-job event; a lease_lost answer stops the
-// campaign, as it does for a heartbeat.
+// progress counts one per-job event and records it in the job's
+// history; a lease_lost answer stops the campaign, as it does for a
+// heartbeat.
 func (l *lease) progress(ev campaign.Event) {
+	l.w.count(ev)
 	err := l.w.coord.Progress(l.ctx, l.g.ID, l.g.Token, ev)
 	switch {
 	case err == nil:

@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"dramdig/internal/campaign"
+	"dramdig/internal/machine"
 	"dramdig/internal/metrics"
+	"dramdig/internal/obs"
 	"dramdig/internal/queue"
+	"dramdig/internal/store"
 )
 
 // inProcessCoord names its worker and nothing more: enough for
@@ -18,6 +21,77 @@ import (
 type inProcessCoord struct{ Coordinator }
 
 func (inProcessCoord) Worker() string { return "local-1" }
+
+// eventCoord is an in-process coordinator that records the progress
+// events it receives by kind, computes every job afresh and accepts
+// every beat and outcome.
+type eventCoord struct {
+	inProcessCoord
+	events map[campaign.EventKind]int
+}
+
+func (c *eventCoord) Progress(_ context.Context, _, _ string, ev campaign.Event) error {
+	c.events[ev.Kind]++
+	return nil
+}
+
+func (*eventCoord) GetOrCompute(_ context.Context, _ string, compute func() (*store.Record, error)) (*store.Record, error) {
+	return compute()
+}
+
+func (*eventCoord) Heartbeat(context.Context, string, string, json.RawMessage) error { return nil }
+
+func (*eventCoord) Complete(context.Context, string, string, json.RawMessage, []obs.SpanData, json.RawMessage) error {
+	return nil
+}
+
+// TestWorkerCountsJobEvents: the job lifecycle counters count the job
+// events the worker forwards to its coordinator. One leased campaign
+// over No.1 plus a machine whose chip part does not exist starts two
+// jobs, one succeeding and one failing, and each counter reads the
+// number of events of its kind the coordinator received. A worker
+// without a registry counts nothing and forwards the same events.
+func TestWorkerCountsJobEvents(t *testing.T) {
+	bad, err := machine.ByNo(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Name, bad.ChipPart = "broken", "NO-SUCH-PART"
+	payload, err := json.Marshal(Payload{Request: CampaignRequest{Machines: []int{1}}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(reg *metrics.Registry) map[campaign.EventKind]int {
+		coord := &eventCoord{events: make(map[campaign.EventKind]int)}
+		w := NewWorker(coord, WorkerConfig{Workers: 1, Retries: -1, Metrics: reg})
+		w.RunCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
+			return campaign.Run(ctx, append(specs, campaign.Spec{Name: "broken", Def: bad, Seed: 7}), cfg)
+		}
+		w.runLease(context.Background(), &LeaseGrant{ID: "c1", Payload: payload, Token: "t", TTLMillis: time.Hour.Milliseconds()})
+		return coord.events
+	}
+
+	reg := metrics.NewRegistry()
+	events := run(reg)
+	snap := reg.Snapshot()
+	bare := run(nil)
+	for _, c := range []struct {
+		kind   campaign.EventKind
+		family string
+		want   int
+	}{
+		{campaign.EventJobStarted, "dramdig_campaign_jobs_started_total", 2},
+		{campaign.EventJobFinished, "dramdig_campaign_jobs_succeeded_total", 1},
+		{campaign.EventJobFailed, "dramdig_campaign_jobs_failed_total", 1},
+	} {
+		if got, _ := snap.Total(c.family); got != float64(c.want) || events[c.kind] != c.want {
+			t.Errorf("%s = %v with %d %s events received, want %d of each", c.family, got, events[c.kind], c.kind, c.want)
+		}
+		if bare[c.kind] != c.want {
+			t.Errorf("worker without a registry forwarded %d %s events, want %d", bare[c.kind], c.kind, c.want)
+		}
+	}
+}
 
 // shippingWorker returns a remote worker whose registry is shaped like
 // dramdig-worker's after a campaign: the runtime, engine, campaign and
@@ -35,7 +109,7 @@ func shippingWorker(tb testing.TB) *Worker {
 		tb.Fatal(err)
 	}
 	rep, err := campaign.Run(context.Background(), specs, campaign.Config{
-		Workers: 1, Seed: 1, Metrics: w.cm, Instrument: w.inst,
+		Workers: 1, Seed: 1, OnEvent: w.count, Instrument: w.inst,
 	})
 	if err != nil || rep.Succeeded != len(specs) {
 		tb.Fatalf("campaign: %v (%d/%d ok)", err, rep.Succeeded, len(specs))

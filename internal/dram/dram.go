@@ -332,10 +332,3 @@ func (d *Device) HammerGroup(bank uint64, rows []uint64, actsPerWindow uint64, w
 	})
 	return flips
 }
-
-func diff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}

@@ -520,76 +520,62 @@ func labelsWith(sig, key, val string) string {
 	return sig[:len(sig)-1] + "," + extra + "}"
 }
 
-// famSnapshot is what WritePrometheus copies out of a family while
-// holding the registry lock: register() appends to family.children under
-// r.mu, so rendering must not read the live slice after unlocking. The
-// child pointers themselves are safe to share — a child is fully built
-// before it is published and never mutated afterwards; its values are
-// atomics.
-type famSnapshot struct {
-	name     string
-	help     string
-	kind     metricKind
-	children []*child
+// WritePrometheus renders the registry's snapshot, every family in name
+// order and every child in label order, in the text exposition format
+// (version 0.0.4).
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return writeFamilies(w, r.Snapshot().Families)
 }
 
-// WritePrometheus renders every family in name order in the text
-// exposition format (version 0.0.4).
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]famSnapshot, len(names))
-	for i, name := range names {
-		f := r.families[name]
-		fams[i] = famSnapshot{
-			name:     f.name,
-			help:     f.help,
-			kind:     f.kind,
-			children: append([]*child(nil), f.children...),
-		}
-	}
-	r.mu.Unlock()
-
+// writeFamilies renders families, in the order given, in the text
+// exposition format. It is the one writer behind both pages: a
+// registry's own snapshot and a federation's merged fleet. Counter and
+// gauge values print by formatValue, bucket and observation counts as
+// integers, and bucket bounds and histogram sums in Go's shortest float
+// form. A histogram child whose bucket counts do not match its
+// family's bounds is skipped, so a malformed foreign snapshot never
+// corrupts the page.
+func writeFamilies(w io.Writer, fams []FamilySnapshot) error {
 	var b strings.Builder
 	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
+		if f.Help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", f.Name, strings.ReplaceAll(f.Help, "\n", " "))
 		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, c := range f.children {
-			renderChild(&b, f.name, c)
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.Name, f.Kind)
+		for _, c := range f.Children {
+			sig := labelSignature(c.Labels)
+			if f.Kind != string(kindHistogram) {
+				fmt.Fprintf(&b, "%s%s %s\n", f.Name, sig, formatValue(c.Value))
+				continue
+			}
+			if len(c.BucketCounts) != len(f.Buckets)+1 {
+				continue
+			}
+			var cum uint64
+			for i, n := range c.BucketCounts {
+				cum += n
+				le := "+Inf"
+				if i < len(f.Buckets) {
+					le = formatFloat(f.Buckets[i])
+				}
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.Name, labelsWith(sig, "le", le), cum)
+			}
+			fmt.Fprintf(&b, "%s_sum%s %s\n", f.Name, sig, formatFloat(c.Sum))
+			fmt.Fprintf(&b, "%s_count%s %d\n", f.Name, sig, c.Count)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-func renderChild(b *strings.Builder, name string, c *child) {
-	switch {
-	case c.fn != nil:
-		fmt.Fprintf(b, "%s%s %s\n", name, c.sig, formatFloat(c.fn()))
-	case c.counter != nil:
-		fmt.Fprintf(b, "%s%s %d\n", name, c.sig, c.counter.Value())
-	case c.gauge != nil:
-		fmt.Fprintf(b, "%s%s %d\n", name, c.sig, c.gauge.Value())
-	case c.hist != nil:
-		var cum uint64
-		for i, bound := range c.hist.bounds {
-			cum += c.hist.counts[i].Load()
-			fmt.Fprintf(b, "%s_bucket%s %d\n", name, labelsWith(c.sig, "le", formatFloat(bound)), cum)
-		}
-		cum += c.hist.counts[len(c.hist.bounds)].Load()
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, labelsWith(c.sig, "le", "+Inf"), cum)
-		fmt.Fprintf(b, "%s_sum%s %s\n", name, c.sig, formatFloat(c.hist.Sum()))
-		fmt.Fprintf(b, "%s_count%s %d\n", name, c.sig, c.hist.Count())
+// formatValue prints an integral value below 2^53, where every integer
+// is exact, as an integer and any other value in Go's shortest float
+// form.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
 	}
+	return formatFloat(v)
 }
 
 func formatFloat(v float64) string {

@@ -10,8 +10,8 @@
 //
 // Snapshots are values, not live views: histogram bucket counts are
 // copied non-cumulative (the wire shape stays small and mergeable) and
-// re-rendered cumulatively, exactly as WritePrometheus would. A worker
-// label named "instance" is preserved as "exported_instance" — the
+// rendered cumulatively by the same writer as a registry's own page. A
+// worker label named "instance" is preserved as "exported_instance" — the
 // Prometheus federation convention — so the injected label can never
 // collide.
 
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,14 +86,17 @@ func (s *Snapshot) Total(name string) (float64, bool) {
 	return 0, false
 }
 
-// Snapshot exports the registry's current state. Like WritePrometheus
-// it copies the family structure under the lock and reads the child
-// values (including GaugeFunc/CounterFunc callbacks) after releasing
-// it, so callbacks that take other components' locks cannot deadlock
-// against registration. Children are sorted by label signature, making
-// the snapshot deterministic for a given state. A non-finite callback
-// reading or histogram sum reads as 0, since JSON has no NaN or Inf. A
-// nil registry returns an empty snapshot.
+// Snapshot exports the registry's current state; it is the only place
+// that reads a registry out. It copies the family structure under the
+// lock — register appends to a family's children under it — and reads
+// the child values (including GaugeFunc/CounterFunc callbacks) after
+// releasing it, so callbacks that take other components' locks cannot
+// deadlock against registration. That is safe because a child is fully
+// built before it is published, never changes afterwards, and holds its
+// values in atomics. Families are sorted by name and children by label
+// signature, making the snapshot deterministic for a given state. A
+// non-finite callback reading or histogram sum reads as 0, since JSON
+// has no NaN or Inf. A nil registry returns an empty snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	snap := &Snapshot{}
 	if r == nil {
@@ -104,31 +108,24 @@ func (r *Registry) Snapshot() *Snapshot {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]famSnapshot, len(names))
-	buckets := make([][]float64, len(names))
+	snap.Families = make([]FamilySnapshot, len(names))
+	children := make([][]*child, len(names))
 	for i, name := range names {
 		f := r.families[name]
-		fams[i] = famSnapshot{
-			name:     f.name,
-			help:     f.help,
-			kind:     f.kind,
-			children: append([]*child(nil), f.children...),
-		}
-		buckets[i] = append([]float64(nil), f.buckets...)
-	}
-	r.mu.Unlock()
-
-	snap.Families = make([]FamilySnapshot, 0, len(fams))
-	for i, f := range fams {
-		fs := FamilySnapshot{
+		snap.Families[i] = FamilySnapshot{
 			Name:    f.name,
 			Help:    f.help,
 			Kind:    string(f.kind),
-			Buckets: buckets[i],
+			Buckets: slices.Clone(f.buckets),
 		}
-		children := append([]*child(nil), f.children...)
-		sort.Slice(children, func(a, b int) bool { return children[a].sig < children[b].sig })
-		for _, c := range children {
+		children[i] = slices.Clone(f.children)
+	}
+	r.mu.Unlock()
+
+	for i, kids := range children {
+		sort.Slice(kids, func(a, b int) bool { return kids[a].sig < kids[b].sig })
+		fs := &snap.Families[i]
+		for _, c := range kids {
 			cs := ChildSnapshot{Labels: cloneLabels(c.labels)}
 			switch {
 			case c.fn != nil:
@@ -147,7 +144,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			}
 			fs.Children = append(fs.Children, cs)
 		}
-		snap.Families = append(snap.Families, fs)
 	}
 	return snap
 }
@@ -205,8 +201,10 @@ func (f *Federation) Update(instance string, raw []byte, at time.Time) error {
 }
 
 // validate applies the registry's registration checks to a foreign
-// snapshot: family names and label names must fit their grammars and
-// every kind must be one the registry renders.
+// snapshot: family names and label names must fit their grammars,
+// every kind must be one the registry renders, and histogram bounds
+// must ascend strictly (JSON carries no NaN or Inf, so they are
+// finite).
 func (s *Snapshot) validate() error {
 	for _, fam := range s.Families {
 		if !validName(fam.Name, true) {
@@ -214,6 +212,11 @@ func (s *Snapshot) validate() error {
 		}
 		if !metricKind(fam.Kind).valid() {
 			return fmt.Errorf("metrics: family %s: unknown kind %q", fam.Name, fam.Kind)
+		}
+		for i := 1; i < len(fam.Buckets); i++ {
+			if fam.Buckets[i] <= fam.Buckets[i-1] {
+				return fmt.Errorf("metrics: histogram %s buckets not ascending", fam.Name)
+			}
 		}
 		for _, c := range fam.Children {
 			for k := range c.Labels {
@@ -250,31 +253,14 @@ func (f *Federation) Info(instance string) (*Snapshot, time.Time, bool) {
 	return e.snap, e.at, ok
 }
 
-// fedRow is one renderable sample set: a child with its instance label
-// already merged into the rendered signature.
-type fedRow struct {
-	instance string
-	sig      string
-	child    ChildSnapshot
-}
-
-// fedFamily is one merged family across instances.
-type fedFamily struct {
-	name    string
-	help    string
-	kind    string
-	buckets []float64
-	rows    []fedRow
-}
-
 // WritePrometheus renders every instance's snapshot as one exposition
-// page: families merged by name and sorted, children sorted by
-// (instance, labels), an `instance` label injected on every sample. A
-// family whose kind (or histogram buckets) conflicts across instances
-// renders the first contributor's shape — in sorted instance order, so
-// the output is deterministic — and skips the conflicting children. An
-// existing `instance` label on a child is preserved as
-// `exported_instance`.
+// page through the registry's writer: families merged by name and
+// sorted, children sorted by instance and then by their own labels, an
+// `instance` label injected into every child. A family whose kind (or
+// histogram buckets) conflicts across instances renders the first
+// contributor's shape — in sorted instance order, so the output is
+// deterministic — and skips the conflicting children. An existing
+// `instance` label on a child is preserved as `exported_instance`.
 func (f *Federation) WritePrometheus(w io.Writer) error {
 	if f == nil {
 		return nil
@@ -291,84 +277,43 @@ func (f *Federation) WritePrometheus(w io.Writer) error {
 	}
 	f.mu.Unlock()
 
-	merged := make(map[string]*fedFamily)
-	var order []string
+	var fams []FamilySnapshot
+	index := make(map[string]int)
 	for i, name := range names {
-		for fi := range snaps[i].Families {
-			fam := &snaps[i].Families[fi]
-			mf, ok := merged[fam.Name]
+		for _, fam := range snaps[i].Families {
+			k, ok := index[fam.Name]
 			if !ok {
-				mf = &fedFamily{
-					name:    fam.Name,
-					help:    fam.Help,
-					kind:    fam.Kind,
-					buckets: fam.Buckets,
-				}
-				merged[fam.Name] = mf
-				order = append(order, fam.Name)
+				k = len(fams)
+				index[fam.Name] = k
+				fams = append(fams, FamilySnapshot{Name: fam.Name, Help: fam.Help, Kind: fam.Kind, Buckets: fam.Buckets})
 			}
-			if mf.help == "" {
-				mf.help = fam.Help
+			mf := &fams[k]
+			if mf.Help == "" {
+				mf.Help = fam.Help
 			}
-			if fam.Kind != mf.kind {
-				continue // kind conflict: first contributor wins
+			if fam.Kind != mf.Kind || (mf.Kind == string(kindHistogram) && !equalFloats(fam.Buckets, mf.Buckets)) {
+				continue // kind or bucket conflict: first contributor wins
 			}
-			if mf.kind == string(kindHistogram) && !equalFloats(fam.Buckets, mf.buckets) {
-				continue // bucket conflict: first contributor wins
-			}
-			for _, c := range fam.Children {
-				mf.rows = append(mf.rows, fedRow{
-					instance: name,
-					sig:      instanceSignature(c.Labels, name),
-					child:    c,
-				})
+			children := slices.Clone(fam.Children)
+			slices.SortStableFunc(children, func(a, b ChildSnapshot) int {
+				return strings.Compare(labelSignature(a.Labels), labelSignature(b.Labels))
+			})
+			for _, c := range children {
+				c.Labels = instanceLabels(c.Labels, name)
+				mf.Children = append(mf.Children, c)
 			}
 		}
 	}
-	sort.Strings(order)
-
-	var b strings.Builder
-	for _, famName := range order {
-		mf := merged[famName]
-		if mf.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", mf.name, strings.ReplaceAll(mf.help, "\n", " "))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", mf.name, mf.kind)
-		sort.Slice(mf.rows, func(i, j int) bool {
-			if mf.rows[i].instance != mf.rows[j].instance {
-				return mf.rows[i].instance < mf.rows[j].instance
-			}
-			return mf.rows[i].sig < mf.rows[j].sig
-		})
-		for _, row := range mf.rows {
-			if mf.kind == string(kindHistogram) {
-				if len(row.child.BucketCounts) != len(mf.buckets)+1 {
-					continue // malformed child; never corrupt the page
-				}
-				var cum uint64
-				for k, bound := range mf.buckets {
-					cum += row.child.BucketCounts[k]
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", mf.name, labelsWith(row.sig, "le", formatFloat(bound)), cum)
-				}
-				cum += row.child.BucketCounts[len(mf.buckets)]
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", mf.name, labelsWith(row.sig, "le", "+Inf"), cum)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", mf.name, row.sig, formatFloat(row.child.Sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", mf.name, row.sig, row.child.Count)
-			} else {
-				fmt.Fprintf(&b, "%s%s %s\n", mf.name, row.sig, formatFloat(row.child.Value))
-			}
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	sort.Slice(fams, func(a, b int) bool { return fams[a].Name < fams[b].Name })
+	return writeFamilies(w, fams)
 }
 
-// instanceSignature renders a child's labels with the federation's
+// instanceLabels returns a child's labels with the federation's
 // instance label injected. A pre-existing "instance" label moves to
 // "exported_instance" so the injected one is authoritative; when that
 // name is taken too, "exported_" is prepended until it is free, as
 // Prometheus does, so no label is lost and every render is the same.
-func instanceSignature(l Labels, instance string) string {
+func instanceLabels(l Labels, instance string) Labels {
 	out := make(Labels, len(l)+1)
 	for k, v := range l {
 		if k != "instance" {
@@ -383,5 +328,5 @@ func instanceSignature(l Labels, instance string) string {
 		out[k] = v
 	}
 	out["instance"] = instance
-	return labelSignature(out)
+	return out
 }

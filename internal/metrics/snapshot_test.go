@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -161,6 +162,84 @@ only_w2{instance="w2"} 4
 	}
 }
 
+// TestPagesShareOneWriter: the fleet page is the registry's own page
+// with an instance label, line for line, because one writer renders
+// both. The registry holds a plain counter and a func gauge past 10^6,
+// a fractional func gauge, a labelled histogram and a label value that
+// needs escaping; its snapshot reaches the federation as JSON, as on the
+// heartbeat wire.
+func TestPagesShareOneWriter(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("one_requests_total", "Requests.", nil).Add(4512055)
+	r.GaugeFunc("one_disk_bytes", "Disk bytes.", nil, func() float64 { return 20971520 })
+	r.GaugeFunc("one_ratio", "A fraction.", nil, func() float64 { return 0.375 })
+	h := r.Histogram("one_lat_seconds", "Latency.", []float64{0.5, 1}, Labels{"op": "read"})
+	h.Observe(0.25)
+	h.Observe(3)
+	r.Counter("one_esc_total", "Escaping.", Labels{"path": `C:\tmp "q"` + "\n"}).Inc()
+
+	var own, fleet strings.Builder
+	if err := r.WritePrometheus(&own); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := NewFederation()
+	if err := fed.Update("x", data, time.Unix(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.WritePrometheus(&fleet); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"one_requests_total 4512055\n", "one_disk_bytes 20971520\n", "one_ratio 0.375\n"} {
+		if !strings.Contains(own.String(), want) {
+			t.Errorf("registry page lacks %q:\n%s", want, own.String())
+		}
+	}
+	ownLines := strings.Split(own.String(), "\n")
+	fleetLines := strings.Split(fleet.String(), "\n")
+	if len(ownLines) != len(fleetLines) {
+		t.Fatalf("registry page has %d lines, fleet page %d:\n%s\n%s", len(ownLines), len(fleetLines), own.String(), fleet.String())
+	}
+	strip := strings.NewReplacer(`{instance="x"}`, "", `instance="x",`, "", `,instance="x"`, "")
+	for i, line := range fleetLines {
+		if got := strip.Replace(line); got != ownLines[i] {
+			t.Errorf("line %d: fleet %q reads %q without its instance; registry %q", i, line, got, ownLines[i])
+		}
+	}
+}
+
+// TestFederationConcurrentRenders: concurrent renders share the stored
+// snapshots, so sorting a worker's children must not reorder them in
+// place. Run with -race.
+func TestFederationConcurrentRenders(t *testing.T) {
+	fed := NewFederation()
+	raw := []byte(`{"families":[{"name":"c_total","kind":"counter","children":[{"labels":{"b":"1"},"value":1},{"labels":{"a":"1"},"value":2}]}]}`)
+	if err := fed.Update("w", raw, time.Unix(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE c_total counter\n" +
+		`c_total{a="1",instance="w"} 2` + "\n" +
+		`c_total{b="1",instance="w"} 1` + "\n"
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				var sb strings.Builder
+				if err := fed.WritePrometheus(&sb); err != nil || sb.String() != want {
+					t.Errorf("render = %q, %v; want %q", sb.String(), err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestFederationLifecycle: Update/Remove/Info bookkeeping, and
 // nil-receiver safety.
 func TestFederationLifecycle(t *testing.T) {
@@ -236,7 +315,7 @@ func TestSnapshotMarshalRoundTrip(t *testing.T) {
 			Name:    "h_lat",
 			Help:    "quo\"te back\\slash new\nline tab\tctl\x01 и utf✓",
 			Kind:    "histogram",
-			Buckets: []float64{0.001, 2.5, 1e-9, 4e6},
+			Buckets: []float64{1e-9, 0.001, 2.5, 4e6},
 			Children: []ChildSnapshot{
 				{Labels: Labels{"b": "2", "a": "1"}, BucketCounts: []uint64{0, 3, 0, 1, 2}, Sum: 12.75, Count: 6},
 				{BucketCounts: []uint64{1, 0, 0, 0, 0}, Sum: 0.0005, Count: 1},
@@ -307,6 +386,7 @@ func TestFederationUpdateRefuses(t *testing.T) {
 		`{"families":[{"name":"x","kind":"summary"}]}`,
 		`{"families":[{"name":"x","kind":"gauge","children":[{"labels":{"a:b":"v"}}]}]}`,
 		`{"families":[{"name":"x","kind":"gauge","children":[{"value":1e400}]}]}`,
+		`{"families":[{"name":"h","kind":"histogram","buckets":[2,1],"children":[{"bucket_counts":[1,1,1],"sum":3,"count":3}]}]}`,
 	} {
 		if err := fed.Update("w1", []byte(bad), at.Add(time.Minute)); err == nil {
 			t.Errorf("Update accepted %s", bad)

@@ -116,8 +116,7 @@ type Job struct {
 	// died and was re-queued at Open.
 	Recovered bool `json:"recovered,omitempty"`
 	// Seq is the submission order, the FIFO key within a priority.
-	Seq           uint64 `json:"seq"`
-	SubmittedUnix int64  `json:"submitted_unix,omitempty"`
+	Seq uint64 `json:"seq"`
 	// SubmittedUnixNano is the precise submission instant — the start of
 	// the queue-wait tracing span reconstructed at the lease grant.
 	SubmittedUnixNano int64 `json:"submitted_unix_nano,omitempty"`
@@ -781,7 +780,6 @@ func (q *Queue) Submit(payload json.RawMessage, opts SubmitOptions) (Job, bool, 
 		Payload:           append(json.RawMessage(nil), payload...),
 		State:             StateSubmitted,
 		Seq:               q.seq,
-		SubmittedUnix:     now.Unix(),
 		SubmittedUnixNano: now.UnixNano(),
 		TraceParent:       opts.TraceParent,
 		RequestID:         opts.RequestID,
@@ -1191,8 +1189,8 @@ func (q *Queue) StatsSnapshot() Stats {
 	return st
 }
 
-// RegisterMetrics wires the queue into a metrics registry: backlog and
-// lease gauges read live from StatsSnapshot, cumulative submit /
+// RegisterMetrics wires the queue into a metrics registry: backlog
+// gauges read live from StatsSnapshot, cumulative submit /
 // dedup / requeue / compaction counters, and WAL append + fsync latency
 // histograms observed on every durable transition. A nil registry is a
 // no-op (the histograms stay nil, which Observe treats as disabled).
@@ -1214,10 +1212,6 @@ func (q *Queue) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(q.StatsSnapshot().Requeued) })
 	r.CounterFunc("dramdig_queue_compactions_total", "Journal compactions.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Compactions) })
-	r.GaugeFunc("dramdig_queue_leased", "In-flight jobs held under an active worker lease.", nil,
-		func() float64 { return float64(q.StatsSnapshot().Leased) })
-	r.CounterFunc("dramdig_queue_lease_expired_total", "Leases requeued after missed heartbeats.", nil,
-		func() float64 { return float64(q.StatsSnapshot().Expired) })
 	walBuckets := metrics.ExpBuckets(10e-6, 4, 10) // 10µs .. ~2.6s
 	q.mu.Lock()
 	q.walAppend = r.Histogram("dramdig_wal_append_seconds",

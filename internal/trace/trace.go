@@ -83,8 +83,6 @@ type Header struct {
 	// same seed reproduces the exact query sequence (strict mode
 	// requires it).
 	ToolSeed int64 `json:"tool_seed"`
-	// CreatedUnix is the recording wall time.
-	CreatedUnix int64 `json:"created_unix,omitempty"`
 	// Note is free-form provenance ("perturbed: jitter(2)").
 	Note string `json:"note,omitempty"`
 }
