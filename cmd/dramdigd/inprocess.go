@@ -82,7 +82,7 @@ func (c *inProcess) Progress(_ context.Context, id, token string, ev campaign.Ev
 // GetOrCompute keeps the store's single-flight deduplication and its
 // store.read/store.persist spans.
 func (c *inProcess) GetOrCompute(ctx context.Context, fp string, compute func() (*store.Record, error)) (*store.Record, error) {
-	return c.s.st.GetOrComputeCtx(ctx, fp, compute)
+	return c.s.st.GetOrCompute(ctx, fp, compute)
 }
 
 func (c *inProcess) TraceWriter(_ context.Context, fp string) (io.WriteCloser, error) {

@@ -56,15 +56,17 @@
 // the same campaign across the retained job history.
 //
 // With -trace-dir set, every campaign job runs behind an internal/trace
-// recorder and its full timing channel persists content-addressed next
+// recorder and its full timing channel is stored content-addressed next
 // to the results — replay it offline with `tracectl replay`.
 //
-// Results and traces share one segment-based disk tier (see README
-// "Storage layer"): -store-max-bytes bounds its size with LRU eviction,
-// and a background GC (-store-gc-interval, -store-gc-grace) reclaims
-// traces whose jobs have been evicted from the queue and compacts dead
-// segments. Flat-file cache directories from releases before the
-// segment store are not read (see MIGRATION.md).
+// Results and traces share one segment keyspace (see README "Storage
+// layer"): files under <cache-dir>/segments, or <trace-dir>/segments
+// when only -trace-dir is set, and the same segments in memory with
+// neither. -store-max-bytes bounds its size with LRU eviction, and a
+// background GC (-store-gc-interval, -store-gc-grace) reclaims traces
+// whose jobs have been evicted from the queue and compacts dead
+// segments, in either medium. Flat-file cache directories from releases
+// before the segment store are not read (see MIGRATION.md).
 //
 // Example:
 //
@@ -104,10 +106,10 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		cacheDir   = flag.String("cache-dir", "", "persist results under this directory's segment blob store (empty: memory only)")
-		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); traces persist in <cache-dir>/segments, or in this directory's segments/ without -cache-dir")
+		cacheDir   = flag.String("cache-dir", "", "persist results and traces in this directory's segments/ (empty: -trace-dir's, or memory only without it)")
+		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); without -cache-dir, results and traces persist in this directory's segments/")
 		queueDir   = flag.String("queue-dir", "", "persist the job queue as one journal, queue.log, under this directory (empty: memory only, no crash recovery)")
-		maxEntries = flag.Int("cache-entries", 128, "in-memory LRU capacity")
+		maxEntries = flag.Int("cache-entries", 128, "decoded records kept in the in-memory LRU front; evicted ones reload from the segments")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "default campaign worker pool size")
 		retries    = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
 		maxRun     = flag.Int("max-running", maxRunning, "in-process workers under local dispatch: concurrently executing campaigns; the rest wait in the queue")
@@ -117,7 +119,7 @@ func main() {
 		logLevel   = flag.String("log-level", "info", "structured log level: debug, info, warn or error")
 		traceSpans = flag.Int("trace-spans", 4096, "finished request spans retained in memory (0 disables tracing)")
 		traceSlow  = flag.Duration("trace-slow-threshold", 0, "promote spans at least this long to WARN log lines (0: off)")
-		storeMax   = flag.Int64("store-max-bytes", 0, "bound the result/trace disk tier to this many segment bytes, evicting LRU blobs past it (0: unbounded)")
+		storeMax   = flag.Int64("store-max-bytes", 0, "bound the result/trace segments, on disk or in memory, to this many bytes, evicting LRU blobs past it (0: unbounded)")
 		gcInterval = flag.Duration("store-gc-interval", time.Minute, "how often the store GC reclaims orphaned traces and compacts segments (0: GC off)")
 		gcGrace    = flag.Duration("store-gc-grace", 5*time.Minute, "how long a freshly written blob is exempt from orphan reclamation")
 		dispatch   = flag.String("dispatch", "local", "campaign execution mode: local (in-process lease workers) or remote (cluster workers lease jobs via /v1/cluster)")
@@ -138,9 +140,13 @@ func main() {
 		fatal(err)
 	}
 
+	// One store directory: -trace-dir stands in when -cache-dir is unset.
+	storeDir := *cacheDir
+	if storeDir == "" {
+		storeDir = *traceDir
+	}
 	st, err := store.Open(store.Config{
-		Dir:        *cacheDir,
-		TraceDir:   *traceDir,
+		Dir:        storeDir,
 		MaxEntries: *maxEntries,
 		MaxBytes:   *storeMax,
 		GCGrace:    *gcGrace,
@@ -215,8 +221,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "dramdigd: listening on %s (workers %d, cache %q)\n", *addr, *workers, *cacheDir)
-	logger.Info("listening", "addr", *addr, "workers", *workers, "cache_dir", *cacheDir,
+	fmt.Fprintf(os.Stderr, "dramdigd: listening on %s (workers %d, cache %q)\n", *addr, *workers, storeDir)
+	logger.Info("listening", "addr", *addr, "workers", *workers, "cache_dir", storeDir,
 		"queue_dir", *queueDir, "max_running", *maxRun)
 
 	select {

@@ -58,7 +58,7 @@ type serverConfig struct {
 	workers int
 	retries int
 	// tracing records every campaign job's timing channel into the
-	// store's trace tier, content-addressed by machine fingerprint.
+	// store, content-addressed by machine fingerprint.
 	tracing bool
 	// maxRunning is the number of in-process workers under local
 	// dispatch (default 8), so it bounds concurrently executing

@@ -21,7 +21,7 @@ import (
 // trace endpoints serve it back, and the downloaded bytes replay offline
 // to the identical mapping fingerprint the campaign reported.
 func TestDaemonTraceEndpoint(t *testing.T) {
-	st, err := store.Open(store.Config{}) // memory-only trace tier
+	st, err := store.Open(store.Config{}) // segments in memory
 	if err != nil {
 		t.Fatal(err)
 	}

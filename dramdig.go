@@ -49,9 +49,10 @@
 //     pool fanning jobs across GOMAXPROCS with retries, progress events
 //     and aggregated reports; jobs run over any Source, so campaigns
 //     replay recorded traces as readily as live machines;
-//   - internal/store — a content-addressed result cache (in-memory LRU,
-//     optional JSON persistence, single-flight deduplication) keyed by
-//     machine fingerprints, with a trace tier alongside;
+//   - internal/store — a content-addressed result cache (in-memory LRU
+//     over one segment keyspace, on disk or in memory, single-flight
+//     deduplication) keyed by machine fingerprints, holding recorded
+//     traces alongside the results;
 //   - internal/trace — timing-channel capture and offline replay: record
 //     any run's MeasurePair stream, replay it bit-identically with zero
 //     simulation, or perturb it through composable noise models;

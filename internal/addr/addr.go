@@ -167,16 +167,6 @@ func FormatBitRanges(positions []uint) string {
 	return strings.Join(parts, ", ")
 }
 
-// ContainsBit reports whether positions contains b.
-func ContainsBit(positions []uint, b uint) bool {
-	for _, x := range positions {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
 // EqualBitSets reports whether two position slices contain the same set of
 // bits (order-insensitive, duplicates ignored).
 func EqualBitSets(a, b []uint) bool {

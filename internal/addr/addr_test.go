@@ -239,11 +239,7 @@ func TestSubMasksOrderedByPopcount(t *testing.T) {
 	})
 }
 
-func TestContainsBitAndEqualBitSets(t *testing.T) {
-	s := []uint{3, 7, 11}
-	if !ContainsBit(s, 7) || ContainsBit(s, 8) {
-		t.Error("ContainsBit wrong")
-	}
+func TestEqualBitSets(t *testing.T) {
 	if !EqualBitSets([]uint{1, 2, 3}, []uint{3, 2, 1, 1}) {
 		t.Error("EqualBitSets should ignore order and duplicates")
 	}

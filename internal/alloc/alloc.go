@@ -385,15 +385,6 @@ func (p *Pool) PageMiss(start, end addr.Phys) bool {
 	}
 }
 
-// MaxPhys returns one past the highest allocated byte.
-func (p *Pool) MaxPhys() addr.Phys {
-	if len(p.words) == 0 {
-		return 0
-	}
-	w := p.words[len(p.words)-1]
-	return w.base + addr.Phys(uint64(bits.Len64(w.owned))*PageSize)
-}
-
 // PrimaryRange returns the span [start, end) of the primary contiguous
 // chunk. Tools use it the way real ones use a hugepage-backed buffer.
 func (p *Pool) PrimaryRange() (start, end addr.Phys) {

@@ -177,14 +177,6 @@ func TestDeterministicLayout(t *testing.T) {
 	}
 }
 
-func TestMaxPhys(t *testing.T) {
-	p := newTestPool(t, DefaultConfig(8<<30), 37)
-	last := slices.Collect(p.All())[p.NumPages()-1]
-	if p.MaxPhys() != last+addr.Phys(PageSize) {
-		t.Errorf("MaxPhys = %v", p.MaxPhys())
-	}
-}
-
 func TestSmallMemoryRejected(t *testing.T) {
 	cfg := DefaultConfig(8 << 30)
 	cfg.MemBytes = 64 << 20 // primary (64 MiB) cannot fit in half of it

@@ -48,11 +48,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// TotalBytes returns the capacity of the device.
-func (g Geometry) TotalBytes() uint64 {
-	return uint64(g.Banks) * g.RowsPerBank * g.RowBytes
-}
-
 // VulnProfile parameterizes how rowhammer-susceptible the device is.
 // The paper's Table III shows vastly different flip yields across machines
 // (No.2 DDR3 flips readily; No.5 barely flips), so the profile is

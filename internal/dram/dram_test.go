@@ -36,13 +36,6 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
-func TestGeometryTotalBytes(t *testing.T) {
-	g := testGeom()
-	if g.TotalBytes() != 8<<30 {
-		t.Errorf("TotalBytes = %d, want 8 GiB", g.TotalBytes())
-	}
-}
-
 func TestVulnValidate(t *testing.T) {
 	if err := testVuln().Validate(); err != nil {
 		t.Fatal(err)

@@ -112,12 +112,3 @@ func GenerateDefinition(rng *rand.Rand) (Definition, error) {
 	}
 	return def, nil
 }
-
-// GenerateMachine builds a random machine directly.
-func GenerateMachine(rng *rand.Rand, seed int64) (*Machine, error) {
-	def, err := GenerateDefinition(rng)
-	if err != nil {
-		return nil, err
-	}
-	return New(def, seed)
-}

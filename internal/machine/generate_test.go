@@ -55,17 +55,6 @@ func TestGenerateDefinitionAlwaysValid(t *testing.T) {
 	}
 }
 
-// TestGenerateMachineSmoke: the convenience constructor works.
-func TestGenerateMachineSmoke(t *testing.T) {
-	m, err := GenerateMachine(rand.New(rand.NewSource(9)), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Truth() == nil || m.Pool().NumPages() == 0 {
-		t.Error("generated machine incomplete")
-	}
-}
-
 // TestNewRejectsBrokenDefinitions covers the constructor's validation
 // paths.
 func TestNewRejectsBrokenDefinitions(t *testing.T) {

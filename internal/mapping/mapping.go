@@ -73,15 +73,6 @@ func New(physBits uint, bankFuncs []uint64, rowBits, colBits []uint) (*Mapping, 
 	return m, nil
 }
 
-// MustNew is New but panics on error; intended for registry literals.
-func MustNew(physBits uint, bankFuncs []uint64, rowBits, colBits []uint) *Mapping {
-	m, err := New(physBits, bankFuncs, rowBits, colBits)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // NumBanks returns the number of distinct bank tuples.
 func (m *Mapping) NumBanks() int { return 1 << len(m.BankFuncs) }
 

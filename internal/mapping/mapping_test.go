@@ -328,15 +328,6 @@ func TestBankBits(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic on invalid mapping")
-		}
-	}()
-	MustNew(10, []uint64{1 << 20}, nil, nil)
-}
-
 func BenchmarkDecode(b *testing.B) {
 	dec := no2(b).Compile()
 	p := addr.Phys(0x1234_5678)

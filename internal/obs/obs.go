@@ -162,14 +162,6 @@ func isHex(s string) bool {
 	return true
 }
 
-// Inject writes the context's current span context into h as a
-// traceparent header. Without a span in ctx it does nothing.
-func Inject(ctx context.Context, h http.Header) {
-	if tp := TraceParentFrom(ctx); tp != "" {
-		h.Set(TraceParentHeader, tp)
-	}
-}
-
 // Extract reads a span context from an inbound traceparent header. The
 // bool is false when the header is absent or malformed — the caller
 // mints a fresh trace in that case.

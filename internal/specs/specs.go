@@ -99,17 +99,3 @@ func Lookup(part string) (ChipSpec, error) {
 	}
 	return c, nil
 }
-
-// ForGeometry finds a catalog chip matching standard, row and column
-// physical bit counts and banks per rank. It is the inverse lookup DRAMDig
-// performs when only decode-dimms style geometry is available.
-func ForGeometry(std Standard, physRowBits, physColBits, banksPerRank int) (ChipSpec, error) {
-	for _, c := range Catalog {
-		if c.Standard == std && c.PhysRowBits() == physRowBits &&
-			c.PhysColBits() == physColBits && c.BanksPerRank == banksPerRank {
-			return c, nil
-		}
-	}
-	return ChipSpec{}, fmt.Errorf("specs: no %s part with %d row / %d col phys bits, %d banks/rank",
-		std, physRowBits, physColBits, banksPerRank)
-}

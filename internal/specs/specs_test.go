@@ -71,19 +71,6 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
-func TestForGeometry(t *testing.T) {
-	c, err := ForGeometry(DDR4, 15, 13, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Standard != DDR4 || c.PhysRowBits() != 15 || c.BanksPerRank != 16 {
-		t.Errorf("wrong chip %s", c)
-	}
-	if _, err := ForGeometry(DDR3, 20, 13, 8); err == nil {
-		t.Error("impossible geometry matched")
-	}
-}
-
 func TestChipString(t *testing.T) {
 	c, _ := Lookup("MT40A512M8")
 	s := c.String()

@@ -14,8 +14,9 @@ import (
 )
 
 // BlobStore is a log-structured, content-addressed blob store. Blobs live
-// in append-only segment files (`NNNNNNNN.seg`) under a single directory;
-// an in-memory index maps key → (segment, offset). Deletes append a
+// in append-only segment files (`NNNNNNNN.seg`) under a single directory,
+// or, without a directory, in segments held in memory; an in-memory
+// index maps key → (segment, offset). Deletes append a
 // tombstone record and physical space is reclaimed by compaction, which
 // rewrites a segment's live records into the active segment before
 // removing the old file — the second phase of a crash-safe two-phase
@@ -26,17 +27,20 @@ import (
 // Durability policy: individual Puts are not fsynced (matching the flat
 // per-file layout this store replaced, which also relied on the OS to
 // write back), but a segment is fsynced when it is sealed, before any
-// compaction removes the records' previous home, and on Close.
+// compaction removes the records' previous home, and on Close. Only the
+// steps that touch a file differ between the two media; the record
+// format, index, LRU, sealing, compaction, the MaxBytes bound and Sweep
+// are shared.
 type BlobStore struct {
 	mu     sync.Mutex
-	dir    string
+	dir    string // empty: segments live in memory
 	opts   Options
 	segs   map[uint64]*segment
 	active *segment
-	f      *os.File // append handle for the active segment
+	f      *os.File // append handle for the active segment file
 	index  map[string]*blobLoc
 	lru    *list.List // front = most recently used; values are keys
-	bytes  int64      // sum of segment file sizes
+	bytes  int64      // sum of segment sizes
 	live   int64      // sum of live record bytes
 	closed bool
 
@@ -45,13 +49,14 @@ type BlobStore struct {
 
 // Options configures a BlobStore.
 type Options struct {
-	// Dir is the segment directory; created if absent.
+	// Dir is the segment directory; created if absent. Empty keeps the
+	// segments' bytes in memory, so nothing outlives the process.
 	Dir string
 	// SegmentBytes is the target segment size before the active segment
 	// is sealed. Defaults to 1 MiB, clamped to MaxBytes/4 when a bound
 	// is set so eviction can always get under the bound.
 	SegmentBytes int64
-	// MaxBytes bounds total segment bytes on disk; 0 means unbounded.
+	// MaxBytes bounds total segment bytes; 0 means unbounded.
 	// When a Put pushes the store past the bound, least-recently-used
 	// blobs are evicted and dead segments compacted until it fits.
 	MaxBytes int64
@@ -68,14 +73,15 @@ type SweepStats struct {
 
 type segment struct {
 	id    uint64
-	path  string
-	bytes int64 // file size (valid prefix)
-	live  int64 // bytes of records whose key still points here
+	path  string // empty in memory
+	data  []byte // the segment's bytes in memory; nil on disk
+	bytes int64  // segment size (valid prefix)
+	live  int64  // bytes of records whose key still points here
 }
 
 type blobLoc struct {
 	seg      *segment
-	off      int64 // data offset within the segment file
+	off      int64 // data offset within the segment
 	size     int64 // payload length
 	recBytes int64 // full record footprint including header and crc
 	elem     *list.Element
@@ -95,11 +101,9 @@ const (
 
 // OpenBlobStore opens (creating if needed) the store at opts.Dir, scans
 // all segments to rebuild the index, truncates a torn tail on the active
-// segment, and fails on any other torn or corrupt record.
+// segment, and fails on any other torn or corrupt record. With no
+// directory it opens an empty store whose segments live in memory.
 func OpenBlobStore(opts Options) (*BlobStore, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("storage: blob store needs a directory")
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
@@ -109,9 +113,6 @@ func OpenBlobStore(opts Options) (*BlobStore, error) {
 			opts.SegmentBytes = 4096
 		}
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: mkdir: %w", err)
-	}
 	bs := &BlobStore{
 		dir:   opts.Dir,
 		opts:  opts,
@@ -119,9 +120,15 @@ func OpenBlobStore(opts Options) (*BlobStore, error) {
 		index: make(map[string]*blobLoc),
 		lru:   list.New(),
 	}
-	ids, err := listSegmentIDs(opts.Dir)
-	if err != nil {
-		return nil, err
+	var ids []uint64
+	var err error
+	if opts.Dir != "" {
+		if err = os.MkdirAll(opts.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("storage: mkdir: %w", err)
+		}
+		if ids, err = listSegmentIDs(opts.Dir); err != nil {
+			return nil, err
+		}
 	}
 	now := time.Now()
 	for i, id := range ids {
@@ -316,23 +323,36 @@ func (bs *BlobStore) rollToLocked(id uint64) error {
 		}
 		bs.f = nil
 	}
-	s := &segment{id: id, path: segmentPath(bs.dir, id)}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: create segment: %w", err)
-	}
-	if err := SyncDir(bs.dir); err != nil {
-		f.Close()
-		return err
+	s := &segment{id: id}
+	if bs.dir != "" {
+		s.path = segmentPath(bs.dir, id)
+		f, err := os.OpenFile(s.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err != nil {
+			return fmt.Errorf("storage: create segment: %w", err)
+		}
+		if err := SyncDir(bs.dir); err != nil {
+			f.Close()
+			return err
+		}
+		bs.f = f
 	}
 	bs.segs[id] = s
-	bs.active, bs.f = s, f
+	bs.active = s
 	return nil
 }
 
+// syncLocked makes the active segment's appends durable. Segments in
+// memory have nothing to sync.
+func (bs *BlobStore) syncLocked() error {
+	if bs.dir == "" {
+		return nil
+	}
+	return bs.f.Sync()
+}
+
 // appendLocked writes rec to the active segment, rolling first if the
-// record would push it past the target size. Returns the file offset the
-// record starts at.
+// record would push it past the target size. Returns the segment offset
+// the record starts at.
 func (bs *BlobStore) appendLocked(rec []byte) (int64, error) {
 	if bs.active.bytes > 0 && bs.active.bytes+int64(len(rec)) > bs.opts.SegmentBytes {
 		if err := bs.rollToLocked(bs.active.id + 1); err != nil {
@@ -340,7 +360,9 @@ func (bs *BlobStore) appendLocked(rec []byte) (int64, error) {
 		}
 	}
 	off := bs.active.bytes
-	if _, err := bs.f.Write(rec); err != nil {
+	if bs.dir == "" {
+		bs.active.data = append(bs.active.data, rec...)
+	} else if _, err := bs.f.Write(rec); err != nil {
 		return 0, fmt.Errorf("storage: append: %w", err)
 	}
 	bs.active.bytes += int64(len(rec))
@@ -399,7 +421,8 @@ func (bs *BlobStore) unindexLocked(key string) *blobLoc {
 	return loc
 }
 
-// Get returns the blob stored under key. ok reports whether the key is
+// Get returns the blob stored under key in a buffer of its own, which no
+// later append or compaction changes. ok reports whether the key is
 // live; err is non-nil only for I/O failures.
 func (bs *BlobStore) Get(key string) (data []byte, ok bool, err error) {
 	bs.mu.Lock()
@@ -410,6 +433,10 @@ func (bs *BlobStore) Get(key string) (data []byte, ok bool, err error) {
 	}
 	bs.lru.MoveToFront(loc.elem)
 	buf := make([]byte, loc.size)
+	if bs.dir == "" {
+		copy(buf, loc.seg.data[loc.off:])
+		return buf, true, nil
+	}
 	f, err := os.Open(loc.seg.path)
 	if err != nil {
 		return nil, false, fmt.Errorf("storage: open segment: %w", err)
@@ -422,7 +449,7 @@ func (bs *BlobStore) Get(key string) (data []byte, ok bool, err error) {
 }
 
 // Stat reports whether key is live and its payload size, without
-// touching the disk or the LRU order.
+// reading the segment or touching the LRU order.
 func (bs *BlobStore) Stat(key string) (size int64, ok bool) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -464,14 +491,15 @@ func (bs *BlobStore) Len() int {
 	return len(bs.index)
 }
 
-// DiskBytes returns the total size of all segment files.
+// DiskBytes returns the total size of all segments, in files or in
+// memory.
 func (bs *BlobStore) DiskBytes() int64 {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	return bs.bytes
 }
 
-// Segments returns the number of segment files.
+// Segments returns the number of segments.
 func (bs *BlobStore) Segments() int {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -485,7 +513,8 @@ func (bs *BlobStore) Stats() SweepStats {
 	return bs.stats
 }
 
-// Close fsyncs and closes the active segment. Further mutations fail.
+// Close fsyncs and closes the active segment file, if the store has a
+// directory. Further mutations fail.
 func (bs *BlobStore) Close() error {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -506,9 +535,9 @@ func (bs *BlobStore) Close() error {
 	return nil
 }
 
-// enforceBoundLocked brings total disk usage back under Options.MaxBytes
+// enforceBoundLocked brings total segment bytes back under Options.MaxBytes
 // by evicting least-recently-used blobs (with hysteresis, to 3/4 of the
-// bound) and then compacting segments until the files fit.
+// bound) and then compacting segments until they fit.
 func (bs *BlobStore) enforceBoundLocked() error {
 	target := bs.opts.MaxBytes
 	lowWater := target - target/4
@@ -526,7 +555,8 @@ func (bs *BlobStore) enforceBoundLocked() error {
 }
 
 // compactToLocked rewrites or removes dead-heavy segments until total
-// disk usage is at most target (0 compacts everything worth compacting).
+// segment bytes are at most target (0 compacts everything worth
+// compacting).
 func (bs *BlobStore) compactToLocked(target int64) error {
 	for {
 		if target > 0 && bs.bytes <= target {
@@ -572,9 +602,12 @@ func (bs *BlobStore) compactSegmentLocked(s *segment) error {
 	}
 	sort.Strings(keys)
 	if len(keys) > 0 {
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			return fmt.Errorf("storage: compact read: %w", err)
+		data := s.data
+		if bs.dir != "" {
+			var err error
+			if data, err = os.ReadFile(s.path); err != nil {
+				return fmt.Errorf("storage: compact read: %w", err)
+			}
 		}
 		for _, k := range keys {
 			loc := bs.index[k]
@@ -597,12 +630,14 @@ func (bs *BlobStore) compactSegmentLocked(s *segment) error {
 			bs.live += loc.recBytes
 		}
 		// The moved copies must be durable before the originals vanish.
-		if err := bs.f.Sync(); err != nil {
+		if err := bs.syncLocked(); err != nil {
 			return fmt.Errorf("storage: compact sync: %w", err)
 		}
 	}
-	if err := RemoveDurable(s.path); err != nil {
-		return err
+	if bs.dir != "" {
+		if err := RemoveDurable(s.path); err != nil {
+			return err
+		}
 	}
 	bs.bytes -= s.bytes
 	delete(bs.segs, s.id)

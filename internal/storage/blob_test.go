@@ -24,6 +24,13 @@ func openTest(t *testing.T, dir string, opts Options) *BlobStore {
 	return bs
 }
 
+// media runs fn once over a segment directory and once with the
+// segments in memory.
+func media(t *testing.T, fn func(t *testing.T, dir string)) {
+	t.Run("disk", func(t *testing.T) { fn(t, t.TempDir()) })
+	t.Run("memory", func(t *testing.T) { fn(t, "") })
+}
+
 func mustGet(t *testing.T, bs *BlobStore, key string) []byte {
 	t.Helper()
 	data, ok, err := bs.Get(key)
@@ -37,35 +44,43 @@ func mustGet(t *testing.T, bs *BlobStore, key string) []byte {
 }
 
 func TestBlobRoundtrip(t *testing.T) {
-	bs := openTest(t, t.TempDir(), Options{})
-	if err := bs.Put("result/aa", []byte("hello")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if got := mustGet(t, bs, "result/aa"); string(got) != "hello" {
-		t.Fatalf("got %q", got)
-	}
-	if size, ok := bs.Stat("result/aa"); !ok || size != 5 {
-		t.Fatalf("Stat = %d,%v", size, ok)
-	}
-	if _, ok, _ := bs.Get("result/bb"); ok {
-		t.Fatal("phantom key")
-	}
-	// Replace wins.
-	if err := bs.Put("result/aa", []byte("world!")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if got := mustGet(t, bs, "result/aa"); string(got) != "world!" {
-		t.Fatalf("after replace got %q", got)
-	}
-	if bs.Len() != 1 {
-		t.Fatalf("Len = %d", bs.Len())
-	}
-	if err := bs.Delete("result/aa"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, ok, _ := bs.Get("result/aa"); ok {
-		t.Fatal("key survived delete")
-	}
+	media(t, func(t *testing.T, dir string) {
+		bs := openTest(t, dir, Options{})
+		if err := bs.Put("result/aa", []byte("hello")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		got := mustGet(t, bs, "result/aa")
+		if string(got) != "hello" {
+			t.Fatalf("got %q", got)
+		}
+		// What Get returns is the caller's own copy.
+		got[0] = 'J'
+		if again := mustGet(t, bs, "result/aa"); string(again) != "hello" {
+			t.Fatalf("a caller's write reached the store: %q", again)
+		}
+		if size, ok := bs.Stat("result/aa"); !ok || size != 5 {
+			t.Fatalf("Stat = %d,%v", size, ok)
+		}
+		if _, ok, _ := bs.Get("result/bb"); ok {
+			t.Fatal("phantom key")
+		}
+		// Replace wins.
+		if err := bs.Put("result/aa", []byte("world!")); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if got := mustGet(t, bs, "result/aa"); string(got) != "world!" {
+			t.Fatalf("after replace got %q", got)
+		}
+		if bs.Len() != 1 {
+			t.Fatalf("Len = %d", bs.Len())
+		}
+		if err := bs.Delete("result/aa"); err != nil {
+			t.Fatalf("Delete: %v", err)
+		}
+		if _, ok, _ := bs.Get("result/aa"); ok {
+			t.Fatal("key survived delete")
+		}
+	})
 }
 
 func TestBlobSegmentRollAndReopen(t *testing.T) {
@@ -266,88 +281,96 @@ func TestBlobDuplicateRecordsAfterInterruptedCompaction(t *testing.T) {
 }
 
 func TestBlobMaxBytesEvictsLRU(t *testing.T) {
-	dir := t.TempDir()
-	bs := openTest(t, dir, Options{MaxBytes: 64 << 10})
-	payload := bytes.Repeat([]byte("z"), 1024)
-	for i := 0; i < 200; i++ {
-		if err := bs.Put(fmt.Sprintf("blob/%03d", i), payload); err != nil {
-			t.Fatalf("Put %d: %v", i, err)
+	media(t, func(t *testing.T, dir string) {
+		bs := openTest(t, dir, Options{MaxBytes: 64 << 10})
+		payload := bytes.Repeat([]byte("z"), 1024)
+		for i := 0; i < 200; i++ {
+			if err := bs.Put(fmt.Sprintf("blob/%03d", i), payload); err != nil {
+				t.Fatalf("Put %d: %v", i, err)
+			}
+			if db := bs.DiskBytes(); db > 64<<10 {
+				t.Fatalf("disk bytes %d over bound after put %d", db, i)
+			}
 		}
-		if db := bs.DiskBytes(); db > 64<<10 {
-			t.Fatalf("disk bytes %d over bound after put %d", db, i)
+		if bs.Len() >= 200 {
+			t.Fatal("nothing evicted")
 		}
-	}
-	if bs.Len() >= 200 {
-		t.Fatal("nothing evicted")
-	}
-	if st := bs.Stats(); st.Evicted == 0 {
-		t.Fatal("evicted counter did not move")
-	}
-	// Most recent blob must still be there; the oldest must be gone.
-	if _, ok, _ := bs.Get("blob/199"); !ok {
-		t.Fatal("most recent blob evicted")
-	}
-	if _, ok, _ := bs.Get("blob/000"); ok {
-		t.Fatal("oldest blob survived the bound")
-	}
-	// The bound must hold across a reopen too.
-	if err := bs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openTest(t, dir, Options{MaxBytes: 64 << 10})
-	if db := re.DiskBytes(); db > 64<<10 {
-		t.Fatalf("disk bytes %d over bound after reopen", db)
-	}
-	if _, ok, _ := re.Get("blob/199"); !ok {
-		t.Fatal("recent blob lost across reopen")
-	}
+		if st := bs.Stats(); st.Evicted == 0 {
+			t.Fatal("evicted counter did not move")
+		}
+		// Most recent blob must still be there; the oldest must be gone.
+		if _, ok, _ := bs.Get("blob/199"); !ok {
+			t.Fatal("most recent blob evicted")
+		}
+		if _, ok, _ := bs.Get("blob/000"); ok {
+			t.Fatal("oldest blob survived the bound")
+		}
+		if dir == "" {
+			return
+		}
+		// The bound must hold across a reopen too.
+		if err := bs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re := openTest(t, dir, Options{MaxBytes: 64 << 10})
+		if db := re.DiskBytes(); db > 64<<10 {
+			t.Fatalf("disk bytes %d over bound after reopen", db)
+		}
+		if _, ok, _ := re.Get("blob/199"); !ok {
+			t.Fatal("recent blob lost across reopen")
+		}
+	})
 }
 
 func TestBlobSweepReclaimsAndCompacts(t *testing.T) {
-	dir := t.TempDir()
-	bs := openTest(t, dir, Options{SegmentBytes: 2048})
-	payload := bytes.Repeat([]byte("w"), 512)
-	for i := 0; i < 20; i++ {
-		prefix := "keep/"
-		if i%2 == 0 {
-			prefix = "dead/"
+	media(t, func(t *testing.T, dir string) {
+		bs := openTest(t, dir, Options{SegmentBytes: 2048})
+		payload := bytes.Repeat([]byte("w"), 512)
+		for i := 0; i < 20; i++ {
+			prefix := "keep/"
+			if i%2 == 0 {
+				prefix = "dead/"
+			}
+			if err := bs.Put(fmt.Sprintf("%s%02d", prefix, i), payload); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := bs.Put(fmt.Sprintf("%s%02d", prefix, i), payload); err != nil {
+		before := bs.DiskBytes()
+		res, err := bs.Sweep(context.Background(), func(key string, age time.Duration) bool {
+			return strings.HasPrefix(key, "dead/")
+		})
+		if err != nil {
+			t.Fatalf("Sweep: %v", err)
+		}
+		if res.ReclaimedBlobs != 10 {
+			t.Fatalf("reclaimed %d blobs, want 10", res.ReclaimedBlobs)
+		}
+		if res.ReclaimedBytes != 10*512 {
+			t.Fatalf("reclaimed %d bytes", res.ReclaimedBytes)
+		}
+		if bs.DiskBytes() >= before {
+			t.Fatalf("compaction did not shrink disk: %d -> %d", before, bs.DiskBytes())
+		}
+		for i := 1; i < 20; i += 2 {
+			if got := mustGet(t, bs, fmt.Sprintf("keep/%02d", i)); !bytes.Equal(got, payload) {
+				t.Fatalf("keep/%02d changed by sweep", i)
+			}
+		}
+		if st := bs.Stats(); st.Sweeps != 1 || st.ReclaimedBlobs != 10 || st.Compactions == 0 {
+			t.Fatalf("stats = %+v", st)
+		}
+		if dir == "" {
+			return
+		}
+		// Everything must still be intact after a reopen (phase two durable).
+		if err := bs.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	before := bs.DiskBytes()
-	res, err := bs.Sweep(context.Background(), func(key string, age time.Duration) bool {
-		return strings.HasPrefix(key, "dead/")
-	})
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	if res.ReclaimedBlobs != 10 {
-		t.Fatalf("reclaimed %d blobs, want 10", res.ReclaimedBlobs)
-	}
-	if res.ReclaimedBytes != 10*512 {
-		t.Fatalf("reclaimed %d bytes", res.ReclaimedBytes)
-	}
-	if bs.DiskBytes() >= before {
-		t.Fatalf("compaction did not shrink disk: %d -> %d", before, bs.DiskBytes())
-	}
-	for i := 1; i < 20; i += 2 {
-		if _, ok, _ := bs.Get(fmt.Sprintf("keep/%02d", i)); !ok {
-			t.Fatalf("keep/%02d lost by sweep", i)
+		re := openTest(t, dir, Options{SegmentBytes: 2048})
+		if re.Len() != 10 {
+			t.Fatalf("reopen Len = %d, want 10", re.Len())
 		}
-	}
-	if st := bs.Stats(); st.Sweeps != 1 || st.ReclaimedBlobs != 10 || st.Compactions == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Everything must still be intact after a reopen (phase two durable).
-	if err := bs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re := openTest(t, dir, Options{SegmentBytes: 2048})
-	if re.Len() != 10 {
-		t.Fatalf("reopen Len = %d, want 10", re.Len())
-	}
+	})
 }
 
 func TestBlobSweepGracePeriod(t *testing.T) {

@@ -76,7 +76,7 @@ func (bs *BlobStore) sweep(reclaim func(key string, age time.Duration) bool) (Sw
 		if len(doomed) > 0 {
 			// Phase one must be durable before compaction removes the
 			// records' only other copy.
-			if err := bs.f.Sync(); err != nil {
+			if err := bs.syncLocked(); err != nil {
 				return res, err
 			}
 		}

@@ -63,68 +63,44 @@ func TestStoreGCReapsOrphanedTraces(t *testing.T) {
 	// Regression for the orphaned-trace leak: a trace written for a job
 	// later evicted from the queue must be reclaimed, while a trace whose
 	// job is still retained must never be.
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	orphan, kept := fp(1), fp(2)
-	if err := s.PutTrace(orphan, []byte("orphaned-trace-bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutTrace(kept, []byte("referenced-trace-bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(testRecord(t, orphan)); err != nil { // results are never orphan-reaped
-		t.Fatal(err)
-	}
-	res, err := s.Sweep(context.Background(), func() map[string]bool {
-		return map[string]bool{kept: true}
+	media(t, func(t *testing.T, dir string) {
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		orphan, kept := fp(1), fp(2)
+		if err := s.PutTrace(orphan, []byte("orphaned-trace-bytes")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutTrace(kept, []byte("referenced-trace-bytes")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(testRecord(t, orphan)); err != nil { // results are never orphan-reaped
+			t.Fatal(err)
+		}
+		res, err := s.Sweep(context.Background(), func() map[string]bool {
+			return map[string]bool{kept: true}
+		})
+		if err != nil {
+			t.Fatalf("Sweep: %v", err)
+		}
+		if res.ReclaimedBlobs != 1 {
+			t.Fatalf("reclaimed %d blobs, want 1", res.ReclaimedBlobs)
+		}
+		if _, ok, _ := s.GetTrace(orphan); ok {
+			t.Fatal("orphaned trace survived GC")
+		}
+		if _, ok, _ := s.GetTrace(kept); !ok {
+			t.Fatal("referenced trace reaped by GC")
+		}
+		if _, ok, _ := s.Get(orphan); !ok {
+			t.Fatal("result record reaped by orphan GC")
+		}
+		if st := s.StatsSnapshot(); st.GCRuns != 1 || st.GCReclaimedBlobs != 1 {
+			t.Fatalf("gc stats = %+v", st)
+		}
 	})
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	if res.ReclaimedBlobs != 1 {
-		t.Fatalf("reclaimed %d blobs, want 1", res.ReclaimedBlobs)
-	}
-	if _, ok, _ := s.GetTrace(orphan); ok {
-		t.Fatal("orphaned trace survived GC")
-	}
-	if _, ok, _ := s.GetTrace(kept); !ok {
-		t.Fatal("referenced trace reaped by GC")
-	}
-	if _, ok, _ := s.Get(orphan); !ok {
-		t.Fatal("result record reaped by orphan GC")
-	}
-	if st := s.StatsSnapshot(); st.GCRuns != 1 || st.GCReclaimedBlobs != 1 {
-		t.Fatalf("gc stats = %+v", st)
-	}
-}
-
-func TestStoreGCReapsOrphanedTracesMemoryTier(t *testing.T) {
-	s, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orphan, kept := fp(1), fp(2)
-	if err := s.PutTrace(orphan, []byte("o")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutTrace(kept, []byte("k")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Sweep(context.Background(), func() map[string]bool {
-		return map[string]bool{kept: true}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := s.GetTrace(orphan); ok {
-		t.Fatal("orphaned in-memory trace survived GC")
-	}
-	if _, ok, _ := s.GetTrace(kept); !ok {
-		t.Fatal("referenced in-memory trace reaped")
-	}
 }
 
 func TestStoreGCGracePeriod(t *testing.T) {
@@ -243,23 +219,24 @@ func TestStoreMissOpensNoFile(t *testing.T) {
 }
 
 func TestStoreDiskBoundEviction(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, MaxBytes: 32 << 10, SegmentBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	payload := make([]byte, 1024)
-	for i := 0; i < 100; i++ {
-		if err := s.PutTrace(fmt.Sprintf("%064x", 0x1000+i), payload); err != nil {
+	media(t, func(t *testing.T, dir string) {
+		s, err := Open(Config{Dir: dir, MaxBytes: 32 << 10})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := s.StatsSnapshot()
-	if st.DiskBytes > 32<<10 {
-		t.Fatalf("disk bytes %d over the bound", st.DiskBytes)
-	}
-	if st.GCEvicted == 0 {
-		t.Fatal("no evictions under the bound")
-	}
+		defer s.Close()
+		payload := make([]byte, 1024)
+		for i := 0; i < 100; i++ {
+			if err := s.PutTrace(fmt.Sprintf("%064x", 0x1000+i), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := s.StatsSnapshot()
+		if st.DiskBytes > 32<<10 {
+			t.Fatalf("disk bytes %d over the bound", st.DiskBytes)
+		}
+		if st.GCEvicted == 0 {
+			t.Fatal("no evictions under the bound")
+		}
+	})
 }

@@ -1,20 +1,21 @@
 // Package store is a content-addressed cache of reverse-engineering
 // results, keyed by machine-definition fingerprints (see
 // machine.Definition.Fingerprint). It layers an in-memory LRU front over
-// optional segment-based persistence (internal/storage), and deduplicates
-// concurrent computations for the same key with single-flight: when many
-// campaign jobs or daemon requests ask for the same machine configuration
-// at once, the pipeline runs exactly once and every caller shares the
+// one segment keyspace (internal/storage), and deduplicates concurrent
+// computations for the same key with single-flight: when many campaign
+// jobs or daemon requests ask for the same machine configuration at
+// once, the pipeline runs exactly once and every caller shares the
 // outcome.
 //
-// On disk, results and recorded timing traces share one content-addressed
-// keyspace inside append-only segment files under <dir>/segments:
-// "result/<fp>" holds the record JSON, "trace/<fp>" the trace stream.
-// Segments are the only layout read: flat <fp>.json and <fp>.trace files
-// left in a directory by releases before the segment store are neither
-// read nor removed. A background GC (StartGC) reclaims orphaned traces,
-// enforces the optional disk-size bound, and compacts dead segments. With
-// no directory configured at all, traces live in a bounded in-memory tier.
+// Results and recorded timing traces share that content-addressed
+// keyspace: "result/<fp>" holds the record JSON, "trace/<fp>" the trace
+// stream. With a directory the segments are append-only files under
+// <dir>/segments and persist across processes; without one the same
+// segments live in memory. Segments are the only layout read: flat
+// <fp>.json and <fp>.trace files left in a directory by releases before
+// the segment store are neither read nor removed. A background GC
+// (StartGC) reclaims orphaned traces, enforces the optional size bound,
+// and compacts dead segments, in either medium.
 package store
 
 import (
@@ -93,24 +94,17 @@ func traceKey(fp string) string  { return tracePrefix + fp }
 
 // Config tunes a store.
 type Config struct {
-	// Dir enables result persistence under this directory; empty keeps
-	// results memory-only. Results and traces share the segments under
-	// Dir/segments.
+	// Dir persists results and traces in the segments under
+	// Dir/segments; empty keeps the same segments in memory.
 	Dir string
-	// TraceDir persists traces alone, under TraceDir/segments, when Dir
-	// is empty; with Dir set it is unused. With both empty, traces live
-	// in a bounded in-memory tier.
-	TraceDir string
-	// MaxEntries caps the in-memory LRU front (default 128). Persistence
-	// is unaffected by eviction: evicted records reload from disk. The
-	// same cap bounds the in-memory trace tier.
+	// MaxEntries caps the in-memory LRU front of decoded records
+	// (default 128). The segments are unaffected by eviction: evicted
+	// records reload from them.
 	MaxEntries int
-	// MaxBytes bounds the disk tier (segment bytes); 0 means unbounded.
-	// Past the bound, least-recently-used blobs are evicted and dead
-	// segments compacted.
+	// MaxBytes bounds the segment bytes, on disk or in memory; 0 means
+	// unbounded. Past the bound, least-recently-used blobs are evicted
+	// and dead segments compacted.
 	MaxBytes int64
-	// SegmentBytes overrides the target segment size (tests; 0 = default).
-	SegmentBytes int64
 	// GCGrace is how long a blob is exempt from orphan reclamation after
 	// being written (or recovered from disk), so GC never races a trace
 	// that is still being linked to its job. 0 means no grace.
@@ -127,20 +121,22 @@ type Stats struct {
 	Hits     uint64 `json:"hits"`
 	Misses   uint64 `json:"misses"`
 	Computes uint64 `json:"computes"`
-	// PersistErrors counts disk writes that failed after a successful
-	// compute; the record is still served from memory (GetOrCompute
+	// PersistErrors counts segment writes that failed after a successful
+	// compute; the record is still served from the LRU (GetOrCompute
 	// treats persistence as best-effort).
 	PersistErrors uint64 `json:"persist_errors"`
 	// NegativeLookups counts public Get calls that found nothing in any
 	// tier — requests for fingerprints the store has never seen (distinct
 	// from GetOrCompute misses, which turn into computes).
 	NegativeLookups uint64 `json:"negative_lookups"`
-	// Disk-tier shape: live blobs, segment files, and their total bytes.
+	// Segment-keyspace shape: live blobs, segments, and their total
+	// bytes (files with a directory, memory without one).
 	DiskBlobs int   `json:"disk_blobs"`
 	DiskBytes int64 `json:"disk_bytes"`
 	Segments  int   `json:"segments"`
-	// GC activity since open: completed sweeps, blobs/bytes reclaimed as
-	// orphans, and blobs evicted to satisfy MaxBytes.
+	// GC activity since open, read from the keyspace's counters:
+	// completed sweeps, blobs/bytes reclaimed as orphans, and blobs
+	// evicted to satisfy MaxBytes.
 	GCRuns           uint64 `json:"gc_runs"`
 	GCReclaimedBlobs uint64 `json:"gc_reclaimed_blobs"`
 	GCReclaimedBytes uint64 `json:"gc_reclaimed_bytes"`
@@ -156,21 +152,14 @@ type Store struct {
 	flight map[string]*flightCall
 	stats  Stats
 
-	// Disk tier: one segment-backed blob keyspace for results and traces.
-	// nil when neither Dir nor TraceDir is configured.
-	blob           *storage.BlobStore
-	persistResults bool // results persist only when Dir was set
-	gcGrace        time.Duration
+	// One segment keyspace for results and traces, on disk or in memory.
+	blob    *storage.BlobStore
+	gcGrace time.Duration
 
-	// Disk-tier latency histograms; nil (no-op) until RegisterMetrics.
+	// Segment read/write latency histograms; nil (no-op) until
+	// RegisterMetrics.
 	diskRead  *metrics.Histogram
 	diskWrite *metrics.Histogram
-
-	// Trace tier: the shared blob keyspace, or the bounded memTraces map
-	// (FIFO by memTraceOrder) when no directory is configured at all.
-	memTraces     map[string][]byte
-	memTraceAt    map[string]time.Time
-	memTraceOrder []string
 }
 
 type flightCall struct {
@@ -185,36 +174,26 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 128
 	}
-	s := &Store{
-		cap:            cfg.MaxEntries,
-		ll:             list.New(),
-		items:          make(map[string]*list.Element),
-		flight:         make(map[string]*flightCall),
-		persistResults: cfg.Dir != "",
-		gcGrace:        cfg.GCGrace,
-		memTraces:      make(map[string][]byte),
-		memTraceAt:     make(map[string]time.Time),
+	segDir := ""
+	if cfg.Dir != "" {
+		segDir = filepath.Join(cfg.Dir, "segments")
 	}
-	root := cfg.Dir
-	if root == "" {
-		root = cfg.TraceDir
+	bs, err := storage.OpenBlobStore(storage.Options{Dir: segDir, MaxBytes: cfg.MaxBytes})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	if root != "" {
-		bs, err := storage.OpenBlobStore(storage.Options{
-			Dir:          filepath.Join(root, "segments"),
-			SegmentBytes: cfg.SegmentBytes,
-			MaxBytes:     cfg.MaxBytes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		s.blob = bs
-	}
-	return s, nil
+	return &Store{
+		cap:     cfg.MaxEntries,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		flight:  make(map[string]*flightCall),
+		blob:    bs,
+		gcGrace: cfg.GCGrace,
+	}, nil
 }
 
-// Get returns the record for the fingerprint, consulting memory then
-// disk. Returned records are shared — treat them as read-only.
+// Get returns the record for the fingerprint, consulting the LRU then
+// the segments. Returned records are shared — treat them as read-only.
 func (s *Store) Get(fp string) (*Record, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,8 +216,7 @@ func shortFP(fp string) string {
 	return fp
 }
 
-// Put inserts (or replaces) a record and persists it when the store has a
-// directory.
+// Put inserts (or replaces) a record and writes it to the segments.
 func (s *Store) Put(rec *Record) error {
 	if err := rec.validate(); err != nil {
 		return err
@@ -254,22 +232,18 @@ func (s *Store) Put(rec *Record) error {
 // GetOrCompute returns the cached record for the fingerprint or runs
 // compute to produce it. Concurrent calls for the same fingerprint are
 // deduplicated: one caller computes, the rest wait and share the result.
-// Compute errors are returned to every waiter and are not cached. Disk
-// persistence is best-effort here: if the write fails the record is still
-// cached in memory and shared with every waiter, and the failure shows up
-// in Stats.PersistErrors (use Put for write-or-error semantics).
-func (s *Store) GetOrCompute(fp string, compute func() (*Record, error)) (*Record, error) {
-	return s.GetOrComputeCtx(context.Background(), fp, compute)
-}
-
-// GetOrComputeCtx is GetOrCompute under a context: with a tracer in ctx
-// the lookup records a store.read span (hit "true", "false", or
-// "flight" when another caller's compute was joined) and a successful
-// compute records a store.persist span around the cache write. The
-// compute callback receives no context by design — callers close over
-// theirs, and the pipeline's own phase spans parent correctly because
-// compute runs on the calling goroutine.
-func (s *Store) GetOrComputeCtx(ctx context.Context, fp string, compute func() (*Record, error)) (*Record, error) {
+// Compute errors are returned to every waiter and are not cached. The
+// segment write is best-effort here: if it fails the record is still
+// cached in the LRU and shared with every waiter, and the failure shows
+// up in Stats.PersistErrors (use Put for write-or-error semantics).
+//
+// With a tracer in ctx the lookup records a store.read span (hit
+// "true", "false", or "flight" when another caller's compute was
+// joined) and a successful compute records a store.persist span around
+// the cache write. The compute callback receives no context by design —
+// callers close over theirs, and the pipeline's own phase spans parent
+// correctly because compute runs on the calling goroutine.
+func (s *Store) GetOrCompute(ctx context.Context, fp string, compute func() (*Record, error)) (*Record, error) {
 	_, rsp := obs.Start(ctx, "store.read", obs.KV("fp", shortFP(fp)))
 	s.mu.Lock()
 	rec, err := s.getLocked(fp)
@@ -342,19 +316,21 @@ func (s *Store) StatsSnapshot() Stats {
 	st := s.stats
 	st.Entries = s.ll.Len()
 	s.mu.Unlock()
-	if s.blob != nil {
-		st.DiskBlobs = s.blob.Len()
-		st.DiskBytes = s.blob.DiskBytes()
-		st.Segments = s.blob.Segments()
-		st.GCEvicted = s.blob.Stats().Evicted
-	}
+	st.DiskBlobs = s.blob.Len()
+	st.DiskBytes = s.blob.DiskBytes()
+	st.Segments = s.blob.Segments()
+	gc := s.blob.Stats()
+	st.GCRuns = gc.Sweeps
+	st.GCReclaimedBlobs = gc.ReclaimedBlobs
+	st.GCReclaimedBytes = gc.ReclaimedBytes
+	st.GCEvicted = gc.Evicted
 	return st
 }
 
 // RegisterMetrics wires the store into a metrics registry: cache-outcome
 // counters read live from StatsSnapshot, the current LRU population, the
-// disk tier's size and GC activity, and disk-tier read/write latency
-// histograms. A nil registry is a no-op.
+// segment keyspace's size and GC activity, and segment read/write
+// latency histograms. A nil registry is a no-op.
 func (s *Store) RegisterMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
@@ -371,11 +347,11 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.StatsSnapshot().NegativeLookups) })
 	r.GaugeFunc("dramdig_store_entries", "Records in the in-memory LRU tier.", nil,
 		func() float64 { return float64(s.Len()) })
-	r.GaugeFunc("dramdig_store_disk_bytes", "Total bytes in the segment files of the disk tier.", nil,
+	r.GaugeFunc("dramdig_store_disk_bytes", "Total bytes in the store's segments, in files or in memory.", nil,
 		func() float64 { return float64(s.StatsSnapshot().DiskBytes) })
-	r.GaugeFunc("dramdig_store_disk_blobs", "Live blobs (results + traces) in the disk tier.", nil,
+	r.GaugeFunc("dramdig_store_disk_blobs", "Live blobs (results + traces) in the store's segments.", nil,
 		func() float64 { return float64(s.StatsSnapshot().DiskBlobs) })
-	r.GaugeFunc("dramdig_store_segments", "Segment files in the disk tier.", nil,
+	r.GaugeFunc("dramdig_store_segments", "Segments in the store's keyspace.", nil,
 		func() float64 { return float64(s.StatsSnapshot().Segments) })
 	r.CounterFunc("dramdig_store_gc_runs_total", "Completed garbage-collection sweeps.", nil,
 		func() float64 { return float64(s.StatsSnapshot().GCRuns) })
@@ -383,14 +359,14 @@ func (s *Store) RegisterMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.StatsSnapshot().GCReclaimedBlobs) })
 	r.CounterFunc("dramdig_store_gc_reclaimed_bytes_total", "Payload bytes of orphaned blobs reclaimed by GC.", nil,
 		func() float64 { return float64(s.StatsSnapshot().GCReclaimedBytes) })
-	r.CounterFunc("dramdig_store_gc_evicted_total", "Blobs evicted to keep the disk tier under -store-max-bytes.", nil,
+	r.CounterFunc("dramdig_store_gc_evicted_total", "Blobs evicted to keep the segments under -store-max-bytes.", nil,
 		func() float64 { return float64(s.StatsSnapshot().GCEvicted) })
 	diskBuckets := metrics.ExpBuckets(10e-6, 4, 10) // 10µs .. ~2.6s
 	s.mu.Lock()
 	s.diskRead = r.Histogram("dramdig_store_disk_read_seconds",
-		"Disk-tier record read latency.", diskBuckets, nil)
+		"Segment record read latency.", diskBuckets, nil)
 	s.diskWrite = r.Histogram("dramdig_store_disk_write_seconds",
-		"Disk-tier record write latency (segment append).", diskBuckets, nil)
+		"Segment record write latency (append).", diskBuckets, nil)
 	s.mu.Unlock()
 }
 
@@ -401,27 +377,25 @@ func (s *Store) Len() int {
 	return s.ll.Len()
 }
 
-// Close releases the disk tier (fsyncing the active segment). The store
-// must not be used afterwards. Memory-only stores need no Close.
+// Close releases the segment keyspace (fsyncing the active segment file
+// when the store has a directory). The store must not be used
+// afterwards.
 func (s *Store) Close() error {
-	if s.blob != nil {
-		return s.blob.Close()
-	}
-	return nil
+	return s.blob.Close()
 }
 
 // --- result tier -------------------------------------------------------
 
 // getLocked consults the LRU, then the segment keyspace, promoting what
 // it finds. A key the segment index does not hold misses without
-// opening any file.
+// reading any segment.
 func (s *Store) getLocked(fp string) (*Record, error) {
 	if el, ok := s.items[fp]; ok {
 		s.ll.MoveToFront(el)
 		s.stats.Hits++
 		return el.Value.(*Record), nil
 	}
-	if s.persistResults && ValidFingerprint(fp) {
+	if ValidFingerprint(fp) {
 		readStart := time.Now()
 		data, ok, err := s.blob.Get(resultKey(fp))
 		if err != nil {
@@ -443,7 +417,8 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 				return nil, fmt.Errorf("store: corrupt record %s: %w", fp, verr)
 			}
 			s.stats.Hits++
-			// Promote to memory only: the record is already on disk.
+			// Promote to the LRU only: the record is already in the
+			// segments.
 			if perr := s.putLocked(&rec, false); perr != nil {
 				return nil, perr
 			}
@@ -454,9 +429,9 @@ func (s *Store) getLocked(fp string) (*Record, error) {
 	return nil, nil
 }
 
-// putLocked inserts into the LRU first — the memory tier stays coherent
-// even when the disk tier misbehaves — then persists into the segment
-// keyspace. Records are small (~1 KiB of JSON), so holding the mutex
+// putLocked inserts into the LRU first — the LRU stays coherent even
+// when a segment write fails — then persists into the segment keyspace.
+// Records are small (~1 KiB of JSON), so holding the mutex
 // across the append is a deliberate simplicity tradeoff; the expensive
 // pipeline computes already run outside the lock.
 func (s *Store) putLocked(rec *Record, persist bool) error {
@@ -471,7 +446,7 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 			delete(s.items, oldest.Value.(*Record).Fingerprint)
 		}
 	}
-	if persist && s.persistResults {
+	if persist {
 		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {
 			return fmt.Errorf("store: encode %s: %w", rec.Fingerprint, err)
@@ -489,19 +464,13 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 
 // Sweep runs one GC pass: traces whose fingerprint the referenced
 // callback does not vouch for are reclaimed (once past Config.GCGrace),
-// the disk bound is enforced, and dead segments are compacted. Results
+// the size bound is enforced, and dead segments are compacted. Results
 // are never orphan-reclaimed — only the size bound evicts them. A nil
 // referenced skips orphan reclamation.
 func (s *Store) Sweep(ctx context.Context, referenced func() map[string]bool) (storage.SweepResult, error) {
-	var refs map[string]bool
-	if referenced != nil {
-		refs = referenced()
-	}
-	if s.blob == nil {
-		return s.sweepMem(ctx, referenced != nil, refs)
-	}
 	var reclaim func(key string, age time.Duration) bool
 	if referenced != nil {
+		refs := referenced()
 		reclaim = func(key string, age time.Duration) bool {
 			fp, ok := strings.CutPrefix(key, tracePrefix)
 			if !ok {
@@ -510,44 +479,7 @@ func (s *Store) Sweep(ctx context.Context, referenced func() map[string]bool) (s
 			return age >= s.gcGrace && !refs[fp]
 		}
 	}
-	res, err := s.blob.Sweep(ctx, reclaim)
-	s.mu.Lock()
-	s.stats.GCRuns++
-	s.stats.GCReclaimedBlobs += uint64(res.ReclaimedBlobs)
-	s.stats.GCReclaimedBytes += uint64(res.ReclaimedBytes)
-	s.mu.Unlock()
-	return res, err
-}
-
-// sweepMem reclaims orphaned traces from the in-memory tier.
-func (s *Store) sweepMem(ctx context.Context, haveRefs bool, refs map[string]bool) (storage.SweepResult, error) {
-	_, sp := obs.Start(ctx, "storage.gc")
-	defer sp.End()
-	var res storage.SweepResult
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if haveRefs {
-		now := time.Now()
-		kept := s.memTraceOrder[:0]
-		for _, fp := range s.memTraceOrder {
-			data, ok := s.memTraces[fp]
-			if ok && !refs[fp] && now.Sub(s.memTraceAt[fp]) >= s.gcGrace {
-				delete(s.memTraces, fp)
-				delete(s.memTraceAt, fp)
-				res.ReclaimedBlobs++
-				res.ReclaimedBytes += int64(len(data))
-				continue
-			}
-			kept = append(kept, fp)
-		}
-		s.memTraceOrder = kept
-	}
-	s.stats.GCRuns++
-	s.stats.GCReclaimedBlobs += uint64(res.ReclaimedBlobs)
-	s.stats.GCReclaimedBytes += uint64(res.ReclaimedBytes)
-	sp.SetAttrInt("reclaimed_blobs", int64(res.ReclaimedBlobs))
-	sp.SetAttrInt("reclaimed_bytes", res.ReclaimedBytes)
-	return res, nil
+	return s.blob.Sweep(ctx, reclaim)
 }
 
 // StartGC launches a background goroutine sweeping every interval until
@@ -577,7 +509,7 @@ func (s *Store) StartGC(ctx context.Context, interval time.Duration, referenced 
 // TraceWriter returns a sink that stores the bytes written to it as the
 // fingerprint's trace when closed. The trace appears under its content
 // address only on Close — a crashed recording never leaves a half trace
-// visible, on disk or in memory.
+// visible.
 func (s *Store) TraceWriter(fp string) (io.WriteCloser, error) {
 	if !ValidFingerprint(fp) {
 		return nil, fmt.Errorf("store: bad fingerprint %q", fp)
@@ -598,13 +530,8 @@ func (s *Store) PutTrace(fp string, data []byte) error {
 	return w.Close()
 }
 
-// putTraceBytes commits a completed trace into the blob keyspace or the
-// bounded in-memory tier.
+// putTraceBytes commits a completed trace into the segment keyspace.
 func (s *Store) putTraceBytes(fp string, data []byte) error {
-	if s.blob == nil {
-		s.putMemTrace(fp, data)
-		return nil
-	}
 	s.mu.Lock()
 	writeStart := time.Now()
 	err := s.blob.Put(traceKey(fp), data)
@@ -623,12 +550,6 @@ func (s *Store) GetTrace(fp string) ([]byte, bool, error) {
 	if !ValidFingerprint(fp) {
 		return nil, false, fmt.Errorf("store: bad fingerprint %q", fp)
 	}
-	if s.blob == nil {
-		s.mu.Lock()
-		data, ok := s.memTraces[fp]
-		s.mu.Unlock()
-		return data, ok, nil
-	}
 	data, ok, err := s.blob.Get(traceKey(fp))
 	if err != nil {
 		return nil, false, fmt.Errorf("store: %w", err)
@@ -642,31 +563,7 @@ func (s *Store) StatTrace(fp string) (int64, bool) {
 	if !ValidFingerprint(fp) {
 		return 0, false
 	}
-	if s.blob == nil {
-		s.mu.Lock()
-		data, ok := s.memTraces[fp]
-		s.mu.Unlock()
-		return int64(len(data)), ok
-	}
 	return s.blob.Stat(traceKey(fp))
-}
-
-// putMemTrace inserts into the bounded in-memory tier, evicting the
-// oldest distinct fingerprints past the cap.
-func (s *Store) putMemTrace(fp string, data []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.memTraces[fp]; !ok {
-		s.memTraceOrder = append(s.memTraceOrder, fp)
-		for len(s.memTraceOrder) > s.cap {
-			evict := s.memTraceOrder[0]
-			s.memTraceOrder = s.memTraceOrder[1:]
-			delete(s.memTraces, evict)
-			delete(s.memTraceAt, evict)
-		}
-	}
-	s.memTraces[fp] = data
-	s.memTraceAt[fp] = time.Now()
 }
 
 // traceWriter buffers the trace and commits it under the content address

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,6 +44,13 @@ func testRecord(t testing.TB, fp string) *Record {
 // fp returns a syntactically valid fake fingerprint.
 func fp(i int) string {
 	return fmt.Sprintf("%064x", i)
+}
+
+// media runs fn once with a store directory and once without one, so a
+// test covers the segments on disk and in memory alike.
+func media(t *testing.T, fn func(t *testing.T, dir string)) {
+	t.Run("disk", func(t *testing.T) { fn(t, t.TempDir()) })
+	t.Run("memory", func(t *testing.T) { fn(t, "") })
 }
 
 func TestValidFingerprint(t *testing.T) {
@@ -106,36 +114,65 @@ func TestStoreRejectsBadRecords(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(Config{Dir: dir, MaxEntries: 2})
+	media(t, func(t *testing.T, dir string) {
+		st, err := Open(Config{Dir: dir, MaxEntries: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for i := 1; i <= 3; i++ {
+			if err := st.Put(testRecord(t, fp(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.Len() != 2 {
+			t.Fatalf("len = %d, want 2", st.Len())
+		}
+		// fp(1) was evicted from the LRU but must reload from the segments.
+		if _, ok, err := st.Get(fp(1)); err != nil || !ok {
+			t.Errorf("evicted record lost entirely: ok=%v err=%v", ok, err)
+		}
+		if st.Len() != 2 {
+			t.Errorf("reload grew the LRU past its cap: %d", st.Len())
+		}
+	})
+}
+
+// TestStoreMemoryKeepsEveryResult: without a directory the segments
+// still hold every result, so after a campaign's 256 jobs (the campaign
+// job cap) have pushed the first results out of the LRU, Get serves
+// them and GetOrCompute does not compute them again — a requeued job
+// resumes from the store as it does with a directory.
+func TestStoreMemoryKeepsEveryResult(t *testing.T) {
+	st, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 3; i++ {
-		if err := st.Put(testRecord(t, fp(i))); err != nil {
+	const jobs = 256
+	base := testRecord(t, fp(0))
+	computes := 0
+	compute := func(i int) func() (*Record, error) {
+		return func() (*Record, error) {
+			computes++
+			r := *base
+			r.Fingerprint = fp(i)
+			return &r, nil
+		}
+	}
+	ctx := context.Background()
+	for i := 0; i < jobs; i++ {
+		if _, err := st.GetOrCompute(ctx, fp(i), compute(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st.Len() != 2 {
-		t.Fatalf("len = %d, want 2", st.Len())
+	if _, ok, err := st.Get(fp(0)); err != nil || !ok {
+		t.Fatalf("first result lost: ok=%v err=%v", ok, err)
 	}
-	// fp(1) was evicted from memory but must reload from disk.
-	if _, ok, err := st.Get(fp(1)); err != nil || !ok {
-		t.Errorf("evicted record lost entirely: ok=%v err=%v", ok, err)
-	}
-	if st.Len() != 2 {
-		t.Errorf("reload grew the LRU past its cap: %d", st.Len())
-	}
-
-	// Memory-only stores drop evicted entries for good.
-	mem, err := Open(Config{MaxEntries: 1})
-	if err != nil {
+	if _, err := st.GetOrCompute(ctx, fp(1), compute(1)); err != nil {
 		t.Fatal(err)
 	}
-	_ = mem.Put(testRecord(t, fp(1)))
-	_ = mem.Put(testRecord(t, fp(2)))
-	if _, ok, _ := mem.Get(fp(1)); ok {
-		t.Error("memory-only store resurrected an evicted record")
+	if computes != jobs {
+		t.Fatalf("%d computes for %d jobs", computes, jobs)
 	}
 }
 
@@ -158,7 +195,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = st.GetOrCompute(fp(5), func() (*Record, error) {
+			results[g], errs[g] = st.GetOrCompute(context.Background(), fp(5), func() (*Record, error) {
 				atomic.AddInt32(&computes, 1)
 				time.Sleep(20 * time.Millisecond) // hold the flight open
 				return rec, nil
@@ -178,7 +215,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		}
 	}
 	// Afterwards it's a plain cache hit.
-	if _, err := st.GetOrCompute(fp(5), func() (*Record, error) {
+	if _, err := st.GetOrCompute(context.Background(), fp(5), func() (*Record, error) {
 		t.Error("compute ran on a warm cache")
 		return nil, errors.New("unreachable")
 	}); err != nil {
@@ -206,7 +243,7 @@ func TestStoreSingleFlightConcurrentKeys(t *testing.T) {
 			wg.Add(1)
 			go func(k int, rec *Record) {
 				defer wg.Done()
-				got, err := st.GetOrCompute(fp(100+k), func() (*Record, error) {
+				got, err := st.GetOrCompute(context.Background(), fp(100+k), func() (*Record, error) {
 					atomic.AddInt32(&computes, 1)
 					time.Sleep(5 * time.Millisecond)
 					return rec, nil
@@ -233,12 +270,12 @@ func TestStoreComputeErrorNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("transient")
-	if _, err := st.GetOrCompute(fp(9), func() (*Record, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := st.GetOrCompute(context.Background(), fp(9), func() (*Record, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the compute error", err)
 	}
 	// The failure must not poison the key.
 	rec := testRecord(t, fp(9))
-	got, err := st.GetOrCompute(fp(9), func() (*Record, error) { return rec, nil })
+	got, err := st.GetOrCompute(context.Background(), fp(9), func() (*Record, error) { return rec, nil })
 	if err != nil || got != rec {
 		t.Fatalf("retry after error: got %v err %v", got, err)
 	}
@@ -277,7 +314,7 @@ func TestStoreComputeKeyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.GetOrCompute(fp(1), func() (*Record, error) {
+	if _, err := st.GetOrCompute(context.Background(), fp(1), func() (*Record, error) {
 		return testRecord(t, fp(2)), nil
 	}); err == nil {
 		t.Error("mismatched record key accepted")
@@ -304,7 +341,7 @@ func TestStoreRejectsMiskeyedDiskRecord(t *testing.T) {
 
 func TestStoreTraceTierDisk(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: filepath.Join(dir, "records"), TraceDir: filepath.Join(dir, "traces")})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,18 +377,18 @@ func TestStoreTraceTierDisk(t *testing.T) {
 	if n, ok := s.StatTrace(key); !ok || n != int64(len(payload)) {
 		t.Fatalf("StatTrace = %d,%v", n, ok)
 	}
-	// Traces live inside the shared segment keyspace, so nothing is
-	// written to the trace directory (the store need not create it).
-	entries, err := os.ReadDir(filepath.Join(dir, "traces"))
-	if err != nil && !os.IsNotExist(err) {
+	// Traces live inside the shared segment keyspace, so the store
+	// directory holds nothing but segments/.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("trace dir holds %d entries, want 0", len(entries))
+	if len(entries) != 1 || entries[0].Name() != "segments" {
+		t.Fatalf("store dir holds %v, want only segments/", entries)
 	}
 
-	// A second store over the same directories sees the trace.
-	s2, err := Open(Config{Dir: filepath.Join(dir, "records"), TraceDir: filepath.Join(dir, "traces")})
+	// A second store over the same directory sees the trace.
+	s2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,35 +405,34 @@ func TestStoreTraceTierDisk(t *testing.T) {
 }
 
 func TestStoreTraceTierMemory(t *testing.T) {
-	s, err := Open(Config{MaxEntries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		if err := s.PutTrace(fp(i), []byte{byte(i)}); err != nil {
+	media(t, func(t *testing.T, dir string) {
+		s, err := Open(Config{Dir: dir, MaxEntries: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// FIFO eviction past the cap: fp(1) is gone, fp(2) and fp(3) remain.
-	if _, ok, _ := s.GetTrace(fp(1)); ok {
-		t.Fatal("oldest trace survived past the cap")
-	}
-	for i := 2; i <= 3; i++ {
-		data, ok, err := s.GetTrace(fp(i))
-		if err != nil || !ok || len(data) != 1 || data[0] != byte(i) {
-			t.Fatalf("trace %d: ok=%v err=%v data=%v", i, ok, err, data)
+		defer s.Close()
+		for i := 1; i <= 3; i++ {
+			if err := s.PutTrace(fp(i), []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// Overwriting does not double-count against the cap.
-	if err := s.PutTrace(fp(3), []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	if data, ok, _ := s.GetTrace(fp(3)); !ok || data[0] != 9 {
-		t.Fatal("overwrite lost")
-	}
-	if _, ok, _ := s.GetTrace(fp(2)); !ok {
-		t.Fatal("overwrite evicted a sibling")
-	}
+		// The LRU cap bounds decoded records, not traces: all three remain.
+		for i := 1; i <= 3; i++ {
+			data, ok, err := s.GetTrace(fp(i))
+			if err != nil || !ok || len(data) != 1 || data[0] != byte(i) {
+				t.Fatalf("trace %d: ok=%v err=%v data=%v", i, ok, err, data)
+			}
+		}
+		if err := s.PutTrace(fp(3), []byte{9}); err != nil {
+			t.Fatal(err)
+		}
+		if data, ok, _ := s.GetTrace(fp(3)); !ok || data[0] != 9 {
+			t.Fatal("overwrite lost")
+		}
+		if _, ok, _ := s.GetTrace(fp(2)); !ok {
+			t.Fatal("overwrite evicted a sibling")
+		}
+	})
 }
 
 // TestStoreMetrics: RegisterMetrics exposes cache-outcome counters, the
