@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dramdig-worker [-coordinator http://localhost:8080] [-name NAME]
-//	               [-workers N] [-retries N] [-poll 500ms] [-trace]
+//	               [-workers N] [-poll 500ms] [-trace]
 //	               [-log-format text|json] [-log-level info]
 //	               [-trace-spans N] [-version]
 //
@@ -45,7 +45,6 @@ func main() {
 		coordinator = flag.String("coordinator", "http://localhost:8080", "coordinator base URL")
 		name        = flag.String("name", "", "stable worker name (default hostname-pid)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent jobs per leased campaign")
-		retries     = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "idle poll interval when no job is pending")
 		tracing     = flag.Bool("trace", false, "record timing traces and upload them to the coordinator")
 		logFormat   = flag.String("log-format", logging.FormatText, "structured log format: text or json")
@@ -70,12 +69,6 @@ func main() {
 		}
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	// campaign.Config treats Retries==0 as "use the default"; the flag's
-	// 0 genuinely means no retries, which the engine spells -1.
-	r := *retries
-	if r == 0 {
-		r = -1
-	}
 	var tracer *obs.Tracer
 	if *traceSpans > 0 {
 		tracer = obs.NewTracer(obs.Config{Capacity: *traceSpans, Logger: logger})
@@ -86,7 +79,6 @@ func main() {
 
 	w := cluster.NewWorker(cluster.NewClient(*coordinator, *name, nil), cluster.WorkerConfig{
 		Workers: *workers,
-		Retries: r,
 		Poll:    *poll,
 		Tracing: *tracing,
 		Logger:  logger,

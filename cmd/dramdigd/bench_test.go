@@ -35,7 +35,7 @@ func BenchmarkLeaseGrant(b *testing.B) {
 			defer q.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			srv := newServer(ctx, st, q, serverConfig{dispatch: "remote"})
+			srv := newServer(ctx, st, q, serverConfig{})
 
 			for _, w := range []string{"w1", "w2", "w3"} {
 				if _, ok, err := srv.lease(w); ok || err != nil {

@@ -4,8 +4,10 @@
 // to remote workers, the worker registry, the lease-expiry sweeper and
 // the dramdig_cluster_* metric families. The protocol and its wire
 // shapes live in internal/cluster; the queue owns lease durability
-// (fencing tokens, WAL-backed expiry-requeue) and the campaign history.
-// In-process workers call the same operations directly (inprocess.go).
+// (fencing tokens, WAL-backed expiry-requeue), the end of every lease
+// and the campaign history. In-process workers call the same operations
+// directly (inprocess.go) and watch the queue's LeaseEnded channel, so
+// a cancel or an expiry stops them at once.
 //
 // Exactly-once across worker death: a worker that stops heartbeating
 // loses its lease after one TTL; the sweeper requeues the job, the next
@@ -105,17 +107,7 @@ func newClusterState(reg *metrics.Registry, q *queue.Queue) *clusterState {
 	}
 	reg.GaugeFunc("dramdig_cluster_workers",
 		"Cluster workers currently live in the registry.", nil,
-		func() float64 {
-			cl.mu.Lock()
-			defer cl.mu.Unlock()
-			n := 0
-			for _, w := range cl.workers {
-				if w.live {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(cl.liveWorkers()) })
 	reg.GaugeFunc("dramdig_cluster_leases_active",
 		"Leases currently held by cluster workers.", nil,
 		func() float64 { return float64(q.StatsSnapshot().Leased) })
@@ -144,12 +136,18 @@ func (cl *clusterState) addInProcess(name string) {
 	cl.adjust(name, func(w *workerInfo) { w.inProcess = true })
 }
 
-// inProcess reports whether name is one of this daemon's own workers.
-func (cl *clusterState) inProcess(name string) bool {
+// liveWorkers counts the workers draining the queue: this daemon's own
+// plus the remote ones not yet reaped for silence.
+func (cl *clusterState) liveWorkers() int {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	w := cl.workers[name]
-	return w != nil && w.inProcess
+	n := 0
+	for _, w := range cl.workers {
+		if w.live {
+			n++
+		}
+	}
+	return n
 }
 
 // adjust updates a worker's registry record.
@@ -249,21 +247,6 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 	}
 	leased := time.Now()
 	s.cl.granted.Inc()
-
-	// An in-process holder is revoked at once when its campaign is
-	// cancelled. A DELETE racing this grant may have looked for the
-	// channel before it was registered, so the lease is re-checked after.
-	var revoked chan struct{}
-	if s.cl.inProcess(worker) {
-		revoked = make(chan struct{})
-		s.mu.Lock()
-		s.revokes[job.ID] = revocation{token: job.LeaseToken, ch: revoked}
-		s.mu.Unlock()
-		if cur, ok := s.q.Get(job.ID); !ok || cur.LeaseToken != job.LeaseToken {
-			s.endRevoke(job.ID, job.LeaseToken)
-			return nil, false, nil
-		}
-	}
 	total := campaignJobs(job.Payload)
 
 	// Re-enter the submitting request's trace: queue.wait is
@@ -301,7 +284,9 @@ func (s *server) lease(worker string) (*cluster.LeaseGrant, bool, error) {
 		TTLMillis:   s.cfg.leaseTTL.Milliseconds(),
 		TraceParent: traceParent,
 		RequestID:   job.RequestID,
-		Revoked:     revoked,
+		// The queue made the channel before Lease returned, so a cancel
+		// or an expiry racing this grant still closes it.
+		Revoked: job.LeaseEnded(),
 	}, true, nil
 }
 
@@ -369,7 +354,6 @@ func (s *server) complete(id, worker, token string, report json.RawMessage, span
 	if err := s.q.CompleteLease(id, worker, token, report); err != nil {
 		return s.fenced(err)
 	}
-	s.endRevoke(id, token)
 	s.cl.completions.Inc()
 	s.cl.adjust(worker, func(wi *workerInfo) {
 		wi.completed++
@@ -384,7 +368,6 @@ func (s *server) fail(id, worker, token, msg string) error {
 	if err := s.q.FailLease(id, worker, token, msg); err != nil {
 		return s.fenced(err)
 	}
-	s.endRevoke(id, token)
 	s.cl.failures.Inc()
 	s.cl.adjust(worker, func(wi *workerInfo) {
 		wi.failed++
@@ -577,7 +560,7 @@ func (s *server) handleClusterUploadTrace(w http.ResponseWriter, r *http.Request
 func (s *server) handleGetWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workers":      s.cl.statuses(s.q.LeasesByOwner()),
-		"dispatch":     s.cfg.dispatch,
+		"dispatch":     s.dispatch(),
 		"lease_ttl_ms": s.cfg.leaseTTL.Milliseconds(),
 	})
 }
@@ -618,7 +601,6 @@ func (s *server) sweepLeases() {
 				continue
 			}
 			for _, job := range lapsed {
-				s.endRevoke(job.ID, job.LeaseToken)
 				s.logTransition(job.ID, "running", "queued",
 					"reason", "lease expired", "worker", job.LeaseOwner, "attempt", job.Attempts)
 			}

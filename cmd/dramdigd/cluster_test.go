@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func leaseAs(t *testing.T, srv http.Handler, worker string) (cluster.LeaseGrant,
 // grant shape, single-ownership, token fencing on heartbeat, complete
 // and fail, and the worker registry rows it all leaves behind.
 func TestClusterLeaseProtocol(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 
 	// Nothing queued: no grant.
 	if _, ok := leaseAs(t, srv, "w1"); ok {
@@ -175,7 +176,6 @@ func TestClusterLeaseProtocol(t *testing.T) {
 // — bounces off the fence without corrupting queue state.
 func TestClusterLeaseExpiry(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{
-		dispatch: "remote",
 		leaseTTL: 250 * time.Millisecond,
 	})
 	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":3}`, nil)
@@ -242,7 +242,6 @@ func startWorker(t *testing.T, url, name string, jobs int) (w *cluster.Worker, s
 	t.Helper()
 	w = cluster.NewWorker(cluster.NewClient(url, name, nil), cluster.WorkerConfig{
 		Workers: jobs,
-		Retries: 1,
 		Poll:    10 * time.Millisecond,
 		Tracer:  obs.NewTracer(obs.Config{Capacity: 1024}),
 		Metrics: metrics.NewRegistry(),
@@ -274,13 +273,12 @@ func TestClusterRemoteCampaign(t *testing.T) {
 	const body = `{"machines":[1,4],"seed":5}`
 
 	// Baseline: the same campaign on a plain local daemon.
-	base := newTestServerWith(t, queue.Config{}, serverConfig{})
+	base := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: defaultMaxRunning})
 	_, bm := postJSON(t, base, "POST", "/v1/campaigns", body, nil)
 	want := fingerprintsOf(t, waitDone(t, base, bm["id"].(string)))
 
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{
-		dispatch: "remote",
-		tracer:   obs.NewTracer(obs.Config{Capacity: 4096}),
+		tracer: obs.NewTracer(obs.Config{Capacity: 4096}),
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -451,7 +449,7 @@ func TestClusterRemoteCampaign(t *testing.T) {
 // federation, the /v1/workers row digests it, and a worker reaped for
 // silence takes its samples off the federated page.
 func TestClusterMetricsFederation(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":3}`, nil)
 	id := m["id"].(string)
 	g, ok := leaseAs(t, srv, "w1")
@@ -521,7 +519,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 // without an instance label posing as a coordinator series — and it is
 // not counted as accepted.
 func TestClusterMetricsRefusesForgedSnapshot(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":3}`, nil)
 	id := m["id"].(string)
 	g, ok := leaseAs(t, srv, "w1")
@@ -644,7 +642,6 @@ func TestRecoveryKillWorker(t *testing.T) {
 	want := fingerprintsOf(t, waitDone(t, base, bm["id"].(string)))
 
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{
-		dispatch: "remote",
 		leaseTTL: 300 * time.Millisecond,
 	})
 	vctx, vcancel := context.WithCancel(context.Background())
@@ -657,7 +654,6 @@ func TestRecoveryKillWorker(t *testing.T) {
 	// moment its first job_finished event lands.
 	victim := cluster.NewWorker(cluster.NewClient(ts.URL, "casualty", nil), cluster.WorkerConfig{
 		Workers: 1,
-		Retries: 1,
 		Poll:    10 * time.Millisecond,
 	})
 	vdone := make(chan struct{})
@@ -721,7 +717,7 @@ func TestRecoveryKillWorker(t *testing.T) {
 // completions for leases already out, so in-flight work lands instead
 // of being thrown away.
 func TestClusterDrainStopsLeases(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	for _, body := range []string{`{"machines":[1],"seed":3}`, `{"machines":[4],"seed":3}`} {
 		if w, m := postJSON(t, srv, "POST", "/v1/campaigns", body, nil); w.Code != http.StatusAccepted {
 			t.Fatalf("POST: %d %v", w.Code, m)
@@ -769,7 +765,7 @@ func TestClusterDrainStopsLeases(t *testing.T) {
 // completion are fenced off with lease_lost, the campaign ends
 // "cancelled", and no completion is counted.
 func TestClusterCancelLeased(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":3}`, nil)
 	id := m["id"].(string)
 	g, ok := leaseAs(t, srv, "w1")
@@ -810,6 +806,98 @@ func TestClusterCancelLeased(t *testing.T) {
 	}
 }
 
+// leaseRunner stands in for campaign.Run on every in-process worker.
+// Each run counts as running from its start until it returns, which it
+// does when its context ends (a stopped run) or release closes.
+type leaseRunner struct {
+	running atomic.Int32
+	started chan struct{}
+	stopped chan struct{}
+	release chan struct{}
+}
+
+func newLeaseRunner(srv *server) *leaseRunner {
+	// Buffered past the runs one test starts, so no run blocks on a
+	// signal the test does not read.
+	r := &leaseRunner{
+		started: make(chan struct{}, 8),
+		stopped: make(chan struct{}, 8),
+		release: make(chan struct{}),
+	}
+	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, _ campaign.Config) (*campaign.Report, error) {
+		r.running.Add(1)
+		defer r.running.Add(-1)
+		r.started <- struct{}{}
+		select {
+		case <-ctx.Done():
+			r.stopped <- struct{}{}
+			return &campaign.Report{Total: len(specs)}, ctx.Err()
+		case <-r.release:
+			return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
+		}
+	})
+	return r
+}
+
+// await fails the test unless ch delivers within d.
+func await(t *testing.T, ch <-chan struct{}, d time.Duration, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(d):
+		t.Fatalf("%s after %v", what, d)
+	}
+}
+
+// expireAll ends every live lease in the queue, as the expiry sweep does
+// once a holder misses its heartbeat deadline.
+func expireAll(t *testing.T, srv *server) {
+	t.Helper()
+	lapsed, err := srv.q.ExpireLeases(time.Now().Add(time.Hour))
+	if err != nil || len(lapsed) != 1 {
+		t.Fatalf("expired %d leases (err %v), want 1", len(lapsed), err)
+	}
+}
+
+// TestInProcessLeaseExpiry: when the queue expires an in-process lease,
+// the holder stops its campaign at once, not at its next heartbeat a
+// third of the 30 s lease TTL later.
+func TestInProcessLeaseExpiry(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: 1, leaseTTL: 30 * time.Second})
+	r := newLeaseRunner(srv)
+	if code, m := doJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`); code != http.StatusAccepted {
+		t.Fatalf("POST: %d %v", code, m)
+	}
+	await(t, r.started, 10*time.Second, "campaign not started")
+	expireAll(t, srv)
+	await(t, r.stopped, 2*time.Second, "expired in-process lease still running")
+}
+
+// TestInProcessReleaseRunsOnce: a campaign whose in-process lease
+// expired and went to the daemon's other in-process worker runs once,
+// not twice: 500 ms after the second grant only one run is left, and
+// the campaign completes once.
+func TestInProcessReleaseRunsOnce(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: 2, leaseTTL: 30 * time.Second})
+	r := newLeaseRunner(srv)
+	_, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1]}`, nil)
+	id := m["id"].(string)
+	await(t, r.started, 10*time.Second, "campaign not started")
+	expireAll(t, srv)
+	await(t, r.started, 10*time.Second, "expired campaign not leased again")
+	time.Sleep(500 * time.Millisecond)
+	if n := r.running.Load(); n != 1 {
+		t.Fatalf("campaign running %d times 500 ms after its second grant, want 1", n)
+	}
+	close(r.release)
+	if final := waitDone(t, srv, id); final["status"] != "done" {
+		t.Fatalf("campaign after re-lease: %v", final)
+	}
+	if job, _ := srv.q.Get(id); job.Attempts != 2 || srv.cl.completions.Value() != 1 {
+		t.Fatalf("attempts %d, completions %d; want 2 and 1", job.Attempts, srv.cl.completions.Value())
+	}
+}
+
 // dispatchRun is what one campaign leaves behind: its report with the
 // wall-time fields removed, its queue history's lifecycle event types,
 // its progress events as a sorted multiset of kind and job index, and
@@ -832,9 +920,9 @@ func collectRun(t *testing.T, srv *server, id, body string) dispatchRun {
 	for _, j := range rep["jobs"].([]any) {
 		delete(j.(map[string]any), "wall_s")
 	}
-	hist, _ := srv.q.History(id)
+	job, _ := srv.q.Get(id)
 	run := dispatchRun{report: rep, records: map[string]string{}}
-	for _, ev := range hist {
+	for _, ev := range job.History {
 		if len(ev.Data) == 0 {
 			run.history = append(run.history, ev.Type)
 			continue
@@ -871,11 +959,11 @@ func collectRun(t *testing.T, srv *server, id, body string) dispatchRun {
 func TestDispatchModesAgree(t *testing.T) {
 	const body = `{"machines":[1,2],"seed":42}`
 
-	local := newTestServerWith(t, queue.Config{}, serverConfig{})
+	local := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: defaultMaxRunning})
 	_, lm := postJSON(t, local, "POST", "/v1/campaigns", body, nil)
 	want := collectRun(t, local, lm["id"].(string), body)
 
-	remote := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	remote := newTestServerWith(t, queue.Config{}, serverConfig{})
 	ts := httptest.NewServer(remote)
 	t.Cleanup(ts.Close)
 	startWorker(t, ts.URL, "solo", 2)
@@ -904,7 +992,7 @@ func TestDispatchModesAgree(t *testing.T) {
 // mapping_fingerprint is not its mapping's fingerprint is rejected
 // before it is stored, so GET /v1/mappings/{fp} never serves it.
 func TestClusterUploadResultValidated(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	m, err := machine.NewByNo(1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -970,7 +1058,7 @@ func oneSampleTrace(t *testing.T, no int) (fp string, data []byte) {
 // whose header names the path's machine; anything else is rejected
 // before it is stored, so GET /v1/traces/{fp} never serves it.
 func TestClusterUploadTraceValidated(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	fp1, trace1 := oneSampleTrace(t, 1)
 	fp2, trace2 := oneSampleTrace(t, 2)
 	for _, tc := range []struct {
@@ -1002,7 +1090,7 @@ func TestClusterUploadTraceValidated(t *testing.T) {
 // TestClusterClientUploadTraceReason: a worker whose trace upload is
 // refused learns the coordinator's reason, not just the status line.
 func TestClusterClientUploadTraceReason(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	_, trace1 := oneSampleTrace(t, 1)

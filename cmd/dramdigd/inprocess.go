@@ -2,7 +2,9 @@
 // leasing through inProcess — the lease operations of cluster.go called
 // directly, with no HTTP and no JSON envelopes — over the daemon's own
 // store, registry and tracer. Leases, progress events and fencing are
-// therefore the ones remote workers go through.
+// therefore the ones remote workers go through; only the end of a lease
+// reaches an in-process worker sooner, through the queue's LeaseEnded
+// channel in its grant.
 
 package main
 
@@ -19,14 +21,13 @@ import (
 	"dramdig/internal/store"
 )
 
-// startWorkers starts the in-process workers. Idle ones block on the
-// queue's ready signal; each grant that leaves work pending re-signals
-// it, so a burst of submissions starts as many campaigns as there are
-// idle workers.
+// startWorkers starts the in-process workers, cfg.maxRunning of them
+// (none under remote dispatch). Idle ones block on the queue's ready
+// signal; each grant that leaves work pending re-signals it, so a burst
+// of submissions starts as many campaigns as there are idle workers.
 func (s *server) startWorkers() {
 	cfg := cluster.WorkerConfig{
 		Workers: s.cfg.workers,
-		Retries: s.cfg.retries,
 		Tracing: s.cfg.tracing,
 		Logger:  s.log,
 		Tracer:  s.tracer,

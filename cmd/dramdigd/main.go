@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	dramdigd [-addr :8080] [-cache-dir DIR] [-trace-dir DIR] [-queue-dir DIR]
-//	         [-workers N] [-retries N] [-max-running N] [-max-queued N]
+//	dramdigd [-addr :8080] [-cache-dir DIR] [-trace] [-queue-dir DIR]
+//	         [-workers N] [-max-running N] [-max-queued N]
 //	         [-pprof-addr :6060] [-log-format text|json] [-log-level info]
 //	         [-trace-spans N] [-trace-slow-threshold DUR]
 //	         [-store-max-bytes N] [-store-gc-interval 1m] [-store-gc-grace 5m]
-//	         [-dispatch local|remote] [-lease-ttl 30s] [-version]
+//	         [-lease-ttl 30s] [-version]
 //
 // API (v1, the canonical surface):
 //
@@ -32,10 +32,10 @@
 //
 // The /v1/cluster routes (lease, heartbeat, complete, fail, result and
 // trace upload) serve dramdig-worker processes; see README "Running a
-// cluster". Every campaign runs on a leasing cluster worker: with
-// -dispatch local (the default) the daemon starts -max-running of them
-// in-process, and with -dispatch remote it starts none and campaigns
-// run only on dramdig-worker processes.
+// cluster". Every campaign runs on a leasing cluster worker: the daemon
+// starts -max-running of them in-process (default 8), and with
+// -max-running 0 it starts none and campaigns run only on
+// dramdig-worker processes (remote dispatch).
 //
 // Every response carries X-Request-Id (client-supplied or minted) and
 // every request produces one structured log line (-log-format text|json,
@@ -46,7 +46,7 @@
 //
 // Campaigns flow through a durable job queue (internal/queue): POST
 // validates and enqueues, workers lease the jobs — at most -max-running
-// concurrent campaigns under local dispatch — and a full backlog is
+// concurrent campaigns in this process — and a full backlog is
 // refused with 429 + Retry-After. With -queue-dir set the queue keeps
 // a checksummed journal, queue.log: a restarted daemon re-enqueues
 // campaigns that were interrupted mid-run, and their already-finished
@@ -55,14 +55,14 @@
 // `Idempotency-Key` on POST /v1/campaigns deduplicates resubmissions of
 // the same campaign across the retained job history.
 //
-// With -trace-dir set, every campaign job runs behind an internal/trace
+// With -trace set, every campaign job runs behind an internal/trace
 // recorder and its full timing channel is stored content-addressed next
 // to the results — replay it offline with `tracectl replay`.
 //
 // Results and traces share one segment keyspace (see README "Storage
-// layer"): files under <cache-dir>/segments, or <trace-dir>/segments
-// when only -trace-dir is set, and the same segments in memory with
-// neither. -store-max-bytes bounds its size with LRU eviction, and a
+// layer"): files under <cache-dir>/segments, or the same segments in
+// memory without -cache-dir. -store-max-bytes bounds its size with LRU
+// eviction, and a
 // background GC (-store-gc-interval, -store-gc-grace) reclaims traces
 // whose jobs have been evicted from the queue and compacts dead
 // segments, in either medium. Flat-file cache directories from releases
@@ -106,13 +106,11 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		cacheDir   = flag.String("cache-dir", "", "persist results and traces in this directory's segments/ (empty: -trace-dir's, or memory only without it)")
-		traceDir   = flag.String("trace-dir", "", "record every job's timing trace (empty: tracing off); without -cache-dir, results and traces persist in this directory's segments/")
+		cacheDir   = flag.String("cache-dir", "", "persist results and traces in this directory's segments/ (empty: memory only)")
+		tracing    = flag.Bool("trace", false, "record every job's timing trace into the store, next to its result")
 		queueDir   = flag.String("queue-dir", "", "persist the job queue as one journal, queue.log, under this directory (empty: memory only, no crash recovery)")
-		maxEntries = flag.Int("cache-entries", 128, "decoded records kept in the in-memory LRU front; evicted ones reload from the segments")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "default campaign worker pool size")
-		retries    = flag.Int("retries", 1, "extra attempts per failed job (0 disables retries)")
-		maxRun     = flag.Int("max-running", maxRunning, "in-process workers under local dispatch: concurrently executing campaigns; the rest wait in the queue")
+		maxRun     = flag.Int("max-running", defaultMaxRunning, "in-process workers: campaigns this process runs at once, the rest wait in the queue (0: remote dispatch, only dramdig-worker processes run campaigns)")
 		maxQueued  = flag.Int("max-queued", 64, "pending campaign backlog before POSTs get 429")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty: off)")
 		logFormat  = flag.String("log-format", logging.FormatText, "structured log format: text or json")
@@ -122,7 +120,6 @@ func main() {
 		storeMax   = flag.Int64("store-max-bytes", 0, "bound the result/trace segments, on disk or in memory, to this many bytes, evicting LRU blobs past it (0: unbounded)")
 		gcInterval = flag.Duration("store-gc-interval", time.Minute, "how often the store GC reclaims orphaned traces and compacts segments (0: GC off)")
 		gcGrace    = flag.Duration("store-gc-grace", 5*time.Minute, "how long a freshly written blob is exempt from orphan reclamation")
-		dispatch   = flag.String("dispatch", "local", "campaign execution mode: local (in-process lease workers) or remote (cluster workers lease jobs via /v1/cluster)")
 		leaseTTL   = flag.Duration("lease-ttl", defaultLeaseTTL, "cluster lease heartbeat deadline; a silent worker loses its job after this long")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
@@ -131,8 +128,8 @@ func main() {
 		buildinfo.Print("dramdigd")
 		return
 	}
-	if *dispatch != "local" && *dispatch != "remote" {
-		fatal(fmt.Errorf("-dispatch %q: want local or remote", *dispatch))
+	if *maxRun < 0 {
+		fatal(fmt.Errorf("-max-running %d: want 0 (remote dispatch) or more", *maxRun))
 	}
 
 	logger, err := logging.New(os.Stderr, *logFormat, *logLevel)
@@ -140,16 +137,10 @@ func main() {
 		fatal(err)
 	}
 
-	// One store directory: -trace-dir stands in when -cache-dir is unset.
-	storeDir := *cacheDir
-	if storeDir == "" {
-		storeDir = *traceDir
-	}
 	st, err := store.Open(store.Config{
-		Dir:        storeDir,
-		MaxEntries: *maxEntries,
-		MaxBytes:   *storeMax,
-		GCGrace:    *gcGrace,
+		Dir:      *cacheDir,
+		MaxBytes: *storeMax,
+		GCGrace:  *gcGrace,
 	})
 	if err != nil {
 		fatal(err)
@@ -163,12 +154,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// campaign.Config treats Retries==0 as "use the default"; the flag's
-	// 0 genuinely means no retries, which the engine spells -1.
-	r := *retries
-	if r == 0 {
-		r = -1
-	}
 	var tracer *obs.Tracer
 	if *traceSpans > 0 {
 		tracer = obs.NewTracer(obs.Config{
@@ -181,13 +166,11 @@ func main() {
 	buildinfo.Register(registry)
 	srv := newServer(ctx, st, q, serverConfig{
 		workers:    *workers,
-		retries:    r,
-		tracing:    *traceDir != "",
+		tracing:    *tracing,
 		maxRunning: *maxRun,
 		registry:   registry,
 		logger:     logger,
 		tracer:     tracer,
-		dispatch:   *dispatch,
 		leaseTTL:   *leaseTTL,
 		gcInterval: *gcInterval,
 	})
@@ -221,8 +204,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "dramdigd: listening on %s (workers %d, cache %q)\n", *addr, *workers, storeDir)
-	logger.Info("listening", "addr", *addr, "workers", *workers, "cache_dir", storeDir,
+	fmt.Fprintf(os.Stderr, "dramdigd: listening on %s (workers %d, cache %q)\n", *addr, *workers, *cacheDir)
+	logger.Info("listening", "addr", *addr, "workers", *workers, "cache_dir", *cacheDir,
 		"queue_dir", *queueDir, "max_running", *maxRun)
 
 	select {

@@ -189,18 +189,17 @@ func (s *server) observe(next http.Handler) http.Handler {
 }
 
 // retryAfterSecondsHint derives the Retry-After hint on 429/503 from the
-// live backlog: with depth campaigns queued and maxRunning draining
-// slots, a new submission waits roughly depth/maxRunning campaign
-// durations for a slot. perCampaignSeconds is a deliberately rough
-// drain-rate estimate — the hint only needs the right order of
-// magnitude, and the clamp keeps it a sane integer for clients that
-// sleep on it verbatim.
-func retryAfterSecondsHint(depth, maxRunning int) int {
+// live backlog: with depth campaigns queued and workers draining them,
+// a new submission waits roughly depth/workers campaign durations for a
+// slot. perCampaignSeconds is a deliberately rough drain-rate estimate
+// — the hint only needs the right order of magnitude, and the clamp
+// keeps it a sane integer for clients that sleep on it verbatim.
+func retryAfterSecondsHint(depth, workers int) int {
 	const perCampaignSeconds = 5
-	if maxRunning < 1 {
-		maxRunning = 1
+	if workers < 1 {
+		workers = 1
 	}
-	sec := (depth + maxRunning) * perCampaignSeconds / maxRunning
+	sec := (depth + workers) * perCampaignSeconds / workers
 	if sec < 1 {
 		sec = 1
 	}
@@ -210,11 +209,11 @@ func retryAfterSecondsHint(depth, maxRunning int) int {
 	return sec
 }
 
-// retryAfter returns the current Retry-After hint as a header value.
+// retryAfter returns the current Retry-After hint as a header value,
+// from the workers live in the registry: the in-process ones plus the
+// remote ones not yet reaped, so remote dispatch drains at its fleet's
+// rate.
 func (s *server) retryAfter() string {
 	depth := s.q.StatsSnapshot().Pending
-	s.mu.Lock()
-	maxRun := s.cfg.maxRunning
-	s.mu.Unlock()
-	return strconv.Itoa(retryAfterSecondsHint(depth, maxRun))
+	return strconv.Itoa(retryAfterSecondsHint(depth, s.cl.liveWorkers()))
 }

@@ -117,7 +117,7 @@ func TestRequestIDEcho(t *testing.T) {
 // capacity and stays a clamped, client-usable integer.
 func TestRetryAfterHint(t *testing.T) {
 	for _, tc := range []struct {
-		depth, maxRunning, want int
+		depth, workers, want int
 	}{
 		{0, 8, 5},         // empty backlog: one drain period
 		{8, 8, 10},        // one full wave ahead of us
@@ -125,12 +125,36 @@ func TestRetryAfterHint(t *testing.T) {
 		{100, 1, 300},     // clamped at the ceiling
 		{1 << 30, 4, 300}, // absurd depth still clamps
 	} {
-		if got := retryAfterSecondsHint(tc.depth, tc.maxRunning); got != tc.want {
-			t.Errorf("hint(%d, %d) = %d, want %d", tc.depth, tc.maxRunning, got, tc.want)
+		if got := retryAfterSecondsHint(tc.depth, tc.workers); got != tc.want {
+			t.Errorf("hint(%d, %d) = %d, want %d", tc.depth, tc.workers, got, tc.want)
 		}
 	}
 	if got := retryAfterSecondsHint(3, 0); got < 1 || got > 300 {
-		t.Errorf("hint with zero maxRunning out of range: %d", got)
+		t.Errorf("hint with zero workers out of range: %d", got)
+	}
+}
+
+// TestRetryAfterCountsRemoteWorkers: with no in-process workers the
+// Retry-After hint drains the backlog at the rate of the live remote
+// workers, here two, instead of a single slot.
+func TestRetryAfterCountsRemoteWorkers(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{Capacity: 2}, serverConfig{})
+	for _, w := range []string{"w1", "w2"} {
+		if _, ok := leaseAs(t, srv, w); ok {
+			t.Fatalf("%s leased from an empty queue", w)
+		}
+	}
+	for i := 1; i <= 2; i++ {
+		if code, m := doJSON(t, srv, "POST", "/v1/campaigns", fmt.Sprintf(`{"machines":[1],"seed":%d}`, i)); code != http.StatusAccepted {
+			t.Fatalf("POST %d: %d %v", i, code, m)
+		}
+	}
+	w, m := postJSON(t, srv, "POST", "/v1/campaigns", `{"machines":[1],"seed":9}`, nil)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("over-capacity POST: %d %v, want 429", w.Code, m)
+	}
+	if got, want := w.Header().Get("Retry-After"), strconv.Itoa(retryAfterSecondsHint(2, 2)); got != want {
+		t.Errorf("Retry-After %q with two remote workers, want %q", got, want)
 	}
 }
 

@@ -97,7 +97,7 @@ func TestRecoveryKillRestart(t *testing.T) {
 	defer kill()
 	// workers: 1 → jobs inside a campaign run strictly in order, so the
 	// kill below interrupts campaign 2 with job 0 done and job 1 not.
-	srv1 := newServer(ctx1, st1, q1, serverConfig{workers: 1, retries: 1, maxRunning: 1})
+	srv1 := newServer(ctx1, st1, q1, serverConfig{workers: 1, maxRunning: 1})
 
 	// The killer: campaigns run one at a time; when the second one
 	// reaches its second job — by which point job 0's result is in the
@@ -145,7 +145,7 @@ func TestRecoveryKillRestart(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	t.Cleanup(cancel2)
-	srv2 := newServer(ctx2, st2, q2, serverConfig{workers: 2, retries: 1, maxRunning: 1})
+	srv2 := newServer(ctx2, st2, q2, serverConfig{workers: 2, maxRunning: 1})
 
 	var cachedJobs float64
 	for i, id := range ids {
@@ -211,7 +211,7 @@ func TestRecoveryReportSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	srv1 := newServer(ctx1, st1, q1, serverConfig{workers: 2, retries: 1})
+	srv1 := newServer(ctx1, st1, q1, serverConfig{workers: 2, maxRunning: defaultMaxRunning})
 
 	w, m := postJSON(t, srv1, "POST", "/v1/campaigns", `{"machines":[4],"seed":3}`, nil)
 	if w.Code != http.StatusAccepted {
@@ -239,7 +239,7 @@ func TestRecoveryReportSurvivesRestart(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	t.Cleanup(cancel2)
-	srv2 := newServer(ctx2, st2, q2, serverConfig{workers: 2, retries: 1})
+	srv2 := newServer(ctx2, st2, q2, serverConfig{workers: 2, maxRunning: defaultMaxRunning})
 	t.Cleanup(func() { q2.Close() })
 
 	code, m2 := doJSON(t, srv2, "GET", "/v1/campaigns/"+id, "")

@@ -10,10 +10,12 @@
 //
 // Campaign execution is queue-driven: POST /v1/campaigns validates and
 // enqueues (202 with status "queued"), and cluster workers lease the
-// jobs (cluster.go). With -dispatch local those workers run inside this
-// process, -max-running of them, leasing through direct calls
-// (inprocess.go); with -dispatch remote they are dramdig-worker
-// processes. Every state transition lands in the queue's WAL. With a
+// jobs (cluster.go): -max-running of them inside this process, leasing
+// through direct calls (inprocess.go), and any number of dramdig-worker
+// processes; with -max-running 0 only the latter run campaigns. The
+// queue alone ends a lease and closes its LeaseEnded channel, so an
+// in-process holder stops the moment its campaign is cancelled or its
+// lease expires. Every state transition lands in the queue's WAL. With a
 // durable queue (-queue-dir) a restarted daemon re-enqueues interrupted
 // campaigns, and their already-finished jobs come back from the result
 // store as cache hits.
@@ -53,16 +55,14 @@ import (
 
 // serverConfig tunes the daemon handler.
 type serverConfig struct {
-	// workers caps each campaign's worker pool; retries is the engine
-	// retry budget (-1 disables).
+	// workers caps each campaign's worker pool.
 	workers int
-	retries int
 	// tracing records every campaign job's timing channel into the
 	// store, content-addressed by machine fingerprint.
 	tracing bool
-	// maxRunning is the number of in-process workers under local
-	// dispatch (default 8), so it bounds concurrently executing
-	// campaigns; everything beyond it waits in the queue.
+	// maxRunning is the number of in-process workers, so it bounds the
+	// campaigns this process executes at once; 0 leaves every campaign
+	// to dramdig-worker processes (remote dispatch).
 	maxRunning int
 	// registry collects every layer's metrics; nil gets a fresh registry
 	// (tests and main both scrape it via GET /v1/metrics).
@@ -73,11 +73,6 @@ type serverConfig struct {
 	// tracer records request-scoped spans across every layer; nil
 	// disables tracing (every instrumentation site degrades to a no-op).
 	tracer *obs.Tracer
-	// dispatch selects the execution mode: "local" (default) runs
-	// campaigns on in-process workers; "remote" leaves them to
-	// dramdig-worker processes. The /v1/cluster lease API is served in
-	// both modes — remote merely starts no in-process workers.
-	dispatch string
 	// leaseTTL is the cluster heartbeat deadline (default 30s): a worker
 	// silent past it loses the lease and the job requeues.
 	leaseTTL time.Duration
@@ -109,7 +104,7 @@ type server struct {
 	// cl tracks cluster workers and lease counters (cluster.go); the
 	// lease-expiry sweeper feeds it.
 	cl *clusterState
-	// workers are the in-process workers of local dispatch.
+	// workers are the in-process workers, cfg.maxRunning of them.
 	workers []*cluster.Worker
 
 	// fpCache memoizes each retained job's machine fingerprints for the
@@ -119,32 +114,16 @@ type server struct {
 
 	mu       sync.Mutex
 	draining bool
-	// revokes holds the revocation channel of each campaign leased to an
-	// in-process worker (see cluster.LeaseGrant.Revoked): cancelling the
-	// campaign closes it, so the worker stops at once.
-	revokes map[string]revocation
 
 	wg sync.WaitGroup // in-process workers
 }
 
-// revocation is one in-process lease's revocation channel.
-type revocation struct {
-	token string
-	ch    chan struct{}
-}
-
 func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg serverConfig) *server {
-	if cfg.maxRunning <= 0 {
-		cfg.maxRunning = maxRunning
-	}
 	if cfg.registry == nil {
 		cfg.registry = metrics.NewRegistry()
 	}
 	if cfg.logger == nil {
 		cfg.logger = logging.Discard()
-	}
-	if cfg.dispatch == "" {
-		cfg.dispatch = "local"
 	}
 	if cfg.leaseTTL <= 0 {
 		cfg.leaseTTL = defaultLeaseTTL
@@ -157,7 +136,6 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 		log:     cfg.logger,
 		reg:     cfg.registry,
 		ids:     logging.NewIDGen(),
-		revokes: make(map[string]revocation),
 		fpCache: make(map[string][]string),
 		tracer:  cfg.tracer,
 	}
@@ -216,9 +194,7 @@ func newServer(baseCtx context.Context, st *store.Store, q *queue.Queue, cfg ser
 
 	s.handler = s.observe(s.mux)
 
-	if cfg.dispatch != "remote" {
-		s.startWorkers()
-	}
+	s.startWorkers()
 	go s.sweepLeases()
 	if cfg.gcInterval > 0 {
 		// The store GC reaps traces whose jobs the queue no longer
@@ -268,15 +244,16 @@ func (s *server) referencedFingerprints() map[string]bool {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
-// maxCampaignJobs bounds one request's job count and maxRunning is the
-// default number of in-process workers; both keep a hostile client from
-// pinning the daemon's memory or cores with cheap POSTs. Retained
-// campaigns are bounded by the queue (queue.Config.KeepTerminal). The
-// Retry-After hint on 429/503 rejections derives from the live queue
-// depth (see retryAfterSecondsHint in observe.go).
+// maxCampaignJobs bounds one request's job count and defaultMaxRunning
+// is -max-running's default number of in-process workers; both keep a
+// hostile client from pinning the daemon's memory or cores with cheap
+// POSTs. Retained campaigns are bounded by the queue
+// (queue.Config.KeepTerminal). The Retry-After hint on 429/503
+// rejections derives from the live queue depth (see
+// retryAfterSecondsHint in observe.go).
 const (
-	maxCampaignJobs = cluster.MaxCampaignJobs
-	maxRunning      = 8
+	maxCampaignJobs   = cluster.MaxCampaignJobs
+	defaultMaxRunning = 8
 )
 
 // logTransition emits the structured log line for a campaign state
@@ -304,6 +281,16 @@ func (s *server) logTransition(id, from, to string, attrs ...any) {
 // flight in the queue for the next boot to resume, and read "running"
 // until then.
 func (s *server) drain() { s.wg.Wait() }
+
+// dispatch names the execution mode /v1/queue and /v1/workers report:
+// "local" while this process runs in-process workers, "remote" when
+// -max-running 0 leaves every campaign to dramdig-worker processes.
+func (s *server) dispatch() string {
+	if s.cfg.maxRunning > 0 {
+		return "local"
+	}
+	return "remote"
+}
 
 // beginDrain flips the daemon into shutdown mode: new campaign
 // submissions are refused with 503 + Retry-After instead of accepting
@@ -490,9 +477,10 @@ func (s *server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 
 // handleCancelCampaign cancels a campaign in the queue, leased or not.
 // A queued one simply ends ("cancelled", 200). A leased one's lease dies
-// with it: an in-process holder is told at once, a remote holder at its
-// next heartbeat, and either stops without reporting — the response
-// says "cancelling" (202) while the work unwinds.
+// with it in the queue: an in-process holder sees its LeaseEnded channel
+// close at once, a remote holder learns at its next heartbeat, and
+// either stops without reporting — the response says "cancelling" (202)
+// while the work unwinds.
 func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.q.Get(id)
@@ -523,27 +511,8 @@ func (s *server) handleCancelCampaign(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "status": "cancelled"})
 		return
 	}
-	if ch := s.endRevoke(id, ""); ch != nil {
-		close(ch)
-	}
 	s.logTransition(id, "running", "cancelled", "worker", holder)
 	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "cancelling"})
-}
-
-// endRevoke forgets a campaign's in-process revocation and returns its
-// channel (nil when none is registered). An empty token matches any
-// lease — a cancel kills whichever is current; otherwise only the lease
-// the channel was registered for, so a stale caller never ends its
-// successor's.
-func (s *server) endRevoke(id, token string) chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rv, ok := s.revokes[id]
-	if !ok || (token != "" && rv.token != token) {
-		return nil
-	}
-	delete(s.revokes, id)
-	return rv.ch
 }
 
 // handleGetQueue reports queue health: backlog depth, running (leased)
@@ -552,20 +521,19 @@ func (s *server) handleGetQueue(w http.ResponseWriter, r *http.Request) {
 	qs := s.q.StatsSnapshot()
 	s.mu.Lock()
 	draining := s.draining
-	maxRun := s.cfg.maxRunning
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"depth":       qs.Pending,
 		"capacity":    qs.Capacity,
 		"running":     qs.Running,
-		"max_running": maxRun,
+		"max_running": s.cfg.maxRunning,
 		"draining":    draining,
 		"done":        qs.Done,
 		"failed":      qs.Failed,
 		"cancelled":   qs.Cancelled,
 		"recovered":   qs.Recovered,
 		"leased":      qs.Leased,
-		"dispatch":    s.cfg.dispatch,
+		"dispatch":    s.dispatch(),
 	})
 }
 
@@ -795,7 +763,7 @@ func (s *server) serveTrace(w http.ResponseWriter, fp string) {
 		return
 	}
 	if !ok {
-		httpError(w, http.StatusNotFound, codeNotFound, "no trace for %s (is the daemon running with -trace-dir?)", fp)
+		httpError(w, http.StatusNotFound, codeNotFound, "no trace for %s (is the daemon running with -trace?)", fp)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -16,7 +16,7 @@ import (
 
 func newTestServer(t *testing.T) *server {
 	t.Helper()
-	return newTestServerWith(t, queue.Config{}, serverConfig{})
+	return newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: defaultMaxRunning})
 }
 
 // newTestServerWith builds a daemon handler over a fresh store and the
@@ -36,9 +36,6 @@ func newTestServerWith(t *testing.T, qcfg queue.Config, scfg serverConfig) *serv
 	t.Cleanup(cancel)
 	if scfg.workers == 0 {
 		scfg.workers = 2
-	}
-	if scfg.retries == 0 {
-		scfg.retries = 1
 	}
 	return newServer(ctx, st, q, scfg)
 }
@@ -250,7 +247,7 @@ func TestDaemonShutdownCancelsCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: -1})
+	srv := newServer(ctx, st, q, serverConfig{workers: 2, maxRunning: defaultMaxRunning})
 
 	started := make(chan struct{})
 	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
@@ -297,7 +294,7 @@ func doJSONmap(t *testing.T, srv http.Handler, method, path string) map[string]a
 // the newest.
 func TestDaemonCampaignEviction(t *testing.T) {
 	const keep = 16
-	srv := newTestServerWith(t, queue.Config{KeepTerminal: keep}, serverConfig{})
+	srv := newTestServerWith(t, queue.Config{KeepTerminal: keep}, serverConfig{maxRunning: defaultMaxRunning})
 	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
 	})

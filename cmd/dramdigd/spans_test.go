@@ -86,8 +86,9 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{
-		tracer: obs.NewTracer(obs.Config{Capacity: 4096}),
-		logger: logger,
+		maxRunning: defaultMaxRunning,
+		tracer:     obs.NewTracer(obs.Config{Capacity: 4096}),
+		logger:     logger,
 	})
 
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"

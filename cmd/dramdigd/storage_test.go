@@ -98,7 +98,7 @@ func TestMappingRepeatedMissesHitNegativeCache(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	srv := newServer(ctx, st, q, serverConfig{workers: 1, retries: 1})
+	srv := newServer(ctx, st, q, serverConfig{workers: 1, maxRunning: defaultMaxRunning})
 
 	missing := fmt.Sprintf("%064x", 0x404)
 	for i := 0; i < 3; i++ {
@@ -128,7 +128,7 @@ func TestDaemonGCReapsOrphanedTraces(t *testing.T) {
 	t.Cleanup(cancel)
 	srv := newServer(ctx, st, q, serverConfig{
 		workers:    1,
-		retries:    1,
+		maxRunning: defaultMaxRunning,
 		tracing:    true,
 		gcInterval: 10 * time.Millisecond,
 	})

@@ -31,7 +31,7 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	srv := newServer(ctx, st, q, serverConfig{workers: 2, retries: 1, tracing: true})
+	srv := newServer(ctx, st, q, serverConfig{workers: 2, tracing: true, maxRunning: defaultMaxRunning})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -138,7 +138,7 @@ func TestDaemonTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestDaemonTracingDisabled: without -trace-dir the endpoints answer but
+// TestDaemonTracingDisabled: without -trace the endpoints answer but
 // report nothing recorded.
 func TestDaemonTracingDisabled(t *testing.T) {
 	srv := newTestServer(t)

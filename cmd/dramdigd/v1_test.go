@@ -463,7 +463,7 @@ func TestV1QueueEndpoint(t *testing.T) {
 	if m["depth"].(float64) != 0 || m["capacity"].(float64) != 7 || m["running"].(float64) != 0 {
 		t.Fatalf("idle queue: %v", m)
 	}
-	if m["draining"].(bool) || m["max_running"].(float64) != 1 {
+	if m["draining"].(bool) || m["max_running"].(float64) != 1 || m["dispatch"] != "local" {
 		t.Fatalf("idle queue: %v", m)
 	}
 
@@ -480,19 +480,35 @@ func TestV1QueueEndpoint(t *testing.T) {
 	}
 }
 
+// TestV1QueueRemoteDispatch: a daemon started with -max-running 0 runs
+// no in-process worker, and /v1/queue and /v1/workers say so.
+func TestV1QueueRemoteDispatch(t *testing.T) {
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
+	code, m := doJSON(t, srv, "GET", "/v1/queue", "")
+	if code != http.StatusOK || m["dispatch"] != "remote" || m["max_running"] != float64(0) {
+		t.Fatalf("GET /v1/queue: %d %v", code, m)
+	}
+	code, m = doJSON(t, srv, "GET", "/v1/workers", "")
+	if rows, _ := m["workers"].([]any); code != http.StatusOK || m["dispatch"] != "remote" || len(rows) != 0 {
+		t.Fatalf("GET /v1/workers: %d %v, want remote dispatch and no local-* worker", code, m)
+	}
+}
+
 // TestV1CancelCampaign: DELETE dequeues a queued campaign, stops a
-// running one through its context, 409s on terminal ones and 404s on
-// unknown IDs.
+// running one through its context at once, 409s on terminal ones and
+// 404s on unknown IDs.
 func TestV1CancelCampaign(t *testing.T) {
 	srv := newTestServerWith(t, queue.Config{}, serverConfig{maxRunning: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
+	stopped := make(chan struct{}, 4)
 	setRunner(srv, func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 		started <- struct{}{}
 		select {
 		case <-release:
 			return &campaign.Report{Total: len(specs), Succeeded: len(specs)}, nil
 		case <-ctx.Done():
+			stopped <- struct{}{}
 			return &campaign.Report{Total: len(specs)}, ctx.Err()
 		}
 	})
@@ -519,7 +535,8 @@ func TestV1CancelCampaign(t *testing.T) {
 		t.Errorf("queued campaign after cancel: %v", final["status"])
 	}
 
-	// Cancel the running one: context cancellation unwinds it.
+	// Cancel the running one: context cancellation unwinds it, at once
+	// rather than at the holder's next heartbeat.
 	code, m = doJSON(t, srv, "DELETE", "/v1/campaigns/"+runningID, "")
 	if code != http.StatusAccepted || m["status"] != "cancelling" {
 		t.Fatalf("DELETE running: %d %v", code, m)
@@ -527,6 +544,7 @@ func TestV1CancelCampaign(t *testing.T) {
 	if final := waitDone(t, srv, runningID); final["status"] != "cancelled" {
 		t.Errorf("running campaign after cancel: %v", final["status"])
 	}
+	await(t, stopped, 2*time.Second, "cancelled campaign's runner still running")
 
 	// Terminal campaigns conflict; unknown IDs are not found.
 	code, m = doJSON(t, srv, "DELETE", "/v1/campaigns/"+runningID, "")
@@ -605,7 +623,7 @@ func replayEvents(t *testing.T, url, id string) []string {
 // SSE stream replays job_started before job_finished for every job, then
 // done — clients cannot tell which dispatch mode served them.
 func TestV1EventsRemoteDispatch(t *testing.T) {
-	srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+	srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	startWorker(t, ts.URL, "solo", 2)
@@ -662,7 +680,7 @@ func TestV1PriorityRemoteDispatch(t *testing.T) {
 	workers := []string{"w1", "w2", "w3"}
 	for _, worker := range workers {
 		t.Run(worker, func(t *testing.T) {
-			srv := newTestServerWith(t, queue.Config{}, serverConfig{dispatch: "remote"})
+			srv := newTestServerWith(t, queue.Config{}, serverConfig{})
 			for _, w := range workers {
 				if _, ok := leaseAs(t, srv, w); ok {
 					t.Fatalf("%s leased from an empty queue", w)
@@ -711,7 +729,7 @@ func TestV1EventsSurviveRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		return newServer(ctx, st, q, serverConfig{workers: 2, retries: 1}), q, cancel
+		return newServer(ctx, st, q, serverConfig{workers: 2, maxRunning: defaultMaxRunning}), q, cancel
 	}
 
 	srv1, q1, cancel1 := boot()

@@ -5,7 +5,7 @@
 // store. It reaches its coordinator through the
 // Coordinator interface: worker processes (cmd/dramdig-worker) use the
 // HTTP Client against the lease API under /v1/cluster, and dramdigd's
-// own in-process workers (-dispatch local) make the same calls
+// own in-process workers (-max-running of them) make the same calls
 // directly, with no HTTP and no JSON envelopes on the path.
 //
 // The protocol is five POSTs plus two PUTs:
@@ -70,10 +70,11 @@ type LeaseGrant struct {
 	TraceParent string `json:"traceparent,omitempty"`
 	// RequestID is the submitting request's ID, for log correlation.
 	RequestID string `json:"request_id,omitempty"`
-	// Revoked, when non-nil, is closed the moment the coordinator
-	// revokes the lease (a client cancelled the campaign). Only
-	// in-process coordinators set it; a remote worker learns of the
-	// revocation from its next heartbeat's lease_lost.
+	// Revoked is the queue's queue.Job.LeaseEnded channel: closed the
+	// moment the queue ends the lease, whether the campaign completed,
+	// failed, was cancelled or its lease expired. It never crosses the
+	// wire, so only in-process workers see it; a remote worker learns
+	// that its lease ended from its next heartbeat's lease_lost.
 	Revoked <-chan struct{} `json:"-"`
 }
 

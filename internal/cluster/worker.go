@@ -64,10 +64,9 @@ type Coordinator interface {
 
 // WorkerConfig tunes a Worker.
 type WorkerConfig struct {
-	// Workers caps concurrent campaign jobs (default GOMAXPROCS);
-	// Retries matches the daemon's retry semantics (negative disables).
+	// Workers caps concurrent campaign jobs (default GOMAXPROCS). Each
+	// job gets the campaign default of one retry.
 	Workers int
-	Retries int
 	// Poll is the idle poll interval when the coordinator cannot signal
 	// new work (default 500ms).
 	Poll time.Duration
@@ -267,7 +266,7 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	}
 
 	// runCtx ends when the campaign should stop: worker shutdown, or
-	// the lease being lost or revoked.
+	// the lease being lost or ended by the queue.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	l := &lease{w: w, g: g, ctx: runCtx, cancel: cancel}
@@ -296,7 +295,6 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 
 	cfg := campaign.Config{
 		Workers:    p.Request.Workers,
-		Retries:    w.cfg.Retries,
 		Seed:       p.Seed,
 		OnEvent:    l.progress,
 		Wrap:       w.wrap,
@@ -405,7 +403,8 @@ func (l *lease) lose() {
 }
 
 // keepAlive renews the lease every ttl/3 until the campaign stops,
-// and stops it at once if the coordinator revokes the lease.
+// and stops it at once if the grant's Revoked channel says the queue
+// ended the lease.
 func (l *lease) keepAlive(ttl time.Duration, done chan struct{}) {
 	defer close(done)
 	interval := ttl / 3

@@ -63,7 +63,7 @@ func TestWorkerCountsJobEvents(t *testing.T) {
 	}
 	run := func(reg *metrics.Registry) map[campaign.EventKind]int {
 		coord := &eventCoord{events: make(map[campaign.EventKind]int)}
-		w := NewWorker(coord, WorkerConfig{Workers: 1, Retries: -1, Metrics: reg})
+		w := NewWorker(coord, WorkerConfig{Workers: 1, Metrics: reg})
 		w.RunCampaign = func(ctx context.Context, specs []campaign.Spec, cfg campaign.Config) (*campaign.Report, error) {
 			return campaign.Run(ctx, append(specs, campaign.Spec{Name: "broken", Def: bad, Seed: 7}), cfg)
 		}
@@ -211,7 +211,7 @@ func BenchmarkWorkerSnapshot(b *testing.B) {
 // summed time: bare_ns_op and snapshot_ns_op are each side's mean, and
 // snapshot_overhead_pct is the ratio of the two sums.
 func BenchmarkHeartbeatSnapshot(b *testing.B) {
-	q, err := queue.Open(queue.Config{Dir: b.TempDir(), Capacity: 1 << 30, CompactEvery: 1 << 30})
+	q, err := queue.Open(queue.Config{Dir: b.TempDir(), Capacity: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,10 +24,11 @@ func untimedClose(b *testing.B, q *Queue) {
 // BenchmarkSubmitDurable measures the fsync-bound WAL append every
 // durable submission pays.
 func BenchmarkSubmitDurable(b *testing.B) {
-	q, err := Open(Config{Dir: b.TempDir(), Capacity: 1 << 30, CompactEvery: 1 << 30})
+	q, err := Open(Config{Dir: b.TempDir(), Capacity: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
+	q.compactAfter = 1 << 30
 	defer untimedClose(b, q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,10 +60,11 @@ func BenchmarkSubmitMemory(b *testing.B) {
 // shared fsyncs, so jobs/s should clear the one-fsync-per-job floor the
 // sequential path pays.
 func BenchmarkSubmitParallel(b *testing.B) {
-	q, err := Open(Config{Dir: b.TempDir(), Capacity: 1 << 30, CompactEvery: 1 << 30})
+	q, err := Open(Config{Dir: b.TempDir(), Capacity: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
+	q.compactAfter = 1 << 30
 	defer untimedClose(b, q)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -86,10 +88,11 @@ func BenchmarkSubmitParallel(b *testing.B) {
 func BenchmarkRecover(b *testing.B) {
 	const jobs = 256
 	dir := b.TempDir()
-	q, err := Open(Config{Dir: dir, Capacity: jobs, KeepTerminal: jobs, CompactEvery: 1 << 30})
+	q, err := Open(Config{Dir: dir, Capacity: jobs, KeepTerminal: jobs})
 	if err != nil {
 		b.Fatal(err)
 	}
+	q.compactAfter = 1 << 30
 	done := 0
 	for i := 0; i < jobs; i++ {
 		if _, _, err := q.Submit(benchPayload, SubmitOptions{}); err != nil {

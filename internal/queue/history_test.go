@@ -9,6 +9,13 @@ import (
 	"dramdig/internal/metrics"
 )
 
+// history reads a job's recorded events the one way callers do: through
+// Get.
+func history(q *Queue, id string) ([]Event, bool) {
+	j, ok := q.Get(id)
+	return j.History, ok
+}
+
 func historyTypes(evs []Event) []string {
 	out := make([]string, len(evs))
 	for i, ev := range evs {
@@ -59,9 +66,9 @@ func TestJobHistoryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	evs, ok := q.History(j.ID)
+	evs, ok := history(q, j.ID)
 	if !ok {
-		t.Fatalf("History(%s) not found", j.ID)
+		t.Fatalf("history of %s not found", j.ID)
 	}
 	if !sameTypes(historyTypes(evs),
 		EventSubmitted, EventLeased, EventExpired, EventRequeued, EventLeased, EventDone) {
@@ -95,12 +102,12 @@ func TestJobHistoryLifecycle(t *testing.T) {
 
 	// Mutating the returned slice must not reach the stored history.
 	evs[0].Type = "tampered"
-	again, _ := q.History(j.ID)
+	again, _ := history(q, j.ID)
 	if again[0].Type != EventSubmitted {
-		t.Fatal("History returned a live reference")
+		t.Fatal("Get returned a live history")
 	}
-	if _, ok := q.History("nope"); ok {
-		t.Fatal("History of unknown job reported present")
+	if _, ok := history(q, "nope"); ok {
+		t.Fatal("history of unknown job reported present")
 	}
 }
 
@@ -129,7 +136,7 @@ func TestJobHistoryPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q2.Close()
-	evs, ok := q2.History(j.ID)
+	evs, ok := history(q2, j.ID)
 	if !ok {
 		t.Fatalf("history lost across reopen")
 	}
@@ -155,7 +162,7 @@ func TestJobHistoryPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q3.Close()
-	evs3, ok := q3.History(j.ID)
+	evs3, ok := history(q3, j.ID)
 	if !ok || !sameTypes(historyTypes(evs3),
 		EventSubmitted, EventLeased, "job_started", EventRequeued) {
 		t.Fatalf("history after second reopen = %v, ok=%v", historyTypes(evs3), ok)
@@ -180,7 +187,7 @@ func TestJobHistoryCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evs, _ := q.History(j.ID)
+	evs, _ := history(q, j.ID)
 	if len(evs) != maxJobHistory {
 		t.Fatalf("history length = %d, want %d", len(evs), maxJobHistory)
 	}

@@ -3,6 +3,7 @@ package queue
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +80,91 @@ func TestLeaseBasic(t *testing.T) {
 	st := q.StatsSnapshot()
 	if st.Done != 1 || st.Failed != 1 || st.Leased != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestLeaseEnded: the queue alone ends a lease, and it closes the
+// lease's LeaseEnded channel when it does — on completion, failure,
+// cancel and expiry — while Heartbeat and Progress leave it open. A job
+// never leased has no channel, and neither has one Open recovered.
+func TestLeaseEnded(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	ends := map[string]func(q *Queue, l Job) error{
+		"complete": func(q *Queue, l Job) error { return q.CompleteLease(l.ID, "w", l.LeaseToken, nil) },
+		"fail":     func(q *Queue, l Job) error { return q.FailLease(l.ID, "w", l.LeaseToken, "boom") },
+		"cancel": func(q *Queue, l Job) error {
+			_, err := q.Cancel(l.ID, "stop")
+			return err
+		},
+		"expire": func(q *Queue, l Job) error {
+			lapsed, err := q.ExpireLeases(time.Now().Add(2 * time.Minute))
+			if err == nil && len(lapsed) != 1 {
+				err = fmt.Errorf("expired %d leases, want 1", len(lapsed))
+			}
+			return err
+		},
+	}
+	for name, end := range ends {
+		t.Run(name, func(t *testing.T) {
+			q := openTest(t, Config{})
+			j := submitN(t, q, 1)[0]
+			if got, _ := q.Get(j.ID); j.LeaseEnded() != nil || got.LeaseEnded() != nil {
+				t.Fatal("a job never leased has a LeaseEnded channel")
+			}
+			l, ok, err := q.Lease("w", time.Minute)
+			if err != nil || !ok {
+				t.Fatalf("lease: ok=%v err=%v", ok, err)
+			}
+			ch := l.LeaseEnded()
+			if ch == nil || closed(ch) {
+				t.Fatalf("fresh lease: channel %v, closed %v", ch, ch != nil && closed(ch))
+			}
+			if _, err := q.Heartbeat(l.ID, "w", l.LeaseToken, time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Progress(l.ID, "w", l.LeaseToken, "job_started", json.RawMessage(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			if closed(ch) {
+				t.Fatal("Heartbeat or Progress ended the lease")
+			}
+			if err := end(q, l); err != nil {
+				t.Fatal(err)
+			}
+			if !closed(ch) {
+				t.Fatalf("%s left the lease's channel open", name)
+			}
+			if got, _ := q.Get(l.ID); got.LeaseEnded() != nil {
+				t.Fatalf("job after %s still has a LeaseEnded channel", name)
+			}
+		})
+	}
+
+	// A lease dies with the process that granted it: the job Open
+	// recovers has no channel until its next lease.
+	dir := t.TempDir()
+	q, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitN(t, q, 1)
+	l, ok, err := q.Lease("w", time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("lease: ok=%v err=%v", ok, err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q2 := openTest(t, Config{Dir: dir})
+	if got, ok := q2.Get(l.ID); !ok || !got.Recovered || got.LeaseEnded() != nil {
+		t.Fatalf("recovered job: ok=%v recovered=%v channel %v", ok, got.Recovered, got.LeaseEnded())
 	}
 }
 
@@ -368,10 +454,11 @@ func TestPreLeaseJournalRefused(t *testing.T) {
 // durable across a reopen — the group commit must lose nothing.
 func TestGroupCommitConcurrentSubmit(t *testing.T) {
 	dir := t.TempDir()
-	q, err := Open(Config{Dir: dir, Capacity: 1 << 20, CompactEvery: 1 << 20})
+	q, err := Open(Config{Dir: dir, Capacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.compactAfter = 1 << 20
 
 	const goroutines, per = 8, 25
 	var wg sync.WaitGroup
@@ -402,10 +489,11 @@ func TestGroupCommitConcurrentSubmit(t *testing.T) {
 	// Simulate a crash: no Close, no compaction — only the WAL.
 	q.wal.Close()
 
-	q2, err := Open(Config{Dir: dir, Capacity: 1 << 20, CompactEvery: 1 << 20})
+	q2, err := Open(Config{Dir: dir, Capacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q2.compactAfter = 1 << 20
 	defer q2.Close()
 	for g, list := range ids {
 		if len(list) != per {
@@ -427,10 +515,11 @@ func TestGroupCommitConcurrentSubmit(t *testing.T) {
 // on a durable queue stays consistent — the watermark never marks an
 // unsynced record durable and no job is lost or run twice.
 func TestGroupCommitMixedOps(t *testing.T) {
-	q, err := Open(Config{Dir: t.TempDir(), Capacity: 1 << 20, CompactEvery: 1 << 20})
+	q, err := Open(Config{Dir: t.TempDir(), Capacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.compactAfter = 1 << 20
 	defer q.Close()
 
 	const jobs = 40

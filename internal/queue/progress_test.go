@@ -166,10 +166,11 @@ func TestProgressSurvivesCrash(t *testing.T) {
 // snapshot compaction, whether compaction ran mid-stream or at Close.
 func TestProgressDataRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	q, err := Open(Config{Dir: dir, CompactEvery: 3})
+	q, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.compactAfter = 3
 	submitN(t, q, 1)
 	l, _, err := q.Lease("w", time.Minute)
 	if err != nil {

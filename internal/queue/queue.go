@@ -33,7 +33,9 @@
 // rejected without corrupting state. ExpireLeases requeues jobs whose
 // deadline passed, attempt count intact — the same requeue semantics
 // crash recovery applies, so a dead worker costs one lease TTL, not a
-// campaign.
+// campaign. The queue alone ends a lease, and it tells the holder:
+// Job.LeaseEnded is closed the moment the lease completes, fails, is
+// cancelled or expires.
 //
 // Backpressure and dedup are first-class: Submit refuses work past the
 // configured pending capacity with ErrFull (the daemon turns that into
@@ -143,6 +145,25 @@ type Job struct {
 	// fsync'd; such jobs are invisible to Lease until the group commit
 	// lands. Unexported: never serialized.
 	syncPending bool
+	// leaseEnded is made by Lease and closed by endLease (see
+	// LeaseEnded); nil while no lease is live. Never serialized.
+	leaseEnded chan struct{}
+}
+
+// LeaseEnded returns a channel the queue closes when the lease this copy
+// of the job was taken under ends: completed, failed, cancelled or
+// expired. It is nil for a copy taken while no lease was live, such as
+// a job never leased or one Open recovered.
+func (j *Job) LeaseEnded() <-chan struct{} { return j.leaseEnded }
+
+// endLease clears the job's lease and closes its LeaseEnded channel:
+// every lease ends here.
+func (j *Job) endLease() {
+	j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = "", "", 0
+	if j.leaseEnded != nil {
+		close(j.leaseEnded)
+		j.leaseEnded = nil
+	}
 }
 
 func (j *Job) clone() Job {
@@ -226,14 +247,15 @@ type Config struct {
 	// oldest are evicted past the cap, which also ends their
 	// idempotency-dedup window.
 	KeepTerminal int
-	// CompactEvery is the number of journal records between automatic
-	// compactions (default 1024).
-	CompactEvery int
 }
 
 // idPrefix prefixes generated job IDs ("c1", "c2", …), the daemon's
 // campaign IDs.
 const idPrefix = "c"
+
+// compactEvery is the number of journal records between automatic
+// compactions.
+const compactEvery = 1024
 
 func (c *Config) setDefaults() {
 	if c.Capacity <= 0 {
@@ -241,9 +263,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.KeepTerminal <= 0 {
 		c.KeepTerminal = 256
-	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 1024
 	}
 }
 
@@ -299,6 +318,10 @@ type Queue struct {
 	wal     *storage.AppendLog // the journal; nil in memory mode
 	walLen  int                // records since last compaction
 	closed  bool
+	// compactAfter is the journal length that triggers a compaction:
+	// compactEvery, which only the package's tests and benchmarks change
+	// (right after Open).
+	compactAfter int
 
 	// Group-commit state. Records are written to the WAL under q.mu but
 	// fsync'd under walMu, usually after q.mu is released (lock order is
@@ -376,11 +399,12 @@ type walRecord struct {
 func Open(cfg Config) (*Queue, error) {
 	cfg.setDefaults()
 	q := &Queue{
-		cfg:     cfg,
-		jobs:    make(map[string]*Job),
-		byKey:   make(map[string]string),
-		ready:   make(chan struct{}, 1),
-		changed: make(chan struct{}),
+		cfg:          cfg,
+		jobs:         make(map[string]*Job),
+		byKey:        make(map[string]string),
+		compactAfter: compactEvery,
+		ready:        make(chan struct{}, 1),
+		changed:      make(chan struct{}),
 	}
 	if cfg.Dir == "" {
 		return q, nil
@@ -401,7 +425,7 @@ func Open(cfg Config) (*Queue, error) {
 		if j.State.InFlight() {
 			j.State = StateSubmitted
 			j.Recovered = true
-			j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = "", "", 0
+			j.endLease()
 			q.requeued++
 			// Not a WAL mutation — the requeue event is persisted through
 			// the compaction below, like the state flip itself.
@@ -529,7 +553,7 @@ func (q *Queue) applyLocked(rec walRecord) error {
 		// Attribute terminal events to the worker that held the lease.
 		owner := j.LeaseOwner
 		j.State = rec.State
-		j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = "", "", 0
+		j.endLease()
 		switch rec.State {
 		case StateDone:
 			j.Result = rec.Result
@@ -559,7 +583,7 @@ func (q *Queue) applyLocked(rec walRecord) error {
 			j.State = StateSubmitted
 			q.pending++
 		}
-		j.LeaseOwner, j.LeaseToken, j.LeaseExpiresUnixNano = "", "", 0
+		j.endLease()
 		j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventExpired, Worker: owner, Attempt: j.Attempts})
 		if requeued {
 			j.recordEvent(Event{Seq: rec.Seq, AtUnixNano: rec.At, Type: EventRequeued, Attempt: j.Attempts})
@@ -602,7 +626,7 @@ func (q *Queue) appendLocked(rec walRecord) error {
 	q.writtenSeq.Store(rec.Seq)
 	q.walAppend.Observe(time.Since(start).Seconds())
 	q.walLen++
-	if q.walLen >= q.cfg.CompactEvery {
+	if q.walLen >= q.compactAfter {
 		return q.compactLocked()
 	}
 	return nil
@@ -843,8 +867,9 @@ func better(j, cur *Job) bool {
 }
 
 // Cancel ends a pending or leased job as cancelled. A leased job's
-// lease dies with it: the holder's next Heartbeat, CompleteLease or
-// FailLease reports ErrLeaseExpired, so it stops without reporting.
+// lease dies with it: its LeaseEnded channel closes, and the holder's
+// next Heartbeat, CompleteLease or FailLease reports ErrLeaseExpired,
+// so it stops without reporting.
 // Terminal jobs cannot change.
 func (q *Queue) Cancel(id, msg string) (Job, error) {
 	q.mu.Lock()
@@ -900,7 +925,9 @@ func newLeaseToken() string {
 // The returned job's LeaseToken must accompany every Heartbeat,
 // CompleteLease and FailLease for this grant; after the deadline passes
 // and ExpireLeases requeues the job, or Cancel ends it, the token is
-// dead and those calls report ErrLeaseExpired or ErrStaleLease.
+// dead and those calls report ErrLeaseExpired or ErrStaleLease. The
+// returned job's LeaseEnded channel is closed whenever the lease ends,
+// so a holder in this process learns of it at once.
 //
 // A grant that leaves work pending signals Ready again, so one wakeup
 // fans out across idle workers: a burst of K submissions starts K
@@ -935,6 +962,7 @@ func (q *Queue) Lease(owner string, ttl time.Duration) (Job, bool, error) {
 		q.mu.Unlock()
 		return Job{}, false, err
 	}
+	pick.leaseEnded = make(chan struct{})
 	out := pick.clone()
 	// First lease only: a re-lease after expiry or recovery would fold
 	// execution time into what is meant to be pure backlog wait.
@@ -1116,18 +1144,6 @@ func (q *Queue) Get(id string) (Job, bool) {
 		return Job{}, false
 	}
 	return j.clone(), true
-}
-
-// History returns a copy of the job's recorded lifecycle events, in
-// order. The second return is false when the job is not retained.
-func (q *Queue) History(id string) ([]Event, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return append([]Event(nil), j.History...), true
 }
 
 // Jobs returns copies of every retained job, in submission order.

@@ -249,21 +249,22 @@ func TestQueueTornTail(t *testing.T) {
 	}
 }
 
-// TestQueueCompaction: once CompactEvery records accumulate, the journal
+// TestQueueCompaction: once compactAfter records accumulate, the journal
 // is rewritten as a head record plus one submit record per job, later
 // records append after them, and that journal alone reproduces the
 // state. A durable queue's directory holds nothing but the journal.
 func TestQueueCompaction(t *testing.T) {
 	dir := t.TempDir()
-	q1, err := Open(Config{Dir: dir, CompactEvery: 4})
+	q1, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q1.compactAfter = 4
 	var last Job
 	for i := 0; i < 6; i++ {
 		last = mustSubmit(t, q1, fmt.Sprintf(`{"i":%d}`, i), SubmitOptions{})
 	}
-	// 6 submits with CompactEvery=4: compacted at 4, so the 4 compacted
+	// 6 submits with compactAfter=4: compacted at 4, so the 4 compacted
 	// jobs follow the head and 2 appended records follow them.
 	var ops []string
 	if err := storage.ReadLog(filepath.Join(dir, journalName), func(data []byte) error {
@@ -280,10 +281,11 @@ func TestQueueCompaction(t *testing.T) {
 		t.Fatalf("journal records %s, want %s", got, want)
 	}
 
-	q2, err := Open(Config{Dir: dir, CompactEvery: 4})
+	q2, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q2.compactAfter = 4
 	if got := q2.StatsSnapshot().Pending; got != 6 {
 		t.Fatalf("recovered %d pending jobs, want 6", got)
 	}
@@ -402,7 +404,8 @@ func TestQueueTerminalEviction(t *testing.T) {
 // under -race this is the data-race check. Compacting every few records
 // swaps the journal's append handle under concurrent group commits.
 func TestQueueConcurrent(t *testing.T) {
-	q := openTest(t, Config{Dir: t.TempDir(), Capacity: 1024, CompactEvery: 7})
+	q := openTest(t, Config{Dir: t.TempDir(), Capacity: 1024})
+	q.compactAfter = 7
 	const producers, perProducer = 4, 25
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -32,17 +32,21 @@ import (
 // format, index, LRU, sealing, compaction, the MaxBytes bound and Sweep
 // are shared.
 type BlobStore struct {
-	mu     sync.Mutex
-	dir    string // empty: segments live in memory
-	opts   Options
-	segs   map[uint64]*segment
-	active *segment
-	f      *os.File // append handle for the active segment file
-	index  map[string]*blobLoc
-	lru    *list.List // front = most recently used; values are keys
-	bytes  int64      // sum of segment sizes
-	live   int64      // sum of live record bytes
-	closed bool
+	mu   sync.Mutex
+	dir  string // empty: segments live in memory
+	opts Options
+	// segBytes is the target segment size before the active segment is
+	// sealed: segmentBytes, clamped to MaxBytes/4 (at least 4 KiB) when a
+	// bound is set so eviction can always get under the bound.
+	segBytes int64
+	segs     map[uint64]*segment
+	active   *segment
+	f        *os.File // append handle for the active segment file
+	index    map[string]*blobLoc
+	lru      *list.List // front = most recently used; values are keys
+	bytes    int64      // sum of segment sizes
+	live     int64      // sum of live record bytes
+	closed   bool
 
 	stats SweepStats
 }
@@ -52,10 +56,6 @@ type Options struct {
 	// Dir is the segment directory; created if absent. Empty keeps the
 	// segments' bytes in memory, so nothing outlives the process.
 	Dir string
-	// SegmentBytes is the target segment size before the active segment
-	// is sealed. Defaults to 1 MiB, clamped to MaxBytes/4 when a bound
-	// is set so eviction can always get under the bound.
-	SegmentBytes int64
 	// MaxBytes bounds total segment bytes; 0 means unbounded.
 	// When a Put pushes the store past the bound, least-recently-used
 	// blobs are evicted and dead segments compacted until it fits.
@@ -95,8 +95,8 @@ const (
 	// meaning belongs to the log's owner.
 	recJournal = 'j'
 
-	defaultSegmentBytes = 1 << 20
-	segSuffix           = ".seg"
+	segmentBytes = 1 << 20
+	segSuffix    = ".seg"
 )
 
 // OpenBlobStore opens (creating if needed) the store at opts.Dir, scans
@@ -104,21 +104,22 @@ const (
 // segment, and fails on any other torn or corrupt record. With no
 // directory it opens an empty store whose segments live in memory.
 func OpenBlobStore(opts Options) (*BlobStore, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if opts.MaxBytes > 0 && opts.SegmentBytes > opts.MaxBytes/4 {
-		opts.SegmentBytes = opts.MaxBytes / 4
-		if opts.SegmentBytes < 4096 {
-			opts.SegmentBytes = 4096
-		}
+	return openBlobStore(opts, segmentBytes)
+}
+
+// openBlobStore is OpenBlobStore with the target segment size given; the
+// package's tests roll small segments through it.
+func openBlobStore(opts Options, segBytes int64) (*BlobStore, error) {
+	if opts.MaxBytes > 0 && segBytes > opts.MaxBytes/4 {
+		segBytes = max(opts.MaxBytes/4, 4096)
 	}
 	bs := &BlobStore{
-		dir:   opts.Dir,
-		opts:  opts,
-		segs:  make(map[uint64]*segment),
-		index: make(map[string]*blobLoc),
-		lru:   list.New(),
+		dir:      opts.Dir,
+		opts:     opts,
+		segBytes: segBytes,
+		segs:     make(map[uint64]*segment),
+		index:    make(map[string]*blobLoc),
+		lru:      list.New(),
 	}
 	var ids []uint64
 	var err error
@@ -164,7 +165,7 @@ func OpenBlobStore(opts Options) (*BlobStore, error) {
 			newest = s
 		}
 	}
-	if newest != nil && newest.bytes < bs.opts.SegmentBytes {
+	if newest != nil && newest.bytes < bs.segBytes {
 		f, err := os.OpenFile(newest.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("storage: reopen segment: %w", err)
@@ -354,7 +355,7 @@ func (bs *BlobStore) syncLocked() error {
 // record would push it past the target size. Returns the segment offset
 // the record starts at.
 func (bs *BlobStore) appendLocked(rec []byte) (int64, error) {
-	if bs.active.bytes > 0 && bs.active.bytes+int64(len(rec)) > bs.opts.SegmentBytes {
+	if bs.active.bytes > 0 && bs.active.bytes+int64(len(rec)) > bs.segBytes {
 		if err := bs.rollToLocked(bs.active.id + 1); err != nil {
 			return 0, err
 		}

@@ -15,8 +15,14 @@ import (
 
 func openTest(t *testing.T, dir string, opts Options) *BlobStore {
 	t.Helper()
+	return openSegTest(t, dir, opts, segmentBytes)
+}
+
+// openSegTest is openTest with segments sealed at segBytes.
+func openSegTest(t *testing.T, dir string, opts Options, segBytes int64) *BlobStore {
+	t.Helper()
 	opts.Dir = dir
-	bs, err := OpenBlobStore(opts)
+	bs, err := openBlobStore(opts, segBytes)
 	if err != nil {
 		t.Fatalf("OpenBlobStore: %v", err)
 	}
@@ -85,7 +91,7 @@ func TestBlobRoundtrip(t *testing.T) {
 
 func TestBlobSegmentRollAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	bs := openTest(t, dir, Options{SegmentBytes: 512})
+	bs := openSegTest(t, dir, Options{}, 512)
 	payload := bytes.Repeat([]byte("x"), 100)
 	for i := 0; i < 40; i++ {
 		if err := bs.Put(fmt.Sprintf("k%02d", i), payload); err != nil {
@@ -98,7 +104,7 @@ func TestBlobSegmentRollAndReopen(t *testing.T) {
 	if err := bs.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re := openTest(t, dir, Options{SegmentBytes: 512})
+	re := openSegTest(t, dir, Options{}, 512)
 	if re.Len() != 40 {
 		t.Fatalf("reopen Len = %d", re.Len())
 	}
@@ -156,7 +162,7 @@ func TestBlobTornTailTruncatedOnReopen(t *testing.T) {
 
 func TestBlobTornSealedSegmentIsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	bs := openTest(t, dir, Options{SegmentBytes: 256})
+	bs := openSegTest(t, dir, Options{}, 256)
 	payload := bytes.Repeat([]byte("y"), 100)
 	for i := 0; i < 10; i++ {
 		if err := bs.Put(fmt.Sprintf("k%d", i), payload); err != nil {
@@ -179,7 +185,7 @@ func TestBlobTornSealedSegmentIsCorruption(t *testing.T) {
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBlobStore(Options{Dir: dir, SegmentBytes: 256}); err == nil {
+	if _, err := openBlobStore(Options{Dir: dir}, 256); err == nil {
 		t.Fatal("corrupt sealed segment must fail Open")
 	} else if !strings.Contains(err.Error(), "torn record") {
 		t.Fatalf("unexpected error: %v", err)
@@ -324,7 +330,7 @@ func TestBlobMaxBytesEvictsLRU(t *testing.T) {
 
 func TestBlobSweepReclaimsAndCompacts(t *testing.T) {
 	media(t, func(t *testing.T, dir string) {
-		bs := openTest(t, dir, Options{SegmentBytes: 2048})
+		bs := openSegTest(t, dir, Options{}, 2048)
 		payload := bytes.Repeat([]byte("w"), 512)
 		for i := 0; i < 20; i++ {
 			prefix := "keep/"
@@ -366,7 +372,7 @@ func TestBlobSweepReclaimsAndCompacts(t *testing.T) {
 		if err := bs.Close(); err != nil {
 			t.Fatal(err)
 		}
-		re := openTest(t, dir, Options{SegmentBytes: 2048})
+		re := openSegTest(t, dir, Options{}, 2048)
 		if re.Len() != 10 {
 			t.Fatalf("reopen Len = %d, want 10", re.Len())
 		}

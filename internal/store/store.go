@@ -97,10 +97,6 @@ type Config struct {
 	// Dir persists results and traces in the segments under
 	// Dir/segments; empty keeps the same segments in memory.
 	Dir string
-	// MaxEntries caps the in-memory LRU front of decoded records
-	// (default 128). The segments are unaffected by eviction: evicted
-	// records reload from them.
-	MaxEntries int
 	// MaxBytes bounds the segment bytes, on disk or in memory; 0 means
 	// unbounded. Past the bound, least-recently-used blobs are evicted
 	// and dead segments compacted.
@@ -146,7 +142,6 @@ type Stats struct {
 // Store is safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
-	cap    int
 	ll     *list.List               // front = most recently used
 	items  map[string]*list.Element // value: *Record
 	flight map[string]*flightCall
@@ -168,12 +163,13 @@ type flightCall struct {
 	err  error
 }
 
+// lruEntries caps the in-memory LRU front of decoded records. The
+// segments are unaffected by eviction: evicted records reload from them.
+const lruEntries = 128
+
 // Open creates a store; with Config.Dir set, records persist across
 // processes (loaded lazily on Get misses).
 func Open(cfg Config) (*Store, error) {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 128
-	}
 	segDir := ""
 	if cfg.Dir != "" {
 		segDir = filepath.Join(cfg.Dir, "segments")
@@ -183,7 +179,6 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return &Store{
-		cap:     cfg.MaxEntries,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element),
 		flight:  make(map[string]*flightCall),
@@ -440,7 +435,7 @@ func (s *Store) putLocked(rec *Record, persist bool) error {
 		s.ll.MoveToFront(el)
 	} else {
 		s.items[rec.Fingerprint] = s.ll.PushFront(rec)
-		for s.ll.Len() > s.cap {
+		for s.ll.Len() > lruEntries {
 			oldest := s.ll.Back()
 			s.ll.Remove(oldest)
 			delete(s.items, oldest.Value.(*Record).Fingerprint)

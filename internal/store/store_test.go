@@ -115,24 +115,24 @@ func TestStoreRejectsBadRecords(t *testing.T) {
 
 func TestStoreLRUEviction(t *testing.T) {
 	media(t, func(t *testing.T, dir string) {
-		st, err := Open(Config{Dir: dir, MaxEntries: 2})
+		st, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		for i := 1; i <= 3; i++ {
+		for i := 1; i <= lruEntries+1; i++ {
 			if err := st.Put(testRecord(t, fp(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st.Len() != 2 {
-			t.Fatalf("len = %d, want 2", st.Len())
+		if st.Len() != lruEntries {
+			t.Fatalf("len = %d, want %d", st.Len(), lruEntries)
 		}
 		// fp(1) was evicted from the LRU but must reload from the segments.
 		if _, ok, err := st.Get(fp(1)); err != nil || !ok {
 			t.Errorf("evicted record lost entirely: ok=%v err=%v", ok, err)
 		}
-		if st.Len() != 2 {
+		if st.Len() != lruEntries {
 			t.Errorf("reload grew the LRU past its cap: %d", st.Len())
 		}
 	})
@@ -406,18 +406,18 @@ func TestStoreTraceTierDisk(t *testing.T) {
 
 func TestStoreTraceTierMemory(t *testing.T) {
 	media(t, func(t *testing.T, dir string) {
-		s, err := Open(Config{Dir: dir, MaxEntries: 2})
+		s, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		for i := 1; i <= 3; i++ {
+		for i := 1; i <= lruEntries+1; i++ {
 			if err := s.PutTrace(fp(i), []byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// The LRU cap bounds decoded records, not traces: all three remain.
-		for i := 1; i <= 3; i++ {
+		// The LRU cap bounds decoded records, not traces: all of them remain.
+		for i := 1; i <= lruEntries+1; i++ {
 			data, ok, err := s.GetTrace(fp(i))
 			if err != nil || !ok || len(data) != 1 || data[0] != byte(i) {
 				t.Fatalf("trace %d: ok=%v err=%v data=%v", i, ok, err, data)

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the cluster subsystem: boot a coordinator
-# in remote-dispatch mode plus two dramdig-worker processes, run one
-# real campaign through the lease protocol with a W3C traceparent, and
-# check that the campaign completes exactly once, that the span tree
-# served by the coordinator contains both coordinator and worker spans
-# under the inbound trace ID, that both workers registered (and the one
-# that ran the job completed it), and that the dramdig_cluster_* metric
-# families rendered and moved. CI runs this after the unit suites; run
-# it locally with `./scripts/cluster-smoke.sh`.
+# with no in-process workers (-max-running 0) plus two dramdig-worker
+# processes, run one real campaign through the lease protocol with a
+# W3C traceparent, and check that the campaign completes exactly once,
+# that the span tree served by the coordinator contains both
+# coordinator and worker spans under the inbound trace ID, that both
+# workers registered (and the one that ran the job completed it), and
+# that the dramdig_cluster_* metric families rendered and moved. CI
+# runs this after the unit suites; run it locally with
+# `./scripts/cluster-smoke.sh`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,7 +44,7 @@ go build -o "$WORKDIR/dramdig-worker" ./cmd/dramdig-worker
 # campaign with every job a store hit still runs 170–220 ms (3.4–4.5
 # intervals): the floor an infinitely fast engine would leave. A live
 # lease lapses only after a 100 ms stall between heartbeats.
-"$WORKDIR/dramdigd" -addr "$ADDR" -dispatch remote -lease-ttl 150ms \
+"$WORKDIR/dramdigd" -addr "$ADDR" -max-running 0 -lease-ttl 150ms \
   -cache-dir "$WORKDIR/cache" -queue-dir "$WORKDIR/queue" \
   -log-format json >"$WORKDIR/daemon.log" 2>&1 &
 DAEMON_PID=$!

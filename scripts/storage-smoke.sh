@@ -34,7 +34,7 @@ go build -o "$WORKDIR/dramdigd" ./cmd/dramdigd
 
 boot_daemon() {
   "$WORKDIR/dramdigd" -addr "$ADDR" \
-    -cache-dir "$WORKDIR/cache" -trace-dir "$WORKDIR/cache" -queue-dir "$WORKDIR/queue" \
+    -cache-dir "$WORKDIR/cache" -trace -queue-dir "$WORKDIR/queue" \
     -store-max-bytes "$MAX_BYTES" -store-gc-interval 1s -store-gc-grace 2s \
     -log-format json >>"$WORKDIR/daemon.log" 2>&1 &
   DAEMON_PID=$!
