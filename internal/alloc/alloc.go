@@ -9,6 +9,10 @@
 // exercise that retry path, plus a scattered-chunk layout mirroring how a
 // real buddy allocator hands out memory.
 //
+// The layout is deterministic in the allocation seed: chunk slots and
+// holes are drawn from math/rand's sequence for that seed, continued a
+// block at a time.
+//
 // The pool is kept as bitmap words of 64 pages, never as a list of
 // pages: each chunk draws its holes into a bitmap, and the pool is those
 // bitmaps laid on one 64-page grid. Membership is a search over the
@@ -124,27 +128,30 @@ type word struct {
 	owned uint64    // bit k set: page base + k·PageSize is owned
 }
 
-// NewPool simulates the allocation. The layout is deterministic in rng.
-func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
+// NewPool simulates the allocation. The layout is deterministic in seed:
+// it is the layout drawn by rand.New(rand.NewSource(seed)) calling
+// Int63n for each chunk's slot and Float64 for each page of a holed chunk.
+func NewPool(cfg Config, seed int64) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Pool{cfg: cfg}
+	var rng lfg
+	rng.seed(seed)
 
-	// Every page of a holed chunk draws from rng, in chunk order, even
-	// when an earlier chunk already holds it: a seed always yields the
-	// same layout, so recorded traces replay. Each chunk marks its holes
-	// in a bitmap; the words are written once, in address order, below.
+	// Every page of a holed chunk draws, in chunk order, even when an
+	// earlier chunk already holds it: a seed always yields the same
+	// layout, so recorded traces replay. A page is a hole when Float64
+	// would draw below HoleProb, that is when its draw is below
+	// holeBound. Each chunk marks its holes in a bitmap; the words are
+	// written once, in address order, below.
+	holeBound := floatBound(cfg.HoleProb)
 	chunks := make([]chunk, 0, 1+cfg.ScatterChunks)
 	addChunk := func(base addr.Phys, bytes uint64, holes bool) {
 		c := chunk{base: base, pages: bytes / PageSize}
 		c.holes = make([]uint64, (c.pages+63)/64)
 		if holes && cfg.HoleProb > 0 {
-			for i := uint64(0); i < c.pages; i++ {
-				if rng.Float64() < cfg.HoleProb {
-					c.holes[i/64] |= 1 << (i % 64)
-				}
-			}
+			rng.holes(c.holes, c.pages, holeBound)
 		}
 		chunks = append(chunks, c)
 	}
@@ -157,7 +164,7 @@ func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
 	if slots == 0 {
 		return nil, fmt.Errorf("alloc: memory too small for primary chunk")
 	}
-	base := addr.Phys(uint64(rng.Int63n(int64(slots))) * align)
+	base := addr.Phys(uint64(rng.int63n(int64(slots))) * align)
 	p.primary.start, p.primary.end = base, base+addr.Phys(cfg.PrimaryBytes)
 	addChunk(base, cfg.PrimaryBytes, cfg.FragmentPrimary)
 
@@ -165,7 +172,7 @@ func NewPool(cfg Config, rng *rand.Rand) (*Pool, error) {
 	for i := 0; i < cfg.ScatterChunks; i++ {
 		cAlign := cfg.ScatterChunkBytes
 		cSlots := cfg.MemBytes / cAlign
-		cBase := addr.Phys(uint64(rng.Int63n(int64(cSlots))) * cAlign)
+		cBase := addr.Phys(uint64(rng.int63n(int64(cSlots))) * cAlign)
 		addChunk(cBase, cfg.ScatterChunkBytes, true)
 	}
 
@@ -292,6 +299,33 @@ func (p *Pool) All() iter.Seq[addr.Phys] {
 	return func(yield func(addr.Phys) bool) {
 		for _, w := range p.words {
 			for owned := w.owned; owned != 0; owned &= owned - 1 {
+				if !yield(w.base + addr.Phys(uint64(bits.TrailingZeros64(owned))*PageSize)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Matching yields, in ascending order, the owned pages p with
+// p&mask == mask. A word whose base lacks the mask's bits above the
+// word holds no such page and is skipped whole.
+func (p *Pool) Matching(mask uint64) iter.Seq[addr.Phys] {
+	high := mask &^ uint64(wordBytes-1)
+	// in: bit k set when page k of a word has the mask's bits below the
+	// word; none has when the mask holds a sub-page bit.
+	var in uint64
+	for k := uint64(0); k < wordPages; k++ {
+		if k*PageSize&mask == mask&uint64(wordBytes-1) {
+			in |= 1 << k
+		}
+	}
+	return func(yield func(addr.Phys) bool) {
+		for _, w := range p.words {
+			if uint64(w.base)&high != high {
+				continue
+			}
+			for owned := w.owned & in; owned != 0; owned &= owned - 1 {
 				if !yield(w.base + addr.Phys(uint64(bits.TrailingZeros64(owned))*PageSize)) {
 					return
 				}

@@ -11,7 +11,7 @@ import (
 
 func newTestPool(t testing.TB, cfg Config, seed int64) *Pool {
 	t.Helper()
-	p, err := NewPool(cfg, rand.New(rand.NewSource(seed)))
+	p, err := NewPool(cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("scatter chunk larger than memory accepted")
 	}
-	if _, err := NewPool(bad, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewPool(bad, 1); err == nil {
 		t.Error("NewPool accepted a scatter chunk larger than memory")
 	}
 }
@@ -180,7 +180,7 @@ func TestDeterministicLayout(t *testing.T) {
 func TestSmallMemoryRejected(t *testing.T) {
 	cfg := DefaultConfig(8 << 30)
 	cfg.MemBytes = 64 << 20 // primary (64 MiB) cannot fit in half of it
-	if _, err := NewPool(cfg, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewPool(cfg, 1); err == nil {
 		t.Error("primary larger than half of memory accepted")
 	}
 }
@@ -191,10 +191,9 @@ func BenchmarkNewPool(b *testing.B) {
 	for _, gib := range []uint64{4, 8, 16} {
 		b.Run(fmt.Sprintf("%dGiB", gib), func(b *testing.B) {
 			cfg := DefaultConfig(gib << 30)
-			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewPool(cfg, rng); err != nil {
+				if _, err := NewPool(cfg, int64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

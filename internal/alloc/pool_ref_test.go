@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -100,12 +101,11 @@ func TestPoolMatchesReference(t *testing.T) {
 	const P = addr.Phys(PageSize)
 	for name, cfg := range refConfigs() {
 		for seed := int64(1); seed <= 4; seed++ {
-			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			got, err := NewPool(cfg, rngA)
+			got, err := NewPool(cfg, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := newRefPool(cfg, rngB)
+			ref, err := newRefPool(cfg, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,11 +115,6 @@ func TestPoolMatchesReference(t *testing.T) {
 			if s, e := got.PrimaryRange(); s != ref.primary.start || e != ref.primary.end {
 				t.Fatalf("%s seed %d: primary range differs", name, seed)
 			}
-			// Both consumed the same draws.
-			if a, b := rngA.Int63(), rngB.Int63(); a != b {
-				t.Fatalf("%s seed %d: rng diverged after construction", name, seed)
-			}
-
 			q := rand.New(rand.NewSource(seed))
 			pages := ref.pages
 			near := func() addr.Phys {
@@ -164,7 +159,7 @@ func TestPoolMatchesReference(t *testing.T) {
 func TestRandomAddrMatchesReference(t *testing.T) {
 	for name, cfg := range refConfigs() {
 		for seed := int64(1); seed <= 4; seed++ {
-			got, err := NewPool(cfg, rand.New(rand.NewSource(seed)))
+			got, err := NewPool(cfg, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,6 +182,56 @@ func TestRandomAddrMatchesReference(t *testing.T) {
 				if a, b := rngA.Int63(), rngB.Int63(); a != b {
 					t.Fatalf("%s seed %d align %d: rng diverged after the draws", name, seed, align)
 				}
+			}
+		}
+	}
+}
+
+// TestMatchingMatchesAll: Matching yields exactly the pages of All that
+// match the mask, in order, for random masks over the reference layouts:
+// masks with bits below the word, masks with none there, masks with a
+// sub-page bit (which no page matches) and the empty mask.
+func TestMatchingMatchesAll(t *testing.T) {
+	for name, cfg := range refConfigs() {
+		got, err := NewPool(cfg, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := slices.Collect(got.All())
+		rng := rand.New(rand.NewSource(6))
+		memBits := 63 - bits.LeadingZeros64(cfg.MemBytes)
+		for i := 0; i < 200; i++ {
+			var mask uint64
+			lo := 12 // page bits
+			switch i % 4 {
+			case 0: // no bit below the word
+				lo = 18
+			case 1: // sub-page bits too
+				lo = 0
+			}
+			for b := lo; b < memBits; b++ {
+				if rng.Intn(6) == 0 {
+					mask |= 1 << b
+				}
+			}
+			if i == 0 {
+				mask = 0
+			}
+			var want []addr.Phys
+			for _, pg := range all {
+				if uint64(pg)&mask == mask {
+					want = append(want, pg)
+				}
+			}
+			if have := slices.Collect(got.Matching(mask)); !slices.Equal(have, want) {
+				t.Fatalf("%s mask %#x: %d pages, filtering All %d", name, mask, len(have), len(want))
+			}
+			// An early break stops the walk.
+			for pg := range got.Matching(mask) {
+				if pg != want[0] {
+					t.Fatalf("%s mask %#x: first page %v, want %v", name, mask, pg, want[0])
+				}
+				break
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -32,7 +31,7 @@ func TestFragmentedScatterStillWorks(t *testing.T) {
 	}
 	cfg := alloc.DefaultConfig(m.SysInfo().MemBytes)
 	cfg.HoleProb = 0.15 // much holier than the default 0.02
-	pool, err := alloc.NewPool(cfg, rand.New(rand.NewSource(3)))
+	pool, err := alloc.NewPool(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestTinyPoolFails(t *testing.T) {
 		MemBytes:     m.SysInfo().MemBytes,
 		PrimaryBytes: 256 << 10, // far below the bank-bit range span
 	}
-	pool, err := alloc.NewPool(cfg, rand.New(rand.NewSource(1)))
+	pool, err := alloc.NewPool(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

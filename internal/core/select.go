@@ -81,11 +81,8 @@ func (t *Tool) selectAddresses(coarse *coarseResult) (*selection, error) {
 	pageMask := rangeMask &^ (alloc.PageSize - 1)
 	var start, end addr.Phys
 	found := false
-	for p := range pool.All() {
-		if uint64(p)&pageMask != pageMask {
-			continue
-		}
-		s := p - addr.Phys(rangeMask&^(alloc.PageSize-1))
+	for p := range pool.Matching(pageMask) {
+		s := p - addr.Phys(pageMask)
 		e := p + addr.Phys(alloc.PageSize)
 		if pool.PageMiss(s, e) {
 			continue

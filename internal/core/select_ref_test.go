@@ -46,7 +46,7 @@ func TestEnumerateSelectionMatchesMap(t *testing.T) {
 		{"holes", holed, 21, 22},
 		{"owned", solid, 23, 24},
 	} {
-		pool, err := alloc.NewPool(tc.cfg, rand.New(rand.NewSource(tc.poolSeed)))
+		pool, err := alloc.NewPool(tc.cfg, tc.poolSeed)
 		if err != nil {
 			t.Fatal(err)
 		}

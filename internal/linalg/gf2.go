@@ -12,8 +12,10 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -41,35 +43,13 @@ func (m *Matrix) AddRow(v Vec) { m.Rows = append(m.Rows, v) }
 // NumRows returns the number of rows.
 func (m *Matrix) NumRows() int { return len(m.Rows) }
 
-// Rank computes the GF(2) rank via Gaussian elimination.
+// Rank computes the GF(2) rank.
 func (m *Matrix) Rank() int {
-	return rank(append([]Vec(nil), m.Rows...))
-}
-
-// rank destructively computes the rank of rows.
-func rank(rows []Vec) int {
+	var p pivots
 	r := 0
-	for col := 63; col >= 0; col-- {
-		bit := uint64(1) << uint(col)
-		pivot := -1
-		for i := r; i < len(rows); i++ {
-			if rows[i]&bit != 0 {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[r], rows[pivot] = rows[pivot], rows[r]
-		for i := 0; i < len(rows); i++ {
-			if i != r && rows[i]&bit != 0 {
-				rows[i] ^= rows[r]
-			}
-		}
-		r++
-		if r == len(rows) {
-			break
+	for _, v := range m.Rows {
+		if p.add(v) {
+			r++
 		}
 	}
 	return r
@@ -77,13 +57,40 @@ func rank(rows []Vec) int {
 
 // InSpan reports whether v lies in the row span of m.
 func (m *Matrix) InSpan(v Vec) bool {
-	if v == 0 {
-		return true
+	var p pivots
+	for _, row := range m.Rows {
+		p.add(row)
 	}
-	rows := append([]Vec(nil), m.Rows...)
-	base := rank(rows)
-	rows = append(rows, v)
-	return rank(rows) == base
+	return p.reduce(v) == 0
+}
+
+// pivots holds a reduced set of vectors by highest set bit: p[b] is the
+// one vector whose highest set bit is b, or 0. The vectors are
+// combinations of the ones added, and span what they span.
+type pivots [64]Vec
+
+// reduce XORs pivots into v until no pivot shares its highest set bit.
+// The result is 0 exactly when v lies in the span of the pivots.
+func (p *pivots) reduce(v Vec) Vec {
+	for v != 0 {
+		q := p[63-bits.LeadingZeros64(v)]
+		if q == 0 {
+			return v
+		}
+		v ^= q
+	}
+	return 0
+}
+
+// add reduces v and keeps what remains as a new pivot. It reports
+// whether v was outside the span of the vectors added before.
+func (p *pivots) add(v Vec) bool {
+	v = p.reduce(v)
+	if v == 0 {
+		return false
+	}
+	p[63-bits.LeadingZeros64(v)] = v
+	return true
 }
 
 // Independent reports whether the rows of m are linearly independent.
@@ -143,29 +150,28 @@ func SpanEqual(a, b *Matrix) bool {
 // combinations of narrower ones are removed as redundant.
 //
 // The returned slice is a linearly independent set whose span equals the
-// span of the input, chosen greedily by (popcount, value) order.
+// span of the input, chosen greedily and returned in (popcount, value)
+// order: a candidate is picked when it is outside the span of the ones
+// picked before it.
 func MinimizeByWeight(cands []Vec) []Vec {
-	sorted := append([]Vec(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		pi, pj := bits.OnesCount64(sorted[i]), bits.OnesCount64(sorted[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return sorted[i] < sorted[j]
-	})
-	picked := NewMatrix()
+	sorted := slices.Clone(cands)
+	slices.SortFunc(sorted, byWeight)
+	var p pivots
 	var out []Vec
 	for _, v := range sorted {
-		if v == 0 {
-			continue
+		if p.add(v) {
+			out = append(out, v)
 		}
-		if picked.InSpan(v) {
-			continue
-		}
-		picked.AddRow(v)
-		out = append(out, v)
 	}
 	return out
+}
+
+// byWeight orders vectors by popcount, then by value.
+func byWeight(a, b Vec) int {
+	if c := cmp.Compare(bits.OnesCount64(a), bits.OnesCount64(b)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
 
 // Solve finds x with M·x = b over GF(2), where M's rows are the matrix rows

@@ -11,7 +11,6 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dramdig/internal/addr"
 	"dramdig/internal/alloc"
@@ -72,9 +71,9 @@ type Machine struct {
 // Surface builds the tool-visible surface of a definition — the
 // decode-dimms/dmidecode system information and the simulated
 // physical-page allocation — without the simulator behind it. The pool
-// is identical to the one New builds for the same (definition, seed)
-// pair; trace replay uses this to reconstruct a recorded machine's
-// address space offline.
+// layout is deterministic in the (definition, seed) pair, so it is
+// identical to the one New builds for that pair; trace replay uses this
+// to reconstruct a recorded machine's address space offline.
 func Surface(def Definition, seed int64) (sysinfo.Info, *alloc.Pool, error) {
 	chip, err := specs.Lookup(def.ChipPart)
 	if err != nil {
@@ -92,8 +91,7 @@ func Surface(def Definition, seed int64) (sysinfo.Info, *alloc.Pool, error) {
 	if err := info.Validate(); err != nil {
 		return sysinfo.Info{}, nil, fmt.Errorf("machine %s: %w", def.Name, err)
 	}
-	allocRng := rand.New(rand.NewSource(seed*1048583 + int64(def.No)))
-	pool, err := alloc.NewPool(alloc.DefaultConfig(def.MemBytes), allocRng)
+	pool, err := alloc.NewPool(alloc.DefaultConfig(def.MemBytes), seed*1048583+int64(def.No))
 	if err != nil {
 		return sysinfo.Info{}, nil, fmt.Errorf("machine %s: %w", def.Name, err)
 	}

@@ -21,7 +21,6 @@ package mapping
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -327,30 +326,21 @@ func intersect(a, b []uint) []uint {
 func (m *Mapping) Canonicalize() *Mapping {
 	// Minimize over the whole span, not just the presented functions:
 	// a basis of wide recombinations must still canonicalize to the
-	// minimal-weight forms.
+	// minimal-weight forms. The span is walked in Gray-code order, so
+	// each element is the previous one with one function XORed in.
 	span := m.BankFuncs
 	if n := len(m.BankFuncs); n > 0 && n <= 16 {
-		span = make([]uint64, 0, 1<<n)
-		for sel := 1; sel < 1<<n; sel++ {
-			var v uint64
-			for i := 0; i < n; i++ {
-				if sel&(1<<i) != 0 {
-					v ^= m.BankFuncs[i]
-				}
-			}
-			span = append(span, v)
+		span = make([]uint64, 1<<n-1)
+		var v uint64
+		for sel := range span {
+			v ^= m.BankFuncs[bits.TrailingZeros(uint(sel+1))]
+			span[sel] = v
 		}
 	}
-	funcs := linalg.MinimizeByWeight(span)
-	sort.Slice(funcs, func(i, j int) bool {
-		pi, pj := linalg.Popcount(funcs[i]), linalg.Popcount(funcs[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return funcs[i] < funcs[j]
-	})
+	// MinimizeByWeight returns the functions fewest bits first, then by
+	// value.
 	return &Mapping{
-		BankFuncs: funcs,
+		BankFuncs: linalg.MinimizeByWeight(span),
 		RowBits:   addr.SortedCopy(m.RowBits),
 		ColBits:   addr.SortedCopy(m.ColBits),
 		PhysBits:  m.PhysBits,

@@ -345,3 +345,33 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCanonicalize canonicalizes the No.1 truth (4 functions, a
+// 15-element span) and the No.6 truth (6 functions, 63 elements), as
+// every job's and every replay's fingerprint does.
+func BenchmarkCanonicalize(b *testing.B) {
+	for _, tc := range []struct {
+		name, funcs, rows, cols string
+		physBits                uint
+	}{
+		{"No.1", "(6), (14, 17), (15, 18), (16, 19)", "17~32", "0~5, 7~13", 33},
+		{"No.6", "(7, 14), (15, 19), (16, 20), (17, 21), (18, 22), (8, 9, 12, 13, 18, 19)", "19~33", "0~7, 9~13", 34},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			funcs, err := ParseFuncs(tc.funcs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows, _ := ParseBitRanges(tc.rows)
+			cols, _ := ParseBitRanges(tc.cols)
+			m, err := New(tc.physBits, funcs, rows, cols)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				m.Canonicalize()
+			}
+		})
+	}
+}
